@@ -11,10 +11,9 @@
 //! * `ablation_interning_*` — BTreeMap-keyed reference delta diffing vs
 //!   the interned [`TableStore`] merge-join on a 50-router × 96-cycle
 //!   day of snapshots,
-//! * `ablation_archive_*` — memory vs on-disk archive backends (MANTRARC
-//!   v1 JSON payloads vs v2 id-keyed records): write a 50-router ×
-//!   96-cycle day through each, stream it back, and compare bytes on
-//!   disk,
+//! * `ablation_archive_*` — memory vs the on-disk MANTRARC v2 backend:
+//!   write a 50-router × 96-cycle day through each, stream it back, and
+//!   print bytes on disk next to the logger's row-cost accounting,
 //! * `ablation_log_*` — Log-stage on-path wall time with fsync-per-record
 //!   persistence, synchronous writes vs the per-router writer thread,
 //! * `ablation_fleet_*` — one sharded fleet-monitor cycle end-to-end at
@@ -35,7 +34,7 @@ use std::time::Instant;
 use mantra_bench::{drive_for, monitor_for};
 use mantra_core::aggregate::{collect_aggregate, collect_aggregate_sequential};
 use mantra_core::archive::{
-    BackpressureMode, FileBackend, FileBackendV2, SyncPolicy, ThreadedBackend, WriterConfig,
+    BackpressureMode, FileBackendV2, SyncPolicy, ThreadedBackend, WriterConfig,
 };
 use mantra_core::collector::{preprocess_bytes, Capture, RouterAccess, SimAccess};
 use mantra_core::logger::{diff_reference, diff_with, SnapshotParts, TableDelta, TableLog};
@@ -62,14 +61,15 @@ fn ablation_logger(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_logger");
     group.sample_size(10);
     // Cost of appending under each strategy; the storage ratio is printed
-    // once since criterion can't chart it.
+    // once since criterion can't chart it. Storage is counted in the
+    // logger's row-cost units (a row 2, a removal key 1).
     group.bench_function("full_snapshots", |b| {
         b.iter(|| {
             let mut log = TableLog::new(1); // full every time
             for s in &stream {
                 log.append(s);
             }
-            black_box(log.bytes_stored)
+            black_box(log.stored_cost)
         })
     });
     group.bench_function("delta_encoded", |b| {
@@ -78,20 +78,16 @@ fn ablation_logger(c: &mut Criterion) {
             for s in &stream {
                 log.append(s);
             }
-            black_box(log.bytes_stored)
+            black_box(log.stored_cost)
         })
     });
-    group.bench_function("serialize_parts_only", |b| {
+    group.bench_function("parts_only", |b| {
         b.iter(|| {
-            // Redundancy elimination alone: store the non-derivable parts
-            // in full each cycle.
-            let total: usize = stream
+            // Redundancy elimination alone: extract the non-derivable
+            // parts in full each cycle.
+            let total: u64 = stream
                 .iter()
-                .map(|s| {
-                    serde_json::to_string(&SnapshotParts::from_tables(s))
-                        .map(|j| j.len())
-                        .unwrap_or(0)
-                })
+                .map(|s| SnapshotParts::from_tables(s).cost())
                 .sum();
             black_box(total)
         })
@@ -106,11 +102,11 @@ fn ablation_logger(c: &mut Criterion) {
         delta.append(s);
     }
     println!(
-        "[ablation_logger] full={}B delta={}B savings={:.1}% (baseline {}B)",
-        full.bytes_stored,
-        delta.bytes_stored,
+        "[ablation_logger] row-cost units: full={} delta={} savings={:.1}% (baseline {})",
+        full.stored_cost,
+        delta.stored_cost,
         100.0 * delta.savings_ratio(),
-        delta.bytes_full_baseline,
+        delta.full_cost,
     );
 }
 
@@ -303,22 +299,6 @@ fn ablation_archive(c: &mut Criterion) {
             black_box(snapshots)
         })
     });
-    group.bench_function("file_v1_write_replay", |b| {
-        b.iter(|| {
-            let mut snapshots = 0usize;
-            for (r, stream) in streams.iter().enumerate() {
-                let path = dir.join(format!("r{r}.marc"));
-                let backend = FileBackend::create(&path).expect("create archive");
-                let mut log = TableLog::with_backend(Box::new(backend), 96);
-                for s in stream {
-                    log.append(s);
-                }
-                assert!(log.backend_error().is_none());
-                snapshots += log.replay_iter().filter(|t| t.is_ok()).count();
-            }
-            black_box(snapshots)
-        })
-    });
     group.bench_function("file_v2_write_replay", |b| {
         b.iter(|| {
             let mut snapshots = 0usize;
@@ -337,32 +317,24 @@ fn ablation_archive(c: &mut Criterion) {
     });
     group.finish();
 
-    // Bytes-on-disk across the whole fleet-day, printed once: the v2
-    // id-keyed encoding must land strictly below v1's JSON payloads.
-    let (mut mem_b, mut v1_b, mut v2_b) = (0u64, 0u64, 0u64);
+    // Bytes on disk across the whole fleet-day, printed once next to the
+    // logger's row-cost accounting of the same records.
+    let (mut stored, mut full, mut v2_b) = (0u64, 0u64, 0u64);
     for (r, stream) in streams.iter().enumerate() {
-        let mut mem = TableLog::new(96);
-        let v1 = FileBackend::create(dir.join(format!("acct-{r}-v1.marc"))).expect("v1");
-        let mut v1 = TableLog::with_backend(Box::new(v1), 96);
         let v2 = FileBackendV2::create(dir.join(format!("acct-{r}-v2.marc"))).expect("v2");
         let mut v2 = TableLog::with_backend(Box::new(v2), 96);
         for s in stream {
-            mem.append(s);
-            v1.append(s);
             v2.append(s);
         }
-        mem_b += mem.bytes_stored as u64;
-        v1_b += v1.archive_stats().bytes;
+        stored += v2.stored_cost;
+        full += v2.full_cost;
         v2_b += v2.archive_stats().bytes;
     }
-    assert!(
-        v2_b < v1_b,
-        "v2 must be smaller on disk: v2={v2_b}B v1={v1_b}B"
-    );
     println!(
-        "[ablation_archive] fleet-day on disk: json-payload={mem_b}B v1-frames={v1_b}B \
-         v2-frames={v2_b}B (v2/v1 = {:.1}%)",
-        100.0 * v2_b as f64 / v1_b as f64
+        "[ablation_archive] fleet-day: stored cost {stored} of {full} units \
+         ({:.1}% saved), v2 frames {v2_b}B ({:.2} B per unit)",
+        100.0 * (1.0 - stored as f64 / full.max(1) as f64),
+        v2_b as f64 / stored.max(1) as f64
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

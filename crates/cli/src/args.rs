@@ -1,6 +1,7 @@
 //! Minimal flag parsing: `--key value` pairs with typed accessors. No
 //! third-party parser — the option surface is tiny and the error messages
-//! matter more than features.
+//! matter more than features. Each subcommand declares the flags it
+//! accepts, so a mistyped flag is an error, never silently ignored.
 
 use std::collections::BTreeMap;
 
@@ -11,14 +12,27 @@ pub struct Opts {
 }
 
 impl Opts {
-    /// Parses alternating `--key value` tokens.
-    pub fn parse(tokens: &[String]) -> Result<Opts, String> {
+    /// Parses alternating `--key value` tokens, accepting only the flags
+    /// named in `allowed`. An unknown flag fails before any value is
+    /// used, naming the flag and every valid one.
+    pub fn parse(tokens: &[String], allowed: &[&str]) -> Result<Opts, String> {
         let mut map = BTreeMap::new();
         let mut it = tokens.iter();
         while let Some(tok) = it.next() {
             let key = tok
                 .strip_prefix("--")
                 .ok_or_else(|| format!("expected --flag, got '{tok}'"))?;
+            if !allowed.contains(&key) {
+                let valid: Vec<String> = allowed.iter().map(|f| format!("--{f}")).collect();
+                return Err(format!(
+                    "unknown flag --{key}; valid flags: {}",
+                    if valid.is_empty() {
+                        "none".to_string()
+                    } else {
+                        valid.join(", ")
+                    }
+                ));
+            }
             let value = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
             map.insert(key.to_string(), value.clone());
         }
@@ -59,9 +73,11 @@ mod tests {
         s.iter().map(|x| x.to_string()).collect()
     }
 
+    const FLAGS: &[&str] = &["seed", "native", "hours"];
+
     #[test]
     fn parses_pairs() {
-        let o = Opts::parse(&toks(&["--seed", "7", "--native", "0.5"])).unwrap();
+        let o = Opts::parse(&toks(&["--seed", "7", "--native", "0.5"]), FLAGS).unwrap();
         assert_eq!(o.u64_or("seed", 0).unwrap(), 7);
         assert_eq!(o.f64_or("native", 0.0).unwrap(), 0.5);
         assert_eq!(o.u64_or("hours", 12).unwrap(), 12);
@@ -70,9 +86,20 @@ mod tests {
 
     #[test]
     fn rejects_bad_shapes() {
-        assert!(Opts::parse(&toks(&["seed", "7"])).is_err());
-        assert!(Opts::parse(&toks(&["--seed"])).is_err());
-        let o = Opts::parse(&toks(&["--seed", "x"])).unwrap();
+        assert!(Opts::parse(&toks(&["seed", "7"]), FLAGS).is_err());
+        assert!(Opts::parse(&toks(&["--seed"]), FLAGS).is_err());
+        let o = Opts::parse(&toks(&["--seed", "x"]), FLAGS).unwrap();
         assert!(o.u64_or("seed", 0).is_err());
+    }
+
+    #[test]
+    fn rejects_unknown_flags_naming_the_valid_ones() {
+        let err = Opts::parse(&toks(&["--seed", "7", "--shard", "4"]), FLAGS).unwrap_err();
+        assert_eq!(
+            err,
+            "unknown flag --shard; valid flags: --seed, --native, --hours"
+        );
+        let err = Opts::parse(&toks(&["--seed", "7"]), &[]).unwrap_err();
+        assert_eq!(err, "unknown flag --seed; valid flags: none");
     }
 }

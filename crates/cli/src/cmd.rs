@@ -83,6 +83,63 @@ OPTIONS:
   --oid OID       subtree to walk (default 1.3.6.1.2.1)
   --community STR SNMP community (default public)";
 
+/// The flags each (sub)command accepts; anything else is rejected before
+/// the command runs, so `monitor --shard 4` cannot silently run
+/// unsharded. Errors on an unknown command or archive subcommand.
+pub fn flags(cmd: &str, sub: Option<&str>) -> Result<&'static [&'static str], String> {
+    Ok(match (cmd, sub) {
+        ("monitor", _) => &[
+            "seed",
+            "native",
+            "hours",
+            "loss",
+            "html",
+            "archive-dir",
+            "fsync-every",
+            "fsync-bytes",
+            "archive-writer",
+            "archive-queue",
+            "fleet",
+            "shards",
+            "table-rows",
+            "churn",
+        ],
+        ("health", _) => &[
+            "seed", "native", "loss", "hours", "fail", "truncate", "retries",
+        ],
+        ("daemon", _) => &[
+            "addr",
+            "seed",
+            "native",
+            "loss",
+            "archive-dir",
+            "cycles",
+            "tick-ms",
+            "refresh",
+            "fleet",
+            "shards",
+            "table-rows",
+            "churn",
+            "fsync-every",
+            "fsync-bytes",
+            "archive-writer",
+            "archive-queue",
+        ],
+        ("incident", _) => &["seed"],
+        ("archive", Some("info" | "replay")) => &["path", "full-every"],
+        ("archive", Some("compact")) => &["path", "out", "full-every", "drop-before"],
+        ("archive", Some(other)) => {
+            return Err(format!(
+                "unknown archive subcommand '{other}' (expected info, replay or compact)"
+            ))
+        }
+        ("mwatch" | "mtrace", _) => &["seed", "native", "loss"],
+        ("snmpwalk", _) => &["seed", "native", "loss", "oid", "community"],
+        ("help" | "--help" | "-h", _) => &[],
+        (other, _) => return Err(format!("unknown command '{other}'")),
+    })
+}
+
 fn scenario(opts: &Opts) -> Result<Scenario, String> {
     let seed = opts.u64_or("seed", 1998)?;
     let native = opts.f64_or("native", 0.4)?;
@@ -454,9 +511,7 @@ pub fn archive(sub: &str, opts: &Opts) -> Result<(), String> {
         "info" => archive_info(opts),
         "replay" => archive_replay(opts),
         "compact" => archive_compact(opts),
-        other => Err(format!(
-            "unknown archive subcommand '{other}' (expected info, replay or compact)"
-        )),
+        other => unreachable!("`flags` rejects archive subcommand '{other}'"),
     }
 }
 
@@ -480,7 +535,7 @@ fn archive_info(opts: &Opts) -> Result<(), String> {
     let info = log.describe();
     let format = match info.format_version {
         0 => "JSON-lines (legacy)".to_string(),
-        1 => "MANTRARC v1 (binary, length-prefixed, JSON payloads)".to_string(),
+        1 => "MANTRARC v1 (binary, length-prefixed, JSON payloads; read-only)".to_string(),
         v => format!("MANTRARC v{v} (binary, id-keyed, embedded dictionary)"),
     };
     println!("archive:     {}", path.display());

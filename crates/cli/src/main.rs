@@ -43,7 +43,14 @@ fn main() -> ExitCode {
             }
         }
     }
-    let opts = match args::Opts::parse(rest) {
+    let allowed = match cmd::flags(cmd, subcmd) {
+        Ok(flags) => flags,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let opts = match args::Opts::parse(rest, allowed) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: {e}\n\n{}", cmd::USAGE);
@@ -63,7 +70,7 @@ fn main() -> ExitCode {
             println!("{}", cmd::USAGE);
             Ok(())
         }
-        other => Err(format!("unknown command '{other}'")),
+        other => unreachable!("`cmd::flags` rejects command '{other}'"),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

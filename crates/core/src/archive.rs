@@ -4,20 +4,28 @@
 //! elimination) produces a stream of [`LogRecord`]s per router. Where
 //! that stream lives is this module's concern:
 //!
-//! * [`MemoryBackend`] — the original in-process `Vec<LogRecord>`;
-//!   archives serialise byte-identically to the pre-backend `TableLog`.
-//! * [`FileBackend`] — an append-only on-disk archive: a versioned
-//!   header (magic, format version, interner epoch) followed by
-//!   length-prefixed, CRC-checked record frames. Full-snapshot records
-//!   double as *checkpoints*: replay can start at the last one instead
-//!   of the beginning, and a crash that truncates the tail recovers to
-//!   the last intact record instead of refusing the archive.
+//! * [`MemoryBackend`] — the original in-process `Vec<LogRecord>`. It
+//!   serialises nothing, so it reports 0 bytes stored.
+//! * [`FileBackendV2`] — the append-only on-disk archive every monitor
+//!   writes: a versioned header (magic, format version, interner epoch)
+//!   followed by length-prefixed, CRC-checked frames whose payloads are
+//!   id-keyed binary records. Full-snapshot records double as
+//!   *checkpoints*: replay can start at the last one instead of the
+//!   beginning, and a crash that truncates the tail recovers to the last
+//!   intact record instead of refusing the archive.
+//! * [`FileBackendV1`] — a read-only decoder for legacy version-1
+//!   archives (JSON payloads). Nothing writes v1 any more; such archives
+//!   are replayed as they are or rewritten as v2 by
+//!   [`crate::logger::compact_archive`] (`mantra archive compact`).
 //!
-//! The [`crate::logger::TableLog`] owns one backend behind the
-//! [`ArchiveBackend`] trait and never materialises more than one
-//! snapshot while replaying (see [`crate::logger::ReplayIter`]).
+//! Backends receive [`LogRecord`]s and encode them however they store
+//! them: the logger never serialises. ([`ArchiveStats::bytes`] is what
+//! the backend actually wrote.) The [`crate::logger::TableLog`] owns one
+//! backend behind the [`ArchiveBackend`] trait and never materialises
+//! more than one snapshot while replaying (see
+//! [`crate::logger::ReplayIter`]).
 //!
-//! ## On-disk format (version 1)
+//! ## On-disk format (version 1, read-only)
 //!
 //! ```text
 //! header  (24 bytes):  magic  b"MANTRARC"          [0..8)
@@ -31,10 +39,10 @@
 //!                      payload: the LogRecord as serde_json UTF-8
 //! ```
 //!
-//! Version-1 archives always write interner epoch 0. Recovery rule:
-//! records are scanned from the header; the first frame that is
-//! incomplete, has an unknown kind, or fails its CRC ends the archive,
-//! and opening for append truncates the file there.
+//! Version-1 archives carry interner epoch 0. Recovery rule: records
+//! are scanned from the header; the first frame that is incomplete, has
+//! an unknown kind, or fails its CRC ends the archive. The reader clamps
+//! there in memory and never writes the file.
 //!
 //! ## On-disk format (version 2)
 //!
@@ -64,7 +72,8 @@
 //! index, so spliced, duplicated or dropped frames are detected even
 //! when their CRCs are individually intact. The v2 CRC also covers the
 //! frame's kind byte, so a Full/Delta flip cannot survive validation.
-//! Recovery matches v1: the first bad frame ends the archive.
+//! Recovery matches v1: the first bad frame ends the archive, and the
+//! owning writer truncates the file there when it opens for append.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -83,7 +92,7 @@ use crate::tables::{LearnedFrom, PairRow, RouteRow, SessionRow, Tables};
 
 /// The archive file magic.
 pub const MAGIC: [u8; 8] = *b"MANTRARC";
-/// The original JSON-payload on-disk format version.
+/// The original JSON-payload on-disk format version (read-only).
 pub const FORMAT_VERSION: u16 = 1;
 /// The id-keyed binary on-disk format version.
 pub const FORMAT_VERSION_V2: u16 = 2;
@@ -152,8 +161,11 @@ pub struct ArchiveStats {
     pub records: u64,
     /// Full-snapshot records (replay entry points / checkpoints).
     pub checkpoints: u64,
-    /// Archived bytes: record frames for [`FileBackend`], serialised
-    /// payloads for [`MemoryBackend`].
+    /// Frame bytes after the header, dictionary segments included: the
+    /// intact frames found when a file archive was opened plus every
+    /// frame the backend wrote since. Always 0 for [`MemoryBackend`],
+    /// which serialises nothing. The delta logger's space accounting is
+    /// [`crate::logger::TableLog::savings_ratio`], in row-cost units.
     pub bytes: u64,
     /// `fsync` calls issued (always 0 for the memory backend).
     pub fsyncs: u64,
@@ -194,7 +206,7 @@ pub struct ArchiveStats {
 pub struct ArchiveInfo {
     /// MANTRARC format version; 0 for in-memory (no on-disk format).
     pub format_version: u16,
-    /// The interner epoch stamped in the header (v2; v1 writes 0).
+    /// The interner epoch stamped in the header (v2; v1 carries 0).
     /// Compaction bumps it so stale id-keyed payloads cannot be
     /// resolved against the rewritten dictionary.
     pub epoch: u32,
@@ -249,16 +261,16 @@ pub type RecordIter<'a> = Box<dyn Iterator<Item = io::Result<LogRecord>> + 'a>;
 
 /// Where a [`crate::logger::TableLog`]'s records live.
 ///
-/// `append` receives both the record and its serde_json rendering — the
-/// logger already serialises every candidate record to pick the smaller
-/// representation, so backends reuse that work instead of re-encoding,
-/// and the two backends archive identical payload bytes by construction.
+/// `append` receives the record itself; each backend encodes it in its
+/// own storage format (or not at all, in memory). The logger's
+/// Full/Delta choice never depends on a backend's encoding, so every
+/// backend stores the same record sequence.
 pub trait ArchiveBackend: fmt::Debug + Send {
     /// Backend name for metrics ("memory", "file").
     fn kind(&self) -> &'static str;
 
-    /// Appends one record; `json` is its serialised payload.
-    fn append(&mut self, rec: &LogRecord, json: &str) -> io::Result<()>;
+    /// Appends one record.
+    fn append(&mut self, rec: &LogRecord) -> io::Result<()>;
 
     /// Records archived.
     fn len(&self) -> usize;
@@ -310,13 +322,12 @@ impl ArchiveBackend for MemoryBackend {
         "memory"
     }
 
-    fn append(&mut self, rec: &LogRecord, json: &str) -> io::Result<()> {
+    fn append(&mut self, rec: &LogRecord) -> io::Result<()> {
         if matches!(rec, LogRecord::Full(_)) {
             self.last_checkpoint = Some(self.records.len());
             self.stats.checkpoints += 1;
         }
         self.stats.records += 1;
-        self.stats.bytes += json.len() as u64;
         self.records.push(rec.clone());
         Ok(())
     }
@@ -344,36 +355,8 @@ impl ArchiveBackend for MemoryBackend {
 }
 
 // ---------------------------------------------------------------------
-// FileBackend
+// Headers and errors shared by both formats
 // ---------------------------------------------------------------------
-
-/// An append-only on-disk archive (see the module docs for the format).
-#[derive(Debug)]
-pub struct FileBackend {
-    path: PathBuf,
-    file: File,
-    /// Byte offset of each record's frame, plus the end offset as a
-    /// final sentinel (so `offsets[i + 1] - offsets[i]` is frame size).
-    offsets: Vec<u64>,
-    checkpoints: Vec<usize>,
-    stats: ArchiveStats,
-    /// When this backend fsyncs.
-    pub sync: SyncPolicy,
-    since_sync: usize,
-    bytes_since_sync: u64,
-    /// A frame write failed mid-way: bytes past the logical end may be
-    /// on disk, and the OS cursor is wherever the failure left it. The
-    /// next append or sync re-truncates to the logical end before doing
-    /// anything else, so a transient failure never corrupts the stream
-    /// or silently drops the records written after it.
-    torn: bool,
-    /// Fault injection: the next append writes only this many bytes of
-    /// its frame, then fails (see [`FileBackend::inject_torn_write`]).
-    fail_next: Option<usize>,
-    /// Opened through [`OpenMode::ReadOnly`]: appends fail and sync is a
-    /// no-op, so the file is never written through this handle.
-    read_only: bool,
-}
 
 fn bad_data(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
@@ -383,6 +366,22 @@ fn read_only_error() -> io::Error {
     io::Error::new(
         io::ErrorKind::PermissionDenied,
         "archive opened read-only (OpenMode::ReadOnly): appends are not allowed",
+    )
+}
+
+/// The error an append to a v1 archive produces, whether through an
+/// open for append or a read-only [`FileBackendV1`]: v1 is read-only,
+/// and the way forward is a v2 rewrite.
+pub fn v1_is_read_only(path: &Path) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::PermissionDenied,
+        format!(
+            "{} is a MANTRARC v1 archive, which this build reads but never \
+             appends to; rewrite it as v2 with `mantra archive compact --path {} \
+             --out NEW.marc`",
+            path.display(),
+            path.display()
+        ),
     )
 }
 
@@ -424,7 +423,7 @@ fn write_header(w: &mut impl Write, version: u16, epoch: u32) -> io::Result<()> 
     w.write_all(&header)
 }
 
-/// How a file-backed archive is opened.
+/// How a v2 archive is opened.
 ///
 /// The distinction matters because open-time crash recovery *writes*:
 /// the owning writer heals a torn tail by physically truncating the
@@ -445,80 +444,38 @@ pub enum OpenMode {
     ReadOnly,
 }
 
-impl FileBackend {
-    /// Creates a fresh archive at `path`, truncating any existing file.
-    pub fn create(path: impl Into<PathBuf>) -> io::Result<FileBackend> {
+// ---------------------------------------------------------------------
+// FileBackendV1: the read-only legacy decoder
+// ---------------------------------------------------------------------
+
+/// A legacy MANTRARC v1 archive (JSON payloads, see the module docs),
+/// opened read-only.
+///
+/// Nothing writes v1 any more. The decoder stays so committed v1
+/// archives keep replaying and can be rewritten as v2 by
+/// [`crate::logger::compact_archive`]. Opening scans and CRC-checks
+/// every frame; a torn or corrupt tail is clamped in memory (accounted
+/// in [`ArchiveStats::recovered_bytes`]) and the file is never written.
+/// Appends fail with [`v1_is_read_only`].
+#[derive(Debug)]
+pub struct FileBackendV1 {
+    path: PathBuf,
+    /// Byte offset of each record's frame, plus the end offset as a
+    /// final sentinel.
+    offsets: Vec<u64>,
+    checkpoints: Vec<usize>,
+    stats: ArchiveStats,
+}
+
+impl FileBackendV1 {
+    /// Opens an existing v1 archive without ever writing to it. Safe to
+    /// run against a file another process holds open.
+    pub fn open_read_only(path: impl Into<PathBuf>) -> io::Result<FileBackendV1> {
         let path = path.into();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent)?;
-            }
-        }
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(&path)?;
-        write_header(&mut file, FORMAT_VERSION, 0)?;
-        file.sync_all()?;
-        Ok(FileBackend {
-            path,
-            file,
-            offsets: vec![HEADER_LEN],
-            checkpoints: Vec::new(),
-            stats: ArchiveStats {
-                fsyncs: 1,
-                ..ArchiveStats::default()
-            },
-            sync: SyncPolicy::default(),
-            since_sync: 0,
-            bytes_since_sync: 0,
-            torn: false,
-            fail_next: None,
-            read_only: false,
-        })
-    }
-
-    /// Opens an existing archive for append, creating it if absent.
-    ///
-    /// The record stream is scanned and CRC-validated; a truncated or
-    /// corrupt tail is cut back to the last intact record (the file is
-    /// physically truncated so later appends start from a valid state)
-    /// and accounted in [`ArchiveStats::recovered_bytes`].
-    pub fn open(path: impl Into<PathBuf>) -> io::Result<FileBackend> {
-        Self::open_with(path, OpenMode::ReadWrite)
-    }
-
-    /// Opens an existing archive without ever writing to it: a torn or
-    /// corrupt tail is clamped to the last intact record in memory
-    /// (still accounted in [`ArchiveStats::recovered_bytes`]) and the
-    /// file stays byte-identical. Appends fail. Safe to run against an
-    /// archive another process is actively writing.
-    pub fn open_read_only(path: impl Into<PathBuf>) -> io::Result<FileBackend> {
-        Self::open_with(path, OpenMode::ReadOnly)
-    }
-
-    /// Opens an existing archive in the given [`OpenMode`], creating it
-    /// if absent (read-write mode only).
-    pub fn open_with(path: impl Into<PathBuf>, mode: OpenMode) -> io::Result<FileBackend> {
-        let path = path.into();
-        if !path.exists() {
-            if mode == OpenMode::ReadOnly {
-                return Err(io::Error::new(
-                    io::ErrorKind::NotFound,
-                    format!("no archive at {}", path.display()),
-                ));
-            }
-            return Self::create(path);
-        }
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(mode == OpenMode::ReadWrite)
-            .open(&path)?;
+        let mut file = File::open(&path)?;
         let file_len = file.seek(SeekFrom::End(0))?;
         file.seek(SeekFrom::Start(0))?;
-        let mut reader = BufReader::new(&mut file);
+        let mut reader = BufReader::new(file);
         let (version, _) = read_header(&mut reader)?;
         if version != FORMAT_VERSION {
             return Err(if version == FORMAT_VERSION_V2 {
@@ -536,14 +493,13 @@ impl FileBackend {
         let mut payload = Vec::new();
         loop {
             let mut frame = [0u8; FRAME_LEN as usize];
-            match reader.read_exact(&mut frame) {
-                Ok(()) => {}
-                Err(_) => break, // truncated frame header: end of archive
+            if reader.read_exact(&mut frame).is_err() {
+                break; // truncated frame header: end of archive
             }
             let kind = frame[0];
             let len = u64::from(u32::from_le_bytes([frame[1], frame[2], frame[3], frame[4]]));
             let crc = u32::from_le_bytes([frame[5], frame[6], frame[7], frame[8]]);
-            if kind > 1 || pos + FRAME_LEN + len > file_len {
+            if kind > KIND_DELTA || pos + FRAME_LEN + len > file_len {
                 break; // unknown kind or payload runs past EOF
             }
             payload.clear();
@@ -551,80 +507,29 @@ impl FileBackend {
             if reader.read_exact(&mut payload).is_err() || crc32(&payload) != crc {
                 break; // torn or corrupt payload
             }
-            if kind == 0 {
+            if kind == KIND_FULL {
                 checkpoints.push(offsets.len() - 1);
             }
             pos += FRAME_LEN + len;
             offsets.push(pos);
         }
-        drop(reader);
-
-        let recovered = file_len - pos;
-        let healed = recovered > 0 && mode == OpenMode::ReadWrite;
-        if healed {
-            file.set_len(pos)?;
-            file.sync_all()?;
-        }
-        file.seek(SeekFrom::Start(pos))?;
         let stats = ArchiveStats {
             records: (offsets.len() - 1) as u64,
             checkpoints: checkpoints.len() as u64,
             bytes: pos - HEADER_LEN,
-            fsyncs: u64::from(healed),
-            recovered_bytes: recovered,
+            recovered_bytes: file_len - pos,
             ..ArchiveStats::default()
         };
-        Ok(FileBackend {
+        Ok(FileBackendV1 {
             path,
-            file,
             offsets,
             checkpoints,
             stats,
-            sync: SyncPolicy::default(),
-            since_sync: 0,
-            bytes_since_sync: 0,
-            torn: false,
-            fail_next: None,
-            read_only: mode == OpenMode::ReadOnly,
         })
-    }
-
-    /// The archive's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Byte offsets of every record frame plus the end-of-archive
-    /// sentinel (exposed for truncation tests and tooling).
-    pub fn offsets(&self) -> &[u64] {
-        &self.offsets
-    }
-
-    /// Fault injection for tests: the next `append` writes only
-    /// `partial` bytes of its frame, then fails as a torn write. The
-    /// backend must heal (re-truncate to the logical end) on the append
-    /// or sync after that.
-    #[doc(hidden)]
-    pub fn inject_torn_write(&mut self, partial: usize) {
-        self.fail_next = Some(partial);
-    }
-
-    /// Cuts a torn tail back to the logical end of the record stream
-    /// and repositions the cursor there, so the next frame lands where
-    /// bookkeeping says it will.
-    fn heal(&mut self) -> io::Result<()> {
-        if !self.torn {
-            return Ok(());
-        }
-        let end = *self.offsets.last().expect("offsets sentinel");
-        self.file.set_len(end)?;
-        self.file.seek(SeekFrom::Start(end))?;
-        self.torn = false;
-        Ok(())
     }
 }
 
-/// Streams records from an archive file, yielding at most `remaining`.
+/// Streams records from a v1 archive file, yielding at most `remaining`.
 struct FileRecordIter {
     reader: Option<BufReader<File>>,
     remaining: usize,
@@ -666,67 +571,14 @@ impl Iterator for FileRecordIter {
     }
 }
 
-impl ArchiveBackend for FileBackend {
+impl ArchiveBackend for FileBackendV1 {
     fn kind(&self) -> &'static str {
         "file"
     }
 
-    fn append(&mut self, rec: &LogRecord, json: &str) -> io::Result<()> {
-        if self.read_only {
-            self.stats.write_errors += 1;
-            return Err(read_only_error());
-        }
-        if let Err(e) = self.heal() {
-            self.stats.write_errors += 1;
-            return Err(e);
-        }
-        let payload = json.as_bytes();
-        let kind: u8 = match rec {
-            LogRecord::Full(_) => KIND_FULL,
-            LogRecord::Delta(_) => KIND_DELTA,
-        };
-        let mut frame = Vec::with_capacity(FRAME_LEN as usize + payload.len());
-        frame.push(kind);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
-        if let Some(partial) = self.fail_next.take() {
-            let partial = partial.min(frame.len());
-            let _ = self.file.write_all(&frame[..partial]);
-            self.torn = partial > 0;
-            self.stats.write_errors += 1;
-            return Err(io::Error::other("injected write failure (torn frame)"));
-        }
-        if let Err(e) = self.file.write_all(&frame) {
-            // Some unknown prefix of the frame may be on disk; mark the
-            // tail torn so the next append/sync re-truncates before
-            // writing. Bookkeeping stays at the last good record, so
-            // pending_appends never claims the lost bytes were synced.
-            self.torn = true;
-            self.stats.write_errors += 1;
-            return Err(e);
-        }
-
-        let idx = self.offsets.len() - 1;
-        let end = self.offsets[idx] + frame.len() as u64;
-        self.offsets.push(end);
-        self.stats.records += 1;
-        self.stats.bytes += frame.len() as u64;
-        let checkpoint = kind == KIND_FULL;
-        if checkpoint {
-            self.checkpoints.push(idx);
-            self.stats.checkpoints += 1;
-        }
-        self.since_sync += 1;
-        self.bytes_since_sync += frame.len() as u64;
-        self.stats.pending_appends = self.since_sync as u64;
-        if self
-            .sync
-            .due(checkpoint, self.since_sync, self.bytes_since_sync)
-        {
-            self.sync()?;
-        }
-        Ok(())
+    fn append(&mut self, _rec: &LogRecord) -> io::Result<()> {
+        self.stats.write_errors += 1;
+        Err(v1_is_read_only(&self.path))
     }
 
     fn len(&self) -> usize {
@@ -767,25 +619,6 @@ impl ArchiveBackend for FileBackend {
             epoch: 0,
             dict_entries: 0,
         }
-    }
-
-    fn sync(&mut self) -> io::Result<()> {
-        if self.read_only {
-            // Nothing this handle wrote can be pending; never touch the
-            // file (sync_data on another process's live archive is
-            // harmless but pointless).
-            return Ok(());
-        }
-        if let Err(e) = self.heal() {
-            self.stats.write_errors += 1;
-            return Err(e);
-        }
-        self.file.sync_data()?;
-        self.stats.fsyncs += 1;
-        self.since_sync = 0;
-        self.bytes_since_sync = 0;
-        self.stats.pending_appends = 0;
-        Ok(())
     }
 }
 
@@ -1343,9 +1176,9 @@ fn decode_record_v2(
 
 /// The id-keyed v2 on-disk archive (see the module docs for the format).
 ///
-/// Same durability model as [`FileBackend`] — append-only frames, CRC
-/// validation, torn-tail truncation on open — with record payloads
-/// binary-encoded against an embedded [`ArchiveDict`] instead of JSON.
+/// Append-only frames, CRC validation and torn-tail truncation on open,
+/// with record payloads binary-encoded against an embedded
+/// [`ArchiveDict`]. Every monitor archive is written in this format.
 #[derive(Debug)]
 pub struct FileBackendV2 {
     path: PathBuf,
@@ -1365,9 +1198,11 @@ pub struct FileBackendV2 {
     pub sync: SyncPolicy,
     since_sync: usize,
     bytes_since_sync: u64,
-    /// A frame write failed mid-way; see [`FileBackend`]'s field of the
-    /// same name. Healed (re-truncated to `end`) on the next append or
-    /// sync.
+    /// A frame write failed mid-way: bytes past the logical end may be
+    /// on disk, and the OS cursor is wherever the failure left it. The
+    /// next append or sync re-truncates to `end` before doing anything
+    /// else, so a transient failure never corrupts the stream or
+    /// silently drops the records written after it.
     torn: bool,
     /// Fault injection: the next append writes only this many bytes,
     /// then fails (see [`FileBackendV2::inject_torn_write`]).
@@ -1476,12 +1311,12 @@ impl FileBackendV2 {
         let mut reader = BufReader::new(&mut file);
         let (version, epoch) = read_header(&mut reader)?;
         if version != FORMAT_VERSION_V2 {
-            return Err(if version == FORMAT_VERSION {
-                bad_data(format!(
-                    "archive is MANTRARC v{version}; open it through FileBackend"
-                ))
-            } else {
-                unsupported_version(version)
+            return Err(match (version, mode) {
+                (FORMAT_VERSION, OpenMode::ReadWrite) => v1_is_read_only(&path),
+                (FORMAT_VERSION, OpenMode::ReadOnly) => {
+                    bad_data("archive is MANTRARC v1; open it through FileBackendV1".into())
+                }
+                _ => unsupported_version(version),
             });
         }
 
@@ -1616,7 +1451,7 @@ impl ArchiveBackend for FileBackendV2 {
         "file"
     }
 
-    fn append(&mut self, rec: &LogRecord, _json: &str) -> io::Result<()> {
+    fn append(&mut self, rec: &LogRecord) -> io::Result<()> {
         if self.read_only {
             self.stats.write_errors += 1;
             return Err(read_only_error());
@@ -1883,7 +1718,7 @@ fn wait_clean<'a, T>(c: &Condvar, g: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
 /// The bounded queue between the collection path and the writer thread.
 #[derive(Debug)]
 struct WriterQueue {
-    buf: VecDeque<(LogRecord, String)>,
+    buf: VecDeque<LogRecord>,
     /// Records drained from `buf` that the writer is currently applying.
     /// They still count against capacity and `queue_depth`.
     in_flight: usize,
@@ -2011,7 +1846,7 @@ impl ThreadedBackend {
         // chain.
         let mut skipping = false;
         loop {
-            let batch: Vec<(LogRecord, String)> = {
+            let batch: Vec<LogRecord> = {
                 let mut q = lock_clean(&shared.q);
                 while q.buf.is_empty() && !q.shutdown {
                     q = wait_clean(&shared.not_empty, q);
@@ -2024,7 +1859,7 @@ impl ThreadedBackend {
                 batch
             };
             let mut backend = lock_clean(&shared.backend);
-            for (rec, json) in &batch {
+            for rec in &batch {
                 if skipping {
                     if matches!(rec, LogRecord::Full(_)) {
                         skipping = false;
@@ -2033,7 +1868,7 @@ impl ThreadedBackend {
                         continue;
                     }
                 }
-                if let Err(e) = backend.append(rec, json) {
+                if let Err(e) = backend.append(rec) {
                     shared.write_errors.fetch_add(1, Ordering::Relaxed);
                     skipping = true;
                     let mut q = lock_clean(&shared.q);
@@ -2092,7 +1927,7 @@ impl ArchiveBackend for ThreadedBackend {
         self.kind
     }
 
-    fn append(&mut self, rec: &LogRecord, json: &str) -> io::Result<()> {
+    fn append(&mut self, rec: &LogRecord) -> io::Result<()> {
         let shared = &self.shared;
         let mut q = lock_clean(&shared.q);
         if let Some(msg) = q.deferred_error.take() {
@@ -2121,7 +1956,7 @@ impl ArchiveBackend for ThreadedBackend {
                 }
             }
         }
-        q.buf.push_back((rec.clone(), json.to_owned()));
+        q.buf.push_back(rec.clone());
         let depth = (q.buf.len() + q.in_flight) as u64;
         shared.high_water.fetch_max(depth, Ordering::Relaxed);
         drop(q);
@@ -2295,7 +2130,7 @@ pub struct ArchiveReader {
 
 impl ArchiveReader {
     /// Opens `path` read-only and scans the intact prefix. Fails on v1
-    /// archives (open those through [`FileBackend::open_read_only`];
+    /// archives (open those through [`FileBackendV1::open_read_only`];
     /// only v2's embedded sequence numbers make concurrent reads safe
     /// against frame splices).
     pub fn open(path: impl Into<PathBuf>) -> io::Result<ArchiveReader> {
@@ -2306,7 +2141,7 @@ impl ArchiveReader {
             return Err(if version == FORMAT_VERSION {
                 bad_data(
                     "archive is MANTRARC v1; concurrent reads need v2 \
-                     (open it through FileBackend::open_read_only instead)"
+                     (open it through FileBackendV1::open_read_only instead)"
                         .into(),
                 )
             } else {
@@ -2778,24 +2613,19 @@ mod tests {
     use super::*;
     use crate::logger::{SnapshotParts, TableDelta};
 
-    fn full_record(n: u64) -> (LogRecord, String) {
-        let parts = SnapshotParts {
+    fn full_record(n: u64) -> LogRecord {
+        LogRecord::Full(SnapshotParts {
             captured_at: mantra_net::SimTime(n),
             router: "fixw".into(),
             ..SnapshotParts::default()
-        };
-        let rec = LogRecord::Full(parts);
-        let json = serde_json::to_string(&rec).unwrap();
-        (rec, json)
+        })
     }
 
-    fn delta_record(n: u64) -> (LogRecord, String) {
-        let rec = LogRecord::Delta(TableDelta {
+    fn delta_record(n: u64) -> LogRecord {
+        LogRecord::Delta(TableDelta {
             captured_at: mantra_net::SimTime(n),
             ..TableDelta::default()
-        });
-        let json = serde_json::to_string(&rec).unwrap();
-        (rec, json)
+        })
     }
 
     fn tmp(name: &str) -> PathBuf {
@@ -2812,83 +2642,10 @@ mod tests {
     }
 
     #[test]
-    fn file_backend_round_trips_records() {
-        let path = tmp("roundtrip.marc");
-        let mut be = FileBackend::create(&path).unwrap();
-        let recs = vec![
-            full_record(0),
-            delta_record(1),
-            delta_record(2),
-            full_record(3),
-        ];
-        for (rec, json) in &recs {
-            be.append(rec, json).unwrap();
-        }
-        assert_eq!(be.len(), 4);
-        assert_eq!(be.last_checkpoint(), Some(3));
-        let back: Vec<LogRecord> = be.records().map(|r| r.unwrap()).collect();
-        assert_eq!(back.len(), 4);
-        for ((orig, _), got) in recs.iter().zip(&back) {
-            assert_eq!(
-                serde_json::to_string(orig).unwrap(),
-                serde_json::to_string(got).unwrap()
-            );
-        }
-        // Reopen resumes with the same view.
-        drop(be);
-        let be = FileBackend::open(&path).unwrap();
-        assert_eq!(be.len(), 4);
-        assert_eq!(be.last_checkpoint(), Some(3));
-        assert_eq!(be.stats().recovered_bytes, 0);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn truncated_tail_recovers_to_last_valid_record() {
-        let path = tmp("truncated.marc");
-        let mut be = FileBackend::create(&path).unwrap();
-        for (rec, json) in [full_record(0), delta_record(1), delta_record(2)] {
-            be.append(&rec, &json).unwrap();
-        }
-        let offsets = be.offsets().to_vec();
-        drop(be);
-        // Cut the file mid-way through the last record.
-        let cut = offsets[3] - 3;
-        let f = OpenOptions::new().write(true).open(&path).unwrap();
-        f.set_len(cut).unwrap();
-        drop(f);
-        let be = FileBackend::open(&path).unwrap();
-        assert_eq!(be.len(), 2, "last record dropped");
-        assert_eq!(be.stats().recovered_bytes, cut - offsets[2]);
-        // And the file was physically truncated to the valid prefix.
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), offsets[2]);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn corrupt_payload_ends_the_archive_at_the_last_valid_record() {
-        let path = tmp("corrupt.marc");
-        let mut be = FileBackend::create(&path).unwrap();
-        for (rec, json) in [full_record(0), delta_record(1), delta_record(2)] {
-            be.append(&rec, &json).unwrap();
-        }
-        let offsets = be.offsets().to_vec();
-        drop(be);
-        // Flip a byte inside record 1's payload.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let at = offsets[1] as usize + FRAME_LEN as usize + 2;
-        bytes[at] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        let be = FileBackend::open(&path).unwrap();
-        assert_eq!(be.len(), 1, "records after the corruption are dropped");
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
     fn unrecognised_headers_are_rejected_with_a_clear_error() {
         let path = tmp("badmagic.marc");
         std::fs::write(&path, b"NOTANARCHIVE----------------").unwrap();
-        let err = FileBackend::open(&path).unwrap_err();
+        let err = FileBackendV1::open_read_only(&path).unwrap_err();
         assert!(err.to_string().contains("MANTRARC"), "{err}");
         // An unknown (future) version is called out explicitly, by both
         // readers.
@@ -2897,7 +2654,7 @@ mod tests {
         header.extend_from_slice(&99u16.to_le_bytes());
         header.resize(HEADER_LEN as usize, 0);
         std::fs::write(&path, &header).unwrap();
-        let err = FileBackend::open(&path).unwrap_err();
+        let err = FileBackendV1::open_read_only(&path).unwrap_err();
         assert!(err.to_string().contains("version 99"), "{err}");
         let err = FileBackendV2::open(&path).unwrap_err();
         assert!(err.to_string().contains("version 99"), "{err}");
@@ -2907,16 +2664,14 @@ mod tests {
     #[test]
     fn fsyncs_happen_on_checkpoints_and_cadence() {
         let path = tmp("fsync.marc");
-        let mut be = FileBackend::create(&path).unwrap();
+        let mut be = FileBackendV2::create(&path).unwrap();
         let base = be.stats().fsyncs;
-        let (full, full_json) = full_record(0);
-        be.append(&full, &full_json).unwrap();
+        be.append(&full_record(0)).unwrap();
         assert_eq!(be.stats().fsyncs, base + 1, "checkpoint syncs");
         assert_eq!(be.stats().pending_appends, 0);
         be.sync = SyncPolicy::every_records(2);
         for n in 1..=4 {
-            let (d, j) = delta_record(n);
-            be.append(&d, &j).unwrap();
+            be.append(&delta_record(n)).unwrap();
         }
         assert_eq!(be.stats().fsyncs, base + 3, "every second delta syncs");
         std::fs::remove_file(&path).unwrap();
@@ -2931,8 +2686,7 @@ mod tests {
             every_records: 0,
             every_bytes: 1, // every append crosses the byte threshold
         };
-        let (full, j) = full_record(0);
-        be.append(&full, &j).unwrap();
+        be.append(&full_record(0)).unwrap();
         assert_eq!(be.stats().fsyncs, 2, "create + byte-cadence sync");
         assert_eq!(be.stats().pending_appends, 0);
         be.sync = SyncPolicy {
@@ -2941,18 +2695,17 @@ mod tests {
             every_bytes: 0,
         };
         for n in 1..=3 {
-            let (d, j) = delta_record(n);
-            be.append(&d, &j).unwrap();
+            be.append(&delta_record(n)).unwrap();
         }
         assert_eq!(be.stats().fsyncs, 2, "no further syncs");
         assert_eq!(be.stats().pending_appends, 3, "three records at risk");
         std::fs::remove_file(&path).unwrap();
     }
 
-    fn rich_full(n: u64) -> (LogRecord, String) {
+    fn rich_full(n: u64) -> LogRecord {
         use crate::tables::{PairRow, RouteRow, SessionRow};
         let g = GroupAddr::from_index;
-        let parts = SnapshotParts {
+        LogRecord::Full(SnapshotParts {
             captured_at: SimTime(n),
             router: "fixw".into(),
             pairs: vec![PairRow {
@@ -2991,15 +2744,12 @@ mod tests {
                 first_seen: SimTime(n),
             }],
             presorted: false,
-        };
-        let rec = LogRecord::Full(parts);
-        let json = serde_json::to_string(&rec).unwrap();
-        (rec, json)
+        })
     }
 
-    fn rich_delta(n: u64) -> (LogRecord, String) {
+    fn rich_delta(n: u64) -> LogRecord {
         let g = GroupAddr::from_index;
-        let rec = LogRecord::Delta(TableDelta {
+        LogRecord::Delta(TableDelta {
             captured_at: SimTime(n),
             pair_upserts: Vec::new(),
             pair_removals: vec![(g(1), Ip::new(10, 0, 0, 1))],
@@ -3012,13 +2762,7 @@ mod tests {
             sa_removals: vec![(g(1), Ip::new(10, 0, 0, 1))],
             session_upserts: Vec::new(),
             session_removals: vec![g(2)],
-        });
-        let json = serde_json::to_string(&rec).unwrap();
-        (rec, json)
-    }
-
-    fn json_of(rec: &LogRecord) -> String {
-        serde_json::to_string(rec).unwrap()
+        })
     }
 
     /// Start of record `i`'s own frame: append batches may lead with a
@@ -3031,13 +2775,77 @@ mod tests {
             .map_or(s, |&(_, e)| e)
     }
 
+    /// Frames `recs` as a v1 archive (JSON payloads) — the legacy form
+    /// the library only reads — returning each frame's start offset
+    /// plus the end offset.
+    fn write_v1(path: &Path, recs: &[LogRecord]) -> Vec<u64> {
+        let mut bytes = Vec::new();
+        write_header(&mut bytes, FORMAT_VERSION, 0).unwrap();
+        let mut offsets = vec![HEADER_LEN];
+        for rec in recs {
+            let payload = serde_json::to_string(rec).unwrap();
+            bytes.push(match rec {
+                LogRecord::Full(_) => KIND_FULL,
+                LogRecord::Delta(_) => KIND_DELTA,
+            });
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&crc32(payload.as_bytes()).to_le_bytes());
+            bytes.extend_from_slice(payload.as_bytes());
+            offsets.push(bytes.len() as u64);
+        }
+        std::fs::write(path, &bytes).unwrap();
+        offsets
+    }
+
+    #[test]
+    fn v1_reader_decodes_clamps_bad_tails_in_memory_and_refuses_appends() {
+        let path = tmp("v1-read-only.marc");
+        let recs = [rich_full(0), rich_delta(1), rich_delta(2)];
+        let offsets = write_v1(&path, &recs);
+        let be = FileBackendV1::open_read_only(&path).unwrap();
+        assert_eq!(be.len(), 3);
+        assert_eq!(be.last_checkpoint(), Some(0));
+        assert_eq!(be.stats().bytes, offsets[3] - HEADER_LEN);
+        assert_eq!(be.describe().format_version, FORMAT_VERSION);
+        let back: Vec<LogRecord> = be.records().map(|r| r.unwrap()).collect();
+        assert_eq!(back, recs);
+        let tail: Vec<LogRecord> = be.records_from(2).map(|r| r.unwrap()).collect();
+        assert_eq!(tail, recs[2..]);
+
+        // A torn tail ends the archive at the last intact record; the
+        // file itself is left as it was.
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.truncate(offsets[3] as usize - 3);
+        std::fs::write(&path, &bytes).unwrap();
+        let be = FileBackendV1::open_read_only(&path).unwrap();
+        assert_eq!(be.len(), 2, "torn record dropped");
+        assert_eq!(be.stats().recovered_bytes, offsets[3] - 3 - offsets[2]);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "the reader wrote");
+
+        // A payload that fails its CRC ends the archive before it.
+        bytes[offsets[1] as usize + FRAME_LEN as usize + 2] ^= 0xFF;
+        std::fs::write(&path, &bytes).unwrap();
+        let mut be = FileBackendV1::open_read_only(&path).unwrap();
+        assert_eq!(be.len(), 1, "records after the corruption are dropped");
+
+        // Appends are refused, naming the way forward.
+        let err = be.append(&recs[1]).unwrap_err();
+        assert!(err.to_string().contains("mantra archive compact"), "{err}");
+        assert_eq!(be.stats().write_errors, 1);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "the reader wrote");
+        // The v2 writer refuses to open it for append the same way.
+        let err = FileBackendV2::open(&path).unwrap_err();
+        assert!(err.to_string().contains("mantra archive compact"), "{err}");
+        std::fs::remove_file(&path).unwrap();
+    }
+
     #[test]
     fn v2_backend_round_trips_records_and_reopens() {
         let path = tmp("v2-roundtrip.marc");
         let mut be = FileBackendV2::create(&path).unwrap();
         let recs = vec![rich_full(0), rich_delta(1), rich_delta(2), rich_full(3)];
-        for (rec, json) in &recs {
-            be.append(rec, json).unwrap();
+        for rec in &recs {
+            be.append(rec).unwrap();
         }
         assert_eq!(be.len(), 4);
         assert_eq!(be.last_checkpoint(), Some(3));
@@ -3045,14 +2853,12 @@ mod tests {
             !be.dict_frames().is_empty(),
             "new keys force dictionary segments"
         );
+        assert_eq!(be.stats().bytes, be.offsets()[4] - HEADER_LEN);
         let back: Vec<LogRecord> = be.records().map(|r| r.unwrap()).collect();
-        for ((orig, _), got) in recs.iter().zip(&back) {
-            assert_eq!(json_of(orig), json_of(got));
-        }
+        assert_eq!(back, recs);
         // Mid-archive entry (checkpoint resume) preloads the dictionary.
         let tail: Vec<LogRecord> = be.records_from(3).map(|r| r.unwrap()).collect();
-        assert_eq!(tail.len(), 1);
-        assert_eq!(json_of(&tail[0]), json_of(&recs[3].0));
+        assert_eq!(tail, recs[3..]);
         let info = be.describe();
         assert_eq!(info.format_version, FORMAT_VERSION_V2);
         assert_eq!(info.epoch, 1);
@@ -3063,7 +2869,7 @@ mod tests {
         assert_eq!(be.last_checkpoint(), Some(3));
         assert_eq!(be.stats().recovered_bytes, 0);
         let back: Vec<LogRecord> = be.records().map(|r| r.unwrap()).collect();
-        assert_eq!(json_of(&back[2]), json_of(&recs[2].0));
+        assert_eq!(back[2], recs[2]);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -3071,8 +2877,8 @@ mod tests {
     fn v2_truncated_tail_recovers_to_last_valid_record() {
         let path = tmp("v2-truncated.marc");
         let mut be = FileBackendV2::create(&path).unwrap();
-        for (rec, json) in [rich_full(0), rich_delta(1), rich_delta(2)] {
-            be.append(&rec, &json).unwrap();
+        for rec in [rich_full(0), rich_delta(1), rich_delta(2)] {
+            be.append(&rec).unwrap();
         }
         let offsets = be.offsets().to_vec();
         drop(be);
@@ -3086,8 +2892,7 @@ mod tests {
         assert_eq!(std::fs::metadata(&path).unwrap().len(), offsets[2]);
         // Appending after recovery keeps the archive self-consistent.
         let mut be = be;
-        let (rec, json) = rich_delta(9);
-        be.append(&rec, &json).unwrap();
+        be.append(&rich_delta(9)).unwrap();
         let back: Vec<LogRecord> = be.records().map(|r| r.unwrap()).collect();
         assert_eq!(back.len(), 3);
         std::fs::remove_file(&path).unwrap();
@@ -3097,8 +2902,8 @@ mod tests {
     fn v2_kind_flip_is_caught_by_the_frame_crc() {
         let path = tmp("v2-kindflip.marc");
         let mut be = FileBackendV2::create(&path).unwrap();
-        for (rec, json) in [rich_full(0), rich_delta(1), rich_delta(2)] {
-            be.append(&rec, &json).unwrap();
+        for rec in [rich_full(0), rich_delta(1), rich_delta(2)] {
+            be.append(&rec).unwrap();
         }
         let at = rec_frame_start(&be, 1) as usize;
         drop(be);
@@ -3117,8 +2922,8 @@ mod tests {
     fn v2_duplicated_record_frame_is_caught_by_its_sequence_number() {
         let path = tmp("v2-dup.marc");
         let mut be = FileBackendV2::create(&path).unwrap();
-        for (rec, json) in [rich_full(0), rich_delta(1)] {
-            be.append(&rec, &json).unwrap();
+        for rec in [rich_full(0), rich_delta(1)] {
+            be.append(&rec).unwrap();
         }
         let span = (rec_frame_start(&be, 1) as usize, be.offsets()[2] as usize);
         drop(be);
@@ -3138,8 +2943,7 @@ mod tests {
     fn v2_epoch_mismatched_dictionary_segment_ends_the_archive() {
         let path = tmp("v2-epoch.marc");
         let mut be = FileBackendV2::create_with_epoch(&path, 7).unwrap();
-        let (rec, json) = rich_full(0);
-        be.append(&rec, &json).unwrap();
+        be.append(&rich_full(0)).unwrap();
         assert_eq!(be.describe().epoch, 7);
         drop(be);
         // Rewrite the header epoch: every dictionary segment is now
@@ -3153,31 +2957,10 @@ mod tests {
     }
 
     #[test]
-    fn v2_payloads_are_smaller_than_v1_for_the_same_records() {
-        let p1 = tmp("size-v1.marc");
-        let p2 = tmp("size-v2.marc");
-        let mut v1 = FileBackend::create(&p1).unwrap();
-        let mut v2 = FileBackendV2::create(&p2).unwrap();
-        for n in 0..8 {
-            let (rec, json) = if n == 0 { rich_full(n) } else { rich_delta(n) };
-            v1.append(&rec, &json).unwrap();
-            v2.append(&rec, &json).unwrap();
-        }
-        assert!(
-            v2.stats().bytes < v1.stats().bytes,
-            "v2 {} bytes should undercut v1 {} bytes",
-            v2.stats().bytes,
-            v1.stats().bytes
-        );
-        std::fs::remove_file(&p1).unwrap();
-        std::fs::remove_file(&p2).unwrap();
-    }
-
-    #[test]
     fn memory_backend_accounts_checkpoints() {
         let mut be = MemoryBackend::default();
-        for (rec, json) in [full_record(0), delta_record(1), full_record(2)] {
-            be.append(&rec, &json).unwrap();
+        for rec in [full_record(0), delta_record(1), full_record(2)] {
+            be.append(&rec).unwrap();
         }
         assert_eq!(be.len(), 3);
         assert_eq!(be.last_checkpoint(), Some(2));
@@ -3185,24 +2968,22 @@ mod tests {
         assert_eq!(s.records, 3);
         assert_eq!(s.checkpoints, 2);
         assert_eq!(s.fsyncs, 0);
-        assert!(s.bytes > 0);
+        assert_eq!(s.bytes, 0, "memory archives serialise nothing");
         assert_eq!(be.records_from(2).count(), 1);
     }
 
     #[test]
-    fn torn_write_heals_on_next_append_v1() {
-        let path = tmp("torn-heal-v1.marc");
-        let mut be = FileBackend::create(&path).unwrap();
+    fn torn_write_heals_on_next_append_v2() {
+        let path = tmp("torn-heal-append-v2.marc");
+        let mut be = FileBackendV2::create(&path).unwrap();
         be.sync = SyncPolicy::every_records(1);
-        let (rec0, json0) = full_record(0);
-        be.append(&rec0, &json0).unwrap();
+        be.append(&full_record(0)).unwrap();
         let good_len = std::fs::metadata(&path).unwrap().len();
 
         // ENOSPC-style failure: 5 bytes of the frame land, then the
         // write fails.
         be.inject_torn_write(5);
-        let (rec1, json1) = delta_record(1);
-        let err = be.append(&rec1, &json1).unwrap_err();
+        let err = be.append(&delta_record(1)).unwrap_err();
         assert!(err.to_string().contains("torn frame"), "{err}");
         let s = be.stats();
         assert_eq!(s.write_errors, 1);
@@ -3215,13 +2996,12 @@ mod tests {
 
         // Next append heals: tail re-truncated, new frame lands at the
         // logical end, stream replays cleanly.
-        let (rec2, json2) = full_record(2);
-        be.append(&rec2, &json2).unwrap();
+        be.append(&full_record(2)).unwrap();
         assert_eq!(be.len(), 2);
         let back: Vec<LogRecord> = be.records().map(|r| r.unwrap()).collect();
-        assert_eq!(back.len(), 2);
+        assert_eq!(back, [full_record(0), full_record(2)]);
         drop(be);
-        let be = FileBackend::open(&path).unwrap();
+        let be = FileBackendV2::open(&path).unwrap();
         assert_eq!(be.len(), 2);
         assert_eq!(be.stats().recovered_bytes, 0, "heal already cut the tail");
         std::fs::remove_file(&path).unwrap();
@@ -3231,13 +3011,11 @@ mod tests {
     fn torn_write_heals_on_sync_v2() {
         let path = tmp("torn-heal-v2.marc");
         let mut be = FileBackendV2::create(&path).unwrap();
-        let (rec0, json0) = rich_full(0);
-        be.append(&rec0, &json0).unwrap();
+        be.append(&rich_full(0)).unwrap();
         let good_len = std::fs::metadata(&path).unwrap().len();
 
         be.inject_torn_write(7);
-        let (rec1, json1) = rich_delta(1);
-        assert!(be.append(&rec1, &json1).is_err());
+        assert!(be.append(&rich_delta(1)).is_err());
         assert_eq!(be.stats().write_errors, 1);
         assert!(std::fs::metadata(&path).unwrap().len() > good_len);
 
@@ -3247,8 +3025,7 @@ mod tests {
         assert_eq!(be.stats().pending_appends, 0);
 
         // And appends keep working; sequence numbers stay dense.
-        let (rec2, json2) = rich_full(2);
-        be.append(&rec2, &json2).unwrap();
+        be.append(&rich_full(2)).unwrap();
         let back: Vec<LogRecord> = be.records().map(|r| r.unwrap()).collect();
         assert_eq!(back.len(), 2);
         drop(be);
@@ -3273,8 +3050,8 @@ mod tests {
             .collect();
 
         let mut serial = FileBackendV2::create(&serial_path).unwrap();
-        for (rec, json) in &recs {
-            serial.append(rec, json).unwrap();
+        for rec in &recs {
+            serial.append(rec).unwrap();
         }
         serial.sync().unwrap();
         drop(serial);
@@ -3282,8 +3059,8 @@ mod tests {
         let inner = Box::new(FileBackendV2::create(&threaded_path).unwrap());
         let mut be = ThreadedBackend::spawn(inner, WriterConfig::default());
         assert_eq!(be.kind(), "file+writer");
-        for (rec, json) in &recs {
-            be.append(rec, json).unwrap();
+        for rec in &recs {
+            be.append(rec).unwrap();
         }
         // len() is a drain barrier: all 10 records are applied after it.
         assert_eq!(be.len(), 10);
@@ -3315,13 +3092,11 @@ mod tests {
 
         // This append enqueues fine; the failure happens on the writer
         // thread when the frame is applied.
-        let (rec0, json0) = rich_full(0);
-        be.append(&rec0, &json0).unwrap();
+        be.append(&rich_full(0)).unwrap();
         be.drain();
 
         // The next append surfaces the deferred error.
-        let (rec1, json1) = rich_delta(1);
-        let err = be.append(&rec1, &json1).unwrap_err();
+        let err = be.append(&rich_delta(1)).unwrap_err();
         assert!(err.to_string().contains("archive writer"), "{err}");
         let s = be.stats();
         assert!(s.write_errors >= 1);
@@ -3331,8 +3106,7 @@ mod tests {
         );
 
         // A Full record re-anchors the chain and lands cleanly.
-        let (rec2, json2) = rich_full(2);
-        be.append(&rec2, &json2).unwrap();
+        be.append(&rich_full(2)).unwrap();
         assert_eq!(be.len(), 1, "only the re-anchoring full survives");
         drop(be);
         std::fs::remove_file(&path).unwrap();

@@ -24,20 +24,39 @@ use serde::{Deserialize, Serialize};
 use mantra_net::{GroupAddr, Ip, Prefix, SimTime};
 
 use crate::archive::{
-    read_header, unsupported_version, ArchiveBackend, ArchiveInfo, ArchiveSpec, ArchiveStats,
-    FileBackend, FileBackendV2, MemoryBackend, RecordIter, SyncPolicy, ThreadedBackend,
-    FORMAT_VERSION, FORMAT_VERSION_V2, MAGIC,
+    read_header, unsupported_version, v1_is_read_only, ArchiveBackend, ArchiveInfo, ArchiveSpec,
+    ArchiveStats, FileBackendV1, FileBackendV2, MemoryBackend, RecordIter, SyncPolicy,
+    ThreadedBackend, FORMAT_VERSION, FORMAT_VERSION_V2, MAGIC,
 };
 use crate::store::{in_key_order, in_key_order_cached, Interner, TableStore};
 use crate::tables::{LearnedFrom, PairRow, RouteRow, SessionRow, Tables};
 
+/// What a stored row costs, in the units the Full/Delta choice and
+/// [`TableLog::savings_ratio`] count: pairs, routes, SA entries and
+/// member-only sessions alike, whether in a Full record or as a Delta
+/// upsert.
+pub const ROW_COST: u64 = 2;
+/// What a Delta removal costs: a key alone, about half a row.
+pub const KEY_COST: u64 = 1;
+
 /// What one cycle stores.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum LogRecord {
     /// A full (but redundancy-eliminated) snapshot.
     Full(SnapshotParts),
     /// Changes relative to the previous record.
     Delta(TableDelta),
+}
+
+impl LogRecord {
+    /// The record's storage cost ([`ROW_COST`] per row, [`KEY_COST`]
+    /// per removal key).
+    pub fn cost(&self) -> u64 {
+        match self {
+            LogRecord::Full(p) => p.cost(),
+            LogRecord::Delta(d) => d.cost(),
+        }
+    }
 }
 
 /// The non-derivable parts of a snapshot.
@@ -142,7 +161,7 @@ impl<'de> Deserialize<'de> for SnapshotParts {
 }
 
 /// A delta between consecutive snapshots.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct TableDelta {
     /// Capture timestamp of the new snapshot.
     pub captured_at: SimTime,
@@ -190,6 +209,16 @@ impl SnapshotParts {
         }
     }
 
+    /// The cost of storing this snapshot as a Full record: every row
+    /// at [`ROW_COST`].
+    pub fn cost(&self) -> u64 {
+        let rows = self.pairs.len()
+            + self.routes.len()
+            + self.sa_cache.len()
+            + self.member_only_sessions.len();
+        ROW_COST * rows as u64
+    }
+
     /// Rebuilds the full four-table snapshot (the redundancy rule run
     /// forward).
     pub fn rebuild(&self) -> Tables {
@@ -207,6 +236,22 @@ impl SnapshotParts {
             t.sa_cache.insert((*g, *s), *at);
         }
         t
+    }
+}
+
+impl TableDelta {
+    /// The cost of storing this delta: each upsert at [`ROW_COST`],
+    /// each removal at [`KEY_COST`].
+    pub fn cost(&self) -> u64 {
+        let upserts = self.pair_upserts.len()
+            + self.route_upserts.len()
+            + self.sa_upserts.len()
+            + self.session_upserts.len();
+        let removals = self.pair_removals.len()
+            + self.route_removals.len()
+            + self.sa_removals.len()
+            + self.session_removals.len();
+        ROW_COST * upserts as u64 + KEY_COST * removals as u64
     }
 }
 
@@ -561,11 +606,12 @@ pub fn apply_reference(base: &SnapshotParts, delta: &TableDelta) -> SnapshotPart
 /// The append-only log for one router's snapshot stream.
 ///
 /// Where the records live is delegated to an [`ArchiveBackend`]: the
-/// default [`MemoryBackend`] keeps them in process (and serialises
-/// byte-identically to the pre-backend log), while [`FileBackend`] turns
-/// the log into a durable on-disk archive with checkpoints and crash
-/// recovery. Appending is infallible either way — a failing backend
-/// write is counted in [`TableLog::write_errors`] and surfaced through
+/// default [`MemoryBackend`] keeps them in process, while
+/// [`FileBackendV2`] turns the log into a durable on-disk archive with
+/// checkpoints and crash recovery. The log itself never serialises: it
+/// chooses each record by row cost and hands the record over. Appending
+/// is infallible either way — a failing backend write is counted in
+/// [`TableLog::write_errors`] and surfaced through
 /// [`TableLog::backend_error`] rather than panicking mid-cycle.
 #[derive(Debug)]
 pub struct TableLog {
@@ -577,13 +623,15 @@ pub struct TableLog {
     /// A full snapshot is stored every this many records (bounds replay
     /// cost and the blast radius of a corrupt record).
     pub full_every: usize,
-    /// Payload bytes the log stored (serialised records, before any
-    /// backend framing).
-    pub bytes_stored: usize,
-    /// Bytes storing every snapshot in full would have cost — the paper's
-    /// baseline for the space-conservation claim. Zero for archives
-    /// reopened from disk (the baseline is not persisted).
-    pub bytes_full_baseline: usize,
+    /// Cost of the records the log stored ([`ROW_COST`] per row,
+    /// [`KEY_COST`] per removal key). Bytes on disk are the backend's
+    /// [`ArchiveStats::bytes`].
+    pub stored_cost: u64,
+    /// What storing every snapshot as a Full record would have cost, in
+    /// the same units — the paper's baseline for the space-conservation
+    /// claim. Zero for archives reopened from disk (the baseline is not
+    /// persisted).
+    pub full_cost: u64,
     /// Appends the backend failed to persist.
     pub write_errors: u64,
     /// True when the requested backend could not be opened and the log
@@ -614,8 +662,8 @@ impl Default for TableLog {
             since_full: 0,
             scratch: TableStore::default(),
             full_every: 0,
-            bytes_stored: 0,
-            bytes_full_baseline: 0,
+            stored_cost: 0,
+            full_cost: 0,
             write_errors: 0,
             fell_back: false,
             backend_error: None,
@@ -646,10 +694,10 @@ impl TableLog {
     }
 
     /// Opens (or creates) an on-disk archive at `path` for appending,
-    /// dispatching on the header's format version: existing v1 archives
-    /// keep appending JSON frames through [`FileBackend`], v2 archives
-    /// (and fresh files) go through [`FileBackendV2`], and an unknown
-    /// version fails loudly instead of guessing.
+    /// dispatching on the header's format version: v2 archives (and
+    /// fresh files) go through [`FileBackendV2`]; a v1 archive is
+    /// read-only and fails with an error naming `mantra archive
+    /// compact`; an unknown version fails loudly instead of guessing.
     ///
     /// The tail snapshot and delta cadence are rebuilt by replaying only
     /// the records from the last checkpoint — a reopened archive keeps
@@ -658,7 +706,7 @@ impl TableLog {
         let backend: Box<dyn ArchiveBackend> = if path.exists() {
             let (version, _) = read_header(&mut std::fs::File::open(path)?)?;
             match version {
-                FORMAT_VERSION => Box::new(FileBackend::open(path)?),
+                FORMAT_VERSION => return Err(v1_is_read_only(path)),
                 FORMAT_VERSION_V2 => Box::new(FileBackendV2::open(path)?),
                 v => return Err(unsupported_version(v)),
             }
@@ -669,16 +717,17 @@ impl TableLog {
     }
 
     /// Opens an existing on-disk archive for reading only, dispatching
-    /// on the format version like [`TableLog::open_file`]. The file is
-    /// never written: a torn or corrupt tail is clamped to the last
-    /// intact record in memory instead of being truncated away, so this
-    /// is safe against an archive another process is actively appending
-    /// to. Appends through the returned log fail (and are counted in
+    /// on the format version: v1 through the [`FileBackendV1`] decoder,
+    /// v2 through [`FileBackendV2`]. The file is never written: a torn
+    /// or corrupt tail is clamped to the last intact record in memory
+    /// instead of being truncated away, so this is safe against an
+    /// archive another process is actively appending to. Appends
+    /// through the returned log fail (and are counted in
     /// [`TableLog::write_errors`]).
     pub fn open_file_read_only(path: &Path, full_every: usize) -> io::Result<TableLog> {
         let (version, _) = read_header(&mut std::fs::File::open(path)?)?;
         let backend: Box<dyn ArchiveBackend> = match version {
-            FORMAT_VERSION => Box::new(FileBackend::open_read_only(path)?),
+            FORMAT_VERSION => Box::new(FileBackendV1::open_read_only(path)?),
             FORMAT_VERSION_V2 => Box::new(FileBackendV2::open_read_only(path)?),
             v => return Err(unsupported_version(v)),
         };
@@ -711,21 +760,13 @@ impl TableLog {
                 }
             }
         }
-        let bytes_stored = backend.stats().bytes as usize;
         Ok(TableLog {
             backend,
             tail,
             since_full,
             scratch: store,
             full_every: full_every.max(1),
-            bytes_stored,
-            bytes_full_baseline: 0,
-            write_errors: 0,
-            fell_back: false,
-            backend_error: None,
-            sealed: false,
-            replay_errors: Cell::new(0),
-            replay_error: RefCell::new(None),
+            ..TableLog::default()
         })
     }
 
@@ -774,10 +815,12 @@ impl TableLog {
         self.backend_error.as_deref()
     }
 
-    /// Appends a snapshot, choosing full or delta representation. A delta
-    /// record is used only when it is both due (within the full-snapshot
-    /// cadence) and actually smaller than the full record — on tiny tables
-    /// the delta framing can cost more than the data.
+    /// Appends a snapshot, choosing full or delta representation by row
+    /// cost: a row costs [`ROW_COST`] and a removal key [`KEY_COST`]. A
+    /// delta record is stored only when it is due (within the
+    /// full-snapshot cadence) and costs strictly less than the full
+    /// record; equal cost stores the Full, which is also a checkpoint.
+    /// Only the chosen record is built.
     ///
     /// Returns the delta taking the previous snapshot to this one whenever
     /// a previous snapshot exists — even on cycles that *store* a full
@@ -800,33 +843,25 @@ impl TableLog {
             return None;
         }
         let parts = SnapshotParts::from_tables(tables);
-        let full_record = LogRecord::Full(parts.clone());
-        // The serialised text is kept, not just measured: the backend
-        // archives exactly these bytes, so every backend stores the same
-        // payload the size decision was made on.
-        let full_json = serde_json::to_string(&full_record).unwrap_or_default();
-        // The baseline is what storing the snapshot itself would cost.
-        self.bytes_full_baseline += serde_json::to_string(&parts).map(|s| s.len()).unwrap_or(0);
+        let full_cost = parts.cost();
+        self.full_cost += full_cost;
         let delta = self
             .tail
             .as_ref()
             .map(|prev| diff_with(store, prev, &parts));
-        let mut chosen = None;
-        if let (Some(d), false) = (&delta, self.since_full >= self.full_every) {
-            let delta_record = LogRecord::Delta(d.clone());
-            if let Ok(delta_json) = serde_json::to_string(&delta_record) {
-                if delta_json.len() < full_json.len() {
-                    self.since_full += 1;
-                    chosen = Some((delta_record, delta_json));
-                }
+        let due = self.since_full < self.full_every;
+        let record = match &delta {
+            Some(d) if due && d.cost() < full_cost => {
+                self.since_full += 1;
+                LogRecord::Delta(d.clone())
             }
-        }
-        let (record, json) = chosen.unwrap_or_else(|| {
-            self.since_full = 1;
-            (full_record, full_json)
-        });
-        self.bytes_stored += json.len();
-        if let Err(e) = self.backend.append(&record, &json) {
+            _ => {
+                self.since_full = 1;
+                LogRecord::Full(parts.clone())
+            }
+        };
+        self.stored_cost += record.cost();
+        if let Err(e) = self.backend.append(&record) {
             self.write_errors += 1;
             self.backend_error = Some(e.to_string());
             // The record never reached the archive; a delta stored after
@@ -857,12 +892,13 @@ impl TableLog {
         self.backend.is_empty()
     }
 
-    /// Storage saved relative to storing full snapshots, in `[0, 1)`.
+    /// Storage saved relative to storing every snapshot as a Full
+    /// record, in row-cost units, in `[0, 1)`.
     pub fn savings_ratio(&self) -> f64 {
-        if self.bytes_full_baseline == 0 {
+        if self.full_cost == 0 {
             0.0
         } else {
-            1.0 - self.bytes_stored as f64 / self.bytes_full_baseline as f64
+            1.0 - self.stored_cost as f64 / self.full_cost as f64
         }
     }
 
@@ -953,13 +989,12 @@ impl TableLog {
         w.flush()
     }
 
-    /// Loads an archive from disk, sniffing the format: a `MANTRARC`
-    /// header dispatches on its format version ([`FileBackend`] for v1,
-    /// [`FileBackendV2`] for v2, a clear unsupported-version error for
-    /// anything newer — never a fallback to JSONL sniffing), JSON-lines
-    /// loads the legacy [`TableLog::save`] shape into memory, and
-    /// anything else is rejected with a clear error instead of a JSON
-    /// parse failure.
+    /// Loads an archive from disk for appending, sniffing the format: a
+    /// `MANTRARC` header goes through [`TableLog::open_file`] (v2 opens,
+    /// read-only v1 and anything newer fail clearly — never a fallback
+    /// to JSONL sniffing), JSON-lines loads the legacy
+    /// [`TableLog::save`] shape into memory, and anything else is
+    /// rejected with a clear error instead of a JSON parse failure.
     pub fn load(path: &Path, full_every: usize) -> io::Result<TableLog> {
         use std::io::Read as _;
         let mut head = Vec::new();
@@ -1014,7 +1049,7 @@ impl TableLog {
             }
             let rec: LogRecord = serde_json::from_str(&line)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            log.bytes_stored += line.len();
+            log.stored_cost += rec.cost();
             let parts = match &rec {
                 LogRecord::Full(p) => {
                     log.since_full = 1;
@@ -1034,10 +1069,8 @@ impl TableLog {
                     parts
                 }
             };
-            log.bytes_full_baseline += serde_json::to_string(&parts).map(|s| s.len()).unwrap_or(0);
-            log.backend
-                .append(&rec, &line)
-                .expect("memory append cannot fail");
+            log.full_cost += parts.cost();
+            log.backend.append(&rec).expect("memory append cannot fail");
             log.tail = Some(parts);
         }
         Ok(log)
@@ -1310,10 +1343,7 @@ mod tests {
         for w in parts.windows(2) {
             let fast = diff_with(&mut store, &w[0], &w[1]);
             let slow = diff_reference(&w[0], &w[1]);
-            assert_eq!(
-                serde_json::to_string(&fast).unwrap(),
-                serde_json::to_string(&slow).unwrap()
-            );
+            assert_eq!(fast, slow);
             let applied = apply_with(&mut store, &w[0], &fast);
             assert_eq!(applied, apply_reference(&w[0], &slow));
             assert_eq!(applied, w[1]);
@@ -1370,20 +1400,71 @@ mod tests {
 
     #[test]
     fn tiny_tables_prefer_full_records() {
-        // When the delta framing would cost more than the data, the logger
-        // stores full records even inside the delta cadence.
+        // When the delta would cost as much as the data, the logger
+        // stores full records even inside the delta cadence: one changed
+        // row costs what the one-row Full does, and equal cost means Full.
         let s1 = Ip::new(1, 1, 1, 1);
         let mut log = TableLog::new(100);
         for n in 0..5u64 {
             log.append(&snapshot(n, &[(0, s1, n)]));
         }
         assert!(
-            log.bytes_stored <= log.bytes_full_baseline + 16 * log.len(),
-            "stored {} vs baseline {}",
-            log.bytes_stored,
-            log.bytes_full_baseline
+            log.stored_cost <= log.full_cost,
+            "stored {} vs full {}",
+            log.stored_cost,
+            log.full_cost
         );
+        assert_eq!(kinds(&log), [true; 5]);
         assert_eq!(log.replay().len(), 5);
+    }
+
+    /// The record kinds the log stored, oldest first: `true` for Full.
+    fn kinds(log: &TableLog) -> Vec<bool> {
+        log.backend
+            .records()
+            .map(|r| matches!(r.unwrap(), LogRecord::Full(_)))
+            .collect()
+    }
+
+    fn pairs(sources: std::ops::Range<u32>) -> Vec<(u32, Ip, u64)> {
+        sources.map(|i| (i % 64, Ip(100 + i), 64)).collect()
+    }
+
+    #[test]
+    fn an_unchanged_snapshot_stores_a_delta() {
+        let rows = pairs(0..3);
+        let mut log = TableLog::new(100);
+        log.append(&snapshot(0, &rows));
+        log.append(&snapshot(1, &rows));
+        assert_eq!(kinds(&log), [true, false]);
+        // The empty delta costs nothing; the baseline pays for two Fulls.
+        assert_eq!(log.stored_cost, 3 * ROW_COST);
+        assert_eq!(log.full_cost, 6 * ROW_COST);
+        assert_eq!(log.replay(), [snapshot(0, &rows), snapshot(1, &rows)]);
+    }
+
+    #[test]
+    fn a_wholesale_replacement_stores_a_full() {
+        // Every row removed and re-added under a new key: ten upserts
+        // plus ten removal keys outweigh the ten-row Full.
+        let (old, new) = (pairs(0..10), pairs(64..74));
+        let mut log = TableLog::new(100);
+        log.append(&snapshot(0, &old));
+        let delta = log.append(&snapshot(1, &new)).expect("a tail to diff");
+        assert_eq!(delta.cost(), 10 * ROW_COST + 10 * KEY_COST);
+        assert_eq!(kinds(&log), [true, true]);
+        assert_eq!(log.replay(), [snapshot(0, &old), snapshot(1, &new)]);
+    }
+
+    #[test]
+    fn shrinking_to_a_few_rows_through_many_removals_stores_a_full() {
+        // 40 rows down to 3: 37 removal keys cost more than 3 rows.
+        let (many, few) = (pairs(0..40), pairs(0..3));
+        let mut log = TableLog::new(100);
+        log.append(&snapshot(0, &many));
+        log.append(&snapshot(1, &few));
+        assert_eq!(kinds(&log), [true, true]);
+        assert_eq!(log.replay(), [snapshot(0, &many), snapshot(1, &few)]);
     }
 
     #[test]
@@ -1490,7 +1571,7 @@ mod tests {
         }
         assert!(file_log.backend_error().is_none());
         assert_eq!(file_log.replay(), mem_log.replay());
-        assert_eq!(file_log.bytes_stored, mem_log.bytes_stored);
+        assert_eq!(file_log.stored_cost, mem_log.stored_cost);
         assert_eq!(
             file_log.archive_stats().checkpoints,
             mem_log.archive_stats().checkpoints

@@ -78,10 +78,10 @@ fn main() {
     // Storage accounting from the delta logger.
     let log = monitor.log("fixw").expect("log exists");
     println!(
-        "archive: {} snapshots, {} bytes stored vs {} baseline ({:.0}% saved)",
+        "archive: {} snapshots, stored cost {} vs {} for full snapshots ({:.0}% saved)",
         log.len(),
-        log.bytes_stored,
-        log.bytes_full_baseline,
+        log.stored_cost,
+        log.full_cost,
         100.0 * log.savings_ratio(),
     );
 }

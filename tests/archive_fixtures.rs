@@ -1,21 +1,21 @@
 //! Golden v1 fixture archives: committed MANTRARC v1 files that pin the
-//! legacy on-disk format forever. The v2-capable reader must keep
-//! replaying them byte-identically to a memory archive fed the same
-//! stream, and `v1 → compact → v2` must preserve every row while
-//! shrinking the file.
+//! legacy on-disk format forever. v1 is read-only — nothing writes it
+//! any more, so the fixture is frozen. The read-only decoder must keep
+//! replaying it byte-identically to a memory archive fed the same
+//! stream, `v1 → compact → v2` must preserve every row while shrinking
+//! the file, and opening it for append must fail with a pointer to the
+//! compaction.
 //!
 //! The fixture stream is regenerated deterministically in-test (no
 //! committed JSON), so a drift in either the fixture bytes or the reader
-//! shows up as a replay diff. To rewrite the fixtures after a deliberate
-//! format change:
-//!
-//! ```text
-//! cargo test --test archive_fixtures -- --ignored regenerate
-//! ```
+//! shows up as a replay diff.
+
+mod common;
 
 use std::path::PathBuf;
 
-use mantra::core::archive::FileBackend;
+use common::TempDir;
+use mantra::core::archive::{ArchiveBackend, FileBackendV1};
 use mantra::core::logger::{compact_archive, CompactOptions, TableLog};
 use mantra::core::tables::{LearnedFrom, PairRow, RouteRow, Tables};
 use mantra::net::{BitRate, GroupAddr, Ip, Prefix, SimTime};
@@ -76,27 +76,10 @@ fn fixture_stream() -> Vec<Tables> {
         .collect()
 }
 
-/// Rewrites the committed fixtures. Run explicitly (`-- --ignored`)
-/// after a deliberate v1 writer change — never from CI.
-#[test]
-#[ignore = "regenerates the committed fixtures in tests/data/"]
-fn regenerate() {
-    let path = fixture_path("fixw-v1.marc");
-    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-    let _ = std::fs::remove_file(&path);
-    let backend = FileBackend::create(&path).unwrap();
-    let mut log = TableLog::with_backend(Box::new(backend), FULL_EVERY);
-    for s in &fixture_stream() {
-        log.append(s);
-    }
-    assert_eq!(log.backend_error(), None);
-    eprintln!("wrote {}", path.display());
-}
-
 #[test]
 fn v1_fixture_replays_byte_identically_to_memory() {
     let streams = fixture_stream();
-    let log = TableLog::load(&fixture_path("fixw-v1.marc"), FULL_EVERY).unwrap();
+    let log = TableLog::load_read_only(&fixture_path("fixw-v1.marc"), FULL_EVERY).unwrap();
     assert_eq!(log.backend_kind(), "file");
     assert_eq!(log.describe().format_version, 1);
     assert_eq!(log.archive_stats().recovered_bytes, 0);
@@ -105,26 +88,52 @@ fn v1_fixture_replays_byte_identically_to_memory() {
     for s in &streams {
         mem.append(s);
     }
-    // Same rows, same record kinds, same logical payload bytes: the v1
-    // reader in the v2-capable build loses nothing.
+    // Same rows, same record kinds: the read-only v1 decoder loses
+    // nothing.
     assert_eq!(log.replay(), streams);
     assert_eq!(log.replay(), mem.replay());
-    // The fixture stores exactly the memory log's JSON payloads plus the
-    // fixed 9-byte v1 frame header per record — pinning both the payload
-    // bytes and the frame overhead.
+    // Every stored payload is the serde_json rendering of the record
+    // decoded from it, plus the fixed 9-byte v1 frame header per record —
+    // pinning both the payload bytes and the frame overhead.
+    let v1 = FileBackendV1::open_read_only(fixture_path("fixw-v1.marc")).unwrap();
+    let payload: u64 = v1
+        .records()
+        .map(|r| serde_json::to_string(&r.unwrap()).unwrap().len() as u64)
+        .sum();
     let stats = log.archive_stats();
-    assert_eq!(stats.bytes, mem.bytes_stored as u64 + 9 * stats.records);
+    assert_eq!(stats.bytes, payload + 9 * stats.records);
     assert_eq!(stats.checkpoints, mem.archive_stats().checkpoints);
 }
 
 #[test]
+fn v1_fixture_refuses_appends_and_names_compaction() {
+    let fixture = fixture_path("fixw-v1.marc");
+    let before = std::fs::read(&fixture).unwrap();
+    for err in [
+        TableLog::open_file(&fixture, FULL_EVERY).unwrap_err(),
+        TableLog::load(&fixture, FULL_EVERY).unwrap_err(),
+    ] {
+        assert!(err.to_string().contains("mantra archive compact"), "{err}");
+    }
+    // A read-only log counts the refused append instead of writing.
+    let mut log = TableLog::load_read_only(&fixture, FULL_EVERY).unwrap();
+    log.append(&fixture_stream()[0]);
+    assert_eq!(log.write_errors, 1);
+    assert!(
+        log.backend_error()
+            .is_some_and(|e| e.contains("mantra archive compact")),
+        "{:?}",
+        log.backend_error()
+    );
+    drop(log);
+    assert_eq!(std::fs::read(&fixture).unwrap(), before, "fixture written");
+}
+
+#[test]
 fn v1_fixture_compacts_to_an_equivalent_smaller_v2_archive() {
-    let src = TableLog::load(&fixture_path("fixw-v1.marc"), FULL_EVERY).unwrap();
-    let out = std::env::temp_dir().join(format!(
-        "mantra-fixture-compact-{}.marc",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&out);
+    let src = TableLog::load_read_only(&fixture_path("fixw-v1.marc"), FULL_EVERY).unwrap();
+    let dir = TempDir::new("fixture-compact");
+    let out = dir.join("compacted.marc");
     let (dst, dropped) = compact_archive(
         &src,
         &out,
@@ -152,5 +161,4 @@ fn v1_fixture_compacts_to_an_equivalent_smaller_v2_archive() {
     drop(dst);
     let reloaded = TableLog::load(&out, FULL_EVERY).unwrap();
     assert_eq!(reloaded.replay(), src.replay());
-    std::fs::remove_file(&out).unwrap();
 }

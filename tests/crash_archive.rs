@@ -7,9 +7,12 @@
 //! appended stream, accounts the torn tail in `recovered_bytes`, and the
 //! archive accepts new appends afterwards.
 
+mod common;
+
 use std::io;
 use std::path::{Path, PathBuf};
 
+use common::TempDir;
 use mantra::core::archive::{
     ArchiveBackend, ArchiveInfo, ArchiveSpec, ArchiveStats, BackpressureMode, FileBackendV2,
     RecordIter, ThreadedBackend, WriterConfig,
@@ -54,12 +57,6 @@ fn stream() -> Vec<Tables> {
     (0..8).map(snapshot).collect()
 }
 
-fn tmp_path(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mantra-crash-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{tag}.marc"))
-}
-
 /// Wraps a [`FileBackendV2`] with a byte budget. The append that pushes
 /// the file past the budget truncates it back to exactly `budget` bytes
 /// (the prefix that "reached the disk") and kills the backend: every
@@ -99,11 +96,11 @@ impl ArchiveBackend for FailingBackend {
         "failing"
     }
 
-    fn append(&mut self, rec: &LogRecord, json: &str) -> io::Result<()> {
+    fn append(&mut self, rec: &LogRecord) -> io::Result<()> {
         if self.dead {
             return Err(io::Error::other("simulated crash: backend dead"));
         }
-        self.inner.append(rec, json)?;
+        self.inner.append(rec)?;
         if std::fs::metadata(&self.path).unwrap().len() > self.budget {
             return Err(self.die());
         }
@@ -145,8 +142,9 @@ impl ArchiveBackend for FailingBackend {
 /// Record-batch offsets (dict frame + record frame spans) of the clean,
 /// uncrashed archive — the crashed file is byte-identical up to its
 /// budget, so these are the ground truth for what each budget preserves.
-fn clean_offsets(streams: &[Tables], full_every: usize) -> (Vec<u64>, u64) {
-    let path = tmp_path("clean");
+/// The clean archive is written inside the calling test's own `dir`.
+fn clean_offsets(dir: &TempDir, streams: &[Tables], full_every: usize) -> (Vec<u64>, u64) {
+    let path = dir.join("clean.marc");
     let backend = FileBackendV2::create(&path).unwrap();
     let mut log = TableLog::with_backend(Box::new(backend), full_every);
     for s in streams {
@@ -157,15 +155,15 @@ fn clean_offsets(streams: &[Tables], full_every: usize) -> (Vec<u64>, u64) {
     let be = FileBackendV2::open(&path).unwrap();
     let offsets = be.offsets().to_vec();
     let total = *offsets.last().unwrap();
-    std::fs::remove_file(&path).unwrap();
     (offsets, total)
 }
 
 #[test]
 fn every_crash_point_recovers_to_a_clean_prefix_and_keeps_appending() {
+    let dir = TempDir::new("crash-sweep");
     let streams = stream();
     let full_every = 3;
-    let (offsets, total) = clean_offsets(&streams, full_every);
+    let (offsets, total) = clean_offsets(&dir, &streams, full_every);
     assert_eq!(offsets.len(), streams.len() + 1);
 
     // Every frame boundary ± 1, plus a stride across the whole file.
@@ -179,7 +177,7 @@ fn every_crash_point_recovers_to_a_clean_prefix_and_keeps_appending() {
     budgets.dedup();
     assert!(budgets.len() > 50, "sweep too small: {}", budgets.len());
 
-    let path = tmp_path("crash");
+    let path = dir.join("crash.marc");
     for &budget in &budgets {
         // Expected survivors: record batches wholly within the budget.
         let k = offsets[1..].iter().filter(|&&end| end <= budget).count();
@@ -217,14 +215,14 @@ fn every_crash_point_recovers_to_a_clean_prefix_and_keeps_appending() {
         assert_eq!(recovered.backend_error(), None, "budget {budget}");
         assert_eq!(recovered.replay().len(), k + 1, "budget {budget}");
     }
-    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
 fn every_crash_point_recovers_under_the_threaded_writer() {
+    let dir = TempDir::new("crash-threaded");
     let streams = stream();
     let full_every = 3;
-    let (offsets, total) = clean_offsets(&streams, full_every);
+    let (offsets, total) = clean_offsets(&dir, &streams, full_every);
 
     // Frame boundaries ± 1 — the sweep that matters for torn frames.
     // (The dense byte stride is covered by the synchronous sweep above;
@@ -239,8 +237,8 @@ fn every_crash_point_recovers_under_the_threaded_writer() {
     budgets.dedup();
     assert!(budgets.len() > 10, "sweep too small: {}", budgets.len());
 
-    let serial_path = tmp_path("thr-serial");
-    let threaded_path = tmp_path("thr-crash");
+    let serial_path = dir.join("thr-serial.marc");
+    let threaded_path = dir.join("thr-crash.marc");
     for &budget in &budgets {
         let k = offsets[1..].iter().filter(|&&end| end <= budget).count();
 
@@ -294,8 +292,6 @@ fn every_crash_point_recovers_under_the_threaded_writer() {
         );
         assert_eq!(recovered.replay(), &streams[..k], "budget {budget}");
     }
-    std::fs::remove_file(&serial_path).unwrap();
-    std::fs::remove_file(&threaded_path).unwrap();
 }
 
 #[test]
@@ -304,7 +300,8 @@ fn corrupted_archive_replay_degrades_instead_of_panicking() {
     // panic: a record that goes bad *after* the archive was opened (the
     // open-time scan can no longer truncate it away) must end replay at
     // the last clean snapshot, not crash the monitor.
-    let path = tmp_path("replay-degrade");
+    let dir = TempDir::new("crash-degrade");
+    let path = dir.join("replay-degrade.marc");
     let streams = stream();
     let backend = FileBackendV2::create(&path).unwrap();
     let mut log = TableLog::with_backend(Box::new(backend), 3);
@@ -345,12 +342,12 @@ fn corrupted_archive_replay_degrades_instead_of_panicking() {
     metrics.record_archives(&state);
     let m = &metrics.archives()[0];
     assert_eq!(m.replay_errors, 2);
-    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
 fn crashed_backend_surfaces_in_pipeline_metrics() {
-    let path = tmp_path("metrics");
+    let dir = TempDir::new("crash-metrics");
+    let path = dir.join("metrics.marc");
     let budget = 200; // enough for the header and about one record
     let mut log = TableLog::with_backend(Box::new(FailingBackend::create(&path, budget)), 4);
     for s in &stream() {
@@ -371,7 +368,6 @@ fn crashed_backend_surfaces_in_pipeline_metrics() {
         .expect("failing backend aggregated");
     assert_eq!(m.routers, 1);
     assert!(m.write_errors > 0);
-    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
@@ -379,7 +375,8 @@ fn unopenable_archive_dir_counts_as_fallback_in_metrics() {
     // A path under a regular file can never become a directory, so the
     // spec's file backend cannot be created and the log silently
     // degrades to memory — which the metrics must surface.
-    let flat = std::env::temp_dir().join(format!("mantra-crash-flat-{}", std::process::id()));
+    let dir = TempDir::new("crash-flat");
+    let flat = dir.join("flat");
     std::fs::write(&flat, b"not a dir").unwrap();
     let spec = ArchiveSpec::File {
         dir: flat.join("archives"),
@@ -393,5 +390,4 @@ fn unopenable_archive_dir_counts_as_fallback_in_metrics() {
     metrics.record_archives(&state);
     assert_eq!(metrics.archives().len(), 1);
     assert_eq!(metrics.archives()[0].fallbacks, 1);
-    std::fs::remove_file(&flat).unwrap();
 }

@@ -1,16 +1,14 @@
 //! Property-based tests for the archive backends: the on-disk format
-//! stores exactly the payload bytes the in-memory backend does, streaming
+//! stores exactly the records the in-memory backend does, streaming
 //! replay is indistinguishable from materialised replay, and a torn tail
 //! (simulated crash mid-append) always recovers to the last intact record.
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+mod common;
 
 use proptest::prelude::*;
 
-use mantra::core::archive::{
-    BackpressureMode, FileBackend, FileBackendV2, ThreadedBackend, WriterConfig,
-};
+use common::TempDir;
+use mantra::core::archive::{BackpressureMode, FileBackendV2, ThreadedBackend, WriterConfig};
 use mantra::core::logger::TableLog;
 use mantra::core::tables::{LearnedFrom, PairRow, RouteRow, Tables};
 use mantra::net::{BitRate, GroupAddr, Ip, Prefix, SimTime};
@@ -82,49 +80,8 @@ fn arb_stream(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Tables>>
     )
 }
 
-/// A fresh archive path per proptest case; cases within a test run
-/// sequentially but distinct tests run on parallel threads.
-fn tmp_archive() -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!("mantra-prop-archive-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("case-{}.marc", SEQ.fetch_add(1, Ordering::Relaxed)))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// The file backend archives the exact payload bytes the memory
-    /// backend does, replays to the same snapshots, and survives a
-    /// close/reopen cycle unchanged.
-    #[test]
-    fn file_backend_round_trips_identically_to_memory(
-        streams in arb_stream(1..10),
-        full_every in 1usize..8,
-    ) {
-        let mut mem = TableLog::new(full_every);
-        let path = tmp_archive();
-        let backend = FileBackend::create(&path).unwrap();
-        let mut file = TableLog::with_backend(Box::new(backend), full_every);
-        for s in &streams {
-            mem.append(s);
-            file.append(s);
-        }
-        prop_assert_eq!(file.backend_error(), None);
-        // Identical logical content: same payload bytes, same checkpoint
-        // schedule, same replayed snapshots.
-        prop_assert_eq!(file.bytes_stored, mem.bytes_stored);
-        prop_assert_eq!(
-            file.archive_stats().checkpoints,
-            mem.archive_stats().checkpoints
-        );
-        prop_assert_eq!(file.replay(), mem.replay());
-        drop(file);
-        let reopened = TableLog::load(&path, full_every).unwrap();
-        prop_assert_eq!(reopened.archive_stats().recovered_bytes, 0);
-        prop_assert_eq!(reopened.replay(), streams);
-        std::fs::remove_file(&path).unwrap();
-    }
 
     /// Streaming replay yields exactly the sequence `replay()` returns,
     /// in order, with no trailing error.
@@ -155,17 +112,19 @@ proptest! {
         cut_seed in 0usize..1_000,
         partial in 1u64..9,
     ) {
-        let path = tmp_archive();
-        let backend = FileBackend::create(&path).unwrap();
+        let dir = TempDir::new("prop-archive");
+        let path = dir.join("case.marc");
+        let backend = FileBackendV2::create(&path).unwrap();
         let mut log = TableLog::with_backend(Box::new(backend), full_every);
         for s in &streams {
             log.append(s);
         }
         prop_assert_eq!(log.backend_error(), None);
         drop(log);
-        // Frame offsets (plus the end-of-file sentinel) tell us where each
-        // record starts; cut inside record k's frame header.
-        let offsets: Vec<u64> = FileBackend::open(&path).unwrap().offsets().to_vec();
+        // Batch offsets (plus the end-of-file sentinel) tell us where each
+        // record starts, behind any dictionary frame it brings; cut inside
+        // the first frame header of record k's batch.
+        let offsets: Vec<u64> = FileBackendV2::open(&path).unwrap().offsets().to_vec();
         prop_assert_eq!(offsets.len(), streams.len() + 1);
         let k = 1 + cut_seed % (streams.len() - 1);
         let cut_at = offsets[k] + partial;
@@ -177,11 +136,10 @@ proptest! {
         prop_assert_eq!(stats.records, k as u64);
         prop_assert_eq!(stats.recovered_bytes, partial);
         prop_assert_eq!(recovered.replay(), &streams[..k]);
-        std::fs::remove_file(&path).unwrap();
     }
 
     /// The v2 backend (id-keyed records, embedded dictionary) replays to
-    /// exactly the snapshots a memory log holds — same logical bytes, same
+    /// exactly the snapshots a memory log holds — same records, same
     /// checkpoint schedule — and survives a close/reopen cycle unchanged.
     #[test]
     fn v2_backend_round_trips_identically_to_memory(
@@ -189,7 +147,8 @@ proptest! {
         full_every in 1usize..8,
     ) {
         let mut mem = TableLog::new(full_every);
-        let path = tmp_archive();
+        let dir = TempDir::new("prop-archive");
+        let path = dir.join("case.marc");
         let backend = FileBackendV2::create(&path).unwrap();
         let mut file = TableLog::with_backend(Box::new(backend), full_every);
         for s in &streams {
@@ -198,9 +157,10 @@ proptest! {
         }
         prop_assert_eq!(file.backend_error(), None);
         // Same logger-level accounting: the full-vs-delta choice is made
-        // on the JSON rendering for every backend, so the checkpoint
+        // on row cost, independent of the backend, so the checkpoint
         // schedule — and therefore replay — cannot diverge.
-        prop_assert_eq!(file.bytes_stored, mem.bytes_stored);
+        prop_assert_eq!(file.stored_cost, mem.stored_cost);
+        prop_assert_eq!(file.full_cost, mem.full_cost);
         prop_assert_eq!(
             file.archive_stats().checkpoints,
             mem.archive_stats().checkpoints
@@ -211,7 +171,6 @@ proptest! {
         prop_assert_eq!(reopened.archive_stats().recovered_bytes, 0);
         prop_assert_eq!(reopened.describe().format_version, 2);
         prop_assert_eq!(reopened.replay(), streams);
-        std::fs::remove_file(&path).unwrap();
     }
 
     /// The threaded writer archives the exact bytes the synchronous
@@ -225,11 +184,12 @@ proptest! {
         full_every in 1usize..8,
         capacity in 1usize..6,
     ) {
-        let serial_path = tmp_archive();
+        let dir = TempDir::new("prop-archive");
+        let serial_path = dir.join("serial.marc");
         let backend = FileBackendV2::create(&serial_path).unwrap();
         let mut serial = TableLog::with_backend(Box::new(backend), full_every);
 
-        let threaded_path = tmp_archive();
+        let threaded_path = dir.join("threaded.marc");
         let inner = Box::new(FileBackendV2::create(&threaded_path).unwrap());
         let writer = ThreadedBackend::spawn(inner, WriterConfig {
             capacity,
@@ -261,8 +221,6 @@ proptest! {
         let reopened = TableLog::load(&threaded_path, full_every).unwrap();
         prop_assert_eq!(reopened.archive_stats().recovered_bytes, 0);
         prop_assert_eq!(reopened.replay(), streams);
-        std::fs::remove_file(&serial_path).unwrap();
-        std::fs::remove_file(&threaded_path).unwrap();
     }
 
     /// Arbitrary corruption of a valid v2 archive — a flipped byte, a
@@ -278,7 +236,8 @@ proptest! {
         b_seed in 0usize..10_000,
         flip in 1u8..255,
     ) {
-        let path = tmp_archive();
+        let dir = TempDir::new("prop-archive");
+        let path = dir.join("case.marc");
         let backend = FileBackendV2::create(&path).unwrap();
         let mut log = TableLog::with_backend(Box::new(backend), full_every);
         for s in &streams {
@@ -310,6 +269,5 @@ proptest! {
             prop_assert!(got.len() <= streams.len());
             prop_assert_eq!(got.as_slice(), &streams[..got.len()]);
         }
-        std::fs::remove_file(&path).unwrap();
     }
 }

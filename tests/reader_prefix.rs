@@ -7,9 +7,12 @@
 //! and pin the read-only-opens-never-write guarantee with a
 //! byte-identity check.
 
-use std::path::PathBuf;
+mod common;
+
+use std::path::Path;
 use std::time::{Duration, Instant};
 
+use common::TempDir;
 use mantra::core::archive::{
     replay_summary_line, ArchiveBackend, ArchiveReader, FileBackendV2, OpenMode,
 };
@@ -52,14 +55,7 @@ fn stream() -> Vec<Tables> {
     (0..8).map(snapshot).collect()
 }
 
-fn tmp_path(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mantra-reader-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{tag}.marc"))
-}
-
-fn write_archive(path: &PathBuf, streams: &[Tables]) {
-    let _ = std::fs::remove_file(path);
+fn write_archive(path: &Path, streams: &[Tables]) {
     let mut log =
         TableLog::with_backend(Box::new(FileBackendV2::create(path).unwrap()), FULL_EVERY);
     for s in streams {
@@ -71,7 +67,8 @@ fn write_archive(path: &PathBuf, streams: &[Tables]) {
 #[test]
 fn reader_at_every_byte_growth_point_yields_a_clean_prefix() {
     let streams = stream();
-    let full = tmp_path("growth-full");
+    let dir = TempDir::new("reader");
+    let full = dir.join("growth-full.marc");
     write_archive(&full, &streams);
     let bytes = std::fs::read(&full).unwrap();
 
@@ -90,7 +87,7 @@ fn reader_at_every_byte_growth_point_yields_a_clean_prefix() {
     // concurrent observer can tell. At every possible length the reader
     // must open, see exactly the wholly-contained records, and replay
     // them without error.
-    let prefix = tmp_path("growth-prefix");
+    let prefix = dir.join("growth-prefix.marc");
     for cut in HEADER_LEN as usize..=bytes.len() {
         std::fs::write(&prefix, &bytes[..cut]).unwrap();
         let rd =
@@ -115,8 +112,6 @@ fn reader_at_every_byte_growth_point_yields_a_clean_prefix() {
             "cut {cut}"
         );
     }
-    std::fs::remove_file(&full).unwrap();
-    std::fs::remove_file(&prefix).unwrap();
 }
 
 #[test]
@@ -127,8 +122,8 @@ fn refreshing_reader_chases_a_live_writer_without_torn_rows() {
         .enumerate()
         .map(|(i, t)| replay_summary_line(i, t))
         .collect();
-    let path = tmp_path("live");
-    let _ = std::fs::remove_file(&path);
+    let dir = TempDir::new("reader");
+    let path = dir.join("live.marc");
 
     let writer_path = path.clone();
     let writer_streams = streams.clone();
@@ -153,7 +148,9 @@ fn refreshing_reader_chases_a_live_writer_without_torn_rows() {
             Err(e) => panic!("reader never opened: {e}"),
         }
     };
-    let mut seen = 0usize;
+    // `open` already scanned whatever had landed, so the prefix starts
+    // at `rd.len()`, not 0.
+    let mut seen = rd.len();
     while seen < streams.len() {
         assert!(
             Instant::now() < deadline,
@@ -171,13 +168,13 @@ fn refreshing_reader_chases_a_live_writer_without_torn_rows() {
         std::thread::sleep(Duration::from_millis(1));
     }
     writer.join().unwrap();
-    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
 fn read_only_opens_leave_a_torn_archive_byte_identical() {
     let streams = stream();
-    let path = tmp_path("readonly-hash");
+    let dir = TempDir::new("reader");
+    let path = dir.join("readonly-hash.marc");
     write_archive(&path, &streams);
 
     // Tear the tail: the last frame loses its final 3 bytes, exactly
@@ -227,5 +224,4 @@ fn read_only_opens_leave_a_torn_archive_byte_identical() {
     let after = std::fs::read(&path).unwrap();
     assert!(after.len() < before.len(), "ReadWrite open did not heal");
     assert_eq!(&before[..after.len()], after.as_slice());
-    std::fs::remove_file(&path).unwrap();
 }

@@ -6,10 +6,13 @@
 //! *loudly*. Shutdown and sync are drain barriers: whatever was queued
 //! is on disk (and fsynced) when they return.
 
+mod common;
+
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::{Duration, Instant};
 
+use common::TempDir;
 use mantra::core::archive::{
     ArchiveBackend, ArchiveInfo, ArchiveStats, BackpressureMode, FileBackendV2, RecordIter,
     SyncPolicy, ThreadedBackend, WriterConfig,
@@ -36,9 +39,9 @@ impl ArchiveBackend for SlowBackend {
         self.inner.kind()
     }
 
-    fn append(&mut self, rec: &LogRecord, json: &str) -> io::Result<()> {
+    fn append(&mut self, rec: &LogRecord) -> io::Result<()> {
         std::thread::sleep(self.delay);
-        self.inner.append(rec, json)
+        self.inner.append(rec)
     }
 
     fn len(&self) -> usize {
@@ -70,22 +73,13 @@ impl ArchiveBackend for SlowBackend {
     }
 }
 
-fn tmp_path(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mantra-threaded-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{tag}.marc"))
-}
-
 /// A small full-snapshot record with a unique timestamp.
-fn full_record(n: u64) -> (LogRecord, String) {
-    let parts = SnapshotParts {
+fn full_record(n: u64) -> LogRecord {
+    LogRecord::Full(SnapshotParts {
         captured_at: SimTime(SimTime::from_ymd(1998, 11, 1).as_secs() + n * 900),
         router: "fixw".into(),
         ..SnapshotParts::default()
-    };
-    let rec = LogRecord::Full(parts);
-    let json = serde_json::to_string(&rec).unwrap();
-    (rec, json)
+    })
 }
 
 fn slow_file_writer(
@@ -101,7 +95,8 @@ fn slow_file_writer(
 
 #[test]
 fn block_mode_loses_nothing_and_accounts_its_wall_time() {
-    let path = tmp_path("block");
+    let dir = TempDir::new("threaded");
+    let path = dir.join("block.marc");
     let mut be = slow_file_writer(
         &path,
         Duration::from_millis(2),
@@ -110,8 +105,7 @@ fn block_mode_loses_nothing_and_accounts_its_wall_time() {
     );
     const N: u64 = 50;
     for n in 0..N {
-        let (rec, json) = full_record(n);
-        be.append(&rec, &json).unwrap();
+        be.append(&full_record(n)).unwrap();
     }
     let stats = be.stats();
     assert!(
@@ -136,19 +130,18 @@ fn block_mode_loses_nothing_and_accounts_its_wall_time() {
         .map(|n| SimTime::from_ymd(1998, 11, 1).as_secs() + n * 900)
         .collect();
     assert_eq!(times, expected);
-    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
 fn shed_mode_keeps_collection_unblocked_and_loses_records_loudly() {
-    let path = tmp_path("shed");
+    let dir = TempDir::new("threaded");
+    let path = dir.join("shed.marc");
     let mut be = slow_file_writer(&path, Duration::from_millis(5), 1, BackpressureMode::Shed);
     const N: u64 = 30;
     let start = Instant::now();
     let mut shed = 0u64;
     for n in 0..N {
-        let (rec, json) = full_record(n);
-        if be.append(&rec, &json).is_err() {
+        if be.append(&full_record(n)).is_err() {
             shed += 1;
         }
     }
@@ -183,12 +176,12 @@ fn shed_mode_keeps_collection_unblocked_and_loses_records_loudly() {
         assert_eq!((t - base) % 900, 0, "stored record was altered");
     }
     assert!(times.windows(2).all(|w| w[0] < w[1]), "order preserved");
-    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
 fn dropping_the_backend_drains_the_queue() {
-    let path = tmp_path("drain");
+    let dir = TempDir::new("threaded");
+    let path = dir.join("drain.marc");
     let mut be = slow_file_writer(
         &path,
         Duration::from_millis(2),
@@ -197,8 +190,7 @@ fn dropping_the_backend_drains_the_queue() {
     );
     const N: u64 = 20;
     for n in 0..N {
-        let (rec, json) = full_record(n);
-        be.append(&rec, &json).unwrap();
+        be.append(&full_record(n)).unwrap();
     }
     // No barrier call — drop while the writer is still chewing.
     drop(be);
@@ -209,12 +201,12 @@ fn dropping_the_backend_drains_the_queue() {
         "shutdown must drain, not discard"
     );
     assert_eq!(reopened.stats().recovered_bytes, 0);
-    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
 fn sync_is_a_drain_and_fsync_barrier() {
-    let path = tmp_path("sync-barrier");
+    let dir = TempDir::new("threaded");
+    let path = dir.join("sync-barrier.marc");
     let inner = Box::new({
         let mut b = FileBackendV2::create(&path).unwrap();
         // Never fsync on its own: only the explicit barrier may clear
@@ -236,8 +228,7 @@ fn sync_is_a_drain_and_fsync_barrier() {
     );
     const N: u64 = 12;
     for n in 0..N {
-        let (rec, json) = full_record(n);
-        be.append(&rec, &json).unwrap();
+        be.append(&full_record(n)).unwrap();
     }
     // Checkpoint barrier: when sync() returns, nothing is queued and
     // nothing is pending an fsync — the archive is durable to here.
@@ -248,7 +239,6 @@ fn sync_is_a_drain_and_fsync_barrier() {
     assert_eq!(stats.pending_appends, 0);
     assert!(stats.fsyncs >= 1);
     drop(be);
-    std::fs::remove_file(&path).unwrap();
 }
 
 #[test]
@@ -258,13 +248,13 @@ fn observers_never_act_as_drain_barriers() {
     // the mirror + queue overlay, never by waiting for the drain — a
     // health query that stalls behind a slow disk would defeat the
     // writer thread entirely.
-    let path = tmp_path("observer-no-stall");
+    let dir = TempDir::new("threaded");
+    let path = dir.join("observer-no-stall.marc");
     let delay = Duration::from_millis(20);
     let mut be = slow_file_writer(&path, delay, 64, BackpressureMode::Block);
     const N: u64 = 24;
     for n in 0..N {
-        let (rec, json) = full_record(n);
-        be.append(&rec, &json).unwrap();
+        be.append(&full_record(n)).unwrap();
     }
     // ~N*20ms of disk work is queued; observers must return well inside
     // one append's delay, and the queue must still be non-empty after —
@@ -287,5 +277,4 @@ fn observers_never_act_as_drain_barriers() {
     drop(be); // the shutdown drain barrier is still a drain barrier
     let reopened = FileBackendV2::open(&path).unwrap();
     assert_eq!(reopened.len(), N as usize);
-    std::fs::remove_file(&path).unwrap();
 }
