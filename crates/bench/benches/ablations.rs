@@ -6,8 +6,6 @@
 //!   paper's 4 kbps choice,
 //! * `ablation_interval_*` — collection-interval sweep (cost side; the
 //!   fidelity side lives in the figure binaries),
-//! * `ablation_aggregate_*` — sequential vs rayon multi-router
-//!   collection, the paper's announced enhancement,
 //! * `ablation_interning_*` — BTreeMap-keyed reference delta diffing vs
 //!   the interned [`TableStore`] merge-join on a 50-router × 96-cycle
 //!   day of snapshots,
@@ -32,18 +30,17 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use mantra_bench::{drive_for, monitor_for};
-use mantra_core::aggregate::{collect_aggregate, collect_aggregate_sequential};
 use mantra_core::archive::{
     BackpressureMode, FileBackendV2, SyncPolicy, ThreadedBackend, WriterConfig,
 };
-use mantra_core::collector::{preprocess_bytes, Capture, RouterAccess, SimAccess};
+use mantra_core::collector::{preprocess_bytes, Capture};
 use mantra_core::logger::{diff_reference, diff_with, SnapshotParts, TableDelta, TableLog};
 use mantra_core::processor::{process, reference};
 use mantra_core::stats::{RouteStats, UsageStats};
 use mantra_core::stats_stream::IncrementalStats;
 use mantra_core::store::TableStore;
 use mantra_core::tables::{LearnedFrom, PairRow, RouteRow, Tables};
-use mantra_core::{FleetMonitor, MonitorConfig};
+use mantra_core::{FleetMonitor, MonitorConfig, ParallelAccess};
 use mantra_net::{BitRate, GroupAddr, Ip, Prefix, SimDuration, SimTime};
 use mantra_router_cli::TableKind;
 use mantra_sim::{ChurnProfile, Scenario};
@@ -147,41 +144,6 @@ fn ablation_interval(c: &mut Criterion) {
             })
         });
     }
-    group.finish();
-}
-
-fn ablation_aggregate(c: &mut Criterion) {
-    let mut sc = Scenario::transition_snapshot(17, 0.5);
-    let mut monitor = monitor_for(&sc);
-    drive_for(&mut sc, &mut monitor, SimDuration::hours(12));
-    // Aggregate across every border router in the topology, not just the
-    // two paper collection points — the multi-router scenario the paper's
-    // conclusion argues for.
-    let routers: Vec<String> = sc
-        .sim
-        .net
-        .topo
-        .domains()
-        .iter()
-        .filter_map(|d| d.border)
-        .map(|r| sc.sim.net.topo.router(r).name.clone())
-        .collect();
-    let now = sc.sim.clock;
-    let mut group = c.benchmark_group("ablation_aggregate");
-    group.sample_size(10);
-    group.bench_function("sequential", |b| {
-        b.iter(|| {
-            black_box(collect_aggregate_sequential(
-                &sc.sim,
-                &routers,
-                &TableKind::ALL,
-                now,
-            ))
-        })
-    });
-    group.bench_function("rayon_parallel", |b| {
-        b.iter(|| black_box(collect_aggregate(&sc.sim, &routers, &TableKind::ALL, now)))
-    });
     group.finish();
 }
 
@@ -717,11 +679,10 @@ fn ablation_parse(c: &mut Criterion) {
     for _ in 0..4 {
         let now = sc.sim.clock + sc.sim.tick();
         sc.sim.advance_to(now);
-        let mut access = SimAccess::new(&sc.sim);
         for router in &routers {
             let mut batch = Vec::new();
             for kind in TableKind::ALL {
-                if let Ok(raw) = access.capture(router, kind, now) {
+                if let Ok(raw) = sc.sim.capture(router, kind, now) {
                     let cap = preprocess_bytes(router, kind, raw.into_bytes(), now);
                     total_bytes += cap.raw_bytes;
                     batch.push(cap);
@@ -793,7 +754,7 @@ criterion_group! {
     name = ablations;
     config = Criterion::default();
     targets = ablation_logger, ablation_threshold, ablation_interval,
-              ablation_aggregate, ablation_interning, ablation_archive,
+              ablation_interning, ablation_archive,
               ablation_log, ablation_streaming, ablation_fleet,
               ablation_churn, ablation_report_loss, ablation_parse
 }

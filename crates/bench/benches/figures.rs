@@ -10,7 +10,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use mantra_bench::{drive_for, monitor_for};
-use mantra_core::collector::SimAccess;
 use mantra_core::processor::process;
 use mantra_core::stats::{ConsistencyReport, UsageStats};
 use mantra_core::{Monitor, MonitorConfig};
@@ -37,8 +36,7 @@ fn fig3_usage(c: &mut Criterion) {
         b.iter(|| {
             let next = sc.sim.clock + monitor.cfg.interval;
             sc.sim.advance_to(next);
-            let mut access = SimAccess::new(&sc.sim);
-            black_box(monitor.run_cycle(&mut access, next));
+            black_box(monitor.run_cycle(&sc.sim, next));
         })
     });
 }
@@ -115,8 +113,7 @@ fn fig8_dvmrp_longterm(c: &mut Criterion) {
         b.iter(|| {
             let next = sc.sim.clock + monitor.cfg.interval;
             sc.sim.advance_to(next);
-            let mut access = SimAccess::new(&sc.sim);
-            black_box(monitor.run_cycle(&mut access, next));
+            black_box(monitor.run_cycle(&sc.sim, next));
         })
     });
 }
@@ -137,8 +134,7 @@ fn fig9_route_injection(c: &mut Criterion) {
         b.iter(|| {
             let next = sc.sim.clock + monitor.cfg.interval;
             sc.sim.advance_to(next);
-            let mut access = SimAccess::new(&sc.sim);
-            black_box(monitor.run_cycle(&mut access, next));
+            black_box(monitor.run_cycle(&sc.sim, next));
         })
     });
 }

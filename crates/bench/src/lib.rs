@@ -10,7 +10,6 @@
 //! shapes survive, absolute spans shrink. The EXPERIMENTS.md numbers come
 //! from full runs.
 
-use mantra_core::collector::SimAccess;
 use mantra_core::{Monitor, MonitorConfig};
 use mantra_net::{SimDuration, SimTime};
 use mantra_sim::Scenario;
@@ -44,8 +43,7 @@ pub fn drive_until(sc: &mut Scenario, monitor: &mut Monitor, until: SimTime) -> 
             break;
         }
         sc.sim.advance_to(next);
-        let mut access = SimAccess::new(&sc.sim);
-        monitor.run_cycle(&mut access, next);
+        monitor.run_cycle(&sc.sim, next);
         cycles += 1;
     }
     cycles

@@ -3,7 +3,7 @@
 use std::path::{Path, PathBuf};
 
 use mantra_core::archive::replay_summary_line;
-use mantra_core::collector::{FlakyAccess, SimAccess};
+use mantra_core::collector::FlakyAccess;
 use mantra_core::logger::{compact_archive, CompactOptions, TableLog};
 use mantra_core::{
     ArchiveSpec, BackpressureMode, FleetMonitor, Monitor, MonitorConfig, RetryPolicy, SyncPolicy,
@@ -252,8 +252,7 @@ pub fn monitor(opts: &Opts) -> Result<(), String> {
     for _ in 0..cycles {
         now = sc.sim.clock + monitor.cfg.interval;
         sc.sim.advance_to(now);
-        let mut access = SimAccess::new(&sc.sim);
-        monitor.run_cycle(&mut access, now);
+        monitor.run_cycle(&sc.sim, now);
     }
     for router in ["fixw", "ucsb-gw"] {
         let Some(u) = monitor.usage_history(router).last() else {
@@ -293,7 +292,7 @@ pub fn monitor(opts: &Opts) -> Result<(), String> {
         let events = churn.as_ref().map(|s| s.strip(None)).unwrap_or_default();
         std::fs::write(
             path,
-            mantra_core::web::report_html_with_events(&monitor, "fixw", &events),
+            mantra_core::web::report_html(&monitor, "fixw", &events),
         )
         .map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote {path}");
@@ -391,7 +390,7 @@ fn monitor_fleet(
         let events = churn.as_ref().map(|s| s.strip(None)).unwrap_or_default();
         std::fs::write(
             path,
-            mantra_core::web::fleet_report_html_with_events(&fleet, now, &events),
+            mantra_core::web::fleet_report_html(&fleet, now, &events),
         )
         .map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote {path}");
@@ -479,8 +478,7 @@ pub fn daemon(opts: &Opts) -> Result<(), String> {
             let next = sc.sim.clock + interval;
             sc.sim.advance_to(next);
             if let Engine::Single(m) = engine {
-                let mut access = SimAccess::new(&sc.sim);
-                m.run_cycle(&mut access, next);
+                m.run_cycle(&sc.sim, next);
             }
             next
         });
@@ -661,7 +659,7 @@ pub fn health(opts: &Opts) -> Result<(), String> {
         now = sc.sim.clock + monitor.cfg.interval;
         sc.sim.advance_to(now);
         let access = FlakyAccess::new(&sc.sim, fail, truncate, seed ^ i);
-        monitor.run_cycle_parallel(&access, now);
+        monitor.run_cycle(&access, now);
     }
     println!("{}", monitor.health(now).render());
     println!("\n{}", monitor.stage_table().render());
@@ -733,8 +731,7 @@ pub fn incident(opts: &Opts) -> Result<(), String> {
             break;
         }
         sc.sim.advance_to(next);
-        let mut access = SimAccess::new(&sc.sim);
-        monitor.run_cycle(&mut access, next);
+        monitor.run_cycle(&sc.sim, next);
     }
     let series = monitor.route_series("ucsb-gw", "dvmrp-routes", |r| r.dvmrp_reachable as f64);
     let mut g = mantra_core::output::Graph::new("DVMRP routes at ucsb-gw, 1998-10-14");

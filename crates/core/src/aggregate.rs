@@ -1,39 +1,33 @@
-//! Multi-router collection and aggregation.
+//! The router transport.
 //!
-//! The paper's conclusion announces work "to enhance Mantra such that it
-//! can not only collect data from multiple routers concurrently, but also
-//! aggregate different data sets and generate combined results in
-//! real-time". This module implements that enhancement: captures from all
-//! monitored routers fan out across a rayon thread pool, each capture is
-//! parsed in parallel, and the per-router snapshots merge into one
-//! aggregate view with cross-router consistency checks.
-
-use rayon::prelude::*;
+//! The paper's Mantra launched one expect session per router; its
+//! conclusion announces work "to enhance Mantra such that it can not only
+//! collect data from multiple routers concurrently, but also aggregate
+//! different data sets and generate combined results in real-time".
+//! [`ParallelAccess`] is the one transport every cycle captures through:
+//! captures take `&self`, so one handle serves the serial standalone
+//! [`Monitor`](crate::monitor::Monitor) and the concurrent shards of a
+//! [`FleetMonitor`](crate::fleet::FleetMonitor) alike. The fleet is where
+//! the announced aggregation lives: it merges its shards' per-router
+//! outputs into one global view.
 
 use mantra_net::SimTime;
 use mantra_router_cli::TableKind;
 
-use crate::collector::{
-    preprocess, CaptureError, CollectStats, Collector, FlakyAccess, RetryPolicy,
-};
-use crate::monitor::SessionAdapter;
-use crate::pipeline::parse_router;
-use crate::processor::ParseStats;
-use crate::stats::ConsistencyReport;
-use crate::tables::Tables;
+use crate::collector::CaptureError;
 
-/// Thread-safe router access for concurrent collection. Unlike
-/// [`crate::collector::RouterAccess`], captures take `&self`: real
-/// deployments open one session per router in parallel, so the access
-/// layer cannot be a single mutable session.
+/// Anything Mantra can collect router tables through. Captures take
+/// `&self`: real deployments open one session per router in parallel, so
+/// the access layer cannot be a single mutable session.
 pub trait ParallelAccess: Sync {
     /// Captures the raw text of `table` from the named router.
     fn capture(&self, router: &str, table: TableKind, now: SimTime)
         -> Result<String, CaptureError>;
 }
 
-/// Shared references forward, so decorators like [`FlakyAccess`] can wrap
-/// a borrowed transport.
+/// Shared references forward, so decorators like
+/// [`FlakyAccess`](crate::collector::FlakyAccess) can wrap a borrowed
+/// transport.
 impl<P: ParallelAccess + ?Sized> ParallelAccess for &P {
     fn capture(
         &self,
@@ -45,8 +39,9 @@ impl<P: ParallelAccess + ?Sized> ParallelAccess for &P {
     }
 }
 
-/// The simulator is immutable during capture, so a shared reference is a
-/// parallel access.
+/// The simulator-backed transport: resolves router names against the
+/// simulation's topology and renders the live CLI text. The simulator is
+/// immutable during capture, so a shared reference is a parallel access.
 impl ParallelAccess for mantra_sim::Simulation {
     fn capture(
         &self,
@@ -60,385 +55,15 @@ impl ParallelAccess for mantra_sim::Simulation {
             .router_by_name(router)
             .map(|r| r.id)
             .ok_or_else(|| CaptureError::UnknownRouter(router.to_string()))?;
-        // A departed router refuses the session — transient, like
-        // `SimAccess`, so retries/backoff stay sharded/single-identical.
         if !self.net.topo.is_active(id) {
+            // A churned-out router answers like one that is powered off:
+            // the login never succeeds. Transient, so the retry policy
+            // still runs (deterministically) and the cycle records a
+            // missed router rather than an unknown one.
             return Err(CaptureError::LoginFailed(format!(
                 "router {router} is offline"
             )));
         }
         Ok(mantra_router_cli::render(&self.net, id, table, now))
-    }
-}
-
-/// The failure injector is stateless per capture, so it forwards parallel
-/// captures whenever its transport does.
-impl<A: ParallelAccess> ParallelAccess for FlakyAccess<A> {
-    fn capture(
-        &self,
-        router: &str,
-        table: TableKind,
-        now: SimTime,
-    ) -> Result<String, CaptureError> {
-        if self.roll_login_failure(router, table, now) {
-            return Err(CaptureError::LoginFailed("connection refused".into()));
-        }
-        let full = self.inner().capture(router, table, now)?;
-        self.maybe_truncate(router, table, now, full)
-    }
-}
-
-/// One router's outcome within an aggregate cycle.
-#[derive(Clone, Debug)]
-pub struct RouterCycle {
-    /// The router name.
-    pub router: String,
-    /// Its parsed snapshot (empty tables when every capture failed).
-    pub tables: Tables,
-    /// Parse accounting.
-    pub parse: ParseStats,
-    /// Capture failures this cycle.
-    pub capture_failures: usize,
-    /// Collection health accounting. The plain collectors issue one
-    /// attempt per table, so only the resilient path reports retries.
-    pub stats: CollectStats,
-}
-
-/// The combined result of one aggregate collection cycle.
-#[derive(Clone, Debug)]
-pub struct AggregateView {
-    /// Cycle timestamp.
-    pub at: SimTime,
-    /// Per-router snapshots, in configuration order.
-    pub per_router: Vec<RouterCycle>,
-    /// The merged table view across all routers.
-    pub merged: Tables,
-    /// Pairwise DVMRP consistency among routers that run DVMRP.
-    pub consistency: Vec<(String, String, ConsistencyReport)>,
-}
-
-/// Builds one router's cycle from single-attempt capture results. The
-/// snapshot is stamped through [`parse_router`], so a router that lost
-/// every capture still yields an addressed (empty) snapshot.
-fn cycle_from_captures(
-    router: &str,
-    captures: Vec<Result<crate::collector::Capture, CaptureError>>,
-    now: SimTime,
-) -> RouterCycle {
-    let failures = captures.iter().filter(|c| c.is_err()).count();
-    let ok: Vec<_> = captures.into_iter().flatten().collect();
-    let stats = CollectStats {
-        attempts: (ok.len() + failures) as u64,
-        successes: ok.len() as u64,
-        failures: failures as u64,
-        raw_bytes: ok.iter().map(|c| c.raw_bytes as u64).sum(),
-        ..CollectStats::default()
-    };
-    let (tables, parse) = parse_router(router, &ok, now);
-    RouterCycle {
-        router: router.to_string(),
-        tables,
-        parse,
-        capture_failures: failures,
-        stats,
-    }
-}
-
-/// Merges per-router cycles (already in configuration order) into the
-/// final aggregate view: union tables plus pairwise DVMRP consistency.
-fn assemble(per_router: Vec<RouterCycle>, now: SimTime) -> AggregateView {
-    let mut merged = Tables::new("aggregate", now);
-    for rc in &per_router {
-        merged.merge(&rc.tables);
-    }
-    // Pairwise DVMRP consistency through the group-by-key join: each
-    // pair of *distinct* reachable-set views is merged once, and router
-    // pairs sharing a view read the memoised report (identical to the
-    // old per-pair `between_with` sweep — the reports are pure set
-    // functions of the two views).
-    let mut consistency = Vec::new();
-    let views: Vec<&Tables> = per_router.iter().map(|rc| &rc.tables).collect();
-    let mut matrix = crate::stats::ConsistencyMatrix::build(&views, 1);
-    for i in 0..per_router.len() {
-        if !matrix.eligible(i) {
-            continue;
-        }
-        for j in (i + 1)..per_router.len() {
-            if let Some(report) = matrix.report(i, j) {
-                consistency.push((
-                    per_router[i].router.clone(),
-                    per_router[j].router.clone(),
-                    report,
-                ));
-            }
-        }
-    }
-    AggregateView {
-        at: now,
-        per_router,
-        merged,
-        consistency,
-    }
-}
-
-/// Collects all tables from all routers concurrently and aggregates.
-pub fn collect_aggregate(
-    access: &impl ParallelAccess,
-    routers: &[String],
-    tables: &[TableKind],
-    now: SimTime,
-) -> AggregateView {
-    let per_router: Vec<RouterCycle> = routers
-        .par_iter()
-        .map(|router| {
-            // Within one router the tables also capture in parallel: the
-            // real enhancement opened concurrent expect sessions.
-            let captures: Vec<_> = tables
-                .par_iter()
-                .map(|kind| {
-                    access
-                        .capture(router, *kind, now)
-                        .map(|raw| preprocess(router, *kind, &raw, now))
-                })
-                .collect();
-            cycle_from_captures(router, captures, now)
-        })
-        .collect();
-    assemble(per_router, now)
-}
-
-/// Collects all routers concurrently through the resilient collector:
-/// transient failures retry with deterministic backoff and truncated dumps
-/// salvage, per `retry`. Each [`RouterCycle::stats`] carries the full
-/// health accounting, so the aggregate view reports collection health
-/// alongside the merged tables.
-pub fn collect_aggregate_resilient(
-    access: &impl ParallelAccess,
-    routers: &[String],
-    tables: &[TableKind],
-    now: SimTime,
-    retry: &RetryPolicy,
-) -> AggregateView {
-    let collector = Collector {
-        tables: tables.to_vec(),
-        retry: retry.clone(),
-        ..Collector::default()
-    };
-    let per_router: Vec<RouterCycle> = routers
-        .par_iter()
-        .map(|router| {
-            let mut session = SessionAdapter(access);
-            let (captures, stats) = collector.collect_with(&mut session, router, now);
-            let (tables, parse) = parse_router(router, &captures, now);
-            RouterCycle {
-                router: router.clone(),
-                tables,
-                parse,
-                capture_failures: stats.failures as usize,
-                stats,
-            }
-        })
-        .collect();
-    assemble(per_router, now)
-}
-
-/// Sequential reference implementation, used by the ablation bench to
-/// quantify the parallel speed-up and by tests to validate equivalence.
-pub fn collect_aggregate_sequential(
-    access: &impl ParallelAccess,
-    routers: &[String],
-    tables: &[TableKind],
-    now: SimTime,
-) -> AggregateView {
-    let per_router: Vec<RouterCycle> = routers
-        .iter()
-        .map(|router| {
-            let captures: Vec<_> = tables
-                .iter()
-                .map(|kind| {
-                    access
-                        .capture(router, *kind, now)
-                        .map(|raw| preprocess(router, *kind, &raw, now))
-                })
-                .collect();
-            cycle_from_captures(router, captures, now)
-        })
-        .collect();
-    assemble(per_router, now)
-}
-
-/// A streaming collection pipeline: capture workers feed parse workers
-/// over channels, and results fold into a shared aggregate as they land —
-/// "generate combined results in real-time" rather than batch-at-the-end.
-///
-/// Built on crossbeam scoped threads + channels with the merged view
-/// behind a `parking_lot` mutex. The observer callback fires after each
-/// router's tables merge, with the router count folded so far — a UI can
-/// paint incrementally.
-pub fn collect_streaming<F>(
-    access: &impl ParallelAccess,
-    routers: &[String],
-    tables: &[TableKind],
-    now: SimTime,
-    mut on_router: F,
-) -> AggregateView
-where
-    F: FnMut(&RouterCycle, usize) + Send,
-{
-    let (tx, rx) = crossbeam::channel::unbounded::<RouterCycle>();
-    let merged = parking_lot::Mutex::new(Tables::new("aggregate", now));
-    let mut per_router: Vec<RouterCycle> = Vec::with_capacity(routers.len());
-
-    crossbeam::thread::scope(|scope| {
-        // One capture+parse worker per router.
-        for router in routers {
-            let tx = tx.clone();
-            scope.spawn(move |_| {
-                let captures: Vec<_> = tables
-                    .iter()
-                    .map(|kind| {
-                        access
-                            .capture(router, *kind, now)
-                            .map(|raw| preprocess(router, *kind, &raw, now))
-                    })
-                    .collect();
-                let _ = tx.send(cycle_from_captures(router, captures, now));
-            });
-        }
-        drop(tx);
-        // The folding side runs on this thread, consuming results in
-        // completion order.
-        let mut done = 0usize;
-        while let Ok(cycle) = rx.recv() {
-            merged.lock().merge(&cycle.tables);
-            done += 1;
-            on_router(&cycle, done);
-            per_router.push(cycle);
-        }
-    })
-    .expect("collection worker panicked");
-
-    // Keep configuration order for the per-router list (completion order
-    // is nondeterministic).
-    per_router.sort_by_key(|rc| routers.iter().position(|r| *r == rc.router));
-    // The live fold above merges in completion order, and merge breaks
-    // ties (same pair seen by two routers) by first arrival — so the
-    // folded view is only for mid-collection observers. `assemble`
-    // rebuilds the final view in configuration order, making the returned
-    // aggregate deterministic and identical to the batch collectors'.
-    drop(merged);
-    assemble(per_router, now)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mantra_net::SimDuration;
-    use mantra_sim::Scenario;
-
-    #[test]
-    fn streaming_matches_batch() {
-        let mut sc = Scenario::transition_snapshot(24, 0.5);
-        sc.sim.advance_to(sc.sim.clock + SimDuration::hours(6));
-        let now = sc.sim.clock;
-        let routers = vec!["fixw".to_string(), "ucsb-gw".to_string()];
-        let mut seen = Vec::new();
-        let streaming = collect_streaming(&sc.sim, &routers, &TableKind::ALL, now, |rc, done| {
-            seen.push((rc.router.clone(), done));
-        });
-        let batch = collect_aggregate(&sc.sim, &routers, &TableKind::ALL, now);
-        assert_eq!(streaming.merged.pairs, batch.merged.pairs);
-        assert_eq!(streaming.merged.routes, batch.merged.routes);
-        assert_eq!(streaming.per_router.len(), 2);
-        // Callback fired once per router with a monotone fold counter.
-        assert_eq!(seen.len(), 2);
-        let counters: Vec<usize> = seen.iter().map(|(_, d)| *d).collect();
-        assert_eq!(counters, vec![1, 2]);
-        // Per-router list follows configuration order regardless of
-        // completion order.
-        assert_eq!(streaming.per_router[0].router, "fixw");
-        assert_eq!(streaming.per_router[1].router, "ucsb-gw");
-    }
-
-    #[test]
-    fn parallel_and_sequential_agree() {
-        let mut sc = Scenario::transition_snapshot(21, 0.4);
-        sc.sim.advance_to(sc.sim.clock + SimDuration::hours(8));
-        let now = sc.sim.clock;
-        let routers = vec!["fixw".to_string(), "ucsb-gw".to_string()];
-        let par = collect_aggregate(&sc.sim, &routers, &TableKind::ALL, now);
-        let seq = collect_aggregate_sequential(&sc.sim, &routers, &TableKind::ALL, now);
-        assert_eq!(par.merged.pairs, seq.merged.pairs);
-        assert_eq!(par.merged.routes, seq.merged.routes);
-        assert_eq!(par.consistency.len(), seq.consistency.len());
-        assert_eq!(par.per_router.len(), 2);
-    }
-
-    #[test]
-    fn aggregate_sees_more_than_any_single_router() {
-        let mut sc = Scenario::transition_snapshot(22, 0.6);
-        sc.sim.advance_to(sc.sim.clock + SimDuration::hours(12));
-        let now = sc.sim.clock;
-        let routers = vec!["fixw".to_string(), "ucsb-gw".to_string()];
-        let view = collect_aggregate(&sc.sim, &routers, &TableKind::ALL, now);
-        let merged_sessions = view.merged.sessions.len();
-        for rc in &view.per_router {
-            assert!(merged_sessions >= rc.tables.sessions.len());
-        }
-        // The merged view is the union, so it is at least as large as the
-        // largest single view; with sparse filtering at FIXW the union is
-        // usually strictly larger than FIXW's own.
-        assert!(merged_sessions > 0);
-    }
-
-    #[test]
-    fn resilient_aggregate_recovers_what_single_attempts_lose() {
-        let mut sc = Scenario::transition_snapshot(25, 0.4);
-        sc.sim.advance_to(sc.sim.clock + SimDuration::hours(5));
-        let now = sc.sim.clock;
-        let routers = vec!["fixw".to_string(), "ucsb-gw".to_string()];
-        let flaky = FlakyAccess::new(&sc.sim, 0.3, 0.3, 42);
-        let baseline = collect_aggregate(&flaky, &routers, &TableKind::ALL, now);
-        let resilient = collect_aggregate_resilient(
-            &flaky,
-            &routers,
-            &TableKind::ALL,
-            now,
-            &RetryPolicy::default(),
-        );
-        let ok = |v: &AggregateView| v.per_router.iter().map(|r| r.stats.successes).sum::<u64>();
-        // First attempts share the same deterministic rolls, so retries
-        // can only add captures.
-        assert!(
-            ok(&resilient) > ok(&baseline),
-            "{} vs {}",
-            ok(&resilient),
-            ok(&baseline)
-        );
-        let recovered: u64 = resilient
-            .per_router
-            .iter()
-            .map(|r| r.stats.retry_successes)
-            .sum();
-        assert!(recovered > 0);
-        // Health accounting reaches the aggregate view.
-        assert!(resilient.per_router.iter().all(|r| r.stats.attempts > 0));
-    }
-
-    #[test]
-    fn unknown_router_counts_as_failures_not_panic() {
-        let mut sc = Scenario::transition_snapshot(23, 0.0);
-        sc.sim.advance_to(sc.sim.clock + SimDuration::hours(1));
-        let routers = vec!["fixw".to_string(), "ghost".to_string()];
-        let view = collect_aggregate(&sc.sim, &routers, &TableKind::ALL, sc.sim.clock);
-        let ghost = view
-            .per_router
-            .iter()
-            .find(|r| r.router == "ghost")
-            .unwrap();
-        assert_eq!(ghost.capture_failures, TableKind::ALL.len());
-        assert!(ghost.tables.pairs.is_empty());
-        let fixw = view.per_router.iter().find(|r| r.router == "fixw").unwrap();
-        assert_eq!(fixw.capture_failures, 0);
     }
 }

@@ -1705,8 +1705,7 @@ impl Default for WriterConfig {
 }
 
 /// std mutexes poison on panic; the writer protocol has no partially-
-/// updated invariants worth preserving across one, so clear it —
-/// matching the vendored parking_lot semantics used elsewhere.
+/// updated invariants worth preserving across one, so clear it.
 fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }

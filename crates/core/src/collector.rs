@@ -4,15 +4,16 @@
 //! into each router, dump its tables and ship the text home, then
 //! pre-processed the capture (stripping login noise, pagination artifacts,
 //! excess whitespace and delimiters). Here the transport is abstracted
-//! behind [`RouterAccess`]; the production implementation in this
-//! reproduction is [`SimAccess`], which "logs into" simulated routers and
-//! returns byte-identical CLI text, and [`FlakyAccess`] wraps any access
-//! with the failure modes real collection suffered (login refusals,
-//! truncated captures).
+//! behind [`ParallelAccess`]; the production implementation in this
+//! reproduction is the simulator itself, which "logs into" simulated
+//! routers and returns byte-identical CLI text, and [`FlakyAccess`] wraps
+//! any access with the failure modes real collection suffered (login
+//! refusals, truncated captures).
 
-use mantra_net::{RouterId, SimDuration, SimTime};
+use mantra_net::{SimDuration, SimTime};
 use mantra_router_cli::TableKind;
-use mantra_sim::Simulation;
+
+use crate::aggregate::ParallelAccess;
 
 /// Why a capture failed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -46,17 +47,6 @@ impl std::fmt::Display for CaptureError {
 }
 
 impl std::error::Error for CaptureError {}
-
-/// Anything Mantra can collect router tables through.
-pub trait RouterAccess {
-    /// Captures the raw text of `table` from the named router.
-    fn capture(
-        &mut self,
-        router: &str,
-        table: TableKind,
-        now: SimTime,
-    ) -> Result<String, CaptureError>;
-}
 
 /// One effective line of a capture: a byte range into either the raw
 /// capture buffer or the rewrite arena.
@@ -319,46 +309,6 @@ fn keep_line(line: &[u8], prompt: &[u8]) -> bool {
     true
 }
 
-/// The simulator-backed access: resolves router names against the
-/// simulation's topology and renders the live CLI text.
-pub struct SimAccess<'a> {
-    sim: &'a Simulation,
-}
-
-impl<'a> SimAccess<'a> {
-    /// Wraps a simulation.
-    pub fn new(sim: &'a Simulation) -> Self {
-        SimAccess { sim }
-    }
-
-    fn resolve(&self, name: &str) -> Option<RouterId> {
-        self.sim.net.topo.router_by_name(name).map(|r| r.id)
-    }
-}
-
-impl RouterAccess for SimAccess<'_> {
-    fn capture(
-        &mut self,
-        router: &str,
-        table: TableKind,
-        now: SimTime,
-    ) -> Result<String, CaptureError> {
-        let id = self
-            .resolve(router)
-            .ok_or_else(|| CaptureError::UnknownRouter(router.to_string()))?;
-        if !self.sim.net.topo.is_active(id) {
-            // A churned-out router answers like one that is powered off:
-            // the login never succeeds. Transient, so the retry policy
-            // still runs (deterministically) and the cycle records a
-            // missed router rather than an unknown one.
-            return Err(CaptureError::LoginFailed(format!(
-                "router {router} is offline"
-            )));
-        }
-        Ok(mantra_router_cli::render(&self.sim.net, id, table, now))
-    }
-}
-
 /// Failure-injection decorator: with deterministic pseudo-randomness (keyed
 /// on router, table and timestamp), captures fail to log in or come back
 /// truncated.
@@ -392,22 +342,22 @@ impl<A> FlakyAccess<A> {
         stream.hash(&mut h);
         (h.finish() >> 11) as f64 / (1u64 << 53) as f64
     }
+}
 
-    /// Whether the capture at `now` fails to log in.
-    pub(crate) fn roll_login_failure(&self, router: &str, table: TableKind, now: SimTime) -> bool {
-        self.hash01(router, table, now, 1) < self.login_failure_prob
-    }
-
-    /// Applies the truncation roll to a successfully fetched dump. The cut
-    /// always drops at least the final character, so a "partial" capture is
-    /// never silently the full text.
-    pub(crate) fn maybe_truncate(
+impl<A: ParallelAccess> ParallelAccess for FlakyAccess<A> {
+    /// Rolls a login failure, then captures and rolls a truncation. The
+    /// cut always drops at least the final character, so a "partial"
+    /// capture is never silently the full text.
+    fn capture(
         &self,
         router: &str,
         table: TableKind,
         now: SimTime,
-        full: String,
     ) -> Result<String, CaptureError> {
+        if self.hash01(router, table, now, 1) < self.login_failure_prob {
+            return Err(CaptureError::LoginFailed("connection refused".into()));
+        }
+        let full = self.inner.capture(router, table, now)?;
         let r = self.hash01(router, table, now, 2);
         if r < self.truncation_prob {
             let keep = (full.len() as f64 * (0.1 + 0.8 * r / self.truncation_prob)) as usize;
@@ -423,26 +373,6 @@ impl<A> FlakyAccess<A> {
             return Err(CaptureError::Truncated { partial });
         }
         Ok(full)
-    }
-
-    /// Read access to the wrapped transport.
-    pub(crate) fn inner(&self) -> &A {
-        &self.inner
-    }
-}
-
-impl<A: RouterAccess> RouterAccess for FlakyAccess<A> {
-    fn capture(
-        &mut self,
-        router: &str,
-        table: TableKind,
-        now: SimTime,
-    ) -> Result<String, CaptureError> {
-        if self.roll_login_failure(router, table, now) {
-            return Err(CaptureError::LoginFailed("connection refused".into()));
-        }
-        let full = self.inner.capture(router, table, now)?;
-        self.maybe_truncate(router, table, now, full)
     }
 }
 
@@ -605,9 +535,9 @@ impl Collector {
     /// final attempt is still truncated is salvaged from the longest
     /// partial seen across attempts, as the real tool did with
     /// half-transferred dumps.
-    pub fn collect_with(
+    pub fn collect_with<P: ParallelAccess + ?Sized>(
         &self,
-        access: &mut dyn RouterAccess,
+        access: &P,
         router: &str,
         now: SimTime,
     ) -> (Vec<Capture>, CollectStats) {
@@ -683,20 +613,6 @@ impl Collector {
         }
         (out, stats)
     }
-
-    /// Captures every configured table from `router`, folding the
-    /// accounting into [`Collector::successes`] / [`Collector::failures`].
-    pub fn collect(
-        &mut self,
-        access: &mut dyn RouterAccess,
-        router: &str,
-        now: SimTime,
-    ) -> Vec<Capture> {
-        let (out, stats) = self.collect_with(access, router, now);
-        self.successes += stats.successes;
-        self.failures += stats.failures;
-        out
-    }
 }
 
 #[cfg(test)]
@@ -748,15 +664,14 @@ mod tests {
     }
 
     #[test]
-    fn sim_access_round_trip() {
+    fn simulation_capture_round_trip() {
         let mut sc = Scenario::transition_snapshot(6, 0.5);
         sc.sim.advance_to(sc.sim.clock + SimDuration::hours(3));
         let now = sc.sim.clock;
-        let mut access = SimAccess::new(&sc.sim);
-        let raw = access.capture("fixw", TableKind::DvmrpRoutes, now).unwrap();
+        let raw = sc.sim.capture("fixw", TableKind::DvmrpRoutes, now).unwrap();
         assert!(raw.contains("DVMRP"));
         assert!(matches!(
-            access.capture("nosuch", TableKind::DvmrpRoutes, now),
+            sc.sim.capture("nosuch", TableKind::DvmrpRoutes, now),
             Err(CaptureError::UnknownRouter(_))
         ));
     }
@@ -767,14 +682,17 @@ mod tests {
         sc.sim.advance_to(sc.sim.clock + SimDuration::hours(3));
         let now = sc.sim.clock;
         // Heavy failure injection.
-        let mut access = FlakyAccess::new(SimAccess::new(&sc.sim), 0.4, 0.4, 7);
-        let mut collector = Collector::new();
+        let access = FlakyAccess::new(&sc.sim, 0.4, 0.4, 7);
+        let collector = Collector::new();
         let mut captures = Vec::new();
+        let mut stats = CollectStats::default();
         for i in 0..20 {
-            captures.extend(collector.collect(&mut access, "fixw", now + SimDuration::mins(i)));
+            let (caps, s) = collector.collect_with(&access, "fixw", now + SimDuration::mins(i));
+            captures.extend(caps);
+            stats.absorb(&s);
         }
-        assert!(collector.failures > 0, "failures injected");
-        assert!(collector.successes > 0, "some captures survive");
+        assert!(stats.failures > 0, "failures injected");
+        assert!(stats.successes > 0, "some captures survive");
         // Salvaged truncations still produced clean lines.
         assert!(captures.iter().all(|c| !c.is_empty()));
     }
@@ -793,19 +711,23 @@ mod tests {
     struct FailFirst<A> {
         inner: A,
         fail_first: u32,
-        calls: std::collections::HashMap<TableKind, u32>,
+        calls: std::sync::Mutex<std::collections::HashMap<TableKind, u32>>,
     }
 
-    impl<A: RouterAccess> RouterAccess for FailFirst<A> {
+    impl<A: ParallelAccess> ParallelAccess for FailFirst<A> {
         fn capture(
-            &mut self,
+            &self,
             router: &str,
             table: TableKind,
             now: SimTime,
         ) -> Result<String, CaptureError> {
-            let c = self.calls.entry(table).or_insert(0);
-            *c += 1;
-            if *c <= self.fail_first {
+            let calls = {
+                let mut calls = self.calls.lock().expect("no capture panicked");
+                let c = calls.entry(table).or_insert(0);
+                *c += 1;
+                *c
+            };
+            if calls <= self.fail_first {
                 return Err(CaptureError::LoginFailed("refused".into()));
             }
             self.inner.capture(router, table, now)
@@ -820,13 +742,13 @@ mod tests {
         let n = TableKind::ALL.len() as u64;
 
         // Two refusals per table: a 3-attempt policy recovers everything.
-        let mut access = FailFirst {
-            inner: SimAccess::new(&sc.sim),
+        let access = FailFirst {
+            inner: &sc.sim,
             fail_first: 2,
             calls: Default::default(),
         };
         let collector = Collector::new();
-        let (caps, stats) = collector.collect_with(&mut access, "fixw", now);
+        let (caps, stats) = collector.collect_with(&access, "fixw", now);
         assert_eq!(caps.len() as u64, n);
         assert_eq!(stats.successes, n);
         assert_eq!(stats.failures, 0);
@@ -835,13 +757,13 @@ mod tests {
         assert!(stats.backoff > SimDuration::ZERO);
 
         // The same access without retries loses every capture.
-        let mut access = FailFirst {
-            inner: SimAccess::new(&sc.sim),
+        let access = FailFirst {
+            inner: &sc.sim,
             fail_first: 2,
             calls: Default::default(),
         };
         let collector = Collector::with_retry(RetryPolicy::none());
-        let (caps, stats) = collector.collect_with(&mut access, "fixw", now);
+        let (caps, stats) = collector.collect_with(&access, "fixw", now);
         assert!(caps.is_empty());
         assert_eq!(stats.failures, n);
         assert_eq!(stats.retries, 0);
@@ -852,8 +774,7 @@ mod tests {
         let sc = Scenario::transition_snapshot(12, 0.0);
         let now = sc.sim.clock;
         let collector = Collector::new();
-        let mut access = SimAccess::new(&sc.sim);
-        let (caps, stats) = collector.collect_with(&mut access, "ghost", now);
+        let (caps, stats) = collector.collect_with(&sc.sim, "ghost", now);
         assert!(caps.is_empty());
         assert_eq!(stats.failures, TableKind::ALL.len() as u64);
         // One attempt per table: permanent errors short-circuit the retry
@@ -865,9 +786,9 @@ mod tests {
     /// Always returns the same truncated partial.
     struct AlwaysTruncated(Vec<u8>);
 
-    impl RouterAccess for AlwaysTruncated {
+    impl ParallelAccess for AlwaysTruncated {
         fn capture(
-            &mut self,
+            &self,
             _router: &str,
             _table: TableKind,
             _now: SimTime,
@@ -883,16 +804,16 @@ mod tests {
         let collector = Collector::with_retry(RetryPolicy::none());
 
         // Cut mid-line: the torn tail line goes.
-        let mut access = AlwaysTruncated(b"alpha one\nbeta tw".to_vec());
-        let (caps, stats) = collector.collect_with(&mut access, "fixw", t0());
+        let access = AlwaysTruncated(b"alpha one\nbeta tw".to_vec());
+        let (caps, stats) = collector.collect_with(&access, "fixw", t0());
         assert_eq!(stats.salvaged, TableKind::ALL.len() as u64);
         for cap in &caps {
             assert_eq!(cap.text_lines(), vec!["alpha one"]);
         }
 
         // Cut on a line boundary: every captured line is whole and kept.
-        let mut access = AlwaysTruncated(b"alpha one\nbeta two\n".to_vec());
-        let (caps, _) = collector.collect_with(&mut access, "fixw", t0());
+        let access = AlwaysTruncated(b"alpha one\nbeta two\n".to_vec());
+        let (caps, _) = collector.collect_with(&access, "fixw", t0());
         for cap in &caps {
             assert_eq!(cap.text_lines(), vec!["alpha one", "beta two"]);
         }
@@ -908,8 +829,8 @@ mod tests {
         // wire delivered.
         let collector = Collector::with_retry(RetryPolicy::none());
         let raw: Vec<u8> = b"alpha\xA0one\nbeta two\ngamma \xC3".to_vec();
-        let mut access = AlwaysTruncated(raw.clone());
-        let (caps, stats) = collector.collect_with(&mut access, "fixw", t0());
+        let access = AlwaysTruncated(raw.clone());
+        let (caps, stats) = collector.collect_with(&access, "fixw", t0());
         assert_eq!(stats.salvaged, TableKind::ALL.len() as u64);
         for cap in &caps {
             // The torn tail line ("gamma \xC3") drops; the kept lines
@@ -919,7 +840,7 @@ mod tests {
             assert_eq!(cap.line(1), b"beta two".as_slice());
         }
         // And the accounting charges the bytes actually captured.
-        let (_, stats2) = collector.collect_with(&mut AlwaysTruncated(raw.clone()), "fixw", t0());
+        let (_, stats2) = collector.collect_with(&access, "fixw", t0());
         assert_eq!(
             stats2.raw_bytes,
             raw.len() as u64 * TableKind::ALL.len() as u64
@@ -931,12 +852,10 @@ mod tests {
         let mut sc = Scenario::transition_snapshot(13, 0.4);
         sc.sim.advance_to(sc.sim.clock + SimDuration::hours(4));
         let now = sc.sim.clock;
-        let mut flaky = FlakyAccess::new(SimAccess::new(&sc.sim), 0.0, 1.0, 5);
+        let flaky = FlakyAccess::new(&sc.sim, 0.0, 1.0, 5);
         for i in 0..30 {
             let t = now + SimDuration::mins(i);
-            let full = SimAccess::new(&sc.sim)
-                .capture("fixw", TableKind::DvmrpRoutes, t)
-                .unwrap();
+            let full = sc.sim.capture("fixw", TableKind::DvmrpRoutes, t).unwrap();
             match flaky.capture("fixw", TableKind::DvmrpRoutes, t) {
                 Err(CaptureError::Truncated { partial }) => {
                     assert!(
@@ -973,7 +892,7 @@ mod tests {
         sc.sim.advance_to(sc.sim.clock + SimDuration::hours(1));
         let now = sc.sim.clock;
         let run = |salt: u64| {
-            let mut access = FlakyAccess::new(SimAccess::new(&sc.sim), 0.5, 0.0, salt);
+            let access = FlakyAccess::new(&sc.sim, 0.5, 0.0, salt);
             (0..10)
                 .map(|i| {
                     access

@@ -33,7 +33,6 @@ use mantra_net::SimTime;
 
 use crate::aggregate::ParallelAccess;
 use crate::anomaly::{Anomaly, InconsistencyMonitor};
-use crate::collector::RouterAccess;
 use crate::monitor::{parse_accounting_table, parse_degraded, CycleReport, Monitor, MonitorConfig};
 use crate::output::{Cell, Graph, Table};
 use crate::processor::ParseStats;
@@ -225,34 +224,20 @@ impl FleetMonitor {
     }
 
     /// One fleet cycle at `now`: every shard runs its own (internally
-    /// parallel) cycle concurrently, then the aggregation tier merges the
-    /// shard reports, sweeps cross-router consistency globally and folds
-    /// the global statistics. The merged report is identical to a single
-    /// [`Monitor`] over the whole fleet.
-    pub fn run_cycle<P: ParallelAccess>(&mut self, access: &P, now: SimTime) -> CycleReport {
+    /// parallel) cycle concurrently, then the aggregation tier interleaves
+    /// the shard reports back into global configuration order, sweeps
+    /// cross-router consistency globally and folds the exact integer-sum
+    /// statistics. The merged report is identical to a single [`Monitor`]
+    /// over the whole fleet.
+    pub fn run_cycle<P: ParallelAccess + ?Sized>(
+        &mut self,
+        access: &P,
+        now: SimTime,
+    ) -> CycleReport {
         let reports: Vec<CycleReport> = {
             let mut shards: Vec<&mut Monitor> = self.shards.iter_mut().collect();
             rayon::parallel_map_mut(&mut shards, |m| m.run_cycle_parallel(access, now))
         };
-        self.merge(reports, now)
-    }
-
-    /// One fleet cycle over a single serial access session: shards run
-    /// one after another (the paper's expect-script shape, kept for
-    /// parity testing). Outputs are identical to [`FleetMonitor::run_cycle`].
-    pub fn run_cycle_serial(&mut self, access: &mut dyn RouterAccess, now: SimTime) -> CycleReport {
-        let reports: Vec<CycleReport> = self
-            .shards
-            .iter_mut()
-            .map(|m| m.run_cycle(access, now))
-            .collect();
-        self.merge(reports, now)
-    }
-
-    /// The aggregation tier: interleaves shard reports back into global
-    /// configuration order, runs the global consistency join and folds
-    /// the exact integer-sum statistics.
-    fn merge(&mut self, reports: Vec<CycleReport>, now: SimTime) -> CycleReport {
         self.cycles += 1;
         let mut report = CycleReport {
             at: now,
@@ -489,7 +474,6 @@ impl FleetMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collector::SimAccess;
     use mantra_sim::Scenario;
 
     fn drive(sc: &mut Scenario, fleet: &mut FleetMonitor, cycles: usize) {
@@ -542,8 +526,7 @@ mod tests {
             sc_fleet.sim.advance_to(next);
             let fr = fleet.run_cycle(&sc_fleet.sim, next);
             sc_single.sim.advance_to(next);
-            let mut access = SimAccess::new(&sc_single.sim);
-            let sr = single.run_cycle(&mut access, next);
+            let sr = single.run_cycle(&sc_single.sim, next);
             assert_eq!(fr, sr);
             // Global stats equal the single monitor's summed totals.
             assert_eq!(

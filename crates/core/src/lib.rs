@@ -4,9 +4,12 @@
 //! tool of Rajvaidya & Almeroth (ICPP 2001). Its modules mirror the
 //! paper's Figure 1 pipeline:
 //!
-//! * [`collector`] — logs into routers (through a [`collector::RouterAccess`]
-//!   implementation; the simulator-backed one stands in for the paper's
-//!   expect scripts) and pre-processes the raw captures,
+//! * [`aggregate`] — the router transport, [`aggregate::ParallelAccess`]:
+//!   one capture interface for every cycle, serial or concurrent (the
+//!   simulator-backed implementation stands in for the paper's expect
+//!   scripts),
+//! * [`collector`] — logs into routers through that transport, retrying
+//!   transient failures, and pre-processes the raw captures,
 //! * [`tables`] — Mantra's local data format: the Pair, Participant,
 //!   Session and Route tables,
 //! * [`processor`] — the router-table processor mapping raw CLI dumps
@@ -26,17 +29,15 @@
 //!   (overlay, rescale, zoom, ASCII rendering),
 //! * [`anomaly`] — detectors for the routing problems the paper
 //!   debugged, led by the Figure 9 unicast route injection,
-//! * [`aggregate`] — the paper's announced next step: concurrent
-//!   multi-router collection with aggregated, real-time results
-//!   (parallelised with rayon),
 //! * [`store`] — interned identifier tables mapping router names, hosts,
 //!   groups and route keys to dense ids for the hot path,
 //! * [`pipeline`] — the staged cycle: typed Capture → Parse → Enrich →
 //!   Log → Analyse stages with per-stage instrumentation,
 //! * [`monitor`] — the orchestrator driving the pipeline,
-//! * [`fleet`] — the sharded fleet: N monitors over disjoint router
-//!   subsets driven concurrently, merged through an exact (integer-sum)
-//!   aggregation tier with a global consistency join,
+//! * [`fleet`] — the sharded fleet, and the paper's announced next step:
+//!   N monitors over disjoint router subsets collecting concurrently,
+//!   merged through an exact (integer-sum) aggregation tier with a global
+//!   consistency join,
 //! * [`web`] — the web presentation layer (static HTML + SVG reports,
 //!   standing in for the paper's Java applets).
 
@@ -57,12 +58,13 @@ pub mod store;
 pub mod tables;
 pub mod web;
 
+pub use aggregate::ParallelAccess;
 pub use archive::{
     ArchiveBackend, ArchiveDict, ArchiveInfo, ArchiveReader, ArchiveSpec, ArchiveStats,
     BackpressureMode, CacheStats, FileBackendV1, FileBackendV2, MemoryBackend, OpenMode,
     QueryCache, SyncPolicy, ThreadedBackend, WriterConfig,
 };
-pub use collector::{CaptureError, CollectStats, Collector, RetryPolicy, RouterAccess};
+pub use collector::{CaptureError, CollectStats, Collector, RetryPolicy};
 pub use fleet::FleetMonitor;
 pub use monitor::{LifecycleState, Monitor, MonitorConfig, RouterHealth};
 pub use pipeline::{PipelineMetrics, Stage, StageKind, StageMetrics};

@@ -17,7 +17,7 @@ use mantra_net::{BitRate, GroupAddr, SimDuration, SimTime};
 use crate::aggregate::ParallelAccess;
 use crate::anomaly::{Anomaly, InconsistencyMonitor};
 use crate::archive::{ArchiveReader, ArchiveSpec, QueryCache};
-use crate::collector::{CollectStats, Collector, RetryPolicy, RouterAccess};
+use crate::collector::{CollectStats, Collector, RetryPolicy};
 use crate::logger::TableLog;
 use crate::longterm::LongTermTracker;
 use crate::output::{Cell, Graph, Table};
@@ -205,22 +205,6 @@ pub struct CycleReport {
     pub anomalies: Vec<Anomaly>,
 }
 
-/// Borrows a [`ParallelAccess`] as a throwaway [`RouterAccess`] session —
-/// the parallel cycle opens one per router, mirroring how the real
-/// enhancement opened one expect session per router.
-pub struct SessionAdapter<'a, P: ?Sized>(pub &'a P);
-
-impl<P: ParallelAccess + ?Sized> RouterAccess for SessionAdapter<'_, P> {
-    fn capture(
-        &mut self,
-        router: &str,
-        table: mantra_router_cli::TableKind,
-        now: SimTime,
-    ) -> Result<String, crate::collector::CaptureError> {
-        self.0.capture(router, table, now)
-    }
-}
-
 /// The Mantra orchestrator: a thin driver over the staged pipeline.
 pub struct Monitor {
     /// Configuration.
@@ -329,9 +313,14 @@ impl Monitor {
         self.cfg.routers = routers;
     }
 
-    /// One full monitoring cycle at `now`, polling routers serially over a
-    /// single access session (the paper's original expect-script shape).
-    pub fn run_cycle(&mut self, access: &mut dyn RouterAccess, now: SimTime) -> CycleReport {
+    /// One full monitoring cycle at `now`, polling routers one after
+    /// another and running every stage serially (the paper's original
+    /// expect-script shape).
+    pub fn run_cycle<P: ParallelAccess + ?Sized>(
+        &mut self,
+        access: &P,
+        now: SimTime,
+    ) -> CycleReport {
         let raw = {
             let mut stage = CaptureStage {
                 collector: &self.collector,
@@ -343,13 +332,12 @@ impl Monitor {
         self.drive(raw, false)
     }
 
-    /// One full monitoring cycle at `now`, fanning the per-router capture
-    /// and parse work across the rayon pool — the paper's planned
-    /// "collect data from multiple routers concurrently". The stateful
-    /// stages run serially in configuration order afterwards, so the
-    /// cycle report and the delta logs are byte-identical to
+    /// One full monitoring cycle at `now` with every stage fanning its
+    /// per-router work across the rayon pool — how a
+    /// [`FleetMonitor`](crate::fleet::FleetMonitor) shard runs. The cycle
+    /// report and the delta logs are byte-identical to
     /// [`Monitor::run_cycle`] over the same access and timestamps.
-    pub fn run_cycle_parallel<P: ParallelAccess>(
+    pub(crate) fn run_cycle_parallel<P: ParallelAccess + ?Sized>(
         &mut self,
         access: &P,
         now: SimTime,
@@ -736,15 +724,6 @@ impl Monitor {
         }
     }
 
-    /// Writes every router's archive to `dir` as `<router>.jsonl`.
-    pub fn export_archives(&self, dir: &std::path::Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        for st in &self.state {
-            st.log.save(&dir.join(format!("{}.jsonl", st.name)))?;
-        }
-        Ok(())
-    }
-
     /// The latest snapshot of one router.
     pub fn latest(&self, router: &str) -> Option<&Tables> {
         self.state_of(router).and_then(|s| s.prev.as_ref())
@@ -879,7 +858,7 @@ pub fn parse_accounting_table(stats: &ParseStats, title: impl Into<String>) -> T
 mod tests {
     use super::*;
     use crate::archive::SyncPolicy;
-    use crate::collector::SimAccess;
+    use crate::collector::FlakyAccess;
     use crate::pipeline::StageKind;
     use mantra_sim::Scenario;
 
@@ -888,8 +867,7 @@ mod tests {
         for _ in 0..cycles {
             let next = sc.sim.clock + monitor.cfg.interval;
             sc.sim.advance_to(next);
-            let mut access = SimAccess::new(&sc.sim);
-            monitor.run_cycle(&mut access, next);
+            monitor.run_cycle(&sc.sim, next);
         }
     }
 
@@ -971,14 +949,12 @@ mod tests {
             for _ in 0..6 {
                 let next = sc.sim.clock + monitor.cfg.interval;
                 sc.sim.advance_to(next);
-                if parallel {
-                    let flaky = crate::collector::FlakyAccess::new(&sc.sim, 0.2, 0.2, 5);
-                    reports.push(monitor.run_cycle_parallel(&flaky, next));
+                let flaky = FlakyAccess::new(&sc.sim, 0.2, 0.2, 5);
+                reports.push(if parallel {
+                    monitor.run_cycle_parallel(&flaky, next)
                 } else {
-                    let flaky = crate::collector::FlakyAccess::new(&sc.sim, 0.2, 0.2, 5);
-                    let mut session = SessionAdapter(&flaky);
-                    reports.push(monitor.run_cycle(&mut session, next));
-                }
+                    monitor.run_cycle(&flaky, next)
+                });
             }
             (reports, monitor)
         };

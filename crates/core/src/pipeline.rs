@@ -23,10 +23,10 @@ use mantra_net::{BitRate, GroupAddr, Ip, SimDuration, SimTime};
 use crate::aggregate::ParallelAccess;
 use crate::anomaly::{detect_injection, Anomaly, InconsistencyMonitor, SpikeDetector};
 use crate::archive::{ArchiveSpec, CacheStats};
-use crate::collector::{Capture, CollectStats, Collector, RouterAccess};
+use crate::collector::{Capture, CollectStats, Collector};
 use crate::logger::{TableDelta, TableLog};
 use crate::longterm::LongTermTracker;
-use crate::monitor::{CycleReport, RouterHealth, SessionAdapter};
+use crate::monitor::{CycleReport, RouterHealth};
 use crate::output::{Cell, Table};
 use crate::processor::{process, ParseStats};
 use crate::stats::{RouteChurn, RouteStats, UsageStats};
@@ -184,13 +184,6 @@ pub trait Stage {
     fn sim_latency(&self, _out: &Self::Output) -> SimDuration {
         SimDuration::ZERO
     }
-
-    /// Whether this run fans its per-router bodies across the thread
-    /// pool. Metrics account parallel runs separately so the serial and
-    /// fanned-out costs of a stage stay comparable.
-    fn parallel(&self) -> bool {
-        false
-    }
 }
 
 /// Accumulated accounting for one stage.
@@ -204,12 +197,6 @@ pub struct StageMetrics {
     /// invocation, so "this stage ran" is visible even below timer
     /// resolution.
     pub wall_nanos: u64,
-    /// Invocations that fanned per-router work across the thread pool.
-    pub par_invocations: u64,
-    /// Wall-clock nanoseconds spent in those fanned-out invocations — a
-    /// subset of [`StageMetrics::wall_nanos`], so serial and parallel
-    /// cost per stage can be compared directly.
-    pub par_wall_nanos: u64,
     /// Simulated-time latency accumulated (retry backoff, for Capture).
     pub sim_latency: SimDuration,
 }
@@ -273,15 +260,10 @@ impl PipelineMetrics {
     pub fn run<S: Stage>(&mut self, stage: &mut S, input: S::Input) -> S::Output {
         let t = std::time::Instant::now();
         let out = stage.run(input);
-        let elapsed = (t.elapsed().as_nanos() as u64).max(1);
         let m = &mut self.stages[stage.kind() as usize];
         m.invocations += 1;
         m.items += stage.items(&out);
-        m.wall_nanos += elapsed;
-        if stage.parallel() {
-            m.par_invocations += 1;
-            m.par_wall_nanos += elapsed;
-        }
+        m.wall_nanos += (t.elapsed().as_nanos() as u64).max(1);
         m.sim_latency += stage.sim_latency(&out);
         out
     }
@@ -356,25 +338,15 @@ impl PipelineMetrics {
     pub fn table(&self) -> Table {
         let mut table = Table::new(
             "Pipeline stages",
-            vec![
-                "stage",
-                "invocations",
-                "par_runs",
-                "items",
-                "wall_ms",
-                "par_ms",
-                "sim_latency_s",
-            ],
+            vec!["stage", "invocations", "items", "wall_ms", "sim_latency_s"],
         );
         for kind in StageKind::ALL {
             let m = self.stage(kind);
             table.push_row(vec![
                 Cell::Text(kind.as_str().into()),
                 Cell::Num(m.invocations as f64),
-                Cell::Num(m.par_invocations as f64),
                 Cell::Num(m.items as f64),
                 Cell::Num(m.wall_nanos as f64 / 1e6),
-                Cell::Num(m.par_wall_nanos as f64 / 1e6),
                 Cell::Num(m.sim_latency.as_secs() as f64),
             ]);
         }
@@ -563,18 +535,18 @@ fn capture_latency(out: &RawCycle) -> SimDuration {
         .fold(SimDuration::ZERO, |acc, r| acc + r.stats.backoff)
 }
 
-/// Capture over a single serial access session (the paper's original
+/// Capture polling routers one after another (the paper's original
 /// expect-script shape: one login walks every router).
-pub struct CaptureStage<'a> {
+pub struct CaptureStage<'a, P: ?Sized> {
     /// The collector (retry policy, table set).
     pub collector: &'a Collector,
     /// Routers to poll, in order.
     pub routers: &'a [String],
     /// The transport.
-    pub access: &'a mut dyn RouterAccess,
+    pub access: &'a P,
 }
 
-impl Stage for CaptureStage<'_> {
+impl<P: ParallelAccess + ?Sized> Stage for CaptureStage<'_, P> {
     type Input = SimTime;
     type Output = RawCycle;
 
@@ -607,20 +579,20 @@ impl Stage for CaptureStage<'_> {
     }
 }
 
-/// Capture fanned across the rayon pool, one throwaway session per router
-/// — the paper's planned "collect data from multiple routers
-/// concurrently". Produces the same [`RawCycle`] as [`CaptureStage`] over
-/// the same access and timestamps.
-pub struct ParallelCaptureStage<'a, P> {
+/// Capture fanned across the rayon pool, one router per work item — the
+/// paper's planned "collect data from multiple routers concurrently".
+/// Produces the same [`RawCycle`] as [`CaptureStage`] over the same access
+/// and timestamps.
+pub struct ParallelCaptureStage<'a, P: ?Sized> {
     /// The collector (retry policy, table set).
     pub collector: &'a Collector,
     /// Routers to poll, in order.
     pub routers: &'a [String],
-    /// The shared transport; each router borrows a session.
+    /// The shared transport.
     pub access: &'a P,
 }
 
-impl<P: ParallelAccess> Stage for ParallelCaptureStage<'_, P> {
+impl<P: ParallelAccess + ?Sized> Stage for ParallelCaptureStage<'_, P> {
     type Input = SimTime;
     type Output = RawCycle;
 
@@ -636,8 +608,7 @@ impl<P: ParallelAccess> Stage for ParallelCaptureStage<'_, P> {
             .routers
             .par_iter()
             .map(|router| {
-                let mut session = SessionAdapter(access);
-                let (captures, stats) = collector.collect_with(&mut session, router, now);
+                let (captures, stats) = collector.collect_with(access, router, now);
                 RouterCapture {
                     router: router.clone(),
                     captures,
@@ -655,14 +626,10 @@ impl<P: ParallelAccess> Stage for ParallelCaptureStage<'_, P> {
     fn sim_latency(&self, out: &RawCycle) -> SimDuration {
         capture_latency(out)
     }
-
-    fn parallel(&self) -> bool {
-        true
-    }
 }
 
-/// Text to table snapshots. Pure per router, so the parallel monitor path
-/// fans it across the rayon pool with identical output.
+/// Text to table snapshots. Pure per router, so a fleet shard fans it
+/// across the rayon pool with identical output.
 pub struct ParseStage {
     /// Whether to parse routers on the rayon pool.
     pub parallel: bool,
@@ -704,10 +671,6 @@ impl Stage for ParseStage {
                     as u64
             })
             .sum()
-    }
-
-    fn parallel(&self) -> bool {
-        self.parallel
     }
 }
 
@@ -830,10 +793,6 @@ impl Stage for EnrichStage<'_> {
     fn items(&self, out: &EnrichedCycle) -> u64 {
         out.routers.len() as u64
     }
-
-    fn parallel(&self) -> bool {
-        self.parallel
-    }
 }
 
 /// The post-append tail of one router's Log body: growth curve,
@@ -920,10 +879,6 @@ impl Stage for LogStage<'_> {
 
     fn items(&self, out: &LoggedCycle) -> u64 {
         out.routers.len() as u64
-    }
-
-    fn parallel(&self) -> bool {
-        self.parallel
     }
 }
 
@@ -1058,10 +1013,6 @@ impl Stage for AnalyseStage<'_> {
     fn items(&self, out: &CycleReport) -> u64 {
         out.per_router.len() as u64
     }
-
-    fn parallel(&self) -> bool {
-        self.parallel
-    }
 }
 
 #[cfg(test)]
@@ -1095,23 +1046,6 @@ mod tests {
                 SimDuration::secs(3)
             }
         }
-        struct ParDoubler;
-        impl Stage for ParDoubler {
-            type Input = u64;
-            type Output = u64;
-            fn kind(&self) -> StageKind {
-                StageKind::Parse
-            }
-            fn run(&mut self, input: u64) -> u64 {
-                input * 2
-            }
-            fn items(&self, out: &u64) -> u64 {
-                *out
-            }
-            fn parallel(&self) -> bool {
-                true
-            }
-        }
         let mut metrics = PipelineMetrics::default();
         assert_eq!(metrics.run(&mut Doubler, 5), 10);
         assert_eq!(metrics.run(&mut Doubler, 1), 2);
@@ -1120,17 +1054,8 @@ mod tests {
         assert_eq!(m.items, 12);
         assert!(m.wall_nanos >= 2, "at least one nano per invocation");
         assert_eq!(m.sim_latency, SimDuration::secs(6));
-        // Serial stages leave the parallel counters untouched…
-        assert_eq!(m.par_invocations, 0);
-        assert_eq!(m.par_wall_nanos, 0);
         assert_eq!(*metrics.stage(StageKind::Capture), StageMetrics::default());
-        // …while a fanned-out run books its wall time in both channels.
-        assert_eq!(metrics.run(&mut ParDoubler, 3), 6);
-        let m = metrics.stage(StageKind::Parse);
-        assert_eq!(m.invocations, 3);
-        assert_eq!(m.par_invocations, 1);
-        assert!(m.par_wall_nanos >= 1 && m.par_wall_nanos <= m.wall_nanos);
-        // And the table renders one row per stage.
+        // The table renders one row per stage.
         assert_eq!(metrics.table().rows.len(), StageKind::ALL.len());
     }
 

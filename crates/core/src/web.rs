@@ -209,19 +209,11 @@ pub fn topology_events_html(events: &[(SimTime, String)]) -> String {
     out
 }
 
-/// Renders a full monitoring report page for one router.
-pub fn report_html(monitor: &Monitor, router: &str) -> String {
-    report_html_with_events(monitor, router, &[])
-}
-
-/// [`report_html`] with a topology-events strip: `events` is the churn
-/// timeline up to the report's moment (`Simulation::churn().strip(..)` in
-/// scenarios, empty when monitoring a static world).
-pub fn report_html_with_events(
-    monitor: &Monitor,
-    router: &str,
-    events: &[(SimTime, String)],
-) -> String {
+/// Renders a full monitoring report page for one router, with a
+/// topology-events strip: `events` is the churn timeline up to the
+/// report's moment (`Simulation::churn().strip(..)` in scenarios, empty
+/// when monitoring a static world).
+pub fn report_html(monitor: &Monitor, router: &str, events: &[(SimTime, String)]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "<!DOCTYPE html>");
     let _ = writeln!(
@@ -315,14 +307,9 @@ pub fn report_html_with_events(
 
 /// Renders the fleet-wide monitoring report: one page for the whole
 /// sharded fleet, built from the aggregation tier's global outputs
-/// rather than any single shard's view.
-pub fn fleet_report_html(fleet: &crate::fleet::FleetMonitor, now: SimTime) -> String {
-    fleet_report_html_with_events(fleet, now, &[])
-}
-
-/// [`fleet_report_html`] with a topology-events strip, like
-/// [`report_html_with_events`].
-pub fn fleet_report_html_with_events(
+/// rather than any single shard's view, with a topology-events strip
+/// like [`report_html`].
+pub fn fleet_report_html(
     fleet: &crate::fleet::FleetMonitor,
     now: SimTime,
     events: &[(SimTime, String)],
@@ -408,19 +395,12 @@ pub fn fleet_report_html_with_events(
     out
 }
 
-/// Wraps [`report_html`] in an auto-refreshing live shell for the daemon:
-/// a status strip at the top is repopulated every `refresh_secs` seconds
-/// from the daemon's JSON endpoints (`/health`, `/parse`, `/anomalies`)
-/// without reloading the page, and a meta-refresh fallback reloads the
-/// whole report for clients with scripting disabled.
-pub fn live_report_html(monitor: &Monitor, router: &str, refresh_secs: u64) -> String {
-    live_wrap(&report_html(monitor, router), refresh_secs)
-}
-
-/// Injects the auto-refresh shell into any rendered report page: a status
-/// strip fed by the daemon's JSON endpoints plus a whole-page meta-refresh
-/// fallback. [`live_report_html`] is this over [`report_html`]; the daemon
-/// applies it to [`fleet_report_html`] too.
+/// Injects the daemon's auto-refresh shell into a rendered report page
+/// ([`report_html`] or [`fleet_report_html`]): a status strip at the top
+/// is repopulated every `refresh_secs` seconds from the daemon's JSON
+/// endpoints (`/health`, `/parse`, `/anomalies`) without reloading the
+/// page, and a meta-refresh fallback reloads the whole report for
+/// clients with scripting disabled.
 pub fn live_wrap(body: &str, refresh_secs: u64) -> String {
     let secs = refresh_secs.max(1);
     let meta = format!(
@@ -504,7 +484,7 @@ mod tests {
             sc.sim.advance_to(next);
             fleet.run_cycle(&sc.sim, next);
         }
-        let html = fleet_report_html(&fleet, sc.sim.clock);
+        let html = fleet_report_html(&fleet, sc.sim.clock, &[]);
         assert!(html.starts_with("<!DOCTYPE html>"));
         assert!(html.contains("</html>"));
         assert_eq!(html.matches("<svg").count(), 2);
@@ -560,7 +540,6 @@ mod tests {
 
     #[test]
     fn report_page_is_complete() {
-        use crate::collector::SimAccess;
         use crate::{Monitor, MonitorConfig};
         let mut sc = mantra_sim::Scenario::transition_snapshot(41, 0.3);
         let mut monitor = Monitor::new(MonitorConfig {
@@ -571,10 +550,9 @@ mod tests {
         for _ in 0..8 {
             let next = sc.sim.clock + monitor.cfg.interval;
             sc.sim.advance_to(next);
-            let mut access = SimAccess::new(&sc.sim);
-            monitor.run_cycle(&mut access, next);
+            monitor.run_cycle(&sc.sim, next);
         }
-        let html = report_html(&monitor, "fixw");
+        let html = report_html(&monitor, "fixw", &[]);
         assert!(html.starts_with("<!DOCTYPE html>"));
         assert!(html.contains("</html>"));
         assert!(html.matches("<svg").count() == 3);
@@ -594,7 +572,6 @@ mod tests {
     #[test]
     fn unwritable_archive_dir_surfaces_degraded_persistence() {
         use crate::archive::ArchiveSpec;
-        use crate::collector::SimAccess;
         use crate::output::Cell;
         use crate::{Monitor, MonitorConfig};
         let mut sc = mantra_sim::Scenario::transition_snapshot(42, 0.2);
@@ -614,8 +591,7 @@ mod tests {
         for _ in 0..3 {
             let next = sc.sim.clock + monitor.cfg.interval;
             sc.sim.advance_to(next);
-            let mut access = SimAccess::new(&sc.sim);
-            monitor.run_cycle(&mut access, next);
+            monitor.run_cycle(&sc.sim, next);
         }
         // Monitoring kept going on the fallback backend…
         assert_eq!(monitor.usage_history("fixw").len(), 3);
@@ -638,7 +614,7 @@ mod tests {
             .unwrap();
         assert_eq!(table.rows[0][col], Cell::Text("degraded".into()));
         // and the HTML report.
-        let html = report_html(&monitor, "fixw");
+        let html = report_html(&monitor, "fixw", &[]);
         assert!(html.contains("Degraded persistence"));
         std::fs::remove_file(&bogus).unwrap();
     }

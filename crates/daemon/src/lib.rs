@@ -168,11 +168,11 @@ impl Engine {
     ) -> String {
         match self {
             Engine::Single(m) => mantra_core::web::live_wrap(
-                &mantra_core::web::report_html_with_events(m, router, events),
+                &mantra_core::web::report_html(m, router, events),
                 refresh_secs,
             ),
             Engine::Fleet(f) => mantra_core::web::live_wrap(
-                &mantra_core::web::fleet_report_html_with_events(f, now, events),
+                &mantra_core::web::fleet_report_html(f, now, events),
                 refresh_secs,
             ),
         }

@@ -11,7 +11,6 @@ use std::path::Path;
 use std::time::{Duration, Instant};
 
 use mantra_core::archive::ArchiveReader;
-use mantra_core::collector::SimAccess;
 use mantra_core::{ArchiveSpec, Monitor, MonitorConfig, SyncPolicy};
 use mantra_daemon::{spawn, DaemonConfig, Engine};
 use mantra_sim::Scenario;
@@ -127,13 +126,16 @@ fn daemon_serves_golden_json_and_replay_matches_offline_reader() {
         refresh_secs: 1,
         tick: Duration::from_millis(5),
         max_cycles: Some(CYCLES),
-        topology_events: vec![(mantra_net::SimTime::from_ymd(1999, 1, 1), "link fixw--ucsb-gw down".into())],
+        topology_events: vec![(
+            mantra_net::SimTime::from_ymd(1999, 1, 1),
+            "link fixw--ucsb-gw down".into(),
+        )],
     };
     let handle = spawn(cfg, Engine::Single(monitor), move |engine: &mut Engine| {
         let next = sc.sim.clock + interval;
         sc.sim.advance_to(next);
         if let Engine::Single(m) = engine {
-            m.run_cycle(&mut SimAccess::new(&sc.sim), next);
+            m.run_cycle(&sc.sim, next);
         }
         next
     })
@@ -172,7 +174,10 @@ fn daemon_serves_golden_json_and_replay_matches_offline_reader() {
     let events = seq(field(&health, "topology_events"));
     assert_eq!(events.len(), 1);
     assert_eq!(keys(&events[0]), ["at", "event"]);
-    assert_eq!(string(field(&events[0], "event")), "link fixw--ucsb-gw down");
+    assert_eq!(
+        string(field(&events[0], "event")),
+        "link fixw--ucsb-gw down"
+    );
     assert_eq!(keys(field(&health, "query_cache")), CACHE_KEYS);
     let routers = seq(field(&health, "routers"));
     assert_eq!(routers.len(), 2);
@@ -218,7 +223,10 @@ fn daemon_serves_golden_json_and_replay_matches_offline_reader() {
 
     // /stats/usage — one UsageStats per completed cycle.
     let usage = json(addr, "/stats/usage?router=fixw");
-    assert_eq!(keys(&usage), ["router", "state", "retired", "cycles", "usage"]);
+    assert_eq!(
+        keys(&usage),
+        ["router", "state", "retired", "cycles", "usage"]
+    );
     assert_eq!(string(field(&usage, "router")), "fixw");
     assert_eq!(string(field(&usage, "state")), "active");
     assert_eq!(field(&usage, "retired"), &Value::Bool(false));

@@ -140,7 +140,9 @@ impl ChurnSchedule {
             let at = start.0 + u64::from(slot % CHURN_SLOTS) * slot_len;
             let target = usize::from(*target);
             let event = match kind % 6 {
-                0 if !routers.is_empty() => ChurnEvent::RouterLeave(routers[target % routers.len()]),
+                0 if !routers.is_empty() => {
+                    ChurnEvent::RouterLeave(routers[target % routers.len()])
+                }
                 1 if !routers.is_empty() => ChurnEvent::RouterJoin(routers[target % routers.len()]),
                 2 if !links.is_empty() => ChurnEvent::LinkDown(links[target % links.len()]),
                 3 if !links.is_empty() => ChurnEvent::LinkUp(links[target % links.len()]),
@@ -195,11 +197,11 @@ impl ChurnSchedule {
         let mut raw: Vec<RawChurnOp> = Vec::new();
         let slots = u64::from(CHURN_SLOTS);
         let pair = |rng: &mut SimRng,
-                        raw: &mut Vec<RawChurnOp>,
-                        down_kind: u8,
-                        up_kind: u8,
-                        min_dur: u64,
-                        max_dur: u64| {
+                    raw: &mut Vec<RawChurnOp>,
+                    down_kind: u8,
+                    up_kind: u8,
+                    min_dur: u64,
+                    max_dur: u64| {
             let slot = rng.range_u64(2, slots - 2);
             let dur = rng.range_u64(min_dur, max_dur);
             let target = rng.range_u64(0, u64::from(u16::MAX)) as u16;
@@ -242,7 +244,7 @@ impl ChurnSchedule {
     pub fn strip(&self, upto: Option<SimTime>) -> Vec<(SimTime, String)> {
         self.events
             .iter()
-            .filter(|e| upto.map_or(true, |t| e.at <= t))
+            .filter(|e| upto.is_none_or(|t| e.at <= t))
             .map(|e| (e.at, e.label.clone()))
             .collect()
     }

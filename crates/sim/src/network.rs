@@ -452,9 +452,7 @@ impl Network {
         let cuts = std::mem::take(&mut self.partition_cuts);
         for l in cuts {
             let link = self.topo.link(l);
-            if !link.up
-                && self.topo.is_active(link.a.router)
-                && self.topo.is_active(link.b.router)
+            if !link.up && self.topo.is_active(link.a.router) && self.topo.is_active(link.b.router)
             {
                 self.on_link_change(l, true, now);
             }

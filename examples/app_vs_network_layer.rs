@@ -15,7 +15,6 @@
 //!
 //! Run with: `cargo run --release --example app_vs_network_layer`
 
-use mantra::core::collector::SimAccess;
 use mantra::core::{Monitor, MonitorConfig};
 use mantra::net::SimDuration;
 use mantra::sim::{AppLayerConfig, AppLayerMonitor, Scenario, SimRng};
@@ -69,8 +68,7 @@ fn main() {
     for _ in 0..48 {
         let next = sc.sim.clock + mantra.cfg.interval;
         sc.sim.advance_to(next);
-        let mut access = SimAccess::new(&sc.sim);
-        mantra.run_cycle(&mut access, next);
+        mantra.run_cycle(&sc.sim, next);
     }
     report("healthy network", &sc, &mantra, &mut app);
 
@@ -82,8 +80,7 @@ fn main() {
     for _ in 0..8 {
         let next = sc.sim.clock + mantra.cfg.interval;
         sc.sim.advance_to(next);
-        let mut access = SimAccess::new(&sc.sim);
-        mantra.run_cycle(&mut access, next);
+        mantra.run_cycle(&sc.sim, next);
     }
     report("uplink cut (2h in)", &sc, &mantra, &mut app);
 

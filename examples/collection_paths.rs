@@ -10,9 +10,10 @@
 //!
 //! Run with: `cargo run --release --example collection_paths`
 
-use mantra::core::collector::{preprocess, RouterAccess, SimAccess};
+use mantra::core::collector::preprocess;
 use mantra::core::processor::process;
 use mantra::core::tables::LearnedFrom;
+use mantra::core::ParallelAccess;
 use mantra::net::SimDuration;
 use mantra::router_cli::TableKind;
 use mantra::sim::Scenario;
@@ -26,10 +27,9 @@ fn main() {
     let now = sc.sim.clock;
 
     // --- Path 1: the expect-script CLI scrape (Mantra's way). ---
-    let mut access = SimAccess::new(&sc.sim);
     let mut captures = Vec::new();
     for kind in TableKind::ALL {
-        if let Ok(raw) = access.capture("fixw", kind, now) {
+        if let Ok(raw) = sc.sim.capture("fixw", kind, now) {
             captures.push(preprocess("fixw", kind, &raw, now));
         }
     }

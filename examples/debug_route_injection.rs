@@ -10,7 +10,6 @@
 //! Run with: `cargo run --release --example debug_route_injection`
 
 use mantra::core::anomaly::AnomalyKind;
-use mantra::core::collector::SimAccess;
 use mantra::core::output::{Cell, DateMode, Graph, Table};
 use mantra::core::{Monitor, MonitorConfig};
 use mantra::sim::Scenario;
@@ -30,8 +29,7 @@ fn main() {
             break;
         }
         sc.sim.advance_to(next);
-        let mut access = SimAccess::new(&sc.sim);
-        monitor.run_cycle(&mut access, next);
+        monitor.run_cycle(&sc.sim, next);
     }
 
     // The series the operator watches.

@@ -3,20 +3,17 @@
 //! aggregate different data sets and generate combined results in
 //! real-time").
 //!
-//! Collects every border router in a majority-native internetwork in
-//! parallel (rayon), merges the per-router tables into one aggregate
-//! view, and shows (a) how much more of the ground truth the aggregate
-//! recovers than any single collection point, and (b) the pairwise DVMRP
-//! consistency matrix that exposes the paper's "inconsistent state"
-//! finding automatically.
+//! Monitors every border router in a majority-native internetwork with a
+//! sharded [`FleetMonitor`] (shards collect concurrently, the aggregation
+//! tier merges them), then merges the per-router tables into one view and
+//! shows (a) how much more of the ground truth that view recovers than
+//! any single collection point, and (b) the pairwise DVMRP consistency
+//! matrix that exposes the paper's "inconsistent state" finding
+//! automatically.
 //!
 //! Run with: `cargo run --release --example multi_router_aggregation`
 
-use mantra::core::aggregate::collect_aggregate;
-use mantra::core::collector::SimAccess;
-use mantra::core::{Monitor, MonitorConfig};
-use mantra::net::SimDuration;
-use mantra::router_cli::TableKind;
+use mantra::core::{ConsistencyMatrix, FleetMonitor, MonitorConfig, Tables};
 use mantra::sim::Scenario;
 
 fn main() {
@@ -25,9 +22,8 @@ fn main() {
     // what makes the consistency matrix interesting.
     sc.sim.set_report_loss(0.25);
 
-    // Warm the world up for a day so tables are populated. A monitor on
-    // the classic two points runs alongside for comparison. Monitoring
-    // all borders makes the simulator materialise their MFIBs.
+    // FIXW plus every border. Monitoring them makes the simulator
+    // materialise their MFIBs.
     let borders: Vec<_> = sc
         .sim
         .net
@@ -43,68 +39,86 @@ fn main() {
         m.dedup();
         m
     };
-    let mut classic = Monitor::new(MonitorConfig {
-        routers: vec!["fixw".into()],
-        interval: sc.sim.tick(),
-        ..MonitorConfig::default()
-    });
-    for _ in 0..96 {
-        let next = sc.sim.clock + classic.cfg.interval;
-        sc.sim.advance_to(next);
-        let mut access = SimAccess::new(&sc.sim);
-        classic.run_cycle(&mut access, next);
-    }
-    let _ = SimDuration::ZERO;
-
-    // The aggregate cycle across every border, concurrently.
-    let router_names: Vec<String> = sc
+    let routers: Vec<String> = sc
         .sim
         .monitored
         .iter()
         .map(|r| sc.sim.net.topo.router(*r).name.clone())
         .collect();
-    let now = sc.sim.clock;
-    let view = collect_aggregate(&sc.sim, &router_names, &TableKind::ALL, now);
+    let mut fleet = FleetMonitor::new(
+        MonitorConfig {
+            routers: routers.clone(),
+            interval: sc.sim.tick(),
+            ..MonitorConfig::default()
+        },
+        4,
+    );
+    // A day of cycles, so tables are populated.
+    for _ in 0..96 {
+        let next = sc.sim.clock + fleet.cfg.interval;
+        sc.sim.advance_to(next);
+        fleet.run_cycle(&sc.sim, next);
+    }
 
+    let latest: Vec<&Tables> = routers
+        .iter()
+        .filter_map(|r| fleet.monitor_of(r)?.latest(r))
+        .collect();
+    let mut merged = Tables::new("aggregate", sc.sim.clock);
+    for t in &latest {
+        merged.merge(t);
+    }
     let truth = sc.sim.sessions.len();
-    let fixw_only = classic
-        .latest("fixw")
-        .map(|t| t.sessions.len())
-        .unwrap_or(0);
+    let fixw_only = latest
+        .iter()
+        .find(|t| t.router == "fixw")
+        .map_or(0, |t| t.sessions.len());
     println!("ground truth:         {truth} live sessions");
     println!("FIXW alone sees:      {fixw_only}");
     println!(
-        "aggregate view sees:  {} (from {} routers, {} capture failures)",
-        view.merged.sessions.len(),
-        view.per_router.len(),
-        view.per_router
-            .iter()
-            .map(|r| r.capture_failures)
-            .sum::<usize>()
+        "aggregate view sees:  {} (from {} routers in {} shards, {} capture failures)",
+        merged.sessions.len(),
+        latest.len(),
+        fleet.shard_count(),
+        fleet.capture_failures(),
     );
 
     println!("\nper-router contributions:");
-    for rc in &view.per_router {
+    for t in &latest {
         println!(
-            "  {:<14} sessions {:>4}  pairs {:>5}  dvmrp routes {:>4}  parse(ok/bad) {}/{}",
-            rc.router,
-            rc.tables.sessions.len(),
-            rc.tables.pairs.len(),
-            rc.tables.reachable_dvmrp_routes(),
-            rc.parse.parsed,
-            rc.parse.malformed,
+            "  {:<14} shard {}  sessions {:>4}  pairs {:>5}  dvmrp routes {:>4}",
+            t.router,
+            fleet.shard_of(&t.router).unwrap_or_default(),
+            t.sessions.len(),
+            t.pairs.len(),
+            t.reachable_dvmrp_routes(),
         );
     }
+    let parse = fleet.parse_totals();
+    println!(
+        "  parse over the day (ok/bad): {}/{}",
+        parse.parsed, parse.malformed
+    );
 
     println!("\npairwise DVMRP consistency (Jaccard similarity):");
-    for (a, b, report) in &view.consistency {
-        println!(
-            "  {a:<14} vs {b:<14}: {:.2} (shared {}, only-{a} {}, only-{b} {})",
-            report.similarity(),
-            report.shared,
-            report.only_first,
-            report.only_second,
-        );
+    let mut matrix = ConsistencyMatrix::build(&latest, 1);
+    for i in 0..latest.len() {
+        if !matrix.eligible(i) {
+            continue;
+        }
+        for j in (i + 1)..latest.len() {
+            let Some(report) = matrix.report(i, j) else {
+                continue;
+            };
+            let (a, b) = (&latest[i].router, &latest[j].router);
+            println!(
+                "  {a:<14} vs {b:<14}: {:.2} (shared {}, only-{a} {}, only-{b} {})",
+                report.similarity(),
+                report.shared,
+                report.only_first,
+                report.only_second,
+            );
+        }
     }
     println!("\n(the paper: \"it has become extremely important to generate global");
     println!(" results by collecting data at multiple points\" — quantified above)");

@@ -7,7 +7,6 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use mantra::core::collector::SimAccess;
 use mantra::core::{Monitor, MonitorConfig};
 use mantra::net::SimDuration;
 use mantra::sim::Scenario;
@@ -29,8 +28,7 @@ fn main() {
     for _ in 0..48 {
         let next = sc.sim.clock + monitor.cfg.interval;
         sc.sim.advance_to(next);
-        let mut access = SimAccess::new(&sc.sim);
-        monitor.run_cycle(&mut access, next);
+        monitor.run_cycle(&sc.sim, next);
     }
 
     // Headline numbers from the last cycle.

@@ -28,7 +28,7 @@ fn monitor_day(retry: RetryPolicy) -> Monitor {
         // 30% login refusals, 15% truncated dumps — keyed on the cycle
         // timestamp, so both runs see identical first-attempt failures.
         let access = FlakyAccess::new(&sc.sim, 0.3, 0.15, 7);
-        monitor.run_cycle_parallel(&access, next);
+        monitor.run_cycle(&access, next);
     }
     monitor
 }

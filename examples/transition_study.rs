@@ -12,7 +12,6 @@
 //!
 //! Run with: `cargo run --release --example transition_study`
 
-use mantra::core::collector::SimAccess;
 use mantra::core::{Monitor, MonitorConfig};
 use mantra::sim::Scenario;
 
@@ -37,8 +36,7 @@ fn run_world(label: &'static str, native_fraction: f64) -> WorldView {
     for _ in 0..(4 * 24 * 5) {
         let next = sc.sim.clock + monitor.cfg.interval;
         sc.sim.advance_to(next);
-        let mut access = SimAccess::new(&sc.sim);
-        monitor.run_cycle(&mut access, next);
+        monitor.run_cycle(&sc.sim, next);
         truth_samples.push(sc.sim.sessions.len() as f64);
     }
     let seen = monitor.usage_series("fixw", "sessions", |u| u.sessions as f64);

@@ -11,11 +11,9 @@ use std::path::Path;
 
 use common::TempDir;
 use mantra::core::archive::ArchiveReader;
-use mantra::core::collector::SimAccess;
 use mantra::core::logger::TableLog;
 use mantra::core::{
-    ArchiveSpec, BackpressureMode, LifecycleState, Monitor, MonitorConfig, SyncPolicy,
-    WriterConfig,
+    ArchiveSpec, BackpressureMode, LifecycleState, Monitor, MonitorConfig, SyncPolicy, WriterConfig,
 };
 use mantra::net::SimTime;
 use mantra::sim::{ChurnEntry, ChurnEvent, ChurnSchedule, Scenario};
@@ -83,8 +81,7 @@ fn drive(sc: &mut Scenario, m: &mut Monitor, cycles: u64) -> SimTime {
     for _ in 0..cycles {
         now = sc.sim.clock + m.cfg.interval;
         sc.sim.advance_to(now);
-        let mut access = SimAccess::new(&sc.sim);
-        m.run_cycle(&mut access, now);
+        m.run_cycle(&sc.sim, now);
     }
     now
 }

@@ -2,7 +2,6 @@
 //! dynamics, failure injection, collection, parsing, statistics — is a
 //! pure function of the scenario seed.
 
-use mantra::core::collector::SimAccess;
 use mantra::core::{Monitor, MonitorConfig};
 use mantra::sim::Scenario;
 
@@ -18,8 +17,7 @@ fn fingerprint(seed: u64, loss: f64, cycles: usize) -> Vec<(usize, usize, usize,
     for _ in 0..cycles {
         let next = sc.sim.clock + monitor.cfg.interval;
         sc.sim.advance_to(next);
-        let mut access = SimAccess::new(&sc.sim);
-        let report = monitor.run_cycle(&mut access, next);
+        let report = monitor.run_cycle(&sc.sim, next);
         let (_, usage, routes) = &report.per_router[0];
         out.push((
             usage.sessions,

@@ -2,15 +2,18 @@
 //! operational mess the paper's deployment dealt with — refused logins,
 //! half-transferred dumps, flapping links and rebooting routers.
 
-use mantra::core::collector::{CaptureError, FlakyAccess, RetryPolicy, RouterAccess, SimAccess};
+mod common;
+
+use common::TempDir;
+use mantra::core::collector::{CaptureError, FlakyAccess, RetryPolicy};
 use mantra::core::monitor::CycleReport;
-use mantra::core::{Monitor, MonitorConfig};
+use mantra::core::{ArchiveSpec, FleetMonitor, Monitor, MonitorConfig, ParallelAccess, SyncPolicy};
 use mantra::net::{SimDuration, SimTime};
 use mantra::router_cli::TableKind;
 use mantra::sim::{Event, Scenario};
 
-/// Drives a retry-configured monitor through `cycles` parallel cycles
-/// against a freshly seeded scenario with injected failures.
+/// Drives a retry-configured monitor through `cycles` cycles against a
+/// freshly seeded scenario with injected failures.
 fn flaky_monitor(
     retry: RetryPolicy,
     cycles: u64,
@@ -30,7 +33,7 @@ fn flaky_monitor(
         let next = sc.sim.clock + monitor.cfg.interval;
         sc.sim.advance_to(next);
         let access = FlakyAccess::new(&sc.sim, login, trunc, salt);
-        reports.push(monitor.run_cycle_parallel(&access, next));
+        reports.push(monitor.run_cycle(&access, next));
     }
     (monitor, reports)
 }
@@ -97,60 +100,55 @@ fn retry_outcomes_are_deterministic() {
 }
 
 #[test]
-fn parallel_cycles_write_byte_identical_logs() {
-    // Serial monitor over the mutable single-session access...
+fn standalone_and_fleet_cycles_write_byte_identical_archives() {
+    // A standalone monitor runs every stage serially, a one-shard fleet
+    // fans every stage out. Over the same world and the same failure
+    // salts, the reports must match and the archives must be
+    // byte-identical on disk.
+    let dir = TempDir::new("engine-parity");
     let mut sc = Scenario::transition_snapshot(206, 0.4);
-    let mut serial = Monitor::new(MonitorConfig {
+    let interval = sc.sim.tick();
+    let cfg = |engine: &str| MonitorConfig {
         routers: vec!["fixw".into(), "ucsb-gw".into()],
-        interval: sc.sim.tick(),
+        interval,
+        archive: ArchiveSpec::File {
+            dir: dir.join(engine),
+            sync: SyncPolicy::default(),
+        },
         ..MonitorConfig::default()
-    });
-    let mut serial_reports = Vec::new();
+    };
+    let mut single = Monitor::new(cfg("single"));
+    let mut fleet = FleetMonitor::new(cfg("fleet"), 1);
     for _ in 0..12 {
-        let next = sc.sim.clock + serial.cfg.interval;
-        sc.sim.advance_to(next);
-        let mut access = FlakyAccess::new(SimAccess::new(&sc.sim), 0.25, 0.25, 3);
-        serial_reports.push(serial.run_cycle(&mut access, next));
-    }
-    // ...and the parallel monitor over the shared-session access, same
-    // scenario seed, same failure salts.
-    let mut sc = Scenario::transition_snapshot(206, 0.4);
-    let mut parallel = Monitor::new(MonitorConfig {
-        routers: vec!["fixw".into(), "ucsb-gw".into()],
-        interval: sc.sim.tick(),
-        ..MonitorConfig::default()
-    });
-    let mut parallel_reports = Vec::new();
-    for _ in 0..12 {
-        let next = sc.sim.clock + parallel.cfg.interval;
+        let next = sc.sim.clock + interval;
         sc.sim.advance_to(next);
         let access = FlakyAccess::new(&sc.sim, 0.25, 0.25, 3);
-        parallel_reports.push(parallel.run_cycle_parallel(&access, next));
+        assert_eq!(
+            single.run_cycle(&access, next),
+            fleet.run_cycle(&access, next)
+        );
     }
-    assert_eq!(serial_reports, parallel_reports);
-    // The delta-log archives must be byte-identical.
-    let dir = std::env::temp_dir().join(format!("mantra-par-{}", std::process::id()));
-    let (sdir, pdir) = (dir.join("serial"), dir.join("parallel"));
-    serial.export_archives(&sdir).unwrap();
-    parallel.export_archives(&pdir).unwrap();
+    assert!(single.capture_failures() > 0, "failures were injected");
+    assert_eq!(single.capture_failures(), fleet.capture_failures());
+    // Dropping the engines closes every archive.
+    drop((single, fleet));
     for router in ["fixw", "ucsb-gw"] {
-        let s = std::fs::read(sdir.join(format!("{router}.jsonl"))).unwrap();
-        let p = std::fs::read(pdir.join(format!("{router}.jsonl"))).unwrap();
+        let s = std::fs::read(ArchiveSpec::path_for(&dir.join("single"), router)).unwrap();
+        let f = std::fs::read(ArchiveSpec::path_for(&dir.join("fleet"), router)).unwrap();
         assert!(!s.is_empty());
-        assert_eq!(s, p, "{router} archives diverge");
+        assert_eq!(s, f, "{router} archives diverge");
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Refuses every login for one router; everything else passes through.
-struct Starving<'a> {
-    inner: SimAccess<'a>,
+struct Starving<A> {
+    inner: A,
     victim: &'static str,
 }
 
-impl RouterAccess for Starving<'_> {
+impl<A: ParallelAccess> ParallelAccess for Starving<A> {
     fn capture(
-        &mut self,
+        &self,
         router: &str,
         table: TableKind,
         now: SimTime,
@@ -174,11 +172,11 @@ fn starved_router_goes_stale() {
     for _ in 0..8 {
         now = sc.sim.clock + monitor.cfg.interval;
         sc.sim.advance_to(now);
-        let mut access = Starving {
-            inner: SimAccess::new(&sc.sim),
+        let access = Starving {
+            inner: &sc.sim,
             victim: "ucsb-gw",
         };
-        monitor.run_cycle(&mut access, now);
+        monitor.run_cycle(&access, now);
     }
     let healthy = monitor.router_health("fixw").unwrap();
     let starved = monitor.router_health("ucsb-gw").unwrap();
@@ -222,8 +220,8 @@ fn monitor_survives_heavy_capture_failures() {
     for i in 0..24 {
         let next = sc.sim.clock + monitor.cfg.interval;
         sc.sim.advance_to(next);
-        let mut access = FlakyAccess::new(SimAccess::new(&sc.sim), 0.3, 0.3, 99 + i);
-        monitor.run_cycle(&mut access, next);
+        let access = FlakyAccess::new(&sc.sim, 0.3, 0.3, 99 + i);
+        monitor.run_cycle(&access, next);
     }
     assert_eq!(monitor.cycles(), 24);
     assert!(monitor.capture_failures() > 5, "failures were injected");
@@ -242,9 +240,9 @@ fn truncated_dumps_do_not_poison_tables() {
     sc.sim.advance_to(sc.sim.clock + SimDuration::hours(6));
     let now = sc.sim.clock;
     // Pure truncation, no login failures, aggressive rate.
-    let mut flaky = FlakyAccess::new(SimAccess::new(&sc.sim), 0.0, 1.0, 7);
-    let mut collector = mantra::core::collector::Collector::new();
-    let captures = collector.collect(&mut flaky, "fixw", now);
+    let flaky = FlakyAccess::new(&sc.sim, 0.0, 1.0, 7);
+    let collector = mantra::core::collector::Collector::new();
+    let (captures, _) = collector.collect_with(&flaky, "fixw", now);
     let (tables, stats) = mantra::core::processor::process(&captures);
     // Every surviving row is well-formed (the torn line was dropped).
     assert_eq!(stats.malformed, 0, "{stats:?}");
@@ -267,8 +265,7 @@ fn link_flaps_show_up_and_heal() {
     for _ in 0..8 {
         let next = sc.sim.clock + monitor.cfg.interval;
         sc.sim.advance_to(next);
-        let mut access = SimAccess::new(&sc.sim);
-        monitor.run_cycle(&mut access, next);
+        monitor.run_cycle(&sc.sim, next);
     }
     let healthy = monitor
         .route_history("fixw")
@@ -284,8 +281,7 @@ fn link_flaps_show_up_and_heal() {
     for _ in 0..4 {
         let next = sc.sim.clock + monitor.cfg.interval;
         sc.sim.advance_to(next);
-        let mut access = SimAccess::new(&sc.sim);
-        monitor.run_cycle(&mut access, next);
+        monitor.run_cycle(&sc.sim, next);
     }
     let during = monitor
         .route_history("fixw")
@@ -300,8 +296,7 @@ fn link_flaps_show_up_and_heal() {
     for _ in 0..12 {
         let next = sc.sim.clock + monitor.cfg.interval;
         sc.sim.advance_to(next);
-        let mut access = SimAccess::new(&sc.sim);
-        monitor.run_cycle(&mut access, next);
+        monitor.run_cycle(&sc.sim, next);
     }
     let healed = monitor
         .route_history("fixw")
@@ -332,16 +327,14 @@ fn collection_gap_then_resume() {
     for _ in 0..6 {
         let next = sc.sim.clock + monitor.cfg.interval;
         sc.sim.advance_to(next);
-        let mut access = SimAccess::new(&sc.sim);
-        monitor.run_cycle(&mut access, next);
+        monitor.run_cycle(&sc.sim, next);
     }
     // Mantra host goes away for a day; the network keeps running.
     sc.sim.advance_to(sc.sim.clock + SimDuration::days(1));
     for _ in 0..6 {
         let next = sc.sim.clock + monitor.cfg.interval;
         sc.sim.advance_to(next);
-        let mut access = SimAccess::new(&sc.sim);
-        monitor.run_cycle(&mut access, next);
+        monitor.run_cycle(&sc.sim, next);
     }
     assert_eq!(monitor.cycles(), 12);
     let hist = monitor.usage_history("fixw");

@@ -3,7 +3,6 @@
 //! the paper's figure makes, on a window short enough for the test suite.
 
 use mantra::core::anomaly::AnomalyKind;
-use mantra::core::collector::SimAccess;
 use mantra::core::{Monitor, MonitorConfig};
 use mantra::net::{SimDuration, SimTime};
 use mantra::sim::{Event, Scenario};
@@ -15,8 +14,7 @@ fn drive_until(sc: &mut Scenario, monitor: &mut Monitor, until: SimTime) {
             break;
         }
         sc.sim.advance_to(next);
-        let mut access = SimAccess::new(&sc.sim);
-        monitor.run_cycle(&mut access, next);
+        monitor.run_cycle(&sc.sim, next);
     }
 }
 

@@ -1,7 +1,7 @@
 //! End-to-end pipeline tests: simulated routers → CLI scrape → parse →
 //! log → statistics, across crates.
 
-use mantra::core::collector::{FlakyAccess, SimAccess};
+use mantra::core::collector::FlakyAccess;
 use mantra::core::{Monitor, MonitorConfig, StageKind};
 use mantra::net::rate::SENDER_THRESHOLD;
 use mantra::net::{SimDuration, SimTime};
@@ -11,8 +11,7 @@ fn drive(sc: &mut Scenario, monitor: &mut Monitor, cycles: usize) {
     for _ in 0..cycles {
         let next = sc.sim.clock + monitor.cfg.interval;
         sc.sim.advance_to(next);
-        let mut access = SimAccess::new(&sc.sim);
-        monitor.run_cycle(&mut access, next);
+        monitor.run_cycle(&sc.sim, next);
     }
 }
 
@@ -156,7 +155,7 @@ fn stage_metrics_sum_to_cycle_totals() {
         // Failure injection so retries accumulate simulated backoff
         // latency into the Capture stage.
         let access = FlakyAccess::new(&sc.sim, 0.2, 0.2, 200 + i);
-        monitor.run_cycle_parallel(&access, next);
+        monitor.run_cycle(&access, next);
     }
     // Every stage ran exactly once per cycle and spent visible wall time.
     for kind in StageKind::ALL {

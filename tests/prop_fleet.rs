@@ -7,10 +7,12 @@
 //! global consistency join visits each pair once), checked end-to-end
 //! through the live simulator rather than on synthetic tables.
 
+mod common;
+
 use proptest::prelude::*;
 
+use common::TempDir;
 use mantra::core::anomaly::InconsistencyMonitor;
-use mantra::core::collector::SimAccess;
 use mantra::core::logger::TableLog;
 use mantra::core::tables::{LearnedFrom, RouteRow, Tables};
 use mantra::core::{ArchiveSpec, FleetMonitor, Monitor, MonitorConfig, SyncPolicy};
@@ -71,8 +73,7 @@ proptest! {
             sc_fleet.sim.advance_to(next);
             let fr = fleet.run_cycle(&sc_fleet.sim, next);
             sc_single.sim.advance_to(next);
-            let mut access = SimAccess::new(&sc_single.sim);
-            let sr = single.run_cycle(&mut access, next);
+            let sr = single.run_cycle(&sc_single.sim, next);
             // The merged cycle report re-interleaves to the single
             // monitor's exact shape.
             prop_assert_eq!(&fr, &sr);
@@ -159,8 +160,7 @@ proptest! {
             sc_fleet.sim.advance_to(next);
             let fr = fleet.run_cycle(&sc_fleet.sim, next);
             sc_single.sim.advance_to(next);
-            let mut access = SimAccess::new(&sc_single.sim);
-            let sr = single.run_cycle(&mut access, next);
+            let sr = single.run_cycle(&sc_single.sim, next);
             prop_assert_eq!(&fr, &sr);
             prop_assert_eq!(
                 fleet.usage_history().last().unwrap(),
@@ -230,7 +230,7 @@ proptest! {
 /// archives — from disk, through fresh `TableLog::load`s.
 #[test]
 fn sharded_file_archives_replay_identically() {
-    let base = std::env::temp_dir().join(format!("mantra-prop-fleet-{}", std::process::id()));
+    let base = TempDir::new("prop-fleet");
     let (dir_fleet, dir_single) = (base.join("fleet"), base.join("single"));
     let spec = |dir: &std::path::Path| ArchiveSpec::File {
         dir: dir.to_path_buf(),
@@ -245,8 +245,7 @@ fn sharded_file_archives_replay_identically() {
         sc_fleet.sim.advance_to(next);
         fleet.run_cycle(&sc_fleet.sim, next);
         sc_single.sim.advance_to(next);
-        let mut access = SimAccess::new(&sc_single.sim);
-        single.run_cycle(&mut access, next);
+        single.run_cycle(&sc_single.sim, next);
     }
     // No shard hit a write error or fell back to memory.
     for shard in fleet.shards() {
@@ -258,5 +257,4 @@ fn sharded_file_archives_replay_identically() {
         assert_eq!(f.replay(), s.replay(), "archive divergence at {r}");
         assert_eq!(f.replay().len(), 4);
     }
-    let _ = std::fs::remove_dir_all(&base);
 }

@@ -7,8 +7,9 @@
 
 use proptest::prelude::*;
 
-use mantra::core::collector::{preprocess_bytes, RouterAccess, SimAccess};
+use mantra::core::collector::preprocess_bytes;
 use mantra::core::processor::{process, reference};
+use mantra::core::ParallelAccess;
 use mantra::net::{SimDuration, SimTime};
 use mantra::router_cli::TableKind;
 use mantra::sim::Scenario;
@@ -32,11 +33,10 @@ fn real_dumps() -> Vec<(TableKind, String)> {
     let mut sc = Scenario::transition_snapshot(7, 0.5);
     sc.sim.advance_to(sc.sim.clock + SimDuration::hours(6));
     let now = sc.sim.clock;
-    let mut access = SimAccess::new(&sc.sim);
     let mut out = Vec::new();
     for k in TableKind::ALL {
         for router in ["fixw", "ucsb-gw"] {
-            if let Ok(raw) = access.capture(router, k, now) {
+            if let Ok(raw) = sc.sim.capture(router, k, now) {
                 out.push((k, raw));
             }
         }
@@ -99,11 +99,10 @@ fn parsers_agree_on_live_cycles() {
     for cycle in 0..6 {
         let now = sc.sim.clock + SimDuration::hours(2);
         sc.sim.advance_to(now);
-        let mut access = SimAccess::new(&sc.sim);
         for router in ["fixw", "ucsb-gw"] {
             let mut batch = Vec::new();
             for kind in TableKind::ALL {
-                if let Ok(raw) = access.capture(router, kind, now) {
+                if let Ok(raw) = sc.sim.capture(router, kind, now) {
                     batch.push(preprocess_bytes(router, kind, raw.into_bytes(), now));
                 }
             }

@@ -4,8 +4,9 @@
 
 use proptest::prelude::*;
 
-use mantra::core::collector::{preprocess, RouterAccess, SimAccess};
+use mantra::core::collector::preprocess;
 use mantra::core::processor::process;
+use mantra::core::ParallelAccess;
 use mantra::net::{SimDuration, SimTime};
 use mantra::router_cli::TableKind;
 use mantra::sim::Scenario;
@@ -15,11 +16,10 @@ fn real_dumps() -> Vec<(TableKind, String)> {
     let mut sc = Scenario::transition_snapshot(3, 0.5);
     sc.sim.advance_to(sc.sim.clock + SimDuration::hours(6));
     let now = sc.sim.clock;
-    let mut access = SimAccess::new(&sc.sim);
     let mut out = Vec::new();
     for k in TableKind::ALL {
         for router in ["fixw", "ucsb-gw"] {
-            if let Ok(raw) = access.capture(router, k, now) {
+            if let Ok(raw) = sc.sim.capture(router, k, now) {
                 out.push((k, raw));
             }
         }

@@ -1,7 +1,6 @@
 //! SAP session directory feeding Mantra's session-name column: the
 //! network-layer tool consuming the application layer's one useful output.
 
-use mantra::core::collector::SimAccess;
 use mantra::core::{Monitor, MonitorConfig};
 use mantra::net::SimDuration;
 use mantra::sim::{AppLayerConfig, AppLayerMonitor, Scenario, SimRng};
@@ -21,8 +20,7 @@ fn sap_names_annotate_sessions() {
         // The SAP listener runs alongside and feeds the directory in.
         let names = sap.sap_directory(&sc.sim, next);
         monitor.learn_session_names(names);
-        let mut access = SimAccess::new(&sc.sim);
-        monitor.run_cycle(&mut access, next);
+        monitor.run_cycle(&sc.sim, next);
     }
     let latest = monitor.latest("fixw").unwrap();
     let named = latest

@@ -1,9 +1,10 @@
 //! SNMP vs CLI collection, head to head — the reproducible version of the
 //! paper's Section II argument for router-login scraping.
 
-use mantra::core::collector::{preprocess, RouterAccess, SimAccess};
+use mantra::core::collector::preprocess;
 use mantra::core::processor::process;
 use mantra::core::tables::LearnedFrom;
+use mantra::core::ParallelAccess;
 use mantra::net::{SimDuration, SimTime};
 use mantra::router_cli::TableKind;
 use mantra::sim::Scenario;
@@ -19,11 +20,10 @@ fn warmed(seed: u64) -> (Scenario, SimTime) {
 }
 
 fn cli_tables(sc: &Scenario, router: &str, now: SimTime) -> mantra::core::tables::Tables {
-    let mut access = SimAccess::new(&sc.sim);
     let captures: Vec<_> = TableKind::ALL
         .iter()
         .filter_map(|k| {
-            access
+            sc.sim
                 .capture(router, *k, now)
                 .ok()
                 .map(|raw| preprocess(router, *k, &raw, now))
