@@ -5,8 +5,9 @@
 //! collect data from multiple routers concurrently, but also aggregate
 //! different data sets and generate combined results in real-time".
 //! [`ParallelAccess`] is the one transport every cycle captures through:
-//! captures take `&self`, so one handle serves the serial standalone
-//! [`Monitor`](crate::monitor::Monitor) and the concurrent shards of a
+//! captures take `&self`, so one handle serves every router task of a
+//! cycle, whether the cycle runs inline or fans routers out across
+//! threads, for a [`Monitor`](crate::monitor::Monitor) and a
 //! [`FleetMonitor`](crate::fleet::FleetMonitor) alike. The fleet is where
 //! the announced aggregation lives: it merges its shards' per-router
 //! outputs into one global view.

@@ -269,8 +269,8 @@ pub trait ArchiveBackend: fmt::Debug + Send {
     /// Backend name for metrics ("memory", "file").
     fn kind(&self) -> &'static str;
 
-    /// Appends one record.
-    fn append(&mut self, rec: &LogRecord) -> io::Result<()>;
+    /// Appends one record, taking ownership of it.
+    fn append(&mut self, rec: LogRecord) -> io::Result<()>;
 
     /// Records archived.
     fn len(&self) -> usize;
@@ -322,13 +322,13 @@ impl ArchiveBackend for MemoryBackend {
         "memory"
     }
 
-    fn append(&mut self, rec: &LogRecord) -> io::Result<()> {
+    fn append(&mut self, rec: LogRecord) -> io::Result<()> {
         if matches!(rec, LogRecord::Full(_)) {
             self.last_checkpoint = Some(self.records.len());
             self.stats.checkpoints += 1;
         }
         self.stats.records += 1;
-        self.records.push(rec.clone());
+        self.records.push(rec);
         Ok(())
     }
 
@@ -576,7 +576,7 @@ impl ArchiveBackend for FileBackendV1 {
         "file"
     }
 
-    fn append(&mut self, _rec: &LogRecord) -> io::Result<()> {
+    fn append(&mut self, _rec: LogRecord) -> io::Result<()> {
         self.stats.write_errors += 1;
         Err(v1_is_read_only(&self.path))
     }
@@ -1451,7 +1451,7 @@ impl ArchiveBackend for FileBackendV2 {
         "file"
     }
 
-    fn append(&mut self, rec: &LogRecord) -> io::Result<()> {
+    fn append(&mut self, rec: LogRecord) -> io::Result<()> {
         if self.read_only {
             self.stats.write_errors += 1;
             return Err(read_only_error());
@@ -1461,7 +1461,7 @@ impl ArchiveBackend for FileBackendV2 {
             return Err(e);
         }
         let seq = (self.offsets.len() - 1) as u64;
-        let (kind, payload) = encode_record_v2(rec, &mut self.dict, seq);
+        let (kind, payload) = encode_record_v2(&rec, &mut self.dict, seq);
         // New dictionary entries ride ahead of the record that needs
         // them, in the same write. `persisted` only advances after the
         // write succeeds, so entries lost to a torn frame are re-emitted
@@ -1858,7 +1858,7 @@ impl ThreadedBackend {
                 batch
             };
             let mut backend = lock_clean(&shared.backend);
-            for rec in &batch {
+            for rec in batch {
                 if skipping {
                     if matches!(rec, LogRecord::Full(_)) {
                         skipping = false;
@@ -1926,7 +1926,7 @@ impl ArchiveBackend for ThreadedBackend {
         self.kind
     }
 
-    fn append(&mut self, rec: &LogRecord) -> io::Result<()> {
+    fn append(&mut self, rec: LogRecord) -> io::Result<()> {
         let shared = &self.shared;
         let mut q = lock_clean(&shared.q);
         if let Some(msg) = q.deferred_error.take() {
@@ -1955,7 +1955,7 @@ impl ArchiveBackend for ThreadedBackend {
                 }
             }
         }
-        q.buf.push_back(rec.clone());
+        q.buf.push_back(rec);
         let depth = (q.buf.len() + q.in_flight) as u64;
         shared.high_water.fetch_max(depth, Ordering::Relaxed);
         drop(q);
@@ -2665,12 +2665,12 @@ mod tests {
         let path = tmp("fsync.marc");
         let mut be = FileBackendV2::create(&path).unwrap();
         let base = be.stats().fsyncs;
-        be.append(&full_record(0)).unwrap();
+        be.append(full_record(0)).unwrap();
         assert_eq!(be.stats().fsyncs, base + 1, "checkpoint syncs");
         assert_eq!(be.stats().pending_appends, 0);
         be.sync = SyncPolicy::every_records(2);
         for n in 1..=4 {
-            be.append(&delta_record(n)).unwrap();
+            be.append(delta_record(n)).unwrap();
         }
         assert_eq!(be.stats().fsyncs, base + 3, "every second delta syncs");
         std::fs::remove_file(&path).unwrap();
@@ -2685,7 +2685,7 @@ mod tests {
             every_records: 0,
             every_bytes: 1, // every append crosses the byte threshold
         };
-        be.append(&full_record(0)).unwrap();
+        be.append(full_record(0)).unwrap();
         assert_eq!(be.stats().fsyncs, 2, "create + byte-cadence sync");
         assert_eq!(be.stats().pending_appends, 0);
         be.sync = SyncPolicy {
@@ -2694,7 +2694,7 @@ mod tests {
             every_bytes: 0,
         };
         for n in 1..=3 {
-            be.append(&delta_record(n)).unwrap();
+            be.append(delta_record(n)).unwrap();
         }
         assert_eq!(be.stats().fsyncs, 2, "no further syncs");
         assert_eq!(be.stats().pending_appends, 3, "three records at risk");
@@ -2828,7 +2828,7 @@ mod tests {
         assert_eq!(be.len(), 1, "records after the corruption are dropped");
 
         // Appends are refused, naming the way forward.
-        let err = be.append(&recs[1]).unwrap_err();
+        let err = be.append(recs[1].clone()).unwrap_err();
         assert!(err.to_string().contains("mantra archive compact"), "{err}");
         assert_eq!(be.stats().write_errors, 1);
         assert_eq!(std::fs::read(&path).unwrap(), bytes, "the reader wrote");
@@ -2844,7 +2844,7 @@ mod tests {
         let mut be = FileBackendV2::create(&path).unwrap();
         let recs = vec![rich_full(0), rich_delta(1), rich_delta(2), rich_full(3)];
         for rec in &recs {
-            be.append(rec).unwrap();
+            be.append(rec.clone()).unwrap();
         }
         assert_eq!(be.len(), 4);
         assert_eq!(be.last_checkpoint(), Some(3));
@@ -2877,7 +2877,7 @@ mod tests {
         let path = tmp("v2-truncated.marc");
         let mut be = FileBackendV2::create(&path).unwrap();
         for rec in [rich_full(0), rich_delta(1), rich_delta(2)] {
-            be.append(&rec).unwrap();
+            be.append(rec).unwrap();
         }
         let offsets = be.offsets().to_vec();
         drop(be);
@@ -2891,7 +2891,7 @@ mod tests {
         assert_eq!(std::fs::metadata(&path).unwrap().len(), offsets[2]);
         // Appending after recovery keeps the archive self-consistent.
         let mut be = be;
-        be.append(&rich_delta(9)).unwrap();
+        be.append(rich_delta(9)).unwrap();
         let back: Vec<LogRecord> = be.records().map(|r| r.unwrap()).collect();
         assert_eq!(back.len(), 3);
         std::fs::remove_file(&path).unwrap();
@@ -2902,7 +2902,7 @@ mod tests {
         let path = tmp("v2-kindflip.marc");
         let mut be = FileBackendV2::create(&path).unwrap();
         for rec in [rich_full(0), rich_delta(1), rich_delta(2)] {
-            be.append(&rec).unwrap();
+            be.append(rec).unwrap();
         }
         let at = rec_frame_start(&be, 1) as usize;
         drop(be);
@@ -2922,7 +2922,7 @@ mod tests {
         let path = tmp("v2-dup.marc");
         let mut be = FileBackendV2::create(&path).unwrap();
         for rec in [rich_full(0), rich_delta(1)] {
-            be.append(&rec).unwrap();
+            be.append(rec).unwrap();
         }
         let span = (rec_frame_start(&be, 1) as usize, be.offsets()[2] as usize);
         drop(be);
@@ -2942,7 +2942,7 @@ mod tests {
     fn v2_epoch_mismatched_dictionary_segment_ends_the_archive() {
         let path = tmp("v2-epoch.marc");
         let mut be = FileBackendV2::create_with_epoch(&path, 7).unwrap();
-        be.append(&rich_full(0)).unwrap();
+        be.append(rich_full(0)).unwrap();
         assert_eq!(be.describe().epoch, 7);
         drop(be);
         // Rewrite the header epoch: every dictionary segment is now
@@ -2959,7 +2959,7 @@ mod tests {
     fn memory_backend_accounts_checkpoints() {
         let mut be = MemoryBackend::default();
         for rec in [full_record(0), delta_record(1), full_record(2)] {
-            be.append(&rec).unwrap();
+            be.append(rec).unwrap();
         }
         assert_eq!(be.len(), 3);
         assert_eq!(be.last_checkpoint(), Some(2));
@@ -2976,13 +2976,13 @@ mod tests {
         let path = tmp("torn-heal-append-v2.marc");
         let mut be = FileBackendV2::create(&path).unwrap();
         be.sync = SyncPolicy::every_records(1);
-        be.append(&full_record(0)).unwrap();
+        be.append(full_record(0)).unwrap();
         let good_len = std::fs::metadata(&path).unwrap().len();
 
         // ENOSPC-style failure: 5 bytes of the frame land, then the
         // write fails.
         be.inject_torn_write(5);
-        let err = be.append(&delta_record(1)).unwrap_err();
+        let err = be.append(delta_record(1)).unwrap_err();
         assert!(err.to_string().contains("torn frame"), "{err}");
         let s = be.stats();
         assert_eq!(s.write_errors, 1);
@@ -2995,7 +2995,7 @@ mod tests {
 
         // Next append heals: tail re-truncated, new frame lands at the
         // logical end, stream replays cleanly.
-        be.append(&full_record(2)).unwrap();
+        be.append(full_record(2)).unwrap();
         assert_eq!(be.len(), 2);
         let back: Vec<LogRecord> = be.records().map(|r| r.unwrap()).collect();
         assert_eq!(back, [full_record(0), full_record(2)]);
@@ -3010,11 +3010,11 @@ mod tests {
     fn torn_write_heals_on_sync_v2() {
         let path = tmp("torn-heal-v2.marc");
         let mut be = FileBackendV2::create(&path).unwrap();
-        be.append(&rich_full(0)).unwrap();
+        be.append(rich_full(0)).unwrap();
         let good_len = std::fs::metadata(&path).unwrap().len();
 
         be.inject_torn_write(7);
-        assert!(be.append(&rich_delta(1)).is_err());
+        assert!(be.append(rich_delta(1)).is_err());
         assert_eq!(be.stats().write_errors, 1);
         assert!(std::fs::metadata(&path).unwrap().len() > good_len);
 
@@ -3024,7 +3024,7 @@ mod tests {
         assert_eq!(be.stats().pending_appends, 0);
 
         // And appends keep working; sequence numbers stay dense.
-        be.append(&rich_full(2)).unwrap();
+        be.append(rich_full(2)).unwrap();
         let back: Vec<LogRecord> = be.records().map(|r| r.unwrap()).collect();
         assert_eq!(back.len(), 2);
         drop(be);
@@ -3050,7 +3050,7 @@ mod tests {
 
         let mut serial = FileBackendV2::create(&serial_path).unwrap();
         for rec in &recs {
-            serial.append(rec).unwrap();
+            serial.append(rec.clone()).unwrap();
         }
         serial.sync().unwrap();
         drop(serial);
@@ -3059,7 +3059,7 @@ mod tests {
         let mut be = ThreadedBackend::spawn(inner, WriterConfig::default());
         assert_eq!(be.kind(), "file+writer");
         for rec in &recs {
-            be.append(rec).unwrap();
+            be.append(rec.clone()).unwrap();
         }
         // len() is a drain barrier: all 10 records are applied after it.
         assert_eq!(be.len(), 10);
@@ -3091,11 +3091,11 @@ mod tests {
 
         // This append enqueues fine; the failure happens on the writer
         // thread when the frame is applied.
-        be.append(&rich_full(0)).unwrap();
+        be.append(rich_full(0)).unwrap();
         be.drain();
 
         // The next append surfaces the deferred error.
-        let err = be.append(&rich_delta(1)).unwrap_err();
+        let err = be.append(rich_delta(1)).unwrap_err();
         assert!(err.to_string().contains("archive writer"), "{err}");
         let s = be.stats();
         assert!(s.write_errors >= 1);
@@ -3105,7 +3105,7 @@ mod tests {
         );
 
         // A Full record re-anchors the chain and lands cleanly.
-        be.append(&rich_full(2)).unwrap();
+        be.append(rich_full(2)).unwrap();
         assert_eq!(be.len(), 1, "only the re-anchoring full survives");
         drop(be);
         std::fs::remove_file(&path).unwrap();

@@ -8,8 +8,10 @@
 //! the fleet across several of them (the distributed-hybrid-monitoring
 //! shape: local collectors, regional aggregators, global composition).
 //! Each shard owns its router subset, its own `TableStore` and its own
-//! archives, and drives its cycle concurrently with the others; the fleet
-//! tier then merges shard outputs into one global view:
+//! archives. A fleet cycle is the monitor's cycle over every shard at
+//! once: one fan-out over all (shard × router) tasks, its width chosen
+//! from the fleet's rows, then each shard's fold. The fleet tier then
+//! merges shard outputs into one global view:
 //!
 //! * **Statistics compose exactly.** Shards expose their integer
 //!   accumulator sums ([`Monitor::stream_totals`]); the fleet absorbs
@@ -33,8 +35,11 @@ use mantra_net::SimTime;
 
 use crate::aggregate::ParallelAccess;
 use crate::anomaly::{Anomaly, InconsistencyMonitor};
-use crate::monitor::{parse_accounting_table, parse_degraded, CycleReport, Monitor, MonitorConfig};
+use crate::monitor::{
+    parse_accounting_table, parse_degraded, run_cycle_over, CycleReport, Monitor, MonitorConfig,
+};
 use crate::output::{Cell, Graph, Table};
+use crate::pipeline::{cycle_width, worker_life};
 use crate::processor::ParseStats;
 use crate::stats::{ConsistencyMatrix, ConsistencyReport, RouteChurn, RouteStats, UsageStats};
 use crate::stats_stream::StatsTotals;
@@ -223,21 +228,21 @@ impl FleetMonitor {
         parse_accounting_table(&self.parse_totals(), "Parse accounting (fleet)")
     }
 
-    /// One fleet cycle at `now`: every shard runs its own (internally
-    /// parallel) cycle concurrently, then the aggregation tier interleaves
-    /// the shard reports back into global configuration order, sweeps
-    /// cross-router consistency globally and folds the exact integer-sum
-    /// statistics. The merged report is identical to a single [`Monitor`]
-    /// over the whole fleet.
+    /// One fleet cycle at `now`: one fan-out over every shard's routers,
+    /// at the width the fleet's previous-cycle rows call for, and each
+    /// shard's fold; then the aggregation tier interleaves the shard
+    /// reports back into global configuration order, sweeps cross-router
+    /// consistency globally and folds the exact integer-sum statistics.
+    /// The merged report is identical to a single [`Monitor`] over the
+    /// whole fleet.
     pub fn run_cycle<P: ParallelAccess + ?Sized>(
         &mut self,
         access: &P,
         now: SimTime,
     ) -> CycleReport {
-        let reports: Vec<CycleReport> = {
-            let mut shards: Vec<&mut Monitor> = self.shards.iter_mut().collect();
-            rayon::parallel_map_mut(&mut shards, |m| m.run_cycle_parallel(access, now))
-        };
+        let (rows, routers) = (self.parse_last().parsed as u64, self.cfg.routers.len());
+        let (width, life) = (cycle_width(rows, routers), worker_life(rows, routers));
+        let reports = run_cycle_over(&mut self.shards, access, now, width, life);
         self.cycles += 1;
         let mut report = CycleReport {
             at: now,

@@ -5,7 +5,7 @@
 //! paper's Figure 1 pipeline:
 //!
 //! * [`aggregate`] — the router transport, [`aggregate::ParallelAccess`]:
-//!   one capture interface for every cycle, serial or concurrent (the
+//!   one capture interface for every cycle, inline or fanned out (the
 //!   simulator-backed implementation stands in for the paper's expect
 //!   scripts),
 //! * [`collector`] — logs into routers through that transport, retrying
@@ -31,13 +31,14 @@
 //!   debugged, led by the Figure 9 unicast route injection,
 //! * [`store`] — interned identifier tables mapping router names, hosts,
 //!   groups and route keys to dense ids for the hot path,
-//! * [`pipeline`] — the staged cycle: typed Capture → Parse → Enrich →
-//!   Log → Analyse stages with per-stage instrumentation,
-//! * [`monitor`] — the orchestrator driving the pipeline,
+//! * [`pipeline`] — the cycle's per-router work: each router's Capture →
+//!   Parse → Enrich → Log → Analyse as one task, one fan-out per cycle
+//!   sized by the rows it carries, and per-stage instrumentation,
+//! * [`monitor`] — the orchestrator running that cycle,
 //! * [`fleet`] — the sharded fleet, and the paper's announced next step:
-//!   N monitors over disjoint router subsets collecting concurrently,
-//!   merged through an exact (integer-sum) aggregation tier with a global
-//!   consistency join,
+//!   N monitors over disjoint router subsets collecting concurrently in
+//!   one fan-out, merged through an exact (integer-sum) aggregation tier
+//!   with a global consistency join,
 //! * [`web`] — the web presentation layer (static HTML + SVG reports,
 //!   standing in for the paper's Java applets).
 

@@ -826,17 +826,9 @@ impl TableLog {
     /// a previous snapshot exists — even on cycles that *store* a full
     /// checkpoint record — so streaming analysers can fold it without
     /// re-diffing. `None` only for the first append of a fresh log.
+    /// Diffs intern through the log's own scratch store, so logs append
+    /// independently of each other.
     pub fn append(&mut self, tables: &Tables) -> Option<TableDelta> {
-        let mut store = std::mem::take(&mut self.scratch);
-        let delta = self.append_with(&mut store, tables);
-        self.scratch = store;
-        delta
-    }
-
-    /// [`TableLog::append`] interning through a caller-owned store, so one
-    /// store can serve every router's log (the monitor shares its
-    /// pipeline-wide [`TableStore`] here).
-    pub fn append_with(&mut self, store: &mut TableStore, tables: &Tables) -> Option<TableDelta> {
         if self.sealed {
             self.write_errors += 1;
             self.backend_error = Some("archive is sealed (router retired)".into());
@@ -848,7 +840,7 @@ impl TableLog {
         let delta = self
             .tail
             .as_ref()
-            .map(|prev| diff_with(store, prev, &parts));
+            .map(|prev| diff_with(&mut self.scratch, prev, &parts));
         let due = self.since_full < self.full_every;
         let record = match &delta {
             Some(d) if due && d.cost() < full_cost => {
@@ -861,7 +853,7 @@ impl TableLog {
             }
         };
         self.stored_cost += record.cost();
-        if let Err(e) = self.backend.append(&record) {
+        if let Err(e) = self.backend.append(record) {
             self.write_errors += 1;
             self.backend_error = Some(e.to_string());
             // The record never reached the archive; a delta stored after
@@ -1070,7 +1062,7 @@ impl TableLog {
                 }
             };
             log.full_cost += parts.cost();
-            log.backend.append(&rec).expect("memory append cannot fail");
+            log.backend.append(rec).expect("memory append cannot fail");
             log.tail = Some(parts);
         }
         Ok(log)

@@ -1,16 +1,17 @@
 //! The monitoring orchestrator: Figure 1's pipeline, end to end.
 //!
-//! One [`Monitor`] owns the collector, the shared interning
-//! [`TableStore`], the per-router state (delta logs, statistics
-//! histories, anomaly detectors) and the per-stage metrics registry.
-//! Each call to [`Monitor::run_cycle`] threads one full monitoring cycle
-//! through the typed stages of [`crate::pipeline`]:
-//! capture → parse → enrich → log → analyse.
+//! One [`Monitor`] owns the collector, the router interner, the
+//! per-router state (delta logs, statistics histories, anomaly
+//! detectors) and the per-stage metrics registry. [`Monitor::run_cycle`]
+//! runs one cycle of [`crate::pipeline`]'s per-router tasks, and a
+//! [`FleetMonitor`](crate::fleet::FleetMonitor) runs the same cycle over
+//! all of its shards at once.
 
 use std::collections::BTreeMap;
 use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Instant;
 
 use mantra_net::{BitRate, GroupAddr, SimDuration, SimTime};
 
@@ -22,8 +23,8 @@ use crate::logger::TableLog;
 use crate::longterm::LongTermTracker;
 use crate::output::{Cell, Graph, Table};
 use crate::pipeline::{
-    AnalyseStage, CaptureStage, EnrichStage, LogStage, ParallelCaptureStage, ParseStage,
-    PipelineMetrics, RawCycle, RouterState,
+    cycle_width, fan_out, ids_are_distinct, router_cycle, router_slot, state_refs, sweep_cycle,
+    worker_life, PipelineMetrics, RouterInputs, RouterOutcome, RouterState, StageKind,
 };
 use crate::processor::ParseStats;
 use crate::stats::{RouteChurn, RouteStats, Series, UsageStats};
@@ -210,7 +211,7 @@ pub struct Monitor {
     /// Configuration.
     pub cfg: MonitorConfig,
     collector: Collector,
-    /// Shared interning store; every stage's keys become dense ids here.
+    /// Router interner: router names become dense ids here.
     store: TableStore,
     /// Per-router state, indexed by interned router id.
     state: Vec<RouterState>,
@@ -313,97 +314,73 @@ impl Monitor {
         self.cfg.routers = routers;
     }
 
-    /// One full monitoring cycle at `now`, polling routers one after
-    /// another and running every stage serially (the paper's original
-    /// expect-script shape).
+    /// One full monitoring cycle at `now` over the configured routers,
+    /// fanned out as the previous cycle's rows call for (see
+    /// [`crate::pipeline`]); outputs never depend on the fan-out.
     pub fn run_cycle<P: ParallelAccess + ?Sized>(
         &mut self,
         access: &P,
         now: SimTime,
     ) -> CycleReport {
-        let raw = {
-            let mut stage = CaptureStage {
-                collector: &self.collector,
-                routers: &self.cfg.routers,
-                access,
-            };
-            self.metrics.run(&mut stage, now)
-        };
-        self.drive(raw, false)
+        let (rows, routers) = (self.parse_last.parsed as u64, self.cfg.routers.len());
+        let (width, life) = (cycle_width(rows, routers), worker_life(rows, routers));
+        let shards = std::slice::from_mut(self);
+        let mut reports = run_cycle_over(shards, access, now, width, life);
+        reports.pop().expect("one report per shard")
     }
 
-    /// One full monitoring cycle at `now` with every stage fanning its
-    /// per-router work across the rayon pool — how a
-    /// [`FleetMonitor`](crate::fleet::FleetMonitor) shard runs. The cycle
-    /// report and the delta logs are byte-identical to
-    /// [`Monitor::run_cycle`] over the same access and timestamps.
-    pub(crate) fn run_cycle_parallel<P: ParallelAccess + ?Sized>(
+    /// Folds one cycle's router outcomes, in configuration order, into
+    /// the totals, the stage metrics (the prologue counts as Enrich) and
+    /// the report, ending with the cross-router sweep if this monitor runs it.
+    fn fold(
         &mut self,
-        access: &P,
         now: SimTime,
+        ids: &[u32],
+        outcomes: impl Iterator<Item = RouterOutcome>,
+        prologue_nanos: u64,
     ) -> CycleReport {
-        let raw = {
-            let mut stage = ParallelCaptureStage {
-                collector: &self.collector,
-                routers: &self.cfg.routers,
-                access,
-            };
-            self.metrics.run(&mut stage, now)
-        };
-        self.drive(raw, true)
-    }
-
-    /// Threads one captured cycle through the parse → enrich → log →
-    /// analyse stages, folding the totals the artifacts carry. With
-    /// `parallel` set, every stage fans its per-router bodies across the
-    /// rayon pool (per-router state sharded by interned id); the outputs
-    /// are byte-identical to the serial path.
-    fn drive(&mut self, raw: RawCycle, parallel: bool) -> CycleReport {
         self.cycles += 1;
-        for rc in &raw.routers {
-            self.collector.successes += rc.stats.successes;
-            self.collector.failures += rc.stats.failures;
-        }
-        let parsed = self.metrics.run(&mut ParseStage { parallel }, raw);
+        let mut nanos = [0; 5];
+        nanos[StageKind::Enrich as usize] = prologue_nanos;
         self.parse_last = ParseStats::default();
-        for pr in &parsed.routers {
-            self.parse_totals.merge(pr.parse);
-            self.parse_last.merge(pr.parse);
+        let (mut tables, mut backoff) = (0, SimDuration::ZERO);
+        let mut report = CycleReport {
+            at: now,
+            per_router: Vec::with_capacity(ids.len()),
+            anomalies: Vec::new(),
+        };
+        for o in outcomes {
+            self.collector.successes += o.stats.successes;
+            self.collector.failures += o.stats.failures;
+            tables += o.stats.successes + o.stats.failures;
+            backoff += o.stats.backoff;
+            self.parse_totals.merge(o.parse);
+            self.parse_last.merge(o.parse);
+            for (total, n) in nanos.iter_mut().zip(o.nanos) {
+                *total += n;
+            }
+            if let Some((name, usage, routes, anomalies)) = o.analysed {
+                report.anomalies.extend(anomalies);
+                report.per_router.push((name, usage, routes));
+            }
         }
-        let enriched = {
-            let mut stage = EnrichStage {
-                store: &mut self.store,
-                state: &mut self.state,
-                session_names: &self.session_names,
-                log_full_every: self.cfg.log_full_every,
-                archive: &self.cfg.archive,
-                retire_after: self.cfg.retire_after_intervals,
-                parallel,
-            };
-            self.metrics.run(&mut stage, parsed)
-        };
-        let logged = {
-            let mut stage = LogStage {
-                store: &mut self.store,
-                state: &mut self.state,
-                parallel,
-            };
-            let logged = self.metrics.run(&mut stage, enriched);
-            self.metrics.record_archives(&self.state);
-            self.metrics.record_cache(self.query_cache.stats());
-            logged
-        };
-        let report = {
-            let mut stage = AnalyseStage {
-                state: &mut self.state,
-                threshold: self.cfg.threshold,
-                injection_min_new: self.cfg.injection_min_new,
-                inconsistency: &mut self.inconsistency,
-                cross_router: self.cfg.cross_router_checks,
-                parallel,
-            };
-            self.metrics.run(&mut stage, logged)
-        };
+        if self.cfg.cross_router_checks {
+            let t = Instant::now();
+            let ids = ids.iter().copied();
+            let swept = sweep_cycle(&mut self.inconsistency, &self.state, ids, now);
+            report.anomalies.extend(swept);
+            nanos[StageKind::Analyse as usize] += t.elapsed().as_nanos() as u64;
+        }
+        let p = self.parse_last;
+        let rows = (p.parsed + p.malformed + p.skipped + p.rejected_mixed) as u64;
+        let snapshots = report.per_router.len() as u64;
+        self.metrics.record_cycle(
+            [tables, rows, snapshots, snapshots, snapshots],
+            nanos,
+            backoff,
+        );
+        self.metrics.record_archives(&self.state);
+        self.metrics.record_cache(self.query_cache.stats());
         self.anomalies.extend(report.anomalies.iter().cloned());
         report
     }
@@ -648,11 +625,6 @@ impl Monitor {
             .unwrap_or(&[])
     }
 
-    /// The shared interning store.
-    pub fn store(&self) -> &TableStore {
-        &self.store
-    }
-
     /// This monitor's partial sum of every router's streaming integer
     /// accumulators — the shard-level contribution the fleet's
     /// aggregation tier composes by exact integer summation.
@@ -805,6 +777,80 @@ impl Monitor {
     }
 }
 
+/// One cycle at `now` over every router of every shard in `shards`,
+/// one report per shard: a serial prologue interns the routers and opens
+/// state for new ones, one [`fan_out`] (at `width`, workers living `life`
+/// routers) runs each router's whole cycle over that router's state, and
+/// each shard folds its outcomes in configuration order.
+pub(crate) fn run_cycle_over<P: ParallelAccess + ?Sized>(
+    shards: &mut [Monitor],
+    access: &P,
+    now: SimTime,
+    width: usize,
+    life: usize,
+) -> Vec<CycleReport> {
+    let mut prologue = Vec::with_capacity(shards.len());
+    for m in shards.iter_mut() {
+        let t = Instant::now();
+        let (cfg, store, state) = (&m.cfg, &mut m.store, &mut m.state);
+        let mut ids = Vec::with_capacity(cfg.routers.len());
+        for r in &cfg.routers {
+            ids.push(router_slot(
+                store,
+                state,
+                r,
+                cfg.log_full_every,
+                &cfg.archive,
+            ));
+        }
+        prologue.push((ids, t.elapsed().as_nanos() as u64));
+    }
+    let distinct = shards
+        .iter()
+        .zip(&prologue)
+        .all(|(m, (ids, _))| ids_are_distinct(m.state.len(), ids.iter().copied()));
+    let mut outcomes = {
+        let mut inputs = Vec::with_capacity(shards.len());
+        let mut states = Vec::with_capacity(shards.len());
+        for m in shards.iter_mut() {
+            inputs.push(RouterInputs {
+                collector: &m.collector,
+                access,
+                now,
+                cfg: &m.cfg,
+                session_names: &m.session_names,
+            });
+            states.push(&mut m.state);
+        }
+        let mut items = Vec::new();
+        let mut outcomes = Vec::new();
+        for ((input, state), (ids, _)) in inputs.iter().zip(states).zip(&prologue) {
+            let routers = input.cfg.routers.iter();
+            if distinct {
+                for (router, st) in routers.zip(state_refs(state, ids.iter().copied())) {
+                    items.push((input, router, st));
+                }
+            } else {
+                // A router listed twice would alias its state: run every
+                // router in turn instead.
+                for (router, &id) in routers.zip(ids) {
+                    outcomes.push(router_cycle(input, router, &mut state[id as usize]));
+                }
+            }
+        }
+        outcomes.extend(fan_out(width, life, &mut items, |(input, router, st)| {
+            router_cycle(input, router, st)
+        }));
+        outcomes
+    }
+    .into_iter();
+    shards
+        .iter_mut()
+        .zip(prologue)
+        .map(|(m, (ids, nanos))| m.fold(now, &ids, outcomes.by_ref().take(ids.len()), nanos))
+        .collect()
+}
+
 /// Whether a cycle's accounting crosses the [`DEGRADED_PARSE_PCT`]
 /// malformed threshold.
 pub fn parse_degraded(stats: &ParseStats) -> bool {
@@ -859,7 +905,6 @@ mod tests {
     use super::*;
     use crate::archive::SyncPolicy;
     use crate::collector::FlakyAccess;
-    use crate::pipeline::StageKind;
     use mantra_sim::Scenario;
 
     /// Drives a scenario and the monitor in lock-step.
@@ -940,44 +985,41 @@ mod tests {
     }
 
     #[test]
-    fn parallel_cycle_reports_match_serial() {
-        let mk = || Monitor::new(MonitorConfig::default());
-        let run = |parallel: bool| {
+    fn cycle_outputs_do_not_depend_on_the_fan_out() {
+        let run = |width: usize, life: usize| {
             let mut sc = Scenario::transition_snapshot(35, 0.3);
-            let mut monitor = mk();
+            let mut monitor = Monitor::new(MonitorConfig::default());
             let mut reports = Vec::new();
             for _ in 0..6 {
                 let next = sc.sim.clock + monitor.cfg.interval;
                 sc.sim.advance_to(next);
                 let flaky = FlakyAccess::new(&sc.sim, 0.2, 0.2, 5);
-                reports.push(if parallel {
-                    monitor.run_cycle_parallel(&flaky, next)
-                } else {
-                    monitor.run_cycle(&flaky, next)
-                });
+                let shards = std::slice::from_mut(&mut monitor);
+                reports.extend(run_cycle_over(shards, &flaky, next, width, life));
             }
             (reports, monitor)
         };
-        let (serial_reports, serial) = run(false);
-        let (parallel_reports, parallel) = run(true);
-        assert_eq!(serial_reports, parallel_reports);
-        assert_eq!(serial.capture_failures(), parallel.capture_failures());
+        let (inline_reports, inline) = run(1, usize::MAX);
+        // Width 4 clamps to the two routers; a worker life of one router
+        // hands every claim to a fresh thread.
+        let (fanned_reports, fanned) = run(4, 1);
+        assert_eq!(inline_reports, fanned_reports);
+        assert_eq!(inline.capture_failures(), fanned.capture_failures());
         for router in ["fixw", "ucsb-gw"] {
-            assert_eq!(serial.latest(router), parallel.latest(router));
-            assert_eq!(serial.router_health(router), parallel.router_health(router));
-            // The fanned-out Log stage stores the same records: the
-            // archives replay to identical snapshot sequences.
+            assert_eq!(inline.latest(router), fanned.latest(router));
+            assert_eq!(inline.router_health(router), fanned.router_health(router));
+            // The archives replay to identical snapshot sequences.
             assert_eq!(
-                serial.log(router).unwrap().replay(),
-                parallel.log(router).unwrap().replay()
+                inline.log(router).unwrap().replay(),
+                fanned.log(router).unwrap().replay()
             );
-            assert_eq!(serial.usage_history(router), parallel.usage_history(router));
-            assert_eq!(serial.churn_history(router), parallel.churn_history(router));
+            assert_eq!(inline.usage_history(router), fanned.usage_history(router));
+            assert_eq!(inline.churn_history(router), fanned.churn_history(router));
         }
-        // Both paths account the same items per stage (wall time differs).
+        // Both widths account the same items per stage (time differs).
         for kind in StageKind::ALL {
-            let s = serial.pipeline().stage(kind);
-            let p = parallel.pipeline().stage(kind);
+            let s = inline.pipeline().stage(kind);
+            let p = fanned.pipeline().stage(kind);
             assert_eq!(s.invocations, p.invocations, "{kind:?}");
             assert_eq!(s.items, p.items, "{kind:?}");
             assert_eq!(s.sim_latency, p.sim_latency, "{kind:?}");

@@ -1,22 +1,21 @@
-//! The staged monitoring pipeline.
+//! The monitoring pipeline: Figure 1's Capture ─► Parse ─► Enrich ─►
+//! Log ─► Analyse.
 //!
-//! Figure 1's data path, made explicit: each cycle flows through five
-//! typed stages —
-//!
-//! ```text
-//! Capture ─► Parse ─► Enrich ─► Log ─► Analyse
-//! RawCycle   ParsedCycle  EnrichedCycle  LoggedCycle  CycleReport
-//! ```
-//!
-//! A [`Stage`] consumes one artifact type and produces the next; the
-//! [`Monitor`](crate::monitor::Monitor) is a thin driver that threads a
-//! cycle through the stages via [`PipelineMetrics::run`], which accounts
-//! per-stage invocations, item counts, wall-clock time and simulated-time
-//! latency. The stages share one [`TableStore`] so router names, hosts,
-//! groups and route keys are interned once and handled as dense `u32` ids
-//! everywhere downstream.
+//! The engine ([`crate::monitor`]) runs the five stages fused: one task
+//! per router (`router_cycle`, over that router's [`RouterState`]), one
+//! order-preserving `fan_out` of the tasks per cycle, its width and its
+//! workers' life chosen from the rows the previous cycle parsed
+//! (`ROWS_PER_WORKER`). Per-stage invocations, items, time and
+//! simulated-time latency accumulate in [`PipelineMetrics`]. The typed
+//! [`Stage`]s compose the same per-router functions one stage at a time
+//! (`RawCycle` → `ParsedCycle` → `EnrichedCycle` → `LoggedCycle` →
+//! `CycleReport`), for callers that time each stage on its own.
 
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
+use std::sync::{Mutex, OnceLock};
+use std::thread::Scope;
+use std::time::Instant;
 
 use mantra_net::{BitRate, GroupAddr, Ip, SimDuration, SimTime};
 
@@ -26,7 +25,7 @@ use crate::archive::{ArchiveSpec, CacheStats};
 use crate::collector::{Capture, CollectStats, Collector};
 use crate::logger::{TableDelta, TableLog};
 use crate::longterm::LongTermTracker;
-use crate::monitor::{CycleReport, RouterHealth};
+use crate::monitor::{CycleReport, MonitorConfig, RouterHealth};
 use crate::output::{Cell, Table};
 use crate::processor::{process, ParseStats};
 use crate::stats::{RouteChurn, RouteStats, UsageStats};
@@ -169,21 +168,8 @@ pub trait Stage {
     /// Artifact produced.
     type Output;
 
-    /// Which of the five stages this is.
-    fn kind(&self) -> StageKind;
-
     /// Runs the stage.
     fn run(&mut self, input: Self::Input) -> Self::Output;
-
-    /// How many items the run handled, for throughput accounting. What an
-    /// "item" is depends on the stage: captured tables for Capture, parse
-    /// records for Parse, router snapshots downstream.
-    fn items(&self, out: &Self::Output) -> u64;
-
-    /// Simulated-time latency the run added (e.g. retry backoff).
-    fn sim_latency(&self, _out: &Self::Output) -> SimDuration {
-        SimDuration::ZERO
-    }
 }
 
 /// Accumulated accounting for one stage.
@@ -191,9 +177,12 @@ pub trait Stage {
 pub struct StageMetrics {
     /// Times the stage ran (one per cycle under the monitor).
     pub invocations: u64,
-    /// Items handled across all runs.
+    /// Items handled across all runs: captured tables for Capture, parse
+    /// records for Parse, router snapshots downstream.
     pub items: u64,
-    /// Wall-clock time spent, in nanoseconds. Always at least one per
+    /// Time spent, in nanoseconds: each router's time in the stage,
+    /// summed over the cycle's routers whichever worker ran them — wall
+    /// time when the cycle runs at width 1. Always at least one per
     /// invocation, so "this stage ran" is visible even below timer
     /// resolution.
     pub wall_nanos: u64,
@@ -202,7 +191,7 @@ pub struct StageMetrics {
 }
 
 /// Archive accounting aggregated per backend kind, refreshed after each
-/// Log stage from the routers' logs (absolute totals, not increments).
+/// cycle from the routers' logs (absolute totals, not increments).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ArchiveMetrics {
     /// Backend name ("memory", "file").
@@ -256,16 +245,16 @@ pub struct PipelineMetrics {
 }
 
 impl PipelineMetrics {
-    /// Runs `stage` on `input`, accounting the run under its kind.
-    pub fn run<S: Stage>(&mut self, stage: &mut S, input: S::Input) -> S::Output {
-        let t = std::time::Instant::now();
-        let out = stage.run(input);
-        let m = &mut self.stages[stage.kind() as usize];
-        m.invocations += 1;
-        m.items += stage.items(&out);
-        m.wall_nanos += (t.elapsed().as_nanos() as u64).max(1);
-        m.sim_latency += stage.sim_latency(&out);
-        out
+    /// Accounts one cycle: one invocation of every stage, with its items
+    /// and nanoseconds indexed by [`StageKind`], and the retry backoff
+    /// Capture added in simulated time.
+    pub(crate) fn record_cycle(&mut self, items: [u64; 5], nanos: [u64; 5], backoff: SimDuration) {
+        for (kind, m) in StageKind::ALL.into_iter().zip(&mut self.stages) {
+            m.invocations += 1;
+            m.items += items[kind as usize];
+            m.wall_nanos += nanos[kind as usize].max(1);
+        }
+        self.stages[StageKind::Capture as usize].sim_latency += backoff;
     }
 
     /// The accumulated metrics of one stage.
@@ -274,8 +263,8 @@ impl PipelineMetrics {
     }
 
     /// Refreshes the per-backend archive totals from the routers' logs.
-    /// The monitor calls this after every Log stage; values are absolute,
-    /// so repeated refreshes never double-count.
+    /// The monitor calls this after every cycle; values are absolute, so
+    /// repeated refreshes never double-count.
     pub fn record_archives(&mut self, state: &[RouterState]) {
         let mut agg: Vec<ArchiveMetrics> = Vec::new();
         for st in state {
@@ -447,9 +436,9 @@ impl RouterState {
 /// Whether every id is in-bounds for `len` states and distinct — the
 /// precondition for handing out one exclusive state reference per cycle
 /// router. Duplicates can only arise from a degenerate configuration
-/// (the same router listed twice in one cycle); those cycles fall back
-/// to the serial path, where aliasing is naturally sequential.
-fn ids_are_distinct(len: usize, ids: impl Iterator<Item = u32>) -> bool {
+/// (the same router listed twice in one cycle); those cycles run their
+/// routers one after another, where aliasing is naturally sequential.
+pub(crate) fn ids_are_distinct(len: usize, ids: impl Iterator<Item = u32>) -> bool {
     let mut seen = vec![false; len];
     for id in ids {
         match seen.get_mut(id as usize) {
@@ -462,7 +451,7 @@ fn ids_are_distinct(len: usize, ids: impl Iterator<Item = u32>) -> bool {
 
 /// Exclusive references to the cycle routers' states, aligned with
 /// `ids`. Callers must have checked [`ids_are_distinct`] first.
-fn state_refs<'a>(
+pub(crate) fn state_refs<'a>(
     state: &'a mut [RouterState],
     ids: impl Iterator<Item = u32>,
 ) -> Vec<&'a mut RouterState> {
@@ -475,40 +464,210 @@ fn state_refs<'a>(
     .collect()
 }
 
-/// Runs `body` once per work item against that item's router state — the
-/// per-router fan-out shape shared by the Enrich and Analyse stages.
-/// When `parallel` is set and every item maps to a distinct state slot,
-/// the bodies run concurrently on the thread pool (each state is visited
-/// by exactly one worker, sharded behind its interned id); otherwise
-/// they run serially. Either way results come back in item order and
-/// every state mutation is identical, so the two paths are
-/// byte-equivalent.
-fn run_sharded<W, R>(
-    parallel: bool,
-    state: &mut [RouterState],
-    work: &mut [W],
-    id_of: impl Fn(&W) -> u32,
-    body: impl Fn(&mut RouterState, &mut W) -> R + Sync,
-) -> Vec<R>
+/// The router's id in `store`, opening fresh state (and its archive)
+/// the first time the router is seen.
+pub(crate) fn router_slot(
+    store: &mut TableStore,
+    state: &mut Vec<RouterState>,
+    router: &str,
+    log_full_every: usize,
+    archive: &ArchiveSpec,
+) -> u32 {
+    let id = store.routers.intern_str(router);
+    if id as usize == state.len() {
+        state.push(RouterState::new(router.into(), log_full_every, archive));
+    }
+    id
+}
+
+// ----------------------------------------------------------------------
+// The fan-out
+// ----------------------------------------------------------------------
+
+/// Parsed rows per worker thread: a cycle runs one thread per
+/// `ROWS_PER_WORKER` rows at once, and a spawned worker hands over to a
+/// fresh thread after about this many rows. On a shared 2-vCPU VM a
+/// spawn costs about 0.2 ms of CPU (the two-router paper week's cycles
+/// took 6.0 ms of CPU with ten spawns each, 4.1 ms with none) and a row
+/// about 1.5–1.8 µs through the five stages, so a spawn stays under ~2%
+/// of the 15–18 ms its 10k rows take.
+pub(crate) const ROWS_PER_WORKER: u64 = 10_000;
+
+/// The fan-out width for `routers` routers whose previous cycle parsed
+/// `prev_rows` rows: one thread per [`ROWS_PER_WORKER`] rows, capped by
+/// the routers and the cores, at least 1 (so a first cycle runs inline).
+pub(crate) fn cycle_width(prev_rows: u64, routers: usize) -> usize {
+    width_for(prev_rows, routers, cores)
+}
+
+/// [`cycle_width`] with the core count injected; `cores` is asked only
+/// when the rows and routers already call for a second thread.
+fn width_for(prev_rows: u64, routers: usize, cores: impl FnOnce() -> usize) -> usize {
+    let by_rows = usize::try_from(prev_rows / ROWS_PER_WORKER).unwrap_or(usize::MAX);
+    match by_rows.min(routers) {
+        0 | 1 => 1,
+        wanted => wanted.min(cores()),
+    }
+}
+
+/// Routers a spawned worker runs before handing over to a fresh thread:
+/// [`ROWS_PER_WORKER`] rows' worth at the previous cycle's rows per
+/// router, at least one. glibc's malloc gives each new thread an arena
+/// in turn, and a router's state stays in the arena of the thread that
+/// last ran it: a worker kept for a whole cycle strands its routers' old
+/// state in another arena every cycle, and a caller that runs tasks too
+/// fills its own arena with router state. Short-lived workers, with the
+/// caller waiting, keep memory and the caller's own allocations as fast
+/// as with no fan-out at all (DESIGN.md §11 has the measurements).
+pub(crate) fn worker_life(prev_rows: u64, routers: usize) -> usize {
+    let rows_per_router = (prev_rows / routers.max(1) as u64).max(1);
+    let life = ROWS_PER_WORKER.div_ceil(rows_per_router);
+    usize::try_from(life).unwrap_or(usize::MAX).max(1)
+}
+
+/// The cores this process may use, read once: `available_parallelism`
+/// follows CPU affinity but reads cgroup files on every call (≈20 µs).
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, NonZeroUsize::get))
+}
+
+/// Runs `task` once on every item, results in item order. At width 1
+/// (or one item) the tasks run inline on the caller. Otherwise one
+/// thread scope runs `width` workers (the width clamped to the items)
+/// while the caller waits; they claim items one at a time from a shared
+/// cursor, and a worker that has run `life` items hands over to a fresh
+/// thread. A panicking task panics the caller.
+pub(crate) fn fan_out<T, R, F>(width: usize, life: usize, items: &mut [T], task: F) -> Vec<R>
 where
-    W: Send,
+    T: Send,
     R: Send,
+    F: Fn(&mut T) -> R + Sync,
 {
-    if parallel && ids_are_distinct(state.len(), work.iter().map(&id_of)) {
-        let refs = state_refs(state, work.iter().map(&id_of));
-        let mut items: Vec<(&mut RouterState, &mut W)> =
-            refs.into_iter().zip(work.iter_mut()).collect();
-        rayon::parallel_map_mut(&mut items, |item| body(&mut *item.0, &mut *item.1))
-    } else {
-        work.iter_mut()
-            .map(|w| body(&mut state[id_of(w) as usize], w))
-            .collect()
+    let n = items.len();
+    let width = width.min(n);
+    if width <= 1 {
+        return items.iter_mut().map(task).collect();
+    }
+    let cursor = Mutex::new(items.iter_mut().enumerate());
+    let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
+    // Runs up to `limit` items and returns how many it ran. The locks
+    // cover only claims and stores, so a panicking task poisons neither.
+    let claim = |limit: usize| {
+        let mut ran = 0;
+        while ran < limit {
+            let claimed = cursor.lock().expect("claims never panic").next();
+            let Some((i, item)) = claimed else {
+                break;
+            };
+            let r = task(item);
+            slots.lock().expect("stores never panic")[i] = Some(r);
+            ran += 1;
+        }
+        ran
+    };
+    let life = life.max(1);
+    std::thread::scope(|scope| {
+        for _ in 0..width {
+            scope.spawn(move || relay(scope, claim, life));
+        }
+    });
+    slots
+        .into_inner()
+        .expect("stores never panic")
+        .into_iter()
+        .map(|r| r.expect("every item is claimed exactly once"))
+        .collect()
+}
+
+/// One worker's life in [`fan_out`]: up to `life` items, then a fresh
+/// thread if items may remain.
+fn relay<'scope, 'env, C>(scope: &'scope Scope<'scope, 'env>, claim: C, life: usize)
+where
+    C: Fn(usize) -> usize + Copy + Send + 'scope,
+{
+    if claim(life) == life {
+        scope.spawn(move || relay(scope, claim, life));
     }
 }
 
 // ----------------------------------------------------------------------
-// Stages
+// One router's cycle
 // ----------------------------------------------------------------------
+
+/// The read-only inputs a shard's router tasks share in one cycle.
+pub(crate) struct RouterInputs<'a, P: ?Sized> {
+    pub collector: &'a Collector,
+    pub access: &'a P,
+    pub now: SimTime,
+    pub cfg: &'a MonitorConfig,
+    pub session_names: &'a BTreeMap<GroupAddr, String>,
+}
+
+/// One router's report entry: name, statistics and its own anomalies.
+pub(crate) type Analysed = (String, UsageStats, RouteStats, Vec<Anomaly>);
+
+/// What one router's cycle hands the engine's fold.
+pub(crate) struct RouterOutcome {
+    pub stats: CollectStats,
+    pub parse: ParseStats,
+    /// `None` for a missed router.
+    pub analysed: Option<Analysed>,
+    /// Nanoseconds spent per stage, indexed by [`StageKind`].
+    pub nanos: [u64; 5],
+}
+
+/// One router's whole cycle — Capture → Parse → admit → Enrich → Log →
+/// Analyse — over that router's state alone, so any thread can run it.
+/// The raw text, the delta and the previous snapshot are freed as soon
+/// as the router is done.
+pub(crate) fn router_cycle<P: ParallelAccess + ?Sized>(
+    inputs: &RouterInputs<'_, P>,
+    router: &str,
+    st: &mut RouterState,
+) -> RouterOutcome {
+    let (now, cfg) = (inputs.now, inputs.cfg);
+    let mut nanos = [0u64; 5];
+    let mut lap = Instant::now();
+    let mut split = |kind: StageKind| {
+        let t = Instant::now();
+        nanos[kind as usize] = t.duration_since(lap).as_nanos() as u64;
+        lap = t;
+    };
+    let (captures, stats) = inputs.collector.collect_with(inputs.access, router, now);
+    split(StageKind::Capture);
+    let (mut tables, parse) = parse_router(router, &captures, now);
+    drop(captures);
+    split(StageKind::Parse);
+    let archive = &cfg.archive;
+    let admitted = admit(
+        st,
+        &stats,
+        now,
+        archive,
+        cfg.log_full_every,
+        cfg.retire_after_intervals,
+    );
+    let analysed = if admitted {
+        enrich_router(st, &mut tables, inputs.session_names);
+        split(StageKind::Enrich);
+        let delta = log_router(st, now, &tables);
+        split(StageKind::Log);
+        let (threshold, min_new) = (cfg.threshold, cfg.injection_min_new);
+        let analysed = analyse_router(st, tables, delta.as_ref(), now, threshold, min_new);
+        split(StageKind::Analyse);
+        Some(analysed)
+    } else {
+        split(StageKind::Enrich);
+        None
+    };
+    RouterOutcome {
+        stats,
+        parse,
+        analysed,
+        nanos,
+    }
+}
 
 /// Parses one router's capture batch, stamping empty snapshots (all
 /// captures lost) with the router and cycle timestamp so downstream
@@ -522,162 +681,41 @@ pub fn parse_router(router: &str, captures: &[Capture], at: SimTime) -> (Tables,
     (tables, stats)
 }
 
-fn capture_items(out: &RawCycle) -> u64 {
-    out.routers
-        .iter()
-        .map(|r| r.stats.successes + r.stats.failures)
-        .sum()
+/// Admission: records the batch in the router's health registry and
+/// walks its lifecycle; returns whether the batch goes on to Enrich. A
+/// batch with nothing usable (no success, no salvage) is a **missed**
+/// cycle: health accrues staleness, but no phantom empty snapshot is
+/// enriched, archived or pushed into the statistics. `retire_after`
+/// missed cycles in a row retire the router and seal its archive; the
+/// next usable batch rejoins it at the next interner epoch.
+fn admit(
+    st: &mut RouterState,
+    stats: &CollectStats,
+    at: SimTime,
+    archive: &ArchiveSpec,
+    log_full_every: usize,
+    retire_after: u64,
+) -> bool {
+    st.health.record(stats, at);
+    if stats.successes + stats.salvaged == 0 {
+        if !st.health.retired && st.health.missed_cycles >= retire_after.max(1) {
+            st.health.retired = true;
+            st.log.seal();
+        }
+        return false;
+    }
+    if st.health.retired {
+        st.health.retired = false;
+        st.health.rejoins += 1;
+        let sealed = std::mem::take(&mut st.log);
+        st.log = archive.rejoin_log(&st.name, log_full_every, sealed);
+    }
+    true
 }
 
-fn capture_latency(out: &RawCycle) -> SimDuration {
-    out.routers
-        .iter()
-        .fold(SimDuration::ZERO, |acc, r| acc + r.stats.backoff)
-}
-
-/// Capture polling routers one after another (the paper's original
-/// expect-script shape: one login walks every router).
-pub struct CaptureStage<'a, P: ?Sized> {
-    /// The collector (retry policy, table set).
-    pub collector: &'a Collector,
-    /// Routers to poll, in order.
-    pub routers: &'a [String],
-    /// The transport.
-    pub access: &'a P,
-}
-
-impl<P: ParallelAccess + ?Sized> Stage for CaptureStage<'_, P> {
-    type Input = SimTime;
-    type Output = RawCycle;
-
-    fn kind(&self) -> StageKind {
-        StageKind::Capture
-    }
-
-    fn run(&mut self, now: SimTime) -> RawCycle {
-        let routers = self
-            .routers
-            .iter()
-            .map(|router| {
-                let (captures, stats) = self.collector.collect_with(self.access, router, now);
-                RouterCapture {
-                    router: router.clone(),
-                    captures,
-                    stats,
-                }
-            })
-            .collect();
-        RawCycle { at: now, routers }
-    }
-
-    fn items(&self, out: &RawCycle) -> u64 {
-        capture_items(out)
-    }
-
-    fn sim_latency(&self, out: &RawCycle) -> SimDuration {
-        capture_latency(out)
-    }
-}
-
-/// Capture fanned across the rayon pool, one router per work item — the
-/// paper's planned "collect data from multiple routers concurrently".
-/// Produces the same [`RawCycle`] as [`CaptureStage`] over the same access
-/// and timestamps.
-pub struct ParallelCaptureStage<'a, P: ?Sized> {
-    /// The collector (retry policy, table set).
-    pub collector: &'a Collector,
-    /// Routers to poll, in order.
-    pub routers: &'a [String],
-    /// The shared transport.
-    pub access: &'a P,
-}
-
-impl<P: ParallelAccess + ?Sized> Stage for ParallelCaptureStage<'_, P> {
-    type Input = SimTime;
-    type Output = RawCycle;
-
-    fn kind(&self) -> StageKind {
-        StageKind::Capture
-    }
-
-    fn run(&mut self, now: SimTime) -> RawCycle {
-        use rayon::prelude::*;
-        let collector = self.collector;
-        let access = self.access;
-        let routers = self
-            .routers
-            .par_iter()
-            .map(|router| {
-                let (captures, stats) = collector.collect_with(access, router, now);
-                RouterCapture {
-                    router: router.clone(),
-                    captures,
-                    stats,
-                }
-            })
-            .collect();
-        RawCycle { at: now, routers }
-    }
-
-    fn items(&self, out: &RawCycle) -> u64 {
-        capture_items(out)
-    }
-
-    fn sim_latency(&self, out: &RawCycle) -> SimDuration {
-        capture_latency(out)
-    }
-}
-
-/// Text to table snapshots. Pure per router, so a fleet shard fans it
-/// across the rayon pool with identical output.
-pub struct ParseStage {
-    /// Whether to parse routers on the rayon pool.
-    pub parallel: bool,
-}
-
-impl Stage for ParseStage {
-    type Input = RawCycle;
-    type Output = ParsedCycle;
-
-    fn kind(&self) -> StageKind {
-        StageKind::Parse
-    }
-
-    fn run(&mut self, raw: RawCycle) -> ParsedCycle {
-        let at = raw.at;
-        let parse_one = |rc: &RouterCapture| {
-            let (tables, parse) = parse_router(&rc.router, &rc.captures, at);
-            ParsedRouter {
-                router: rc.router.clone(),
-                tables,
-                parse,
-                stats: rc.stats,
-            }
-        };
-        let routers = if self.parallel {
-            use rayon::prelude::*;
-            raw.routers.par_iter().map(parse_one).collect()
-        } else {
-            raw.routers.iter().map(parse_one).collect()
-        };
-        ParsedCycle { at, routers }
-    }
-
-    fn items(&self, out: &ParsedCycle) -> u64 {
-        out.routers
-            .iter()
-            .map(|r| {
-                (r.parse.parsed + r.parse.malformed + r.parse.skipped + r.parse.rejected_mixed)
-                    as u64
-            })
-            .sum()
-    }
-}
-
-/// One router's enrichment body: folds per-pair running bandwidth
-/// averages into the router's state and overlays externally learned
-/// session names. Touches only this router's state, so the stage can
-/// fan bodies out per router.
+/// One router's enrichment: folds per-pair running bandwidth averages
+/// into the router's state and overlays externally learned session
+/// names.
 fn enrich_router(st: &mut RouterState, tables: &mut Tables, names: &BTreeMap<GroupAddr, String>) {
     for ((g, s), pair) in tables.pairs.iter_mut() {
         let e = st.avg_bw.entry((*g, *s)).or_insert((0, 0));
@@ -692,112 +730,12 @@ fn enrich_router(st: &mut RouterState, tables: &mut Tables, names: &BTreeMap<Gro
     }
 }
 
-/// Stateful enrichment: interns the router, records collection health,
-/// folds per-pair running bandwidth averages and overlays externally
-/// learned session names. Interning and state creation are a short
-/// serial prologue; the per-router fold fans out.
-///
-/// The prologue is also where dynamic membership lives. A router whose
-/// batch produced nothing usable (no success, no salvaged partial) is a
-/// **missed** router: its health is recorded — that's how staleness
-/// accrues — but it is dropped from the cycle's work, so no phantom
-/// empty snapshot is enriched, archived or pushed into its statistics
-/// series. A router missed [`EnrichStage::retire_after`] cycles in a row
-/// is retired and its archive sealed; the first usable batch afterwards
-/// rejoins it, reopening the archive at the next interner epoch.
-pub struct EnrichStage<'a> {
-    /// The shared interning store.
-    pub store: &'a mut TableStore,
-    /// Per-router state, indexed by interned router id.
-    pub state: &'a mut Vec<RouterState>,
-    /// Session names learned from an external directory (SAP/sdr).
-    pub session_names: &'a BTreeMap<GroupAddr, String>,
-    /// Delta log configuration for freshly seen routers.
-    pub log_full_every: usize,
-    /// Archive backend selection for freshly seen routers.
-    pub archive: &'a ArchiveSpec,
-    /// Consecutive missed cycles after which a router is retired and its
-    /// archive sealed.
-    pub retire_after: u64,
-    /// Whether to fan the per-router bodies across the thread pool.
-    pub parallel: bool,
-}
-
-impl Stage for EnrichStage<'_> {
-    type Input = ParsedCycle;
-    type Output = EnrichedCycle;
-
-    fn kind(&self) -> StageKind {
-        StageKind::Enrich
-    }
-
-    fn run(&mut self, parsed: ParsedCycle) -> EnrichedCycle {
-        let at = parsed.at;
-        // Serial prologue: the router interner and the state vector are
-        // shared across routers, so ids and fresh state slots are
-        // assigned in configuration order before any fan-out.
-        let mut work: Vec<(u32, Tables)> = Vec::with_capacity(parsed.routers.len());
-        for pr in parsed.routers {
-            let ParsedRouter {
-                router,
-                tables,
-                stats,
-                ..
-            } = pr;
-            let id = self.store.routers.intern_str(&router);
-            if id as usize == self.state.len() {
-                self.state
-                    .push(RouterState::new(router, self.log_full_every, self.archive));
-            }
-            let st = &mut self.state[id as usize];
-            let missed = stats.successes + stats.salvaged == 0;
-            st.health.record(&stats, at);
-            if missed {
-                if !st.health.retired && st.health.missed_cycles >= self.retire_after.max(1) {
-                    st.health.retired = true;
-                    st.log.seal();
-                }
-                // Nothing usable came back: record the miss in health
-                // (above) but keep the router out of this cycle's work —
-                // an absent router must not produce phantom snapshots,
-                // archive records or zero statistics samples.
-                continue;
-            }
-            if st.health.retired {
-                st.health.retired = false;
-                st.health.rejoins += 1;
-                let sealed = std::mem::take(&mut st.log);
-                st.log = self
-                    .archive
-                    .rejoin_log(&st.name, self.log_full_every, sealed);
-            }
-            work.push((id, tables));
-        }
-        let names = self.session_names;
-        let routers = run_sharded(
-            self.parallel,
-            self.state,
-            &mut work,
-            |w| w.0,
-            |st, (id, tables)| {
-                enrich_router(st, tables, names);
-                EnrichedRouter {
-                    id: *id,
-                    tables: std::mem::take(tables),
-                }
-            },
-        );
-        EnrichedCycle { at, routers }
-    }
-
-    fn items(&self, out: &EnrichedCycle) -> u64 {
-        out.routers.len() as u64
-    }
-}
-
-/// The post-append tail of one router's Log body: growth curve,
-/// long-term trackers and the persistence-degradation health flag.
-fn finish_log(st: &mut RouterState, at: SimTime, tables: &Tables) {
+/// One router's archival: appends the snapshot to the router's delta log
+/// (before any analysis, so archives store exactly what was observed),
+/// then records the growth curve, feeds the long-term trackers and sets
+/// the persistence-degradation health flag. Returns the log's delta.
+fn log_router(st: &mut RouterState, at: SimTime, tables: &Tables) -> Option<TableDelta> {
+    let delta = st.log.append(tables);
     // Chart what's actually on disk (frame + header bytes), not the
     // logger's JSON accounting — for v2 archives the two diverge, and
     // the growth curve should reflect real storage cost. Memory
@@ -813,95 +751,29 @@ fn finish_log(st: &mut RouterState, at: SimTime, tables: &Tables) {
         || stats.write_errors > 0
         || stats.dropped_records > 0
         || st.log.replay_errors() > 0;
+    delta
 }
 
-/// Archival: appends each snapshot to its router's delta log (before any
-/// analysis, so archives store exactly what was observed) and feeds the
-/// long-term trackers. The computed delta rides along on the output for
-/// the Analyse stage to fold.
-pub struct LogStage<'a> {
-    /// The shared interning store (serial-path delta diffing runs
-    /// through it).
-    pub store: &'a mut TableStore,
-    /// Per-router state, indexed by interned router id.
-    pub state: &'a mut Vec<RouterState>,
-    /// Whether to fan the per-router bodies across the thread pool.
-    pub parallel: bool,
-}
-
-impl Stage for LogStage<'_> {
-    type Input = EnrichedCycle;
-    type Output = LoggedCycle;
-
-    fn kind(&self) -> StageKind {
-        StageKind::Log
-    }
-
-    fn run(&mut self, cycle: EnrichedCycle) -> LoggedCycle {
-        let at = cycle.at;
-        let mut work = cycle.routers;
-        let fan_out =
-            self.parallel && ids_are_distinct(self.state.len(), work.iter().map(|er| er.id));
-        let routers: Vec<LoggedRouter> = if fan_out {
-            let refs = state_refs(self.state, work.iter().map(|er| er.id));
-            let mut items: Vec<(&mut RouterState, &mut EnrichedRouter)> =
-                refs.into_iter().zip(work.iter_mut()).collect();
-            rayon::parallel_map_mut(&mut items, |item| {
-                let (st, er) = (&mut *item.0, &mut *item.1);
-                // Each log diffs through its own scratch interner here:
-                // the shared store is a serial resource, and deltas are
-                // store-independent (property-tested), so the archived
-                // bytes are identical to the serial path's.
-                let delta = st.log.append(&er.tables);
-                finish_log(st, at, &er.tables);
-                LoggedRouter {
-                    id: er.id,
-                    tables: std::mem::take(&mut er.tables),
-                    delta,
-                }
-            })
-        } else {
-            work.into_iter()
-                .map(|er| {
-                    let st = &mut self.state[er.id as usize];
-                    let delta = st.log.append_with(self.store, &er.tables);
-                    finish_log(st, at, &er.tables);
-                    LoggedRouter {
-                        id: er.id,
-                        tables: er.tables,
-                        delta,
-                    }
-                })
-                .collect()
-        };
-        LoggedCycle { at, routers }
-    }
-
-    fn items(&self, out: &LoggedCycle) -> u64 {
-        out.routers.len() as u64
-    }
-}
-
-/// One router's analysis body: advance the streaming accumulators (fold
-/// the logged delta, or reseed from the full snapshot on first sight),
+/// One router's analysis: advance the streaming accumulators (fold the
+/// logged delta, or reseed from the full snapshot on first sight),
 /// assemble this cycle's statistics and run the single-router anomaly
-/// detectors. Touches only this router's state, so the stage fans bodies
-/// out per router.
+/// detectors. The snapshot then becomes the router's `prev`.
 fn analyse_router(
     st: &mut RouterState,
-    lr: &LoggedRouter,
+    tables: Tables,
+    delta: Option<&TableDelta>,
     now: SimTime,
     threshold: BitRate,
     injection_min_new: usize,
-) -> (String, UsageStats, RouteStats, Vec<Anomaly>) {
+) -> Analysed {
     // O(delta) path: fold the delta the Log stage already computed. A
     // router's first cycle (or a delta-less append, e.g. an archive
     // reopened from disk) reseeds from the full snapshot — the O(table)
     // fallback, after which folding resumes.
-    let changes = match (&lr.delta, st.stream.is_seeded()) {
+    let changes = match (delta, st.stream.is_seeded()) {
         (Some(d), true) => Some(st.stream.fold(d)),
         _ => {
-            st.stream.reseed(&lr.tables, threshold);
+            st.stream.reseed(&tables, threshold);
             None
         }
     };
@@ -920,8 +792,8 @@ fn analyse_router(
         let (churn, injection) = match &changes {
             Some(c) => (c.churn, c.injection(injection_min_new)),
             None => (
-                RouteChurn::between(prev, &lr.tables),
-                detect_injection(prev, &lr.tables, injection_min_new),
+                RouteChurn::between(prev, &tables),
+                detect_injection(prev, &tables, injection_min_new),
             ),
         };
         st.churn.push((now, churn));
@@ -936,7 +808,217 @@ fn analyse_router(
     }
     st.usage.push(usage.clone());
     st.routes.push(routes.clone());
+    st.prev = Some(tables);
     (st.name.clone(), usage, routes, anomalies)
+}
+
+/// Cross-router consistency over the snapshots the routers `ids` took
+/// this cycle (now their `prev`; a missed router's is older and sits
+/// out), in that order — a serial barrier after the per-router work,
+/// since the sweep needs every snapshot at once. Each pair of distinct
+/// reachable-set views is compared once.
+pub(crate) fn sweep_cycle(
+    inconsistency: &mut InconsistencyMonitor,
+    state: &[RouterState],
+    ids: impl Iterator<Item = u32>,
+    now: SimTime,
+) -> Vec<Anomaly> {
+    let views: Vec<&Tables> = ids
+        .filter_map(|id| state[id as usize].prev.as_ref())
+        .filter(|t| t.captured_at == now)
+        .collect();
+    inconsistency.sweep(&views, now)
+}
+
+// ----------------------------------------------------------------------
+// Stages
+// ----------------------------------------------------------------------
+
+/// A stage's fan-out width: every core when `parallel` is set.
+fn stage_width(parallel: bool) -> usize {
+    if parallel {
+        cores()
+    } else {
+        1
+    }
+}
+
+/// Runs `body` once per work item against that item's router state,
+/// fanned out at `width`, results in item order; items whose ids repeat
+/// (see [`ids_are_distinct`]) run one after another instead.
+fn run_sharded<W, R>(
+    width: usize,
+    state: &mut [RouterState],
+    work: &mut [W],
+    id_of: impl Fn(&W) -> u32,
+    body: impl Fn(&mut RouterState, &mut W) -> R + Sync,
+) -> Vec<R>
+where
+    W: Send,
+    R: Send,
+{
+    if ids_are_distinct(state.len(), work.iter().map(&id_of)) {
+        let refs = state_refs(state, work.iter().map(&id_of));
+        let mut items: Vec<(&mut RouterState, &mut W)> =
+            refs.into_iter().zip(work.iter_mut()).collect();
+        fan_out(width, usize::MAX, &mut items, |(st, w)| body(st, w))
+    } else {
+        work.iter_mut()
+            .map(|w| body(&mut state[id_of(w) as usize], w))
+            .collect()
+    }
+}
+
+/// Capture fanned out over every core, one router per work item — the
+/// paper's planned "collect data from multiple routers concurrently".
+pub struct ParallelCaptureStage<'a, P: ?Sized> {
+    /// The collector (retry policy, table set).
+    pub collector: &'a Collector,
+    /// Routers to poll, in order.
+    pub routers: &'a [String],
+    /// The shared transport.
+    pub access: &'a P,
+}
+
+impl<P: ParallelAccess + ?Sized> Stage for ParallelCaptureStage<'_, P> {
+    type Input = SimTime;
+    type Output = RawCycle;
+
+    fn run(&mut self, now: SimTime) -> RawCycle {
+        let (collector, access) = (self.collector, self.access);
+        let mut routers: Vec<&String> = self.routers.iter().collect();
+        let routers = fan_out(cores(), usize::MAX, &mut routers, |router| {
+            let (captures, stats) = collector.collect_with(access, router.as_str(), now);
+            let router = (*router).clone();
+            RouterCapture {
+                router,
+                captures,
+                stats,
+            }
+        });
+        RawCycle { at: now, routers }
+    }
+}
+
+/// Text to table snapshots, per router.
+pub struct ParseStage {
+    /// Whether to fan routers out over every core.
+    pub parallel: bool,
+}
+
+impl Stage for ParseStage {
+    type Input = RawCycle;
+    type Output = ParsedCycle;
+
+    fn run(&mut self, mut raw: RawCycle) -> ParsedCycle {
+        let at = raw.at;
+        let width = stage_width(self.parallel);
+        let routers = fan_out(width, usize::MAX, &mut raw.routers, |rc| {
+            let (tables, parse) = parse_router(&rc.router, &rc.captures, at);
+            let router = std::mem::take(&mut rc.router);
+            ParsedRouter {
+                router,
+                tables,
+                parse,
+                stats: rc.stats,
+            }
+        });
+        ParsedCycle { at, routers }
+    }
+}
+
+/// Stateful enrichment: interns each router, admits its batch (health
+/// and lifecycle), folds per-pair running bandwidth averages and
+/// overlays externally learned session names. Interning, state creation
+/// and admission are a short serial prologue; the per-router fold fans
+/// out.
+pub struct EnrichStage<'a> {
+    /// The shared interning store.
+    pub store: &'a mut TableStore,
+    /// Per-router state, indexed by interned router id.
+    pub state: &'a mut Vec<RouterState>,
+    /// Session names learned from an external directory (SAP/sdr).
+    pub session_names: &'a BTreeMap<GroupAddr, String>,
+    /// Delta log configuration for freshly seen routers.
+    pub log_full_every: usize,
+    /// Archive backend selection for freshly seen routers.
+    pub archive: &'a ArchiveSpec,
+    /// Consecutive missed cycles after which a router is retired and its
+    /// archive sealed.
+    pub retire_after: u64,
+    /// Whether to fan the per-router bodies out over every core.
+    pub parallel: bool,
+}
+
+impl Stage for EnrichStage<'_> {
+    type Input = ParsedCycle;
+    type Output = EnrichedCycle;
+
+    fn run(&mut self, parsed: ParsedCycle) -> EnrichedCycle {
+        let at = parsed.at;
+        let (full_every, archive) = (self.log_full_every, self.archive);
+        // Serial prologue: the router interner and the state vector are
+        // shared across routers, so ids, fresh state slots and admission
+        // run in configuration order before any fan-out.
+        let mut work: Vec<(u32, Tables)> = Vec::with_capacity(parsed.routers.len());
+        for pr in parsed.routers {
+            let id = router_slot(self.store, self.state, &pr.router, full_every, archive);
+            let st = &mut self.state[id as usize];
+            if admit(st, &pr.stats, at, archive, full_every, self.retire_after) {
+                work.push((id, pr.tables));
+            }
+        }
+        let names = self.session_names;
+        let routers = run_sharded(
+            stage_width(self.parallel),
+            self.state,
+            &mut work,
+            |w| w.0,
+            |st, (id, tables)| {
+                enrich_router(st, tables, names);
+                EnrichedRouter {
+                    id: *id,
+                    tables: std::mem::take(tables),
+                }
+            },
+        );
+        EnrichedCycle { at, routers }
+    }
+}
+
+/// Archival: appends each snapshot to its router's delta log (before any
+/// analysis, so archives store exactly what was observed) and feeds the
+/// long-term trackers. The computed delta rides along on the output for
+/// the Analyse stage to fold.
+pub struct LogStage<'a> {
+    /// Not read: every log diffs through its own scratch store.
+    pub store: &'a mut TableStore,
+    /// Per-router state, indexed by interned router id.
+    pub state: &'a mut Vec<RouterState>,
+    /// Whether to fan the per-router bodies out over every core.
+    pub parallel: bool,
+}
+
+impl Stage for LogStage<'_> {
+    type Input = EnrichedCycle;
+    type Output = LoggedCycle;
+
+    fn run(&mut self, cycle: EnrichedCycle) -> LoggedCycle {
+        let at = cycle.at;
+        let mut work = cycle.routers;
+        let routers = run_sharded(
+            stage_width(self.parallel),
+            self.state,
+            &mut work,
+            |er| er.id,
+            |st, er| LoggedRouter {
+                id: er.id,
+                delta: log_router(st, at, &er.tables),
+                tables: std::mem::take(&mut er.tables),
+            },
+        );
+        LoggedCycle { at, routers }
+    }
 }
 
 /// Analysis: per-router statistics and anomaly detectors (fanned out per
@@ -956,7 +1038,7 @@ pub struct AnalyseStage<'a> {
     /// disables it — the fleet tier sweeps globally so cross-shard pairs
     /// are not missed (and within-shard pairs not double-reported).
     pub cross_router: bool,
-    /// Whether to fan the per-router bodies across the thread pool.
+    /// Whether to fan the per-router bodies out over every core.
     pub parallel: bool,
 }
 
@@ -964,21 +1046,19 @@ impl Stage for AnalyseStage<'_> {
     type Input = LoggedCycle;
     type Output = CycleReport;
 
-    fn kind(&self) -> StageKind {
-        StageKind::Analyse
-    }
-
     fn run(&mut self, cycle: LoggedCycle) -> CycleReport {
         let now = cycle.at;
-        let threshold = self.threshold;
-        let injection_min_new = self.injection_min_new;
+        let (threshold, min_new) = (self.threshold, self.injection_min_new);
         let mut work = cycle.routers;
         let per = run_sharded(
-            self.parallel,
+            stage_width(self.parallel),
             self.state,
             &mut work,
             |lr| lr.id,
-            |st, lr| analyse_router(st, lr, now, threshold, injection_min_new),
+            |st, lr| {
+                let tables = std::mem::take(&mut lr.tables);
+                analyse_router(st, tables, lr.delta.as_ref(), now, threshold, min_new)
+            },
         );
         let mut report = CycleReport {
             at: now,
@@ -989,29 +1069,12 @@ impl Stage for AnalyseStage<'_> {
             report.anomalies.extend(anomalies);
             report.per_router.push((name, usage, routes));
         }
-        // Cross-router consistency — a serial barrier after the join,
-        // since the sweep needs every snapshot at once. The group-by-key
-        // join compares each pair of *distinct* reachable-set views once
-        // (property-tested identical to the O(n²) pairwise reference).
-        // Both routers are named: the anomaly attributes to the first and
-        // records the second as the peer, instead of blaming whichever
-        // router happened to come first in configuration order without
-        // saying who it diverged from.
         if self.cross_router {
-            let views: Vec<&Tables> = work.iter().map(|lr| &lr.tables).collect();
-            report
-                .anomalies
-                .extend(self.inconsistency.sweep(&views, now));
-        }
-        // The snapshots become next cycle's baselines — moved, not cloned.
-        for lr in work {
-            self.state[lr.id as usize].prev = Some(lr.tables);
+            let ids = work.iter().map(|lr| lr.id);
+            let swept = sweep_cycle(self.inconsistency, self.state, ids, now);
+            report.anomalies.extend(swept);
         }
         report
-    }
-
-    fn items(&self, out: &CycleReport) -> u64 {
-        out.per_router.len() as u64
     }
 }
 
@@ -1028,35 +1091,130 @@ mod tests {
     }
 
     #[test]
-    fn metrics_run_accounts_every_channel() {
-        struct Doubler;
-        impl Stage for Doubler {
-            type Input = u64;
-            type Output = u64;
-            fn kind(&self) -> StageKind {
-                StageKind::Parse
-            }
-            fn run(&mut self, input: u64) -> u64 {
-                input * 2
-            }
-            fn items(&self, out: &u64) -> u64 {
-                *out
-            }
-            fn sim_latency(&self, _out: &u64) -> SimDuration {
-                SimDuration::secs(3)
-            }
-        }
+    fn metrics_record_cycle_accounts_every_channel() {
         let mut metrics = PipelineMetrics::default();
-        assert_eq!(metrics.run(&mut Doubler, 5), 10);
-        assert_eq!(metrics.run(&mut Doubler, 1), 2);
-        let m = metrics.stage(StageKind::Parse);
-        assert_eq!(m.invocations, 2);
-        assert_eq!(m.items, 12);
-        assert!(m.wall_nanos >= 2, "at least one nano per invocation");
-        assert_eq!(m.sim_latency, SimDuration::secs(6));
-        assert_eq!(*metrics.stage(StageKind::Capture), StageMetrics::default());
+        metrics.record_cycle([3, 40, 2, 2, 2], [5, 0, 7, 8, 9], SimDuration::secs(3));
+        metrics.record_cycle([1, 10, 1, 1, 1], [5, 6, 7, 8, 9], SimDuration::secs(3));
+        let capture = metrics.stage(StageKind::Capture);
+        assert_eq!(capture.invocations, 2);
+        assert_eq!(capture.items, 4);
+        assert_eq!(capture.wall_nanos, 10);
+        assert_eq!(capture.sim_latency, SimDuration::secs(6));
+        let parse = metrics.stage(StageKind::Parse);
+        assert_eq!(parse.invocations, 2);
+        assert_eq!(parse.items, 50);
+        assert_eq!(parse.wall_nanos, 1 + 6, "at least one nano per invocation");
+        assert_eq!(parse.sim_latency, SimDuration::ZERO);
         // The table renders one row per stage.
         assert_eq!(metrics.table().rows.len(), StageKind::ALL.len());
+    }
+
+    #[test]
+    fn fan_out_visits_every_item_once_in_item_order() {
+        for (width, life) in [(1, usize::MAX), (2, usize::MAX), (3, 1), (8, 7)] {
+            let mut items: Vec<u64> = (0..100).collect();
+            let doubled = fan_out(width, life, &mut items, |x| {
+                *x += 1;
+                *x * 2
+            });
+            assert_eq!(items, (1..=100).collect::<Vec<_>>(), "width {width}");
+            assert_eq!(
+                doubled,
+                (1..=100).map(|x| x * 2).collect::<Vec<_>>(),
+                "width {width}"
+            );
+        }
+    }
+
+    #[test]
+    fn fan_out_clamps_its_width_to_the_item_count() {
+        // Unclamped, this width would start threads without end.
+        let mut items = vec![1u64, 2, 3];
+        assert_eq!(fan_out(usize::MAX, 1, &mut items, |x| *x), vec![1, 2, 3]);
+        assert_eq!(fan_out(0, 1, &mut items, |x| *x), vec![1, 2, 3]);
+        assert!(fan_out(4, 1, &mut Vec::<u64>::new(), |x| *x).is_empty());
+    }
+
+    #[test]
+    fn fan_out_at_width_one_runs_on_the_callers_thread() {
+        let me = std::thread::current().id();
+        let mut items: Vec<u32> = (0..8).collect();
+        let threads = fan_out(1, 1, &mut items, |_| std::thread::current().id());
+        assert!(threads.iter().all(|t| *t == me));
+    }
+
+    #[test]
+    fn fan_out_runs_its_width_on_workers_at_once() {
+        // Each task waits for another, so two run at once, on two
+        // workers while the caller waits.
+        let barrier = std::sync::Barrier::new(2);
+        let mut items = [0u8; 2];
+        let threads = fan_out(2, usize::MAX, &mut items, |_| {
+            barrier.wait();
+            std::thread::current().id()
+        });
+        assert_ne!(threads[0], threads[1]);
+        assert!(!threads.contains(&std::thread::current().id()));
+    }
+
+    #[test]
+    fn a_worker_hands_over_to_a_fresh_thread_after_its_life() {
+        // Each task waits for another. A one-item worker starts its
+        // successor only once its item is done, so every item runs on a
+        // thread of its own.
+        let barrier = std::sync::Barrier::new(2);
+        let me = std::thread::current().id();
+        let mut items: Vec<u32> = (0..8).collect();
+        let out = fan_out(2, 1, &mut items, |x| {
+            barrier.wait();
+            (*x, std::thread::current().id())
+        });
+        assert_eq!(out.iter().map(|o| o.0).collect::<Vec<_>>(), items);
+        let workers: std::collections::HashSet<_> = out.iter().map(|o| o.1).collect();
+        assert_eq!(workers.len(), 8);
+        assert!(!workers.contains(&me));
+    }
+
+    #[test]
+    #[should_panic]
+    fn a_panicking_task_panics_the_caller() {
+        let mut items: Vec<u32> = (0..16).collect();
+        fan_out(4, 2, &mut items, |x| {
+            assert_ne!(*x, 5, "task failed on item 5");
+            *x
+        });
+    }
+
+    #[test]
+    fn width_rule_edges() {
+        let unasked = || -> usize { panic!("cores asked although one worker suffices") };
+        // A first cycle has no rows to size by.
+        assert_eq!(width_for(0, 200, unasked), 1);
+        // One thread per ROWS_PER_WORKER rows, rounded down.
+        assert_eq!(width_for(ROWS_PER_WORKER - 1, 200, unasked), 1);
+        assert_eq!(width_for(ROWS_PER_WORKER + 1, 200, unasked), 1);
+        assert_eq!(width_for(2 * ROWS_PER_WORKER - 1, 200, unasked), 1);
+        assert_eq!(width_for(2 * ROWS_PER_WORKER, 200, || 8), 2);
+        assert_eq!(width_for(3 * ROWS_PER_WORKER + 1, 200, || 8), 3);
+        // Capped by the routers in the cycle...
+        assert_eq!(width_for(100 * ROWS_PER_WORKER, 3, || 8), 3);
+        assert_eq!(width_for(100 * ROWS_PER_WORKER, 1, unasked), 1);
+        // ...and by the cores.
+        assert_eq!(width_for(100 * ROWS_PER_WORKER, 200, || 2), 2);
+        assert_eq!(width_for(100 * ROWS_PER_WORKER, 200, || 1), 1);
+        assert_eq!(width_for(u64::MAX, usize::MAX, || 4), 4);
+    }
+
+    #[test]
+    fn worker_life_edges() {
+        // About ROWS_PER_WORKER rows' worth of routers, at least one.
+        assert_eq!(worker_life(2 * ROWS_PER_WORKER, 2), 1);
+        assert_eq!(worker_life(2 * ROWS_PER_WORKER, 4), 2);
+        assert_eq!(worker_life(751_000, 201), 3);
+        assert_eq!(worker_life(u64::MAX, 1), 1);
+        // Rows too few to size by give a life no cycle outlasts.
+        assert_eq!(worker_life(0, 2), ROWS_PER_WORKER as usize);
+        assert_eq!(worker_life(0, 0), ROWS_PER_WORKER as usize);
     }
 
     #[test]

@@ -96,7 +96,7 @@ impl ArchiveBackend for FailingBackend {
         "failing"
     }
 
-    fn append(&mut self, rec: &LogRecord) -> io::Result<()> {
+    fn append(&mut self, rec: LogRecord) -> io::Result<()> {
         if self.dead {
             return Err(io::Error::other("simulated crash: backend dead"));
         }

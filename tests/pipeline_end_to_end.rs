@@ -1,11 +1,15 @@
 //! End-to-end pipeline tests: simulated routers → CLI scrape → parse →
 //! log → statistics, across crates.
 
-use mantra::core::collector::FlakyAccess;
-use mantra::core::{Monitor, MonitorConfig, StageKind};
+use std::sync::Mutex;
+use std::thread::ThreadId;
+
+use mantra::core::collector::{CaptureError, FlakyAccess};
+use mantra::core::{FleetMonitor, Monitor, MonitorConfig, ParallelAccess, StageKind};
 use mantra::net::rate::SENDER_THRESHOLD;
 use mantra::net::{SimDuration, SimTime};
-use mantra::sim::Scenario;
+use mantra::router_cli::TableKind;
+use mantra::sim::{Scenario, Simulation};
 
 fn drive(sc: &mut Scenario, monitor: &mut Monitor, cycles: usize) {
     for _ in 0..cycles {
@@ -206,5 +210,61 @@ fn clock_never_runs_backwards_through_the_pipeline() {
     let times: Vec<SimTime> = hist.iter().map(|u| u.at).collect();
     for w in times.windows(2) {
         assert!(w[0] < w[1]);
+    }
+}
+
+/// A transport that notes which thread made each capture.
+struct ThreadRecorder<'a> {
+    sim: &'a Simulation,
+    threads: Mutex<Vec<ThreadId>>,
+}
+
+impl ParallelAccess for ThreadRecorder<'_> {
+    fn capture(
+        &self,
+        router: &str,
+        table: TableKind,
+        now: SimTime,
+    ) -> Result<String, CaptureError> {
+        self.threads
+            .lock()
+            .expect("no capture panics")
+            .push(std::thread::current().id());
+        self.sim.capture(router, table, now)
+    }
+}
+
+#[test]
+fn small_cycles_capture_every_table_on_the_callers_thread() {
+    // Two routers' few thousand rows per cycle are far below what pays
+    // for a worker thread, so the standalone monitor and a one-shard
+    // fleet both run every cycle inline.
+    let mut sc = Scenario::transition_snapshot(109, 0.3);
+    let cfg = MonitorConfig {
+        routers: vec!["fixw".into(), "ucsb-gw".into()],
+        interval: sc.sim.tick(),
+        ..MonitorConfig::default()
+    };
+    let mut monitor = Monitor::new(cfg.clone());
+    let mut fleet = FleetMonitor::new(cfg, 1);
+    let me = std::thread::current().id();
+    for cycle in 0..6 {
+        let next = sc.sim.clock + monitor.cfg.interval;
+        sc.sim.advance_to(next);
+        let standalone = ThreadRecorder {
+            sim: &sc.sim,
+            threads: Mutex::new(Vec::new()),
+        };
+        monitor.run_cycle(&standalone, next);
+        let sharded = ThreadRecorder {
+            sim: &sc.sim,
+            threads: Mutex::new(Vec::new()),
+        };
+        fleet.run_cycle(&sharded, next);
+        for access in [standalone, sharded] {
+            let threads = access.threads.into_inner().expect("no capture panics");
+            assert_eq!(threads.len(), 2 * TableKind::ALL.len(), "cycle {cycle}");
+            assert!(threads.iter().all(|t| *t == me), "cycle {cycle}");
+        }
     }
 }

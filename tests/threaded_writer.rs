@@ -39,7 +39,7 @@ impl ArchiveBackend for SlowBackend {
         self.inner.kind()
     }
 
-    fn append(&mut self, rec: &LogRecord) -> io::Result<()> {
+    fn append(&mut self, rec: LogRecord) -> io::Result<()> {
         std::thread::sleep(self.delay);
         self.inner.append(rec)
     }
@@ -105,7 +105,7 @@ fn block_mode_loses_nothing_and_accounts_its_wall_time() {
     );
     const N: u64 = 50;
     for n in 0..N {
-        be.append(&full_record(n)).unwrap();
+        be.append(full_record(n)).unwrap();
     }
     let stats = be.stats();
     assert!(
@@ -141,7 +141,7 @@ fn shed_mode_keeps_collection_unblocked_and_loses_records_loudly() {
     let start = Instant::now();
     let mut shed = 0u64;
     for n in 0..N {
-        if be.append(&full_record(n)).is_err() {
+        if be.append(full_record(n)).is_err() {
             shed += 1;
         }
     }
@@ -190,7 +190,7 @@ fn dropping_the_backend_drains_the_queue() {
     );
     const N: u64 = 20;
     for n in 0..N {
-        be.append(&full_record(n)).unwrap();
+        be.append(full_record(n)).unwrap();
     }
     // No barrier call — drop while the writer is still chewing.
     drop(be);
@@ -228,7 +228,7 @@ fn sync_is_a_drain_and_fsync_barrier() {
     );
     const N: u64 = 12;
     for n in 0..N {
-        be.append(&full_record(n)).unwrap();
+        be.append(full_record(n)).unwrap();
     }
     // Checkpoint barrier: when sync() returns, nothing is queued and
     // nothing is pending an fsync — the archive is durable to here.
@@ -254,7 +254,7 @@ fn observers_never_act_as_drain_barriers() {
     let mut be = slow_file_writer(&path, delay, 64, BackpressureMode::Block);
     const N: u64 = 24;
     for n in 0..N {
-        be.append(&full_record(n)).unwrap();
+        be.append(full_record(n)).unwrap();
     }
     // ~N*20ms of disk work is queued; observers must return well inside
     // one append's delay, and the queue must still be non-empty after —
