@@ -64,7 +64,7 @@ OPTIONS:
                   the schedule is deterministic in (P, --seed). Prints the
                   topology-event strip and the per-router health table with
                   lifecycle states (active / stale(n) / retired)
-  --path FILE     archive to inspect (.marc binary or legacy .jsonl)
+  --path FILE     archive to inspect (.marc)
   --out FILE      destination archive for `archive compact`
   --full-every N  full-snapshot checkpoint cadence when rewriting (default 96)
   --drop-before TS  compaction: drop snapshots captured before TS — either raw
@@ -532,7 +532,6 @@ fn archive_info(opts: &Opts) -> Result<(), String> {
     let stats = log.archive_stats();
     let info = log.describe();
     let format = match info.format_version {
-        0 => "JSON-lines (legacy)".to_string(),
         1 => "MANTRARC v1 (binary, length-prefixed, JSON payloads; read-only)".to_string(),
         v => format!("MANTRARC v{v} (binary, id-keyed, embedded dictionary)"),
     };
@@ -584,8 +583,14 @@ fn parse_sim_time(s: &str) -> Result<SimTime, String> {
 fn archive_compact(opts: &Opts) -> Result<(), String> {
     let path = required_path(opts, "path")?;
     let out = required_path(opts, "out")?;
-    if out == path {
-        return Err("--out must differ from --path".into());
+    // Creating --out truncates it: it must not be the source under
+    // another name (`./x`, a symlink, a hard link).
+    if same_file(path, out) {
+        return Err(format!(
+            "--out {} is the same file as --path {}; compact into a new file",
+            out.display(),
+            path.display()
+        ));
     }
     let full_every = opts.u64_or("full-every", 96)? as usize;
     let drop_before = opts.get("drop-before").map(parse_sim_time).transpose()?;
@@ -621,6 +626,27 @@ fn archive_compact(opts: &Opts) -> Result<(), String> {
         println!("dropped:     {dropped} snapshot(s) before the --drop-before cutoff");
     }
     Ok(())
+}
+
+/// Whether `a` and `b` both exist and are one file: the same device and
+/// inode on Unix, which also catches symlinks and hard links, and equal
+/// canonical paths elsewhere.
+fn same_file(a: &Path, b: &Path) -> bool {
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::MetadataExt;
+        match (std::fs::metadata(a), std::fs::metadata(b)) {
+            (Ok(x), Ok(y)) => x.dev() == y.dev() && x.ino() == y.ino(),
+            _ => false,
+        }
+    }
+    #[cfg(not(unix))]
+    {
+        match (std::fs::canonicalize(a), std::fs::canonicalize(b)) {
+            (Ok(x), Ok(y)) => x == y,
+            _ => false,
+        }
+    }
 }
 
 /// `mantra health`: monitor through injected capture failures with the

@@ -1,34 +1,81 @@
 //! Golden test: a seeded monitor run writes a file archive whose
 //! `mantra archive replay` transcript matches the committed golden file.
 //! Guards both the simulator's determinism and the archive format — a
-//! change to either shows up as a diff against `tests/golden/`.
+//! change to either shows up as a diff against `tests/golden/`. Also
+//! pins that `archive compact` never compacts an archive into itself.
 
-use std::path::PathBuf;
-use std::process::Command;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-#[test]
-fn archive_replay_matches_golden() {
-    let dir = std::env::temp_dir().join(format!("mantra-archive-golden-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let bin = env!("CARGO_BIN_EXE_mantra");
+/// A temporary directory owned by one test, deleted (with everything in
+/// it) when the guard drops — also when the test panics.
+struct TempDir(PathBuf);
 
-    let monitor = Command::new(bin)
-        .args(["monitor", "--seed", "7", "--hours", "2"])
-        .args(["--archive-dir", dir.to_str().unwrap()])
+impl TempDir {
+    fn new(tag: &str) -> TempDir {
+        static SEQ: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "mantra-{tag}-{}-{}",
+            std::process::id(),
+            SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        TempDir(dir)
+    }
+
+    fn path(&self) -> &Path {
+        &self.0
+    }
+
+    fn join(&self, name: &str) -> PathBuf {
+        self.0.join(name)
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Runs `mantra` with `args` in `cwd`.
+fn mantra(cwd: &Path, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_mantra"))
+        .current_dir(cwd)
+        .args(args)
         .output()
-        .unwrap();
+        .unwrap()
+}
+
+/// Writes the seed-7, two-hour monitor archives into `dir`.
+fn monitor_archives(dir: &Path) {
+    let monitor = mantra(
+        dir,
+        &[
+            "monitor",
+            "--seed",
+            "7",
+            "--hours",
+            "2",
+            "--archive-dir",
+            ".",
+        ],
+    );
     assert!(
         monitor.status.success(),
         "monitor failed: {}",
         String::from_utf8_lossy(&monitor.stderr)
     );
+}
 
-    let archive = dir.join("fixw.marc");
-    let replay = Command::new(bin)
-        .args(["archive", "replay", "--path", archive.to_str().unwrap()])
-        .output()
-        .unwrap();
+#[test]
+fn archive_replay_matches_golden() {
+    let dir = TempDir::new("archive-golden");
+    monitor_archives(dir.path());
+
+    let replay = mantra(dir.path(), &["archive", "replay", "--path", "fixw.marc"]);
     assert!(
         replay.status.success(),
         "replay failed: {}",
@@ -48,10 +95,7 @@ fn archive_replay_matches_golden() {
 
     // `archive info` must read the same file without error, and a fresh
     // monitor run writes the v2 dictionary format.
-    let info = Command::new(bin)
-        .args(["archive", "info", "--path", archive.to_str().unwrap()])
-        .output()
-        .unwrap();
+    let info = mantra(dir.path(), &["archive", "info", "--path", "fixw.marc"]);
     assert!(info.status.success());
     let info_out = String::from_utf8(info.stdout).unwrap();
     assert!(
@@ -66,13 +110,19 @@ fn archive_replay_matches_golden() {
     // Compacting with --drop-before rewrites to a smaller archive at the
     // next dictionary epoch; the cutoff here predates every record, so
     // nothing is dropped and replay transcripts stay identical.
-    let compacted = dir.join("fixw-compact.marc");
-    let compact = Command::new(bin)
-        .args(["archive", "compact", "--path", archive.to_str().unwrap()])
-        .args(["--out", compacted.to_str().unwrap()])
-        .args(["--drop-before", "1990-01-01"])
-        .output()
-        .unwrap();
+    let compact = mantra(
+        dir.path(),
+        &[
+            "archive",
+            "compact",
+            "--path",
+            "fixw.marc",
+            "--out",
+            "fixw-compact.marc",
+            "--drop-before",
+            "1990-01-01",
+        ],
+    );
     assert!(
         compact.status.success(),
         "compact failed: {}",
@@ -83,12 +133,55 @@ fn archive_replay_matches_golden() {
         compact_out.contains("dictionary epoch 2"),
         "unexpected compact output:\n{compact_out}"
     );
-    let replay2 = Command::new(bin)
-        .args(["archive", "replay", "--path", compacted.to_str().unwrap()])
-        .output()
-        .unwrap();
+    let replay2 = mantra(
+        dir.path(),
+        &["archive", "replay", "--path", "fixw-compact.marc"],
+    );
     assert!(replay2.status.success());
     assert_eq!(String::from_utf8(replay2.stdout).unwrap(), got);
+}
 
-    std::fs::remove_dir_all(&dir).unwrap();
+#[test]
+fn compact_refuses_an_out_that_names_its_source() {
+    let dir = TempDir::new("archive-alias");
+    monitor_archives(dir.path());
+    let source = std::fs::read(dir.join("fixw.marc")).unwrap();
+    std::fs::hard_link(dir.join("fixw.marc"), dir.join("fixw-link.marc")).unwrap();
+
+    // The same file under another spelling, and under a hard link:
+    // refused before anything is opened, the source left as it was.
+    for out in ["./fixw.marc", "fixw-link.marc"] {
+        let run = mantra(
+            dir.path(),
+            &["archive", "compact", "--path", "fixw.marc", "--out", out],
+        );
+        assert!(!run.status.success(), "compacting into {out} succeeded");
+        let err = String::from_utf8_lossy(&run.stderr);
+        assert!(err.contains("same file"), "{out}: {err}");
+        assert_eq!(
+            std::fs::read(dir.join("fixw.marc")).unwrap(),
+            source,
+            "compacting into {out} changed the source"
+        );
+    }
+
+    // A distinct --out still compacts.
+    let run = mantra(
+        dir.path(),
+        &[
+            "archive",
+            "compact",
+            "--path",
+            "fixw.marc",
+            "--out",
+            "new.marc",
+        ],
+    );
+    assert!(
+        run.status.success(),
+        "compact failed: {}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    assert_eq!(std::fs::read(dir.join("fixw.marc")).unwrap(), source);
+    assert!(dir.join("new.marc").exists());
 }

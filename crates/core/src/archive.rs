@@ -13,6 +13,10 @@
 //!   *checkpoints*: replay can start at the last one instead of the
 //!   beginning, and a crash that truncates the tail recovers to the last
 //!   intact record instead of refusing the archive.
+//! * [`ArchiveReader`] — a read-only view of a v2 archive's intact
+//!   prefix, safe against a live writer. It serves the daemon's queries
+//!   and every read-only v2 open ([`crate::logger::TableLog::load_read_only`]);
+//!   appends through it are refused.
 //! * [`FileBackendV1`] — a read-only decoder for legacy version-1
 //!   archives (JSON payloads). Nothing writes v1 any more; such archives
 //!   are replayed as they are or rewritten as v2 by
@@ -24,6 +28,11 @@
 //! backend behind the [`ArchiveBackend`] trait and never materialises
 //! more than one snapshot while replaying (see
 //! [`crate::logger::ReplayIter`]).
+//!
+//! Both file formats are read through one frame reader, and v2 through
+//! one frame index: the owning writer ([`FileBackendV2`]) and the
+//! concurrent reader ([`ArchiveReader`]) build it with the same scan and
+//! stream records from it with the same decoder.
 //!
 //! ## On-disk format (version 1, read-only)
 //!
@@ -73,7 +82,10 @@
 //! when their CRCs are individually intact. The v2 CRC also covers the
 //! frame's kind byte, so a Full/Delta flip cannot survive validation.
 //! Recovery matches v1: the first bad frame ends the archive, and the
-//! owning writer truncates the file there when it opens for append.
+//! owning writer truncates the file there when it opens for append. A
+//! reader never writes: it clamps to the same point in memory, because
+//! what looks like a torn tail to a reader is often a live writer's
+//! in-flight frame.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -86,8 +98,8 @@ use std::time::Instant;
 
 use mantra_net::{BitRate, GroupAddr, Ip, Prefix, SimDuration, SimTime};
 
-use crate::logger::{apply_with, LogRecord, SnapshotParts, TableDelta};
-use crate::store::{Interner, TableStore};
+use crate::logger::{LogRecord, ReplayIter, SnapshotParts, TableDelta};
+use crate::store::Interner;
 use crate::tables::{LearnedFrom, PairRow, RouteRow, SessionRow, Tables};
 
 /// The archive file magic.
@@ -355,18 +367,11 @@ impl ArchiveBackend for MemoryBackend {
 }
 
 // ---------------------------------------------------------------------
-// Headers and errors shared by both formats
+// Headers, errors, frames and record streams shared by both formats
 // ---------------------------------------------------------------------
 
 fn bad_data(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
-}
-
-fn read_only_error() -> io::Error {
-    io::Error::new(
-        io::ErrorKind::PermissionDenied,
-        "archive opened read-only (OpenMode::ReadOnly): appends are not allowed",
-    )
 }
 
 /// The error an append to a v1 archive produces, whether through an
@@ -386,8 +391,7 @@ pub fn v1_is_read_only(path: &Path) -> io::Error {
 }
 
 /// The error an unsupported (future) format version produces — raised by
-/// whatever opens the archive, never silently degraded to legacy-JSONL
-/// sniffing.
+/// whatever opens the archive, never silently degraded to a guess.
 pub fn unsupported_version(version: u16) -> io::Error {
     bad_data(format!(
         "MANTRARC archive with unsupported format version {version}; this \
@@ -423,25 +427,146 @@ fn write_header(w: &mut impl Write, version: u16, epoch: u32) -> io::Result<()> 
     w.write_all(&header)
 }
 
-/// How a v2 archive is opened.
+/// Reads the frame that starts at byte `pos` into `payload` and returns
+/// its kind. Fails on a short read, a kind the format does not have, a
+/// payload running past `end` (the logical end, so a corrupt length
+/// can never drive a read or an allocation past it) or a CRC mismatch.
+/// `v2` selects the format's kind bound and CRC rule: v2 frames may be
+/// dictionary segments and their CRC covers the kind byte too.
+fn read_frame(
+    r: &mut impl Read,
+    pos: u64,
+    end: u64,
+    v2: bool,
+    payload: &mut Vec<u8>,
+) -> io::Result<u8> {
+    let mut frame = [0u8; FRAME_LEN as usize];
+    r.read_exact(&mut frame)?;
+    let kind = frame[0];
+    let len = u64::from(u32::from_le_bytes([frame[1], frame[2], frame[3], frame[4]]));
+    let crc = u32::from_le_bytes([frame[5], frame[6], frame[7], frame[8]]);
+    if kind > if v2 { KIND_DICT } else { KIND_DELTA } {
+        return Err(bad_data(format!("unknown record kind {kind}")));
+    }
+    if pos + FRAME_LEN + len > end {
+        return Err(bad_data(
+            "record frame runs past the archive's logical end \
+             (the file changed under the reader)"
+                .into(),
+        ));
+    }
+    payload.clear();
+    payload.resize(len as usize, 0);
+    r.read_exact(payload)?;
+    let want = if v2 {
+        crc32_v2(kind, payload)
+    } else {
+        crc32(payload)
+    };
+    if want != crc {
+        return Err(bad_data("record payload fails its CRC".into()));
+    }
+    Ok(kind)
+}
+
+/// Streams the records `start..start + limit` (clamped to the archive)
+/// of the archive at `path`, whose record batches start at `offsets`
+/// (the last entry is the end sentinel) and whose logical end is `end`.
+/// `dict` is a v2 archive's dictionary; `None` decodes v1's JSON
+/// payloads.
 ///
-/// The distinction matters because open-time crash recovery *writes*:
-/// the owning writer heals a torn tail by physically truncating the
-/// file back to the last intact frame. A concurrent observer (the
-/// daemon's query path, `mantra archive info|replay`) must never do
-/// that — what looks like a torn tail to a reader is often a live
-/// writer's in-flight frame, and truncating it corrupts the archive
-/// out from under its owner.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum OpenMode {
-    /// Exclusive owner: heals a torn or corrupt tail by truncating the
-    /// file so later appends start from a valid state.
-    #[default]
-    ReadWrite,
-    /// Observer: clamps to the last intact frame *in memory* and never
-    /// writes — the file is byte-identical before and after the open,
-    /// and appends through the backend fail.
-    ReadOnly,
+/// v2 dictionary frames are skipped: `dict` already holds their
+/// entries, and within an epoch the dictionary only grows, so an early
+/// record decodes against it exactly as against the dictionary of its
+/// day. Every record frame is CRC-checked and bounded by `end`, and a v2
+/// record's sequence number must match its index. The stream fuses on
+/// its first error.
+fn stream_records<'a>(
+    path: &Path,
+    offsets: &[u64],
+    end: u64,
+    dict: Option<&'a ArchiveDict>,
+    start: usize,
+    limit: usize,
+) -> RecordIter<'a> {
+    let count = offsets.len() - 1;
+    let start = start.min(count);
+    let remaining = limit.min(count - start);
+    if remaining == 0 {
+        return Box::new(std::iter::empty());
+    }
+    let pos = offsets[start];
+    let reader = File::open(path).and_then(|mut f| {
+        f.seek(SeekFrom::Start(pos))?;
+        Ok(BufReader::new(f))
+    });
+    match reader {
+        Ok(reader) => Box::new(Records {
+            reader: Some(reader),
+            dict,
+            next: start as u64,
+            remaining,
+            pos,
+            end,
+            payload: Vec::new(),
+        }),
+        Err(e) => Box::new(std::iter::once(Err(io::Error::new(
+            e.kind(),
+            format!("archive file disappeared under the reader: {e}"),
+        )))),
+    }
+}
+
+/// The record stream behind [`stream_records`].
+struct Records<'a> {
+    reader: Option<BufReader<File>>,
+    dict: Option<&'a ArchiveDict>,
+    /// Index (and v2 sequence number) of the next record.
+    next: u64,
+    remaining: usize,
+    /// Byte offset of the next frame.
+    pos: u64,
+    end: u64,
+    payload: Vec<u8>,
+}
+
+impl Records<'_> {
+    fn read_one(&mut self) -> io::Result<LogRecord> {
+        let reader = self.reader.as_mut().expect("checked by next()");
+        let v2 = self.dict.is_some();
+        loop {
+            let kind = read_frame(reader, self.pos, self.end, v2, &mut self.payload)?;
+            self.pos += FRAME_LEN + self.payload.len() as u64;
+            let rec = match self.dict {
+                Some(_) if kind == KIND_DICT => continue,
+                Some(dict) => decode_record_v2(kind, &self.payload, dict, self.next)?,
+                None => {
+                    let text = std::str::from_utf8(&self.payload)
+                        .map_err(|e| bad_data(format!("record payload is not UTF-8: {e}")))?;
+                    serde_json::from_str(text)
+                        .map_err(|e| bad_data(format!("bad record payload: {e}")))?
+                }
+            };
+            self.next += 1;
+            return Ok(rec);
+        }
+    }
+}
+
+impl Iterator for Records<'_> {
+    type Item = io::Result<LogRecord>;
+
+    fn next(&mut self) -> Option<io::Result<LogRecord>> {
+        if self.remaining == 0 || self.reader.is_none() {
+            return None;
+        }
+        self.remaining -= 1;
+        let rec = self.read_one();
+        if rec.is_err() {
+            self.reader = None; // fuse on error
+        }
+        Some(rec)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -480,7 +605,7 @@ impl FileBackendV1 {
         if version != FORMAT_VERSION {
             return Err(if version == FORMAT_VERSION_V2 {
                 bad_data(format!(
-                    "archive is MANTRARC v{version}; open it through FileBackendV2"
+                    "archive is MANTRARC v{version}; read it through ArchiveReader"
                 ))
             } else {
                 unsupported_version(version)
@@ -491,26 +616,12 @@ impl FileBackendV1 {
         let mut checkpoints = Vec::new();
         let mut pos = HEADER_LEN;
         let mut payload = Vec::new();
-        loop {
-            let mut frame = [0u8; FRAME_LEN as usize];
-            if reader.read_exact(&mut frame).is_err() {
-                break; // truncated frame header: end of archive
-            }
-            let kind = frame[0];
-            let len = u64::from(u32::from_le_bytes([frame[1], frame[2], frame[3], frame[4]]));
-            let crc = u32::from_le_bytes([frame[5], frame[6], frame[7], frame[8]]);
-            if kind > KIND_DELTA || pos + FRAME_LEN + len > file_len {
-                break; // unknown kind or payload runs past EOF
-            }
-            payload.clear();
-            payload.resize(len as usize, 0);
-            if reader.read_exact(&mut payload).is_err() || crc32(&payload) != crc {
-                break; // torn or corrupt payload
-            }
+        // The first bad frame ends the archive.
+        while let Ok(kind) = read_frame(&mut reader, pos, file_len, false, &mut payload) {
             if kind == KIND_FULL {
                 checkpoints.push(offsets.len() - 1);
             }
-            pos += FRAME_LEN + len;
+            pos += FRAME_LEN + payload.len() as u64;
             offsets.push(pos);
         }
         let stats = ArchiveStats {
@@ -526,48 +637,6 @@ impl FileBackendV1 {
             checkpoints,
             stats,
         })
-    }
-}
-
-/// Streams records from a v1 archive file, yielding at most `remaining`.
-struct FileRecordIter {
-    reader: Option<BufReader<File>>,
-    remaining: usize,
-}
-
-impl FileRecordIter {
-    fn read_one(reader: &mut BufReader<File>) -> io::Result<LogRecord> {
-        let mut frame = [0u8; FRAME_LEN as usize];
-        reader.read_exact(&mut frame)?;
-        let len = u32::from_le_bytes([frame[1], frame[2], frame[3], frame[4]]) as usize;
-        let crc = u32::from_le_bytes([frame[5], frame[6], frame[7], frame[8]]);
-        let mut payload = vec![0u8; len];
-        reader.read_exact(&mut payload)?;
-        if crc32(&payload) != crc {
-            return Err(bad_data("record payload fails its CRC".into()));
-        }
-        let text = std::str::from_utf8(&payload)
-            .map_err(|e| bad_data(format!("record payload is not UTF-8: {e}")))?;
-        serde_json::from_str(text).map_err(|e| bad_data(format!("bad record payload: {e}")))
-    }
-}
-
-impl Iterator for FileRecordIter {
-    type Item = io::Result<LogRecord>;
-
-    fn next(&mut self) -> Option<io::Result<LogRecord>> {
-        if self.remaining == 0 {
-            return None;
-        }
-        let reader = self.reader.as_mut()?;
-        self.remaining -= 1;
-        match Self::read_one(reader) {
-            Ok(rec) => Some(Ok(rec)),
-            Err(e) => {
-                self.reader = None; // fuse on error
-                Some(Err(e))
-            }
-        }
     }
 }
 
@@ -590,19 +659,8 @@ impl ArchiveBackend for FileBackendV1 {
     }
 
     fn records_from(&self, start: usize) -> RecordIter<'_> {
-        let count = self.len();
-        let start = start.min(count);
-        let reader = File::open(&self.path).and_then(|mut f| {
-            f.seek(SeekFrom::Start(self.offsets[start]))?;
-            Ok(BufReader::new(f))
-        });
-        match reader {
-            Ok(reader) => Box::new(FileRecordIter {
-                reader: Some(reader),
-                remaining: count - start,
-            }),
-            Err(e) => Box::new(std::iter::once(Err(e))),
-        }
+        let end = *self.offsets.last().expect("the sentinel");
+        stream_records(&self.path, &self.offsets, end, None, start, usize::MAX)
     }
 
     fn last_checkpoint(&self) -> Option<usize> {
@@ -720,11 +778,11 @@ impl<'a> Cur<'a> {
 /// validating that each segment's epoch matches the header and that its
 /// per-table base equals the current table length.
 #[derive(Clone, Debug, Default)]
-pub struct ArchiveDict {
+pub(crate) struct ArchiveDict {
     /// The archive's interner epoch (also stamped in the file header and
     /// in every segment). Compaction writes a fresh dictionary under a
     /// bumped epoch.
-    pub epoch: u32,
+    epoch: u32,
     strings: Interner<String>,
     ips: Interner<Ip>,
     groups: Interner<GroupAddr>,
@@ -743,13 +801,8 @@ impl ArchiveDict {
     }
 
     /// Total interned entries across all tables.
-    pub fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.strings.len() + self.ips.len() + self.groups.len() + self.prefixes.len()
-    }
-
-    /// True when nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     fn watermark(&self) -> DictMark {
@@ -1171,28 +1224,157 @@ fn decode_record_v2(
 }
 
 // ---------------------------------------------------------------------
+// MANTRARC v2: the frame index
+// ---------------------------------------------------------------------
+
+/// The index of a v2 archive's intact prefix, shared by the owning
+/// writer ([`FileBackendV2`]) and the concurrent reader
+/// ([`ArchiveReader`]): both build it with [`V2Index::scan`] and stream
+/// records from it with [`V2Index::records`].
+#[derive(Debug)]
+struct V2Index {
+    /// The dictionary rebuilt from the prefix's segments; the writer
+    /// interns into it as it appends.
+    dict: ArchiveDict,
+    /// Byte offset of each record's append batch (its frame, or the
+    /// dictionary frame written ahead of it), plus the end of the last
+    /// record as a final sentinel.
+    offsets: Vec<u64>,
+    /// Record indices of the Full records — the checkpoints.
+    checkpoints: Vec<usize>,
+    /// `captured_at` of each record, in record order.
+    times: Vec<SimTime>,
+    /// Logical end: one past the last intact frame.
+    end: u64,
+}
+
+impl V2Index {
+    fn new(epoch: u32) -> V2Index {
+        V2Index {
+            dict: ArchiveDict::with_epoch(epoch),
+            offsets: vec![HEADER_LEN],
+            checkpoints: Vec::new(),
+            times: Vec::new(),
+            end: HEADER_LEN,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Extends the index over the intact frames between the logical end
+    /// and `file_len`. The first bad frame ends the scan: one that
+    /// [`read_frame`] rejects, a dictionary segment whose epoch or
+    /// watermark does not match (compaction bumps the epoch so stale
+    /// segments end here), or a record whose sequence number is not its
+    /// index (a spliced or duplicated frame). Both record kinds lead
+    /// with `seq, captured_at` varints, so no record body is decoded.
+    fn scan(&mut self, file: &mut File, file_len: u64) -> io::Result<()> {
+        file.seek(SeekFrom::Start(self.end))?;
+        let mut reader = BufReader::new(file);
+        let mut payload = Vec::new();
+        while let Ok(kind) = read_frame(&mut reader, self.end, file_len, true, &mut payload) {
+            let frame_end = self.end + FRAME_LEN + payload.len() as u64;
+            if kind == KIND_DICT {
+                if self.dict.apply_segment(&payload).is_err() {
+                    break;
+                }
+                self.end = frame_end;
+                continue;
+            }
+            let mut c = Cur::new(&payload);
+            match (c.uv(), c.uv()) {
+                (Ok(seq), Ok(at)) if seq == self.len() as u64 => {
+                    self.push(kind == KIND_FULL, SimTime(at), frame_end);
+                }
+                _ => break,
+            }
+        }
+        Ok(())
+    }
+
+    /// Indexes one more record, whose frame ends at `end`.
+    fn push(&mut self, full: bool, at: SimTime, end: u64) {
+        if full {
+            self.checkpoints.push(self.len());
+        }
+        self.times.push(at);
+        self.offsets.push(end);
+        self.end = end;
+    }
+
+    /// Streams records `start..start + limit` of the indexed prefix.
+    fn records<'a>(&'a self, path: &Path, start: usize, limit: usize) -> RecordIter<'a> {
+        stream_records(
+            path,
+            &self.offsets,
+            self.end,
+            Some(&self.dict),
+            start,
+            limit,
+        )
+    }
+
+    /// `base` with the counts the index keeps: records, checkpoints and
+    /// frame bytes after the header.
+    fn stats(&self, base: ArchiveStats) -> ArchiveStats {
+        ArchiveStats {
+            records: self.len() as u64,
+            checkpoints: self.checkpoints.len() as u64,
+            bytes: self.end - HEADER_LEN,
+            ..base
+        }
+    }
+
+    fn describe(&self) -> ArchiveInfo {
+        ArchiveInfo {
+            format_version: FORMAT_VERSION_V2,
+            epoch: self.dict.epoch,
+            dict_entries: self.dict.len() as u64,
+        }
+    }
+}
+
+/// Opens the v2 archive at `path`, for writing too when `write`, and
+/// returns it with its length and interner epoch. A v1 archive opened
+/// for writing fails with [`v1_is_read_only`]; an unknown version fails
+/// with [`unsupported_version`].
+fn open_v2(path: &Path, write: bool) -> io::Result<(File, u64, u32)> {
+    let mut file = OpenOptions::new().read(true).write(write).open(path)?;
+    let file_len = file.seek(SeekFrom::End(0))?;
+    file.seek(SeekFrom::Start(0))?;
+    let (version, epoch) = read_header(&mut file)?;
+    match version {
+        FORMAT_VERSION_V2 => Ok((file, file_len, epoch)),
+        FORMAT_VERSION if write => Err(v1_is_read_only(path)),
+        FORMAT_VERSION => Err(bad_data(
+            "archive is MANTRARC v1; concurrent reads need v2 \
+             (open it through FileBackendV1::open_read_only instead)"
+                .into(),
+        )),
+        v => Err(unsupported_version(v)),
+    }
+}
+
+// ---------------------------------------------------------------------
 // FileBackendV2
 // ---------------------------------------------------------------------
 
 /// The id-keyed v2 on-disk archive (see the module docs for the format).
 ///
 /// Append-only frames, CRC validation and torn-tail truncation on open,
-/// with record payloads binary-encoded against an embedded
-/// [`ArchiveDict`]. Every monitor archive is written in this format.
+/// with record payloads binary-encoded against an embedded dictionary.
+/// Every monitor archive is written in this format.
 #[derive(Debug)]
 pub struct FileBackendV2 {
     path: PathBuf,
     file: File,
-    /// Byte offset of each *record* frame (dictionary frames sit between
-    /// them), plus the end-of-archive offset as a final sentinel.
-    offsets: Vec<u64>,
-    /// `(start, end)` offsets of dictionary frames, in file order.
-    dict_frames: Vec<(u64, u64)>,
-    checkpoints: Vec<usize>,
-    dict: ArchiveDict,
+    index: V2Index,
     /// Dictionary entries already persisted in segments.
     persisted: DictMark,
-    end: u64,
+    /// The counters the index does not keep: fsyncs, recovered bytes,
+    /// pending appends and write errors.
     stats: ArchiveStats,
     /// When this backend fsyncs.
     pub sync: SyncPolicy,
@@ -1200,16 +1382,13 @@ pub struct FileBackendV2 {
     bytes_since_sync: u64,
     /// A frame write failed mid-way: bytes past the logical end may be
     /// on disk, and the OS cursor is wherever the failure left it. The
-    /// next append or sync re-truncates to `end` before doing anything
-    /// else, so a transient failure never corrupts the stream or
-    /// silently drops the records written after it.
+    /// next append or sync re-truncates to the logical end before doing
+    /// anything else, so a transient failure never corrupts the stream
+    /// or silently drops the records written after it.
     torn: bool,
     /// Fault injection: the next append writes only this many bytes,
     /// then fails (see [`FileBackendV2::inject_torn_write`]).
     fail_next: Option<usize>,
-    /// Opened through [`OpenMode::ReadOnly`]: appends fail and sync is a
-    /// no-op, so the file is never written through this handle.
-    read_only: bool,
 }
 
 fn frame_bytes(kind: u8, payload: &[u8]) -> Vec<u8> {
@@ -1247,158 +1426,53 @@ impl FileBackendV2 {
             .open(&path)?;
         write_header(&mut file, FORMAT_VERSION_V2, epoch)?;
         file.sync_all()?;
-        Ok(FileBackendV2 {
-            path,
-            file,
-            offsets: vec![HEADER_LEN],
-            dict_frames: Vec::new(),
-            checkpoints: Vec::new(),
-            dict: ArchiveDict::with_epoch(epoch),
-            persisted: [0; 4],
-            end: HEADER_LEN,
-            stats: ArchiveStats {
-                fsyncs: 1,
-                ..ArchiveStats::default()
-            },
-            sync: SyncPolicy::default(),
-            since_sync: 0,
-            bytes_since_sync: 0,
-            torn: false,
-            fail_next: None,
-            read_only: false,
-        })
+        let stats = ArchiveStats {
+            fsyncs: 1,
+            ..ArchiveStats::default()
+        };
+        Ok(Self::with_index(path, file, V2Index::new(epoch), stats))
     }
 
-    /// Opens an existing v2 archive for append, creating it if absent.
+    /// Opens an existing v2 archive for append.
     ///
-    /// Scanning validates each frame's CRC, rebuilds the dictionary from
+    /// The scan validates each frame's CRC, rebuilds the dictionary from
     /// its segments (epoch- and watermark-checked) and verifies every
     /// record's sequence number; the first bad frame ends the archive
     /// and the file is truncated there
-    /// ([`ArchiveStats::recovered_bytes`]).
+    /// ([`ArchiveStats::recovered_bytes`]). A v1 archive fails with
+    /// [`v1_is_read_only`].
     pub fn open(path: impl Into<PathBuf>) -> io::Result<FileBackendV2> {
-        Self::open_with(path, OpenMode::ReadWrite)
-    }
-
-    /// Opens an existing v2 archive without ever writing to it: a torn
-    /// or corrupt tail is clamped to the last intact record in memory
-    /// (still accounted in [`ArchiveStats::recovered_bytes`]) and the
-    /// file stays byte-identical. Appends fail. Safe to run against an
-    /// archive another process is actively writing.
-    pub fn open_read_only(path: impl Into<PathBuf>) -> io::Result<FileBackendV2> {
-        Self::open_with(path, OpenMode::ReadOnly)
-    }
-
-    /// Opens an existing v2 archive in the given [`OpenMode`], creating
-    /// it if absent (read-write mode only).
-    pub fn open_with(path: impl Into<PathBuf>, mode: OpenMode) -> io::Result<FileBackendV2> {
         let path = path.into();
-        if !path.exists() {
-            if mode == OpenMode::ReadOnly {
-                return Err(io::Error::new(
-                    io::ErrorKind::NotFound,
-                    format!("no archive at {}", path.display()),
-                ));
-            }
-            return Self::create(path);
-        }
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(mode == OpenMode::ReadWrite)
-            .open(&path)?;
-        let file_len = file.seek(SeekFrom::End(0))?;
-        file.seek(SeekFrom::Start(0))?;
-        let mut reader = BufReader::new(&mut file);
-        let (version, epoch) = read_header(&mut reader)?;
-        if version != FORMAT_VERSION_V2 {
-            return Err(match (version, mode) {
-                (FORMAT_VERSION, OpenMode::ReadWrite) => v1_is_read_only(&path),
-                (FORMAT_VERSION, OpenMode::ReadOnly) => {
-                    bad_data("archive is MANTRARC v1; open it through FileBackendV1".into())
-                }
-                _ => unsupported_version(version),
-            });
-        }
-
-        let mut offsets = vec![HEADER_LEN];
-        let mut dict_frames = Vec::new();
-        let mut checkpoints = Vec::new();
-        let mut dict = ArchiveDict::with_epoch(epoch);
-        let mut persisted = [0; 4];
-        let mut pos = HEADER_LEN;
-        let mut payload = Vec::new();
-        loop {
-            let mut frame = [0u8; FRAME_LEN as usize];
-            if reader.read_exact(&mut frame).is_err() {
-                break; // truncated frame header: end of archive
-            }
-            let kind = frame[0];
-            let len = u64::from(u32::from_le_bytes([frame[1], frame[2], frame[3], frame[4]]));
-            let crc = u32::from_le_bytes([frame[5], frame[6], frame[7], frame[8]]);
-            if kind > KIND_DICT || pos + FRAME_LEN + len > file_len {
-                break; // unknown kind or payload runs past EOF
-            }
-            payload.clear();
-            payload.resize(len as usize, 0);
-            if reader.read_exact(&mut payload).is_err() || crc32_v2(kind, &payload) != crc {
-                break; // torn or corrupt payload
-            }
-            if kind == KIND_DICT {
-                if dict.apply_segment(&payload).is_err() {
-                    break; // stale epoch / out-of-order segment
-                }
-                persisted = dict.watermark();
-                dict_frames.push((pos, pos + FRAME_LEN + len));
-                pos += FRAME_LEN + len;
-                continue;
-            }
-            // Validate the embedded sequence number without decoding the
-            // whole record.
-            let expect = (offsets.len() - 1) as u64;
-            match Cur::new(&payload).uv() {
-                Ok(seq) if seq == expect => {}
-                _ => break, // spliced/duplicated frame
-            }
-            if kind == KIND_FULL {
-                checkpoints.push(offsets.len() - 1);
-            }
-            pos += FRAME_LEN + len;
-            offsets.push(pos);
-        }
-        drop(reader);
-
-        let recovered = file_len - pos;
-        let healed = recovered > 0 && mode == OpenMode::ReadWrite;
-        if healed {
-            file.set_len(pos)?;
+        let (mut file, file_len, epoch) = open_v2(&path, true)?;
+        let mut index = V2Index::new(epoch);
+        index.scan(&mut file, file_len)?;
+        let recovered = file_len - index.end;
+        if recovered > 0 {
+            file.set_len(index.end)?;
             file.sync_all()?;
         }
-        file.seek(SeekFrom::Start(pos))?;
+        file.seek(SeekFrom::Start(index.end))?;
         let stats = ArchiveStats {
-            records: (offsets.len() - 1) as u64,
-            checkpoints: checkpoints.len() as u64,
-            bytes: pos - HEADER_LEN,
-            fsyncs: u64::from(healed),
+            fsyncs: u64::from(recovered > 0),
             recovered_bytes: recovered,
             ..ArchiveStats::default()
         };
-        Ok(FileBackendV2 {
+        Ok(Self::with_index(path, file, index, stats))
+    }
+
+    fn with_index(path: PathBuf, file: File, index: V2Index, stats: ArchiveStats) -> Self {
+        FileBackendV2 {
             path,
             file,
-            offsets,
-            dict_frames,
-            checkpoints,
-            dict,
-            persisted,
-            end: pos,
+            persisted: index.dict.watermark(),
+            index,
             stats,
             sync: SyncPolicy::default(),
             since_sync: 0,
             bytes_since_sync: 0,
             torn: false,
             fail_next: None,
-            read_only: mode == OpenMode::ReadOnly,
-        })
+        }
     }
 
     /// The archive's path.
@@ -1406,23 +1480,12 @@ impl FileBackendV2 {
         &self.path
     }
 
-    /// Byte offsets of every record frame plus the end-of-archive
-    /// sentinel. Dictionary frames occupy the gaps (see
-    /// [`FileBackendV2::dict_frames`]), so consecutive offsets are not
-    /// necessarily adjacent.
+    /// Byte offsets of every record's append batch plus the
+    /// end-of-archive sentinel. A batch leads with a dictionary frame
+    /// when its record interned new keys, so an offset is not
+    /// necessarily the start of the record's own frame.
     pub fn offsets(&self) -> &[u64] {
-        &self.offsets
-    }
-
-    /// `(start, end)` byte spans of the dictionary frames, in file order
-    /// (exposed for corruption/crash tests and tooling).
-    pub fn dict_frames(&self) -> &[(u64, u64)] {
-        &self.dict_frames
-    }
-
-    /// The embedded dictionary (exposed for `archive info` and tests).
-    pub fn dict(&self) -> &ArchiveDict {
-        &self.dict
+        &self.index.offsets
     }
 
     /// Fault injection for tests: the next `append` writes only
@@ -1433,14 +1496,14 @@ impl FileBackendV2 {
         self.fail_next = Some(partial);
     }
 
-    /// Cuts a torn tail back to the logical end (`self.end`) and
-    /// repositions the cursor there.
+    /// Cuts a torn tail back to the logical end and repositions the
+    /// cursor there.
     fn heal(&mut self) -> io::Result<()> {
         if !self.torn {
             return Ok(());
         }
-        self.file.set_len(self.end)?;
-        self.file.seek(SeekFrom::Start(self.end))?;
+        self.file.set_len(self.index.end)?;
+        self.file.seek(SeekFrom::Start(self.index.end))?;
         self.torn = false;
         Ok(())
     }
@@ -1452,29 +1515,24 @@ impl ArchiveBackend for FileBackendV2 {
     }
 
     fn append(&mut self, rec: LogRecord) -> io::Result<()> {
-        if self.read_only {
-            self.stats.write_errors += 1;
-            return Err(read_only_error());
-        }
         if let Err(e) = self.heal() {
             self.stats.write_errors += 1;
             return Err(e);
         }
-        let seq = (self.offsets.len() - 1) as u64;
-        let (kind, payload) = encode_record_v2(&rec, &mut self.dict, seq);
+        let seq = self.index.len() as u64;
+        let (kind, payload) = encode_record_v2(&rec, &mut self.index.dict, seq);
         // New dictionary entries ride ahead of the record that needs
         // them, in the same write. `persisted` only advances after the
         // write succeeds, so entries lost to a torn frame are re-emitted
         // with the next record.
         let mut buf = Vec::new();
-        if let Some(seg) = self.dict.encode_new_entries(self.persisted) {
+        if let Some(seg) = self.index.dict.encode_new_entries(self.persisted) {
             buf = frame_bytes(KIND_DICT, &seg);
         }
-        let dict_len = buf.len() as u64;
         buf.extend_from_slice(&frame_bytes(kind, &payload));
         // A failed earlier write leaves the cursor wherever the OS
         // stopped; re-seek so a retried append lands at the logical end.
-        if let Err(e) = self.file.seek(SeekFrom::Start(self.end)) {
+        if let Err(e) = self.file.seek(SeekFrom::Start(self.index.end)) {
             self.stats.write_errors += 1;
             return Err(e);
         }
@@ -1491,20 +1549,14 @@ impl ArchiveBackend for FileBackendV2 {
             return Err(e);
         }
 
-        if dict_len > 0 {
-            self.dict_frames.push((self.end, self.end + dict_len));
-            self.persisted = self.dict.watermark();
-        }
-        let idx = self.offsets.len() - 1;
-        self.end += buf.len() as u64;
-        self.offsets.push(self.end);
-        self.stats.records += 1;
-        self.stats.bytes += buf.len() as u64;
+        self.persisted = self.index.dict.watermark();
+        let at = match &rec {
+            LogRecord::Full(p) => p.captured_at,
+            LogRecord::Delta(d) => d.captured_at,
+        };
         let checkpoint = kind == KIND_FULL;
-        if checkpoint {
-            self.checkpoints.push(idx);
-            self.stats.checkpoints += 1;
-        }
+        self.index
+            .push(checkpoint, at, self.index.end + buf.len() as u64);
         self.since_sync += 1;
         self.bytes_since_sync += buf.len() as u64;
         self.stats.pending_appends = self.since_sync as u64;
@@ -1518,7 +1570,7 @@ impl ArchiveBackend for FileBackendV2 {
     }
 
     fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.index.len()
     }
 
     fn records(&self) -> RecordIter<'_> {
@@ -1526,70 +1578,22 @@ impl ArchiveBackend for FileBackendV2 {
     }
 
     fn records_from(&self, start: usize) -> RecordIter<'_> {
-        let count = self.len();
-        let start = start.min(count);
-        let start_off = self.offsets[start];
-        let made = File::open(&self.path).and_then(|mut f| {
-            // Preload the dictionary segments written before the start
-            // offset — mid-archive entry points (checkpoint resume) need
-            // every id interned so far.
-            let mut dict = ArchiveDict::with_epoch(self.dict.epoch);
-            let mut payload = Vec::new();
-            for &(s, e) in self.dict_frames.iter().filter(|(s, _)| *s < start_off) {
-                f.seek(SeekFrom::Start(s))?;
-                let mut frame = [0u8; FRAME_LEN as usize];
-                f.read_exact(&mut frame)?;
-                let len = u32::from_le_bytes([frame[1], frame[2], frame[3], frame[4]]) as usize;
-                let crc = u32::from_le_bytes([frame[5], frame[6], frame[7], frame[8]]);
-                if s + FRAME_LEN + len as u64 != e {
-                    return Err(bad_data("dictionary frame span changed on disk".into()));
-                }
-                payload.clear();
-                payload.resize(len, 0);
-                f.read_exact(&mut payload)?;
-                if crc32_v2(KIND_DICT, &payload) != crc {
-                    return Err(bad_data("dictionary segment fails its CRC".into()));
-                }
-                dict.apply_segment(&payload)?;
-            }
-            f.seek(SeekFrom::Start(start_off))?;
-            Ok(FileRecordIterV2 {
-                reader: Some(BufReader::new(f)),
-                remaining: count - start,
-                next_seq: start as u64,
-                dict,
-                file_end: self.end,
-                pos: start_off,
-            })
-        });
-        match made {
-            Ok(iter) => Box::new(iter),
-            Err(e) => Box::new(std::iter::once(Err(e))),
-        }
+        self.index.records(&self.path, start, usize::MAX)
     }
 
     fn last_checkpoint(&self) -> Option<usize> {
-        self.checkpoints.last().copied()
+        self.index.checkpoints.last().copied()
     }
 
     fn stats(&self) -> ArchiveStats {
-        self.stats.clone()
+        self.index.stats(self.stats.clone())
     }
 
     fn describe(&self) -> ArchiveInfo {
-        ArchiveInfo {
-            format_version: FORMAT_VERSION_V2,
-            epoch: self.dict.epoch,
-            dict_entries: self.dict.len() as u64,
-        }
+        self.index.describe()
     }
 
     fn sync(&mut self) -> io::Result<()> {
-        if self.read_only {
-            // Nothing this handle wrote can be pending; never touch the
-            // file.
-            return Ok(());
-        }
         if let Err(e) = self.heal() {
             self.stats.write_errors += 1;
             return Err(e);
@@ -1600,70 +1604,6 @@ impl ArchiveBackend for FileBackendV2 {
         self.bytes_since_sync = 0;
         self.stats.pending_appends = 0;
         Ok(())
-    }
-}
-
-/// Streams records from a v2 archive, applying inline dictionary
-/// segments and validating CRCs and sequence numbers as it goes.
-struct FileRecordIterV2 {
-    reader: Option<BufReader<File>>,
-    remaining: usize,
-    next_seq: u64,
-    dict: ArchiveDict,
-    /// Logical end of the archive when the iterator was created; frames
-    /// are bounded against it so a corrupt length cannot drive reads or
-    /// allocation past the archive.
-    file_end: u64,
-    pos: u64,
-}
-
-impl FileRecordIterV2 {
-    fn read_one(&mut self) -> io::Result<LogRecord> {
-        let reader = self.reader.as_mut().expect("checked by next()");
-        loop {
-            let mut frame = [0u8; FRAME_LEN as usize];
-            reader.read_exact(&mut frame)?;
-            let kind = frame[0];
-            let len = u64::from(u32::from_le_bytes([frame[1], frame[2], frame[3], frame[4]]));
-            let crc = u32::from_le_bytes([frame[5], frame[6], frame[7], frame[8]]);
-            if kind > KIND_DICT {
-                return Err(bad_data(format!("unknown record kind {kind}")));
-            }
-            if self.pos + FRAME_LEN + len > self.file_end {
-                return Err(bad_data("record frame runs past the archive".into()));
-            }
-            let mut payload = vec![0u8; len as usize];
-            reader.read_exact(&mut payload)?;
-            if crc32_v2(kind, &payload) != crc {
-                return Err(bad_data("record payload fails its CRC".into()));
-            }
-            self.pos += FRAME_LEN + len;
-            if kind == KIND_DICT {
-                self.dict.apply_segment(&payload)?;
-                continue;
-            }
-            let rec = decode_record_v2(kind, &payload, &self.dict, self.next_seq)?;
-            self.next_seq += 1;
-            return Ok(rec);
-        }
-    }
-}
-
-impl Iterator for FileRecordIterV2 {
-    type Item = io::Result<LogRecord>;
-
-    fn next(&mut self) -> Option<io::Result<LogRecord>> {
-        if self.remaining == 0 || self.reader.is_none() {
-            return None;
-        }
-        self.remaining -= 1;
-        match self.read_one() {
-            Ok(rec) => Some(Ok(rec)),
-            Err(e) => {
-                self.reader = None; // fuse on error
-                Some(Err(e))
-            }
-        }
     }
 }
 
@@ -2114,17 +2054,12 @@ impl ArchiveSpec {
 #[derive(Debug)]
 pub struct ArchiveReader {
     path: PathBuf,
-    epoch: u32,
-    dict: ArchiveDict,
-    /// Byte offset of each intact record frame, plus the logical end as
-    /// a final sentinel. Dictionary frames occupy the gaps.
-    offsets: Vec<u64>,
-    /// Record indices of Full records — the checkpoint index.
-    checkpoints: Vec<usize>,
-    /// `captured_at` of each record, in record order.
-    times: Vec<SimTime>,
-    /// Logical end: one past the last intact frame.
-    end: u64,
+    index: V2Index,
+    /// The file length the last scan saw: the bytes past the logical end
+    /// are the [`ArchiveStats::recovered_bytes`] a writer would cut.
+    file_len: u64,
+    /// Appends refused through [`ArchiveBackend::append`].
+    write_errors: u64,
 }
 
 impl ArchiveReader {
@@ -2133,28 +2068,11 @@ impl ArchiveReader {
     /// only v2's embedded sequence numbers make concurrent reads safe
     /// against frame splices).
     pub fn open(path: impl Into<PathBuf>) -> io::Result<ArchiveReader> {
-        let path = path.into();
-        let mut file = File::open(&path)?;
-        let (version, epoch) = read_header(&mut file)?;
-        if version != FORMAT_VERSION_V2 {
-            return Err(if version == FORMAT_VERSION {
-                bad_data(
-                    "archive is MANTRARC v1; concurrent reads need v2 \
-                     (open it through FileBackendV1::open_read_only instead)"
-                        .into(),
-                )
-            } else {
-                unsupported_version(version)
-            });
-        }
         let mut rd = ArchiveReader {
-            path,
-            epoch,
-            dict: ArchiveDict::with_epoch(epoch),
-            offsets: vec![HEADER_LEN],
-            checkpoints: Vec::new(),
-            times: Vec::new(),
-            end: HEADER_LEN,
+            path: path.into(),
+            index: V2Index::new(0),
+            file_len: HEADER_LEN,
+            write_errors: 0,
         };
         rd.refresh()?;
         Ok(rd)
@@ -2166,71 +2084,13 @@ impl ArchiveReader {
     /// epoch changed, or the file shrank — compaction does both), the
     /// reader starts over from the header.
     pub fn refresh(&mut self) -> io::Result<usize> {
-        let mut file = File::open(&self.path)?;
-        let file_len = file.seek(SeekFrom::End(0))?;
-        file.seek(SeekFrom::Start(0))?;
-        let (version, epoch) = read_header(&mut file)?;
-        if version != FORMAT_VERSION_V2 {
-            return Err(unsupported_version(version));
-        }
-        if epoch != self.epoch || file_len < self.end {
-            self.epoch = epoch;
-            self.dict = ArchiveDict::with_epoch(epoch);
-            self.offsets = vec![HEADER_LEN];
-            self.checkpoints.clear();
-            self.times.clear();
-            self.end = HEADER_LEN;
+        let (mut file, file_len, epoch) = open_v2(&self.path, false)?;
+        if epoch != self.index.dict.epoch || file_len < self.index.end {
+            self.index = V2Index::new(epoch);
         }
         let before = self.len();
-        let mut pos = self.end;
-        file.seek(SeekFrom::Start(pos))?;
-        let mut reader = BufReader::new(file);
-        let mut payload = Vec::new();
-        loop {
-            let mut frame = [0u8; FRAME_LEN as usize];
-            if reader.read_exact(&mut frame).is_err() {
-                break; // truncated frame header: end of snapshot
-            }
-            let kind = frame[0];
-            let len = u64::from(u32::from_le_bytes([frame[1], frame[2], frame[3], frame[4]]));
-            let crc = u32::from_le_bytes([frame[5], frame[6], frame[7], frame[8]]);
-            if kind > KIND_DICT || pos + FRAME_LEN + len > file_len {
-                break; // unknown kind, or frame past the length snapshot
-            }
-            payload.clear();
-            payload.resize(len as usize, 0);
-            if reader.read_exact(&mut payload).is_err() || crc32_v2(kind, &payload) != crc {
-                break; // torn or corrupt payload (often a write in flight)
-            }
-            if kind == KIND_DICT {
-                if self.dict.apply_segment(&payload).is_err() {
-                    break; // stale epoch / out-of-order segment
-                }
-                pos += FRAME_LEN + len;
-                self.end = pos;
-                continue;
-            }
-            // Both record kinds lead with `seq, captured_at` varints:
-            // validate the sequence number and index the timestamp
-            // without decoding the body.
-            let mut c = Cur::new(&payload);
-            let expect = (self.offsets.len() - 1) as u64;
-            match c.uv() {
-                Ok(seq) if seq == expect => {}
-                _ => break, // spliced/duplicated frame
-            }
-            let at = match c.uv() {
-                Ok(secs) => SimTime(secs),
-                Err(_) => break,
-            };
-            if kind == KIND_FULL {
-                self.checkpoints.push(self.offsets.len() - 1);
-            }
-            self.times.push(at);
-            pos += FRAME_LEN + len;
-            self.offsets.push(pos);
-            self.end = pos;
-        }
+        self.index.scan(&mut file, file_len)?;
+        self.file_len = file_len;
         Ok(self.len() - before)
     }
 
@@ -2242,12 +2102,12 @@ impl ArchiveReader {
     /// The archive's interner epoch (changes when the file is rewritten
     /// by compaction — cache keys include it for exactly that reason).
     pub fn epoch(&self) -> u32 {
-        self.epoch
+        self.index.dict.epoch
     }
 
     /// Records in the current snapshot prefix.
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.index.len()
     }
 
     /// Whether the snapshot prefix holds no records yet.
@@ -2257,57 +2117,30 @@ impl ArchiveReader {
 
     /// `captured_at` of every record in the snapshot, in record order.
     pub fn times(&self) -> &[SimTime] {
-        &self.times
+        &self.index.times
     }
 
     /// Record indices of the Full (checkpoint) records.
     pub fn checkpoints(&self) -> &[usize] {
-        &self.checkpoints
+        &self.index.checkpoints
     }
 
     /// How many leading records were captured at or before `at`.
     /// Capture times are non-decreasing in record order, so this is the
     /// prefix length a time-travel query replays.
     pub fn records_at_or_before(&self, at: SimTime) -> usize {
-        self.times.partition_point(|t| *t <= at)
-    }
-
-    /// Streams decoded records `start..start + limit` from the
-    /// snapshot. Dictionary frames are skipped — the reader's dictionary
-    /// already contains every entry in the prefix, and within an epoch
-    /// the dictionary is append-only, so decoding an early record
-    /// against the full dictionary resolves identically.
-    fn records_range(&self, start: usize, limit: usize) -> ReaderRecords<'_> {
-        let start = start.min(self.len());
-        let limit = limit.min(self.len() - start);
-        let pos = self.offsets[start];
-        let reader = File::open(&self.path).and_then(|mut f| {
-            f.seek(SeekFrom::Start(pos))?;
-            Ok(BufReader::new(f))
-        });
-        ReaderRecords {
-            rd: self,
-            reader: reader.ok(),
-            next: start as u64,
-            remaining: limit,
-            pos,
-        }
+        self.index.times.partition_point(|t| *t <= at)
     }
 
     /// Replays the first `count` records into full table snapshots —
     /// `count` capped to the snapshot prefix. The daemon's time-travel
     /// endpoint replays `records_at_or_before(at)` records.
-    pub fn replay_prefix(&self, count: usize) -> ReaderReplay<'_> {
-        ReaderReplay {
-            records: self.records_range(0, count),
-            store: TableStore::default(),
-            tail: None,
-            done: false,
-        }
+    pub fn replay_prefix(&self, count: usize) -> ReplayIter<'_> {
+        ReplayIter::new(self.index.records(&self.path, 0, count))
     }
 
     /// Replays every record in the snapshot prefix.
-    pub fn replay(&self) -> ReaderReplay<'_> {
+    pub fn replay(&self) -> ReplayIter<'_> {
         self.replay_prefix(self.len())
     }
 
@@ -2325,144 +2158,71 @@ impl ArchiveReader {
     /// The table state as of `at`: the last snapshot captured at or
     /// before it, or `None` if the archive starts later. Replay starts
     /// at the last checkpoint not after `at` (the checkpoint index),
-    /// not at the beginning.
+    /// not at the beginning, and rebuilds the tables once, at the end.
     pub fn state_at(&self, at: SimTime) -> io::Result<Option<Tables>> {
         let count = self.records_at_or_before(at);
-        if count == 0 {
-            return Ok(None);
-        }
         let start = self
+            .index
             .checkpoints
             .iter()
             .rev()
             .find(|&&c| c < count)
             .copied()
             .unwrap_or(0);
-        let mut store = TableStore::default();
-        let mut tail: Option<SnapshotParts> = None;
-        for rec in self.records_range(start, count - start) {
-            match rec? {
-                LogRecord::Full(p) => tail = Some(p),
-                LogRecord::Delta(d) => match tail.as_ref() {
-                    Some(base) => tail = Some(apply_with(&mut store, base, &d)),
-                    None => {
-                        return Err(bad_data(
-                            "replay starts with a delta record (no checkpoint before it)".into(),
-                        ))
-                    }
-                },
-            }
+        let mut replay = ReplayIter::new(self.index.records(&self.path, start, count - start));
+        while let Some(step) = replay.step() {
+            step?;
         }
-        Ok(tail.map(|p| p.rebuild()))
+        Ok(replay.into_parts().0.map(|p| p.rebuild()))
     }
 }
 
-/// Streams decoded records from an [`ArchiveReader`]'s snapshot prefix.
-struct ReaderRecords<'a> {
-    rd: &'a ArchiveReader,
-    reader: Option<BufReader<File>>,
-    next: u64,
-    remaining: usize,
-    pos: u64,
-}
-
-impl ReaderRecords<'_> {
-    fn read_one(&mut self) -> io::Result<LogRecord> {
-        let reader = self.reader.as_mut().expect("checked by next()");
-        loop {
-            let mut frame = [0u8; FRAME_LEN as usize];
-            reader.read_exact(&mut frame)?;
-            let kind = frame[0];
-            let len = u64::from(u32::from_le_bytes([frame[1], frame[2], frame[3], frame[4]]));
-            let crc = u32::from_le_bytes([frame[5], frame[6], frame[7], frame[8]]);
-            if kind > KIND_DICT {
-                return Err(bad_data(format!("unknown record kind {kind}")));
-            }
-            if self.pos + FRAME_LEN + len > self.rd.end {
-                return Err(bad_data(
-                    "record frame runs past the snapshot's logical end \
-                     (file changed under the reader; refresh and retry)"
-                        .into(),
-                ));
-            }
-            let mut payload = vec![0u8; len as usize];
-            reader.read_exact(&mut payload)?;
-            if crc32_v2(kind, &payload) != crc {
-                return Err(bad_data("record payload fails its CRC".into()));
-            }
-            self.pos += FRAME_LEN + len;
-            if kind == KIND_DICT {
-                // Already folded into `rd.dict` during the scan.
-                continue;
-            }
-            let rec = decode_record_v2(kind, &payload, &self.rd.dict, self.next)?;
-            self.next += 1;
-            return Ok(rec);
-        }
+/// A read-only v2 archive behind the backend trait — how
+/// [`crate::logger::TableLog::load_read_only`] opens v2. Reads serve the
+/// prefix the last scan found. Appends are refused and counted in
+/// [`ArchiveStats::write_errors`]; the file is never written.
+impl ArchiveBackend for ArchiveReader {
+    fn kind(&self) -> &'static str {
+        "file"
     }
-}
 
-impl Iterator for ReaderRecords<'_> {
-    type Item = io::Result<LogRecord>;
-
-    fn next(&mut self) -> Option<io::Result<LogRecord>> {
-        if self.remaining == 0 {
-            return None;
-        }
-        if self.reader.is_none() {
-            self.remaining = 0;
-            return Some(Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                "archive file disappeared under the reader",
-            )));
-        }
-        self.remaining -= 1;
-        match self.read_one() {
-            Ok(rec) => Some(Ok(rec)),
-            Err(e) => {
-                self.reader = None; // fuse on error
-                self.remaining = 0;
-                Some(Err(e))
-            }
-        }
+    fn append(&mut self, _rec: LogRecord) -> io::Result<()> {
+        self.write_errors += 1;
+        Err(io::Error::new(
+            io::ErrorKind::PermissionDenied,
+            format!(
+                "{} is open read-only: appends are not allowed",
+                self.path.display()
+            ),
+        ))
     }
-}
 
-/// Replays an [`ArchiveReader`] record stream into full table
-/// snapshots, one per record (the reader-side analogue of
-/// [`crate::logger::ReplayIter`]).
-pub struct ReaderReplay<'a> {
-    records: ReaderRecords<'a>,
-    store: TableStore,
-    tail: Option<SnapshotParts>,
-    done: bool,
-}
+    fn len(&self) -> usize {
+        self.index.len()
+    }
 
-impl Iterator for ReaderReplay<'_> {
-    type Item = io::Result<Tables>;
+    fn records(&self) -> RecordIter<'_> {
+        self.records_from(0)
+    }
 
-    fn next(&mut self) -> Option<io::Result<Tables>> {
-        if self.done {
-            return None;
-        }
-        let rec = match self.records.next()? {
-            Ok(rec) => rec,
-            Err(e) => {
-                self.done = true;
-                return Some(Err(e));
-            }
-        };
-        match rec {
-            LogRecord::Full(p) => self.tail = Some(p),
-            LogRecord::Delta(d) => match self.tail.as_ref() {
-                Some(base) => self.tail = Some(apply_with(&mut self.store, base, &d)),
-                None => {
-                    self.done = true;
-                    return Some(Err(bad_data("archive starts with a delta record".into())));
-                }
-            },
-        }
-        Some(Ok(self.tail.as_ref().expect("just set").rebuild()))
+    fn records_from(&self, start: usize) -> RecordIter<'_> {
+        self.index.records(&self.path, start, usize::MAX)
+    }
+
+    fn last_checkpoint(&self) -> Option<usize> {
+        self.index.checkpoints.last().copied()
+    }
+
+    fn stats(&self) -> ArchiveStats {
+        self.index.stats(ArchiveStats {
+            recovered_bytes: self.file_len - self.index.end,
+            write_errors: self.write_errors,
+            ..ArchiveStats::default()
+        })
+    }
+
+    fn describe(&self) -> ArchiveInfo {
+        self.index.describe()
     }
 }
 
@@ -2611,6 +2371,7 @@ pub fn replay_summary_line(index: usize, t: &crate::tables::Tables) -> String {
 mod tests {
     use super::*;
     use crate::logger::{SnapshotParts, TableDelta};
+    use crate::testing::TempDir;
 
     fn full_record(n: u64) -> LogRecord {
         LogRecord::Full(SnapshotParts {
@@ -2627,12 +2388,6 @@ mod tests {
         })
     }
 
-    fn tmp(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("mantra-archive-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
-    }
-
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC-32 check value for "123456789".
@@ -2642,7 +2397,8 @@ mod tests {
 
     #[test]
     fn unrecognised_headers_are_rejected_with_a_clear_error() {
-        let path = tmp("badmagic.marc");
+        let dir = TempDir::new("archive");
+        let path = dir.join("badmagic.marc");
         std::fs::write(&path, b"NOTANARCHIVE----------------").unwrap();
         let err = FileBackendV1::open_read_only(&path).unwrap_err();
         assert!(err.to_string().contains("MANTRARC"), "{err}");
@@ -2657,12 +2413,12 @@ mod tests {
         assert!(err.to_string().contains("version 99"), "{err}");
         let err = FileBackendV2::open(&path).unwrap_err();
         assert!(err.to_string().contains("version 99"), "{err}");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn fsyncs_happen_on_checkpoints_and_cadence() {
-        let path = tmp("fsync.marc");
+        let dir = TempDir::new("archive");
+        let path = dir.join("fsync.marc");
         let mut be = FileBackendV2::create(&path).unwrap();
         let base = be.stats().fsyncs;
         be.append(full_record(0)).unwrap();
@@ -2673,12 +2429,12 @@ mod tests {
             be.append(delta_record(n)).unwrap();
         }
         assert_eq!(be.stats().fsyncs, base + 3, "every second delta syncs");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn byte_cadence_and_pending_appends_account_durability() {
-        let path = tmp("fsync-bytes.marc");
+        let dir = TempDir::new("archive");
+        let path = dir.join("fsync-bytes.marc");
         let mut be = FileBackendV2::create(&path).unwrap();
         be.sync = SyncPolicy {
             on_checkpoint: false,
@@ -2698,7 +2454,6 @@ mod tests {
         }
         assert_eq!(be.stats().fsyncs, 2, "no further syncs");
         assert_eq!(be.stats().pending_appends, 3, "three records at risk");
-        std::fs::remove_file(&path).unwrap();
     }
 
     fn rich_full(n: u64) -> LogRecord {
@@ -2768,10 +2523,12 @@ mod tests {
     /// dictionary frame, so skip it when one sits at the batch offset.
     fn rec_frame_start(be: &FileBackendV2, i: usize) -> u64 {
         let s = be.offsets()[i];
-        be.dict_frames()
-            .iter()
-            .find(|&&(ds, _)| ds == s)
-            .map_or(s, |&(_, e)| e)
+        let bytes = std::fs::read(be.path()).unwrap();
+        let frame = &bytes[s as usize..s as usize + FRAME_LEN as usize];
+        if frame[0] != KIND_DICT {
+            return s;
+        }
+        s + FRAME_LEN + u64::from(u32::from_le_bytes([frame[1], frame[2], frame[3], frame[4]]))
     }
 
     /// Frames `recs` as a v1 archive (JSON payloads) — the legacy form
@@ -2798,7 +2555,8 @@ mod tests {
 
     #[test]
     fn v1_reader_decodes_clamps_bad_tails_in_memory_and_refuses_appends() {
-        let path = tmp("v1-read-only.marc");
+        let dir = TempDir::new("archive");
+        let path = dir.join("v1-read-only.marc");
         let recs = [rich_full(0), rich_delta(1), rich_delta(2)];
         let offsets = write_v1(&path, &recs);
         let be = FileBackendV1::open_read_only(&path).unwrap();
@@ -2835,12 +2593,12 @@ mod tests {
         // The v2 writer refuses to open it for append the same way.
         let err = FileBackendV2::open(&path).unwrap_err();
         assert!(err.to_string().contains("mantra archive compact"), "{err}");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn v2_backend_round_trips_records_and_reopens() {
-        let path = tmp("v2-roundtrip.marc");
+        let dir = TempDir::new("archive");
+        let path = dir.join("v2-roundtrip.marc");
         let mut be = FileBackendV2::create(&path).unwrap();
         let recs = vec![rich_full(0), rich_delta(1), rich_delta(2), rich_full(3)];
         for rec in &recs {
@@ -2849,13 +2607,14 @@ mod tests {
         assert_eq!(be.len(), 4);
         assert_eq!(be.last_checkpoint(), Some(3));
         assert!(
-            !be.dict_frames().is_empty(),
-            "new keys force dictionary segments"
+            rec_frame_start(&be, 0) > be.offsets()[0],
+            "new keys force a dictionary segment ahead of the record"
         );
         assert_eq!(be.stats().bytes, be.offsets()[4] - HEADER_LEN);
         let back: Vec<LogRecord> = be.records().map(|r| r.unwrap()).collect();
         assert_eq!(back, recs);
-        // Mid-archive entry (checkpoint resume) preloads the dictionary.
+        // A mid-archive entry (checkpoint resume) decodes against the
+        // index's dictionary, which already holds later entries too.
         let tail: Vec<LogRecord> = be.records_from(3).map(|r| r.unwrap()).collect();
         assert_eq!(tail, recs[3..]);
         let info = be.describe();
@@ -2869,12 +2628,12 @@ mod tests {
         assert_eq!(be.stats().recovered_bytes, 0);
         let back: Vec<LogRecord> = be.records().map(|r| r.unwrap()).collect();
         assert_eq!(back[2], recs[2]);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn v2_truncated_tail_recovers_to_last_valid_record() {
-        let path = tmp("v2-truncated.marc");
+        let dir = TempDir::new("archive");
+        let path = dir.join("v2-truncated.marc");
         let mut be = FileBackendV2::create(&path).unwrap();
         for rec in [rich_full(0), rich_delta(1), rich_delta(2)] {
             be.append(rec).unwrap();
@@ -2894,12 +2653,12 @@ mod tests {
         be.append(rich_delta(9)).unwrap();
         let back: Vec<LogRecord> = be.records().map(|r| r.unwrap()).collect();
         assert_eq!(back.len(), 3);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn v2_kind_flip_is_caught_by_the_frame_crc() {
-        let path = tmp("v2-kindflip.marc");
+        let dir = TempDir::new("archive");
+        let path = dir.join("v2-kindflip.marc");
         let mut be = FileBackendV2::create(&path).unwrap();
         for rec in [rich_full(0), rich_delta(1), rich_delta(2)] {
             be.append(rec).unwrap();
@@ -2914,12 +2673,12 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let be = FileBackendV2::open(&path).unwrap();
         assert_eq!(be.len(), 1, "the flipped frame ends the archive");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn v2_duplicated_record_frame_is_caught_by_its_sequence_number() {
-        let path = tmp("v2-dup.marc");
+        let dir = TempDir::new("archive");
+        let path = dir.join("v2-dup.marc");
         let mut be = FileBackendV2::create(&path).unwrap();
         for rec in [rich_full(0), rich_delta(1)] {
             be.append(rec).unwrap();
@@ -2935,12 +2694,12 @@ mod tests {
         let be = FileBackendV2::open(&path).unwrap();
         assert_eq!(be.len(), 2, "the duplicated frame is dropped");
         assert!(be.stats().recovered_bytes > 0);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn v2_epoch_mismatched_dictionary_segment_ends_the_archive() {
-        let path = tmp("v2-epoch.marc");
+        let dir = TempDir::new("archive");
+        let path = dir.join("v2-epoch.marc");
         let mut be = FileBackendV2::create_with_epoch(&path, 7).unwrap();
         be.append(rich_full(0)).unwrap();
         assert_eq!(be.describe().epoch, 7);
@@ -2952,7 +2711,6 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let be = FileBackendV2::open(&path).unwrap();
         assert_eq!(be.len(), 0, "stale-epoch ids are never resolved");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -2973,7 +2731,8 @@ mod tests {
 
     #[test]
     fn torn_write_heals_on_next_append_v2() {
-        let path = tmp("torn-heal-append-v2.marc");
+        let dir = TempDir::new("archive");
+        let path = dir.join("torn-heal-append-v2.marc");
         let mut be = FileBackendV2::create(&path).unwrap();
         be.sync = SyncPolicy::every_records(1);
         be.append(full_record(0)).unwrap();
@@ -3003,12 +2762,12 @@ mod tests {
         let be = FileBackendV2::open(&path).unwrap();
         assert_eq!(be.len(), 2);
         assert_eq!(be.stats().recovered_bytes, 0, "heal already cut the tail");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn torn_write_heals_on_sync_v2() {
-        let path = tmp("torn-heal-v2.marc");
+        let dir = TempDir::new("archive");
+        let path = dir.join("torn-heal-v2.marc");
         let mut be = FileBackendV2::create(&path).unwrap();
         be.append(rich_full(0)).unwrap();
         let good_len = std::fs::metadata(&path).unwrap().len();
@@ -3031,13 +2790,13 @@ mod tests {
         let be = FileBackendV2::open(&path).unwrap();
         assert_eq!(be.len(), 2);
         assert_eq!(be.stats().recovered_bytes, 0);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn threaded_backend_matches_serial_and_drains_on_drop() {
-        let serial_path = tmp("threaded-serial.marc");
-        let threaded_path = tmp("threaded-writer.marc");
+        let dir = TempDir::new("archive");
+        let serial_path = dir.join("threaded-serial.marc");
+        let threaded_path = dir.join("threaded-writer.marc");
         let recs: Vec<_> = (0..10)
             .map(|n| {
                 if n % 4 == 0 {
@@ -3078,13 +2837,12 @@ mod tests {
             std::fs::read(&threaded_path).unwrap(),
             "threaded archive must be byte-identical to serial"
         );
-        std::fs::remove_file(&serial_path).unwrap();
-        std::fs::remove_file(&threaded_path).unwrap();
     }
 
     #[test]
     fn threaded_backend_defers_writer_errors_to_next_append() {
-        let path = tmp("threaded-defer.marc");
+        let dir = TempDir::new("archive");
+        let path = dir.join("threaded-defer.marc");
         let mut inner = Box::new(FileBackendV2::create(&path).unwrap());
         inner.inject_torn_write(3);
         let mut be = ThreadedBackend::spawn(inner, WriterConfig::default());
@@ -3108,6 +2866,5 @@ mod tests {
         be.append(rich_full(2)).unwrap();
         assert_eq!(be.len(), 1, "only the re-anchoring full survives");
         drop(be);
-        std::fs::remove_file(&path).unwrap();
     }
 }

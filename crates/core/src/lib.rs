@@ -61,9 +61,9 @@ pub mod web;
 
 pub use aggregate::ParallelAccess;
 pub use archive::{
-    ArchiveBackend, ArchiveDict, ArchiveInfo, ArchiveReader, ArchiveSpec, ArchiveStats,
-    BackpressureMode, CacheStats, FileBackendV1, FileBackendV2, MemoryBackend, OpenMode,
-    QueryCache, SyncPolicy, ThreadedBackend, WriterConfig,
+    ArchiveBackend, ArchiveInfo, ArchiveReader, ArchiveSpec, ArchiveStats, BackpressureMode,
+    CacheStats, FileBackendV1, FileBackendV2, MemoryBackend, QueryCache, SyncPolicy,
+    ThreadedBackend, WriterConfig,
 };
 pub use collector::{CaptureError, CollectStats, Collector, RetryPolicy};
 pub use fleet::FleetMonitor;
@@ -73,3 +73,47 @@ pub use stats::{ConsistencyMatrix, RouteStats, UsageStats};
 pub use stats_stream::{IncrementalStats, StatsTotals};
 pub use store::TableStore;
 pub use tables::{PairRow, ParticipantRow, RouteRow, SessionRow, Tables};
+
+/// Helpers shared by the unit tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    use std::path::{Path, PathBuf};
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A temporary directory owned by one test, deleted (with everything
+    /// in it) when the guard drops — also when the test panics. The name
+    /// carries the tag, the process id and a per-process sequence
+    /// number, so tests running on parallel threads never share one.
+    pub(crate) struct TempDir(PathBuf);
+
+    impl TempDir {
+        /// Creates a fresh, empty directory `mantra-<tag>-<pid>-<seq>`.
+        pub(crate) fn new(tag: &str) -> TempDir {
+            static SEQ: AtomicU64 = AtomicU64::new(0);
+            let dir = std::env::temp_dir().join(format!(
+                "mantra-{tag}-{}-{}",
+                std::process::id(),
+                SEQ.fetch_add(1, Ordering::Relaxed)
+            ));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TempDir(dir)
+        }
+
+        /// The directory itself.
+        pub(crate) fn path(&self) -> &Path {
+            &self.0
+        }
+
+        /// A path inside the directory.
+        pub(crate) fn join(&self, name: &str) -> PathBuf {
+            self.0.join(name)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
+    }
+}

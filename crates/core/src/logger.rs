@@ -13,7 +13,13 @@
 //!   member-only sessions; reconstruction rebuilds the rest.
 //!
 //! Reconstruction is lossless: replaying a log yields snapshots equal to
-//! the originals, which the property tests assert.
+//! the originals, which the property tests assert. Every replay — of a
+//! live log, of an archive reopened from disk, or of an
+//! [`ArchiveReader`]'s prefix — runs through one fold, [`ReplayIter`].
+//!
+//! An archive on disk is opened one of two ways: [`TableLog::load`]
+//! reopens a v2 archive for append (healing a torn tail), and
+//! [`TableLog::load_read_only`] reads v1 or v2 without ever writing.
 
 use std::cell::{Cell, RefCell};
 use std::io;
@@ -24,9 +30,9 @@ use serde::{Deserialize, Serialize};
 use mantra_net::{GroupAddr, Ip, Prefix, SimTime};
 
 use crate::archive::{
-    read_header, unsupported_version, v1_is_read_only, ArchiveBackend, ArchiveInfo, ArchiveSpec,
+    read_header, unsupported_version, ArchiveBackend, ArchiveInfo, ArchiveReader, ArchiveSpec,
     ArchiveStats, FileBackendV1, FileBackendV2, MemoryBackend, RecordIter, SyncPolicy,
-    ThreadedBackend, FORMAT_VERSION, FORMAT_VERSION_V2, MAGIC,
+    ThreadedBackend, FORMAT_VERSION, FORMAT_VERSION_V2,
 };
 use crate::store::{in_key_order, in_key_order_cached, Interner, TableStore};
 use crate::tables::{LearnedFrom, PairRow, RouteRow, SessionRow, Tables};
@@ -693,42 +699,33 @@ impl TableLog {
         }
     }
 
-    /// Opens (or creates) an on-disk archive at `path` for appending,
-    /// dispatching on the header's format version: v2 archives (and
-    /// fresh files) go through [`FileBackendV2`]; a v1 archive is
-    /// read-only and fails with an error naming `mantra archive
-    /// compact`; an unknown version fails loudly instead of guessing.
+    /// Opens an existing on-disk archive for appending: a v2 archive
+    /// opens through [`FileBackendV2::open`] (which heals a torn tail),
+    /// a v1 archive is read-only and fails with an error naming `mantra
+    /// archive compact`, and anything else fails with the header or
+    /// version error of [`read_header`].
     ///
     /// The tail snapshot and delta cadence are rebuilt by replaying only
     /// the records from the last checkpoint — a reopened archive keeps
     /// appending deltas exactly as if the process had never stopped.
-    pub fn open_file(path: &Path, full_every: usize) -> io::Result<TableLog> {
-        let backend: Box<dyn ArchiveBackend> = if path.exists() {
-            let (version, _) = read_header(&mut std::fs::File::open(path)?)?;
-            match version {
-                FORMAT_VERSION => return Err(v1_is_read_only(path)),
-                FORMAT_VERSION_V2 => Box::new(FileBackendV2::open(path)?),
-                v => return Err(unsupported_version(v)),
-            }
-        } else {
-            Box::new(FileBackendV2::create(path)?)
-        };
-        Self::resume(backend, full_every)
+    pub fn load(path: &Path, full_every: usize) -> io::Result<TableLog> {
+        Self::resume(Box::new(FileBackendV2::open(path)?), full_every)
     }
 
     /// Opens an existing on-disk archive for reading only, dispatching
     /// on the format version: v1 through the [`FileBackendV1`] decoder,
-    /// v2 through [`FileBackendV2`]. The file is never written: a torn
-    /// or corrupt tail is clamped to the last intact record in memory
-    /// instead of being truncated away, so this is safe against an
-    /// archive another process is actively appending to. Appends
-    /// through the returned log fail (and are counted in
+    /// v2 through an [`ArchiveReader`]. The file is never written: a
+    /// torn or corrupt tail is clamped to the last intact record in
+    /// memory instead of being truncated away, so this is safe against
+    /// an archive another process is actively appending to. `mantra
+    /// archive info|replay|compact` read through here. Appends through
+    /// the returned log fail (and are counted in
     /// [`TableLog::write_errors`]).
-    pub fn open_file_read_only(path: &Path, full_every: usize) -> io::Result<TableLog> {
+    pub fn load_read_only(path: &Path, full_every: usize) -> io::Result<TableLog> {
         let (version, _) = read_header(&mut std::fs::File::open(path)?)?;
         let backend: Box<dyn ArchiveBackend> = match version {
             FORMAT_VERSION => Box::new(FileBackendV1::open_read_only(path)?),
-            FORMAT_VERSION_V2 => Box::new(FileBackendV2::open_read_only(path)?),
+            FORMAT_VERSION_V2 => Box::new(ArchiveReader::open(path)?),
             v => return Err(unsupported_version(v)),
         };
         Self::resume(backend, full_every)
@@ -738,33 +735,18 @@ impl TableLog {
     /// from an already-opened backend by replaying from its last
     /// checkpoint.
     fn resume(backend: Box<dyn ArchiveBackend>, full_every: usize) -> io::Result<TableLog> {
-        let start = backend.last_checkpoint().unwrap_or(0);
-        let mut store = TableStore::default();
-        let mut tail: Option<SnapshotParts> = None;
+        let mut replay =
+            ReplayIter::new(backend.records_from(backend.last_checkpoint().unwrap_or(0)));
         let mut since_full = 0usize;
-        for rec in backend.records_from(start) {
-            match rec? {
-                LogRecord::Full(p) => {
-                    since_full = 1;
-                    tail = Some(p);
-                }
-                LogRecord::Delta(d) => {
-                    let base = tail.as_ref().ok_or_else(|| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "archive starts with a delta record",
-                        )
-                    })?;
-                    since_full += 1;
-                    tail = Some(apply_with(&mut store, base, &d));
-                }
-            }
+        while let Some(full) = replay.step() {
+            since_full = if full? { 1 } else { since_full + 1 };
         }
+        let (tail, scratch) = replay.into_parts();
         Ok(TableLog {
             backend,
             tail,
             since_full,
-            scratch: store,
+            scratch,
             full_every: full_every.max(1),
             ..TableLog::default()
         })
@@ -898,12 +880,7 @@ impl TableLog {
     /// snapshot (plus the record being applied) in memory regardless of
     /// archive length.
     pub fn replay_iter(&self) -> ReplayIter<'_> {
-        ReplayIter {
-            records: self.backend.records(),
-            store: TableStore::default(),
-            cur: None,
-            done: false,
-        }
+        ReplayIter::new(self.backend.records())
     }
 
     /// Replays the log, returning every snapshot in order.
@@ -965,114 +942,15 @@ impl TableLog {
     pub fn last(&self) -> Option<Tables> {
         self.tail.as_ref().map(|p| p.rebuild())
     }
-
-    /// Writes the archive to disk as JSON-lines (one record per line) —
-    /// the interchange shape of Mantra's long-term archives, identical
-    /// for every backend.
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        use std::io::Write as _;
-        let file = std::fs::File::create(path)?;
-        let mut w = std::io::BufWriter::new(file);
-        for rec in self.backend.records() {
-            let line = serde_json::to_string(&rec?)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            writeln!(w, "{line}")?;
-        }
-        w.flush()
-    }
-
-    /// Loads an archive from disk for appending, sniffing the format: a
-    /// `MANTRARC` header goes through [`TableLog::open_file`] (v2 opens,
-    /// read-only v1 and anything newer fail clearly — never a fallback
-    /// to JSONL sniffing), JSON-lines loads the legacy
-    /// [`TableLog::save`] shape into memory, and anything else is
-    /// rejected with a clear error instead of a JSON parse failure.
-    pub fn load(path: &Path, full_every: usize) -> io::Result<TableLog> {
-        use std::io::Read as _;
-        let mut head = Vec::new();
-        std::fs::File::open(path)?
-            .take(MAGIC.len() as u64)
-            .read_to_end(&mut head)?;
-        if head == MAGIC {
-            return TableLog::open_file(path, full_every);
-        }
-        match head.iter().find(|b| !b.is_ascii_whitespace()) {
-            Some(b'{') | None => TableLog::load_jsonl(path, full_every),
-            Some(_) => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "unrecognised archive header in {}: expected a MANTRARC \
-                     binary archive or a JSON-lines archive",
-                    path.display()
-                ),
-            )),
-        }
-    }
-
-    /// [`TableLog::load`] for read paths: MANTRARC archives open through
-    /// [`TableLog::open_file_read_only`] (the file is never written),
-    /// JSON-lines archives load into memory exactly as before (that
-    /// path never mutated the file). `mantra archive info|replay` and
-    /// every daemon read goes through here, so inspecting an archive
-    /// can never truncate a live writer's in-flight frame.
-    pub fn load_read_only(path: &Path, full_every: usize) -> io::Result<TableLog> {
-        use std::io::Read as _;
-        let mut head = Vec::new();
-        std::fs::File::open(path)?
-            .take(MAGIC.len() as u64)
-            .read_to_end(&mut head)?;
-        if head == MAGIC {
-            return TableLog::open_file_read_only(path, full_every);
-        }
-        TableLog::load(path, full_every)
-    }
-
-    /// Loads a legacy JSON-lines archive written by [`TableLog::save`].
-    /// The reloaded log replays identically; appending continues from
-    /// the reloaded tail.
-    fn load_jsonl(path: &Path, full_every: usize) -> io::Result<TableLog> {
-        use std::io::BufRead as _;
-        let file = std::fs::File::open(path)?;
-        let mut log = TableLog::new(full_every);
-        for line in std::io::BufReader::new(file).lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            let rec: LogRecord = serde_json::from_str(&line)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            log.stored_cost += rec.cost();
-            let parts = match &rec {
-                LogRecord::Full(p) => {
-                    log.since_full = 1;
-                    p.clone()
-                }
-                LogRecord::Delta(d) => {
-                    let base = log.tail.as_ref().ok_or_else(|| {
-                        io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            "archive starts with a delta record",
-                        )
-                    })?;
-                    log.since_full += 1;
-                    let mut store = std::mem::take(&mut log.scratch);
-                    let parts = apply_with(&mut store, base, d);
-                    log.scratch = store;
-                    parts
-                }
-            };
-            log.full_cost += parts.cost();
-            log.backend.append(rec).expect("memory append cannot fail");
-            log.tail = Some(parts);
-        }
-        Ok(log)
-    }
 }
 
-/// The streaming replay over a [`TableLog`]'s archive: full records
-/// reset the cursor, delta records advance it, and each step yields the
-/// rebuilt four-table snapshot. Memory use is one snapshot regardless of
-/// how long the archive is — the property that makes FIXW-scale archives
+/// The replay fold over an archive's records — the one place records
+/// turn back into snapshots. A Full record resets the cursor, a Delta
+/// applies to it through one [`TableStore`], and a Delta with no base
+/// ends the replay with [`io::ErrorKind::InvalidData`], as does the
+/// first read error. As an iterator each step yields the rebuilt
+/// four-table snapshot. Memory use is one snapshot regardless of how
+/// long the archive is — the property that makes FIXW-scale archives
 /// replayable at all.
 pub struct ReplayIter<'a> {
     records: RecordIter<'a>,
@@ -1081,36 +959,57 @@ pub struct ReplayIter<'a> {
     done: bool,
 }
 
+impl<'a> ReplayIter<'a> {
+    /// A replay of `records` from an empty cursor.
+    pub(crate) fn new(records: RecordIter<'a>) -> Self {
+        ReplayIter {
+            records,
+            store: TableStore::default(),
+            cur: None,
+            done: false,
+        }
+    }
+
+    /// Applies the next record to the cursor without rebuilding any
+    /// tables: `Some(Ok(true))` after a Full record, `Some(Ok(false))`
+    /// after a Delta.
+    pub(crate) fn step(&mut self) -> Option<io::Result<bool>> {
+        if self.done {
+            return None;
+        }
+        let step = self.records.next()?.and_then(|rec| match rec {
+            LogRecord::Full(p) => {
+                self.cur = Some(p);
+                Ok(true)
+            }
+            LogRecord::Delta(d) => match &self.cur {
+                Some(base) => {
+                    self.cur = Some(apply_with(&mut self.store, base, &d));
+                    Ok(false)
+                }
+                None => Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "delta record without a base snapshot",
+                )),
+            },
+        });
+        self.done = step.is_err();
+        Some(step)
+    }
+
+    /// The cursor (the last snapshot replayed) and the store the deltas
+    /// were applied through.
+    pub(crate) fn into_parts(self) -> (Option<SnapshotParts>, TableStore) {
+        (self.cur, self.store)
+    }
+}
+
 impl Iterator for ReplayIter<'_> {
     type Item = io::Result<Tables>;
 
     fn next(&mut self) -> Option<io::Result<Tables>> {
-        if self.done {
-            return None;
-        }
-        let rec = match self.records.next()? {
-            Ok(rec) => rec,
-            Err(e) => {
-                self.done = true;
-                return Some(Err(e));
-            }
-        };
-        let parts = match rec {
-            LogRecord::Full(p) => p,
-            LogRecord::Delta(d) => match self.cur.as_ref() {
-                Some(base) => apply_with(&mut self.store, base, &d),
-                None => {
-                    self.done = true;
-                    return Some(Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "delta record without a base snapshot",
-                    )));
-                }
-            },
-        };
-        let tables = parts.rebuild();
-        self.cur = Some(parts);
-        Some(Ok(tables))
+        let step = self.step()?;
+        Some(step.map(|_| self.cur.as_ref().expect("a step sets the cursor").rebuild()))
     }
 }
 
@@ -1275,6 +1174,7 @@ pub fn compact_archive(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::TempDir;
     use mantra_net::BitRate;
 
     fn t(n: u64) -> SimTime {
@@ -1489,39 +1389,24 @@ mod tests {
     }
 
     #[test]
-    fn save_load_round_trip() {
-        let s1 = Ip::new(1, 1, 1, 1);
-        let s2 = Ip::new(2, 2, 2, 2);
-        let mut log = TableLog::new(3);
-        let snaps: Vec<Tables> = (0..9u64)
-            .map(|n| snapshot(n, &[(0, s1, 64 + n), (1, s2, 2)]))
-            .collect();
-        for s in &snaps {
-            log.append(s);
-        }
-        let dir = std::env::temp_dir().join("mantra-logger-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("fixw.jsonl");
-        log.save(&path).unwrap();
-        let loaded = TableLog::load(&path, 3).unwrap();
-        assert_eq!(loaded.replay(), snaps);
-        assert_eq!(loaded.len(), log.len());
-        // Appending to a reloaded archive keeps working.
-        let mut loaded = loaded;
-        loaded.append(&snapshot(9, &[(0, s1, 99)]));
-        assert_eq!(loaded.replay().len(), 10);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn load_rejects_orphan_delta() {
-        let dir = std::env::temp_dir().join("mantra-logger-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bad.jsonl");
-        let delta = LogRecord::Delta(TableDelta::default());
-        std::fs::write(&path, serde_json::to_string(&delta).unwrap()).unwrap();
-        assert!(TableLog::load(&path, 3).is_err());
-        std::fs::remove_file(&path).ok();
+        // A v2 archive whose first record is a Delta has no base to apply
+        // it to: every read path fails with InvalidData.
+        let dir = TempDir::new("logger");
+        let path = dir.join("orphan.marc");
+        let mut be = FileBackendV2::create(&path).unwrap();
+        be.append(LogRecord::Delta(TableDelta {
+            captured_at: t(0),
+            ..TableDelta::default()
+        }))
+        .unwrap();
+        drop(be);
+        let invalid = |e: io::Error| assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+        invalid(TableLog::load(&path, 3).unwrap_err());
+        invalid(TableLog::load_read_only(&path, 3).unwrap_err());
+        let rd = ArchiveReader::open(&path).unwrap();
+        invalid(rd.summary_lines(rd.len()).unwrap_err());
+        invalid(rd.state_at(t(0)).unwrap_err());
     }
 
     #[test]
@@ -1535,12 +1420,6 @@ mod tests {
         assert!(log.backend_error().is_none());
     }
 
-    fn tmp_dir() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("mantra-logger-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
     #[test]
     fn file_backed_log_matches_memory_and_reopens() {
         let s1 = Ip::new(1, 1, 1, 1);
@@ -1548,9 +1427,9 @@ mod tests {
         let snaps: Vec<Tables> = (0..9u64)
             .map(|n| snapshot(n, &[(0, s1, 64 + n), (1, s2, 2)]))
             .collect();
-        let dir = tmp_dir();
+        let dir = TempDir::new("logger");
         let spec = ArchiveSpec::File {
-            dir: dir.clone(),
+            dir: dir.path().to_path_buf(),
             sync: SyncPolicy::default(),
         };
         let mut file_log = spec.open_log("fixw", 3);
@@ -1569,16 +1448,15 @@ mod tests {
             mem_log.archive_stats().checkpoints
         );
         drop(file_log);
-        // `load` sniffs the binary header and resumes from the last
+        // `load` reopens the archive and resumes from the last
         // checkpoint; appending continues seamlessly.
-        let path = ArchiveSpec::path_for(&dir, "fixw");
+        let path = ArchiveSpec::path_for(dir.path(), "fixw");
         let mut reopened = TableLog::load(&path, 3).unwrap();
         assert_eq!(reopened.backend_kind(), "file");
         assert_eq!(reopened.replay(), snaps);
         assert_eq!(reopened.last().unwrap(), snaps[8]);
         reopened.append(&snapshot(9, &[(0, s1, 99)]));
         assert_eq!(reopened.replay().len(), 10);
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -1594,24 +1472,36 @@ mod tests {
 
     #[test]
     fn load_rejects_unrecognised_headers() {
-        let path = tmp_dir().join("garbage.bin");
-        std::fs::write(&path, b"\x7fELF not an archive at all").unwrap();
-        let err = TableLog::load(&path, 3).unwrap_err();
-        assert!(
-            err.to_string().contains("unrecognised archive header"),
-            "{err}"
-        );
-        std::fs::remove_file(&path).unwrap();
+        // Garbage, and the JSON-lines shape this crate no longer reads.
+        let dir = TempDir::new("logger");
+        let line = serde_json::to_string(&LogRecord::Delta(TableDelta::default())).unwrap();
+        let inputs = [
+            ("garbage.bin", b"\x7fELF not an archive at all".to_vec()),
+            ("legacy.jsonl", format!("{line}\n").into_bytes()),
+        ];
+        for (name, bytes) in inputs {
+            let path = dir.join(name);
+            std::fs::write(&path, bytes).unwrap();
+            for err in [
+                TableLog::load(&path, 3).unwrap_err(),
+                TableLog::load_read_only(&path, 3).unwrap_err(),
+            ] {
+                assert!(
+                    err.to_string().contains("unrecognised archive header"),
+                    "{name}: {err}"
+                );
+            }
+        }
     }
 
     #[test]
     fn load_fails_loudly_on_unknown_mantrarc_versions() {
-        // A future v3 archive must be refused with a version error, not
-        // fall through to legacy-JSONL sniffing (which would report a
-        // bewildering JSON parse failure on binary data).
-        let path = tmp_dir().join("future.marc");
+        // A future v3 archive must be refused with a version error that
+        // says so, not a bewildering decode failure.
+        let dir = TempDir::new("logger");
+        let path = dir.join("future.marc");
         let mut header = Vec::new();
-        header.extend_from_slice(&MAGIC);
+        header.extend_from_slice(&crate::archive::MAGIC);
         header.extend_from_slice(&3u16.to_le_bytes());
         header.resize(24, 0);
         std::fs::write(&path, &header).unwrap();
@@ -1619,14 +1509,13 @@ mod tests {
         let msg = err.to_string();
         assert!(msg.contains("unsupported format version 3"), "{msg}");
         assert!(msg.contains("versions 1 and 2"), "{msg}");
-        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn compaction_drops_old_snapshots_gcs_the_dictionary_and_bumps_the_epoch() {
-        let dir = tmp_dir();
+        let dir = TempDir::new("logger");
         let spec = ArchiveSpec::File {
-            dir: dir.clone(),
+            dir: dir.path().to_path_buf(),
             sync: SyncPolicy::default(),
         };
         let mut log = spec.open_log("fixw-compact", 3);
@@ -1666,8 +1555,6 @@ mod tests {
         assert_eq!(compacted.archive_stats().checkpoints, 2);
         let reloaded = TableLog::load(&out, 4).unwrap();
         assert_eq!(reloaded.replay(), compacted.replay());
-        std::fs::remove_file(&out).unwrap();
-        std::fs::remove_file(ArchiveSpec::path_for(&dir, "fixw-compact")).unwrap();
     }
 
     #[test]

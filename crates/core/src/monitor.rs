@@ -1028,12 +1028,11 @@ mod tests {
 
     #[test]
     fn file_archives_thread_through_the_pipeline() {
-        let dir =
-            std::env::temp_dir().join(format!("mantra-monitor-archive-{}", std::process::id()));
+        let dir = crate::testing::TempDir::new("monitor-archive");
         let mut sc = Scenario::transition_snapshot(31, 0.3);
         let mut monitor = Monitor::new(MonitorConfig {
             archive: ArchiveSpec::File {
-                dir: dir.clone(),
+                dir: dir.path().to_path_buf(),
                 sync: SyncPolicy::default(),
             },
             ..MonitorConfig::default()
@@ -1058,10 +1057,9 @@ mod tests {
         assert_eq!(monitor.archive_table().rows.len(), 2);
         // The on-disk archive outlives the monitor and replays equally.
         drop(monitor);
-        let path = ArchiveSpec::path_for(&dir, "fixw");
+        let path = ArchiveSpec::path_for(dir.path(), "fixw");
         let log = TableLog::load(&path, 96).unwrap();
         assert_eq!(log.replay(), mem.log("fixw").unwrap().replay());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

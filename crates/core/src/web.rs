@@ -577,7 +577,8 @@ mod tests {
         let mut sc = mantra_sim::Scenario::transition_snapshot(42, 0.2);
         // A path under a regular file can never become a directory, so
         // every router's archive falls back to the in-memory backend.
-        let bogus = std::env::temp_dir().join(format!("mantra-web-flat-{}", std::process::id()));
+        let dir = crate::testing::TempDir::new("web-flat");
+        let bogus = dir.join("flat");
         std::fs::write(&bogus, b"not a dir").unwrap();
         let mut monitor = Monitor::new(MonitorConfig {
             routers: vec!["fixw".into()],
@@ -616,6 +617,5 @@ mod tests {
         // and the HTML report.
         let html = report_html(&monitor, "fixw", &[]);
         assert!(html.contains("Degraded persistence"));
-        std::fs::remove_file(&bogus).unwrap();
     }
 }

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use common::TempDir;
 use mantra::core::archive::{
-    replay_summary_line, ArchiveBackend, ArchiveReader, FileBackendV2, OpenMode,
+    replay_summary_line, ArchiveBackend, ArchiveReader, ArchiveStats, FileBackendV2,
 };
 use mantra::core::logger::TableLog;
 use mantra::core::tables::{LearnedFrom, PairRow, Tables};
@@ -73,10 +73,7 @@ fn reader_at_every_byte_growth_point_yields_a_clean_prefix() {
     let bytes = std::fs::read(&full).unwrap();
 
     // Ground truth: record-batch end offsets and the full summary.
-    let offsets: Vec<u64> = FileBackendV2::open_read_only(&full)
-        .unwrap()
-        .offsets()
-        .to_vec();
+    let offsets: Vec<u64> = FileBackendV2::open(&full).unwrap().offsets().to_vec();
     let ground: Vec<String> = streams
         .iter()
         .enumerate()
@@ -198,17 +195,15 @@ fn read_only_opens_leave_a_torn_archive_byte_identical() {
     );
     assert_eq!(std::fs::read(&path).unwrap(), before, "ArchiveReader wrote");
 
-    let be = FileBackendV2::open_read_only(&path).unwrap();
-    assert_eq!(be.len(), streams.len() - 1);
-    drop(be);
-    assert_eq!(
-        std::fs::read(&path).unwrap(),
-        before,
-        "FileBackendV2::open_read_only wrote"
-    );
-
-    let log = TableLog::load_read_only(&path, FULL_EVERY).unwrap();
+    // A read-only log serves the same prefix, and refuses and counts
+    // an append instead of writing it.
+    let mut log = TableLog::load_read_only(&path, FULL_EVERY).unwrap();
     assert_eq!(log.replay().as_slice(), &streams[..streams.len() - 1]);
+    log.append(&streams[streams.len() - 1]);
+    assert_eq!(log.write_errors, 1);
+    let read_only = log.archive_stats();
+    assert_eq!(read_only.write_errors, 1);
+    let read_only_info = log.describe();
     drop(log);
     assert_eq!(
         std::fs::read(&path).unwrap(),
@@ -216,12 +211,22 @@ fn read_only_opens_leave_a_torn_archive_byte_identical() {
         "TableLog::load_read_only wrote"
     );
 
-    // The owning writer is the one allowed to heal: a ReadWrite open
+    // The owning writer is the one allowed to heal: opening for append
     // truncates the torn tail — strictly shorter, still a byte prefix.
-    let be = FileBackendV2::open_with(&path, OpenMode::ReadWrite).unwrap();
+    let be = FileBackendV2::open(&path).unwrap();
     assert_eq!(be.len(), streams.len() - 1);
+    // Both scan the same way, so they agree on the intact prefix and on
+    // what lies past it.
+    let healed = be.stats();
+    let prefix = |s: &ArchiveStats| (s.records, s.checkpoints, s.bytes, s.recovered_bytes);
+    assert_eq!(prefix(&read_only), prefix(&healed));
+    assert!(healed.recovered_bytes > 0);
+    assert_eq!(read_only_info, be.describe());
     drop(be);
     let after = std::fs::read(&path).unwrap();
-    assert!(after.len() < before.len(), "ReadWrite open did not heal");
+    assert!(
+        after.len() < before.len(),
+        "opening for append did not heal"
+    );
     assert_eq!(&before[..after.len()], after.as_slice());
 }
