@@ -548,9 +548,10 @@ fn archive_info(opts: &Opts) -> Result<(), String> {
         stats.records, stats.checkpoints
     );
     println!("stored:      {} bytes", stats.bytes);
+    // The open is read-only: a torn tail is reported, never cut.
     if stats.recovered_bytes > 0 {
         println!(
-            "recovered:   {} bytes of corrupt tail dropped on open",
+            "torn tail:   {} bytes past the last intact record, left in place",
             stats.recovered_bytes
         );
     }

@@ -2,7 +2,9 @@
 //! `mantra archive replay` transcript matches the committed golden file.
 //! Guards both the simulator's determinism and the archive format — a
 //! change to either shows up as a diff against `tests/golden/`. Also
-//! pins that `archive compact` never compacts an archive into itself.
+//! pins that `archive compact` never compacts an archive into itself,
+//! and that `archive info` on a torn copy reports the tail it leaves in
+//! place.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -184,4 +186,45 @@ fn compact_refuses_an_out_that_names_its_source() {
     );
     assert_eq!(std::fs::read(dir.join("fixw.marc")).unwrap(), source);
     assert!(dir.join("new.marc").exists());
+}
+
+#[test]
+fn info_on_a_torn_copy_reports_the_tail_left_in_place() {
+    let dir = TempDir::new("archive-torn");
+    monitor_archives(dir.path());
+    let mut bytes = std::fs::read(dir.join("fixw.marc")).unwrap();
+    bytes.truncate(bytes.len() - 3);
+    std::fs::write(dir.join("torn.marc"), &bytes).unwrap();
+
+    let info = mantra(dir.path(), &["archive", "info", "--path", "torn.marc"]);
+    assert!(
+        info.status.success(),
+        "info failed: {}",
+        String::from_utf8_lossy(&info.stderr)
+    );
+    let out = String::from_utf8(info.stdout).unwrap();
+    let line = out
+        .lines()
+        .find(|l| l.starts_with("torn tail:"))
+        .unwrap_or_else(|| panic!("no torn-tail line in:\n{out}"));
+    let tail: usize = line
+        .trim_start_matches("torn tail:")
+        .split_whitespace()
+        .next()
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("no byte count in {line:?}"));
+    assert!(tail > 0 && tail < bytes.len(), "{line}");
+    assert!(
+        line.ends_with("bytes past the last intact record, left in place"),
+        "{line}"
+    );
+    assert!(
+        !out.contains("dropped"),
+        "a read-only open drops nothing:\n{out}"
+    );
+    assert_eq!(
+        std::fs::read(dir.join("torn.marc")).unwrap(),
+        bytes,
+        "info wrote the torn archive"
+    );
 }

@@ -2266,30 +2266,29 @@ impl CacheStats {
 /// A small LRU over replay query results, shared between the daemon's
 /// HTTP workers. Entries are `Arc`ed so a hit is a clone, not a copy of
 /// the replayed lines.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct QueryCache {
+    /// Bounds both the entries and the parked readers.
+    capacity: usize,
     inner: Mutex<CacheInner>,
+    /// One [`ArchiveReader`] per recently replayed archive, most recent
+    /// last. A query takes its archive's reader out and parks it again
+    /// afterwards, so no lock is held while it refreshes or replays.
+    readers: Mutex<Vec<ArchiveReader>>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct CacheInner {
     /// Most-recently-used last; linear scans are fine at this capacity.
     entries: VecDeque<(QueryKey, Arc<Vec<String>>)>,
-    capacity: usize,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
-impl Default for CacheInner {
+impl Default for QueryCache {
     fn default() -> Self {
-        CacheInner {
-            entries: VecDeque::new(),
-            capacity: QueryCache::DEFAULT_CAPACITY,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
+        QueryCache::with_capacity(QueryCache::DEFAULT_CAPACITY)
     }
 }
 
@@ -2299,14 +2298,58 @@ impl QueryCache {
     /// worth of distinct queries.
     pub const DEFAULT_CAPACITY: usize = 64;
 
-    /// A cache bounded to `capacity` entries.
+    /// A cache bounded to `capacity` entries, and as many parked readers.
     pub fn with_capacity(capacity: usize) -> QueryCache {
         QueryCache {
-            inner: Mutex::new(CacheInner {
-                capacity: capacity.max(1),
-                ..CacheInner::default()
-            }),
+            capacity: capacity.max(1),
+            inner: Mutex::new(CacheInner::default()),
+            readers: Mutex::new(Vec::new()),
         }
+    }
+
+    /// Replay summary lines of the archive at `path` up to `at` (all of
+    /// it when `at` is `None`): how many records were replayed, and
+    /// their [`replay_summary_line`]s.
+    ///
+    /// The archive is read through an [`ArchiveReader`], so a live writer
+    /// is never disturbed. The reader stays parked here between queries
+    /// and is [refreshed](ArchiveReader::refresh), so a query scans only
+    /// the bytes appended since the previous one, and starts over after
+    /// a compaction. Identical queries are answered from the cache: the
+    /// key embeds the epoch and the record count, so an append or a
+    /// compaction addresses a fresh entry.
+    pub fn replay_lines(
+        &self,
+        path: &Path,
+        at: Option<SimTime>,
+    ) -> io::Result<(usize, Arc<Vec<String>>)> {
+        let parked = {
+            let mut readers = lock_clean(&self.readers);
+            let i = readers.iter().position(|r| r.path() == path);
+            i.map(|i| readers.remove(i))
+        };
+        let reader = match parked {
+            Some(mut reader) => {
+                reader.refresh()?;
+                reader
+            }
+            None => ArchiveReader::open(path)?,
+        };
+        let count = match at {
+            Some(t) => reader.records_at_or_before(t),
+            None => reader.len(),
+        };
+        let key = (path.to_path_buf(), reader.epoch(), (0, count));
+        let lines = self.get_or_try_insert(key, || reader.summary_lines(count));
+        let mut readers = lock_clean(&self.readers);
+        // A concurrent query on the same archive may have parked its own.
+        if !readers.iter().any(|r| r.path() == path) {
+            if readers.len() >= self.capacity {
+                readers.remove(0);
+            }
+            readers.push(reader);
+        }
+        Ok((count, lines?))
     }
 
     /// Looks up `key`, or computes, caches and returns the result.
@@ -2331,7 +2374,7 @@ impl QueryCache {
         let val = Arc::new(compute()?);
         let mut inner = lock_clean(&self.inner);
         if !inner.entries.iter().any(|(k, _)| *k == key) {
-            if inner.entries.len() >= inner.capacity {
+            if inner.entries.len() >= self.capacity {
                 inner.entries.pop_front();
                 inner.evictions += 1;
             }

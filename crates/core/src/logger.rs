@@ -35,7 +35,7 @@ use crate::archive::{
     ThreadedBackend, FORMAT_VERSION, FORMAT_VERSION_V2,
 };
 use crate::store::{in_key_order, in_key_order_cached, Interner, TableStore};
-use crate::tables::{LearnedFrom, PairRow, RouteRow, SessionRow, Tables};
+use crate::tables::{LearnedFrom, PairRow, RouteRow, SessionRow, Tables, TablesBuilder};
 
 /// What a stored row costs, in the units the Full/Delta choice and
 /// [`TableLog::savings_ratio`] count: pairs, routes, SA entries and
@@ -226,22 +226,23 @@ impl SnapshotParts {
     }
 
     /// Rebuilds the full four-table snapshot (the redundancy rule run
-    /// forward).
+    /// forward): the member-only sessions seed the Session table and
+    /// every stored row goes through one [`TablesBuilder`].
     pub fn rebuild(&self) -> Tables {
-        let mut t = Tables::new(self.router.clone(), self.captured_at);
+        let mut rows = TablesBuilder::new();
         for s in &self.member_only_sessions {
-            t.sessions.insert(s.group, s.clone());
+            rows.seed_session(s.clone());
         }
         for p in &self.pairs {
-            t.add_pair(p.clone());
+            rows.pair(p.clone());
         }
         for r in &self.routes {
-            t.add_route(r.clone());
+            rows.route(r.clone());
         }
         for (g, s, at) in &self.sa_cache {
-            t.sa_cache.insert((*g, *s), *at);
+            rows.sa(*g, *s, *at);
         }
-        t
+        rows.build(self.router.clone(), self.captured_at)
     }
 }
 
@@ -1555,6 +1556,63 @@ mod tests {
         assert_eq!(compacted.archive_stats().checkpoints, 2);
         let reloaded = TableLog::load(&out, 4).unwrap();
         assert_eq!(reloaded.replay(), compacted.replay());
+    }
+
+    #[test]
+    fn cached_replays_follow_appends_and_compaction() {
+        use crate::archive::{replay_summary_line, QueryCache};
+        let dir = TempDir::new("logger");
+        let spec = ArchiveSpec::File {
+            dir: dir.path().to_path_buf(),
+            sync: SyncPolicy::default(),
+        };
+        let path = ArchiveSpec::path_for(dir.path(), "fixw");
+        let mut log = spec.open_log("fixw", 3);
+        let snap = |n: u64| snapshot(n, &[(n as u32 % 3, Ip::new(10, 0, 0, 1), 64 + n)]);
+        let lines_of = |log: &TableLog| -> Vec<String> {
+            let snaps = log.replay();
+            let lines = snaps.iter().enumerate();
+            lines.map(|(i, t)| replay_summary_line(i, t)).collect()
+        };
+        for n in 0..3 {
+            log.append(&snap(n));
+        }
+        let cache = QueryCache::default();
+        let (count, first) = cache.replay_lines(&path, None).unwrap();
+        assert_eq!((count, first.to_vec()), (3, lines_of(&log)));
+        let (_, again) = cache.replay_lines(&path, None).unwrap();
+        assert!(
+            std::sync::Arc::ptr_eq(&first, &again),
+            "an unchanged archive is a hit"
+        );
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
+
+        // Records appended between two queries show up.
+        for n in 3..5 {
+            log.append(&snap(n));
+        }
+        let (count, lines) = cache.replay_lines(&path, None).unwrap();
+        assert_eq!((count, lines.to_vec()), (5, lines_of(&log)));
+        let (count, lines) = cache.replay_lines(&path, Some(t(1))).unwrap();
+        assert_eq!((count, lines.to_vec()), (2, lines_of(&log)[..2].to_vec()));
+
+        // A compaction renamed over the archive between two queries is
+        // read afresh, at its new epoch.
+        let staged = dir.join("fixw.compacting");
+        let opts = CompactOptions {
+            full_every: 4,
+            drop_before: Some(t(2)),
+            sync: SyncPolicy::default(),
+        };
+        let (compacted, _) = compact_archive(&log, &staged, &opts).unwrap();
+        let want = lines_of(&compacted);
+        std::fs::rename(&staged, &path).unwrap();
+        let misses = cache.stats().misses;
+        let (count, lines) = cache.replay_lines(&path, None).unwrap();
+        assert_eq!((count, lines.to_vec()), (3, want));
+        assert_eq!(cache.stats().misses, misses + 1);
+        let fresh = ArchiveReader::open(&path).unwrap();
+        assert_eq!(fresh.epoch(), log.describe().epoch + 1);
     }
 
     #[test]

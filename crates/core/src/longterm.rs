@@ -8,6 +8,12 @@
 //! which per-snapshot [`crate::stats`] cannot provide. [`LongTermTracker`]
 //! is that memory: feed it every snapshot (or a whole replayed archive)
 //! and ask for lifetime and stability distributions.
+//!
+//! The tracker runs inside every collection cycle, and the paper's
+//! deployment ran for six months, so a cycle must cost what the snapshot
+//! holds, not what the router has shown since start-up: sessions and
+//! participants come and go, and the ones seen so far soon outnumber
+//! those present many times over.
 
 use std::collections::BTreeMap;
 
@@ -90,11 +96,19 @@ impl LifetimeStats {
 
 /// Cross-cycle tracker for sessions, participants and routes of one
 /// router's snapshot stream.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+///
+/// Each entity kind is split into what the last snapshot held (a
+/// key-sorted `Vec`) and what was seen before but is absent now (a map).
+/// [`LongTermTracker::observe`] merge-joins the present entities against
+/// the snapshot's keys, which arrive sorted from its `BTreeMap`s, and
+/// touches the departed map only for entities that return. A cycle
+/// therefore costs O(present + snapshot + changes · log departed): it
+/// does not grow with everything the router has ever shown.
+#[derive(Clone, Debug, Default)]
 pub struct LongTermTracker {
-    sessions: BTreeMap<GroupAddr, Presence>,
-    participants: BTreeMap<Ip, Presence>,
-    routes: BTreeMap<Prefix, Presence>,
+    sessions: Presences<GroupAddr>,
+    participants: Presences<Ip>,
+    routes: Presences<Prefix>,
     /// Completed session lifetimes.
     pub session_lifetimes: LifetimeStats,
     /// Completed participant lifetimes.
@@ -122,21 +136,16 @@ impl LongTermTracker {
     pub fn observe(&mut self, t: &Tables) {
         self.cycles += 1;
         let now = t.captured_at;
-        let new_sessions = update_presences(
-            &mut self.sessions,
-            t.sessions.keys().copied(),
-            now,
-            &mut self.session_lifetimes,
-        );
+        let new_sessions =
+            self.sessions
+                .observe(t.sessions.keys().copied(), now, &mut self.session_lifetimes);
         self.new_sessions_per_cycle.push((now, new_sessions));
-        update_presences(
-            &mut self.participants,
+        self.participants.observe(
             t.participants.keys().copied(),
             now,
             &mut self.participant_lifetimes,
         );
-        update_presences(
-            &mut self.routes,
+        self.routes.observe(
             t.routes_of(LearnedFrom::Dvmrp)
                 .filter(|r| r.reachable)
                 .map(|r| r.prefix),
@@ -168,68 +177,122 @@ impl LongTermTracker {
         self.routes.get(&p)
     }
 
-    /// Routes that flapped (more than one presence episode) — "individual
-    /// route stability characteristics".
+    /// Routes that flapped (more than one presence episode), in prefix
+    /// order — "individual route stability characteristics".
     pub fn flapping_routes(&self) -> Vec<(Prefix, u32)> {
-        self.routes
-            .iter()
+        let mut out: Vec<(Prefix, u32)> = self
+            .routes
+            .all()
             .filter(|(_, p)| p.episodes > 1)
             .map(|(r, p)| (*r, p.episodes))
-            .collect()
+            .collect();
+        out.sort_unstable();
+        out
     }
 
     /// Fraction of tracked routes that never flapped.
     pub fn route_stability(&self) -> f64 {
-        if self.routes.is_empty() {
+        let tracked = self.routes.all().count();
+        if tracked == 0 {
             return 1.0;
         }
-        self.routes.values().filter(|p| p.episodes == 1).count() as f64 / self.routes.len() as f64
+        let steady = self.routes.all().filter(|(_, p)| p.episodes == 1).count();
+        steady as f64 / tracked as f64
     }
 }
 
-/// Updates a presence map with the current member set; returns how many
-/// entities are brand new. Entities that disappeared get their lifetime
-/// recorded; entities that reappear start a new episode.
-fn update_presences<K: Ord + Copy>(
-    map: &mut BTreeMap<K, Presence>,
-    current: impl Iterator<Item = K>,
-    now: SimTime,
-    lifetimes: &mut LifetimeStats,
-) -> usize {
-    let current: std::collections::BTreeSet<K> = current.collect();
-    let mut brand_new = 0;
-    for k in &current {
-        match map.get_mut(k) {
-            None => {
-                brand_new += 1;
-                map.insert(
-                    *k,
-                    Presence {
-                        first_seen: now,
-                        last_seen: now,
-                        episodes: 1,
-                        present: true,
-                    },
-                );
-            }
-            Some(p) => {
-                if !p.present {
-                    p.episodes += 1;
-                    p.present = true;
-                }
-                p.last_seen = now;
-            }
+/// The presence records of one entity kind.
+#[derive(Clone, Debug)]
+struct Presences<K> {
+    /// The entities of the last snapshot, sorted by key.
+    present: Vec<(K, Presence)>,
+    /// Everything seen before but absent from the last snapshot.
+    departed: BTreeMap<K, Presence>,
+}
+
+impl<K> Default for Presences<K> {
+    fn default() -> Self {
+        Presences {
+            present: Vec::new(),
+            departed: BTreeMap::new(),
         }
     }
-    for (k, p) in map.iter_mut() {
-        if p.present && !current.contains(k) {
+}
+
+impl<K: Ord + Copy> Presences<K> {
+    /// Every record, present ones first; each part in key order.
+    fn all(&self) -> impl Iterator<Item = (&K, &Presence)> {
+        self.present
+            .iter()
+            .map(|(k, p)| (k, p))
+            .chain(self.departed.iter())
+    }
+
+    fn get(&self, k: &K) -> Option<&Presence> {
+        match self.present.binary_search_by(|(p, _)| p.cmp(k)) {
+            Ok(i) => Some(&self.present[i].1),
+            Err(_) => self.departed.get(k),
+        }
+    }
+
+    /// Moves the presence records to the snapshot whose keys `current`
+    /// yields in strictly increasing order; returns how many entities are
+    /// brand new. Entities that disappeared get their lifetime recorded,
+    /// in key order; entities that reappear start a new episode.
+    fn observe(
+        &mut self,
+        current: impl Iterator<Item = K>,
+        now: SimTime,
+        lifetimes: &mut LifetimeStats,
+    ) -> usize {
+        let mut last = std::mem::take(&mut self.present).into_iter().peekable();
+        let mut depart = |departed: &mut BTreeMap<K, Presence>, k: K, mut p: Presence| {
             p.present = false;
             lifetimes
                 .completed
                 .push(p.last_seen.since(p.first_seen).as_secs());
+            departed.insert(k, p);
+        };
+        // Sized to the snapshot's key count (exact for map keys): the
+        // vector is kept per router until the next cycle, so growth slack
+        // would stay resident.
+        let mut present = Vec::with_capacity(current.size_hint().0);
+        let mut brand_new = 0;
+        for k in current {
+            while let Some((gone, p)) = last.next_if(|(l, _)| *l < k) {
+                depart(&mut self.departed, gone, p);
+            }
+            let p = match last.next_if(|(l, _)| *l == k) {
+                Some((_, p)) => Presence {
+                    last_seen: now,
+                    ..p
+                },
+                None => match self.departed.remove(&k) {
+                    Some(p) => Presence {
+                        last_seen: now,
+                        episodes: p.episodes + 1,
+                        present: true,
+                        ..p
+                    },
+                    None => {
+                        brand_new += 1;
+                        Presence {
+                            first_seen: now,
+                            last_seen: now,
+                            episodes: 1,
+                            present: true,
+                        }
+                    }
+                },
+            };
+            present.push((k, p));
         }
+        for (gone, p) in last {
+            depart(&mut self.departed, gone, p);
+        }
+        self.present = present;
+        brand_new
     }
-    brand_new
 }
 
 #[cfg(test)]

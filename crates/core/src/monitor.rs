@@ -17,7 +17,7 @@ use mantra_net::{BitRate, GroupAddr, SimDuration, SimTime};
 
 use crate::aggregate::ParallelAccess;
 use crate::anomaly::{Anomaly, InconsistencyMonitor};
-use crate::archive::{ArchiveReader, ArchiveSpec, QueryCache};
+use crate::archive::{ArchiveSpec, QueryCache};
 use crate::collector::{CollectStats, Collector, RetryPolicy};
 use crate::logger::TableLog;
 use crate::longterm::LongTermTracker;
@@ -408,11 +408,10 @@ impl Monitor {
     }
 
     /// Replay summary lines for `router`'s archive up to `at` (all of it
-    /// when `at` is `None`), through the shared query cache. Opens the
-    /// archive read-only via [`ArchiveReader`], so a live writer is never
-    /// disturbed; repeated identical queries are served from the cache
-    /// (the key embeds the record count, so a fresh append changes the
-    /// key and naturally invalidates stale entries).
+    /// when `at` is `None`), through the shared query cache's
+    /// [`QueryCache::replay_lines`]: read-only, so a live writer is never
+    /// disturbed, and repeated identical queries are served from the
+    /// cache.
     pub fn replay_lines_at(
         &self,
         router: &str,
@@ -424,14 +423,7 @@ impl Monitor {
                 "archives are in-memory (ArchiveSpec::Memory): nothing on disk to replay",
             )
         })?;
-        let reader = ArchiveReader::open(&path)?;
-        let count = match at {
-            Some(t) => reader.records_at_or_before(t),
-            None => reader.len(),
-        };
-        let key = (path, reader.epoch(), (0, count));
-        self.query_cache
-            .get_or_try_insert(key, || reader.summary_lines(count))
+        Ok(self.query_cache.replay_lines(&path, at)?.1)
     }
 
     /// Collection health of one router.

@@ -8,8 +8,10 @@
 //! The hot path parses `&[u8]` fields straight off the capture buffer
 //! ([`Capture`] keeps lines as spans, not `String`s): field splitting
 //! tolerates runs of spaces/tabs, and integers, addresses, prefixes and
-//! uptimes decode directly from bytes. The previous string-materialising
-//! parser is kept as [`reference`] and property-tested byte-identical
+//! uptimes decode directly from bytes. Parsed rows go into a
+//! [`TablesBuilder`], which assembles the snapshot in key order. The
+//! previous string-materialising parser, with its row-at-a-time table
+//! inserts, is kept as [`reference`] and property-tested byte-identical
 //! against this path (see `tests/prop_parse.rs`); the two stay in
 //! lock-step because every anchor the parsers match on is pure ASCII, and
 //! ASCII bytes can neither appear inside a multi-byte UTF-8 sequence nor
@@ -19,7 +21,7 @@ use mantra_net::{BitRate, GroupAddr, Ip, Prefix, SimDuration, SimTime};
 use mantra_router_cli::TableKind;
 
 use crate::collector::Capture;
-use crate::tables::{LearnedFrom, PairRow, RouteRow, Tables};
+use crate::tables::{LearnedFrom, PairRow, RouteRow, Tables, TablesBuilder};
 
 /// Per-table-kind parse accounting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -86,10 +88,14 @@ impl ParseStats {
 }
 
 /// The shared batch skeleton: mixed-router rejection, snapshot stamping
-/// and per-kind attribution are identical for both parser families.
-fn process_with(
-    captures: &[Capture],
-    mut parse_one: impl FnMut(&Capture, &mut Tables) -> KindStats,
+/// and per-kind attribution are identical for both parser families. The
+/// parsers write into a sink `S` that `open` creates for the batch's
+/// router and capture time and `close` turns into the snapshot.
+fn process_with<'c, S>(
+    captures: &'c [Capture],
+    open: impl FnOnce(&'c str, SimTime) -> S,
+    mut parse_one: impl FnMut(&Capture, &mut S) -> KindStats,
+    close: impl FnOnce(S) -> Tables,
 ) -> (Tables, ParseStats) {
     if let Some(first) = captures.first() {
         if captures.iter().any(|c| c.router != first.router) {
@@ -102,33 +108,39 @@ fn process_with(
             );
         }
     }
-    let mut tables = Tables::new(
+    let mut sink = open(
         captures.first().map(|c| c.router.as_str()).unwrap_or(""),
         captures.first().map(|c| c.captured_at).unwrap_or_default(),
     );
     let mut stats = ParseStats::default();
     for cap in captures {
-        let s = parse_one(cap, &mut tables);
+        let s = parse_one(cap, &mut sink);
         stats.absorb_kind(cap.kind, s);
     }
-    (tables, stats)
+    (close(sink), stats)
 }
 
 /// Processes a batch of captures (one collection cycle for one router)
-/// into a table snapshot, parsing fields directly off the capture bytes.
+/// into a table snapshot, parsing fields directly off the capture bytes
+/// into a [`TablesBuilder`].
 ///
 /// A batch spanning more than one router is rejected outright: the
 /// resulting snapshot is empty and [`ParseStats::rejected_mixed`] counts
 /// every capture in the batch, so the mislabelling is observable instead
 /// of silent.
 pub fn process(captures: &[Capture]) -> (Tables, ParseStats) {
-    process_with(captures, |cap, tables| match cap.kind {
-        TableKind::DvmrpRoutes => parse_dvmrp_routes(cap, tables),
-        TableKind::ForwardingCache => parse_forwarding(cap, tables),
-        TableKind::IgmpGroups => parse_igmp(cap, tables),
-        TableKind::MbgpRoutes => parse_mbgp(cap, tables),
-        TableKind::SaCache => parse_sa_cache(cap, tables),
-    })
+    process_with(
+        captures,
+        |router, at| (router, at, TablesBuilder::new()),
+        |cap, (_, _, rows)| match cap.kind {
+            TableKind::DvmrpRoutes => parse_dvmrp_routes(cap, rows),
+            TableKind::ForwardingCache => parse_forwarding(cap, rows),
+            TableKind::IgmpGroups => parse_igmp(cap, rows),
+            TableKind::MbgpRoutes => parse_mbgp(cap, rows),
+            TableKind::SaCache => parse_sa_cache(cap, rows),
+        },
+        |(router, at, rows)| rows.build(router, at),
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -257,7 +269,7 @@ fn split_pair_head(line: &[u8]) -> Option<(&[u8], &[u8], &[u8])> {
 // DVMRP route tables
 // ---------------------------------------------------------------------
 
-fn parse_dvmrp_routes(cap: &Capture, tables: &mut Tables) -> KindStats {
+fn parse_dvmrp_routes(cap: &Capture, rows: &mut TablesBuilder) -> KindStats {
     let mut st = KindStats::default();
     let ios = cap.line_count() > 0 && find(cap.line(0), b"DVMRP Routing Table -").is_some();
     for line in cap.lines() {
@@ -276,7 +288,7 @@ fn parse_dvmrp_routes(cap: &Capture, tables: &mut Tables) -> KindStats {
         };
         match parsed {
             Some(row) => {
-                tables.add_route(row);
+                rows.route(row);
                 st.parsed += 1;
             }
             None => st.malformed += 1,
@@ -346,18 +358,18 @@ fn parse_ios_dvmrp_row(line: &[u8]) -> Option<RouteRow> {
 // Forwarding caches
 // ---------------------------------------------------------------------
 
-fn parse_forwarding(cap: &Capture, tables: &mut Tables) -> KindStats {
+fn parse_forwarding(cap: &Capture, rows: &mut TablesBuilder) -> KindStats {
     let ios = cap.line_count() > 0 && cap.line(0).starts_with(b"IP Multicast Statistics");
     if ios {
-        parse_ios_mroute(cap, tables)
+        parse_ios_mroute(cap, rows)
     } else {
-        parse_mrouted_cache(cap, tables)
+        parse_mrouted_cache(cap, rows)
     }
 }
 
 /// mrouted cache rows:
 /// `1.2.3.4 224.2.0.5 150 4m 0 3.2k 1 2 3` (oifs) or trailing `P`.
-fn parse_mrouted_cache(cap: &Capture, tables: &mut Tables) -> KindStats {
+fn parse_mrouted_cache(cap: &Capture, rows: &mut TablesBuilder) -> KindStats {
     let mut st = KindStats::default();
     for line in cap.lines() {
         if line.starts_with(b"Multicast Routing Cache")
@@ -395,7 +407,7 @@ fn parse_mrouted_cache(cap: &Capture, tables: &mut Tables) -> KindStats {
         })();
         match row {
             Some(r) => {
-                tables.add_pair(r);
+                rows.pair(r);
                 st.parsed += 1;
             }
             None => st.malformed += 1,
@@ -406,7 +418,7 @@ fn parse_mrouted_cache(cap: &Capture, tables: &mut Tables) -> KindStats {
 
 /// IOS `show ip mroute count` blocks: header pair line, interface line,
 /// counter line.
-fn parse_ios_mroute(cap: &Capture, tables: &mut Tables) -> KindStats {
+fn parse_ios_mroute(cap: &Capture, rows: &mut TablesBuilder) -> KindStats {
     let mut st = KindStats::default();
     let mut pending: Option<(Ip, GroupAddr, bool, LearnedFrom)> = None;
     let mut pending_forwarding = true;
@@ -462,7 +474,7 @@ fn parse_ios_mroute(cap: &Capture, tables: &mut Tables) -> KindStats {
                     break;
                 }
             }
-            tables.add_pair(PairRow {
+            rows.pair(PairRow {
                 source,
                 group,
                 current_bw: BitRate::from_kbps(kbps),
@@ -482,7 +494,7 @@ fn parse_ios_mroute(cap: &Capture, tables: &mut Tables) -> KindStats {
 // IGMP, MBGP, MSDP
 // ---------------------------------------------------------------------
 
-fn parse_igmp(cap: &Capture, tables: &mut Tables) -> KindStats {
+fn parse_igmp(cap: &Capture, rows: &mut TablesBuilder) -> KindStats {
     let mut st = KindStats::default();
     for line in cap.lines() {
         // mrouted: `0 224.2.0.5 3 12s ago`; IOS: `224.2.0.5 Vif2 00:01:02 h3`.
@@ -500,18 +512,7 @@ fn parse_igmp(cap: &Capture, tables: &mut Tables) -> KindStats {
             Some(g) => {
                 // Membership implies a session exists even with no (S,G)
                 // state yet; record it without inventing participants.
-                let at = cap.captured_at;
-                tables
-                    .sessions
-                    .entry(g)
-                    .or_insert_with(|| crate::tables::SessionRow {
-                        group: g,
-                        name: None,
-                        density: 0,
-                        bandwidth: BitRate::ZERO,
-                        first_advertised: LearnedFrom::Igmp,
-                        first_seen: at,
-                    });
+                rows.igmp(g, cap.captured_at);
                 st.parsed += 1;
             }
             None => st.skipped += 1,
@@ -520,7 +521,7 @@ fn parse_igmp(cap: &Capture, tables: &mut Tables) -> KindStats {
     st
 }
 
-fn parse_mbgp(cap: &Capture, tables: &mut Tables) -> KindStats {
+fn parse_mbgp(cap: &Capture, rows: &mut TablesBuilder) -> KindStats {
     let mut st = KindStats::default();
     for line in cap.lines() {
         let mut f = fields(line);
@@ -543,7 +544,7 @@ fn parse_mbgp(cap: &Capture, tables: &mut Tables) -> KindStats {
         })();
         match row {
             Some(r) => {
-                tables.add_route(r);
+                rows.route(r);
                 st.parsed += 1;
             }
             None => st.malformed += 1,
@@ -552,7 +553,7 @@ fn parse_mbgp(cap: &Capture, tables: &mut Tables) -> KindStats {
     st
 }
 
-fn parse_sa_cache(cap: &Capture, tables: &mut Tables) -> KindStats {
+fn parse_sa_cache(cap: &Capture, rows: &mut TablesBuilder) -> KindStats {
     let mut st = KindStats::default();
     for line in cap.lines() {
         if !line.starts_with(b"(") {
@@ -579,7 +580,7 @@ fn parse_sa_cache(cap: &Capture, tables: &mut Tables) -> KindStats {
         match entry {
             Some((g, s, ago)) => {
                 let first = SimTime(cap.captured_at.as_secs().saturating_sub(ago.as_secs()));
-                tables.sa_cache.insert((g, s), first);
+                rows.sa(g, s, first);
                 st.parsed += 1;
             }
             None => st.malformed += 1,
@@ -603,18 +604,23 @@ pub mod reference {
     use super::*;
 
     /// Processes a batch of captures exactly like [`super::process`], but
-    /// through owned strings.
+    /// through owned strings and row-at-a-time table inserts.
     pub fn process(captures: &[Capture]) -> (Tables, ParseStats) {
-        process_with(captures, |cap, tables| {
-            let lines = cap.text_lines();
-            match cap.kind {
-                TableKind::DvmrpRoutes => parse_dvmrp_routes(&lines, tables),
-                TableKind::ForwardingCache => parse_forwarding(&lines, tables),
-                TableKind::IgmpGroups => parse_igmp(cap, &lines, tables),
-                TableKind::MbgpRoutes => parse_mbgp(&lines, tables),
-                TableKind::SaCache => parse_sa_cache(cap, &lines, tables),
-            }
-        })
+        process_with(
+            captures,
+            Tables::new,
+            |cap, tables| {
+                let lines = cap.text_lines();
+                match cap.kind {
+                    TableKind::DvmrpRoutes => parse_dvmrp_routes(&lines, tables),
+                    TableKind::ForwardingCache => parse_forwarding(&lines, tables),
+                    TableKind::IgmpGroups => parse_igmp(cap, &lines, tables),
+                    TableKind::MbgpRoutes => parse_mbgp(&lines, tables),
+                    TableKind::SaCache => parse_sa_cache(cap, &lines, tables),
+                }
+            },
+            |tables| tables,
+        )
     }
 
     /// Parses `hh:mm:ss` or `NdHHh` IOS uptimes.

@@ -7,6 +7,14 @@
 //!
 //! Rows are plain serde-serialisable structs keyed for deterministic
 //! ordering, which the delta logger depends on.
+//!
+//! A snapshot is assembled in key order: the parsers and the archive
+//! replay push rows into a [`TablesBuilder`] in arrival order, and
+//! [`TablesBuilder::build`] sorts each kind once (a linear pass when, as
+//! from the simulated CLIs, rows already arrive in key order) and bulk
+//! builds the maps from the sorted runs. [`Tables::add_pair`] and
+//! [`Tables::add_route`] stay as the row-at-a-time definition the builder
+//! is tested against.
 
 use std::collections::BTreeMap;
 
@@ -285,6 +293,182 @@ impl Tables {
             *e = (*e).min(*t);
         }
     }
+}
+
+/// One snapshot's rows in arrival order, assembled into [`Tables`] by
+/// one key-ordered pass per table.
+///
+/// [`TablesBuilder::build`] returns exactly the `Tables` that the
+/// row-at-a-time calls produce: `sessions.insert` for each seeded
+/// session, then, in arrival order, [`Tables::add_pair`] per pair,
+/// [`Tables::add_route`] per route, `sessions.entry(group).or_insert_with`
+/// per IGMP sighting and `sa_cache.insert` per SA entry. It gets there
+/// without a map insert per row. Pairs, routes and SA entries are
+/// stable-sorted by map key (the last row of a key wins, as repeated
+/// inserts leave it) and each map is built in bulk from the distinct,
+/// sorted run; participants are counted off the sorted sources; sessions
+/// take one map entry per run of same-group pair rows.
+#[derive(Debug, Default)]
+pub struct TablesBuilder {
+    pairs: Vec<PairRow>,
+    routes: Vec<RouteRow>,
+    /// IGMP sightings: the group, the capture's time, and how many pair
+    /// rows had arrived before it.
+    sightings: Vec<(GroupAddr, SimTime, usize)>,
+    sa: Vec<((GroupAddr, Ip), SimTime)>,
+    seeds: Vec<SessionRow>,
+}
+
+impl TablesBuilder {
+    /// An empty builder.
+    pub fn new() -> Self {
+        TablesBuilder::default()
+    }
+
+    /// Seeds a session as a `sessions.insert` ahead of every other row: a
+    /// later seed of the same group replaces it, and its group's pair
+    /// rows fold into it.
+    pub fn seed_session(&mut self, row: SessionRow) {
+        self.seeds.push(row);
+    }
+
+    /// An `(S,G)` row, as [`Tables::add_pair`].
+    pub fn pair(&mut self, row: PairRow) {
+        self.pairs.push(row);
+    }
+
+    /// A route row, as [`Tables::add_route`].
+    pub fn route(&mut self, row: RouteRow) {
+        self.routes.push(row);
+    }
+
+    /// IGMP membership of `group` in a capture taken at `at`: the session
+    /// exists even with no `(S,G)` state yet, and no participant is
+    /// invented for it.
+    pub fn igmp(&mut self, group: GroupAddr, at: SimTime) {
+        self.sightings.push((group, at, self.pairs.len()));
+    }
+
+    /// An MSDP source-active entry first learned at `first_learned`, as
+    /// `sa_cache.insert`.
+    pub fn sa(&mut self, group: GroupAddr, source: Ip, first_learned: SimTime) {
+        self.sa.push(((group, source), first_learned));
+    }
+
+    /// Assembles the snapshot of `router` captured at `captured_at`.
+    pub fn build(self, router: impl Into<String>, captured_at: SimTime) -> Tables {
+        let at = captured_at;
+        let TablesBuilder {
+            pairs,
+            routes,
+            sightings,
+            sa,
+            seeds,
+        } = self;
+        let sessions = fold_sessions(seeds, &pairs, sightings, at);
+
+        let mut hosts: Vec<Ip> = pairs
+            .iter()
+            .map(|p| p.source)
+            .filter(|s| !s.is_unspecified())
+            .collect();
+        hosts.sort_unstable();
+        let mut participants: Vec<(Ip, ParticipantRow)> = Vec::new();
+        for host in hosts {
+            match participants.last_mut() {
+                Some((h, p)) if *h == host => p.group_count += 1,
+                _ => participants.push((
+                    host,
+                    ParticipantRow {
+                        host,
+                        name: None,
+                        group_count: 1,
+                        first_seen: at,
+                    },
+                )),
+            }
+        }
+
+        let pairs = last_per_key(pairs, |p| (p.group, p.source));
+        let routes = last_per_key(routes, |r| (r.learned_from, r.prefix));
+        let sa_cache = last_per_key(sa, |e| e.0).into_iter().map(|(k, e)| (k, e.1));
+        Tables {
+            captured_at,
+            router: router.into(),
+            pairs: pairs.into_iter().collect(),
+            participants: participants.into_iter().collect(),
+            sessions,
+            routes: routes.into_iter().collect(),
+            sa_cache: sa_cache.collect(),
+        }
+    }
+}
+
+/// Stable-sorts `rows` by key and keeps the last row of each key — what
+/// inserting them one by one into a map leaves behind — as a distinct,
+/// sorted run for a bulk build.
+fn last_per_key<K: Ord, V>(mut rows: Vec<V>, key: impl Fn(&V) -> K) -> Vec<(K, V)> {
+    rows.sort_by_key(&key);
+    let mut out: Vec<(K, V)> = Vec::with_capacity(rows.len());
+    for row in rows {
+        let k = key(&row);
+        match out.last_mut() {
+            Some(last) if last.0 == k => last.1 = row,
+            _ => out.push((k, row)),
+        }
+    }
+    out
+}
+
+/// The Session table, folded in arrival order: the seeds, then pair rows
+/// and IGMP sightings as they came. A session's `first_seen` is its
+/// first contribution's time, so the order matters, but a run of pair
+/// rows of one group folds through a single map entry; collectors list
+/// pairs grouped, so that is one entry per session, not one per row.
+fn fold_sessions(
+    seeds: Vec<SessionRow>,
+    pairs: &[PairRow],
+    sightings: Vec<(GroupAddr, SimTime, usize)>,
+    at: SimTime,
+) -> BTreeMap<GroupAddr, SessionRow> {
+    let mut sessions = BTreeMap::new();
+    for s in seeds {
+        sessions.insert(s.group, s);
+    }
+    let new_row = |group, first_advertised, first_seen| SessionRow {
+        group,
+        name: None,
+        density: 0,
+        bandwidth: BitRate::ZERO,
+        first_advertised,
+        first_seen,
+    };
+    let mut sightings = sightings.into_iter().peekable();
+    let mut start = 0;
+    while let Some(first) = pairs.get(start) {
+        while let Some((g, t, _)) = sightings.next_if(|s| s.2 <= start) {
+            sessions
+                .entry(g)
+                .or_insert_with(|| new_row(g, LearnedFrom::Igmp, t));
+        }
+        let g = first.group;
+        let run = pairs[start..].iter().take_while(|p| p.group == g);
+        let s = sessions
+            .entry(g)
+            .or_insert_with(|| new_row(g, first.learned_from, at));
+        for p in run {
+            s.density += u32::from(!p.source.is_unspecified());
+            s.bandwidth += p.current_bw;
+            s.first_advertised = s.first_advertised.min(p.learned_from);
+            start += 1;
+        }
+    }
+    for (g, t, _) in sightings {
+        sessions
+            .entry(g)
+            .or_insert_with(|| new_row(g, LearnedFrom::Igmp, t));
+    }
+    sessions
 }
 
 #[cfg(test)]

@@ -7,10 +7,11 @@
 //! duration of a cycle) and drives collection at a wall-clock cadence;
 //! a **serve thread** accepts HTTP/1.1 connections and answers JSON
 //! queries from brief lock grabs — or, for `/replay`, from no lock at
-//! all: time-travel replay goes through the read-only
-//! [`ArchiveReader`], which snapshots the archive's logical end and
-//! replays a consistent prefix while the writer keeps appending, with
-//! results memoised in the monitor's shared [`QueryCache`].
+//! all: time-travel replay goes through a read-only
+//! [`mantra_core::archive::ArchiveReader`], which snapshots the
+//! archive's logical end and replays a consistent prefix while the
+//! writer keeps appending, with the reader kept and its results
+//! memoised in the monitor's shared [`QueryCache`].
 //!
 //! Endpoints:
 //!
@@ -37,7 +38,7 @@ use std::thread;
 use std::time::Duration;
 
 use mantra_core::anomaly::Anomaly;
-use mantra_core::archive::{ArchiveReader, CacheStats, QueryCache};
+use mantra_core::archive::{CacheStats, QueryCache};
 use mantra_core::monitor::RouterHealth;
 use mantra_core::processor::ParseStats;
 use mantra_core::stats::UsageStats;
@@ -515,7 +516,7 @@ fn parse(shared: &Shared) -> Response {
 
 /// Time-travel replay. Takes the engine lock only long enough to resolve
 /// the archive path and cache handle; the replay itself runs lock-free
-/// against the read-only [`ArchiveReader`] so a slow archive scan never
+/// through [`QueryCache::replay_lines`] so a slow archive scan never
 /// stalls collection or other queries.
 fn replay(shared: &Shared, req: &Request) -> Response {
     let Some(router) = req.param("router") else {
@@ -536,20 +537,11 @@ fn replay(shared: &Shared, req: &Request) -> Response {
             &format!("router {router:?} has no on-disk archive to replay"),
         );
     };
-    let reader = match ArchiveReader::open(&path) {
+    let (count, lines) = match cache.replay_lines(&path, at) {
         Ok(r) => r,
         Err(e) if e.kind() == io::ErrorKind::NotFound => {
             return Response::error(404, &format!("archive not written yet: {e}"))
         }
-        Err(e) => return Response::error(500, &e.to_string()),
-    };
-    let count = match at {
-        Some(t) => reader.records_at_or_before(t),
-        None => reader.len(),
-    };
-    let key = (path, reader.epoch(), (0, count));
-    let lines = match cache.get_or_try_insert(key, || reader.summary_lines(count)) {
-        Ok(l) => l,
         Err(e) => return Response::error(500, &e.to_string()),
     };
     Response::json(

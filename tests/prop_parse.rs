@@ -4,13 +4,23 @@
 //! live simulator cycles, the golden messy-capture corpus, and arbitrary
 //! garbage including ANSI noise, interior carriage returns, truncation
 //! and non-UTF-8 bytes. Neither parser may ever panic.
+//!
+//! The byte parser assembles its snapshot through `TablesBuilder`, the
+//! reference through row-at-a-time `Tables` inserts, so the agreement
+//! tests also pin the builder on real captures. Two more properties pin
+//! it on arbitrary row sequences — duplicate keys, wildcard sources, IGMP
+//! sightings before and after their pairs at other capture times, keys
+//! out of order — for both the parser's use and the archive replay's
+//! `SnapshotParts::rebuild`.
 
 use proptest::prelude::*;
 
 use mantra::core::collector::preprocess_bytes;
+use mantra::core::logger::SnapshotParts;
 use mantra::core::processor::{process, reference};
+use mantra::core::tables::{LearnedFrom, PairRow, RouteRow, SessionRow, Tables, TablesBuilder};
 use mantra::core::ParallelAccess;
-use mantra::net::{SimDuration, SimTime};
+use mantra::net::{BitRate, GroupAddr, Ip, Prefix, SimDuration, SimTime};
 use mantra::router_cli::TableKind;
 use mantra::sim::Scenario;
 
@@ -164,4 +174,165 @@ fn golden_corpus_parses_identically() {
         expected.trim(),
         "golden corpus accounting drifted; if intentional, update expected.tsv to:\n{actual}"
     );
+}
+
+const PROTOCOLS: [LearnedFrom; 5] = [
+    LearnedFrom::Dvmrp,
+    LearnedFrom::Pim,
+    LearnedFrom::Msdp,
+    LearnedFrom::Mbgp,
+    LearnedFrom::Igmp,
+];
+
+/// One row pushed into a snapshot.
+#[derive(Clone, Debug)]
+enum Row {
+    Pair(PairRow),
+    Route(RouteRow),
+    Igmp(GroupAddr, SimTime),
+    Sa(GroupAddr, Ip, SimTime),
+}
+
+/// Rows drawn from small key universes, so keys repeat: 6 groups × 5
+/// sources (source 0 is the wildcard), 2 protocols × 5 prefixes of
+/// routes, IGMP sightings at the snapshot time or a minute or two off.
+fn arb_rows() -> impl Strategy<Value = Vec<Row>> {
+    proptest::collection::vec((0u8..5, 0u32..6, 0u32..5, 0u64..4_000), 0..48).prop_map(|raw| {
+        raw.into_iter()
+            .map(|(kind, a, b, c)| match kind {
+                0 | 1 => Row::Pair(PairRow {
+                    source: if b == 0 {
+                        Ip::UNSPECIFIED
+                    } else {
+                        Ip(0x0a00_0000 + b)
+                    },
+                    group: GroupAddr::from_index(a),
+                    current_bw: BitRate::from_bps(c),
+                    avg_bw: BitRate::from_bps(c / 2),
+                    forwarding: c % 2 == 0,
+                    learned_from: PROTOCOLS[c as usize % 5],
+                }),
+                2 => Row::Route(RouteRow {
+                    prefix: Prefix::new(Ip::new(10, b as u8, 0, 0), 16).unwrap(),
+                    next_hop: (c % 4 != 0).then_some(Ip::new(10, 128, 0, c as u8)),
+                    metric: (c % 33) as u32,
+                    uptime: (c % 3 == 0).then_some(SimDuration::secs(c)),
+                    reachable: c % 5 != 0,
+                    learned_from: if a % 2 == 0 {
+                        LearnedFrom::Dvmrp
+                    } else {
+                        LearnedFrom::Mbgp
+                    },
+                }),
+                3 => Row::Igmp(
+                    GroupAddr::from_index(a),
+                    SimTime(t0().as_secs() + 60 * u64::from(b % 3)),
+                ),
+                _ => Row::Sa(
+                    GroupAddr::from_index(a),
+                    Ip(0x0b00_0000 + b),
+                    SimTime(t0().as_secs() - c),
+                ),
+            })
+            .collect()
+    })
+}
+
+/// Sessions to seed, some of them in groups the pair rows also use.
+fn arb_seeds() -> impl Strategy<Value = Vec<SessionRow>> {
+    proptest::collection::vec((0u32..8, 0u32..3, 0u64..4_000, any::<bool>()), 0..5).prop_map(
+        |raw| {
+            raw.into_iter()
+                .map(|(g, density, c, named)| SessionRow {
+                    group: GroupAddr::from_index(g),
+                    name: named.then(|| format!("session {g}")),
+                    density,
+                    bandwidth: BitRate::from_bps(c),
+                    first_advertised: PROTOCOLS[c as usize % 5],
+                    first_seen: SimTime(t0().as_secs() - c),
+                })
+                .collect()
+        },
+    )
+}
+
+/// The row-at-a-time definition: seeds inserted first, then each row
+/// through the insert its parser made before the builder existed.
+fn row_at_a_time(seeds: &[SessionRow], rows: &[Row]) -> Tables {
+    let mut t = Tables::new("fixw", t0());
+    for s in seeds {
+        t.sessions.insert(s.group, s.clone());
+    }
+    for row in rows {
+        match row {
+            Row::Pair(p) => t.add_pair(p.clone()),
+            Row::Route(r) => t.add_route(r.clone()),
+            Row::Igmp(g, at) => {
+                t.sessions.entry(*g).or_insert_with(|| SessionRow {
+                    group: *g,
+                    name: None,
+                    density: 0,
+                    bandwidth: BitRate::ZERO,
+                    first_advertised: LearnedFrom::Igmp,
+                    first_seen: *at,
+                });
+            }
+            Row::Sa(g, s, first) => {
+                t.sa_cache.insert((*g, *s), *first);
+            }
+        }
+    }
+    t
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The key-ordered builder returns exactly the row-at-a-time tables.
+    #[test]
+    fn builder_matches_row_at_a_time_inserts(seeds in arb_seeds(), rows in arb_rows()) {
+        let mut b = TablesBuilder::new();
+        for s in &seeds {
+            b.seed_session(s.clone());
+        }
+        for row in &rows {
+            match row {
+                Row::Pair(p) => b.pair(p.clone()),
+                Row::Route(r) => b.route(r.clone()),
+                Row::Igmp(g, at) => b.igmp(*g, *at),
+                Row::Sa(g, s, first) => b.sa(*g, *s, *first),
+            }
+        }
+        prop_assert_eq!(b.build("fixw", t0()), row_at_a_time(&seeds, &rows));
+    }
+
+    /// A replayed record rebuilds to the snapshot the row-at-a-time
+    /// rebuild made: member-only sessions inserted, then every stored
+    /// pair, route and SA entry in stored order.
+    #[test]
+    fn rebuild_matches_row_at_a_time_rebuild(seeds in arb_seeds(), rows in arb_rows()) {
+        let mut parts = SnapshotParts {
+            captured_at: t0(),
+            router: "fixw".into(),
+            member_only_sessions: seeds.clone(),
+            ..SnapshotParts::default()
+        };
+        let mut stored = Vec::new();
+        for row in rows {
+            match &row {
+                Row::Pair(p) => parts.pairs.push(p.clone()),
+                Row::Route(r) => parts.routes.push(r.clone()),
+                Row::Sa(g, s, first) => parts.sa_cache.push((*g, *s, *first)),
+                Row::Igmp(..) => continue,
+            }
+            stored.push(row);
+        }
+        // Stored order is pairs, then routes, then SA entries.
+        stored.sort_by_key(|r| match r {
+            Row::Pair(_) => 0,
+            Row::Route(_) => 1,
+            _ => 2,
+        });
+        prop_assert_eq!(parts.rebuild(), row_at_a_time(&seeds, &stored));
+    }
 }
