@@ -6,9 +6,9 @@
 //!   paper's 4 kbps choice,
 //! * `ablation_interval_*` — collection-interval sweep (cost side; the
 //!   fidelity side lives in the figure binaries),
-//! * `ablation_interning_*` — BTreeMap-keyed reference delta diffing vs
-//!   the interned [`TableStore`] merge-join on a 50-router × 96-cycle
-//!   day of snapshots,
+//! * `ablation_delta_codec_*` — BTreeMap-keyed reference delta diffing
+//!   vs the merge join over key-sorted sections on a 50-router ×
+//!   96-cycle day of snapshots,
 //! * `ablation_archive_*` — memory vs the on-disk MANTRARC v2 backend:
 //!   write a 50-router × 96-cycle day through each, stream it back, and
 //!   print bytes on disk next to the logger's row-cost accounting,
@@ -34,11 +34,10 @@ use mantra_core::archive::{
     BackpressureMode, FileBackendV2, SyncPolicy, ThreadedBackend, WriterConfig,
 };
 use mantra_core::collector::{preprocess_bytes, Capture};
-use mantra_core::logger::{diff_reference, diff_with, SnapshotParts, TableDelta, TableLog};
+use mantra_core::logger::{diff, diff_reference, SnapshotParts, TableDelta, TableLog};
 use mantra_core::processor::{process, reference};
 use mantra_core::stats::{RouteStats, UsageStats};
 use mantra_core::stats_stream::IncrementalStats;
-use mantra_core::store::TableStore;
 use mantra_core::tables::{LearnedFrom, PairRow, RouteRow, Tables};
 use mantra_core::{FleetMonitor, MonitorConfig, ParallelAccess};
 use mantra_net::{BitRate, GroupAddr, Ip, Prefix, SimDuration, SimTime};
@@ -198,11 +197,11 @@ fn synthetic_streams_with_churn(
         .collect()
 }
 
-fn ablation_interning(c: &mut Criterion) {
+fn ablation_delta_codec(c: &mut Criterion) {
     // One day of 15-minute cycles across 50 routers, diffed consecutively
     // — the monitor's hot loop, isolated.
     let streams = synthetic_streams(50, 96);
-    let mut group = c.benchmark_group("ablation_interning");
+    let mut group = c.benchmark_group("ablation_delta_codec");
     group.sample_size(10);
     group.bench_function("btreemap_reference", |b| {
         b.iter(|| {
@@ -216,16 +215,12 @@ fn ablation_interning(c: &mut Criterion) {
             black_box(total)
         })
     });
-    group.bench_function("interned_store", |b| {
+    group.bench_function("merge_join", |b| {
         b.iter(|| {
-            // One store for the whole fleet, as the monitor holds it: keys
-            // hash once on first sight, then every diff is a merge-join
-            // over dense ids.
-            let mut store = TableStore::default();
             let mut total = 0usize;
             for stream in &streams {
                 for w in stream.windows(2) {
-                    let d = diff_with(&mut store, &w[0], &w[1]);
+                    let d = diff(&w[0], &w[1]);
                     total += d.pair_upserts.len() + d.route_upserts.len();
                 }
             }
@@ -426,15 +421,9 @@ fn ablation_streaming(c: &mut Criterion) {
             .collect();
         // Deltas precomputed outside the timed region: in the pipeline
         // the Log stage has already paid for them.
-        let mut store = TableStore::default();
         let deltas: Vec<Vec<TableDelta>> = parts
             .iter()
-            .map(|stream| {
-                stream
-                    .windows(2)
-                    .map(|w| diff_with(&mut store, &w[0], &w[1]))
-                    .collect()
-            })
+            .map(|stream| stream.windows(2).map(|w| diff(&w[0], &w[1])).collect())
             .collect();
         group.bench_function(format!("full_rebuild_{label}"), |b| {
             b.iter(|| {
@@ -754,7 +743,7 @@ criterion_group! {
     name = ablations;
     config = Criterion::default();
     targets = ablation_logger, ablation_threshold, ablation_interval,
-              ablation_interning, ablation_archive,
+              ablation_delta_codec, ablation_archive,
               ablation_log, ablation_streaming, ablation_fleet,
               ablation_churn, ablation_report_loss, ablation_parse
 }

@@ -71,8 +71,8 @@
 //! ids dense and first-seen ordered); record payloads carry the u32 ids.
 //! Whenever an append interns new keys, the new dictionary entries are
 //! persisted *before* the record in a kind-2 dictionary segment, so the
-//! archive is always self-describing — replay never needs the live
-//! `TableStore`. Each segment is stamped with the archive's interner
+//! archive is always self-describing: replay needs nothing but the
+//! file. Each segment is stamped with the archive's interner
 //! epoch and the per-table id watermark it extends; a segment whose
 //! epoch or watermark does not match the reader's state ends the
 //! archive (compaction bumps the epoch precisely so stale v2 payloads
@@ -768,8 +768,8 @@ impl<'a> Cur<'a> {
 /// The archive-local interning dictionary for one v2 archive: router
 /// names and session names, host addresses, group addresses and route
 /// prefixes, each with dense first-seen-ordered u32 ids (the same
-/// [`Interner`] the live [`crate::store::TableStore`] uses — but owned by
-/// the archive, so replaying needs nothing but the file).
+/// [`Interner`] a monitor keeps its router ids in, but owned by the
+/// archive, so replaying needs nothing but the file).
 ///
 /// The writer persists new entries incrementally: whenever an append
 /// interns keys the archive has not seen, a kind-2 dictionary segment
@@ -1196,9 +1196,6 @@ fn decode_record_v2(
             routes: dec_section(&mut c, dict, dec_route)?,
             sa_cache: dec_section(&mut c, dict, dec_sa)?,
             member_only_sessions: dec_section(&mut c, dict, dec_session)?,
-            // Provenance is the file, not construction: let the first
-            // use re-verify sortedness, exactly like the JSON decoder.
-            presorted: false,
         }),
         KIND_DELTA => LogRecord::Delta(TableDelta {
             captured_at: SimTime(c.uv()?),
@@ -2173,7 +2170,7 @@ impl ArchiveReader {
         while let Some(step) = replay.step() {
             step?;
         }
-        Ok(replay.into_parts().0.map(|p| p.rebuild()))
+        Ok(replay.into_cursor().map(|p| p.rebuild()))
     }
 }
 
@@ -2540,7 +2537,6 @@ mod tests {
                 first_advertised: LearnedFrom::Igmp,
                 first_seen: SimTime(n),
             }],
-            presorted: false,
         })
     }
 

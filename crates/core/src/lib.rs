@@ -29,8 +29,8 @@
 //!   (overlay, rescale, zoom, ASCII rendering),
 //! * [`anomaly`] — detectors for the routing problems the paper
 //!   debugged, led by the Figure 9 unicast route injection,
-//! * [`store`] — interned identifier tables mapping router names, hosts,
-//!   groups and route keys to dense ids for the hot path,
+//! * [`store`] — dense ids for router names and the archive dictionary's
+//!   keys,
 //! * [`pipeline`] — the cycle's per-router work: each router's Capture →
 //!   Parse → Enrich → Log → Analyse as one task, one fan-out per cycle
 //!   sized by the rows it carries, and per-stage instrumentation,

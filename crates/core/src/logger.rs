@@ -12,6 +12,10 @@
 //!   record carries only pairs, routes, the SA cache and the handful of
 //!   member-only sessions; reconstruction rebuilds the rest.
 //!
+//! A delta is one merge join per section: [`SnapshotParts`] keep every
+//! section in key order, so [`diff`] and [`apply`] walk two sorted runs
+//! in step and keep no state between cycles.
+//!
 //! Reconstruction is lossless: replaying a log yields snapshots equal to
 //! the originals, which the property tests assert. Every replay — of a
 //! live log, of an archive reopened from disk, or of an
@@ -21,7 +25,9 @@
 //! reopens a v2 archive for append (healing a torn tail), and
 //! [`TableLog::load_read_only`] reads v1 or v2 without ever writing.
 
+use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
+use std::cmp::Ordering;
 use std::io;
 use std::path::Path;
 
@@ -34,8 +40,9 @@ use crate::archive::{
     ArchiveStats, FileBackendV1, FileBackendV2, MemoryBackend, RecordIter, SyncPolicy,
     ThreadedBackend, FORMAT_VERSION, FORMAT_VERSION_V2,
 };
-use crate::store::{in_key_order, in_key_order_cached, Interner, TableStore};
-use crate::tables::{LearnedFrom, PairRow, RouteRow, SessionRow, Tables, TablesBuilder};
+use crate::tables::{
+    last_per_key, LearnedFrom, PairRow, RouteRow, SessionRow, Tables, TablesBuilder,
+};
 
 /// What a stored row costs, in the units the Full/Delta choice and
 /// [`TableLog::savings_ratio`] count: pairs, routes, SA entries and
@@ -65,8 +72,9 @@ impl LogRecord {
     }
 }
 
-/// The non-derivable parts of a snapshot.
-#[derive(Clone, Debug, Default)]
+/// The non-derivable parts of a snapshot. Every section is in strict
+/// key order when built by [`SnapshotParts::from_tables`] or [`apply`].
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct SnapshotParts {
     /// Capture timestamp.
     pub captured_at: SimTime,
@@ -80,90 +88,6 @@ pub struct SnapshotParts {
     pub sa_cache: Vec<(GroupAddr, Ip, SimTime)>,
     /// Sessions not derivable from pairs (IGMP-membership-only).
     pub member_only_sessions: Vec<SessionRow>,
-    /// Whether every section above is known to be strictly key-sorted
-    /// (true when built from `BTreeMap` iteration or a delta merge).
-    /// A construction-time hint only — diffing skips its per-section
-    /// sortedness re-verification when set; never serialized, and
-    /// ignored by equality.
-    pub presorted: bool,
-}
-
-impl PartialEq for SnapshotParts {
-    fn eq(&self, other: &Self) -> bool {
-        // `presorted` is a derived hint, not data.
-        self.captured_at == other.captured_at
-            && self.router == other.router
-            && self.pairs == other.pairs
-            && self.routes == other.routes
-            && self.sa_cache == other.sa_cache
-            && self.member_only_sessions == other.member_only_sessions
-    }
-}
-
-// Hand-written (not derived) so `presorted` stays out of the archive:
-// the serialized form carries exactly the six data fields in declaration
-// order, byte-identical to the pre-hint derive output, and archives
-// written before the hint existed still load.
-impl Serialize for SnapshotParts {
-    fn serialize<S: serde::ser::Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
-        let m = vec![
-            (
-                "captured_at".to_string(),
-                serde::ser::to_value(&self.captured_at),
-            ),
-            ("router".to_string(), serde::ser::to_value(&self.router)),
-            ("pairs".to_string(), serde::ser::to_value(&self.pairs)),
-            ("routes".to_string(), serde::ser::to_value(&self.routes)),
-            ("sa_cache".to_string(), serde::ser::to_value(&self.sa_cache)),
-            (
-                "member_only_sessions".to_string(),
-                serde::ser::to_value(&self.member_only_sessions),
-            ),
-        ];
-        s.serialize_value(serde::Value::Map(m))
-    }
-}
-
-impl<'de> Deserialize<'de> for SnapshotParts {
-    fn deserialize<D: serde::de::Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
-        let map = match d.take_value()? {
-            serde::Value::Map(m) => m,
-            other => {
-                return Err(D::custom(format!(
-                    "expected map for SnapshotParts, got {other:?}"
-                )))
-            }
-        };
-        let mut fields: [Option<serde::Value>; 6] = Default::default();
-        for (k, v) in map {
-            let slot = match k.as_str() {
-                "captured_at" => 0,
-                "router" => 1,
-                "pairs" => 2,
-                "routes" => 3,
-                "sa_cache" => 4,
-                "member_only_sessions" => 5,
-                _ => continue,
-            };
-            fields[slot] = Some(v);
-        }
-        let mut take = |slot: usize, name: &str| {
-            fields[slot]
-                .take()
-                .ok_or_else(|| D::custom(format!("missing field {name} in SnapshotParts")))
-        };
-        Ok(SnapshotParts {
-            captured_at: serde::de::field::<_, D>(take(0, "captured_at")?)?,
-            router: serde::de::field::<_, D>(take(1, "router")?)?,
-            pairs: serde::de::field::<_, D>(take(2, "pairs")?)?,
-            routes: serde::de::field::<_, D>(take(3, "routes")?)?,
-            sa_cache: serde::de::field::<_, D>(take(4, "sa_cache")?)?,
-            member_only_sessions: serde::de::field::<_, D>(take(5, "member_only_sessions")?)?,
-            // Provenance unknown (archives can be hand-edited), so the
-            // verifying path re-establishes sortedness on first use.
-            presorted: false,
-        })
-    }
 }
 
 /// A delta between consecutive snapshots.
@@ -208,10 +132,6 @@ impl SnapshotParts {
                 .filter(|s| s.density == 0 && s.first_advertised == LearnedFrom::Igmp)
                 .cloned()
                 .collect(),
-            // Every section above is collected from BTreeMap iteration
-            // whose map key equals the section's diff key, so strict
-            // sortedness holds by construction.
-            presorted: true,
         }
     }
 
@@ -262,129 +182,113 @@ impl TableDelta {
     }
 }
 
-/// Diffs one keyed section through the interner: one marking pass over
-/// `prev`, one comparison pass over `next`, no map construction. Upserts
-/// come out in `next` key order and removals in `prev` key order —
-/// byte-identical to what the `BTreeMap`-based reference emits.
-fn diff_section<T, K>(
-    interner: &mut Interner<K>,
-    (prev, prev_sorted): (&[T], bool),
-    (next, next_sorted): (&[T], bool),
+/// `rows` in strict key order: borrowed as they are when already so,
+/// otherwise sorted keeping the last row of each key, as collecting them
+/// into a map would. Sections this program builds are always in key
+/// order; only hand-built input or a hand-edited archive is sorted here.
+fn in_key_order<T: Clone, K: Ord>(rows: &[T], key: impl Fn(&T) -> K) -> Cow<'_, [T]> {
+    if rows.windows(2).all(|w| key(&w[0]) < key(&w[1])) {
+        return Cow::Borrowed(rows);
+    }
+    let sorted = last_per_key(rows.to_vec(), key);
+    Cow::Owned(sorted.into_iter().map(|(_, row)| row).collect())
+}
+
+/// Walks two key-sorted sections in step, handing `f` each key's row
+/// from `a`, from `b`, or from both.
+fn merge_join<T, K: Ord>(
+    a: &[T],
+    b: &[T],
     key: impl Fn(&T) -> K,
-    upserts: &mut Vec<T>,
-    removals: &mut Vec<K>,
-) where
-    T: Clone + PartialEq,
-    K: Ord + Copy + Eq + std::hash::Hash,
-{
-    let prev_s = in_key_order_cached(prev, &key, prev_sorted);
-    let next_s = in_key_order_cached(next, &key, next_sorted);
-    interner.begin_pass();
-    for (i, row) in prev_s.iter().enumerate() {
-        let id = interner.intern(&key(row));
-        interner.mark(id, i as u32);
-    }
-    for row in &next_s {
-        let id = interner.intern(&key(row));
-        interner.see(id);
-        match interner.marked(id) {
-            Some(i) if prev_s[i as usize] == *row => {}
-            _ => upserts.push((*row).clone()),
-        }
-    }
-    for row in &prev_s {
-        let id = interner.get(&key(row)).expect("marked in the prev pass");
-        if !interner.seen(id) {
-            removals.push(key(row));
-        }
+    mut f: impl FnMut(Option<&T>, Option<&T>),
+) {
+    let (mut a, mut b) = (a.iter().peekable(), b.iter().peekable());
+    loop {
+        let order = match (a.peek(), b.peek()) {
+            (Some(x), Some(y)) => key(x).cmp(&key(y)),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => return,
+        };
+        let x = if order.is_le() { a.next() } else { None };
+        let y = if order.is_ge() { b.next() } else { None };
+        f(x, y);
     }
 }
 
-/// Applies one keyed section as a two-pointer merge of the key-sorted base
-/// and upsert lists: upserts win on key collision, removals filter the
-/// merged stream, output stays key-sorted. Semantics match the reference
-/// exactly, including a key in both upserts and removals ending removed.
-fn apply_section<T, K>(
-    interner: &mut Interner<K>,
-    (base, base_sorted): (&[T], bool),
+/// Diffs one keyed section: a key only in `prev` is a removal, a key
+/// only in `next` or whose row changed is an upsert. Upserts come out
+/// in `next` key order and removals in `prev` key order, as
+/// [`diff_reference`] emits them.
+fn diff_section<T: Clone + PartialEq, K: Ord>(
+    prev: &[T],
+    next: &[T],
+    key: impl Fn(&T) -> K,
+    upserts: &mut Vec<T>,
+    removals: &mut Vec<K>,
+) {
+    let (prev, next) = (in_key_order(prev, &key), in_key_order(next, &key));
+    merge_join(&prev, &next, &key, |p, n| match (p, n) {
+        (Some(p), None) => removals.push(key(p)),
+        (p, Some(n)) if p != Some(n) => upserts.push(n.clone()),
+        _ => {}
+    });
+}
+
+/// Applies one keyed section: an upsert replaces its key's base row, and
+/// every removed key is dropped, even one that was also upserted, as in
+/// [`apply_reference`]. The output is in strict key order.
+fn apply_section<T: Clone, K: Ord + Copy>(
+    base: &[T],
     upserts: &[T],
     removals: &[K],
     key: impl Fn(&T) -> K,
     out: &mut Vec<T>,
-) where
-    T: Clone,
-    K: Ord + Copy + Eq + std::hash::Hash,
-{
-    let base_s = in_key_order_cached(base, &key, base_sorted);
-    let ups_s = in_key_order(upserts, &key);
-    interner.begin_pass();
-    for k in removals {
-        let id = interner.intern(k);
-        interner.see(id);
-    }
-    let (mut i, mut j) = (0, 0);
-    while i < base_s.len() || j < ups_s.len() {
-        let take_upsert = match (base_s.get(i), ups_s.get(j)) {
-            (Some(b), Some(u)) => key(u) <= key(b),
-            (None, Some(_)) => true,
-            _ => false,
-        };
-        let row: &T = if take_upsert {
-            if base_s.get(i).is_some_and(|b| key(b) == key(ups_s[j])) {
-                i += 1; // upsert overwrites the base row
-            }
-            let r = ups_s[j];
-            j += 1;
-            r
-        } else {
-            let r = base_s[i];
-            i += 1;
-            r
-        };
-        let removed = interner.get(&key(row)).is_some_and(|id| interner.seen(id));
-        if !removed {
+) {
+    let (base, upserts) = (in_key_order(base, &key), in_key_order(upserts, &key));
+    let removals = in_key_order(removals, |k| *k);
+    let mut removed = removals.iter().peekable();
+    merge_join(&base, &upserts, &key, |b, u| {
+        let Some(row) = u.or(b) else { return };
+        let k = key(row);
+        while removed.next_if(|r| **r < k).is_some() {}
+        if removed.peek() != Some(&&k) {
             out.push(row.clone());
         }
-    }
+    });
 }
 
-/// Computes the delta taking `prev` to `next`, interning keys through
-/// `store`. Reusing one store across cycles makes every later diff a pure
-/// lookup-and-compare pass — the hot path of multi-router monitoring.
-/// Output is byte-identical to [`diff_reference`].
-pub fn diff_with(store: &mut TableStore, prev: &SnapshotParts, next: &SnapshotParts) -> TableDelta {
+/// Computes the delta taking `prev` to `next`, one merge join per
+/// section. Output is identical to [`diff_reference`].
+pub fn diff(prev: &SnapshotParts, next: &SnapshotParts) -> TableDelta {
     let mut d = TableDelta {
         captured_at: next.captured_at,
         ..TableDelta::default()
     };
     diff_section(
-        &mut store.pairs,
-        (&prev.pairs, prev.presorted),
-        (&next.pairs, next.presorted),
+        &prev.pairs,
+        &next.pairs,
         |p| (p.group, p.source),
         &mut d.pair_upserts,
         &mut d.pair_removals,
     );
     diff_section(
-        &mut store.routes,
-        (&prev.routes, prev.presorted),
-        (&next.routes, next.presorted),
+        &prev.routes,
+        &next.routes,
         |r| (r.learned_from, r.prefix),
         &mut d.route_upserts,
         &mut d.route_removals,
     );
     diff_section(
-        &mut store.pairs,
-        (&prev.sa_cache, prev.presorted),
-        (&next.sa_cache, next.presorted),
+        &prev.sa_cache,
+        &next.sa_cache,
         |(g, s, _)| (*g, *s),
         &mut d.sa_upserts,
         &mut d.sa_removals,
     );
     diff_section(
-        &mut store.groups,
-        (&prev.member_only_sessions, prev.presorted),
-        (&next.member_only_sessions, next.presorted),
+        &prev.member_only_sessions,
+        &next.member_only_sessions,
         |s| s.group,
         &mut d.session_upserts,
         &mut d.session_removals,
@@ -392,49 +296,37 @@ pub fn diff_with(store: &mut TableStore, prev: &SnapshotParts, next: &SnapshotPa
     d
 }
 
-/// Applies a delta to `base` through `store`, producing the next
-/// snapshot's parts. Output is byte-identical to [`apply_reference`].
-pub fn apply_with(
-    store: &mut TableStore,
-    base: &SnapshotParts,
-    delta: &TableDelta,
-) -> SnapshotParts {
+/// Applies a delta to `base`, producing the next snapshot's parts.
+/// Output is identical to [`apply_reference`].
+pub fn apply(base: &SnapshotParts, delta: &TableDelta) -> SnapshotParts {
     let mut next = SnapshotParts {
         captured_at: delta.captured_at,
         router: base.router.clone(),
-        // The merge below emits each section in strictly increasing key
-        // order with upserts deduplicated, so the output re-earns the
-        // sortedness hint regardless of the base's provenance.
-        presorted: true,
         ..SnapshotParts::default()
     };
     apply_section(
-        &mut store.pairs,
-        (&base.pairs, base.presorted),
+        &base.pairs,
         &delta.pair_upserts,
         &delta.pair_removals,
         |p| (p.group, p.source),
         &mut next.pairs,
     );
     apply_section(
-        &mut store.routes,
-        (&base.routes, base.presorted),
+        &base.routes,
         &delta.route_upserts,
         &delta.route_removals,
         |r| (r.learned_from, r.prefix),
         &mut next.routes,
     );
     apply_section(
-        &mut store.pairs,
-        (&base.sa_cache, base.presorted),
+        &base.sa_cache,
         &delta.sa_upserts,
         &delta.sa_removals,
         |(g, s, _)| (*g, *s),
         &mut next.sa_cache,
     );
     apply_section(
-        &mut store.groups,
-        (&base.member_only_sessions, base.presorted),
+        &base.member_only_sessions,
         &delta.session_upserts,
         &delta.session_removals,
         |s| s.group,
@@ -443,21 +335,9 @@ pub fn apply_with(
     next
 }
 
-/// Computes the delta taking `prev` to `next` (throwaway interner — reuse
-/// a [`TableStore`] via [`diff_with`] on hot paths).
-pub fn diff(prev: &SnapshotParts, next: &SnapshotParts) -> TableDelta {
-    diff_with(&mut TableStore::default(), prev, next)
-}
-
-/// Applies a delta to `base` (throwaway interner — reuse a [`TableStore`]
-/// via [`apply_with`] on hot paths).
-pub fn apply(base: &SnapshotParts, delta: &TableDelta) -> SnapshotParts {
-    apply_with(&mut TableStore::default(), base, delta)
-}
-
-/// The pre-interning `BTreeMap`-based diff, kept as the behavioural
-/// reference: property tests assert [`diff_with`] matches it and the
-/// ablation bench measures the interning win against it.
+/// The `BTreeMap`-based diff, kept as the behavioural reference:
+/// property tests assert [`diff`] matches it and the ablation bench
+/// measures the merge join against it.
 pub fn diff_reference(prev: &SnapshotParts, next: &SnapshotParts) -> TableDelta {
     use std::collections::BTreeMap;
     let mut d = TableDelta {
@@ -551,8 +431,8 @@ pub fn diff_reference(prev: &SnapshotParts, next: &SnapshotParts) -> TableDelta 
     d
 }
 
-/// The pre-interning `BTreeMap`-based apply, kept as the behavioural
-/// reference for [`apply_with`].
+/// The `BTreeMap`-based apply, kept as the behavioural reference for
+/// [`apply`].
 pub fn apply_reference(base: &SnapshotParts, delta: &TableDelta) -> SnapshotParts {
     use std::collections::BTreeMap;
     let mut pairs: BTreeMap<(GroupAddr, Ip), PairRow> = base
@@ -606,7 +486,6 @@ pub fn apply_reference(base: &SnapshotParts, delta: &TableDelta) -> SnapshotPart
         routes: routes.into_values().collect(),
         sa_cache: sa.into_iter().map(|((g, s), t)| (g, s, t)).collect(),
         member_only_sessions: sessions.into_values().collect(),
-        presorted: true, // straight out of BTreeMap iteration
     }
 }
 
@@ -625,8 +504,6 @@ pub struct TableLog {
     backend: Box<dyn ArchiveBackend>,
     tail: Option<SnapshotParts>,
     since_full: usize,
-    /// Interner reused across appends when the caller does not share one.
-    scratch: TableStore,
     /// A full snapshot is stored every this many records (bounds replay
     /// cost and the blast radius of a corrupt record).
     pub full_every: usize,
@@ -667,7 +544,6 @@ impl Default for TableLog {
             backend: Box::<MemoryBackend>::default(),
             tail: None,
             since_full: 0,
-            scratch: TableStore::default(),
             full_every: 0,
             stored_cost: 0,
             full_cost: 0,
@@ -742,12 +618,11 @@ impl TableLog {
         while let Some(full) = replay.step() {
             since_full = if full? { 1 } else { since_full + 1 };
         }
-        let (tail, scratch) = replay.into_parts();
+        let tail = replay.into_cursor();
         Ok(TableLog {
             backend,
             tail,
             since_full,
-            scratch,
             full_every: full_every.max(1),
             ..TableLog::default()
         })
@@ -809,8 +684,6 @@ impl TableLog {
     /// a previous snapshot exists — even on cycles that *store* a full
     /// checkpoint record — so streaming analysers can fold it without
     /// re-diffing. `None` only for the first append of a fresh log.
-    /// Diffs intern through the log's own scratch store, so logs append
-    /// independently of each other.
     pub fn append(&mut self, tables: &Tables) -> Option<TableDelta> {
         if self.sealed {
             self.write_errors += 1;
@@ -820,10 +693,7 @@ impl TableLog {
         let parts = SnapshotParts::from_tables(tables);
         let full_cost = parts.cost();
         self.full_cost += full_cost;
-        let delta = self
-            .tail
-            .as_ref()
-            .map(|prev| diff_with(&mut self.scratch, prev, &parts));
+        let delta = self.tail.as_ref().map(|prev| diff(prev, &parts));
         let due = self.since_full < self.full_every;
         let record = match &delta {
             Some(d) if due && d.cost() < full_cost => {
@@ -947,15 +817,13 @@ impl TableLog {
 
 /// The replay fold over an archive's records — the one place records
 /// turn back into snapshots. A Full record resets the cursor, a Delta
-/// applies to it through one [`TableStore`], and a Delta with no base
-/// ends the replay with [`io::ErrorKind::InvalidData`], as does the
-/// first read error. As an iterator each step yields the rebuilt
-/// four-table snapshot. Memory use is one snapshot regardless of how
-/// long the archive is — the property that makes FIXW-scale archives
-/// replayable at all.
+/// applies to it, and a Delta with no base ends the replay with
+/// [`io::ErrorKind::InvalidData`], as does the first read error. As an
+/// iterator each step yields the rebuilt four-table snapshot. Memory use
+/// is one snapshot regardless of how long the archive is — the property
+/// that makes FIXW-scale archives replayable at all.
 pub struct ReplayIter<'a> {
     records: RecordIter<'a>,
-    store: TableStore,
     cur: Option<SnapshotParts>,
     done: bool,
 }
@@ -965,7 +833,6 @@ impl<'a> ReplayIter<'a> {
     pub(crate) fn new(records: RecordIter<'a>) -> Self {
         ReplayIter {
             records,
-            store: TableStore::default(),
             cur: None,
             done: false,
         }
@@ -985,7 +852,7 @@ impl<'a> ReplayIter<'a> {
             }
             LogRecord::Delta(d) => match &self.cur {
                 Some(base) => {
-                    self.cur = Some(apply_with(&mut self.store, base, &d));
+                    self.cur = Some(apply(base, &d));
                     Ok(false)
                 }
                 None => Err(io::Error::new(
@@ -998,10 +865,9 @@ impl<'a> ReplayIter<'a> {
         Some(step)
     }
 
-    /// The cursor (the last snapshot replayed) and the store the deltas
-    /// were applied through.
-    pub(crate) fn into_parts(self) -> (Option<SnapshotParts>, TableStore) {
-        (self.cur, self.store)
+    /// The cursor: the last snapshot replayed.
+    pub(crate) fn into_cursor(self) -> Option<SnapshotParts> {
+        self.cur
     }
 }
 
@@ -1221,7 +1087,7 @@ mod tests {
     }
 
     #[test]
-    fn interned_diff_apply_match_reference_across_cycles() {
+    fn diff_apply_match_reference_across_cycles() {
         let s1 = Ip::new(1, 1, 1, 1);
         let s2 = Ip::new(2, 2, 2, 2);
         let snaps = [
@@ -1231,16 +1097,27 @@ mod tests {
             snapshot(3, &[(0, s1, 80), (2, s2, 128)]),
         ];
         let parts: Vec<SnapshotParts> = snaps.iter().map(SnapshotParts::from_tables).collect();
-        // One store reused across every cycle, as the monitor does.
-        let mut store = TableStore::default();
         for w in parts.windows(2) {
-            let fast = diff_with(&mut store, &w[0], &w[1]);
+            let fast = diff(&w[0], &w[1]);
             let slow = diff_reference(&w[0], &w[1]);
             assert_eq!(fast, slow);
-            let applied = apply_with(&mut store, &w[0], &fast);
+            let applied = apply(&w[0], &fast);
             assert_eq!(applied, apply_reference(&w[0], &slow));
             assert_eq!(applied, w[1]);
         }
+    }
+
+    #[test]
+    fn key_order_fast_path_and_fallback_agree() {
+        let sorted = vec![1u32, 3, 5, 9];
+        assert!(matches!(in_key_order(&sorted, |x| *x), Cow::Borrowed(_)));
+        assert_eq!(*in_key_order(&sorted, |x| *x), sorted);
+        // Unsorted with a duplicate: last occurrence wins, output sorted.
+        let messy = vec![5u32, 1, 5, 3];
+        assert_eq!(*in_key_order(&messy, |x| *x), [1, 3, 5]);
+        // Last-wins is observable through identity: pair (key, payload).
+        let messy = vec![(5u32, 'a'), (1, 'b'), (5, 'c')];
+        assert_eq!(*in_key_order(&messy, |x| x.0), [(1, 'b'), (5, 'c')]);
     }
 
     #[test]

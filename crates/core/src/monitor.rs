@@ -8,7 +8,6 @@
 //! all of its shards at once.
 
 use std::collections::BTreeMap;
-use std::io;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -297,8 +296,7 @@ impl Monitor {
     /// Installs a router's state moved in by a fleet rebalance, replacing
     /// the tombstone if this shard held the router before. Per-router
     /// state is store-independent (deltas are address-keyed, the archive
-    /// travels as an open log), so adoption is a slot write — no replay,
-    /// no re-interning of table keys.
+    /// travels as an open log), so adoption is a slot write — no replay.
     pub(crate) fn adopt_router(&mut self, st: RouterState) {
         let id = self.store.routers.intern_str(&st.name);
         if id as usize == self.state.len() {
@@ -405,25 +403,6 @@ impl Monitor {
                 Some(ArchiveSpec::path_for(dir, router))
             }
         }
-    }
-
-    /// Replay summary lines for `router`'s archive up to `at` (all of it
-    /// when `at` is `None`), through the shared query cache's
-    /// [`QueryCache::replay_lines`]: read-only, so a live writer is never
-    /// disturbed, and repeated identical queries are served from the
-    /// cache.
-    pub fn replay_lines_at(
-        &self,
-        router: &str,
-        at: Option<SimTime>,
-    ) -> io::Result<Arc<Vec<String>>> {
-        let path = self.archive_path(router).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::Unsupported,
-                "archives are in-memory (ArchiveSpec::Memory): nothing on disk to replay",
-            )
-        })?;
-        Ok(self.query_cache.replay_lines(&path, at)?.1)
     }
 
     /// Collection health of one router.

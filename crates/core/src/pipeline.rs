@@ -991,7 +991,7 @@ impl Stage for EnrichStage<'_> {
 /// long-term trackers. The computed delta rides along on the output for
 /// the Analyse stage to fold.
 pub struct LogStage<'a> {
-    /// Not read: every log diffs through its own scratch store.
+    /// Not read: a log diffs its snapshots without shared state.
     pub store: &'a mut TableStore,
     /// Per-router state, indexed by interned router id.
     pub state: &'a mut Vec<RouterState>,

@@ -11,7 +11,6 @@ use serde::{Deserialize, Serialize};
 
 use mantra_net::{BitRate, GroupAddr, Prefix, SimTime};
 
-use crate::store::TableStore;
 use crate::tables::{LearnedFrom, Tables};
 
 /// Usage-monitoring results for one snapshot.
@@ -49,38 +48,6 @@ impl UsageStats {
     pub fn from_tables(t: &Tables, threshold: BitRate) -> Self {
         let senders = t.senders(threshold).len();
         let active = t.active_sessions(threshold).len();
-        Self::assemble(t, threshold, senders, active)
-    }
-
-    /// [`UsageStats::from_tables`] counting distinct senders and active
-    /// sessions through the interner's presence marks instead of
-    /// sort-and-dedup over freshly allocated `Vec`s — the monitor's hot
-    /// path. Results are identical to [`UsageStats::from_tables`].
-    pub fn from_tables_with(store: &mut TableStore, t: &Tables, threshold: BitRate) -> Self {
-        store.hosts.begin_pass();
-        store.groups.begin_pass();
-        let (mut senders, mut active) = (0usize, 0usize);
-        for p in t.pairs.values() {
-            if !p.current_bw.is_sender(threshold) {
-                continue;
-            }
-            let hid = store.hosts.intern(&p.source);
-            if !store.hosts.seen(hid) {
-                store.hosts.see(hid);
-                senders += 1;
-            }
-            let gid = store.groups.intern(&p.group);
-            if !store.groups.seen(gid) {
-                store.groups.see(gid);
-                active += 1;
-            }
-        }
-        Self::assemble(t, threshold, senders, active)
-    }
-
-    /// The shared tail of the usage computation, once the distinct sender
-    /// and active-session counts are known.
-    fn assemble(t: &Tables, threshold: BitRate, senders: usize, active: usize) -> Self {
         let sessions = t.sessions.len();
         let participants = t.participants.len();
         let densities: Vec<u32> = t.sessions.values().map(|s| s.density).collect();
@@ -271,33 +238,6 @@ pub struct ConsistencyReport {
 }
 
 impl ConsistencyReport {
-    /// [`ConsistencyReport::between`] through the interner's presence
-    /// marks: one pass over each router's reachable set, no `BTreeSet`
-    /// construction. Results are identical to [`ConsistencyReport::between`].
-    pub fn between_with(store: &mut TableStore, a: &Tables, b: &Tables) -> ConsistencyReport {
-        store.prefixes.begin_pass();
-        let mut n_a = 0usize;
-        for r in a.routes_of(LearnedFrom::Dvmrp).filter(|r| r.reachable) {
-            let id = store.prefixes.intern(&r.prefix);
-            store.prefixes.see(id);
-            n_a += 1;
-        }
-        let (mut shared, mut only_second) = (0usize, 0usize);
-        for r in b.routes_of(LearnedFrom::Dvmrp).filter(|r| r.reachable) {
-            let id = store.prefixes.intern(&r.prefix);
-            if store.prefixes.seen(id) {
-                shared += 1;
-            } else {
-                only_second += 1;
-            }
-        }
-        ConsistencyReport {
-            only_first: n_a - shared,
-            only_second,
-            shared,
-        }
-    }
-
     /// Compares the reachable DVMRP sets of two snapshots.
     pub fn between(a: &Tables, b: &Tables) -> ConsistencyReport {
         let set_a: std::collections::BTreeSet<Prefix> = a
@@ -386,11 +326,6 @@ impl ConsistencyMatrix {
             group_sets,
             cache: Default::default(),
         }
-    }
-
-    /// Number of distinct reachable-set views among the eligible inputs.
-    pub fn distinct_views(&self) -> usize {
-        self.group_sets.len()
     }
 
     /// Whether input `i` cleared the `min_routes` floor.
@@ -719,32 +654,6 @@ mod tests {
         assert!((c.similarity() - 1.0 / 3.0).abs() < 1e-9);
         let ident = ConsistencyReport::between(&a, &a);
         assert_eq!(ident.similarity(), 1.0);
-    }
-
-    #[test]
-    fn interned_stats_match_reference() {
-        let mut store = TableStore::default();
-        let t = sample();
-        // Repeated passes over one store must keep agreeing (marks reset).
-        for _ in 0..3 {
-            assert_eq!(
-                UsageStats::from_tables_with(&mut store, &t, SENDER_THRESHOLD),
-                UsageStats::from_tables(&t, SENDER_THRESHOLD)
-            );
-        }
-        let mut a = Tables::new("fixw", t0());
-        route(&mut a, 1, true, 3);
-        route(&mut a, 2, true, 3);
-        route(&mut a, 3, false, 32);
-        let mut b = Tables::new("ucsb", t0());
-        route(&mut b, 2, true, 3);
-        route(&mut b, 3, true, 3);
-        for (x, y) in [(&a, &b), (&b, &a), (&a, &a)] {
-            assert_eq!(
-                ConsistencyReport::between_with(&mut store, x, y),
-                ConsistencyReport::between(x, y)
-            );
-        }
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! behavioural reference: every division here happens at assembly time on
 //! the same integer sums the reference computes, so the results are
 //! bit-identical, and `tests/prop_stream.rs` proves it over arbitrary
-//! delta sequences (the byte-identical-fast-path pattern the interned
-//! diff and the archive backends already follow).
+//! delta sequences (the byte-identical-fast-path pattern the delta codec
+//! and the archive backends already follow).
 
 use std::collections::BTreeMap;
 

@@ -1,23 +1,14 @@
-//! Interned identifier tables for the hot monitoring path.
+//! Dense ids for the monitor's keys: router names and the archive
+//! dictionary's strings, addresses, groups and prefixes.
 //!
-//! Every cycle the monitor diffs snapshots, folds running averages and
-//! counts distinct hosts/groups — all keyed by `String` router names,
-//! `Ip`/`GroupAddr` pairs or `(LearnedFrom, Prefix)` route keys. Doing
-//! that through `BTreeMap` rebuilds clones every key every cycle. The
-//! [`TableStore`] maps each key to a dense `u32` id once; after that,
-//! membership tests and per-key scratch state are array indexing.
-//!
-//! Ids are assigned in first-seen order and never change, so per-router
-//! state can live in plain `Vec`s indexed by id. Set-style passes (diff,
-//! distinct counting) use epoch-stamped scratch marks: [`Interner::begin_pass`]
-//! invalidates all marks in O(1), so a pass never allocates or clears.
+//! An [`Interner`] maps each key to a `u32` id once, in first-seen order,
+//! and never changes it, so per-key state can live in a plain `Vec`
+//! indexed by id. A monitor's [`TableStore`] holds its router names: a
+//! router's id indexes its state slot. Each v2 archive's dictionary
+//! interns the keys its records carry, so a record payload is ids.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
-
-use mantra_net::{GroupAddr, Ip, Prefix};
-
-use crate::tables::LearnedFrom;
 
 /// A fast multiply-rotate hasher (the FxHash construction) for the
 /// interner maps. Keys here are short — a router name, a pair of `u32`
@@ -96,20 +87,12 @@ pub type FxHashMap<K, V> = HashMap<K, V, FxBuild>;
 /// The [`FxHashMap`] companion set.
 pub type FxHashSet<K> = std::collections::HashSet<K, FxBuild>;
 
-/// A map from keys to dense `u32` ids, with per-id scratch marks.
-///
-/// Two independent scratch channels are provided per pass: a value mark
-/// ([`Interner::mark`]/[`Interner::marked`], carrying a `u32` payload such
-/// as an index) and a presence flag ([`Interner::see`]/[`Interner::seen`]).
-/// Both reset lazily when [`Interner::begin_pass`] bumps the epoch.
+/// A map from keys to dense `u32` ids, assigned in first-seen order and
+/// never recycled.
 #[derive(Clone, Debug)]
 pub struct Interner<K> {
     map: HashMap<K, u32, FxBuild>,
     keys: Vec<K>,
-    epoch: u32,
-    mark_epoch: Vec<u32>,
-    mark_val: Vec<u32>,
-    seen_epoch: Vec<u32>,
 }
 
 impl<K> Default for Interner<K> {
@@ -117,10 +100,6 @@ impl<K> Default for Interner<K> {
         Interner {
             map: HashMap::default(),
             keys: Vec::new(),
-            epoch: 0,
-            mark_epoch: Vec::new(),
-            mark_val: Vec::new(),
-            seen_epoch: Vec::new(),
         }
     }
 }
@@ -139,9 +118,6 @@ impl<K: Eq + Hash + Clone> Interner<K> {
         let id = self.keys.len() as u32;
         self.map.insert(key.clone(), id);
         self.keys.push(key);
-        self.mark_epoch.push(0);
-        self.mark_val.push(0);
-        self.seen_epoch.push(0);
         id
     }
 
@@ -173,41 +149,6 @@ impl<K: Eq + Hash + Clone> Interner<K> {
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty()
     }
-
-    /// Starts a new scratch pass: all marks and presence flags from prior
-    /// passes become invisible, in O(1).
-    pub fn begin_pass(&mut self) {
-        if self.epoch == u32::MAX {
-            // Epoch wrapped (after ~4 billion passes): hard-reset the
-            // stamps so stale marks cannot alias the new epoch.
-            self.mark_epoch.iter_mut().for_each(|e| *e = 0);
-            self.seen_epoch.iter_mut().for_each(|e| *e = 0);
-            self.epoch = 0;
-        }
-        self.epoch += 1;
-    }
-
-    /// Marks `id` with a payload for the current pass.
-    pub fn mark(&mut self, id: u32, val: u32) {
-        self.mark_epoch[id as usize] = self.epoch;
-        self.mark_val[id as usize] = val;
-    }
-
-    /// The payload marked on `id` this pass, if any.
-    pub fn marked(&self, id: u32) -> Option<u32> {
-        let i = id as usize;
-        (self.epoch > 0 && self.mark_epoch[i] == self.epoch).then(|| self.mark_val[i])
-    }
-
-    /// Flags `id` as present this pass.
-    pub fn see(&mut self, id: u32) {
-        self.seen_epoch[id as usize] = self.epoch;
-    }
-
-    /// Whether `id` was flagged present this pass.
-    pub fn seen(&self, id: u32) -> bool {
-        self.epoch > 0 && self.seen_epoch[id as usize] == self.epoch
-    }
 }
 
 impl Interner<String> {
@@ -221,118 +162,14 @@ impl Interner<String> {
         }
         self.push_new(key.to_string())
     }
-
-    /// The id for a key taken straight off a capture buffer. Valid UTF-8
-    /// interns without any intermediate allocation; invalid bytes are
-    /// lossily decoded first, matching what the string path would have
-    /// stored for the same capture.
-    pub fn intern_bytes(&mut self, key: &[u8]) -> u32 {
-        match std::str::from_utf8(key) {
-            Ok(s) => self.intern_str(s),
-            Err(_) => self.intern_str(&String::from_utf8_lossy(key)),
-        }
-    }
 }
 
-/// The shared interning tables for one monitor: routers, participant
-/// hosts, session groups, `(S,G)` pair keys, route keys and bare prefixes.
-///
-/// One store serves every stage of the pipeline, so a key pays its hash
-/// exactly once per lifetime and thereafter costs an array index.
+/// A monitor's router ids: each router name maps to the dense id that
+/// indexes its per-router state slot.
 #[derive(Clone, Debug, Default)]
 pub struct TableStore {
     /// Router names.
     pub routers: Interner<String>,
-    /// Participant host addresses.
-    pub hosts: Interner<Ip>,
-    /// Session group addresses.
-    pub groups: Interner<GroupAddr>,
-    /// `(group, source)` pair keys.
-    pub pairs: Interner<(GroupAddr, Ip)>,
-    /// `(protocol, prefix)` route keys.
-    pub routes: Interner<(LearnedFrom, Prefix)>,
-    /// Bare prefixes, for cross-router consistency sets.
-    pub prefixes: Interner<Prefix>,
-}
-
-impl TableStore {
-    /// Interns a router name straight off capture bytes.
-    pub fn intern_router_bytes(&mut self, name: &[u8]) -> u32 {
-        self.routers.intern_bytes(name)
-    }
-
-    /// Interns a participant host from dotted-quad bytes, when they parse.
-    pub fn intern_host_bytes(&mut self, addr: &[u8]) -> Option<u32> {
-        let ip = Ip::parse_bytes(addr).ok()?;
-        Some(self.hosts.intern(&ip))
-    }
-
-    /// Interns a session group from dotted-quad bytes, when class-D.
-    pub fn intern_group_bytes(&mut self, group: &[u8]) -> Option<u32> {
-        let g = GroupAddr::parse_bytes(group).ok()?;
-        Some(self.groups.intern(&g))
-    }
-
-    /// Interns a `(group, source)` pair key from dotted-quad bytes.
-    pub fn intern_pair_bytes(&mut self, group: &[u8], source: &[u8]) -> Option<u32> {
-        let g = GroupAddr::parse_bytes(group).ok()?;
-        let s = Ip::parse_bytes(source).ok()?;
-        Some(self.pairs.intern(&(g, s)))
-    }
-
-    /// Interns a `(protocol, prefix)` route key from `net/len` bytes.
-    pub fn intern_route_bytes(&mut self, learned: LearnedFrom, prefix: &[u8]) -> Option<u32> {
-        let p = Prefix::parse_bytes(prefix).ok()?;
-        Some(self.routes.intern(&(learned, p)))
-    }
-
-    /// Interns a bare prefix from `net/len` bytes.
-    pub fn intern_prefix_bytes(&mut self, prefix: &[u8]) -> Option<u32> {
-        let p = Prefix::parse_bytes(prefix).ok()?;
-        Some(self.prefixes.intern(&p))
-    }
-}
-
-/// Borrows `items` in strict key order: a cheap `Vec` of references when
-/// the input is already sorted and duplicate-free (the common case —
-/// snapshot parts come out of `BTreeMap` iteration), otherwise a stable
-/// sort with last-occurrence-wins deduplication, matching what collecting
-/// into a `BTreeMap` would have produced.
-pub fn in_key_order<T, K: Ord>(items: &[T], key: impl Fn(&T) -> K) -> Vec<&T> {
-    let sorted = items.windows(2).all(|w| key(&w[0]) < key(&w[1]));
-    if sorted {
-        return items.iter().collect();
-    }
-    let mut v: Vec<&T> = items.iter().collect();
-    v.sort_by_key(|a| key(a));
-    let mut out: Vec<&T> = Vec::with_capacity(v.len());
-    for t in v {
-        match out.last_mut() {
-            Some(last) if key(last) == key(t) => *last = t,
-            _ => out.push(t),
-        }
-    }
-    out
-}
-
-/// [`in_key_order`] with a caller-supplied sortedness hint: when the
-/// caller already knows the input is strictly key-sorted (snapshot parts
-/// carry that knowledge from construction), the per-call verification
-/// scan is skipped entirely. Debug builds cross-check the hint so a
-/// wrongly-flagged section fails loudly instead of corrupting a diff.
-pub fn in_key_order_cached<T, K: Ord>(
-    items: &[T],
-    key: impl Fn(&T) -> K,
-    presorted: bool,
-) -> Vec<&T> {
-    if presorted {
-        debug_assert!(
-            items.windows(2).all(|w| key(&w[0]) < key(&w[1])),
-            "presorted hint set on an unsorted or duplicated section"
-        );
-        return items.iter().collect();
-    }
-    in_key_order(items, key)
 }
 
 #[cfg(test)]
@@ -357,108 +194,12 @@ mod tests {
         let mut i: Interner<String> = Interner::default();
         let a = i.intern(&"fixw".to_string());
         assert_eq!(i.intern_str("fixw"), a, "str lookup hits the same slot");
-        assert_eq!(i.intern_bytes(b"fixw"), a, "byte lookup hits the same slot");
-        let b = i.intern_bytes(b"ucsb-gw");
+        let b = i.intern_str("ucsb-gw");
         assert_eq!(
             i.intern(&"ucsb-gw".to_string()),
             b,
-            "byte-first interning is visible to the owned path"
+            "str-first interning is visible to the owned path"
         );
         assert_eq!(i.len(), 2);
-        // Invalid UTF-8 interns its lossy decoding, so replaying the same
-        // bytes (or the decoded text) is stable.
-        let c = i.intern_bytes(b"bad\xffname");
-        assert_eq!(i.intern_bytes(b"bad\xffname"), c);
-        assert_eq!(i.intern_str("bad\u{fffd}name"), c);
-        assert_eq!(i.len(), 3);
-    }
-
-    #[test]
-    fn table_store_interns_typed_keys_from_bytes() {
-        use mantra_net::{GroupAddr, Ip, Prefix};
-
-        let mut store = TableStore::default();
-        let r = store.intern_router_bytes(b"fixw");
-        assert_eq!(store.routers.intern_str("fixw"), r);
-
-        let h = store.intern_host_bytes(b"10.1.2.3").unwrap();
-        assert_eq!(store.hosts.intern(&Ip::new(10, 1, 2, 3)), h);
-        assert_eq!(store.intern_host_bytes(b"10.1.2"), None);
-
-        let g = store.intern_group_bytes(b"224.2.0.9").unwrap();
-        let group: GroupAddr = "224.2.0.9".parse().unwrap();
-        assert_eq!(store.groups.intern(&group), g);
-        assert_eq!(store.intern_group_bytes(b"10.0.0.1"), None, "not class-D");
-
-        let p = store.intern_pair_bytes(b"224.2.0.9", b"10.1.2.3").unwrap();
-        assert_eq!(store.pairs.intern(&(group, Ip::new(10, 1, 2, 3))), p);
-
-        let prefix: Prefix = "128.111.0.0/16".parse().unwrap();
-        let rt = store
-            .intern_route_bytes(crate::tables::LearnedFrom::Dvmrp, b"128.111.0.0/16")
-            .unwrap();
-        assert_eq!(
-            store
-                .routes
-                .intern(&(crate::tables::LearnedFrom::Dvmrp, prefix)),
-            rt
-        );
-        let px = store.intern_prefix_bytes(b"128.111.0.0/16").unwrap();
-        assert_eq!(store.prefixes.intern(&prefix), px);
-        assert_eq!(store.intern_prefix_bytes(b"128.111.0.0"), None);
-    }
-
-    #[test]
-    fn marks_reset_per_pass_in_constant_time() {
-        let mut i: Interner<u32> = Interner::default();
-        let a = i.intern(&7);
-        let b = i.intern(&9);
-        assert_eq!(i.marked(a), None, "no pass started yet");
-        i.begin_pass();
-        i.mark(a, 42);
-        i.see(b);
-        assert_eq!(i.marked(a), Some(42));
-        assert!(i.seen(b));
-        assert!(!i.seen(a));
-        i.begin_pass();
-        assert_eq!(i.marked(a), None);
-        assert!(!i.seen(b));
-    }
-
-    #[test]
-    fn key_order_fast_path_and_fallback_agree() {
-        let sorted = vec![1u32, 3, 5, 9];
-        let refs = in_key_order(&sorted, |x| *x);
-        assert_eq!(refs, sorted.iter().collect::<Vec<_>>());
-        // Unsorted with a duplicate: last occurrence wins, output sorted.
-        let messy = vec![5u32, 1, 5, 3];
-        let refs: Vec<u32> = in_key_order(&messy, |x| *x).into_iter().copied().collect();
-        assert_eq!(refs, vec![1, 3, 5]);
-        // Last-wins is observable through identity: pair (key, payload).
-        let messy = vec![(5u32, 'a'), (1, 'b'), (5, 'c')];
-        let refs: Vec<(u32, char)> = in_key_order(&messy, |x| x.0).into_iter().copied().collect();
-        assert_eq!(refs, vec![(1, 'b'), (5, 'c')]);
-    }
-
-    #[test]
-    fn cached_key_order_trusts_the_hint_and_verifies_without_it() {
-        let sorted = vec![1u32, 3, 5, 9];
-        let refs = in_key_order_cached(&sorted, |x| *x, true);
-        assert_eq!(refs, sorted.iter().collect::<Vec<_>>());
-        // Unflagged input still goes through the verifying/sorting path.
-        let messy = vec![5u32, 1, 3];
-        let refs: Vec<u32> = in_key_order_cached(&messy, |x| *x, false)
-            .into_iter()
-            .copied()
-            .collect();
-        assert_eq!(refs, vec![1, 3, 5]);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "presorted hint")]
-    fn wrong_presorted_hint_fails_loudly_in_debug_builds() {
-        let messy = vec![5u32, 1];
-        let _ = in_key_order_cached(&messy, |x| *x, true);
     }
 }

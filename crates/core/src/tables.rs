@@ -407,7 +407,7 @@ impl TablesBuilder {
 /// Stable-sorts `rows` by key and keeps the last row of each key — what
 /// inserting them one by one into a map leaves behind — as a distinct,
 /// sorted run for a bulk build.
-fn last_per_key<K: Ord, V>(mut rows: Vec<V>, key: impl Fn(&V) -> K) -> Vec<(K, V)> {
+pub(crate) fn last_per_key<K: Ord, V>(mut rows: Vec<V>, key: impl Fn(&V) -> K) -> Vec<(K, V)> {
     rows.sort_by_key(&key);
     let mut out: Vec<(K, V)> = Vec::with_capacity(rows.len());
     for row in rows {

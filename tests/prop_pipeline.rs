@@ -6,12 +6,11 @@
 use proptest::prelude::*;
 
 use mantra::core::logger::{
-    apply_reference, apply_with, diff_reference, diff_with, SnapshotParts, TableLog,
+    apply, apply_reference, diff, diff_reference, SnapshotParts, TableDelta, TableLog,
 };
 use mantra::core::output::{Cell, ColumnOp, Table};
 use mantra::core::stats::UsageStats;
-use mantra::core::store::TableStore;
-use mantra::core::tables::{LearnedFrom, PairRow, RouteRow, Tables};
+use mantra::core::tables::{LearnedFrom, PairRow, RouteRow, SessionRow, Tables};
 use mantra::net::{BitRate, GroupAddr, Ip, Prefix, SimTime};
 
 fn arb_pair() -> impl Strategy<Value = PairRow> {
@@ -62,6 +61,109 @@ fn arb_snapshot(n: u64) -> impl Strategy<Value = Tables> {
         })
 }
 
+/// A pair from a small key space, so a section of them repeats keys
+/// often and its rows under one key differ.
+fn arb_messy_pair() -> impl Strategy<Value = PairRow> {
+    (0u32..6, 1u32..5, 0u64..4).prop_map(|(g, src, kbps)| PairRow {
+        source: Ip(src),
+        group: GroupAddr::from_index(g),
+        current_bw: BitRate::from_kbps(kbps),
+        avg_bw: BitRate::from_kbps(kbps),
+        forwarding: true,
+        learned_from: LearnedFrom::Dvmrp,
+    })
+}
+
+fn arb_messy_route() -> impl Strategy<Value = RouteRow> {
+    (0u32..6, any::<bool>(), 1u32..4).prop_map(|(i, mbgp, metric)| RouteRow {
+        prefix: Prefix::new(Ip(Ip::new(128, 0, 0, 0).0 + (i << 16)), 16).unwrap(),
+        next_hop: None,
+        metric,
+        uptime: None,
+        reachable: true,
+        learned_from: if mbgp {
+            LearnedFrom::Mbgp
+        } else {
+            LearnedFrom::Dvmrp
+        },
+    })
+}
+
+fn arb_messy_sa() -> impl Strategy<Value = (GroupAddr, Ip, SimTime)> {
+    (0u32..4, 1u32..4, 0u64..3)
+        .prop_map(|(g, s, at)| (GroupAddr::from_index(g), Ip(s), SimTime(at)))
+}
+
+fn arb_messy_session() -> impl Strategy<Value = SessionRow> {
+    (0u32..6, 0u32..3).prop_map(|(g, density)| SessionRow {
+        group: GroupAddr::from_index(g),
+        name: None,
+        density,
+        bandwidth: BitRate::ZERO,
+        first_advertised: LearnedFrom::Igmp,
+        first_seen: SimTime(0),
+    })
+}
+
+/// Snapshot parts built directly, each section in arrival order: out of
+/// key order and with duplicate keys, as only hand-built input or a
+/// hand-edited archive has them.
+fn arb_messy_parts() -> impl Strategy<Value = SnapshotParts> {
+    (
+        0u64..1_000,
+        proptest::collection::vec(arb_messy_pair(), 0..12),
+        proptest::collection::vec(arb_messy_route(), 0..12),
+        proptest::collection::vec(arb_messy_sa(), 0..8),
+        proptest::collection::vec(arb_messy_session(), 0..8),
+    )
+        .prop_map(
+            |(at, pairs, routes, sa_cache, member_only_sessions)| SnapshotParts {
+                captured_at: SimTime(at),
+                router: "fixw".into(),
+                pairs,
+                routes,
+                sa_cache,
+                member_only_sessions,
+            },
+        )
+}
+
+/// A delta built directly: upserts and removals out of key order,
+/// upserts repeating a key, and in every section with upserts its first
+/// upserted key removed as well.
+fn arb_messy_delta() -> impl Strategy<Value = TableDelta> {
+    (arb_messy_parts(), arb_messy_parts()).prop_map(|(ups, gone)| {
+        let mut d = TableDelta {
+            captured_at: ups.captured_at,
+            pair_upserts: ups.pairs,
+            pair_removals: gone.pairs.iter().map(|p| (p.group, p.source)).collect(),
+            route_upserts: ups.routes,
+            route_removals: gone
+                .routes
+                .iter()
+                .map(|r| (r.learned_from, r.prefix))
+                .collect(),
+            sa_upserts: ups.sa_cache,
+            sa_removals: gone.sa_cache.iter().map(|(g, s, _)| (*g, *s)).collect(),
+            session_upserts: ups.member_only_sessions,
+            session_removals: gone.member_only_sessions.iter().map(|s| s.group).collect(),
+        };
+        if let Some(p) = d.pair_upserts.first() {
+            d.pair_removals.push((p.group, p.source));
+        }
+        if let Some(r) = d.route_upserts.first() {
+            d.route_removals.push((r.learned_from, r.prefix));
+        }
+        if let Some((g, s, _)) = d.sa_upserts.first() {
+            d.sa_removals.push((*g, *s));
+        }
+        if let Some(s) = d.session_upserts.first() {
+            d.session_removals.push(s.group);
+        }
+        d
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -97,29 +199,41 @@ proptest! {
         prop_assert!(log.stored_cost <= log.full_cost);
     }
 
-    /// The interned diff/apply fast path produces byte-identical deltas
-    /// and round-trips to the same snapshots as the reference
-    /// implementation, for arbitrary snapshot streams through one store
-    /// reused across the whole stream (the monitor's usage pattern).
+    /// The merge-join diff/apply produces byte-identical deltas and
+    /// round-trips to the same snapshots as the reference
+    /// implementation, for arbitrary snapshot streams.
     #[test]
-    fn interned_delta_codec_matches_reference(
+    fn delta_codec_matches_reference(
         streams in proptest::collection::vec((0u64..100).prop_flat_map(arb_snapshot), 2..10),
     ) {
-        let mut store = TableStore::default();
         let parts: Vec<SnapshotParts> =
             streams.iter().map(SnapshotParts::from_tables).collect();
         for w in parts.windows(2) {
-            let fast = diff_with(&mut store, &w[0], &w[1]);
+            let fast = diff(&w[0], &w[1]);
             let slow = diff_reference(&w[0], &w[1]);
             // Delta records must serialise identically, or archives would
-            // change shape under the interned path.
+            // change shape under the merge join.
             prop_assert_eq!(format!("{fast:?}"), format!("{slow:?}"));
-            let applied = apply_with(&mut store, &w[0], &fast);
+            let applied = apply(&w[0], &fast);
             prop_assert_eq!(&applied, &apply_reference(&w[0], &slow));
             // And applying the delta reconstructs the next snapshot
             // exactly (delta then rebuild is lossless).
             prop_assert_eq!(applied.rebuild(), w[1].rebuild());
         }
+    }
+
+    /// On sections this program never builds itself — out of key order,
+    /// repeating keys — and on deltas that repeat an upserted key or
+    /// upsert a removed one, diff/apply still equal the oracles: the last
+    /// row of a key wins and a removal beats an upsert.
+    #[test]
+    fn delta_codec_matches_reference_on_unsorted_sections(
+        prev in arb_messy_parts(),
+        next in arb_messy_parts(),
+        delta in arb_messy_delta(),
+    ) {
+        prop_assert_eq!(diff(&prev, &next), diff_reference(&prev, &next));
+        prop_assert_eq!(apply(&prev, &delta), apply_reference(&prev, &delta));
     }
 
     /// Raising the sender threshold never increases senders or active

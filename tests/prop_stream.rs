@@ -8,10 +8,9 @@
 use proptest::prelude::*;
 
 use mantra::core::anomaly::detect_injection;
-use mantra::core::logger::{diff_with, SnapshotParts};
+use mantra::core::logger::{diff, SnapshotParts};
 use mantra::core::stats::{RouteChurn, RouteStats, UsageStats};
 use mantra::core::stats_stream::IncrementalStats;
-use mantra::core::store::TableStore;
 use mantra::core::tables::{LearnedFrom, PairRow, RouteRow, Tables};
 use mantra::net::{BitRate, GroupAddr, Ip, Prefix, SimDuration, SimTime};
 
@@ -106,7 +105,6 @@ proptest! {
     ) {
         restamp(&mut streams);
         let threshold = BitRate::from_kbps(threshold_kbps);
-        let mut store = TableStore::default();
         let mut stream = IncrementalStats::default();
         prop_assert!(!stream.is_seeded());
         stream.reseed(&streams[0], threshold);
@@ -115,8 +113,7 @@ proptest! {
         prop_assert_eq!(stream.route_stats(), RouteStats::from_tables(&streams[0]));
         for w in streams.windows(2) {
             let (prev, next) = (&w[0], &w[1]);
-            let delta = diff_with(
-                &mut store,
+            let delta = diff(
                 &SnapshotParts::from_tables(prev),
                 &SnapshotParts::from_tables(next),
             );
@@ -145,13 +142,11 @@ proptest! {
     ) {
         restamp(&mut streams);
         let threshold = BitRate::from_kbps(threshold_kbps);
-        let mut store = TableStore::default();
         let mut dirty = IncrementalStats::default();
         // Accumulate some history first...
         dirty.reseed(&streams[0], threshold);
         for w in streams.windows(2) {
-            let delta = diff_with(
-                &mut store,
+            let delta = diff(
                 &SnapshotParts::from_tables(&w[0]),
                 &SnapshotParts::from_tables(&w[1]),
             );
@@ -162,8 +157,7 @@ proptest! {
         dirty.reseed(&streams[0], threshold);
         prop_assert_eq!(dirty.usage(), UsageStats::from_tables(&streams[0], threshold));
         for w in streams.windows(2) {
-            let delta = diff_with(
-                &mut store,
+            let delta = diff(
                 &SnapshotParts::from_tables(&w[0]),
                 &SnapshotParts::from_tables(&w[1]),
             );
