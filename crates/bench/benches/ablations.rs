@@ -22,8 +22,9 @@
 //!   dynamic membership costs, with a sharded-vs-single exactness
 //!   assertion under churn,
 //! * `ablation_parse_*` — the zero-copy span/byte Parse stage vs the
-//!   kept string parser over a 500-router fleet capture corpus, with a
-//!   bytes/sec accounting line and a strict zero-copy-wins assertion.
+//!   string parser it replaced (`mantra-oracle`) over a 500-router fleet
+//!   capture corpus, with a bytes/sec accounting line and a strict
+//!   zero-copy-wins assertion.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -34,13 +35,16 @@ use mantra_core::archive::{
     BackpressureMode, FileBackendV2, SyncPolicy, ThreadedBackend, WriterConfig,
 };
 use mantra_core::collector::{preprocess_bytes, Capture};
-use mantra_core::logger::{diff, diff_reference, SnapshotParts, TableDelta, TableLog};
-use mantra_core::processor::{process, reference};
+use mantra_core::logger::{diff, SnapshotParts, TableDelta, TableLog};
+use mantra_core::processor::process;
 use mantra_core::stats::{RouteStats, UsageStats};
 use mantra_core::stats_stream::IncrementalStats;
 use mantra_core::tables::{LearnedFrom, PairRow, RouteRow, Tables};
 use mantra_core::{FleetMonitor, MonitorConfig, ParallelAccess};
 use mantra_net::{BitRate, GroupAddr, Ip, Prefix, SimDuration, SimTime};
+use mantra_oracle::logger::diff_reference;
+use mantra_oracle::processor as reference;
+use mantra_oracle::{RouteStatsExt, UsageStatsExt};
 use mantra_router_cli::TableKind;
 use mantra_sim::{ChurnProfile, Scenario};
 
@@ -649,8 +653,8 @@ fn ablation_report_loss(c: &mut Criterion) {
 }
 
 fn ablation_parse(c: &mut Criterion) {
-    // The zero-copy Parse stage vs the kept string parser
-    // (`processor::reference`) over a fleet-scale capture corpus: every
+    // The zero-copy Parse stage vs the string parser it replaced
+    // (`mantra_oracle::processor`) over a fleet-scale capture corpus: every
     // table of every monitored router in a 500-router world across
     // several collection cycles, preprocessed once (preprocessing is
     // shared) and parsed repeatedly. The reference parser materialises

@@ -15,6 +15,7 @@ use mantra_core::stats::{ConsistencyReport, UsageStats};
 use mantra_core::{Monitor, MonitorConfig};
 use mantra_net::rate::SENDER_THRESHOLD;
 use mantra_net::SimDuration;
+use mantra_oracle::UsageStatsExt;
 use mantra_router_cli::TableKind;
 use mantra_sim::Scenario;
 

@@ -8,18 +8,22 @@
 //!
 //! * [`SpikeDetector`] — an online robust z-score detector over any
 //!   series (route counts, session counts),
-//! * [`detect_injection`] — the specific signature of route injection:
-//!   a mass of brand-new routes arriving in one snapshot through one
-//!   gateway,
+//! * the specific signature of route injection — a mass of brand-new
+//!   routes arriving in one snapshot through one gateway — read off each
+//!   cycle's delta by [`crate::stats_stream::FoldChanges::injection`],
 //! * [`InconsistencyMonitor`] — cross-router DVMRP divergence beyond a
 //!   floor (the paper's "inconsistent state" observation).
+//!
+//! The direct forms these detectors are property-tested against — the
+//! injection check over two whole snapshots and the sweep comparing every
+//! router pair in full — live in the test-support crate `mantra-oracle`.
 
 use serde::{Deserialize, Serialize};
 
 use mantra_net::{Ip, SimTime};
 
-use crate::stats::{ConsistencyReport, RouteChurn};
-use crate::tables::{LearnedFrom, Tables};
+use crate::stats::{ConsistencyMatrix, ConsistencyReport};
+use crate::tables::Tables;
 
 /// A detected anomaly.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -142,38 +146,6 @@ impl SpikeDetector {
     }
 }
 
-/// Checks consecutive snapshots for the route-injection signature:
-/// at least `min_new` routes appearing at once, mostly via one gateway.
-pub fn detect_injection(prev: &Tables, next: &Tables, min_new: usize) -> Option<AnomalyKind> {
-    let churn = RouteChurn::between(prev, next);
-    if churn.added < min_new {
-        return None;
-    }
-    // Attribute the new routes to gateways.
-    let mut by_gw: std::collections::BTreeMap<Option<Ip>, usize> = Default::default();
-    let mut new_routes = 0usize;
-    for r in next.routes_of(LearnedFrom::Dvmrp) {
-        if !prev.routes.contains_key(&(LearnedFrom::Dvmrp, r.prefix)) {
-            *by_gw.entry(r.next_hop).or_default() += 1;
-            new_routes += 1;
-        }
-    }
-    let (gateway, count) = by_gw
-        .into_iter()
-        .max_by_key(|(_, c)| *c)
-        .unwrap_or((None, 0));
-    let share = count as f64 / new_routes.max(1) as f64;
-    if share >= 0.8 {
-        Some(AnomalyKind::RouteInjection {
-            new_routes,
-            gateway,
-            gateway_share: share,
-        })
-    } else {
-        None
-    }
-}
-
 /// Flags cross-router DVMRP divergence beyond a similarity floor.
 #[derive(Clone, Copy, Debug)]
 pub struct InconsistencyMonitor {
@@ -194,36 +166,16 @@ impl Default for InconsistencyMonitor {
 }
 
 impl InconsistencyMonitor {
-    /// Compares two routers' snapshots.
-    pub fn check(&self, a: &Tables, b: &Tables) -> Option<(ConsistencyReport, AnomalyKind)> {
-        if a.reachable_dvmrp_routes() < self.min_routes
-            || b.reachable_dvmrp_routes() < self.min_routes
-        {
-            return None;
-        }
-        let report = ConsistencyReport::between(a, b);
-        let similarity = report.similarity();
-        if similarity < self.min_similarity {
-            Some((
-                report,
-                AnomalyKind::Inconsistency {
-                    peer: b.router.clone(),
-                    similarity,
-                },
-            ))
-        } else {
-            None
-        }
-    }
-
-    /// All pairwise inconsistency anomalies among `views`, in `(i, j)`
-    /// order with `i < j`, through the [`ConsistencyMatrix`] group-by
-    /// join — each distinct pair of reachable-set views is merged once
-    /// instead of once per router pair. Output is identical to
-    /// [`InconsistencyMonitor::sweep_reference`], the kept O(n²) loop
-    /// over [`InconsistencyMonitor::check`].
-    pub fn sweep(&self, views: &[&Tables], now: SimTime) -> Vec<Anomaly> {
-        let mut matrix = crate::stats::ConsistencyMatrix::build(views, self.min_routes);
+    /// Every pair of `views` whose reachable DVMRP sets are less similar
+    /// than the floor, as `(i, j, report)` in `(i, j)` order with `i < j`.
+    /// Views below the route floor sit out. The [`ConsistencyMatrix`]
+    /// group-by join merges each distinct pair of views once, instead of
+    /// once per router pair.
+    pub(crate) fn divergent_pairs(
+        &self,
+        views: &[&Tables],
+    ) -> Vec<(usize, usize, ConsistencyReport)> {
+        let mut matrix = ConsistencyMatrix::build(views, self.min_routes);
         let mut out = Vec::new();
         for i in 0..views.len() {
             if !matrix.eligible(i) {
@@ -233,51 +185,55 @@ impl InconsistencyMonitor {
                 let Some(report) = matrix.report(i, j) else {
                     continue;
                 };
-                let similarity = report.similarity();
-                if similarity < self.min_similarity {
-                    out.push(Anomaly {
-                        at: now,
-                        router: views[i].router.clone(),
-                        peer: Some(views[j].router.clone()),
-                        kind: AnomalyKind::Inconsistency {
-                            peer: views[j].router.clone(),
-                            similarity,
-                        },
-                    });
+                if report.similarity() < self.min_similarity {
+                    out.push((i, j, report));
                 }
             }
         }
         out
     }
 
-    /// The behavioural reference for [`InconsistencyMonitor::sweep`]:
-    /// every pair compared in full through [`InconsistencyMonitor::check`].
-    pub fn sweep_reference(&self, views: &[&Tables], now: SimTime) -> Vec<Anomaly> {
-        let mut out = Vec::new();
-        for i in 0..views.len() {
-            for j in (i + 1)..views.len() {
-                if let Some((_, kind)) = self.check(views[i], views[j]) {
-                    out.push(Anomaly {
-                        at: now,
-                        router: views[i].router.clone(),
-                        peer: Some(views[j].router.clone()),
-                        kind,
-                    });
-                }
-            }
-        }
-        out
+    /// All pairwise inconsistency anomalies among `views`, in `(i, j)`
+    /// order with `i < j` — identical to comparing every pair in full.
+    pub fn sweep(&self, views: &[&Tables], now: SimTime) -> Vec<Anomaly> {
+        self.divergent_pairs(views)
+            .into_iter()
+            .map(|(i, j, report)| Anomaly {
+                at: now,
+                router: views[i].router.clone(),
+                peer: Some(views[j].router.clone()),
+                kind: AnomalyKind::Inconsistency {
+                    peer: views[j].router.clone(),
+                    similarity: report.similarity(),
+                },
+            })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tables::RouteRow;
+    use crate::logger::{diff, SnapshotParts};
+    use crate::stats_stream::IncrementalStats;
+    use crate::tables::{LearnedFrom, RouteRow};
+    use mantra_net::rate::SENDER_THRESHOLD;
     use mantra_net::Prefix;
 
     fn t0() -> SimTime {
         SimTime::from_ymd(1998, 10, 14)
+    }
+
+    /// The injection check as the Analyse stage runs it: on the fold of
+    /// the delta taking `prev` to `next`.
+    fn detect_injection(prev: &Tables, next: &Tables, min_new: usize) -> Option<AnomalyKind> {
+        let mut stats = IncrementalStats::default();
+        stats.reseed(prev, SENDER_THRESHOLD);
+        let delta = diff(
+            &SnapshotParts::from_tables(prev),
+            &SnapshotParts::from_tables(next),
+        );
+        stats.fold(&delta).injection(min_new)
     }
 
     fn table_with_routes(n: u32, gw: Ip) -> Tables {
@@ -381,39 +337,21 @@ mod tests {
         let mut b = table_with_routes(60, gw); // missing 40 routes
         b.router = "fixw".into();
         let mon = InconsistencyMonitor::default();
-        let (report, kind) = mon.check(&a, &b).expect("divergence detected");
+        let pairs = mon.divergent_pairs(&[&a, &b]);
+        let [(0, 1, report)] = pairs[..] else {
+            panic!("divergence detected: {pairs:?}");
+        };
         assert_eq!(report.only_first, 40);
-        assert!(matches!(kind, AnomalyKind::Inconsistency { similarity, .. } if similarity < 0.85));
+        let swept = mon.sweep(&[&a, &b], t0());
+        assert!(
+            matches!(&swept[0].kind, AnomalyKind::Inconsistency { similarity, .. } if *similarity < 0.85)
+        );
         // Similar tables pass.
         let c = table_with_routes(98, gw);
-        assert!(mon.check(&a, &c).is_none());
+        assert!(mon.divergent_pairs(&[&a, &c]).is_empty());
         // Tiny tables are skipped.
         let tiny_a = table_with_routes(5, gw);
         let tiny_b = table_with_routes(1, gw);
-        assert!(mon.check(&tiny_a, &tiny_b).is_none());
-    }
-
-    #[test]
-    fn sweep_matches_pairwise_reference() {
-        let gw = Ip::new(10, 0, 0, 1);
-        // A fleet with three distinct views (100, 60, 98 routes), a
-        // duplicate view, and a below-floor table mixed in.
-        let mut views: Vec<Tables> = Vec::new();
-        for (i, n) in [100u32, 60, 98, 60, 5].into_iter().enumerate() {
-            let mut t = table_with_routes(n, gw);
-            t.router = format!("r{i}");
-            views.push(t);
-        }
-        let refs: Vec<&Tables> = views.iter().collect();
-        let mon = InconsistencyMonitor::default();
-        let joined = mon.sweep(&refs, t0());
-        let reference = mon.sweep_reference(&refs, t0());
-        assert_eq!(joined, reference);
-        // The divergent pairs fire; make sure the sweep found some.
-        assert!(!joined.is_empty());
-        // An all-identical fleet is silent.
-        let same: Vec<Tables> = (0..4).map(|_| table_with_routes(50, gw)).collect();
-        let same_refs: Vec<&Tables> = same.iter().collect();
-        assert!(mon.sweep(&same_refs, t0()).is_empty());
+        assert!(mon.divergent_pairs(&[&tiny_a, &tiny_b]).is_empty());
     }
 }

@@ -122,8 +122,8 @@ impl Capture {
     }
 
     /// The effective lines as owned text, lossily decoded — for tests,
-    /// debugging and the kept reference parser; the hot path stays on
-    /// [`Capture::lines`].
+    /// debugging and the string parser in the test-support crate
+    /// `mantra-oracle`; the hot path stays on [`Capture::lines`].
     pub fn text_lines(&self) -> Vec<String> {
         self.lines()
             .map(|l| String::from_utf8_lossy(l).into_owned())

@@ -36,12 +36,13 @@ use mantra_net::SimTime;
 use crate::aggregate::ParallelAccess;
 use crate::anomaly::{Anomaly, InconsistencyMonitor};
 use crate::monitor::{
-    parse_accounting_table, parse_degraded, run_cycle_over, CycleReport, Monitor, MonitorConfig,
+    condense_router_table, parse_accounting_table, parse_degraded, run_cycle_over, CycleReport,
+    Monitor, MonitorConfig,
 };
 use crate::output::{Cell, Graph, Table};
 use crate::pipeline::{cycle_width, worker_life};
 use crate::processor::ParseStats;
-use crate::stats::{ConsistencyMatrix, ConsistencyReport, RouteChurn, RouteStats, UsageStats};
+use crate::stats::{ConsistencyReport, RouteChurn, RouteStats, UsageStats};
 use crate::stats_stream::StatsTotals;
 use crate::store::FxHashMap;
 use crate::tables::Tables;
@@ -329,28 +330,18 @@ impl FleetMonitor {
     /// monitor's floor, with its [`ConsistencyReport`], in configuration
     /// order.
     pub fn consistency_view(&self) -> Vec<(String, String, ConsistencyReport)> {
-        let routers: Vec<&String> = self.cfg.routers.iter().collect();
-        let views: Vec<&Tables> = routers
+        let views: Vec<&Tables> = self
+            .cfg
+            .routers
             .iter()
             .zip(&self.assignment)
             .filter_map(|(router, &s)| self.shards[s].latest(router))
             .collect();
-        let mut matrix = ConsistencyMatrix::build(&views, self.inconsistency.min_routes);
-        let mut out = Vec::new();
-        for i in 0..views.len() {
-            if !matrix.eligible(i) {
-                continue;
-            }
-            for j in (i + 1)..views.len() {
-                let Some(r) = matrix.report(i, j) else {
-                    continue;
-                };
-                if r.similarity() < self.inconsistency.min_similarity {
-                    out.push((views[i].router.clone(), views[j].router.clone(), r));
-                }
-            }
-        }
-        out
+        self.inconsistency
+            .divergent_pairs(&views)
+            .into_iter()
+            .map(|(i, j, r)| (views[i].router.clone(), views[j].router.clone(), r))
+            .collect()
     }
 
     /// The fleet's Figure 3 overlay graph from the global usage history.
@@ -376,13 +367,13 @@ impl FleetMonitor {
     /// in configuration order, condensed to the worst offenders plus a
     /// totals footer past the configured limit.
     pub fn health(&self, now: SimTime) -> Table {
-        self.stitch("Fleet collection health", |m| m.health(now), "failed")
+        self.stitch("Fleet collection health", |m| m.health(now))
     }
 
     /// The fleet archive table, shard column included, condensed like
     /// [`FleetMonitor::health`].
     pub fn archive_table(&self) -> Table {
-        self.stitch("Fleet archives", Monitor::archive_table, "errors")
+        self.stitch("Fleet archives", Monitor::archive_table)
     }
 
     /// Archive query-cache counters summed across the shards' caches.
@@ -396,9 +387,9 @@ impl FleetMonitor {
 
     /// Merges per-shard tables into one global table with a `shard`
     /// column after the router column, re-ordered to configuration
-    /// order, then condensed by the global detail limit with a summed
+    /// order, then condensed by the global detail limit with a totals
     /// footer.
-    fn stitch(&self, title: &str, build: impl Fn(&Monitor) -> Table, rank_by: &str) -> Table {
+    fn stitch(&self, title: &str, build: impl Fn(&Monitor) -> Table) -> Table {
         let shard_tables: Vec<Table> = self.shards.iter().map(&build).collect();
         let mut columns: Vec<&str> = vec!["router", "shard"];
         let tail: Vec<String> = shard_tables[0].columns[1..].to_vec();
@@ -422,56 +413,7 @@ impl FleetMonitor {
             cells.extend(row[1..].iter().cloned());
             table.push_row(cells);
         }
-        let n = table.rows.len();
-        if n > self.cfg.table_detail_limit {
-            let sum = |col: &str| -> f64 {
-                table
-                    .column_index(col)
-                    .map(|i| table.rows.iter().filter_map(|r| r[i].as_num()).sum::<f64>())
-                    .unwrap_or(0.0)
-            };
-            let count_text = |col: &str, needle: &str| -> usize {
-                table
-                    .column_index(col)
-                    .map(|i| {
-                        table
-                            .rows
-                            .iter()
-                            .filter(|r| matches!(&r[i], Cell::Text(s) if s == needle))
-                            .count()
-                    })
-                    .unwrap_or(0)
-            };
-            let summary = if table.column_index("stale").is_some() {
-                format!(
-                    "{} of {n} routers shown (worst by failures); fleet totals: \
-                     ok {}, failed {}, retries {}, {} stale, {} retired, \
-                     {} degraded archives",
-                    self.cfg.table_detail_limit,
-                    sum("ok") as u64,
-                    sum("failed") as u64,
-                    sum("retries") as u64,
-                    count_text("stale", "STALE"),
-                    count_text("state", "retired"),
-                    count_text("archive", "degraded"),
-                )
-            } else {
-                format!(
-                    "{} of {n} archives shown (worst by errors); fleet totals: \
-                     {} records, {:.0} kbytes, {} fsyncs, {} dropped, {} errors, \
-                     {} sealed, {} degraded",
-                    self.cfg.table_detail_limit,
-                    sum("records") as u64,
-                    sum("kbytes"),
-                    sum("fsyncs") as u64,
-                    sum("dropped") as u64,
-                    sum("errors") as u64,
-                    count_text("lifecycle", "sealed"),
-                    count_text("persistence", "degraded"),
-                )
-            };
-            table.condense(self.cfg.table_detail_limit, rank_by, summary);
-        }
+        condense_router_table(&mut table, self.cfg.table_detail_limit);
         table
     }
 }

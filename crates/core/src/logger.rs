@@ -14,7 +14,9 @@
 //!
 //! A delta is one merge join per section: [`SnapshotParts`] keep every
 //! section in key order, so [`diff`] and [`apply`] walk two sorted runs
-//! in step and keep no state between cycles.
+//! in step and keep no state between cycles. The `BTreeMap` codec they
+//! are property-tested against lives in the test-support crate
+//! `mantra-oracle`.
 //!
 //! Reconstruction is lossless: replaying a log yields snapshots equal to
 //! the originals, which the property tests assert. Every replay — of a
@@ -218,8 +220,7 @@ fn merge_join<T, K: Ord>(
 
 /// Diffs one keyed section: a key only in `prev` is a removal, a key
 /// only in `next` or whose row changed is an upsert. Upserts come out
-/// in `next` key order and removals in `prev` key order, as
-/// [`diff_reference`] emits them.
+/// in `next` key order and removals in `prev` key order.
 fn diff_section<T: Clone + PartialEq, K: Ord>(
     prev: &[T],
     next: &[T],
@@ -236,8 +237,8 @@ fn diff_section<T: Clone + PartialEq, K: Ord>(
 }
 
 /// Applies one keyed section: an upsert replaces its key's base row, and
-/// every removed key is dropped, even one that was also upserted, as in
-/// [`apply_reference`]. The output is in strict key order.
+/// every removed key is dropped, even one that was also upserted. The
+/// output is in strict key order.
 fn apply_section<T: Clone, K: Ord + Copy>(
     base: &[T],
     upserts: &[T],
@@ -259,7 +260,8 @@ fn apply_section<T: Clone, K: Ord + Copy>(
 }
 
 /// Computes the delta taking `prev` to `next`, one merge join per
-/// section. Output is identical to [`diff_reference`].
+/// section. Output is identical to the `BTreeMap` codec's in
+/// `mantra-oracle`.
 pub fn diff(prev: &SnapshotParts, next: &SnapshotParts) -> TableDelta {
     let mut d = TableDelta {
         captured_at: next.captured_at,
@@ -297,7 +299,7 @@ pub fn diff(prev: &SnapshotParts, next: &SnapshotParts) -> TableDelta {
 }
 
 /// Applies a delta to `base`, producing the next snapshot's parts.
-/// Output is identical to [`apply_reference`].
+/// Output is identical to the `BTreeMap` codec's in `mantra-oracle`.
 pub fn apply(base: &SnapshotParts, delta: &TableDelta) -> SnapshotParts {
     let mut next = SnapshotParts {
         captured_at: delta.captured_at,
@@ -333,160 +335,6 @@ pub fn apply(base: &SnapshotParts, delta: &TableDelta) -> SnapshotParts {
         &mut next.member_only_sessions,
     );
     next
-}
-
-/// The `BTreeMap`-based diff, kept as the behavioural reference:
-/// property tests assert [`diff`] matches it and the ablation bench
-/// measures the merge join against it.
-pub fn diff_reference(prev: &SnapshotParts, next: &SnapshotParts) -> TableDelta {
-    use std::collections::BTreeMap;
-    let mut d = TableDelta {
-        captured_at: next.captured_at,
-        ..TableDelta::default()
-    };
-    // Pairs.
-    let prev_pairs: BTreeMap<(GroupAddr, Ip), &PairRow> = prev
-        .pairs
-        .iter()
-        .map(|p| ((p.group, p.source), p))
-        .collect();
-    let next_pairs: BTreeMap<(GroupAddr, Ip), &PairRow> = next
-        .pairs
-        .iter()
-        .map(|p| ((p.group, p.source), p))
-        .collect();
-    for (k, row) in &next_pairs {
-        if prev_pairs.get(k) != Some(row) {
-            d.pair_upserts.push((*row).clone());
-        }
-    }
-    for k in prev_pairs.keys() {
-        if !next_pairs.contains_key(k) {
-            d.pair_removals.push(*k);
-        }
-    }
-    // Routes.
-    let prev_routes: BTreeMap<(LearnedFrom, Prefix), &RouteRow> = prev
-        .routes
-        .iter()
-        .map(|r| ((r.learned_from, r.prefix), r))
-        .collect();
-    let next_routes: BTreeMap<(LearnedFrom, Prefix), &RouteRow> = next
-        .routes
-        .iter()
-        .map(|r| ((r.learned_from, r.prefix), r))
-        .collect();
-    for (k, row) in &next_routes {
-        if prev_routes.get(k) != Some(row) {
-            d.route_upserts.push((*row).clone());
-        }
-    }
-    for k in prev_routes.keys() {
-        if !next_routes.contains_key(k) {
-            d.route_removals.push(*k);
-        }
-    }
-    // SA cache.
-    let prev_sa: BTreeMap<(GroupAddr, Ip), SimTime> = prev
-        .sa_cache
-        .iter()
-        .map(|(g, s, t)| ((*g, *s), *t))
-        .collect();
-    let next_sa: BTreeMap<(GroupAddr, Ip), SimTime> = next
-        .sa_cache
-        .iter()
-        .map(|(g, s, t)| ((*g, *s), *t))
-        .collect();
-    for (k, t) in &next_sa {
-        if prev_sa.get(k) != Some(t) {
-            d.sa_upserts.push((k.0, k.1, *t));
-        }
-    }
-    for k in prev_sa.keys() {
-        if !next_sa.contains_key(k) {
-            d.sa_removals.push(*k);
-        }
-    }
-    // Member-only sessions.
-    let prev_s: BTreeMap<GroupAddr, &SessionRow> = prev
-        .member_only_sessions
-        .iter()
-        .map(|s| (s.group, s))
-        .collect();
-    let next_s: BTreeMap<GroupAddr, &SessionRow> = next
-        .member_only_sessions
-        .iter()
-        .map(|s| (s.group, s))
-        .collect();
-    for (g, row) in &next_s {
-        if prev_s.get(g) != Some(row) {
-            d.session_upserts.push((*row).clone());
-        }
-    }
-    for g in prev_s.keys() {
-        if !next_s.contains_key(g) {
-            d.session_removals.push(*g);
-        }
-    }
-    d
-}
-
-/// The `BTreeMap`-based apply, kept as the behavioural reference for
-/// [`apply`].
-pub fn apply_reference(base: &SnapshotParts, delta: &TableDelta) -> SnapshotParts {
-    use std::collections::BTreeMap;
-    let mut pairs: BTreeMap<(GroupAddr, Ip), PairRow> = base
-        .pairs
-        .iter()
-        .map(|p| ((p.group, p.source), p.clone()))
-        .collect();
-    for p in &delta.pair_upserts {
-        pairs.insert((p.group, p.source), p.clone());
-    }
-    for k in &delta.pair_removals {
-        pairs.remove(k);
-    }
-    let mut routes: BTreeMap<(LearnedFrom, Prefix), RouteRow> = base
-        .routes
-        .iter()
-        .map(|r| ((r.learned_from, r.prefix), r.clone()))
-        .collect();
-    for r in &delta.route_upserts {
-        routes.insert((r.learned_from, r.prefix), r.clone());
-    }
-    for k in &delta.route_removals {
-        routes.remove(k);
-    }
-    let mut sa: BTreeMap<(GroupAddr, Ip), SimTime> = base
-        .sa_cache
-        .iter()
-        .map(|(g, s, t)| ((*g, *s), *t))
-        .collect();
-    for (g, s, t) in &delta.sa_upserts {
-        sa.insert((*g, *s), *t);
-    }
-    for k in &delta.sa_removals {
-        sa.remove(k);
-    }
-    let mut sessions: BTreeMap<GroupAddr, SessionRow> = base
-        .member_only_sessions
-        .iter()
-        .map(|s| (s.group, s.clone()))
-        .collect();
-    for s in &delta.session_upserts {
-        sessions.insert(s.group, s.clone());
-    }
-    for g in &delta.session_removals {
-        sessions.remove(g);
-    }
-    SnapshotParts {
-        captured_at: delta.captured_at,
-        router: base.router.clone(),
-        pairs: pairs.into_values().collect(),
-        routes: routes.into_values().collect(),
-        sa_cache: sa.into_iter().map(|((g, s), t)| (g, s, t)).collect(),
-        member_only_sessions: sessions.into_values().collect(),
-    }
 }
 
 /// The append-only log for one router's snapshot stream.
@@ -928,7 +776,13 @@ impl ArchiveSpec {
     /// and continue. Any rewrite failure falls back to a fresh in-memory
     /// log with [`TableLog::fell_back`] set, mirroring
     /// [`ArchiveSpec::open_log`]: a rejoin never kills the cycle.
-    pub fn rejoin_log(&self, router: &str, full_every: usize, sealed: TableLog) -> TableLog {
+    ///
+    /// Either way the log continues from the sealed log's own tail, the
+    /// snapshot the analysers last folded. When the archive ends
+    /// elsewhere — an append was lost (failed or shed) before the router
+    /// retired, or the rewrite fell back to an empty log — the next
+    /// record is stored Full, since the archive lacks that snapshot.
+    pub fn rejoin_log(&self, router: &str, full_every: usize, mut sealed: TableLog) -> TableLog {
         fn fallback(full_every: usize, e: io::Error) -> TableLog {
             let mut log = TableLog::new(full_every);
             log.write_errors = 1;
@@ -938,9 +792,8 @@ impl ArchiveSpec {
         }
         let (dir, sync, writer) = match self {
             ArchiveSpec::Memory => {
-                let mut log = sealed;
-                log.sealed = false;
-                return log;
+                sealed.sealed = false;
+                return sealed;
             }
             ArchiveSpec::File { dir, sync } => (dir, *sync, None),
             ArchiveSpec::Threaded { dir, sync, writer } => (dir, *sync, Some(*writer)),
@@ -953,28 +806,33 @@ impl ArchiveSpec {
             sync,
         };
         let rewritten = compact_archive(&sealed, &tmp, &opts);
+        let tail = sealed.tail.take();
         // Close both the sealed source and the rewrite before renaming.
         drop(sealed);
-        match rewritten {
-            Ok(rewrite) => drop(rewrite),
+        let mut log = match rewritten {
+            Ok(rewrite) => {
+                drop(rewrite);
+                let reopen = std::fs::rename(&tmp, &path).and_then(|()| {
+                    let mut backend = FileBackendV2::open(&path)?;
+                    backend.sync = sync;
+                    let boxed: Box<dyn ArchiveBackend> = match writer {
+                        Some(cfg) => Box::new(ThreadedBackend::spawn(Box::new(backend), cfg)),
+                        None => Box::new(backend),
+                    };
+                    TableLog::resume(boxed, full_every)
+                });
+                reopen.unwrap_or_else(|e| fallback(full_every, e))
+            }
             Err(e) => {
                 std::fs::remove_file(&tmp).ok();
-                return fallback(full_every, e);
+                fallback(full_every, e)
             }
+        };
+        if log.tail != tail {
+            log.tail = tail;
+            log.since_full = log.full_every;
         }
-        let reopen = std::fs::rename(&tmp, &path).and_then(|()| {
-            let mut backend = FileBackendV2::open(&path)?;
-            backend.sync = sync;
-            let boxed: Box<dyn ArchiveBackend> = match writer {
-                Some(cfg) => Box::new(ThreadedBackend::spawn(Box::new(backend), cfg)),
-                None => Box::new(backend),
-            };
-            TableLog::resume(boxed, full_every)
-        });
-        match reopen {
-            Ok(log) => log,
-            Err(e) => fallback(full_every, e),
-        }
+        log
     }
 }
 
@@ -1084,27 +942,6 @@ mod tests {
         let replayed = log.replay();
         assert_eq!(replayed, snaps);
         assert_eq!(log.last().unwrap(), snaps[3]);
-    }
-
-    #[test]
-    fn diff_apply_match_reference_across_cycles() {
-        let s1 = Ip::new(1, 1, 1, 1);
-        let s2 = Ip::new(2, 2, 2, 2);
-        let snaps = [
-            snapshot(0, &[(0, s1, 64), (1, s2, 2)]),
-            snapshot(1, &[(0, s1, 80), (1, s2, 2)]),
-            snapshot(2, &[(0, s1, 80)]),
-            snapshot(3, &[(0, s1, 80), (2, s2, 128)]),
-        ];
-        let parts: Vec<SnapshotParts> = snaps.iter().map(SnapshotParts::from_tables).collect();
-        for w in parts.windows(2) {
-            let fast = diff(&w[0], &w[1]);
-            let slow = diff_reference(&w[0], &w[1]);
-            assert_eq!(fast, slow);
-            let applied = apply(&w[0], &fast);
-            assert_eq!(applied, apply_reference(&w[0], &slow));
-            assert_eq!(applied, w[1]);
-        }
     }
 
     #[test]
@@ -1490,6 +1327,124 @@ mod tests {
         assert_eq!(cache.stats().misses, misses + 1);
         let fresh = ArchiveReader::open(&path).unwrap();
         assert_eq!(fresh.epoch(), log.describe().epoch + 1);
+    }
+
+    /// An in-memory backend whose `fail_at`-th append (counting from 1)
+    /// fails, as a full disk or a shed record would.
+    #[derive(Debug, Default)]
+    struct FailOneAppend {
+        inner: MemoryBackend,
+        appends: usize,
+        fail_at: usize,
+    }
+
+    impl ArchiveBackend for FailOneAppend {
+        fn kind(&self) -> &'static str {
+            "memory"
+        }
+
+        fn append(&mut self, rec: LogRecord) -> io::Result<()> {
+            self.appends += 1;
+            if self.appends == self.fail_at {
+                return Err(io::Error::other("simulated lost append"));
+            }
+            self.inner.append(rec)
+        }
+
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+
+        fn records(&self) -> RecordIter<'_> {
+            self.inner.records()
+        }
+
+        fn records_from(&self, start: usize) -> RecordIter<'_> {
+            self.inner.records_from(start)
+        }
+
+        fn last_checkpoint(&self) -> Option<usize> {
+            self.inner.last_checkpoint()
+        }
+
+        fn stats(&self) -> ArchiveStats {
+            self.inner.stats()
+        }
+    }
+
+    /// A router whose last append before it retired was lost: after the
+    /// rejoin, deltas continue from that lost snapshot — the one the
+    /// analysers already folded — and not from the archive's older tail;
+    /// the next record is Full, so the archive replays to the latest
+    /// snapshot. The same holds when the rewrite fails and the log falls
+    /// back to memory.
+    #[test]
+    fn a_rejoin_after_a_lost_append_continues_from_the_folded_snapshot() {
+        let (a, b, c) = (
+            Ip::new(1, 1, 1, 1),
+            Ip::new(2, 2, 2, 2),
+            Ip::new(3, 3, 3, 3),
+        );
+        let snaps = [
+            snapshot(0, &[(0, a, 64)]),
+            snapshot(1, &[(0, a, 64), (1, b, 64)]),
+            snapshot(2, &[(0, a, 64), (2, c, 64)]),
+        ];
+        let parts: Vec<SnapshotParts> = snaps.iter().map(SnapshotParts::from_tables).collect();
+        let dir = TempDir::new("logger-rejoin");
+        let file = ArchiveSpec::File {
+            dir: dir.path().to_path_buf(),
+            sync: SyncPolicy::default(),
+        };
+        let threaded = ArchiveSpec::Threaded {
+            dir: dir.path().to_path_buf(),
+            sync: SyncPolicy::default(),
+            writer: crate::archive::WriterConfig::default(),
+        };
+        let cases = [
+            (&file, false, &snaps[..1]),
+            (&threaded, false, &snaps[..1]),
+            // A directory where the rewrite goes fails the rewrite.
+            (&file, true, &[][..]),
+        ];
+        for (spec, fail_rewrite, archived) in cases {
+            let tmp = ArchiveSpec::path_for(dir.path(), "fixw").with_extension("marc.rejoin");
+            if fail_rewrite {
+                std::fs::create_dir(&tmp).unwrap();
+            }
+            let backend = FailOneAppend {
+                fail_at: 2,
+                ..FailOneAppend::default()
+            };
+            let mut log = TableLog::with_backend(Box::new(backend), 100);
+            log.append(&snaps[0]);
+            let lost = log.append(&snaps[1]).expect("a tail to diff");
+            assert_eq!(apply(&parts[0], &lost), parts[1]);
+            assert_eq!(log.write_errors, 1);
+            log.seal();
+            let mut log = spec.rejoin_log("fixw", 100, log);
+            assert_eq!(log.fell_back, fail_rewrite);
+            let delta = log
+                .append(&snaps[2])
+                .expect("a delta from the folded snapshot");
+            assert_eq!(
+                apply(&parts[1], &delta),
+                parts[2],
+                "rewrite fails: {fail_rewrite}"
+            );
+            assert_eq!(
+                kinds(&log).last(),
+                Some(&true),
+                "the lost base forces a Full"
+            );
+            let mut want = archived.to_vec();
+            want.push(snaps[2].clone());
+            assert_eq!(log.replay(), want);
+            assert_eq!(log.last().as_ref(), want.last());
+            if fail_rewrite {
+                std::fs::remove_dir(&tmp).unwrap();
+            }
+        }
     }
 
     #[test]

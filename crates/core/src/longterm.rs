@@ -154,13 +154,6 @@ impl LongTermTracker {
         );
     }
 
-    /// Replays a full archive through the tracker.
-    pub fn observe_all<'a>(&mut self, snapshots: impl IntoIterator<Item = &'a Tables>) {
-        for s in snapshots {
-            self.observe(s);
-        }
-    }
-
     /// Presence record for one session.
     pub fn session(&self, g: GroupAddr) -> Option<&Presence> {
         self.sessions.get(&g)

@@ -431,20 +431,11 @@ impl Monitor {
                 "archive",
             ],
         );
-        let (mut ok, mut failed, mut retries, mut stale_n, mut retired_n, mut degraded_n) =
-            (0u64, 0u64, 0u64, 0usize, 0usize, 0usize);
         for router in &self.cfg.routers {
             let Some(h) = self.router_health(router) else {
                 continue;
             };
             let stale = h.is_stale(now, self.cfg.interval, self.cfg.stale_after_intervals);
-            let lifecycle = h.lifecycle(self.cfg.stale_after_intervals);
-            ok += h.successes;
-            failed += h.failures;
-            retries += h.retries;
-            stale_n += usize::from(stale);
-            retired_n += usize::from(lifecycle == LifecycleState::Retired);
-            degraded_n += usize::from(h.archive_degraded);
             table.push_row(vec![
                 Cell::Text(router.clone()),
                 Cell::Num(h.successes as f64),
@@ -460,21 +451,11 @@ impl Monitor {
                         .unwrap_or_else(|| "never".into()),
                 ),
                 Cell::Text(if stale { "STALE" } else { "ok" }.into()),
-                Cell::Text(lifecycle.label()),
+                Cell::Text(h.lifecycle(self.cfg.stale_after_intervals).label()),
                 Cell::Text(if h.archive_degraded { "degraded" } else { "ok" }.into()),
             ]);
         }
-        let n = table.rows.len();
-        table.condense(
-            self.cfg.table_detail_limit,
-            "failed",
-            format!(
-                "{} of {n} routers shown (worst by failures); fleet totals: \
-                 ok {ok}, failed {failed}, retries {retries}, {stale_n} stale, \
-                 {retired_n} retired, {degraded_n} degraded archives",
-                self.cfg.table_detail_limit.min(n),
-            ),
-        );
+        condense_router_table(&mut table, self.cfg.table_detail_limit);
         table
     }
 
@@ -533,9 +514,6 @@ impl Monitor {
                 "persistence",
             ],
         );
-        let (mut records, mut kbytes, mut fsyncs, mut dropped, mut errors_n, mut degraded_n) =
-            (0u64, 0.0f64, 0u64, 0u64, 0u64, 0usize);
-        let mut sealed_n = 0usize;
         for router in &self.cfg.routers {
             let Some(st) = self.state_of(router) else {
                 continue;
@@ -545,12 +523,6 @@ impl Monitor {
             let errors = st.log.write_errors.max(stats.write_errors) + st.log.replay_errors();
             let degraded =
                 st.log.fell_back || stats.dropped_records > 0 || st.log.replay_errors() > 0;
-            records += stats.records;
-            kbytes += stats.bytes as f64 / 1024.0;
-            fsyncs += stats.fsyncs;
-            dropped += stats.dropped_records;
-            errors_n += errors;
-            degraded_n += usize::from(degraded);
             table.push_row(vec![
                 Cell::Text(router.clone()),
                 Cell::Text(st.log.backend_kind().into()),
@@ -571,20 +543,8 @@ impl Monitor {
                 Cell::Text(if st.log.is_sealed() { "sealed" } else { "live" }.into()),
                 Cell::Text(if degraded { "degraded" } else { "ok" }.into()),
             ]);
-            sealed_n += usize::from(st.log.is_sealed());
         }
-        let n = table.rows.len();
-        table.condense(
-            self.cfg.table_detail_limit,
-            "errors",
-            format!(
-                "{} of {n} archives shown (worst by errors); fleet totals: \
-                 {records} records, {kbytes:.0} kbytes, {fsyncs} fsyncs, \
-                 {dropped} dropped, {errors_n} errors, {sealed_n} sealed, \
-                 {degraded_n} degraded",
-                self.cfg.table_detail_limit.min(n),
-            ),
-        );
+        condense_router_table(&mut table, self.cfg.table_detail_limit);
         table
     }
 
@@ -820,6 +780,64 @@ pub(crate) fn run_cycle_over<P: ParallelAccess + ?Sized>(
         .zip(prologue)
         .map(|(m, (ids, nanos))| m.fold(now, &ids, outcomes.by_ref().take(ids.len()), nanos))
         .collect()
+}
+
+/// Condenses a per-router health or archive table (the fleet's stitched
+/// ones included) past `limit` rows to its worst rows, with a footer of
+/// fleet totals summed from every row's own cells — the one place either
+/// footer is built. Tables at or under the limit are left as they are.
+pub(crate) fn condense_router_table(table: &mut Table, limit: usize) {
+    let n = table.rows.len();
+    if n <= limit {
+        return;
+    }
+    let sum = |col: &str| -> f64 {
+        table
+            .column_index(col)
+            .map(|i| table.rows.iter().filter_map(|r| r[i].as_num()).sum::<f64>())
+            .unwrap_or(0.0)
+    };
+    let count_text = |col: &str, needle: &str| -> usize {
+        table
+            .column_index(col)
+            .map(|i| {
+                table
+                    .rows
+                    .iter()
+                    .filter(|r| matches!(&r[i], Cell::Text(s) if s == needle))
+                    .count()
+            })
+            .unwrap_or(0)
+    };
+    let (rank_by, summary) = if table.column_index("stale").is_some() {
+        let summary = format!(
+            "{limit} of {n} routers shown (worst by failures); fleet totals: \
+             ok {}, failed {}, retries {}, {} stale, {} retired, \
+             {} degraded archives",
+            sum("ok") as u64,
+            sum("failed") as u64,
+            sum("retries") as u64,
+            count_text("stale", "STALE"),
+            count_text("state", "retired"),
+            count_text("archive", "degraded"),
+        );
+        ("failed", summary)
+    } else {
+        let summary = format!(
+            "{limit} of {n} archives shown (worst by errors); fleet totals: \
+             {} records, {:.0} kbytes, {} fsyncs, {} dropped, {} errors, \
+             {} sealed, {} degraded",
+            sum("records") as u64,
+            sum("kbytes"),
+            sum("fsyncs") as u64,
+            sum("dropped") as u64,
+            sum("errors") as u64,
+            count_text("lifecycle", "sealed"),
+            count_text("persistence", "degraded"),
+        );
+        ("errors", summary)
+    };
+    table.condense(limit, rank_by, summary);
 }
 
 /// Whether a cycle's accounting crosses the [`DEGRADED_PARSE_PCT`]
@@ -1079,6 +1097,40 @@ mod tests {
         let ghost = monitor.router_health("ghost").unwrap();
         assert_eq!(ghost.cycles, 3);
         assert_eq!(ghost.missed_cycles, 3);
+    }
+
+    /// Past the detail limit both engines condense the health and
+    /// archive tables with the same footer, totalled over every row.
+    #[test]
+    fn condensed_footers_match_across_engines() {
+        let cfg = MonitorConfig {
+            routers: vec!["fixw".into(), "ghost".into()],
+            stale_after_intervals: 2,
+            retire_after_intervals: 4,
+            table_detail_limit: 1,
+            ..MonitorConfig::default()
+        };
+        let mut sc = Scenario::transition_snapshot(35, 0.0);
+        let mut monitor = Monitor::new(cfg.clone());
+        let mut fleet = crate::fleet::FleetMonitor::new(cfg, 2);
+        for _ in 0..5 {
+            let next = sc.sim.clock + monitor.cfg.interval;
+            sc.sim.advance_to(next);
+            monitor.run_cycle(&sc.sim, next);
+            fleet.run_cycle(&sc.sim, next);
+        }
+        let now = sc.sim.clock;
+        let health = monitor.health(now);
+        assert_eq!(health.rows.len(), 1);
+        assert_eq!(health.footer, fleet.health(now).footer);
+        let footer = health.footer.expect("condensed");
+        assert!(footer.starts_with("1 of 2 routers shown"), "{footer}");
+        assert!(footer.contains("1 stale, 1 retired"), "{footer}");
+        let archives = monitor.archive_table();
+        assert_eq!(archives.rows.len(), 1);
+        assert_eq!(archives.footer, fleet.archive_table().footer);
+        let footer = archives.footer.expect("condensed");
+        assert!(footer.contains("1 sealed"), "{footer}");
     }
 
     #[test]

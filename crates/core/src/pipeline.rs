@@ -20,7 +20,7 @@ use std::time::Instant;
 use mantra_net::{BitRate, GroupAddr, Ip, SimDuration, SimTime};
 
 use crate::aggregate::ParallelAccess;
-use crate::anomaly::{detect_injection, Anomaly, InconsistencyMonitor, SpikeDetector};
+use crate::anomaly::{Anomaly, InconsistencyMonitor, SpikeDetector};
 use crate::archive::{ArchiveSpec, CacheStats};
 use crate::collector::{Capture, CollectStats, Collector};
 use crate::logger::{TableDelta, TableLog};
@@ -757,7 +757,8 @@ fn log_router(st: &mut RouterState, at: SimTime, tables: &Tables) -> Option<Tabl
 /// One router's analysis: advance the streaming accumulators (fold the
 /// logged delta, or reseed from the full snapshot on first sight),
 /// assemble this cycle's statistics and run the single-router anomaly
-/// detectors. The snapshot then becomes the router's `prev`.
+/// detectors; route churn and the injection check come from the fold.
+/// The snapshot then becomes the router's `prev`.
 fn analyse_router(
     st: &mut RouterState,
     tables: Tables,
@@ -766,9 +767,9 @@ fn analyse_router(
     threshold: BitRate,
     injection_min_new: usize,
 ) -> Analysed {
-    // O(delta) path: fold the delta the Log stage already computed. A
-    // router's first cycle (or a delta-less append, e.g. an archive
-    // reopened from disk) reseeds from the full snapshot — the O(table)
+    // O(delta) path: fold the delta the Log stage already computed. The
+    // log returns one whenever it holds a previous snapshot, so only a
+    // router's first cycle reseeds from the full snapshot — the O(table)
     // fallback, after which folding resumes.
     let changes = match (delta, st.stream.is_seeded()) {
         (Some(d), true) => Some(st.stream.fold(d)),
@@ -788,16 +789,9 @@ fn analyse_router(
             kind,
         });
     }
-    if let Some(prev) = &st.prev {
-        let (churn, injection) = match &changes {
-            Some(c) => (c.churn, c.injection(injection_min_new)),
-            None => (
-                RouteChurn::between(prev, &tables),
-                detect_injection(prev, &tables, injection_min_new),
-            ),
-        };
-        st.churn.push((now, churn));
-        if let Some(kind) = injection {
+    if let Some(changes) = &changes {
+        st.churn.push((now, changes.churn));
+        if let Some(kind) = changes.injection(injection_min_new) {
             anomalies.push(Anomaly {
                 at: now,
                 router: st.name.clone(),

@@ -5,17 +5,18 @@
 //! dumps contain decorations the period tools simply skipped), and
 //! accounts what it skipped so collection health is observable.
 //!
-//! The hot path parses `&[u8]` fields straight off the capture buffer
+//! The parsers read `&[u8]` fields straight off the capture buffer
 //! ([`Capture`] keeps lines as spans, not `String`s): field splitting
 //! tolerates runs of spaces/tabs, and integers, addresses, prefixes and
 //! uptimes decode directly from bytes. Parsed rows go into a
 //! [`TablesBuilder`], which assembles the snapshot in key order. The
-//! previous string-materialising parser, with its row-at-a-time table
-//! inserts, is kept as [`reference`] and property-tested byte-identical
-//! against this path (see `tests/prop_parse.rs`); the two stay in
-//! lock-step because every anchor the parsers match on is pure ASCII, and
-//! ASCII bytes can neither appear inside a multi-byte UTF-8 sequence nor
-//! be introduced by lossy decoding.
+//! string-materialising parser this replaced, with its row-at-a-time
+//! table inserts, lives on as the test-support crate `mantra-oracle`'s
+//! `processor::process`, property-tested byte-identical to this one
+//! (see `tests/prop_parse.rs`); the two stay in lock-step because every
+//! anchor the parsers match on is pure ASCII, and ASCII bytes can neither
+//! appear inside a multi-byte UTF-8 sequence nor be introduced by lossy
+//! decoding.
 
 use mantra_net::{BitRate, GroupAddr, Ip, Prefix, SimDuration, SimTime};
 use mantra_router_cli::TableKind;
@@ -87,60 +88,41 @@ impl ParseStats {
     }
 }
 
-/// The shared batch skeleton: mixed-router rejection, snapshot stamping
-/// and per-kind attribution are identical for both parser families. The
-/// parsers write into a sink `S` that `open` creates for the batch's
-/// router and capture time and `close` turns into the snapshot.
-fn process_with<'c, S>(
-    captures: &'c [Capture],
-    open: impl FnOnce(&'c str, SimTime) -> S,
-    mut parse_one: impl FnMut(&Capture, &mut S) -> KindStats,
-    close: impl FnOnce(S) -> Tables,
-) -> (Tables, ParseStats) {
-    if let Some(first) = captures.first() {
-        if captures.iter().any(|c| c.router != first.router) {
-            return (
-                Tables::default(),
-                ParseStats {
-                    rejected_mixed: captures.len(),
-                    ..ParseStats::default()
-                },
-            );
-        }
-    }
-    let mut sink = open(
-        captures.first().map(|c| c.router.as_str()).unwrap_or(""),
-        captures.first().map(|c| c.captured_at).unwrap_or_default(),
-    );
-    let mut stats = ParseStats::default();
-    for cap in captures {
-        let s = parse_one(cap, &mut sink);
-        stats.absorb_kind(cap.kind, s);
-    }
-    (close(sink), stats)
-}
-
 /// Processes a batch of captures (one collection cycle for one router)
 /// into a table snapshot, parsing fields directly off the capture bytes
-/// into a [`TablesBuilder`].
+/// into a [`TablesBuilder`] and attributing the accounting per table
+/// kind.
 ///
 /// A batch spanning more than one router is rejected outright: the
 /// resulting snapshot is empty and [`ParseStats::rejected_mixed`] counts
 /// every capture in the batch, so the mislabelling is observable instead
-/// of silent.
+/// of silent. Any other batch is stamped with its first capture's router
+/// and capture time.
 pub fn process(captures: &[Capture]) -> (Tables, ParseStats) {
-    process_with(
-        captures,
-        |router, at| (router, at, TablesBuilder::new()),
-        |cap, (_, _, rows)| match cap.kind {
-            TableKind::DvmrpRoutes => parse_dvmrp_routes(cap, rows),
-            TableKind::ForwardingCache => parse_forwarding(cap, rows),
-            TableKind::IgmpGroups => parse_igmp(cap, rows),
-            TableKind::MbgpRoutes => parse_mbgp(cap, rows),
-            TableKind::SaCache => parse_sa_cache(cap, rows),
-        },
-        |(router, at, rows)| rows.build(router, at),
-    )
+    let mut stats = ParseStats::default();
+    if let Some(first) = captures.first() {
+        if captures.iter().any(|c| c.router != first.router) {
+            stats.rejected_mixed = captures.len();
+            return (Tables::default(), stats);
+        }
+    }
+    let mut rows = TablesBuilder::new();
+    for cap in captures {
+        let s = match cap.kind {
+            TableKind::DvmrpRoutes => parse_dvmrp_routes(cap, &mut rows),
+            TableKind::ForwardingCache => parse_forwarding(cap, &mut rows),
+            TableKind::IgmpGroups => parse_igmp(cap, &mut rows),
+            TableKind::MbgpRoutes => parse_mbgp(cap, &mut rows),
+            TableKind::SaCache => parse_sa_cache(cap, &mut rows),
+        };
+        stats.absorb_kind(cap.kind, s);
+    }
+    let first = captures.first();
+    let tables = rows.build(
+        first.map_or("", |c| c.router.as_str()),
+        first.map(|c| c.captured_at).unwrap_or_default(),
+    );
+    (tables, stats)
 }
 
 // ---------------------------------------------------------------------
@@ -230,13 +212,12 @@ fn parse_u64(s: &[u8]) -> Option<u64> {
 
 /// `f64` off bytes. Floats are rare (one mrouted rate column), so this
 /// validates UTF-8 in place and defers to `str::parse` — still zero-copy,
-/// and exactly the grammar the reference parser accepts.
+/// and exactly the grammar the string parser accepted.
 fn parse_f64(s: &[u8]) -> Option<f64> {
     std::str::from_utf8(s).ok()?.parse().ok()
 }
 
-/// Parses `hh:mm:ss` or `NdHHh` IOS uptimes off bytes; the byte twin of
-/// [`reference::parse_uptime`].
+/// Parses `hh:mm:ss` or `NdHHh` IOS uptimes off bytes.
 fn parse_uptime_bytes(s: &[u8]) -> Option<SimDuration> {
     if let Some(d) = s.iter().position(|&b| b == b'd') {
         let days = parse_u64(&s[..d])?;
@@ -589,381 +570,6 @@ fn parse_sa_cache(cap: &Capture, rows: &mut TablesBuilder) -> KindStats {
     st
 }
 
-// ---------------------------------------------------------------------
-// Reference parser (string-materialising)
-// ---------------------------------------------------------------------
-
-/// The kept string parser: each capture's lines are materialised as owned
-/// `String`s (lossily decoded) and every row parses through `str` APIs.
-///
-/// This is the pre-refactor implementation, preserved as the oracle the
-/// zero-copy path is property-tested against — same dialect detection,
-/// same row grammars, same accounting — and as the baseline the
-/// `ablation_parse` bench measures the refactor's win over.
-pub mod reference {
-    use super::*;
-
-    /// Processes a batch of captures exactly like [`super::process`], but
-    /// through owned strings and row-at-a-time table inserts.
-    pub fn process(captures: &[Capture]) -> (Tables, ParseStats) {
-        process_with(
-            captures,
-            Tables::new,
-            |cap, tables| {
-                let lines = cap.text_lines();
-                match cap.kind {
-                    TableKind::DvmrpRoutes => parse_dvmrp_routes(&lines, tables),
-                    TableKind::ForwardingCache => parse_forwarding(&lines, tables),
-                    TableKind::IgmpGroups => parse_igmp(cap, &lines, tables),
-                    TableKind::MbgpRoutes => parse_mbgp(&lines, tables),
-                    TableKind::SaCache => parse_sa_cache(cap, &lines, tables),
-                }
-            },
-            |tables| tables,
-        )
-    }
-
-    /// Parses `hh:mm:ss` or `NdHHh` IOS uptimes.
-    pub(crate) fn parse_uptime(s: &str) -> Option<SimDuration> {
-        if let Some((d, rest)) = s.split_once('d') {
-            let days: u64 = d.parse().ok()?;
-            let hours: u64 = rest.strip_suffix('h')?.parse().ok()?;
-            return Some(SimDuration::days(days) + SimDuration::hours(hours));
-        }
-        let mut parts = s.split(':');
-        let h: u64 = parts.next()?.parse().ok()?;
-        let m: u64 = parts.next()?.parse().ok()?;
-        let sec: u64 = parts.next()?.parse().ok()?;
-        if parts.next().is_some() {
-            return None;
-        }
-        Some(SimDuration::secs(h * 3_600 + m * 60 + sec))
-    }
-
-    /// Splits `(src, grp)…` into trimmed source and group texts plus the
-    /// remainder after the closing parenthesis.
-    fn split_pair_head(line: &str) -> Option<(&str, &str, &str)> {
-        let inner = line.strip_prefix('(')?;
-        let (src_s, rest) = inner.split_once(',')?;
-        let (grp_s, rest) = rest.split_once(')')?;
-        Some((src_s.trim(), grp_s.trim(), rest))
-    }
-
-    fn parse_dvmrp_routes(lines: &[String], tables: &mut Tables) -> KindStats {
-        let mut st = KindStats::default();
-        let ios = lines
-            .first()
-            .is_some_and(|l| l.contains("DVMRP Routing Table -"));
-        for line in lines {
-            if line.starts_with("DVMRP Routing Table")
-                || line.starts_with("Origin-Subnet")
-                || line.starts_with('%')
-                || line.starts_with("mrouted:")
-            {
-                st.skipped += 1;
-                continue;
-            }
-            let parsed = if ios {
-                parse_ios_dvmrp_row(line)
-            } else {
-                parse_mrouted_route_row(line)
-            };
-            match parsed {
-                Some(row) => {
-                    tables.add_route(row);
-                    st.parsed += 1;
-                }
-                None => st.malformed += 1,
-            }
-        }
-        st
-    }
-
-    fn parse_mrouted_route_row(line: &str) -> Option<RouteRow> {
-        let mut f = line.split_ascii_whitespace();
-        let prefix: Prefix = f.next()?.parse().ok()?;
-        let gw = f.next()?;
-        let metric: u32 = f.next()?.parse().ok()?;
-        let (next_hop, reachable) = match gw {
-            "direct" => (None, true),
-            "--" => (None, false),
-            other => (Some(other.parse().ok()?), true),
-        };
-        Some(RouteRow {
-            prefix,
-            next_hop,
-            metric,
-            uptime: None,
-            reachable,
-            learned_from: LearnedFrom::Dvmrp,
-        })
-    }
-
-    fn parse_ios_dvmrp_row(line: &str) -> Option<RouteRow> {
-        let mut f = line.split_ascii_whitespace();
-        let prefix: Prefix = f.next()?.parse().ok()?;
-        let bracket = f.next()?; // [ad/metric]
-        let metric: u32 = bracket
-            .strip_prefix('[')?
-            .strip_suffix(']')?
-            .split_once('/')?
-            .1
-            .parse()
-            .ok()?;
-        let kind = f.next()?;
-        let (next_hop, reachable) = match kind {
-            "via" => (Some(f.next()?.parse().ok()?), true),
-            "directly" => {
-                f.next()?; // "connected"
-                (None, true)
-            }
-            "unreachable" => (None, false),
-            _ => return None,
-        };
-        let mut uptime = None;
-        while let Some(w) = f.next() {
-            if w == "uptime" {
-                uptime = f.next().and_then(parse_uptime);
-                break;
-            }
-        }
-        Some(RouteRow {
-            prefix,
-            next_hop,
-            metric,
-            uptime,
-            reachable,
-            learned_from: LearnedFrom::Dvmrp,
-        })
-    }
-
-    fn parse_forwarding(lines: &[String], tables: &mut Tables) -> KindStats {
-        let ios = lines
-            .first()
-            .is_some_and(|l| l.starts_with("IP Multicast Statistics"));
-        if ios {
-            parse_ios_mroute(lines, tables)
-        } else {
-            parse_mrouted_cache(lines, tables)
-        }
-    }
-
-    fn parse_mrouted_cache(lines: &[String], tables: &mut Tables) -> KindStats {
-        let mut st = KindStats::default();
-        for line in lines {
-            if line.starts_with("Multicast Routing Cache")
-                || line.starts_with("Origin")
-                || line.starts_with("mrouted:")
-            {
-                st.skipped += 1;
-                continue;
-            }
-            let row = (|| {
-                let mut f = line.split_ascii_whitespace();
-                let source: Ip = f.next()?.parse().ok()?;
-                let group: GroupAddr = f.next()?.parse().ok()?;
-                let _ctmr = f.next()?;
-                let _age = f.next()?;
-                let _ptmr = f.next()?;
-                let kbps: f64 = f.next()?.strip_suffix('k')?.parse().ok()?;
-                let _ivif = f.next()?;
-                let fw0 = f.next();
-                let forwarding = match fw0 {
-                    None => false,
-                    Some("P") => f.next().is_some(),
-                    Some(_) => true,
-                };
-                Some(PairRow {
-                    source,
-                    group,
-                    current_bw: BitRate::from_bps((kbps * 1_000.0) as u64),
-                    avg_bw: BitRate::from_bps((kbps * 1_000.0) as u64),
-                    forwarding,
-                    learned_from: LearnedFrom::Dvmrp,
-                })
-            })();
-            match row {
-                Some(r) => {
-                    tables.add_pair(r);
-                    st.parsed += 1;
-                }
-                None => st.malformed += 1,
-            }
-        }
-        st
-    }
-
-    fn parse_ios_mroute(lines: &[String], tables: &mut Tables) -> KindStats {
-        let mut st = KindStats::default();
-        let mut pending: Option<(Ip, GroupAddr, bool, LearnedFrom)> = None;
-        let mut pending_forwarding = true;
-        for line in lines {
-            if line.starts_with('(') {
-                let row = (|| {
-                    let (src_s, grp_s, rest) = split_pair_head(line)?;
-                    let source = if src_s == "*" {
-                        Ip::UNSPECIFIED
-                    } else {
-                        src_s.parse().ok()?
-                    };
-                    let group: GroupAddr = grp_s.parse().ok()?;
-                    let flags = match rest.find("flags:") {
-                        Some(p) => rest[p + "flags:".len()..].trim(),
-                        None => "",
-                    };
-                    let learned = if flags.contains('M') {
-                        LearnedFrom::Msdp
-                    } else if flags.contains('S') {
-                        LearnedFrom::Pim
-                    } else {
-                        LearnedFrom::Dvmrp
-                    };
-                    let pruned = flags.contains('P');
-                    Some((source, group, pruned, learned))
-                })();
-                match row {
-                    Some((s, g, pruned, learned)) => {
-                        pending = Some((s, g, pruned, learned));
-                        pending_forwarding = !pruned;
-                        st.parsed += 1;
-                    }
-                    None => st.malformed += 1,
-                }
-            } else if line.starts_with("Incoming interface:") {
-                if line.ends_with("Outgoing: Null") {
-                    pending_forwarding = false;
-                }
-                st.skipped += 1;
-            } else if line.starts_with("Pkt count") {
-                let Some((source, group, _pruned, learned)) = pending.take() else {
-                    st.malformed += 1;
-                    continue;
-                };
-                let mut kbps = 0u64;
-                let mut f = line.split_ascii_whitespace();
-                while let Some(w) = f.next() {
-                    if w == "rate" {
-                        kbps = f.next().and_then(|n| n.parse().ok()).unwrap_or(0);
-                        break;
-                    }
-                }
-                tables.add_pair(PairRow {
-                    source,
-                    group,
-                    current_bw: BitRate::from_kbps(kbps),
-                    avg_bw: BitRate::from_kbps(kbps),
-                    forwarding: pending_forwarding,
-                    learned_from: learned,
-                });
-                st.parsed += 1;
-            } else {
-                st.skipped += 1;
-            }
-        }
-        st
-    }
-
-    fn parse_igmp(cap: &Capture, lines: &[String], tables: &mut Tables) -> KindStats {
-        let mut st = KindStats::default();
-        for line in lines {
-            let mut f = line.split_ascii_whitespace();
-            let first = match f.next() {
-                Some(w) => w,
-                None => continue,
-            };
-            let group: Option<GroupAddr> = if first.parse::<u32>().is_ok() {
-                f.next().and_then(|g| g.parse().ok())
-            } else {
-                first.parse().ok()
-            };
-            match group {
-                Some(g) => {
-                    let at = cap.captured_at;
-                    tables
-                        .sessions
-                        .entry(g)
-                        .or_insert_with(|| crate::tables::SessionRow {
-                            group: g,
-                            name: None,
-                            density: 0,
-                            bandwidth: BitRate::ZERO,
-                            first_advertised: LearnedFrom::Igmp,
-                            first_seen: at,
-                        });
-                    st.parsed += 1;
-                }
-                None => st.skipped += 1,
-            }
-        }
-        st
-    }
-
-    fn parse_mbgp(lines: &[String], tables: &mut Tables) -> KindStats {
-        let mut st = KindStats::default();
-        for line in lines {
-            let mut f = line.split_ascii_whitespace();
-            if f.next() != Some("*>") {
-                st.skipped += 1;
-                continue;
-            }
-            let row = (|| {
-                let prefix: Prefix = f.next()?.parse().ok()?;
-                let nh: Ip = f.next()?.parse().ok()?;
-                let hops = f.filter(|w| *w != "i").count() as u32;
-                Some(RouteRow {
-                    prefix,
-                    next_hop: if nh.is_unspecified() { None } else { Some(nh) },
-                    metric: hops,
-                    uptime: None,
-                    reachable: true,
-                    learned_from: LearnedFrom::Mbgp,
-                })
-            })();
-            match row {
-                Some(r) => {
-                    tables.add_route(r);
-                    st.parsed += 1;
-                }
-                None => st.malformed += 1,
-            }
-        }
-        st
-    }
-
-    fn parse_sa_cache(cap: &Capture, lines: &[String], tables: &mut Tables) -> KindStats {
-        let mut st = KindStats::default();
-        for line in lines {
-            if !line.starts_with('(') {
-                st.skipped += 1;
-                continue;
-            }
-            let entry = (|| {
-                let (src_s, grp_s, rest) = split_pair_head(line)?;
-                let source: Ip = src_s.parse().ok()?;
-                let group: GroupAddr = grp_s.parse().ok()?;
-                let mut learned = SimDuration::ZERO;
-                let mut f = rest.split_ascii_whitespace();
-                while let Some(w) = f.next() {
-                    if w == "learned" {
-                        learned = f.next().and_then(parse_uptime).unwrap_or(SimDuration::ZERO);
-                        break;
-                    }
-                }
-                Some((group, source, learned))
-            })();
-            match entry {
-                Some((g, s, ago)) => {
-                    let first = SimTime(cap.captured_at.as_secs().saturating_sub(ago.as_secs()));
-                    tables.sa_cache.insert((g, s), first);
-                    st.parsed += 1;
-                }
-                None => st.malformed += 1,
-            }
-        }
-        st
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -977,8 +583,8 @@ mod tests {
         preprocess("r", kind, text, t0())
     }
 
-    /// Every raw text a unit test below feeds the parsers, for the
-    /// byte-vs-reference agreement check.
+    /// Every raw text a unit test below feeds the parser
+    /// (`tests/prop_parse.rs` holds the same corpus to the string parser).
     const UNIT_CORPUS: &[(TableKind, &str)] = &[
         (TableKind::DvmrpRoutes, "DVMRP Routing Table (3 entries)\n Origin-Subnet      From-Gateway       Metric  Tmr  In-Vif  Out-Vifs\n 128.111.0.0/16   10.128.0.2     3   25  1  1*\n 10.5.0.0/24   direct   1   0   0  1*\n 10.9.0.0/24   --   32  140  1  1*\n"),
         (TableKind::DvmrpRoutes, "DVMRP Routing Table - 3 entries\n128.111.0.0/16 [1/3] via 10.128.0.6 uptime 04:23:00  \n10.5.0.0/24 [1/1] directly connected uptime 3d04h C\n10.9.0.0/24 [1/32] unreachable uptime 00:02:20 H\n"),
@@ -994,23 +600,17 @@ mod tests {
 
     #[test]
     fn uptime_parsing() {
-        for s in ["04:23:07", "3d04h", "garbage", "1:2", "", "1:2:3:4", "d04h"] {
-            assert_eq!(
-                parse_uptime_bytes(s.as_bytes()),
-                reference::parse_uptime(s),
-                "{s:?}"
-            );
+        for (s, want) in [
+            ("04:23:07", Some(SimDuration::secs(15_787))),
+            ("3d04h", Some(SimDuration::days(3) + SimDuration::hours(4))),
+            ("garbage", None),
+            ("1:2", None),
+            ("", None),
+            ("1:2:3:4", None),
+            ("d04h", None),
+        ] {
+            assert_eq!(parse_uptime_bytes(s.as_bytes()), want, "{s:?}");
         }
-        assert_eq!(
-            parse_uptime_bytes(b"04:23:07"),
-            Some(SimDuration::secs(15_787))
-        );
-        assert_eq!(
-            parse_uptime_bytes(b"3d04h"),
-            Some(SimDuration::days(3) + SimDuration::hours(4))
-        );
-        assert_eq!(parse_uptime_bytes(b"garbage"), None);
-        assert_eq!(parse_uptime_bytes(b"1:2"), None);
     }
 
     #[test]
@@ -1181,22 +781,5 @@ mod tests {
         ]);
         assert!(tables.routes.is_empty());
         assert!(tables.sa_cache.is_empty());
-    }
-
-    #[test]
-    fn byte_and_reference_parsers_agree_on_unit_corpus() {
-        let captures: Vec<Capture> = UNIT_CORPUS.iter().map(|(k, text)| cap(*k, text)).collect();
-        // Per capture and as one batch per kind grouping.
-        for c in &captures {
-            let batch = [c.clone()];
-            let (bt, bs) = process(&batch);
-            let (rt, rs) = reference::process(&batch);
-            assert_eq!(bt, rt, "tables diverge on {:?}", c.kind);
-            assert_eq!(bs, rs, "stats diverge on {:?}", c.kind);
-        }
-        let (bt, bs) = process(&captures);
-        let (rt, rs) = reference::process(&captures);
-        assert_eq!(bt, rt);
-        assert_eq!(bs, rs);
     }
 }

@@ -6,10 +6,16 @@
 //! inactive, and estimates the bandwidth multicast saved. Route
 //! monitoring (Figures 7–9) tracks route counts, churn between snapshots
 //! and cross-router consistency.
+//!
+//! The per-cycle [`UsageStats`], [`RouteStats`] and [`RouteChurn`] are
+//! assembled by [`crate::stats_stream`] from accumulators folded one
+//! delta at a time; the full-snapshot constructors they are
+//! property-tested against live in the test-support crate
+//! `mantra-oracle`.
 
 use serde::{Deserialize, Serialize};
 
-use mantra_net::{BitRate, GroupAddr, Prefix, SimTime};
+use mantra_net::{BitRate, Prefix, SimTime};
 
 use crate::tables::{LearnedFrom, Tables};
 
@@ -44,77 +50,6 @@ pub struct UsageStats {
 }
 
 impl UsageStats {
-    /// Computes usage statistics from one snapshot.
-    pub fn from_tables(t: &Tables, threshold: BitRate) -> Self {
-        let senders = t.senders(threshold).len();
-        let active = t.active_sessions(threshold).len();
-        let sessions = t.sessions.len();
-        let participants = t.participants.len();
-        let densities: Vec<u32> = t.sessions.values().map(|s| s.density).collect();
-        let total_density: u64 = densities.iter().map(|d| u64::from(*d)).sum();
-        let avg_density = if sessions == 0 {
-            0.0
-        } else {
-            total_density as f64 / sessions as f64
-        };
-        let single = densities.iter().filter(|d| **d == 1).count();
-        let le2 = densities.iter().filter(|d| **d <= 2).count();
-        let top6 = {
-            let mut sorted = densities.clone();
-            sorted.sort_unstable_by(|a, b| b.cmp(a));
-            let take = (sessions * 6).div_ceil(100).max(usize::from(sessions > 0));
-            let top: u64 = sorted.iter().take(take).map(|d| u64::from(*d)).sum();
-            if total_density == 0 {
-                0.0
-            } else {
-                top as f64 / total_density as f64
-            }
-        };
-        // Bandwidth through the router: forwarding (S,G) pairs only.
-        let total_bw: BitRate = t
-            .pairs
-            .values()
-            .filter(|p| p.forwarding && !p.source.is_unspecified())
-            .map(|p| p.current_bw)
-            .sum();
-        // Unicast-equivalent estimate: every sender's stream delivered
-        // point-to-point to each of the session's other participants would
-        // cross this router once per receiver (the paper's density × rate
-        // model).
-        let unicast_bw: u64 = t
-            .pairs
-            .values()
-            .filter(|p| p.current_bw.is_sender(threshold))
-            .map(|p| {
-                let density = t
-                    .sessions
-                    .get(&p.group)
-                    .map(|s| u64::from(s.density))
-                    .unwrap_or(1);
-                p.current_bw.bps() * density.saturating_sub(1).max(1)
-            })
-            .sum();
-        let saved = if total_bw.bps() == 0 {
-            0.0
-        } else {
-            unicast_bw as f64 / total_bw.bps() as f64
-        };
-        UsageStats {
-            at: t.captured_at,
-            sessions,
-            participants,
-            active_sessions: active,
-            senders,
-            avg_density,
-            single_member_fraction: frac(single, sessions),
-            le2_density_fraction: frac(le2, sessions),
-            top6pct_participant_share: top6,
-            total_bandwidth: total_bw,
-            bandwidth_saved_multiple: saved,
-            sa_entries: t.sa_cache.len(),
-        }
-    }
-
     /// Percentage of sessions that are active (Figure 6 left).
     pub fn pct_active(&self) -> f64 {
         100.0 * frac(self.active_sessions, self.sessions)
@@ -126,7 +61,8 @@ impl UsageStats {
     }
 }
 
-fn frac(num: usize, den: usize) -> f64 {
+/// `num / den`, or 0 for an empty denominator.
+pub(crate) fn frac(num: usize, den: usize) -> f64 {
     if den == 0 {
         0.0
     } else {
@@ -149,28 +85,6 @@ pub struct RouteStats {
     pub mean_uptime_secs: Option<f64>,
 }
 
-impl RouteStats {
-    /// Computes route statistics from one snapshot.
-    pub fn from_tables(t: &Tables) -> Self {
-        let uptimes: Vec<u64> = t
-            .routes
-            .values()
-            .filter_map(|r| r.uptime.map(|u| u.as_secs()))
-            .collect();
-        RouteStats {
-            at: t.captured_at,
-            dvmrp_total: t.routes_of(LearnedFrom::Dvmrp).count(),
-            dvmrp_reachable: t.reachable_dvmrp_routes(),
-            mbgp_routes: t.routes_of(LearnedFrom::Mbgp).count(),
-            mean_uptime_secs: if uptimes.is_empty() {
-                None
-            } else {
-                Some(uptimes.iter().sum::<u64>() as f64 / uptimes.len() as f64)
-            },
-        }
-    }
-}
-
 /// Route churn between two consecutive snapshots of the same router.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RouteChurn {
@@ -185,30 +99,6 @@ pub struct RouteChurn {
 }
 
 impl RouteChurn {
-    /// Computes churn between DVMRP tables of two snapshots.
-    pub fn between(prev: &Tables, next: &Tables) -> RouteChurn {
-        let mut churn = RouteChurn::default();
-        for r in next.routes_of(LearnedFrom::Dvmrp) {
-            match prev.routes.get(&(LearnedFrom::Dvmrp, r.prefix)) {
-                None => churn.added += 1,
-                Some(old) => {
-                    if old.metric != r.metric || old.next_hop != r.next_hop {
-                        churn.changed += 1;
-                    }
-                    if old.reachable != r.reachable {
-                        churn.reachability_flips += 1;
-                    }
-                }
-            }
-        }
-        for r in prev.routes_of(LearnedFrom::Dvmrp) {
-            if !next.routes.contains_key(&(LearnedFrom::Dvmrp, r.prefix)) {
-                churn.removed += 1;
-            }
-        }
-        churn
-    }
-
     /// Total change events.
     pub fn total(&self) -> usize {
         self.added + self.removed + self.changed + self.reachability_flips
@@ -510,35 +400,14 @@ impl Series {
     }
 }
 
-/// Classification of a session by Mantra's observation (mirrors the
-/// paper's terminology).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SessionClass {
-    /// Has at least one sender above the threshold.
-    Active,
-    /// All participants passive.
-    Inactive,
-}
-
-/// Classifies one group in a snapshot.
-pub fn classify_session(t: &Tables, group: GroupAddr, threshold: BitRate) -> SessionClass {
-    let has_sender = t
-        .pairs
-        .range((group, mantra_net::Ip(0))..=(group, mantra_net::Ip(u32::MAX)))
-        .any(|(_, p)| p.current_bw.is_sender(threshold));
-    if has_sender {
-        SessionClass::Active
-    } else {
-        SessionClass::Inactive
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::logger::{diff, SnapshotParts};
+    use crate::stats_stream::IncrementalStats;
     use crate::tables::{PairRow, RouteRow};
     use mantra_net::rate::SENDER_THRESHOLD;
-    use mantra_net::Ip;
+    use mantra_net::{GroupAddr, Ip};
 
     fn t0() -> SimTime {
         SimTime::from_ymd(1998, 11, 1)
@@ -572,9 +441,16 @@ mod tests {
         t
     }
 
+    /// The streaming statistics seeded from one snapshot.
+    fn seeded(t: &Tables) -> IncrementalStats {
+        let mut stats = IncrementalStats::default();
+        stats.reseed(t, SENDER_THRESHOLD);
+        stats
+    }
+
     #[test]
     fn usage_stats_classification() {
-        let u = UsageStats::from_tables(&sample(), SENDER_THRESHOLD);
+        let u = seeded(&sample()).usage();
         assert_eq!(u.sessions, 3);
         assert_eq!(u.participants, 5);
         assert_eq!(u.senders, 2, "pruned sender still classifies as sender");
@@ -591,7 +467,7 @@ mod tests {
 
     #[test]
     fn bandwidth_saved_uses_density_times_rate() {
-        let u = UsageStats::from_tables(&sample(), SENDER_THRESHOLD);
+        let u = seeded(&sample()).usage();
         // Unicast estimate: session-0 sender 64k × (3-1 receivers) +
         // session-2 sender 128k × max(1-1,1)=1 → 128+128 = 256k.
         // Multicast usage: 68k → multiple ≈ 3.76.
@@ -600,7 +476,7 @@ mod tests {
 
     #[test]
     fn empty_tables_are_all_zero() {
-        let u = UsageStats::from_tables(&Tables::new("x", t0()), SENDER_THRESHOLD);
+        let u = seeded(&Tables::new("x", t0())).usage();
         assert_eq!(u.sessions, 0);
         assert_eq!(u.pct_active(), 0.0);
         assert_eq!(u.bandwidth_saved_multiple, 0.0);
@@ -623,7 +499,8 @@ mod tests {
         route(&mut a, 1, true, 3);
         route(&mut a, 2, true, 3);
         route(&mut a, 3, false, 32);
-        let rs = RouteStats::from_tables(&a);
+        let mut stats = seeded(&a);
+        let rs = stats.route_stats();
         assert_eq!(rs.dvmrp_total, 3);
         assert_eq!(rs.dvmrp_reachable, 2);
         assert_eq!(rs.mean_uptime_secs, None);
@@ -633,7 +510,11 @@ mod tests {
         route(&mut b, 3, true, 3); // flip to reachable + metric change
         route(&mut b, 4, true, 3); // added
                                    // 128.2 removed.
-        let churn = RouteChurn::between(&a, &b);
+        let delta = diff(
+            &SnapshotParts::from_tables(&a),
+            &SnapshotParts::from_tables(&b),
+        );
+        let churn = stats.fold(&delta).churn;
         assert_eq!(churn.added, 1);
         assert_eq!(churn.removed, 1);
         assert_eq!(churn.changed, 2);
@@ -697,23 +578,6 @@ mod tests {
                 .map(|(t, v)| (t.as_secs(), *v))
                 .collect::<Vec<_>>(),
             vec![(100, 1.0), (200, 2.0), (200, 2.5), (300, 3.0), (300, 4.0)]
-        );
-    }
-
-    #[test]
-    fn classify_individual_sessions() {
-        let t = sample();
-        assert_eq!(
-            classify_session(&t, g(0), SENDER_THRESHOLD),
-            SessionClass::Active
-        );
-        assert_eq!(
-            classify_session(&t, g(1), SENDER_THRESHOLD),
-            SessionClass::Inactive
-        );
-        assert_eq!(
-            classify_session(&t, g(9), SENDER_THRESHOLD),
-            SessionClass::Inactive
         );
     }
 }

@@ -14,7 +14,8 @@
 //! from the simulated CLIs, rows already arrive in key order) and bulk
 //! builds the maps from the sorted runs. [`Tables::add_pair`] and
 //! [`Tables::add_route`] stay as the row-at-a-time definition the builder
-//! is tested against.
+//! is tested against; the string parser in the test-support crate
+//! `mantra-oracle` inserts through them.
 
 use std::collections::BTreeMap;
 
@@ -241,24 +242,6 @@ impl Tables {
         out.sort_unstable();
         out.dedup();
         out
-    }
-
-    /// Sessions with at least one sender — the paper's *active sessions*.
-    pub fn active_sessions(&self, threshold: BitRate) -> Vec<GroupAddr> {
-        let mut out: Vec<GroupAddr> = self
-            .pairs
-            .values()
-            .filter(|p| p.current_bw.is_sender(threshold))
-            .map(|p| p.group)
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Number of reachable routes (the Figures 7–9 series).
-    pub fn reachable_routes(&self) -> usize {
-        self.routes.values().filter(|r| r.reachable).count()
     }
 
     /// Merges another snapshot's rows into this one (multi-router
@@ -520,7 +503,7 @@ mod tests {
     }
 
     #[test]
-    fn senders_and_active_sessions_use_threshold() {
+    fn senders_use_threshold() {
         let mut t = Tables::new("fixw", t0());
         let s1 = Ip::new(128, 1, 0, 2);
         let s2 = Ip::new(128, 2, 0, 2);
@@ -528,7 +511,6 @@ mod tests {
         t.add_pair(pair(s2, g(0), 2)); // control-level
         t.add_pair(pair(s2, g(1), 3));
         assert_eq!(t.senders(SENDER_THRESHOLD), vec![s1]);
-        assert_eq!(t.active_sessions(SENDER_THRESHOLD), vec![g(0)]);
     }
 
     #[test]
@@ -559,7 +541,6 @@ mod tests {
             learned_from: LearnedFrom::Mbgp,
         });
         assert_eq!(t.routes.len(), 3, "same prefix, two protocols");
-        assert_eq!(t.reachable_routes(), 2);
         assert_eq!(t.reachable_dvmrp_routes(), 1);
         assert_eq!(t.routes_of(LearnedFrom::Mbgp).count(), 1);
     }

@@ -18,6 +18,7 @@ use mantra::core::tables::{LearnedFrom, RouteRow, Tables};
 use mantra::core::{ArchiveSpec, FleetMonitor, Monitor, MonitorConfig, SyncPolicy};
 use mantra::net::{Ip, Prefix, SimTime};
 use mantra::sim::{ChurnSchedule, Scenario, CHURN_SLOTS};
+use mantra_oracle::InconsistencyMonitorExt;
 
 /// A small fleet world: every router monitored, dense fleet workload.
 /// Target 10 sizes to one 8-router domain plus the exchange → 9 routers.
@@ -223,6 +224,45 @@ proptest! {
             prop_assert_eq!(m.sweep(&refs, now), m.sweep_reference(&refs, now));
         }
     }
+}
+
+/// A fleet with three distinct views (100, 60, 98 routes), a duplicate
+/// view and a below-floor table: the join raises the pairwise sweep's
+/// anomalies, and an all-identical fleet is silent.
+#[test]
+fn sweep_matches_pairwise_reference_on_a_mixed_fleet() {
+    let t0 = SimTime::from_ymd(1998, 10, 14);
+    let table_with_routes = |n: u32| {
+        let mut t = Tables::new("ucsb", t0);
+        for i in 0..n {
+            t.add_route(RouteRow {
+                prefix: Prefix::new(Ip(Ip::new(128, 0, 0, 0).0 + (i << 16)), 16).unwrap(),
+                next_hop: Some(Ip::new(10, 0, 0, 1)),
+                metric: 3,
+                uptime: None,
+                reachable: true,
+                learned_from: LearnedFrom::Dvmrp,
+            });
+        }
+        t
+    };
+    let mut views: Vec<Tables> = Vec::new();
+    for (i, n) in [100u32, 60, 98, 60, 5].into_iter().enumerate() {
+        let mut t = table_with_routes(n);
+        t.router = format!("r{i}");
+        views.push(t);
+    }
+    let refs: Vec<&Tables> = views.iter().collect();
+    let mon = InconsistencyMonitor::default();
+    let joined = mon.sweep(&refs, t0);
+    let reference = mon.sweep_reference(&refs, t0);
+    assert_eq!(joined, reference);
+    // The divergent pairs fire; make sure the sweep found some.
+    assert!(!joined.is_empty());
+    // An all-identical fleet is silent.
+    let same: Vec<Tables> = (0..4).map(|_| table_with_routes(50)).collect();
+    let same_refs: Vec<&Tables> = same.iter().collect();
+    assert!(mon.sweep(&same_refs, t0).is_empty());
 }
 
 /// On-disk archives: shards writing `<router>.marc` files into one

@@ -1,9 +1,10 @@
-//! Zero-copy parser equivalence: the span/byte parser and the kept
-//! string parser (`processor::reference`) must be byte-identical — same
-//! `Tables`, same `ParseStats` — on everything a terminal can deliver:
-//! live simulator cycles, the golden messy-capture corpus, and arbitrary
-//! garbage including ANSI noise, interior carriage returns, truncation
-//! and non-UTF-8 bytes. Neither parser may ever panic.
+//! Zero-copy parser equivalence: the span/byte parser and the string
+//! parser it replaced (`mantra_oracle::processor`) must be
+//! byte-identical — same `Tables`, same `ParseStats` — on everything a
+//! terminal can deliver: live simulator cycles, the golden messy-capture
+//! corpus, the processor unit tests' corpus, and arbitrary garbage
+//! including ANSI noise, interior carriage returns, truncation and
+//! non-UTF-8 bytes. Neither parser may ever panic.
 //!
 //! The byte parser assembles its snapshot through `TablesBuilder`, the
 //! reference through row-at-a-time `Tables` inserts, so the agreement
@@ -15,14 +16,15 @@
 
 use proptest::prelude::*;
 
-use mantra::core::collector::preprocess_bytes;
+use mantra::core::collector::{preprocess, preprocess_bytes, Capture};
 use mantra::core::logger::SnapshotParts;
-use mantra::core::processor::{process, reference};
+use mantra::core::processor::process;
 use mantra::core::tables::{LearnedFrom, PairRow, RouteRow, SessionRow, Tables, TablesBuilder};
 use mantra::core::ParallelAccess;
 use mantra::net::{BitRate, GroupAddr, Ip, Prefix, SimDuration, SimTime};
 use mantra::router_cli::TableKind;
 use mantra::sim::Scenario;
+use mantra_oracle::processor as reference;
 
 fn t0() -> SimTime {
     SimTime::from_ymd(1999, 3, 1)
@@ -128,6 +130,43 @@ fn parsers_agree_on_live_cycles() {
             assert_eq!(bt, rt, "cycle {cycle} {router} batch");
         }
     }
+}
+
+/// The raw texts `processor`'s unit tests feed the parser: both
+/// dialects of every table kind, a malformed row and two error
+/// responses.
+const UNIT_CORPUS: &[(TableKind, &str)] = &[
+    (TableKind::DvmrpRoutes, "DVMRP Routing Table (3 entries)\n Origin-Subnet      From-Gateway       Metric  Tmr  In-Vif  Out-Vifs\n 128.111.0.0/16   10.128.0.2     3   25  1  1*\n 10.5.0.0/24   direct   1   0   0  1*\n 10.9.0.0/24   --   32  140  1  1*\n"),
+    (TableKind::DvmrpRoutes, "DVMRP Routing Table - 3 entries\n128.111.0.0/16 [1/3] via 10.128.0.6 uptime 04:23:00  \n10.5.0.0/24 [1/1] directly connected uptime 3d04h C\n10.9.0.0/24 [1/32] unreachable uptime 00:02:20 H\n"),
+    (TableKind::ForwardingCache, "Multicast Routing Cache Table (2 entries)\n Origin Mcast-group CTmr Age Ptmr Rate IVif Forwvifs\n 128.111.5.2 224.2.0.1 150 4m 0 64.0k 1 2 3\n 128.111.5.3 224.2.0.2 150 9m 0 0.8k 1 P\n"),
+    (TableKind::ForwardingCache, "IP Multicast Statistics\n2 routes using 304 bytes of memory\nFlags: D - Dense, S - Sparse, C - Connected, P - Pruned, M - MSDP created entry\n(128.111.5.2, 224.2.0.1), uptime 00:10:00, flags: S\n  Incoming interface: Vif1, Outgoing: Vif2, Vif3\n  Pkt count 1000, bytes 500000, rate 64 kbps\n(*, 224.2.0.2), uptime 01:00:00, flags: SP\n  Incoming interface: Vif1, Outgoing: Null\n  Pkt count 0, bytes 0, rate 0 kbps\n"),
+    (TableKind::MbgpRoutes, "MBGP table version is 4, local router ID is 198.32.136.1\n   Network            Next Hop          Path\n*> 128.3.0.0/16 10.128.0.9 65002 65003 i\n*> 128.4.0.0/16 0.0.0.0  i\n"),
+    (TableKind::SaCache, "MSDP Source-Active Cache - 2 entries\n(128.3.5.2, 224.2.0.9), RP 198.32.136.1, learned 00:05:00\n(128.4.5.2, 224.2.0.9), RP 198.32.136.9, learned 3d00h\n"),
+    (TableKind::IgmpGroups, "Virtual Interface Table, Groups (1)\n Vif Group Members Reported\n 0 224.2.0.7 3 12s ago\n"),
+    (TableKind::DvmrpRoutes, "DVMRP Routing Table (2 entries)\n totally bogus line here\n 128.111.0.0/16 10.128.0.2 3 25 1 1*\n"),
+    (TableKind::MbgpRoutes, "mrouted: unknown command 'show ip mbgp'\n"),
+    (TableKind::SaCache, "%MSDP not enabled\n"),
+];
+
+#[test]
+fn byte_and_reference_parsers_agree_on_unit_corpus() {
+    let at = SimTime::from_ymd(1998, 11, 1);
+    let captures: Vec<Capture> = UNIT_CORPUS
+        .iter()
+        .map(|(k, text)| preprocess("r", *k, text, at))
+        .collect();
+    // Per capture and as one batch per kind grouping.
+    for c in &captures {
+        let batch = [c.clone()];
+        let (bt, bs) = process(&batch);
+        let (rt, rs) = reference::process(&batch);
+        assert_eq!(bt, rt, "tables diverge on {:?}", c.kind);
+        assert_eq!(bs, rs, "stats diverge on {:?}", c.kind);
+    }
+    let (bt, bs) = process(&captures);
+    let (rt, rs) = reference::process(&captures);
+    assert_eq!(bt, rt);
+    assert_eq!(bs, rs);
 }
 
 /// The golden corpus of messy captured dumps replays byte-identically

@@ -5,13 +5,13 @@
 
 use proptest::prelude::*;
 
-use mantra::core::logger::{
-    apply, apply_reference, diff, diff_reference, SnapshotParts, TableDelta, TableLog,
-};
+use mantra::core::logger::{apply, diff, SnapshotParts, TableDelta, TableLog};
 use mantra::core::output::{Cell, ColumnOp, Table};
 use mantra::core::stats::UsageStats;
 use mantra::core::tables::{LearnedFrom, PairRow, RouteRow, SessionRow, Tables};
 use mantra::net::{BitRate, GroupAddr, Ip, Prefix, SimTime};
+use mantra_oracle::logger::{apply_reference, diff_reference};
+use mantra_oracle::UsageStatsExt;
 
 fn arb_pair() -> impl Strategy<Value = PairRow> {
     (0u32..40, 1u32..2_000_000, 0u64..300_000, any::<bool>()).prop_map(
@@ -333,5 +333,46 @@ proptest! {
         for (t, _) in &w.points {
             prop_assert!(t.as_secs() >= lo && t.as_secs() <= lo + span);
         }
+    }
+}
+
+/// The logger unit tests' four-cycle stream — a rate change, a departed
+/// source, a new session — diffs and applies identically through the
+/// merge join and the `BTreeMap` codec, and round-trips.
+#[test]
+fn diff_apply_match_reference_across_cycles() {
+    let snapshot = |n: u64, pairs: &[(u32, Ip, u64)]| {
+        let mut tab = Tables::new(
+            "fixw",
+            SimTime(SimTime::from_ymd(1998, 11, 1).as_secs() + n * 900),
+        );
+        for (gi, src, kbps) in pairs {
+            tab.add_pair(PairRow {
+                source: *src,
+                group: GroupAddr::from_index(*gi),
+                current_bw: BitRate::from_kbps(*kbps),
+                avg_bw: BitRate::from_kbps(*kbps),
+                forwarding: true,
+                learned_from: LearnedFrom::Dvmrp,
+            });
+        }
+        tab
+    };
+    let s1 = Ip::new(1, 1, 1, 1);
+    let s2 = Ip::new(2, 2, 2, 2);
+    let snaps = [
+        snapshot(0, &[(0, s1, 64), (1, s2, 2)]),
+        snapshot(1, &[(0, s1, 80), (1, s2, 2)]),
+        snapshot(2, &[(0, s1, 80)]),
+        snapshot(3, &[(0, s1, 80), (2, s2, 128)]),
+    ];
+    let parts: Vec<SnapshotParts> = snaps.iter().map(SnapshotParts::from_tables).collect();
+    for w in parts.windows(2) {
+        let fast = diff(&w[0], &w[1]);
+        let slow = diff_reference(&w[0], &w[1]);
+        assert_eq!(fast, slow);
+        let applied = apply(&w[0], &fast);
+        assert_eq!(applied, apply_reference(&w[0], &slow));
+        assert_eq!(applied, w[1]);
     }
 }
