@@ -40,7 +40,7 @@ use mantra_core::processor::process;
 use mantra_core::stats::{RouteStats, UsageStats};
 use mantra_core::stats_stream::IncrementalStats;
 use mantra_core::tables::{LearnedFrom, PairRow, RouteRow, Tables};
-use mantra_core::{FleetMonitor, MonitorConfig, ParallelAccess};
+use mantra_core::{Monitor, MonitorConfig, ParallelAccess};
 use mantra_net::{BitRate, GroupAddr, Ip, Prefix, SimDuration, SimTime};
 use mantra_oracle::logger::diff_reference;
 use mantra_oracle::processor as reference;
@@ -478,7 +478,7 @@ fn ablation_streaming(c: &mut Criterion) {
 }
 
 /// A warmed fleet over the fleet-scale scenario, ready to cycle.
-fn fleet_for(seed: u64, target: usize, shards: usize) -> (Scenario, FleetMonitor) {
+fn fleet_for(seed: u64, target: usize, shards: usize) -> (Scenario, Monitor) {
     let sc = Scenario::fleet_snapshot(seed, target, 0.5);
     let routers: Vec<String> = sc
         .sim
@@ -486,7 +486,7 @@ fn fleet_for(seed: u64, target: usize, shards: usize) -> (Scenario, FleetMonitor
         .iter()
         .map(|id| sc.sim.net.topo.router(*id).name.clone())
         .collect();
-    let fleet = FleetMonitor::new(
+    let fleet = Monitor::new(
         MonitorConfig {
             routers,
             interval: sc.sim.tick(),
@@ -540,8 +540,8 @@ fn ablation_churn(c: &mut Criterion) {
             fleet.run_cycle(&sc.sim, next);
         }
         (
-            fleet.usage_history().to_vec(),
-            fleet.route_history().to_vec(),
+            fleet.fleet_usage_history().to_vec(),
+            fleet.fleet_route_history().to_vec(),
             fleet.anomalies.clone(),
         )
     };
@@ -559,9 +559,9 @@ fn ablation_churn(c: &mut Criterion) {
 }
 
 fn ablation_fleet(c: &mut Criterion) {
-    // The sharded fleet monitor end-to-end: one collection cycle —
-    // advance the world one tick, capture every router across 4 shards
-    // concurrently, merge through the aggregation tier — at three fleet
+    // The sharded engine end-to-end: one collection cycle — advance the
+    // world one tick, capture every router of 4 shards in one fan-out,
+    // fold the fleet-wide statistics — at three fleet
     // sizes spanning the scale-out roadmap (50 → 500 → 2000 routers).
     let mut group = c.benchmark_group("ablation_fleet");
     group.sample_size(10);
@@ -597,8 +597,8 @@ fn ablation_fleet(c: &mut Criterion) {
             fleet.run_cycle(&sc.sim, next);
         }
         (
-            fleet.usage_history().to_vec(),
-            fleet.route_history().to_vec(),
+            fleet.fleet_usage_history().to_vec(),
+            fleet.fleet_route_history().to_vec(),
             fleet.anomalies.clone(),
         )
     };

@@ -11,11 +11,10 @@ use std::hint::black_box;
 
 use mantra_bench::{drive_for, monitor_for};
 use mantra_core::processor::process;
-use mantra_core::stats::{ConsistencyReport, UsageStats};
-use mantra_core::{Monitor, MonitorConfig};
+use mantra_core::stats::ConsistencyReport;
+use mantra_core::{IncrementalStats, Monitor, MonitorConfig};
 use mantra_net::rate::SENDER_THRESHOLD;
 use mantra_net::SimDuration;
-use mantra_oracle::UsageStatsExt;
 use mantra_router_cli::TableKind;
 use mantra_sim::Scenario;
 
@@ -42,24 +41,32 @@ fn fig3_usage(c: &mut Criterion) {
     });
 }
 
-/// Figure 4 analysis: density statistics over a snapshot.
+/// Figure 4 analysis: density statistics over a snapshot, through the
+/// path the monitor runs on a router's first sight (reseed, then read).
 fn fig4_density(c: &mut Criterion) {
     let (sc, monitor) = warmed_usage_scenario();
     let tables = monitor.latest("fixw").unwrap().clone();
     drop(sc);
+    let mut stats = IncrementalStats::default();
     c.bench_function("fig4_density_stats", |b| {
-        b.iter(|| black_box(UsageStats::from_tables(&tables, SENDER_THRESHOLD)))
+        b.iter(|| {
+            stats.reseed(&tables, SENDER_THRESHOLD);
+            black_box(stats.usage())
+        })
     });
 }
 
-/// Figure 5 analysis: bandwidth + savings model over a snapshot.
+/// Figure 5 analysis: bandwidth + savings model over a snapshot, on the
+/// same path as [`fig4_density`].
 fn fig5_bandwidth(c: &mut Criterion) {
     let (sc, monitor) = warmed_usage_scenario();
     let tables = monitor.latest("fixw").unwrap().clone();
     drop(sc);
+    let mut stats = IncrementalStats::default();
     c.bench_function("fig5_bandwidth_model", |b| {
         b.iter(|| {
-            let u = UsageStats::from_tables(&tables, SENDER_THRESHOLD);
+            stats.reseed(&tables, SENDER_THRESHOLD);
+            let u = stats.usage();
             black_box((u.total_bandwidth, u.bandwidth_saved_multiple))
         })
     });
@@ -122,11 +129,14 @@ fn fig8_dvmrp_longterm(c: &mut Criterion) {
 /// Figure 9: injection-day cycle including spike/injection detection.
 fn fig9_route_injection(c: &mut Criterion) {
     let mut sc = Scenario::ucsb_injection_day(42);
-    let mut monitor = Monitor::new(MonitorConfig {
-        routers: vec!["ucsb-gw".into()],
-        interval: sc.sim.tick(),
-        ..MonitorConfig::default()
-    });
+    let mut monitor = Monitor::new(
+        MonitorConfig {
+            routers: vec!["ucsb-gw".into()],
+            interval: sc.sim.tick(),
+            ..MonitorConfig::default()
+        },
+        1,
+    );
     drive_for(&mut sc, &mut monitor, SimDuration::hours(13));
     // Trigger the injection so the benched cycles include detector work on
     // the inflated table.

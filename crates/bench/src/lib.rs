@@ -63,11 +63,14 @@ pub fn monitor_for(sc: &Scenario) -> Monitor {
     if names[0] != ucsb {
         names.push(ucsb);
     }
-    Monitor::new(MonitorConfig {
-        routers: names,
-        interval: sc.sim.tick(),
-        ..MonitorConfig::default()
-    })
+    Monitor::new(
+        MonitorConfig {
+            routers: names,
+            interval: sc.sim.tick(),
+            ..MonitorConfig::default()
+        },
+        1,
+    )
 }
 
 /// Prints a series' summary line: n, mean, median, stddev, min, max.

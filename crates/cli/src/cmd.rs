@@ -6,8 +6,7 @@ use mantra_core::archive::replay_summary_line;
 use mantra_core::collector::FlakyAccess;
 use mantra_core::logger::{compact_archive, CompactOptions, TableLog};
 use mantra_core::{
-    ArchiveSpec, BackpressureMode, FleetMonitor, Monitor, MonitorConfig, RetryPolicy, SyncPolicy,
-    WriterConfig,
+    ArchiveSpec, BackpressureMode, Monitor, MonitorConfig, RetryPolicy, SyncPolicy, WriterConfig,
 };
 use mantra_daemon::Engine;
 use mantra_net::{SimDuration, SimTime};
@@ -140,7 +139,8 @@ pub fn flags(cmd: &str, sub: Option<&str>) -> Result<&'static [&'static str], St
     })
 }
 
-fn scenario(opts: &Opts) -> Result<Scenario, String> {
+/// `--seed`, `--native` and `--loss`, validated.
+fn world_flags(opts: &Opts) -> Result<(u64, f64, f64), String> {
     let seed = opts.u64_or("seed", 1998)?;
     let native = opts.f64_or("native", 0.4)?;
     if !(0.0..=1.0).contains(&native) {
@@ -150,6 +150,11 @@ fn scenario(opts: &Opts) -> Result<Scenario, String> {
     if !(0.0..=1.0).contains(&loss) {
         return Err("--loss must be in [0,1]".into());
     }
+    Ok((seed, native, loss))
+}
+
+fn scenario(opts: &Opts) -> Result<Scenario, String> {
+    let (seed, native, loss) = world_flags(opts)?;
     let mut sc = Scenario::transition_snapshot(seed, native);
     sc.sim.set_report_loss(loss);
     Ok(sc)
@@ -231,30 +236,122 @@ fn archive_spec(opts: &Opts) -> Result<(ArchiveSpec, Option<PathBuf>), String> {
     Ok((archive, archive_dir))
 }
 
+/// The world `monitor` and `daemon` watch, and the engine watching it.
+struct World {
+    sc: Scenario,
+    churn: Option<ChurnSchedule>,
+    monitor: Monitor,
+    /// Whether `--fleet`/`--shards` asked for the fleet-scale world.
+    fleet: bool,
+}
+
+/// Builds the world and its engine for `monitor` and `daemon` alike, so
+/// both check the same flags with the same messages: the two-router
+/// transition snapshot, or with `--fleet R`/`--shards N` a fleet-scale
+/// scenario of ~R routers, every one monitored, across N shards.
+fn world(opts: &Opts, archive: ArchiveSpec) -> Result<World, String> {
+    let fleet = opts.get("fleet").is_some() || opts.get("shards").is_some();
+    let mut cfg = MonitorConfig {
+        archive,
+        ..MonitorConfig::default()
+    };
+    let (seed, native, loss) = world_flags(opts)?;
+    let (mut sc, shards) = if fleet {
+        let target = opts.u64_or("fleet", 50)? as usize;
+        if target < 3 {
+            return Err("--fleet must be at least 3 routers".into());
+        }
+        let shards = opts.u64_or("shards", 1)?.max(1) as usize;
+        cfg.table_detail_limit = opts.u64_or("table-rows", 64)?.max(1) as usize;
+        let sc = Scenario::fleet_snapshot(seed, target, native);
+        let topo = &sc.sim.net.topo;
+        cfg.routers = (sc.sim.monitored.iter())
+            .map(|id| topo.router(*id).name.clone())
+            .collect();
+        (sc, shards)
+    } else {
+        (Scenario::transition_snapshot(seed, native), 1)
+    };
+    sc.sim.set_report_loss(loss);
+    let churn = churn_schedule(opts, &mut sc)?;
+    cfg.interval = sc.sim.tick();
+    let monitor = Monitor::new(cfg, shards);
+    Ok(World {
+        sc,
+        churn,
+        monitor,
+        fleet,
+    })
+}
+
+/// Advances the world one collection interval and runs the engine's
+/// cycle there; returns the cycle's time.
+fn tick(sc: &mut Scenario, monitor: &mut Monitor) -> SimTime {
+    let next = sc.sim.clock + monitor.cfg.interval;
+    sc.sim.advance_to(next);
+    monitor.run_cycle(&sc.sim, next);
+    next
+}
+
 /// `mantra monitor`: run the full pipeline and print Mantra's output.
+/// With `--fleet`, everything printed to stdout is shard-invariant — the
+/// fleet-smoke CI job diffs a `--shards 1` run against a `--shards 4`
+/// run and expects no output difference.
 pub fn monitor(opts: &Opts) -> Result<(), String> {
     let hours = opts.u64_or("hours", 12)?;
     let (archive, archive_dir) = archive_spec(opts)?;
-    if opts.get("fleet").is_some() || opts.get("shards").is_some() {
-        return monitor_fleet(opts, archive, archive_dir.as_deref());
-    }
-    let mut sc = scenario(opts)?;
-    let churn = churn_schedule(opts, &mut sc)?;
-    let mut monitor = Monitor::new(MonitorConfig {
-        routers: vec!["fixw".into(), "ucsb-gw".into()],
-        interval: sc.sim.tick(),
-        archive,
-        ..MonitorConfig::default()
-    });
+    let World {
+        mut sc,
+        churn,
+        mut monitor,
+        fleet,
+    } = world(opts, archive)?;
     let cycles = hours * 3_600 / monitor.cfg.interval.as_secs();
-    eprintln!("monitoring {hours}h of simulated time ({cycles} cycles)...");
+    if fleet {
+        eprintln!(
+            "monitoring {} routers across {} shard(s), {hours}h of simulated time ({cycles} cycles)...",
+            monitor.cfg.routers.len(),
+            monitor.shard_count(),
+        );
+    } else {
+        eprintln!("monitoring {hours}h of simulated time ({cycles} cycles)...");
+    }
     let mut now = sc.sim.clock;
     for _ in 0..cycles {
-        now = sc.sim.clock + monitor.cfg.interval;
-        sc.sim.advance_to(now);
-        monitor.run_cycle(&sc.sim, now);
+        now = tick(&mut sc, &mut monitor);
     }
-    for router in ["fixw", "ucsb-gw"] {
+    // Collection is over: every archive writer lands its queue first, so
+    // the Archives table reads what is on disk (`TableLog::len` is a
+    // drain barrier).
+    for log in monitor.cfg.routers.iter().filter_map(|r| monitor.log(r)) {
+        log.len();
+    }
+    if fleet {
+        print_fleet(&monitor, now, churn.as_ref(), archive_dir.as_deref());
+    } else {
+        print_single(&monitor, now, churn.as_ref(), archive_dir.as_deref());
+    }
+    if let Some(path) = opts.get("html") {
+        let events = churn.as_ref().map(|s| s.strip(None)).unwrap_or_default();
+        let page = if fleet {
+            mantra_core::web::fleet_report_html(&monitor, now, &events)
+        } else {
+            mantra_core::web::report_html(&monitor, "fixw", &events)
+        };
+        std::fs::write(path, page).map_err(|e| format!("writing {path}: {e}"))?;
+        eprintln!("wrote {path}");
+    }
+    Ok(())
+}
+
+/// `monitor`'s report on the two-router world.
+fn print_single(
+    monitor: &Monitor,
+    now: SimTime,
+    churn: Option<&ChurnSchedule>,
+    archive_dir: Option<&Path>,
+) {
+    for router in &monitor.cfg.routers {
         let Some(u) = monitor.usage_history(router).last() else {
             continue;
         };
@@ -278,86 +375,30 @@ pub fn monitor(opts: &Opts) -> Result<(), String> {
             monitor.anomalies[0]
         );
     }
-    if let Some(schedule) = &churn {
+    if let Some(schedule) = churn {
         // A churned run surfaces the lifecycle column — routers that
         // left are stale(n) or retired, not silently absent.
         println!("\n{}", monitor.health(now).render());
         print_event_strip(schedule);
     }
-    if let Some(dir) = &archive_dir {
+    if let Some(dir) = archive_dir {
         println!("\n{}", monitor.archive_table().render());
         eprintln!("archives written under {}", dir.display());
     }
-    if let Some(path) = opts.get("html") {
-        let events = churn.as_ref().map(|s| s.strip(None)).unwrap_or_default();
-        std::fs::write(
-            path,
-            mantra_core::web::report_html(&monitor, "fixw", &events),
-        )
-        .map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    Ok(())
 }
 
-/// `mantra monitor --fleet R [--shards N]`: the sharded fleet path over
-/// the fleet-scale scenario, every router monitored. Everything printed
-/// to stdout is shard-invariant — the fleet-smoke CI job diffs a
-/// `--shards 1` run against a `--shards 4` run and expects no output
-/// difference, which is exactly the aggregation tier's exactness claim.
-fn monitor_fleet(
-    opts: &Opts,
-    archive: ArchiveSpec,
+/// `monitor --fleet`'s report: fleet-wide figures, and the per-router
+/// tables under their fleet titles. The shard column is the one
+/// shard-dependent value, so it stays off stdout; the HTML report keeps
+/// it.
+fn print_fleet(
+    monitor: &Monitor,
+    now: SimTime,
+    churn: Option<&ChurnSchedule>,
     archive_dir: Option<&Path>,
-) -> Result<(), String> {
-    let hours = opts.u64_or("hours", 12)?;
-    let seed = opts.u64_or("seed", 1998)?;
-    let native = opts.f64_or("native", 0.4)?;
-    if !(0.0..=1.0).contains(&native) {
-        return Err("--native must be in [0,1]".into());
-    }
-    let loss = opts.f64_or("loss", 0.02)?;
-    if !(0.0..=1.0).contains(&loss) {
-        return Err("--loss must be in [0,1]".into());
-    }
-    let target = opts.u64_or("fleet", 50)? as usize;
-    if target < 3 {
-        return Err("--fleet must be at least 3 routers".into());
-    }
-    let shards = opts.u64_or("shards", 1)?.max(1) as usize;
-    let table_rows = opts.u64_or("table-rows", 64)?.max(1) as usize;
-    let mut sc = Scenario::fleet_snapshot(seed, target, native);
-    sc.sim.set_report_loss(loss);
-    let churn = churn_schedule(opts, &mut sc)?;
-    let routers: Vec<String> = sc
-        .sim
-        .monitored
-        .iter()
-        .map(|id| sc.sim.net.topo.router(*id).name.clone())
-        .collect();
-    let mut fleet = FleetMonitor::new(
-        MonitorConfig {
-            routers,
-            interval: sc.sim.tick(),
-            archive,
-            table_detail_limit: table_rows,
-            ..MonitorConfig::default()
-        },
-        shards,
-    );
-    let cycles = hours * 3_600 / fleet.cfg.interval.as_secs();
-    eprintln!(
-        "monitoring {} routers across {} shard(s), {hours}h of simulated time ({cycles} cycles)...",
-        fleet.cfg.routers.len(),
-        fleet.shard_count(),
-    );
-    let mut now = sc.sim.clock;
-    for _ in 0..cycles {
-        now = sc.sim.clock + fleet.cfg.interval;
-        sc.sim.advance_to(now);
-        fleet.run_cycle(&sc.sim, now);
-    }
-    if let (Some(u), Some(r)) = (fleet.usage_history().last(), fleet.route_history().last()) {
+) {
+    let usage = monitor.fleet_usage_history().last();
+    if let (Some(u), Some(r)) = (usage, monitor.fleet_route_history().last()) {
         println!(
             "fleet: {} sessions ({} active), {} participants ({} senders), {}, {} DVMRP routes",
             u.sessions,
@@ -368,34 +409,22 @@ fn monitor_fleet(
             r.dvmrp_reachable,
         );
     }
-    println!("{} anomaly(ies) fleet-wide", fleet.anomalies.len());
-    // The shard column stays off stdout (it is the one shard-dependent
-    // value); the HTML report keeps it.
-    let mut health = fleet.health(now);
-    health.drop_column("shard");
+    println!("{} anomaly(ies) fleet-wide", monitor.anomalies.len());
+    let mut health = monitor.health(now);
+    health.title = "Fleet collection health".into();
     println!("\n{}", health.render());
-    if let Some(schedule) = &churn {
+    if let Some(schedule) = churn {
         // The strip is shard-invariant, so it is safe on the stdout the
         // fleet-smoke job diffs across shard counts.
         print_event_strip(schedule);
     }
     if let Some(dir) = archive_dir {
-        let mut archives = fleet.archive_table();
-        archives.drop_column("shard");
+        let mut archives = monitor.archive_table();
+        archives.title = "Fleet archives".into();
         println!("{}", archives.render());
         eprintln!("archives written under {}", dir.display());
     }
-    println!("{}", fleet.usage_graph().render(96, 14));
-    if let Some(path) = opts.get("html") {
-        let events = churn.as_ref().map(|s| s.strip(None)).unwrap_or_default();
-        std::fs::write(
-            path,
-            mantra_core::web::fleet_report_html(&fleet, now, &events),
-        )
-        .map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    Ok(())
+    println!("{}", monitor.fleet_usage_graph().render(96, 14));
 }
 
 /// `mantra daemon`: run mantrad — collection on a tick thread, concurrent
@@ -407,87 +436,31 @@ pub fn daemon(opts: &Opts) -> Result<(), String> {
     let (archive, archive_dir) = archive_spec(opts)?;
     let addr = opts.get("addr").unwrap_or("127.0.0.1:4617").to_string();
     let cycles = opts.u64_or("cycles", 0)?;
-    let cfg = mantra_daemon::DaemonConfig {
-        addr,
-        refresh_secs: opts.u64_or("refresh", 2)?.max(1),
-        tick: Duration::from_millis(opts.u64_or("tick-ms", 250)?),
-        max_cycles: (cycles > 0).then_some(cycles),
-        ..mantra_daemon::DaemonConfig::default()
-    };
+    let refresh_secs = opts.u64_or("refresh", 2)?.max(1);
+    let pause = Duration::from_millis(opts.u64_or("tick-ms", 250)?);
+    let World {
+        mut sc,
+        churn,
+        monitor,
+        fleet,
+    } = world(opts, archive)?;
     if archive_dir.is_none() {
         eprintln!("note: archives are in-memory (no --archive-dir); /replay has nothing to serve");
     }
-    type Tick = Box<dyn FnMut(&mut Engine) -> SimTime + Send>;
-    let fleet_mode = opts.get("fleet").is_some() || opts.get("shards").is_some();
-    let (cfg, engine, tick): (_, Engine, Tick) = if fleet_mode {
-        let seed = opts.u64_or("seed", 1998)?;
-        let native = opts.f64_or("native", 0.4)?;
-        let loss = opts.f64_or("loss", 0.02)?;
-        if !(0.0..=1.0).contains(&native) || !(0.0..=1.0).contains(&loss) {
-            return Err("--native and --loss must be in [0,1]".into());
-        }
-        let target = opts.u64_or("fleet", 50)? as usize;
-        let shards = opts.u64_or("shards", 1)?.max(1) as usize;
-        let table_rows = opts.u64_or("table-rows", 64)?.max(1) as usize;
-        let mut sc = Scenario::fleet_snapshot(seed, target, native);
-        sc.sim.set_report_loss(loss);
-        let churn = churn_schedule(opts, &mut sc)?;
-        let routers: Vec<String> = sc
-            .sim
-            .monitored
-            .iter()
-            .map(|id| sc.sim.net.topo.router(*id).name.clone())
-            .collect();
-        let router = routers.first().cloned().unwrap_or_default();
-        let fleet = FleetMonitor::new(
-            MonitorConfig {
-                routers,
-                interval: sc.sim.tick(),
-                archive,
-                table_detail_limit: table_rows,
-                ..MonitorConfig::default()
-            },
-            shards,
-        );
-        let interval = fleet.cfg.interval;
-        let tick: Tick = Box::new(move |engine| {
-            let next = sc.sim.clock + interval;
-            sc.sim.advance_to(next);
-            if let Engine::Fleet(f) = engine {
-                f.run_cycle(&sc.sim, next);
-            }
-            next
-        });
-        let cfg = mantra_daemon::DaemonConfig {
-            router,
-            topology_events: churn.as_ref().map(|s| s.strip(None)).unwrap_or_default(),
-            ..cfg
-        };
-        (cfg, Engine::Fleet(fleet), tick)
-    } else {
-        let mut sc = scenario(opts)?;
-        let churn = churn_schedule(opts, &mut sc)?;
-        let monitor = Monitor::new(MonitorConfig {
-            routers: vec!["fixw".into(), "ucsb-gw".into()],
-            interval: sc.sim.tick(),
-            archive,
-            ..MonitorConfig::default()
-        });
-        let interval = monitor.cfg.interval;
-        let tick: Tick = Box::new(move |engine| {
-            let next = sc.sim.clock + interval;
-            sc.sim.advance_to(next);
-            if let Engine::Single(m) = engine {
-                m.run_cycle(&sc.sim, next);
-            }
-            next
-        });
-        let cfg = mantra_daemon::DaemonConfig {
-            topology_events: churn.as_ref().map(|s| s.strip(None)).unwrap_or_default(),
-            ..cfg
-        };
-        (cfg, Engine::Single(monitor), tick)
+    let cfg = mantra_daemon::DaemonConfig {
+        addr,
+        router: monitor.cfg.routers.first().cloned().unwrap_or_default(),
+        refresh_secs,
+        tick: pause,
+        max_cycles: (cycles > 0).then_some(cycles),
+        topology_events: churn.as_ref().map(|s| s.strip(None)).unwrap_or_default(),
     };
+    let engine = if fleet {
+        Engine::Fleet(monitor)
+    } else {
+        Engine::Single(monitor)
+    };
+    let tick = move |engine: &mut Engine| tick(&mut sc, engine.monitor_mut());
     let handle =
         mantra_daemon::spawn(cfg, engine, tick).map_err(|e| format!("starting mantrad: {e}"))?;
     mantra_daemon::install_signal_handlers();
@@ -665,15 +638,18 @@ pub fn health(opts: &Opts) -> Result<(), String> {
     }
     let seed = opts.u64_or("seed", 1998)?;
     let mut sc = scenario(opts)?;
-    let mut monitor = Monitor::new(MonitorConfig {
-        routers: vec!["fixw".into(), "ucsb-gw".into()],
-        interval: sc.sim.tick(),
-        retry: RetryPolicy {
-            max_attempts: retries as u32,
-            ..RetryPolicy::default()
+    let mut monitor = Monitor::new(
+        MonitorConfig {
+            routers: vec!["fixw".into(), "ucsb-gw".into()],
+            interval: sc.sim.tick(),
+            retry: RetryPolicy {
+                max_attempts: retries as u32,
+                ..RetryPolicy::default()
+            },
+            ..MonitorConfig::default()
         },
-        ..MonitorConfig::default()
-    });
+        1,
+    );
     let cycles = hours * 3_600 / monitor.cfg.interval.as_secs();
     eprintln!(
         "monitoring {hours}h ({cycles} cycles) with {:.0}% login failures, \
@@ -701,7 +677,7 @@ pub fn health(opts: &Opts) -> Result<(), String> {
         if cache.entries == 1 { "y" } else { "ies" }
     );
     if monitor.parse_degraded() {
-        let s = monitor.parse_last;
+        let s = monitor.parse_last();
         println!(
             "WARNING: degraded parse — {} of {} row-like lines malformed in the last \
              cycle (threshold {}%); CLI output formats may have drifted",
@@ -746,11 +722,14 @@ pub fn health(opts: &Opts) -> Result<(), String> {
 pub fn incident(opts: &Opts) -> Result<(), String> {
     let seed = opts.u64_or("seed", 1998)?;
     let mut sc = Scenario::ucsb_injection_day(seed);
-    let mut monitor = Monitor::new(MonitorConfig {
-        routers: vec!["ucsb-gw".into()],
-        interval: sc.sim.tick(),
-        ..MonitorConfig::default()
-    });
+    let mut monitor = Monitor::new(
+        MonitorConfig {
+            routers: vec!["ucsb-gw".into()],
+            interval: sc.sim.tick(),
+            ..MonitorConfig::default()
+        },
+        1,
+    );
     let end = sc.sim.end_time();
     loop {
         let next = sc.sim.clock + monitor.cfg.interval;

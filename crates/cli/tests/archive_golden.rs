@@ -228,3 +228,89 @@ fn info_on_a_torn_copy_reports_the_tail_left_in_place() {
         "info wrote the torn archive"
     );
 }
+
+/// The `== Archives ==` table of a monitor run: its column names and
+/// each row's cells.
+fn archives_table(stdout: &str) -> (Vec<String>, Vec<Vec<String>>) {
+    let table = stdout
+        .split("== Archives ==\n")
+        .nth(1)
+        .unwrap_or_else(|| panic!("no Archives table in:\n{stdout}"));
+    let mut lines = table.lines();
+    let columns = lines.next().unwrap().split_whitespace().map(String::from);
+    let rows = lines
+        .skip(1)
+        .take_while(|l| !l.trim().is_empty())
+        .map(|l| l.split_whitespace().map(String::from).collect())
+        .collect();
+    (columns.collect(), rows)
+}
+
+/// The number after `label` on the `archive info` line that starts with
+/// `prefix`.
+fn info_number(info: &str, prefix: &str, label: &str) -> String {
+    let line = info
+        .lines()
+        .find(|l| l.starts_with(prefix))
+        .unwrap_or_else(|| panic!("no {prefix:?} line in:\n{info}"));
+    let rest = line.split_once(label).map_or(line, |(_, r)| r);
+    rest.trim_start_matches(prefix)
+        .split_whitespace()
+        .next()
+        .unwrap()
+        .to_string()
+}
+
+#[test]
+fn archives_table_under_threaded_writers_reads_what_is_on_disk() {
+    // The end-of-run table waits for every writer thread to drain: its
+    // records and dict cells are what `archive info` reads back from each
+    // file, and every other cell but the timing columns repeats.
+    let dir = TempDir::new("archive-writers");
+    let mut tables = Vec::new();
+    for (i, mode) in ["shed", "shed", "block"].into_iter().enumerate() {
+        let out = dir.join(&format!("{mode}-{i}"));
+        let run = mantra(
+            dir.path(),
+            &[
+                "monitor",
+                "--seed",
+                "7",
+                "--hours",
+                "2",
+                "--archive-dir",
+                out.to_str().unwrap(),
+                "--archive-writer",
+                mode,
+            ],
+        );
+        assert!(
+            run.status.success(),
+            "monitor failed: {}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+        let (columns, mut rows) = archives_table(&String::from_utf8(run.stdout).unwrap());
+        let col = |name: &str| columns.iter().position(|c| c == name).unwrap();
+        assert_eq!(rows.len(), 2);
+        for row in &rows {
+            let path = out.join(format!("{}.marc", row[col("router")]));
+            let info = mantra(
+                dir.path(),
+                &["archive", "info", "--path", path.to_str().unwrap()],
+            );
+            assert!(info.status.success());
+            let info = String::from_utf8(info.stdout).unwrap();
+            let records = info_number(&info, "records:", "records:");
+            let dict = info_number(&info, "dictionary:", ", ");
+            assert_eq!(row[col("records")], records, "{mode}: {row:?}\n{info}");
+            assert_eq!(row[col("dict")], dict, "{mode}: {row:?}\n{info}");
+        }
+        for row in &mut rows {
+            for timing in ["q_peak", "blk_ms"] {
+                row[col(timing)].clear();
+            }
+        }
+        tables.push(rows);
+    }
+    assert_eq!(tables[0], tables[1], "two identical shed runs");
+}

@@ -7,10 +7,9 @@
 //! [`ParallelAccess`] is the one transport every cycle captures through:
 //! captures take `&self`, so one handle serves every router task of a
 //! cycle, whether the cycle runs inline or fans routers out across
-//! threads, for a [`Monitor`](crate::monitor::Monitor) and a
-//! [`FleetMonitor`](crate::fleet::FleetMonitor) alike. The fleet is where
-//! the announced aggregation lives: it merges its shards' per-router
-//! outputs into one global view.
+//! threads. The announced aggregation is the
+//! [`Monitor`](crate::monitor::Monitor)'s fold: every router's outputs,
+//! in configuration order, combined into one fleet-wide view.
 
 use mantra_net::SimTime;
 use mantra_router_cli::TableKind;

@@ -34,11 +34,10 @@
 //! * [`pipeline`] — the cycle's per-router work: each router's Capture →
 //!   Parse → Enrich → Log → Analyse as one task, one fan-out per cycle
 //!   sized by the rows it carries, and per-stage instrumentation,
-//! * [`monitor`] — the orchestrator running that cycle,
-//! * [`fleet`] — the sharded fleet, and the paper's announced next step:
-//!   N monitors over disjoint router subsets collecting concurrently in
-//!   one fan-out, merged through an exact (integer-sum) aggregation tier
-//!   with a global consistency join,
+//! * [`monitor`] — the engine running that cycle over one router set or
+//!   a sharded fleet, and the paper's announced next step: every router
+//!   collected concurrently in one fan-out, the combined results folded
+//!   from exact integer sums with one cross-router consistency join,
 //! * [`web`] — the web presentation layer (static HTML + SVG reports,
 //!   standing in for the paper's Java applets).
 
@@ -46,7 +45,6 @@ pub mod aggregate;
 pub mod anomaly;
 pub mod archive;
 pub mod collector;
-pub mod fleet;
 pub mod logger;
 pub mod longterm;
 pub mod monitor;
@@ -66,8 +64,7 @@ pub use archive::{
     ThreadedBackend, WriterConfig,
 };
 pub use collector::{CaptureError, CollectStats, Collector, RetryPolicy};
-pub use fleet::FleetMonitor;
-pub use monitor::{LifecycleState, Monitor, MonitorConfig, RouterHealth};
+pub use monitor::{FleetMonitor, LifecycleState, Monitor, MonitorConfig, RouterHealth};
 pub use pipeline::{PipelineMetrics, Stage, StageKind, StageMetrics};
 pub use stats::{ConsistencyMatrix, RouteStats, UsageStats};
 pub use stats_stream::{IncrementalStats, StatsTotals};

@@ -44,53 +44,72 @@ impl Presence {
     }
 }
 
-/// Closed lifetime records, for distribution statistics.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+/// Closed lifetime records, for distribution statistics: how many
+/// lifetimes ended at each distinct length, so a router's whole uptime
+/// costs one entry per length seen, not one per lifetime.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LifetimeStats {
-    /// Completed lifetimes in seconds.
-    pub completed: Vec<u64>,
+    /// Completed lifetimes in seconds → how many completed at that length.
+    counts: BTreeMap<u64, u64>,
 }
 
 impl LifetimeStats {
+    /// Records one completed lifetime of `secs` seconds.
+    pub fn record(&mut self, secs: u64) {
+        *self.counts.entry(secs).or_insert(0) += 1;
+    }
+
     /// Number of completed lifetimes.
     pub fn len(&self) -> usize {
-        self.completed.len()
+        self.counts.values().sum::<u64>() as usize
     }
 
     /// True when nothing completed yet.
     pub fn is_empty(&self) -> bool {
-        self.completed.is_empty()
+        self.counts.is_empty()
     }
 
     /// Mean completed lifetime in seconds.
     pub fn mean_secs(&self) -> f64 {
-        if self.completed.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
-        self.completed.iter().sum::<u64>() as f64 / self.completed.len() as f64
+        let sum: u64 = self.counts.iter().map(|(secs, n)| secs * n).sum();
+        sum as f64 / self.len() as f64
     }
 
     /// Median completed lifetime in seconds.
     pub fn median_secs(&self) -> f64 {
-        if self.completed.is_empty() {
+        let n = self.len();
+        if n == 0 {
             return 0.0;
         }
-        let mut v = self.completed.clone();
-        v.sort_unstable();
-        let m = v.len() / 2;
-        if v.len().is_multiple_of(2) {
-            (v[m - 1] + v[m]) as f64 / 2.0
+        // The lifetime at position `i` of the sorted lifetimes.
+        let nth = |i: usize| {
+            let mut seen = 0;
+            for (&secs, &count) in &self.counts {
+                seen += count as usize;
+                if seen > i {
+                    return secs;
+                }
+            }
+            unreachable!("position {i} is below the count {n}")
+        };
+        let m = n / 2;
+        if n.is_multiple_of(2) {
+            (nth(m - 1) + nth(m)) as f64 / 2.0
         } else {
-            v[m] as f64
+            nth(m) as f64
         }
     }
 
     /// Fraction of lifetimes at or below `secs`.
     pub fn fraction_shorter_than(&self, secs: u64) -> f64 {
-        if self.completed.is_empty() {
+        if self.is_empty() {
             return 0.0;
         }
-        self.completed.iter().filter(|l| **l <= secs).count() as f64 / self.completed.len() as f64
+        let shorter: u64 = self.counts.range(..=secs).map(|(_, n)| n).sum();
+        shorter as f64 / self.len() as f64
     }
 }
 
@@ -241,9 +260,7 @@ impl<K: Ord + Copy> Presences<K> {
         let mut last = std::mem::take(&mut self.present).into_iter().peekable();
         let mut depart = |departed: &mut BTreeMap<K, Presence>, k: K, mut p: Presence| {
             p.present = false;
-            lifetimes
-                .completed
-                .push(p.last_seen.since(p.first_seen).as_secs());
+            lifetimes.record(p.last_seen.since(p.first_seen).as_secs());
             departed.insert(k, p);
         };
         // Sized to the snapshot's key count (exact for map keys): the
@@ -334,7 +351,7 @@ mod tests {
         tr.observe(&snapshot(1, &[0, 1], &[1]));
         tr.observe(&snapshot(2, &[0], &[1])); // session 1 gone
         assert_eq!(tr.session_lifetimes.len(), 1);
-        assert_eq!(tr.session_lifetimes.completed[0], 900);
+        assert_eq!(tr.session_lifetimes.median_secs(), 900.0);
         let s0 = tr.session(g(0)).unwrap();
         assert!(s0.present);
         assert_eq!(s0.lifetime(), SimDuration::secs(1_800));
@@ -371,14 +388,47 @@ mod tests {
 
     #[test]
     fn lifetime_stats_math() {
-        let stats = LifetimeStats {
-            completed: vec![100, 200, 300, 400],
-        };
+        let mut stats = LifetimeStats::default();
+        for secs in [400, 100, 300, 200] {
+            stats.record(secs);
+        }
+        assert_eq!(stats.len(), 4);
         assert_eq!(stats.mean_secs(), 250.0);
         assert_eq!(stats.median_secs(), 250.0);
         assert_eq!(stats.fraction_shorter_than(200), 0.5);
         assert_eq!(stats.fraction_shorter_than(1_000), 1.0);
         assert!(LifetimeStats::default().is_empty());
         assert_eq!(LifetimeStats::default().median_secs(), 0.0);
+    }
+
+    /// Repeated lengths share one count; the median walks the counts to
+    /// the same answer a sorted list gives, for odd and even totals.
+    #[test]
+    fn lifetime_stats_count_repeats() {
+        let mut stats = LifetimeStats::default();
+        let mut sorted = Vec::new();
+        for secs in [900, 900, 2_700, 900, 1_800, 2_700, 900] {
+            stats.record(secs);
+            sorted.push(secs);
+            sorted.sort_unstable();
+            let m = sorted.len() / 2;
+            let median = if sorted.len().is_multiple_of(2) {
+                (sorted[m - 1] + sorted[m]) as f64 / 2.0
+            } else {
+                sorted[m] as f64
+            };
+            assert_eq!(stats.len(), sorted.len());
+            assert_eq!(stats.median_secs(), median, "{sorted:?}");
+            let mean = sorted.iter().sum::<u64>() as f64 / sorted.len() as f64;
+            assert_eq!(stats.mean_secs(), mean, "{sorted:?}");
+        }
+        // Seven lifetimes: 900 ×4, 1800, 2700 ×2.
+        assert_eq!(stats.median_secs(), 900.0);
+        assert_eq!(stats.fraction_shorter_than(900), 4.0 / 7.0);
+        assert_eq!(stats.fraction_shorter_than(1_799), 4.0 / 7.0);
+        assert_eq!(stats.fraction_shorter_than(1_800), 5.0 / 7.0);
+        stats.record(1_800);
+        // Eight: the middle pair straddles 900 and 1800.
+        assert_eq!(stats.median_secs(), 1_350.0);
     }
 }

@@ -1,11 +1,23 @@
-//! The monitoring orchestrator: Figure 1's pipeline, end to end.
+//! The monitoring engine: Figure 1's pipeline, end to end.
 //!
-//! One [`Monitor`] owns the collector, the router interner, the
-//! per-router state (delta logs, statistics histories, anomaly
-//! detectors) and the per-stage metrics registry. [`Monitor::run_cycle`]
-//! runs one cycle of [`crate::pipeline`]'s per-router tasks, and a
-//! [`FleetMonitor`](crate::fleet::FleetMonitor) runs the same cycle over
-//! all of its shards at once.
+//! One [`Monitor`] watches the paper's two routers or a fleet of
+//! hundreds alike. It owns, once each, the collector, the parse
+//! accounting, the per-stage metrics registry, the archive query cache,
+//! the session-name directory, the cross-router consistency monitor, the
+//! anomaly list and the fleet-wide statistics histories. Its routers are
+//! partitioned into shards, and a shard holds only what makes it a
+//! partition: its routers' interner slots and their per-router state,
+//! archives included. [`Monitor::rebalance`] moves that state between
+//! shards between cycles.
+//!
+//! [`Monitor::run_cycle`] runs in four steps: a serial prologue interns
+//! each router in its shard and opens state for new ones; one fan-out
+//! (see [`crate::pipeline`]) runs every router's Capture → Parse →
+//! Enrich → Log → Analyse over its own state; one fold builds the report
+//! in configuration order and accounts the cycle; then the cross-router
+//! sweep and the fleet-wide statistics. Those statistics are integer
+//! partial sums ([`StatsTotals`]) divided once, so no shard count or
+//! partition changes any output (`tests/prop_fleet.rs`).
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -22,11 +34,12 @@ use crate::logger::TableLog;
 use crate::longterm::LongTermTracker;
 use crate::output::{Cell, Graph, Table};
 use crate::pipeline::{
-    cycle_width, fan_out, ids_are_distinct, router_cycle, router_slot, state_refs, sweep_cycle,
-    worker_life, PipelineMetrics, RouterInputs, RouterOutcome, RouterState, StageKind,
+    cycle_width, fan_out, router_cycle, router_slot, state_refs, sweep_cycle, worker_life,
+    PipelineMetrics, RouterInputs, RouterOutcome, RouterState, StageKind,
 };
-use crate::processor::ParseStats;
-use crate::stats::{RouteChurn, RouteStats, Series, UsageStats};
+use crate::processor::{KindStats, ParseStats};
+use crate::stats::{ConsistencyReport, RouteChurn, RouteStats, Series, UsageStats};
+use crate::stats_stream::StatsTotals;
 use crate::store::TableStore;
 use crate::tables::Tables;
 
@@ -55,9 +68,7 @@ pub struct MonitorConfig {
     /// many *consecutive* missed cycles. A later successful capture
     /// (rejoin) unseals the archive at the next epoch.
     pub retire_after_intervals: u64,
-    /// Whether the Analyse stage runs the cross-router consistency sweep.
-    /// A fleet shard turns this off: [`crate::fleet::FleetMonitor`] sweeps
-    /// globally so cross-shard pairs are not missed.
+    /// Whether each cycle ends with the cross-router consistency sweep.
     pub cross_router_checks: bool,
     /// Above this many rows, the per-router health and archive tables
     /// condense to the worst offenders plus a totals footer instead of
@@ -205,32 +216,88 @@ pub struct CycleReport {
     pub anomalies: Vec<Anomaly>,
 }
 
-/// The Mantra orchestrator: a thin driver over the staged pipeline.
-pub struct Monitor {
-    /// Configuration.
-    pub cfg: MonitorConfig,
-    collector: Collector,
+/// A partition of the engine's routers: their interner slots and their
+/// per-router state, archives included. Nothing else is per shard.
+#[derive(Default)]
+struct Shard {
     /// Router interner: router names become dense ids here.
     store: TableStore,
     /// Per-router state, indexed by interned router id.
     state: Vec<RouterState>,
+}
+
+impl Shard {
+    /// The state of one router, unless it never ran in this shard or a
+    /// rebalance moved it away.
+    fn state_of(&self, router: &str) -> Option<&RouterState> {
+        self.store
+            .routers
+            .get(&router.to_string())
+            .map(|id| &self.state[id as usize])
+            .filter(|st| !st.evicted)
+    }
+
+    /// Takes a router's state for a rebalance, leaving an evicted
+    /// tombstone in its slot (ids never renumber). The state carries its
+    /// open archive with it. `None` when the router has no state here.
+    fn evict(&mut self, router: &str) -> Option<RouterState> {
+        let id = self.store.routers.get(&router.to_string())?;
+        let st = &mut self.state[id as usize];
+        if st.evicted {
+            return None;
+        }
+        Some(std::mem::replace(
+            st,
+            RouterState::tombstone(router.to_string()),
+        ))
+    }
+
+    /// Installs a router's state moved in by a rebalance, over the
+    /// tombstone if this shard held the router before. Per-router state
+    /// is store-independent (deltas are address-keyed, the archive
+    /// travels as an open log), so adoption is a slot write — no replay.
+    fn adopt(&mut self, st: RouterState) {
+        let id = self.store.routers.intern_str(&st.name);
+        if id as usize == self.state.len() {
+            self.state.push(st);
+        } else {
+            self.state[id as usize] = st;
+        }
+    }
+}
+
+/// The Mantra engine: one collector, one metrics registry, one sweep,
+/// over routers partitioned into shards.
+pub struct Monitor {
+    /// Configuration; `routers` lists every monitored router, in
+    /// configuration order.
+    pub cfg: MonitorConfig,
+    collector: Collector,
+    shards: Vec<Shard>,
+    /// Shard index per configured router.
+    assignment: Vec<usize>,
     /// Session names learned from an external directory (SAP/sdr); the
     /// paper's Session table carries "the group's name (if available)".
     session_names: BTreeMap<GroupAddr, String>,
     inconsistency: InconsistencyMonitor,
     /// All anomalies raised so far.
     pub anomalies: Vec<Anomaly>,
-    /// Cumulative parse accounting.
-    pub parse_totals: ParseStats,
-    /// Parse accounting of the latest cycle only, for degradation checks.
-    pub parse_last: ParseStats,
+    parse_totals: ParseStats,
+    parse_last: ParseStats,
     metrics: PipelineMetrics,
     /// LRU over archive replay query results, shared with any concurrent
     /// readers (the daemon serves `/replay` through this same cache so
     /// its hit/miss counters land in [`Monitor::health`]).
     query_cache: Arc<QueryCache>,
+    /// Fleet-wide statistics per cycle, summed over every router.
+    usage: Vec<UsageStats>,
+    routes: Vec<RouteStats>,
+    churn: Vec<(SimTime, RouteChurn)>,
     cycles: u64,
 }
+
+/// The engine under the name the benchmark (`perfbench/`) still uses.
+pub type FleetMonitor = Monitor;
 
 /// A cycle whose malformed lines exceed this percentage of its row-like
 /// lines (parsed + malformed) is flagged as degraded parsing — typically a
@@ -238,14 +305,34 @@ pub struct Monitor {
 pub const DEGRADED_PARSE_PCT: f64 = 5.0;
 
 impl Monitor {
-    /// A monitor with the given configuration.
-    pub fn new(cfg: MonitorConfig) -> Self {
-        let collector = Collector::with_retry(cfg.retry.clone());
+    /// An engine over `cfg.routers` split into `shards` contiguous,
+    /// near-equal shards (configuration order preserved); one router set
+    /// passes 1. `shards` is clamped to at least 1 and at most the router
+    /// count.
+    pub fn new(cfg: MonitorConfig, shards: usize) -> Self {
+        let n = cfg.routers.len();
+        let shards = shards.clamp(1, n.max(1));
+        let chunk = n.div_ceil(shards).max(1);
+        let assignment: Vec<usize> = (0..n).map(|i| (i / chunk).min(shards - 1)).collect();
+        Self::with_assignment(cfg, &assignment)
+    }
+
+    /// An engine with an explicit router→shard assignment
+    /// (`assignment[i]` is the shard of `cfg.routers[i]`; shard ids need
+    /// not be dense — the engine keeps `max + 1` shards). Any assignment
+    /// yields the same outputs.
+    pub fn with_assignment(cfg: MonitorConfig, assignment: &[usize]) -> Self {
+        assert_eq!(
+            assignment.len(),
+            cfg.routers.len(),
+            "one shard id per router"
+        );
+        let shards = assignment.iter().map(|s| s + 1).max().unwrap_or(1);
         Monitor {
+            collector: Collector::with_retry(cfg.retry.clone()),
             cfg,
-            collector,
-            store: TableStore::default(),
-            state: Vec::new(),
+            shards: (0..shards).map(|_| Shard::default()).collect(),
+            assignment: assignment.to_vec(),
             session_names: BTreeMap::new(),
             inconsistency: InconsistencyMonitor::default(),
             anomalies: Vec::new(),
@@ -253,8 +340,65 @@ impl Monitor {
             parse_last: ParseStats::default(),
             metrics: PipelineMetrics::default(),
             query_cache: Arc::new(QueryCache::default()),
+            usage: Vec::new(),
+            routes: Vec::new(),
+            churn: Vec::new(),
             cycles: 0,
         }
+    }
+
+    /// Re-partitions the routers onto a new router→shard assignment
+    /// between cycles, moving each reassigned router's state — archive
+    /// (as its open log), statistics histories, health, streaming
+    /// accumulators — wholesale to its new shard. Per-router state is
+    /// store-independent, so the move is exact: the next cycle's outputs
+    /// are bit-identical to an engine that had run with the new
+    /// assignment all along, which the churn property tests assert.
+    /// Routers never polled have no state to move; their state is created
+    /// at first sight as usual.
+    pub fn rebalance(&mut self, assignment: &[usize]) {
+        assert_eq!(
+            assignment.len(),
+            self.cfg.routers.len(),
+            "one shard id per router"
+        );
+        let shards = assignment.iter().map(|s| s + 1).max().unwrap_or(1);
+        let shards = shards.max(self.shards.len());
+        self.shards.resize_with(shards, Shard::default);
+        let moves = self
+            .cfg
+            .routers
+            .iter()
+            .zip(&self.assignment)
+            .zip(assignment);
+        for ((router, &from), &to) in moves {
+            if from != to {
+                if let Some(st) = self.shards[from].evict(router) {
+                    self.shards[to].adopt(st);
+                }
+            }
+        }
+        self.assignment = assignment.to_vec();
+    }
+
+    /// Number of shards.
+    pub fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    /// The shard owning `router`, by configuration.
+    pub fn shard_of(&self, router: &str) -> Option<usize> {
+        self.cfg
+            .routers
+            .iter()
+            .position(|r| r == router)
+            .map(|i| self.assignment[i])
+    }
+
+    /// The engine itself when it watches `router`, or `None` — the 404
+    /// the daemon's query endpoints lean on.
+    pub fn monitor_of(&self, router: &str) -> Option<&Monitor> {
+        self.shard_of(router).map(|_| self)
     }
 
     /// Cycles completed.
@@ -267,54 +411,22 @@ impl Monitor {
         self.collector.failures
     }
 
-    /// The state of one router, if it has participated in a cycle (and
-    /// was not rebalanced away to another shard).
+    /// The state of one router, through its owning shard.
     fn state_of(&self, router: &str) -> Option<&RouterState> {
-        self.store
-            .routers
-            .get(&router.to_string())
-            .map(|id| &self.state[id as usize])
-            .filter(|st| !st.evicted)
+        self.shards[self.shard_of(router)?].state_of(router)
     }
 
-    /// Removes a router's state for a fleet rebalance, leaving an
-    /// evicted tombstone in its interned slot (ids never renumber). The
-    /// state carries its open archive with it. `None` when the router
-    /// has no state here (never polled, or already evicted).
-    pub(crate) fn evict_router(&mut self, router: &str) -> Option<RouterState> {
-        let id = self.store.routers.get(&router.to_string())?;
-        let st = &mut self.state[id as usize];
-        if st.evicted {
-            return None;
-        }
-        Some(std::mem::replace(
-            st,
-            RouterState::tombstone(router.to_string()),
-        ))
+    /// Every configured router that has state, with that state, in
+    /// configuration order.
+    fn router_states(&self) -> impl Iterator<Item = (&String, &RouterState)> {
+        let routers = self.cfg.routers.iter().zip(&self.assignment);
+        routers.filter_map(|(r, &s)| Some((r, self.shards[s].state_of(r)?)))
     }
 
-    /// Installs a router's state moved in by a fleet rebalance, replacing
-    /// the tombstone if this shard held the router before. Per-router
-    /// state is store-independent (deltas are address-keyed, the archive
-    /// travels as an open log), so adoption is a slot write — no replay.
-    pub(crate) fn adopt_router(&mut self, st: RouterState) {
-        let id = self.store.routers.intern_str(&st.name);
-        if id as usize == self.state.len() {
-            self.state.push(st);
-        } else {
-            self.state[id as usize] = st;
-        }
-    }
-
-    /// Replaces the polling list (a fleet rebalance recomputes each
-    /// shard's list so global configuration order is preserved).
-    pub(crate) fn set_routers(&mut self, routers: Vec<String>) {
-        self.cfg.routers = routers;
-    }
-
-    /// One full monitoring cycle at `now` over the configured routers,
+    /// One full monitoring cycle at `now` over every configured router,
     /// fanned out as the previous cycle's rows call for (see
-    /// [`crate::pipeline`]); outputs never depend on the fan-out.
+    /// [`crate::pipeline`]); outputs never depend on the fan-out or the
+    /// sharding.
     pub fn run_cycle<P: ParallelAccess + ?Sized>(
         &mut self,
         access: &P,
@@ -322,19 +434,66 @@ impl Monitor {
     ) -> CycleReport {
         let (rows, routers) = (self.parse_last.parsed as u64, self.cfg.routers.len());
         let (width, life) = (cycle_width(rows, routers), worker_life(rows, routers));
-        let shards = std::slice::from_mut(self);
-        let mut reports = run_cycle_over(shards, access, now, width, life);
-        reports.pop().expect("one report per shard")
+        self.cycle(access, now, width, life)
+    }
+
+    /// [`Monitor::run_cycle`] at fan-out `width`, workers living `life`
+    /// routers: the prologue interns each router in its shard and opens
+    /// state for new ones, one [`fan_out`] runs each router's whole cycle
+    /// over that router's state, and [`Monitor::fold`] takes the outcomes
+    /// in configuration order.
+    fn cycle<P: ParallelAccess + ?Sized>(
+        &mut self,
+        access: &P,
+        now: SimTime,
+        width: usize,
+        life: usize,
+    ) -> CycleReport {
+        let t = Instant::now();
+        let (cfg, shards) = (&self.cfg, &mut self.shards);
+        let slots: Vec<(usize, u32)> = (cfg.routers.iter().zip(&self.assignment))
+            .map(|(router, &s)| {
+                let Shard { store, state } = &mut shards[s];
+                let id = router_slot(store, state, router, cfg.log_full_every, &cfg.archive);
+                (s, id)
+            })
+            .collect();
+        let prologue = t.elapsed().as_nanos() as u64;
+        let inputs = RouterInputs {
+            collector: &self.collector,
+            access,
+            now,
+            cfg: &self.cfg,
+            session_names: &self.session_names,
+        };
+        let parts = self.shards.iter_mut().map(|sh| sh.state.as_mut_slice());
+        let outcomes = match state_refs(parts, slots.iter().copied()) {
+            Some(states) => {
+                let mut items: Vec<_> = self.cfg.routers.iter().zip(states).collect();
+                fan_out(width, life, &mut items, |(router, st)| {
+                    router_cycle(&inputs, router, st)
+                })
+            }
+            // A router listed twice would alias its state: run every
+            // router in turn instead.
+            None => (self.cfg.routers.iter().zip(&slots))
+                .map(|(router, &(s, id))| {
+                    router_cycle(&inputs, router, &mut self.shards[s].state[id as usize])
+                })
+                .collect(),
+        };
+        self.fold(now, &slots, outcomes, prologue)
     }
 
     /// Folds one cycle's router outcomes, in configuration order, into
     /// the totals, the stage metrics (the prologue counts as Enrich) and
-    /// the report, ending with the cross-router sweep if this monitor runs it.
+    /// the report; then the cross-router sweep, if configured, and the
+    /// fleet-wide statistics.
     fn fold(
         &mut self,
         now: SimTime,
-        ids: &[u32],
-        outcomes: impl Iterator<Item = RouterOutcome>,
+        slots: &[(usize, u32)],
+        outcomes: Vec<RouterOutcome>,
         prologue_nanos: u64,
     ) -> CycleReport {
         self.cycles += 1;
@@ -344,7 +503,7 @@ impl Monitor {
         let (mut tables, mut backoff) = (0, SimDuration::ZERO);
         let mut report = CycleReport {
             at: now,
-            per_router: Vec::with_capacity(ids.len()),
+            per_router: Vec::with_capacity(slots.len()),
             anomalies: Vec::new(),
         };
         for o in outcomes {
@@ -364,8 +523,10 @@ impl Monitor {
         }
         if self.cfg.cross_router_checks {
             let t = Instant::now();
-            let ids = ids.iter().copied();
-            let swept = sweep_cycle(&mut self.inconsistency, &self.state, ids, now);
+            let states = slots
+                .iter()
+                .map(|&(s, id)| &self.shards[s].state[id as usize]);
+            let swept = sweep_cycle(&mut self.inconsistency, states, now);
             report.anomalies.extend(swept);
             nanos[StageKind::Analyse as usize] += t.elapsed().as_nanos() as u64;
         }
@@ -377,9 +538,25 @@ impl Monitor {
             nanos,
             backoff,
         );
-        self.metrics.record_archives(&self.state);
+        self.metrics
+            .record_archives(self.shards.iter().flat_map(|sh| &sh.state));
         self.metrics.record_cache(self.query_cache.stats());
         self.anomalies.extend(report.anomalies.iter().cloned());
+        // Fleet-wide statistics: every router's integer accumulators
+        // summed, each ratio divided once.
+        let (mut totals, mut churn) = (StatsTotals::default(), RouteChurn::default());
+        for st in self.shards.iter().flat_map(|sh| &sh.state) {
+            if st.evicted {
+                continue;
+            }
+            totals.absorb(&st.stream.totals());
+            if let Some((_, c)) = st.churn.last().filter(|(at, _)| *at == now) {
+                churn.absorb(c);
+            }
+        }
+        self.usage.push(totals.usage());
+        self.routes.push(totals.route_stats());
+        self.churn.push((now, churn));
         report
     }
 
@@ -431,11 +608,10 @@ impl Monitor {
                 "archive",
             ],
         );
-        for router in &self.cfg.routers {
-            let Some(h) = self.router_health(router) else {
-                continue;
-            };
-            let stale = h.is_stale(now, self.cfg.interval, self.cfg.stale_after_intervals);
+        let (interval, stale_after) = (self.cfg.interval, self.cfg.stale_after_intervals);
+        for (router, st) in self.router_states() {
+            let h = &st.health;
+            let stale = h.is_stale(now, interval, stale_after);
             table.push_row(vec![
                 Cell::Text(router.clone()),
                 Cell::Num(h.successes as f64),
@@ -451,7 +627,7 @@ impl Monitor {
                         .unwrap_or_else(|| "never".into()),
                 ),
                 Cell::Text(if stale { "STALE" } else { "ok" }.into()),
-                Cell::Text(h.lifecycle(self.cfg.stale_after_intervals).label()),
+                Cell::Text(h.lifecycle(stale_after).label()),
                 Cell::Text(if h.archive_degraded { "degraded" } else { "ok" }.into()),
             ]);
         }
@@ -466,15 +642,55 @@ impl Monitor {
             .map(|h| h.lifecycle(self.cfg.stale_after_intervals))
     }
 
+    /// Cumulative parse accounting over all cycles so far.
+    pub fn parse_totals(&self) -> ParseStats {
+        self.parse_totals
+    }
+
+    /// Parse accounting of the latest cycle only, for degradation checks.
+    pub fn parse_last(&self) -> ParseStats {
+        self.parse_last
+    }
+
     /// Whether the latest cycle's parsing is degraded: malformed lines
     /// exceeded [`DEGRADED_PARSE_PCT`] of its row-like lines.
     pub fn parse_degraded(&self) -> bool {
-        parse_degraded(&self.parse_last)
+        let p = &self.parse_last;
+        let rows = p.parsed + p.malformed;
+        rows > 0 && (p.malformed as f64 / rows as f64) * 100.0 > DEGRADED_PARSE_PCT
     }
 
-    /// The per-table-kind parse accounting summary over all cycles so far.
+    /// The per-table-kind parse accounting summary over all cycles so
+    /// far: parsed, malformed and skipped line counts plus the malformed
+    /// percentage, with a totals row.
     pub fn parse_table(&self) -> Table {
-        parse_accounting_table(&self.parse_totals, "Parse accounting")
+        let mut table = Table::new(
+            "Parse accounting",
+            vec!["table", "parsed", "malformed", "skipped", "malformed_pct"],
+        );
+        let stats = &self.parse_totals;
+        let total = KindStats {
+            parsed: stats.parsed,
+            malformed: stats.malformed,
+            skipped: stats.skipped,
+        };
+        let kinds = mantra_router_cli::TableKind::ALL.map(|k| (k.label(), stats.kind(k)));
+        for (label, k) in kinds.into_iter().chain([("(total)", total)]) {
+            let rows = k.parsed + k.malformed;
+            let pct = if rows == 0 {
+                0.0
+            } else {
+                (k.malformed as f64 / rows as f64) * 100.0
+            };
+            table.push_row(vec![
+                Cell::Text(label.to_string()),
+                Cell::Num(k.parsed as f64),
+                Cell::Num(k.malformed as f64),
+                Cell::Num(k.skipped as f64),
+                Cell::Num(pct),
+            ]);
+        }
+        table
     }
 
     /// The pipeline's per-stage metrics registry.
@@ -514,10 +730,7 @@ impl Monitor {
                 "persistence",
             ],
         );
-        for router in &self.cfg.routers {
-            let Some(st) = self.state_of(router) else {
-                continue;
-            };
+        for (router, st) in self.router_states() {
             let stats = st.log.archive_stats();
             let info = st.log.describe();
             let errors = st.log.write_errors.max(stats.write_errors) + st.log.replay_errors();
@@ -556,38 +769,6 @@ impl Monitor {
             .unwrap_or(&[])
     }
 
-    /// This monitor's partial sum of every router's streaming integer
-    /// accumulators — the shard-level contribution the fleet's
-    /// aggregation tier composes by exact integer summation.
-    pub fn stream_totals(&self) -> crate::stats_stream::StatsTotals {
-        let mut acc = crate::stats_stream::StatsTotals::default();
-        for st in &self.state {
-            if st.evicted {
-                continue;
-            }
-            acc.absorb(&st.stream.totals());
-        }
-        acc
-    }
-
-    /// Summed route churn across this monitor's routers for the cycle at
-    /// `at` (routers without a churn entry for that cycle — e.g. their
-    /// first — contribute nothing).
-    pub fn cycle_churn(&self, at: SimTime) -> RouteChurn {
-        let mut acc = RouteChurn::default();
-        for st in &self.state {
-            if st.evicted {
-                continue;
-            }
-            if let Some((t, churn)) = st.churn.last() {
-                if *t == at {
-                    acc.absorb(churn);
-                }
-            }
-        }
-        acc
-    }
-
     /// Usage-statistic history of one router.
     pub fn usage_history(&self, router: &str) -> &[UsageStats] {
         self.state_of(router)
@@ -607,6 +788,21 @@ impl Monitor {
         self.state_of(router)
             .map(|s| s.churn.as_slice())
             .unwrap_or(&[])
+    }
+
+    /// Fleet-wide usage statistics per cycle, summed over every router.
+    pub fn fleet_usage_history(&self) -> &[UsageStats] {
+        &self.usage
+    }
+
+    /// Fleet-wide route statistics per cycle.
+    pub fn fleet_route_history(&self) -> &[RouteStats] {
+        &self.routes
+    }
+
+    /// Fleet-wide route churn per cycle.
+    pub fn fleet_churn_history(&self) -> &[(SimTime, RouteChurn)] {
+        &self.churn
     }
 
     /// The delta log of one router.
@@ -632,6 +828,22 @@ impl Monitor {
         self.state_of(router).and_then(|s| s.prev.as_ref())
     }
 
+    /// The divergent router pairs of the latest cycle: every eligible
+    /// pair of latest snapshots whose similarity is below the consistency
+    /// monitor's floor, with its [`ConsistencyReport`], in configuration
+    /// order.
+    pub fn consistency_view(&self) -> Vec<(String, String, ConsistencyReport)> {
+        let views: Vec<&Tables> = self
+            .router_states()
+            .filter_map(|(_, st)| st.prev.as_ref())
+            .collect();
+        self.inconsistency
+            .divergent_pairs(&views)
+            .into_iter()
+            .map(|(i, j, r)| (views[i].router.clone(), views[j].router.clone(), r))
+            .collect()
+    }
+
     /// Extracts a usage time series (`f` picks the metric).
     pub fn usage_series(&self, router: &str, name: &str, f: impl Fn(&UsageStats) -> f64) -> Series {
         let mut s = Series::new(name);
@@ -653,12 +865,15 @@ impl Monitor {
     /// The paper's four Figure 3 series for one router, as one overlay
     /// graph: sessions, participants, active sessions, senders.
     pub fn usage_graph(&self, router: &str) -> Graph {
-        let mut g = Graph::new(format!("Usage at {router}"));
-        g.overlay(self.usage_series(router, "sessions", |u| u.sessions as f64));
-        g.overlay(self.usage_series(router, "participants", |u| u.participants as f64));
-        g.overlay(self.usage_series(router, "active-sessions", |u| u.active_sessions as f64));
-        g.overlay(self.usage_series(router, "senders", |u| u.senders as f64));
-        g
+        usage_overlay(format!("Usage at {router}"), self.usage_history(router))
+    }
+
+    /// [`Monitor::usage_graph`] over the fleet-wide usage history. The
+    /// title is deliberately shard-invariant: sharded and unsharded runs
+    /// of the same fleet must render byte-identical output.
+    pub fn fleet_usage_graph(&self) -> Graph {
+        let title = format!("Fleet usage ({} routers)", self.cfg.routers.len());
+        usage_overlay(title, &self.usage)
     }
 
     /// The busiest-sessions summary table (top `n` by bandwidth) — one of
@@ -708,85 +923,28 @@ impl Monitor {
     }
 }
 
-/// One cycle at `now` over every router of every shard in `shards`,
-/// one report per shard: a serial prologue interns the routers and opens
-/// state for new ones, one [`fan_out`] (at `width`, workers living `life`
-/// routers) runs each router's whole cycle over that router's state, and
-/// each shard folds its outcomes in configuration order.
-pub(crate) fn run_cycle_over<P: ParallelAccess + ?Sized>(
-    shards: &mut [Monitor],
-    access: &P,
-    now: SimTime,
-    width: usize,
-    life: usize,
-) -> Vec<CycleReport> {
-    let mut prologue = Vec::with_capacity(shards.len());
-    for m in shards.iter_mut() {
-        let t = Instant::now();
-        let (cfg, store, state) = (&m.cfg, &mut m.store, &mut m.state);
-        let mut ids = Vec::with_capacity(cfg.routers.len());
-        for r in &cfg.routers {
-            ids.push(router_slot(
-                store,
-                state,
-                r,
-                cfg.log_full_every,
-                &cfg.archive,
-            ));
+/// The paper's four Figure 3 series over `history`, as one overlay graph.
+fn usage_overlay(title: String, history: &[UsageStats]) -> Graph {
+    let series = |name: &str, f: fn(&UsageStats) -> f64| {
+        let mut s = Series::new(name);
+        for u in history {
+            s.push(u.at, f(u));
         }
-        prologue.push((ids, t.elapsed().as_nanos() as u64));
-    }
-    let distinct = shards
-        .iter()
-        .zip(&prologue)
-        .all(|(m, (ids, _))| ids_are_distinct(m.state.len(), ids.iter().copied()));
-    let mut outcomes = {
-        let mut inputs = Vec::with_capacity(shards.len());
-        let mut states = Vec::with_capacity(shards.len());
-        for m in shards.iter_mut() {
-            inputs.push(RouterInputs {
-                collector: &m.collector,
-                access,
-                now,
-                cfg: &m.cfg,
-                session_names: &m.session_names,
-            });
-            states.push(&mut m.state);
-        }
-        let mut items = Vec::new();
-        let mut outcomes = Vec::new();
-        for ((input, state), (ids, _)) in inputs.iter().zip(states).zip(&prologue) {
-            let routers = input.cfg.routers.iter();
-            if distinct {
-                for (router, st) in routers.zip(state_refs(state, ids.iter().copied())) {
-                    items.push((input, router, st));
-                }
-            } else {
-                // A router listed twice would alias its state: run every
-                // router in turn instead.
-                for (router, &id) in routers.zip(ids) {
-                    outcomes.push(router_cycle(input, router, &mut state[id as usize]));
-                }
-            }
-        }
-        outcomes.extend(fan_out(width, life, &mut items, |(input, router, st)| {
-            router_cycle(input, router, st)
-        }));
-        outcomes
-    }
-    .into_iter();
-    shards
-        .iter_mut()
-        .zip(prologue)
-        .map(|(m, (ids, nanos))| m.fold(now, &ids, outcomes.by_ref().take(ids.len()), nanos))
-        .collect()
+        s
+    };
+    let mut g = Graph::new(title);
+    g.overlay(series("sessions", |u| u.sessions as f64));
+    g.overlay(series("participants", |u| u.participants as f64));
+    g.overlay(series("active-sessions", |u| u.active_sessions as f64));
+    g.overlay(series("senders", |u| u.senders as f64));
+    g
 }
 
-/// Condenses a per-router health or archive table (the fleet's stitched
-/// ones included) past `limit` rows to its worst rows, with a footer of
-/// fleet totals summed from every row's own cells — the one place either
-/// footer is built. Tables at or under the limit are left as they are.
-pub(crate) fn condense_router_table(table: &mut Table, limit: usize) {
+/// Condenses a per-router health or archive table past `limit` rows to
+/// its worst rows, with a footer of fleet totals summed from every row's
+/// own cells — the one place either footer is built. Tables at or under
+/// the limit are left as they are.
+fn condense_router_table(table: &mut Table, limit: usize) {
     let n = table.rows.len();
     if n <= limit {
         return;
@@ -840,55 +998,6 @@ pub(crate) fn condense_router_table(table: &mut Table, limit: usize) {
     table.condense(limit, rank_by, summary);
 }
 
-/// Whether a cycle's accounting crosses the [`DEGRADED_PARSE_PCT`]
-/// malformed threshold.
-pub fn parse_degraded(stats: &ParseStats) -> bool {
-    let rows = stats.parsed + stats.malformed;
-    rows > 0 && (stats.malformed as f64 / rows as f64) * 100.0 > DEGRADED_PARSE_PCT
-}
-
-/// Renders parse accounting as a per-table-kind summary: parsed, malformed
-/// and skipped line counts plus the malformed percentage, with a totals
-/// row. Shared by the single monitor, the fleet aggregation tier, the CLI
-/// and the HTML report.
-pub fn parse_accounting_table(stats: &ParseStats, title: impl Into<String>) -> Table {
-    let mut table = Table::new(
-        title,
-        vec!["table", "parsed", "malformed", "skipped", "malformed_pct"],
-    );
-    let pct = |k: &crate::processor::KindStats| {
-        let rows = k.parsed + k.malformed;
-        if rows == 0 {
-            0.0
-        } else {
-            (k.malformed as f64 / rows as f64) * 100.0
-        }
-    };
-    for kind in mantra_router_cli::TableKind::ALL {
-        let k = stats.kind(kind);
-        table.push_row(vec![
-            Cell::Text(kind.label().to_string()),
-            Cell::Num(k.parsed as f64),
-            Cell::Num(k.malformed as f64),
-            Cell::Num(k.skipped as f64),
-            Cell::Num(pct(&k)),
-        ]);
-    }
-    let total = crate::processor::KindStats {
-        parsed: stats.parsed,
-        malformed: stats.malformed,
-        skipped: stats.skipped,
-    };
-    table.push_row(vec![
-        Cell::Text("(total)".to_string()),
-        Cell::Num(total.parsed as f64),
-        Cell::Num(total.malformed as f64),
-        Cell::Num(total.skipped as f64),
-        Cell::Num(pct(&total)),
-    ]);
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -908,7 +1017,7 @@ mod tests {
     #[test]
     fn full_pipeline_cycle() {
         let mut sc = Scenario::transition_snapshot(31, 0.3);
-        let mut monitor = Monitor::new(MonitorConfig::default());
+        let mut monitor = Monitor::new(MonitorConfig::default(), 1);
         drive(&mut sc, &mut monitor, 12);
         assert_eq!(monitor.cycles(), 12);
         let usage = monitor.usage_history("fixw");
@@ -940,7 +1049,7 @@ mod tests {
     #[test]
     fn avg_bandwidth_converges() {
         let mut sc = Scenario::transition_snapshot(32, 0.0);
-        let mut monitor = Monitor::new(MonitorConfig::default());
+        let mut monitor = Monitor::new(MonitorConfig::default(), 1);
         drive(&mut sc, &mut monitor, 8);
         let t = monitor.latest("ucsb-gw").unwrap();
         // Some long-lived pair has both averages and currents.
@@ -953,7 +1062,7 @@ mod tests {
     #[test]
     fn series_and_tables_come_out() {
         let mut sc = Scenario::transition_snapshot(33, 0.2);
-        let mut monitor = Monitor::new(MonitorConfig::default());
+        let mut monitor = Monitor::new(MonitorConfig::default(), 1);
         drive(&mut sc, &mut monitor, 10);
         let s = monitor.usage_series("fixw", "sessions", |u| u.sessions as f64);
         assert_eq!(s.len(), 10);
@@ -974,26 +1083,30 @@ mod tests {
     }
 
     #[test]
-    fn cycle_outputs_do_not_depend_on_the_fan_out() {
-        let run = |width: usize, life: usize| {
+    fn cycle_outputs_do_not_depend_on_the_fan_out_or_the_shards() {
+        let run = |width: usize, life: usize, shards: usize| {
             let mut sc = Scenario::transition_snapshot(35, 0.3);
-            let mut monitor = Monitor::new(MonitorConfig::default());
+            let mut monitor = Monitor::new(MonitorConfig::default(), shards);
             let mut reports = Vec::new();
             for _ in 0..6 {
                 let next = sc.sim.clock + monitor.cfg.interval;
                 sc.sim.advance_to(next);
                 let flaky = FlakyAccess::new(&sc.sim, 0.2, 0.2, 5);
-                let shards = std::slice::from_mut(&mut monitor);
-                reports.extend(run_cycle_over(shards, &flaky, next, width, life));
+                reports.push(monitor.cycle(&flaky, next, width, life));
             }
             (reports, monitor)
         };
-        let (inline_reports, inline) = run(1, usize::MAX);
+        let (inline_reports, inline) = run(1, usize::MAX, 1);
         // Width 4 clamps to the two routers; a worker life of one router
-        // hands every claim to a fresh thread.
-        let (fanned_reports, fanned) = run(4, 1);
+        // hands every claim to a fresh thread; each router has a shard.
+        let (fanned_reports, fanned) = run(4, 1, 2);
+        assert_eq!(fanned.shard_count(), 2);
         assert_eq!(inline_reports, fanned_reports);
         assert_eq!(inline.capture_failures(), fanned.capture_failures());
+        assert_eq!(inline.anomalies, fanned.anomalies);
+        assert_eq!(inline.fleet_usage_history(), fanned.fleet_usage_history());
+        assert_eq!(inline.fleet_route_history(), fanned.fleet_route_history());
+        assert_eq!(inline.fleet_churn_history(), fanned.fleet_churn_history());
         for router in ["fixw", "ucsb-gw"] {
             assert_eq!(inline.latest(router), fanned.latest(router));
             assert_eq!(inline.router_health(router), fanned.router_health(router));
@@ -1005,7 +1118,7 @@ mod tests {
             assert_eq!(inline.usage_history(router), fanned.usage_history(router));
             assert_eq!(inline.churn_history(router), fanned.churn_history(router));
         }
-        // Both widths account the same items per stage (time differs).
+        // Both account the same items per stage (time differs).
         for kind in StageKind::ALL {
             let s = inline.pipeline().stage(kind);
             let p = fanned.pipeline().stage(kind);
@@ -1019,17 +1132,20 @@ mod tests {
     fn file_archives_thread_through_the_pipeline() {
         let dir = crate::testing::TempDir::new("monitor-archive");
         let mut sc = Scenario::transition_snapshot(31, 0.3);
-        let mut monitor = Monitor::new(MonitorConfig {
-            archive: ArchiveSpec::File {
-                dir: dir.path().to_path_buf(),
-                sync: SyncPolicy::default(),
+        let mut monitor = Monitor::new(
+            MonitorConfig {
+                archive: ArchiveSpec::File {
+                    dir: dir.path().to_path_buf(),
+                    sync: SyncPolicy::default(),
+                },
+                ..MonitorConfig::default()
             },
-            ..MonitorConfig::default()
-        });
+            1,
+        );
         drive(&mut sc, &mut monitor, 6);
         // Same snapshots as an equivalent memory-archived run.
         let mut sc2 = Scenario::transition_snapshot(31, 0.3);
-        let mut mem = Monitor::new(MonitorConfig::default());
+        let mut mem = Monitor::new(MonitorConfig::default(), 1);
         drive(&mut sc2, &mut mem, 6);
         assert_eq!(
             monitor.log("fixw").unwrap().replay(),
@@ -1054,10 +1170,13 @@ mod tests {
     #[test]
     fn health_registry_tracks_success_and_staleness() {
         let mut sc = Scenario::transition_snapshot(36, 0.2);
-        let mut monitor = Monitor::new(MonitorConfig {
-            routers: vec!["fixw".into(), "ghost".into()],
-            ..MonitorConfig::default()
-        });
+        let mut monitor = Monitor::new(
+            MonitorConfig {
+                routers: vec!["fixw".into(), "ghost".into()],
+                ..MonitorConfig::default()
+            },
+            1,
+        );
         drive(&mut sc, &mut monitor, 6);
         let now = sc.sim.clock;
         let fixw = monitor.router_health("fixw").unwrap();
@@ -1082,10 +1201,13 @@ mod tests {
     #[test]
     fn unknown_router_yields_empty_but_counted_history() {
         let mut sc = Scenario::transition_snapshot(34, 0.0);
-        let mut monitor = Monitor::new(MonitorConfig {
-            routers: vec!["ghost".into()],
-            ..MonitorConfig::default()
-        });
+        let mut monitor = Monitor::new(
+            MonitorConfig {
+                routers: vec!["ghost".into()],
+                ..MonitorConfig::default()
+            },
+            1,
+        );
         drive(&mut sc, &mut monitor, 3);
         // A router that never answers produces NO statistics samples —
         // absent cycles are gaps, not phantom all-zero entries — while
@@ -1099,10 +1221,10 @@ mod tests {
         assert_eq!(ghost.missed_cycles, 3);
     }
 
-    /// Past the detail limit both engines condense the health and
-    /// archive tables with the same footer, totalled over every row.
+    /// Past the detail limit the health and archive tables condense to
+    /// the same footer, totalled over every row, at any shard count.
     #[test]
-    fn condensed_footers_match_across_engines() {
+    fn condensed_footers_match_across_shard_counts() {
         let cfg = MonitorConfig {
             routers: vec!["fixw".into(), "ghost".into()],
             stale_after_intervals: 2,
@@ -1111,8 +1233,8 @@ mod tests {
             ..MonitorConfig::default()
         };
         let mut sc = Scenario::transition_snapshot(35, 0.0);
-        let mut monitor = Monitor::new(cfg.clone());
-        let mut fleet = crate::fleet::FleetMonitor::new(cfg, 2);
+        let mut monitor = Monitor::new(cfg.clone(), 1);
+        let mut fleet = Monitor::new(cfg, 2);
         for _ in 0..5 {
             let next = sc.sim.clock + monitor.cfg.interval;
             sc.sim.advance_to(next);
@@ -1122,26 +1244,82 @@ mod tests {
         let now = sc.sim.clock;
         let health = monitor.health(now);
         assert_eq!(health.rows.len(), 1);
-        assert_eq!(health.footer, fleet.health(now).footer);
+        assert_eq!(health, fleet.health(now));
         let footer = health.footer.expect("condensed");
         assert!(footer.starts_with("1 of 2 routers shown"), "{footer}");
         assert!(footer.contains("1 stale, 1 retired"), "{footer}");
         let archives = monitor.archive_table();
         assert_eq!(archives.rows.len(), 1);
-        assert_eq!(archives.footer, fleet.archive_table().footer);
+        assert_eq!(archives, fleet.archive_table());
         let footer = archives.footer.expect("condensed");
         assert!(footer.contains("1 sealed"), "{footer}");
+        // The fleet-wide graph runs over the fleet-wide history.
+        assert_eq!(fleet.fleet_usage_graph().series.len(), 4);
+        assert_eq!(fleet.fleet_usage_history().len(), 5);
+    }
+
+    #[test]
+    fn contiguous_partition_covers_the_routers_in_order() {
+        let routers: Vec<String> = (0..10).map(|i| format!("r{i}")).collect();
+        let cfg = MonitorConfig {
+            routers: routers.clone(),
+            ..MonitorConfig::default()
+        };
+        let fleet = Monitor::new(cfg.clone(), 3);
+        assert_eq!(fleet.shard_count(), 3);
+        // Contiguous chunks, every shard used, configuration order kept.
+        let shards: Vec<usize> = routers.iter().filter_map(|r| fleet.shard_of(r)).collect();
+        assert_eq!(shards, [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]);
+        assert!(fleet.monitor_of("r9").is_some());
+        assert!(fleet.monitor_of("r10").is_none());
+        // Degenerate shapes clamp instead of panicking.
+        let one = MonitorConfig {
+            routers: vec!["a".into()],
+            ..cfg
+        };
+        assert_eq!(Monitor::new(one, 8).shard_count(), 1);
+    }
+
+    /// One router's fleet-wide statistics, summed from its integer
+    /// accumulators and divided once, are its own statistics.
+    #[test]
+    fn fleet_statistics_of_one_router_are_its_own() {
+        let mut sc = Scenario::transition_snapshot(41, 0.4);
+        let mut monitor = Monitor::new(
+            MonitorConfig {
+                routers: vec!["ucsb-gw".into()],
+                ..MonitorConfig::default()
+            },
+            1,
+        );
+        drive(&mut sc, &mut monitor, 6);
+        assert_eq!(
+            monitor.fleet_usage_history(),
+            monitor.usage_history("ucsb-gw")
+        );
+        assert_eq!(
+            monitor.fleet_route_history(),
+            monitor.route_history("ucsb-gw")
+        );
+        // The churn history starts at the router's second cycle; the
+        // fleet-wide one has an entry, empty at first, for every cycle.
+        let churn = monitor.fleet_churn_history();
+        assert_eq!(churn.len(), 6);
+        assert_eq!(&churn[1..], monitor.churn_history("ucsb-gw"));
     }
 
     #[test]
     fn missed_cycles_drive_retirement_and_the_state_column() {
         let mut sc = Scenario::transition_snapshot(35, 0.0);
-        let mut monitor = Monitor::new(MonitorConfig {
-            routers: vec!["fixw".into(), "ghost".into()],
-            stale_after_intervals: 2,
-            retire_after_intervals: 4,
-            ..MonitorConfig::default()
-        });
+        let mut monitor = Monitor::new(
+            MonitorConfig {
+                routers: vec!["fixw".into(), "ghost".into()],
+                stale_after_intervals: 2,
+                retire_after_intervals: 4,
+                ..MonitorConfig::default()
+            },
+            1,
+        );
         drive(&mut sc, &mut monitor, 3);
         assert_eq!(
             monitor.lifecycle_of("ghost"),

@@ -265,7 +265,7 @@ impl PipelineMetrics {
     /// Refreshes the per-backend archive totals from the routers' logs.
     /// The monitor calls this after every cycle; values are absolute, so
     /// repeated refreshes never double-count.
-    pub fn record_archives(&mut self, state: &[RouterState]) {
+    pub fn record_archives<'a>(&mut self, state: impl IntoIterator<Item = &'a RouterState>) {
         let mut agg: Vec<ArchiveMetrics> = Vec::new();
         for st in state {
             if st.evicted {
@@ -433,35 +433,22 @@ impl RouterState {
     }
 }
 
-/// Whether every id is in-bounds for `len` states and distinct — the
-/// precondition for handing out one exclusive state reference per cycle
-/// router. Duplicates can only arise from a degenerate configuration
-/// (the same router listed twice in one cycle); those cycles run their
-/// routers one after another, where aliasing is naturally sequential.
-pub(crate) fn ids_are_distinct(len: usize, ids: impl Iterator<Item = u32>) -> bool {
-    let mut seen = vec![false; len];
-    for id in ids {
-        match seen.get_mut(id as usize) {
-            Some(s) if !*s => *s = true,
-            _ => return false,
-        }
-    }
-    true
-}
-
-/// Exclusive references to the cycle routers' states, aligned with
-/// `ids`. Callers must have checked [`ids_are_distinct`] first.
+/// Exclusive references to the states `slots` name, in slot order; each
+/// slot is a `(part, id)` into `parts`. `None` when a slot repeats: a
+/// router listed twice in one cycle would alias its state, so such a
+/// cycle runs its routers one after another instead.
 pub(crate) fn state_refs<'a>(
-    state: &'a mut [RouterState],
-    ids: impl Iterator<Item = u32>,
-) -> Vec<&'a mut RouterState> {
-    let mut slots: Vec<Option<&'a mut RouterState>> = state.iter_mut().map(Some).collect();
-    ids.map(|id| {
-        slots[id as usize]
-            .take()
-            .expect("ids checked distinct and in bounds")
-    })
-    .collect()
+    parts: impl IntoIterator<Item = &'a mut [RouterState]>,
+    slots: impl IntoIterator<Item = (usize, u32)>,
+) -> Option<Vec<&'a mut RouterState>> {
+    let mut free: Vec<Vec<Option<&'a mut RouterState>>> = parts
+        .into_iter()
+        .map(|part| part.iter_mut().map(Some).collect())
+        .collect();
+    slots
+        .into_iter()
+        .map(|(part, id)| free.get_mut(part)?.get_mut(id as usize)?.take())
+        .collect()
 }
 
 /// The router's id in `store`, opening fresh state (and its archive)
@@ -595,7 +582,7 @@ where
 // One router's cycle
 // ----------------------------------------------------------------------
 
-/// The read-only inputs a shard's router tasks share in one cycle.
+/// The read-only inputs every router task of a cycle shares.
 pub(crate) struct RouterInputs<'a, P: ?Sized> {
     pub collector: &'a Collector,
     pub access: &'a P,
@@ -806,19 +793,18 @@ fn analyse_router(
     (st.name.clone(), usage, routes, anomalies)
 }
 
-/// Cross-router consistency over the snapshots the routers `ids` took
-/// this cycle (now their `prev`; a missed router's is older and sits
-/// out), in that order — a serial barrier after the per-router work,
-/// since the sweep needs every snapshot at once. Each pair of distinct
-/// reachable-set views is compared once.
-pub(crate) fn sweep_cycle(
+/// Cross-router consistency over the snapshots `states` took this cycle
+/// (now their `prev`; a missed router's is older and sits out), in that
+/// order — a serial barrier after the per-router work, since the sweep
+/// needs every snapshot at once. Each pair of distinct reachable-set
+/// views is compared once.
+pub(crate) fn sweep_cycle<'a>(
     inconsistency: &mut InconsistencyMonitor,
-    state: &[RouterState],
-    ids: impl Iterator<Item = u32>,
+    states: impl Iterator<Item = &'a RouterState>,
     now: SimTime,
 ) -> Vec<Anomaly> {
-    let views: Vec<&Tables> = ids
-        .filter_map(|id| state[id as usize].prev.as_ref())
+    let views: Vec<&Tables> = states
+        .filter_map(|st| st.prev.as_ref())
         .filter(|t| t.captured_at == now)
         .collect();
     inconsistency.sweep(&views, now)
@@ -839,7 +825,7 @@ fn stage_width(parallel: bool) -> usize {
 
 /// Runs `body` once per work item against that item's router state,
 /// fanned out at `width`, results in item order; items whose ids repeat
-/// (see [`ids_are_distinct`]) run one after another instead.
+/// (see [`state_refs`]) run one after another instead.
 fn run_sharded<W, R>(
     width: usize,
     state: &mut [RouterState],
@@ -851,15 +837,16 @@ where
     W: Send,
     R: Send,
 {
-    if ids_are_distinct(state.len(), work.iter().map(&id_of)) {
-        let refs = state_refs(state, work.iter().map(&id_of));
-        let mut items: Vec<(&mut RouterState, &mut W)> =
-            refs.into_iter().zip(work.iter_mut()).collect();
-        fan_out(width, usize::MAX, &mut items, |(st, w)| body(st, w))
-    } else {
-        work.iter_mut()
+    match state_refs([&mut *state], work.iter().map(|w| (0, id_of(w)))) {
+        Some(refs) => {
+            let mut items: Vec<(&mut RouterState, &mut W)> =
+                refs.into_iter().zip(work.iter_mut()).collect();
+            fan_out(width, usize::MAX, &mut items, |(st, w)| body(st, w))
+        }
+        None => work
+            .iter_mut()
             .map(|w| body(&mut state[id_of(w) as usize], w))
-            .collect()
+            .collect(),
     }
 }
 
@@ -1028,9 +1015,7 @@ pub struct AnalyseStage<'a> {
     pub injection_min_new: usize,
     /// Cross-router consistency monitor.
     pub inconsistency: &'a mut InconsistencyMonitor,
-    /// Whether to run the cross-router consistency sweep. A fleet shard
-    /// disables it — the fleet tier sweeps globally so cross-shard pairs
-    /// are not missed (and within-shard pairs not double-reported).
+    /// Whether to run the cross-router consistency sweep.
     pub cross_router: bool,
     /// Whether to fan the per-router bodies out over every core.
     pub parallel: bool,
@@ -1064,8 +1049,8 @@ impl Stage for AnalyseStage<'_> {
             report.per_router.push((name, usage, routes));
         }
         if self.cross_router {
-            let ids = work.iter().map(|lr| lr.id);
-            let swept = sweep_cycle(self.inconsistency, self.state, ids, now);
+            let states = work.iter().map(|lr| &self.state[lr.id as usize]);
+            let swept = sweep_cycle(self.inconsistency, states, now);
             report.anomalies.extend(swept);
         }
         report
@@ -1209,6 +1194,22 @@ mod tests {
         // Rows too few to size by give a life no cycle outlasts.
         assert_eq!(worker_life(0, 2), ROWS_PER_WORKER as usize);
         assert_eq!(worker_life(0, 0), ROWS_PER_WORKER as usize);
+    }
+
+    #[test]
+    fn state_refs_hand_out_each_state_once_in_slot_order() {
+        let state = |name: &str| RouterState::tombstone(name.into());
+        let mut a = vec![state("a0"), state("a1")];
+        let mut b = vec![state("b0")];
+        let parts = [a.as_mut_slice(), b.as_mut_slice()];
+        let refs = state_refs(parts, [(1, 0), (0, 1), (0, 0)]).expect("distinct slots");
+        let names: Vec<&str> = refs.iter().map(|st| st.name.as_str()).collect();
+        assert_eq!(names, ["b0", "a1", "a0"]);
+        // A repeated slot (a router listed twice) or one out of range
+        // hands out nothing.
+        assert!(state_refs([a.as_mut_slice()], [(0, 1), (0, 1)]).is_none());
+        assert!(state_refs([a.as_mut_slice()], [(0, 2)]).is_none());
+        assert!(state_refs([a.as_mut_slice()], [(1, 0)]).is_none());
     }
 
     #[test]

@@ -490,20 +490,19 @@ impl IncrementalStats {
     }
 }
 
-/// The aggregation tier's unit of composition: pure integer accumulators
-/// (counts, sums, the density histogram), no derived ratios.
+/// The fleet-wide statistics' unit of composition: pure integer
+/// accumulators (counts, sums, the density histogram), no derived ratios.
 ///
 /// Integer addition is associative and commutative, so summing per-router
-/// totals per shard and then summing the shard partials gives *exactly*
-/// the sum over all routers, regardless of partition — every division
-/// (average density, bandwidth-saved multiple, uptime mean) happens once,
-/// at assembly, on identical integers. That is the whole exactness
-/// argument for sharded aggregation: a fleet's global
-/// [`UsageStats`]/[`RouteStats`] are bit-identical to the single-monitor
-/// computation because the f64 operations see the same operands in the
-/// same order. The semantic is router-observations summed across the
-/// fleet (a session with state at three routers contributes three times),
-/// the same reading the per-router figures already have.
+/// totals gives *exactly* the same integers in any order and under any
+/// partition — every division (average density, bandwidth-saved
+/// multiple, uptime mean) happens once, at assembly, on identical
+/// integers. That is the whole exactness argument for sharding: a
+/// fleet's [`UsageStats`]/[`RouteStats`] are bit-identical at every shard
+/// count because the f64 operations see the same operands in the same
+/// order. The semantic is router-observations summed across the fleet (a
+/// session with state at three routers contributes three times), the
+/// same reading the per-router figures already have.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StatsTotals {
     at: SimTime,

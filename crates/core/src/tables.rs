@@ -243,39 +243,6 @@ impl Tables {
         out.dedup();
         out
     }
-
-    /// Merges another snapshot's rows into this one (multi-router
-    /// aggregation). Pair rows collide only if the same `(S,G)` is seen at
-    /// both routers; the higher-bandwidth observation wins (closest to the
-    /// source).
-    pub fn merge(&mut self, other: &Tables) {
-        for ((g, s), row) in &other.pairs {
-            match self.pairs.get(&(*g, *s)) {
-                Some(mine) if mine.current_bw >= row.current_bw => {}
-                _ => {
-                    self.pairs.insert((*g, *s), row.clone());
-                }
-            }
-        }
-        for (h, row) in &other.participants {
-            let e = self.participants.entry(*h).or_insert_with(|| row.clone());
-            e.group_count = e.group_count.max(row.group_count);
-            e.first_seen = e.first_seen.min(row.first_seen);
-        }
-        for (g, row) in &other.sessions {
-            let e = self.sessions.entry(*g).or_insert_with(|| row.clone());
-            e.density = e.density.max(row.density);
-            e.bandwidth = e.bandwidth.max(row.bandwidth);
-            e.first_seen = e.first_seen.min(row.first_seen);
-        }
-        for (k, row) in &other.routes {
-            self.routes.entry(*k).or_insert_with(|| row.clone());
-        }
-        for (k, t) in &other.sa_cache {
-            let e = self.sa_cache.entry(*k).or_insert(*t);
-            *e = (*e).min(*t);
-        }
-    }
 }
 
 /// One snapshot's rows in arrival order, assembled into [`Tables`] by
@@ -543,20 +510,6 @@ mod tests {
         assert_eq!(t.routes.len(), 3, "same prefix, two protocols");
         assert_eq!(t.reachable_dvmrp_routes(), 1);
         assert_eq!(t.routes_of(LearnedFrom::Mbgp).count(), 1);
-    }
-
-    #[test]
-    fn merge_prefers_stronger_observation() {
-        let s = Ip::new(128, 1, 0, 2);
-        let mut a = Tables::new("fixw", t0());
-        a.add_pair(pair(s, g(0), 10));
-        let mut b = Tables::new("ucsb", t0());
-        b.add_pair(pair(s, g(0), 64));
-        b.add_pair(pair(s, g(1), 1));
-        a.merge(&b);
-        assert_eq!(a.pairs[&(g(0), s)].current_bw, BitRate::from_kbps(64));
-        assert_eq!(a.pairs.len(), 2);
-        assert!(a.sessions.contains_key(&g(1)));
     }
 
     #[test]

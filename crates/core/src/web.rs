@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 use mantra_net::SimTime;
 
 use crate::monitor::Monitor;
-use crate::output::{Graph, Table};
+use crate::output::{Cell, Graph, Table};
 
 /// Escapes text for HTML.
 fn esc(s: &str) -> String {
@@ -244,7 +244,7 @@ pub fn report_html(monitor: &Monitor, router: &str, events: &[(SimTime, String)]
         );
     }
     if monitor.parse_degraded() {
-        let s = monitor.parse_last;
+        let s = monitor.parse_last();
         let _ = writeln!(
             out,
             "<p><strong>Degraded parse:</strong> {} of {} row-like lines were malformed in \
@@ -306,14 +306,10 @@ pub fn report_html(monitor: &Monitor, router: &str, events: &[(SimTime, String)]
 }
 
 /// Renders the fleet-wide monitoring report: one page for the whole
-/// sharded fleet, built from the aggregation tier's global outputs
-/// rather than any single shard's view, with a topology-events strip
-/// like [`report_html`].
-pub fn fleet_report_html(
-    fleet: &crate::fleet::FleetMonitor,
-    now: SimTime,
-    events: &[(SimTime, String)],
-) -> String {
+/// sharded fleet, built from the engine's fleet-wide outputs rather than
+/// any one router's view, with a topology-events strip like
+/// [`report_html`]. Its per-router tables carry each router's shard.
+pub fn fleet_report_html(fleet: &Monitor, now: SimTime, events: &[(SimTime, String)]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "<!DOCTYPE html>");
     let _ = writeln!(
@@ -333,11 +329,11 @@ pub fn fleet_report_html(
         fleet.capture_failures(),
         fleet.anomalies.len()
     );
-    let _ = writeln!(out, "{}", graph_svg(&fleet.usage_graph(), 860, 300));
+    let _ = writeln!(out, "{}", graph_svg(&fleet.fleet_usage_graph(), 860, 300));
     let mut routes = Graph::new("Fleet DVMRP routes (global)");
     let mut reachable = crate::stats::Series::new("dvmrp-reachable");
     let mut total = crate::stats::Series::new("dvmrp-total");
-    for r in fleet.route_history() {
+    for r in fleet.fleet_route_history() {
         reachable.push(r.at, r.dvmrp_reachable as f64);
         total.push(r.at, r.dvmrp_total as f64);
     }
@@ -354,7 +350,7 @@ pub fn fleet_report_html(
             crate::monitor::DEGRADED_PARSE_PCT
         );
     }
-    let cache = fleet.query_cache_stats();
+    let cache = fleet.query_cache().stats();
     let _ = writeln!(
         out,
         "<p>Query cache: {} hit(s), {} miss(es), {} eviction(s); {} entr{} resident.</p>",
@@ -365,9 +361,13 @@ pub fn fleet_report_html(
         if cache.entries == 1 { "y" } else { "ies" }
     );
     let _ = writeln!(out, "{}", topology_events_html(events));
-    let _ = writeln!(out, "{}", table_html(&fleet.health(now)));
-    let _ = writeln!(out, "{}", table_html(&fleet.parse_table()));
-    let _ = writeln!(out, "{}", table_html(&fleet.archive_table()));
+    let health = with_shards(fleet, fleet.health(now), "Fleet collection health");
+    let _ = writeln!(out, "{}", table_html(&health));
+    let mut parse = fleet.parse_table();
+    parse.title = "Parse accounting (fleet)".into();
+    let _ = writeln!(out, "{}", table_html(&parse));
+    let archives = with_shards(fleet, fleet.archive_table(), "Fleet archives");
+    let _ = writeln!(out, "{}", table_html(&archives));
     let divergent = fleet.consistency_view();
     if divergent.is_empty() {
         let _ = writeln!(out, "<p>Route consistency: no divergent router pairs.</p>");
@@ -393,6 +393,21 @@ pub fn fleet_report_html(
     }
     let _ = writeln!(out, "</body></html>");
     out
+}
+
+/// A per-router table as the fleet page shows it: retitled, with each
+/// router's shard after the router column.
+fn with_shards(fleet: &Monitor, mut table: Table, title: &str) -> Table {
+    table.title = title.into();
+    table.columns.insert(1, "shard".into());
+    for row in &mut table.rows {
+        let shard = match &row[0] {
+            Cell::Text(router) => fleet.shard_of(router),
+            _ => None,
+        };
+        row.insert(1, Cell::Num(shard.unwrap_or_default() as f64));
+    }
+    table
 }
 
 /// Injects the daemon's auto-refresh shell into a rendered report page
@@ -468,9 +483,9 @@ mod tests {
 
     #[test]
     fn fleet_report_page_is_complete() {
-        use crate::{FleetMonitor, MonitorConfig};
+        use crate::{Monitor, MonitorConfig};
         let mut sc = mantra_sim::Scenario::transition_snapshot(41, 0.3);
-        let mut fleet = FleetMonitor::new(
+        let mut fleet = Monitor::new(
             MonitorConfig {
                 routers: vec!["fixw".into(), "ucsb-gw".into()],
                 interval: sc.sim.tick(),
@@ -497,9 +512,11 @@ mod tests {
         // Live simulator output parses cleanly — no degraded-parse banner.
         assert!(!html.contains("Degraded parse"));
         assert!(html.contains("Route consistency:"));
-        // detail limit 1 → both fleet tables condensed with footers.
+        // detail limit 1 → both fleet tables condensed with footers, and
+        // each keeps the shard column after the router column.
         assert!(html.contains("of 2 routers shown"));
         assert!(html.contains("of 2 archives shown"));
+        assert_eq!(html.matches("<th>router</th><th>shard</th>").count(), 2);
     }
 
     #[test]
@@ -542,11 +559,14 @@ mod tests {
     fn report_page_is_complete() {
         use crate::{Monitor, MonitorConfig};
         let mut sc = mantra_sim::Scenario::transition_snapshot(41, 0.3);
-        let mut monitor = Monitor::new(MonitorConfig {
-            routers: vec!["fixw".into()],
-            interval: sc.sim.tick(),
-            ..MonitorConfig::default()
-        });
+        let mut monitor = Monitor::new(
+            MonitorConfig {
+                routers: vec!["fixw".into()],
+                interval: sc.sim.tick(),
+                ..MonitorConfig::default()
+            },
+            1,
+        );
         for _ in 0..8 {
             let next = sc.sim.clock + monitor.cfg.interval;
             sc.sim.advance_to(next);
@@ -580,15 +600,18 @@ mod tests {
         let dir = crate::testing::TempDir::new("web-flat");
         let bogus = dir.join("flat");
         std::fs::write(&bogus, b"not a dir").unwrap();
-        let mut monitor = Monitor::new(MonitorConfig {
-            routers: vec!["fixw".into()],
-            interval: sc.sim.tick(),
-            archive: ArchiveSpec::File {
-                dir: bogus.join("archives"),
-                sync: crate::archive::SyncPolicy::default(),
+        let mut monitor = Monitor::new(
+            MonitorConfig {
+                routers: vec!["fixw".into()],
+                interval: sc.sim.tick(),
+                archive: ArchiveSpec::File {
+                    dir: bogus.join("archives"),
+                    sync: crate::archive::SyncPolicy::default(),
+                },
+                ..MonitorConfig::default()
             },
-            ..MonitorConfig::default()
-        });
+            1,
+        );
         for _ in 0..3 {
             let next = sc.sim.clock + monitor.cfg.interval;
             sc.sim.advance_to(next);

@@ -2,16 +2,18 @@
 //!
 //! The paper's Mantra ran as a service: collection on a timer, results
 //! queryable at any moment through a web front-end. This crate is that
-//! shape for the reproduction. One **tick thread** owns the
-//! [`Monitor`]/[`FleetMonitor`] (behind a `Mutex` held only for the
-//! duration of a cycle) and drives collection at a wall-clock cadence;
+//! shape for the reproduction. One **tick thread** owns the [`Monitor`],
+//! one router set or a sharded fleet alike (behind a `Mutex` held only
+//! for the duration of a cycle), and drives collection at a wall-clock
+//! cadence;
 //! a **serve thread** accepts HTTP/1.1 connections and answers JSON
 //! queries from brief lock grabs — or, for `/replay`, from no lock at
 //! all: time-travel replay goes through a read-only
 //! [`mantra_core::archive::ArchiveReader`], which snapshots the
 //! archive's logical end and replays a consistent prefix while the
 //! writer keeps appending, with the reader kept and its results
-//! memoised in the monitor's shared [`QueryCache`].
+//! memoised in the monitor's shared
+//! [`QueryCache`](mantra_core::archive::QueryCache).
 //!
 //! Endpoints:
 //!
@@ -31,18 +33,15 @@
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread;
 use std::time::Duration;
 
 use mantra_core::anomaly::Anomaly;
-use mantra_core::archive::{CacheStats, QueryCache};
-use mantra_core::monitor::RouterHealth;
+use mantra_core::archive::CacheStats;
 use mantra_core::processor::ParseStats;
-use mantra_core::stats::UsageStats;
-use mantra_core::{FleetMonitor, Monitor, MonitorConfig};
+use mantra_core::{web, Monitor};
 use mantra_net::SimTime;
 
 pub mod http;
@@ -52,130 +51,30 @@ use http::{Request, Response};
 use json::{jarr, jstr, Obj};
 
 // ----------------------------------------------------------------------
-// Engine: one monitor or a sharded fleet behind one query surface
+// Engine: the monitor, and which `/` page it serves
 // ----------------------------------------------------------------------
 
-/// What the daemon drives: a single [`Monitor`] or a sharded
-/// [`FleetMonitor`], presented to the endpoints as one surface.
-// The variants differ in size by a couple of KB, but the daemon owns
-// exactly one `Engine` for its whole lifetime — boxing would buy
-// nothing and cost an indirection on every query.
-#[allow(clippy::large_enum_variant)]
+/// What the daemon drives: one [`Monitor`]. The variant only picks the
+/// `/` page; every other endpoint reads the monitor alike.
 pub enum Engine {
+    /// `/` reports on one router (`?router=`, else the default router).
     Single(Monitor),
-    Fleet(FleetMonitor),
+    /// `/` is the fleet-wide report.
+    Fleet(Monitor),
 }
 
 impl Engine {
-    pub fn cfg(&self) -> &MonitorConfig {
+    /// The monitor behind either page.
+    pub fn monitor(&self) -> &Monitor {
         match self {
-            Engine::Single(m) => &m.cfg,
-            Engine::Fleet(f) => &f.cfg,
+            Engine::Single(m) | Engine::Fleet(m) => m,
         }
     }
 
-    pub fn cycles(&self) -> u64 {
+    /// The monitor behind either page, for the tick that runs its cycles.
+    pub fn monitor_mut(&mut self) -> &mut Monitor {
         match self {
-            Engine::Single(m) => m.cycles(),
-            Engine::Fleet(f) => f.cycles(),
-        }
-    }
-
-    pub fn capture_failures(&self) -> u64 {
-        match self {
-            Engine::Single(m) => m.capture_failures(),
-            Engine::Fleet(f) => f.capture_failures(),
-        }
-    }
-
-    pub fn anomalies(&self) -> &[Anomaly] {
-        match self {
-            Engine::Single(m) => &m.anomalies,
-            Engine::Fleet(f) => &f.anomalies,
-        }
-    }
-
-    pub fn parse_totals(&self) -> ParseStats {
-        match self {
-            Engine::Single(m) => m.parse_totals,
-            Engine::Fleet(f) => f.parse_totals(),
-        }
-    }
-
-    pub fn parse_last(&self) -> ParseStats {
-        match self {
-            Engine::Single(m) => m.parse_last,
-            Engine::Fleet(f) => f.parse_last(),
-        }
-    }
-
-    pub fn parse_degraded(&self) -> bool {
-        match self {
-            Engine::Single(m) => m.parse_degraded(),
-            Engine::Fleet(f) => f.parse_degraded(),
-        }
-    }
-
-    /// The monitor responsible for `router` (the shard, in fleet mode),
-    /// or `None` when no monitor watches a router by that name — the
-    /// 404 the query endpoints lean on.
-    pub fn monitor_of(&self, router: &str) -> Option<&Monitor> {
-        match self {
-            Engine::Single(m) => m.cfg.routers.iter().any(|r| r == router).then_some(m),
-            Engine::Fleet(f) => f.monitor_of(router),
-        }
-    }
-
-    pub fn router_health(&self, router: &str) -> Option<&RouterHealth> {
-        self.monitor_of(router)?.router_health(router)
-    }
-
-    pub fn usage_history(&self, router: &str) -> &[UsageStats] {
-        self.monitor_of(router)
-            .map(|m| m.usage_history(router))
-            .unwrap_or(&[])
-    }
-
-    /// Query-cache counters summed across all owned caches.
-    pub fn cache_stats(&self) -> CacheStats {
-        match self {
-            Engine::Single(m) => m.query_cache().stats(),
-            Engine::Fleet(f) => f.query_cache_stats(),
-        }
-    }
-
-    /// `router`'s on-disk archive path and the query cache that memoises
-    /// replays over it — everything `/replay` needs, so the handler can
-    /// drop the engine lock before touching the archive.
-    pub fn replay_source(&self, router: &str) -> Option<(PathBuf, Arc<QueryCache>)> {
-        let m = self.monitor_of(router)?;
-        Some((m.archive_path(router)?, m.query_cache()))
-    }
-
-    /// The lifecycle state of one router
-    /// (active / stale(n) / retired), judged by its owning monitor.
-    pub fn lifecycle_of(&self, router: &str) -> Option<mantra_core::LifecycleState> {
-        self.monitor_of(router)?.lifecycle_of(router)
-    }
-
-    /// The live HTML report (single-router page, or the fleet page),
-    /// with the topology-events strip rendered from `events`.
-    pub fn report_html(
-        &self,
-        router: &str,
-        now: SimTime,
-        refresh_secs: u64,
-        events: &[(SimTime, String)],
-    ) -> String {
-        match self {
-            Engine::Single(m) => mantra_core::web::live_wrap(
-                &mantra_core::web::report_html(m, router, events),
-                refresh_secs,
-            ),
-            Engine::Fleet(f) => mantra_core::web::live_wrap(
-                &mantra_core::web::fleet_report_html(f, now, events),
-                refresh_secs,
-            ),
+            Engine::Single(m) | Engine::Fleet(m) => m,
         }
     }
 }
@@ -230,6 +129,13 @@ struct Shared {
     refresh_secs: u64,
     /// Full churn timeline for the run; endpoints filter by `now`.
     topology_events: Vec<(SimTime, String)>,
+}
+
+impl Shared {
+    /// The engine, locked; a panicked holder leaves it usable.
+    fn engine(&self) -> MutexGuard<'_, Engine> {
+        self.engine.lock().unwrap_or_else(|e| e.into_inner())
+    }
 }
 
 /// A running daemon: the bound address plus the two thread handles.
@@ -310,10 +216,7 @@ where
     let mut done = 0u64;
     while !shared.shutdown.load(Ordering::SeqCst) {
         if max_cycles.is_none_or(|max| done < max) {
-            let now = {
-                let mut engine = shared.engine.lock().unwrap_or_else(|e| e.into_inner());
-                tick(&mut engine)
-            };
+            let now = tick(&mut shared.engine());
             shared.now.store(now.as_secs(), Ordering::SeqCst);
             done += 1;
         }
@@ -386,19 +289,27 @@ fn parse_stats_json(p: ParseStats) -> String {
 }
 
 fn report(shared: &Shared, req: &Request) -> Response {
-    let engine = shared.engine.lock().unwrap_or_else(|e| e.into_inner());
-    let router = req.param("router").unwrap_or(&shared.default_router);
-    let now = SimTime(shared.now.load(Ordering::SeqCst));
-    Response::html(engine.report_html(router, now, shared.refresh_secs, &shared.topology_events))
+    let engine = shared.engine();
+    let events = &shared.topology_events;
+    let page = match &*engine {
+        Engine::Single(m) => {
+            let router = req.param("router").unwrap_or(&shared.default_router);
+            web::report_html(m, router, events)
+        }
+        Engine::Fleet(m) => {
+            web::fleet_report_html(m, SimTime(shared.now.load(Ordering::SeqCst)), events)
+        }
+    };
+    Response::html(web::live_wrap(&page, shared.refresh_secs))
 }
 
 fn health(shared: &Shared) -> Response {
-    let engine = shared.engine.lock().unwrap_or_else(|e| e.into_inner());
+    let engine = shared.engine();
+    let m = engine.monitor();
     let now = SimTime(shared.now.load(Ordering::SeqCst));
-    let cfg = engine.cfg();
-    let (interval, stale_after) = (cfg.interval, cfg.stale_after_intervals);
-    let rows = cfg.routers.iter().filter_map(|router| {
-        let h = engine.router_health(router)?;
+    let (interval, stale_after) = (m.cfg.interval, m.cfg.stale_after_intervals);
+    let rows = m.cfg.routers.iter().filter_map(|router| {
+        let h = m.router_health(router)?;
         let state = h.lifecycle(stale_after).label();
         Some(
             Obj::new()
@@ -435,11 +346,11 @@ fn health(shared: &Shared) -> Response {
         .collect();
     Response::json(
         Obj::new()
-            .u64("cycles", engine.cycles())
+            .u64("cycles", m.cycles())
             .u64("now", now.as_secs())
-            .u64("capture_failures", engine.capture_failures())
-            .usize("anomalies", engine.anomalies().len())
-            .raw("query_cache", cache_json(engine.cache_stats()))
+            .u64("capture_failures", m.capture_failures())
+            .usize("anomalies", m.anomalies.len())
+            .raw("query_cache", cache_json(m.query_cache().stats()))
             .raw("topology_events", jarr(events))
             .raw("routers", jarr(rows))
             .finish(),
@@ -447,21 +358,22 @@ fn health(shared: &Shared) -> Response {
 }
 
 fn usage(shared: &Shared, req: &Request) -> Response {
-    let engine = shared.engine.lock().unwrap_or_else(|e| e.into_inner());
+    let engine = shared.engine();
+    let m = engine.monitor();
     let Some(router) = req.param("router") else {
         return Response::error(400, "missing required query parameter 'router'");
     };
-    if engine.monitor_of(router).is_none() {
+    if m.monitor_of(router).is_none() {
         return Response::error(404, &format!("unknown router {router:?}"));
     }
     // A retired router's history is a frozen prefix, not live data —
     // say so instead of serving it unlabeled.
-    let state = engine
+    let state = m
         .lifecycle_of(router)
         .map(|l| l.label())
         .unwrap_or_else(|| "unknown".into());
     let retired = state == "retired";
-    let history = engine.usage_history(router);
+    let history = m.usage_history(router);
     let payload = match serde_json::to_string(history) {
         Ok(p) => p,
         Err(e) => return Response::error(500, &e.to_string()),
@@ -485,10 +397,8 @@ fn anomalies(shared: &Shared, req: &Request) -> Response {
         Ok(v) => v,
         Err(e) => return Response::error(400, &format!("since={e}")),
     };
-    let engine = shared.engine.lock().unwrap_or_else(|e| e.into_inner());
-    let picked: Vec<&Anomaly> = engine
-        .anomalies()
-        .iter()
+    let engine = shared.engine();
+    let picked: Vec<&Anomaly> = (engine.monitor().anomalies.iter())
         .filter(|a| since.is_none_or(|s| a.at >= s))
         .collect();
     let payload = match serde_json::to_string(&picked) {
@@ -504,20 +414,21 @@ fn anomalies(shared: &Shared, req: &Request) -> Response {
 }
 
 fn parse(shared: &Shared) -> Response {
-    let engine = shared.engine.lock().unwrap_or_else(|e| e.into_inner());
+    let engine = shared.engine();
+    let m = engine.monitor();
     Response::json(
         Obj::new()
-            .bool("degraded", engine.parse_degraded())
-            .raw("totals", parse_stats_json(engine.parse_totals()))
-            .raw("last", parse_stats_json(engine.parse_last()))
+            .bool("degraded", m.parse_degraded())
+            .raw("totals", parse_stats_json(m.parse_totals()))
+            .raw("last", parse_stats_json(m.parse_last()))
             .finish(),
     )
 }
 
 /// Time-travel replay. Takes the engine lock only long enough to resolve
 /// the archive path and cache handle; the replay itself runs lock-free
-/// through [`QueryCache::replay_lines`] so a slow archive scan never
-/// stalls collection or other queries.
+/// through [`mantra_core::archive::QueryCache::replay_lines`] so a slow
+/// archive scan never stalls collection or other queries.
 fn replay(shared: &Shared, req: &Request) -> Response {
     let Some(router) = req.param("router") else {
         return Response::error(400, "missing required query parameter 'router'");
@@ -528,8 +439,10 @@ fn replay(shared: &Shared, req: &Request) -> Response {
         Err(e) => return Response::error(400, &format!("at={e}")),
     };
     let source = {
-        let engine = shared.engine.lock().unwrap_or_else(|e| e.into_inner());
-        engine.replay_source(&router)
+        let engine = shared.engine();
+        let m = engine.monitor();
+        let path = m.monitor_of(&router).and_then(|m| m.archive_path(&router));
+        path.map(|path| (path, m.query_cache()))
     };
     let Some((path, cache)) = source else {
         return Response::error(

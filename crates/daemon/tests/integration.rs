@@ -7,12 +7,13 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 use mantra_core::archive::ArchiveReader;
 use mantra_core::{ArchiveSpec, Monitor, MonitorConfig, SyncPolicy};
 use mantra_daemon::{spawn, DaemonConfig, Engine};
+use mantra_net::SimTime;
 use mantra_sim::Scenario;
 use serde::Value;
 
@@ -110,15 +111,18 @@ fn daemon_serves_golden_json_and_replay_matches_offline_reader() {
     // monitored routers, archives on disk.
     let mut sc = Scenario::transition_snapshot(1998, 0.4);
     sc.sim.set_report_loss(0.0);
-    let monitor = Monitor::new(MonitorConfig {
-        routers: vec!["fixw".into(), "ucsb-gw".into()],
-        interval: sc.sim.tick(),
-        archive: ArchiveSpec::File {
-            dir: dir.clone(),
-            sync: SyncPolicy::default(),
+    let monitor = Monitor::new(
+        MonitorConfig {
+            routers: vec!["fixw".into(), "ucsb-gw".into()],
+            interval: sc.sim.tick(),
+            archive: ArchiveSpec::File {
+                dir: dir.clone(),
+                sync: SyncPolicy::default(),
+            },
+            ..MonitorConfig::default()
         },
-        ..MonitorConfig::default()
-    });
+        1,
+    );
     let interval = monitor.cfg.interval;
     let cfg = DaemonConfig {
         addr: "127.0.0.1:0".into(),
@@ -134,9 +138,7 @@ fn daemon_serves_golden_json_and_replay_matches_offline_reader() {
     let handle = spawn(cfg, Engine::Single(monitor), move |engine: &mut Engine| {
         let next = sc.sim.clock + interval;
         sc.sim.advance_to(next);
-        if let Engine::Single(m) = engine {
-            m.run_cycle(&sc.sim, next);
-        }
+        engine.monitor_mut().run_cycle(&sc.sim, next);
         next
     })
     .expect("spawn mantrad");
@@ -318,4 +320,96 @@ fn daemon_serves_golden_json_and_replay_matches_offline_reader() {
 /// daemon's read path never left it mid-mutation.
 fn archive_untouched_after_stop(path: &Path) -> bool {
     ArchiveReader::open(path).is_ok()
+}
+
+/// Serves one transition world through `engine` (`Engine::Single` or
+/// `Engine::Fleet`) over `shards` shards, archiving under `dir`; once
+/// collection has quiesced after [`CYCLES`] cycles, answers `paths` in
+/// order and returns each `(status, body)`.
+fn serve_world(
+    engine: fn(Monitor) -> Engine,
+    shards: usize,
+    dir: PathBuf,
+    paths: &[&str],
+) -> Vec<(u16, String)> {
+    let mut sc = Scenario::transition_snapshot(7, 0.4);
+    let monitor = Monitor::new(
+        MonitorConfig {
+            routers: vec!["fixw".into(), "ucsb-gw".into()],
+            interval: sc.sim.tick(),
+            archive: ArchiveSpec::File {
+                dir,
+                sync: SyncPolicy::default(),
+            },
+            ..MonitorConfig::default()
+        },
+        shards,
+    );
+    let interval = monitor.cfg.interval;
+    let last = SimTime(sc.sim.clock.as_secs() + CYCLES * interval.as_secs());
+    let cfg = DaemonConfig {
+        addr: "127.0.0.1:0".into(),
+        tick: Duration::from_millis(5),
+        max_cycles: Some(CYCLES),
+        ..DaemonConfig::default()
+    };
+    let handle = spawn(cfg, engine(monitor), move |engine: &mut Engine| {
+        let next = sc.sim.clock + interval;
+        sc.sim.advance_to(next);
+        engine.monitor_mut().run_cycle(&sc.sim, next);
+        next
+    })
+    .expect("spawn mantrad");
+    let addr = handle.addr();
+    // Quiesced: the last cycle ran and its time is published.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while uint(field(&json(addr, "/health"), "now")) != last.as_secs() {
+        assert!(
+            Instant::now() < deadline,
+            "daemon never finished collecting"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let answers = paths
+        .iter()
+        .map(|path| {
+            let (status, _, body) = get(addr, path);
+            (status, body)
+        })
+        .collect();
+    handle.stop();
+    answers
+}
+
+/// The engine is one type whichever page `/` serves: one transition
+/// world through `Engine::Fleet` over two shards and through
+/// `Engine::Single` over one, for the same cycles and the same requests,
+/// answers byte-identical bodies, and an unknown router is a 404 from
+/// both.
+#[test]
+fn fleet_and_single_engines_answer_identically() {
+    let base = std::env::temp_dir().join(format!("mantrad-engines-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let paths = [
+        "/health",
+        "/stats/usage?router=fixw",
+        "/anomalies",
+        "/parse",
+        "/replay?router=fixw",
+        "/replay?router=fixw",
+        "/health",
+        "/stats/usage?router=nowhere",
+        "/replay?router=nowhere",
+    ];
+    let single = serve_world(Engine::Single, 1, base.join("single"), &paths);
+    let fleet = serve_world(Engine::Fleet, 2, base.join("fleet"), &paths);
+    for ((path, s), f) in paths.iter().zip(&single).zip(&fleet) {
+        assert_eq!(s, f, "{path}");
+    }
+    let statuses: Vec<u16> = single.iter().map(|(status, _)| *status).collect();
+    assert_eq!(statuses, [200, 200, 200, 200, 200, 200, 200, 404, 404]);
+    // The repeated replay hit the one query cache.
+    let health: Value = serde_json::from_str(&single[6].1).unwrap();
+    assert_eq!(uint(field(field(&health, "query_cache"), "hits")), 1);
+    std::fs::remove_dir_all(&base).unwrap();
 }

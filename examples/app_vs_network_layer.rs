@@ -21,11 +21,14 @@ use mantra::sim::{AppLayerConfig, AppLayerMonitor, Scenario, SimRng};
 
 fn main() {
     let mut sc = Scenario::transition_snapshot(1776, 0.0);
-    let mut mantra = Monitor::new(MonitorConfig {
-        routers: vec!["ucsb-gw".into()],
-        interval: sc.sim.tick(),
-        ..MonitorConfig::default()
-    });
+    let mut mantra = Monitor::new(
+        MonitorConfig {
+            routers: vec!["ucsb-gw".into()],
+            interval: sc.sim.tick(),
+            ..MonitorConfig::default()
+        },
+        1,
+    );
     let mut app = AppLayerMonitor::new(sc.ucsb, AppLayerConfig::default(), SimRng::seeded(3));
 
     let report = |label: &str, sc: &Scenario, mantra: &Monitor, app: &mut AppLayerMonitor| {

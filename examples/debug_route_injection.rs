@@ -16,11 +16,14 @@ use mantra::sim::Scenario;
 
 fn main() {
     let mut sc = Scenario::ucsb_injection_day(1014);
-    let mut monitor = Monitor::new(MonitorConfig {
-        routers: vec!["ucsb-gw".into()],
-        interval: sc.sim.tick(),
-        ..MonitorConfig::default()
-    });
+    let mut monitor = Monitor::new(
+        MonitorConfig {
+            routers: vec!["ucsb-gw".into()],
+            interval: sc.sim.tick(),
+            ..MonitorConfig::default()
+        },
+        1,
+    );
 
     let end = sc.sim.end_time();
     loop {

@@ -4,16 +4,18 @@
 //! real-time").
 //!
 //! Monitors every border router in a majority-native internetwork with a
-//! sharded [`FleetMonitor`] (shards collect concurrently, the aggregation
-//! tier merges them), then merges the per-router tables into one view and
-//! shows (a) how much more of the ground truth that view recovers than
-//! any single collection point, and (b) the pairwise DVMRP consistency
-//! matrix that exposes the paper's "inconsistent state" finding
-//! automatically.
+//! sharded [`Monitor`] (every router collected in one fan-out, the
+//! fleet-wide results folded in one place), then joins the per-router
+//! session tables into one view and shows (a) how much more of the ground
+//! truth that view recovers than any single collection point, and (b) the
+//! pairwise DVMRP consistency matrix that exposes the paper's
+//! "inconsistent state" finding automatically.
 //!
 //! Run with: `cargo run --release --example multi_router_aggregation`
 
-use mantra::core::{ConsistencyMatrix, FleetMonitor, MonitorConfig, Tables};
+use std::collections::BTreeSet;
+
+use mantra::core::{ConsistencyMatrix, Monitor, MonitorConfig, Tables};
 use mantra::sim::Scenario;
 
 fn main() {
@@ -45,7 +47,7 @@ fn main() {
         .iter()
         .map(|r| sc.sim.net.topo.router(*r).name.clone())
         .collect();
-    let mut fleet = FleetMonitor::new(
+    let mut fleet = Monitor::new(
         MonitorConfig {
             routers: routers.clone(),
             interval: sc.sim.tick(),
@@ -60,14 +62,8 @@ fn main() {
         fleet.run_cycle(&sc.sim, next);
     }
 
-    let latest: Vec<&Tables> = routers
-        .iter()
-        .filter_map(|r| fleet.monitor_of(r)?.latest(r))
-        .collect();
-    let mut merged = Tables::new("aggregate", sc.sim.clock);
-    for t in &latest {
-        merged.merge(t);
-    }
+    let latest: Vec<&Tables> = routers.iter().filter_map(|r| fleet.latest(r)).collect();
+    let seen: BTreeSet<_> = latest.iter().flat_map(|t| t.sessions.keys()).collect();
     let truth = sc.sim.sessions.len();
     let fixw_only = latest
         .iter()
@@ -77,7 +73,7 @@ fn main() {
     println!("FIXW alone sees:      {fixw_only}");
     println!(
         "aggregate view sees:  {} (from {} routers in {} shards, {} capture failures)",
-        merged.sessions.len(),
+        seen.len(),
         latest.len(),
         fleet.shard_count(),
         fleet.capture_failures(),

@@ -17,11 +17,14 @@ fn main() {
     let mut sc = Scenario::transition_snapshot(2024, 0.4);
 
     // Mantra watches the two collection points from the paper.
-    let mut monitor = Monitor::new(MonitorConfig {
-        routers: vec!["fixw".into(), "ucsb-gw".into()],
-        interval: sc.sim.tick(),
-        ..MonitorConfig::default()
-    });
+    let mut monitor = Monitor::new(
+        MonitorConfig {
+            routers: vec!["fixw".into(), "ucsb-gw".into()],
+            interval: sc.sim.tick(),
+            ..MonitorConfig::default()
+        },
+        1,
+    );
 
     // Twelve hours of lock-step simulation + monitoring.
     println!("monitoring 12 simulated hours at 15-minute cycles...\n");

@@ -16,12 +16,15 @@ use mantra::sim::Scenario;
 /// One day of monitoring with injected failures, under a retry policy.
 fn monitor_day(retry: RetryPolicy) -> Monitor {
     let mut sc = Scenario::transition_snapshot(1998, 0.4);
-    let mut monitor = Monitor::new(MonitorConfig {
-        routers: vec!["fixw".into(), "ucsb-gw".into()],
-        interval: sc.sim.tick(),
-        retry,
-        ..MonitorConfig::default()
-    });
+    let mut monitor = Monitor::new(
+        MonitorConfig {
+            routers: vec!["fixw".into(), "ucsb-gw".into()],
+            interval: sc.sim.tick(),
+            retry,
+            ..MonitorConfig::default()
+        },
+        1,
+    );
     for _ in 0..96 {
         let next = sc.sim.clock + monitor.cfg.interval;
         sc.sim.advance_to(next);

@@ -27,11 +27,14 @@ struct WorldView {
 
 fn run_world(label: &'static str, native_fraction: f64) -> WorldView {
     let mut sc = Scenario::transition_snapshot(777, native_fraction);
-    let mut monitor = Monitor::new(MonitorConfig {
-        routers: vec!["fixw".into()],
-        interval: sc.sim.tick(),
-        ..MonitorConfig::default()
-    });
+    let mut monitor = Monitor::new(
+        MonitorConfig {
+            routers: vec!["fixw".into()],
+            interval: sc.sim.tick(),
+            ..MonitorConfig::default()
+        },
+        1,
+    );
     let mut truth_samples = Vec::new();
     for _ in 0..(4 * 24 * 5) {
         let next = sc.sim.clock + monitor.cfg.interval;

@@ -59,21 +59,24 @@ fn churned_world(seed: u64) -> Scenario {
 }
 
 fn monitor_for(sc: &Scenario, dir: &Path) -> Monitor {
-    Monitor::new(MonitorConfig {
-        routers: vec!["fixw".into(), "ucsb-gw".into()],
-        interval: sc.sim.tick(),
-        archive: ArchiveSpec::Threaded {
-            dir: dir.to_path_buf(),
-            sync: SyncPolicy::default(),
-            writer: WriterConfig {
-                capacity: 64,
-                mode: BackpressureMode::Block,
+    Monitor::new(
+        MonitorConfig {
+            routers: vec!["fixw".into(), "ucsb-gw".into()],
+            interval: sc.sim.tick(),
+            archive: ArchiveSpec::Threaded {
+                dir: dir.to_path_buf(),
+                sync: SyncPolicy::default(),
+                writer: WriterConfig {
+                    capacity: 64,
+                    mode: BackpressureMode::Block,
+                },
             },
+            stale_after_intervals: 2,
+            retire_after_intervals: 4,
+            ..MonitorConfig::default()
         },
-        stale_after_intervals: 2,
-        retire_after_intervals: 4,
-        ..MonitorConfig::default()
-    })
+        1,
+    )
 }
 
 fn drive(sc: &mut Scenario, m: &mut Monitor, cycles: u64) -> SimTime {
@@ -205,5 +208,10 @@ fn reader_mid_churn_tracks_the_growing_archive_consistently() {
         let lines = reader.summary_lines(len).expect("clean prefix");
         assert_eq!(lines.len(), len);
     }
-    assert_eq!(seen, 24, "every cycle archived");
+    // The writer thread may still hold the last cycle's record when the
+    // run ends: past the `len` drain barrier a fresh reader sees them all.
+    m.log("fixw").expect("log").len();
+    let reader = ArchiveReader::open(&path).expect("open after the drain");
+    assert!(reader.len() >= seen, "logical end never goes backwards");
+    assert_eq!(reader.len(), 24, "every cycle archived");
 }

@@ -8,11 +8,14 @@ use mantra::sim::Scenario;
 fn fingerprint(seed: u64, loss: f64, cycles: usize) -> Vec<(usize, usize, usize, u64)> {
     let mut sc = Scenario::transition_snapshot(seed, 0.4);
     sc.sim.set_report_loss(loss);
-    let mut monitor = Monitor::new(MonitorConfig {
-        routers: vec!["fixw".into(), "ucsb-gw".into()],
-        interval: sc.sim.tick(),
-        ..MonitorConfig::default()
-    });
+    let mut monitor = Monitor::new(
+        MonitorConfig {
+            routers: vec!["fixw".into(), "ucsb-gw".into()],
+            interval: sc.sim.tick(),
+            ..MonitorConfig::default()
+        },
+        1,
+    );
     let mut out = Vec::new();
     for _ in 0..cycles {
         let next = sc.sim.clock + monitor.cfg.interval;

@@ -7,7 +7,7 @@ mod common;
 use common::TempDir;
 use mantra::core::collector::{CaptureError, FlakyAccess, RetryPolicy};
 use mantra::core::monitor::CycleReport;
-use mantra::core::{ArchiveSpec, FleetMonitor, Monitor, MonitorConfig, ParallelAccess, SyncPolicy};
+use mantra::core::{ArchiveSpec, Monitor, MonitorConfig, ParallelAccess, SyncPolicy};
 use mantra::net::{SimDuration, SimTime};
 use mantra::router_cli::TableKind;
 use mantra::sim::{Event, Scenario};
@@ -22,12 +22,15 @@ fn flaky_monitor(
     salt: u64,
 ) -> (Monitor, Vec<CycleReport>) {
     let mut sc = Scenario::transition_snapshot(205, 0.4);
-    let mut monitor = Monitor::new(MonitorConfig {
-        routers: vec!["fixw".into(), "ucsb-gw".into()],
-        interval: sc.sim.tick(),
-        retry,
-        ..MonitorConfig::default()
-    });
+    let mut monitor = Monitor::new(
+        MonitorConfig {
+            routers: vec!["fixw".into(), "ucsb-gw".into()],
+            interval: sc.sim.tick(),
+            retry,
+            ..MonitorConfig::default()
+        },
+        1,
+    );
     let mut reports = Vec::new();
     for _ in 0..cycles {
         let next = sc.sim.clock + monitor.cfg.interval;
@@ -101,10 +104,9 @@ fn retry_outcomes_are_deterministic() {
 
 #[test]
 fn standalone_and_fleet_cycles_write_byte_identical_archives() {
-    // A standalone monitor runs every stage serially, a one-shard fleet
-    // fans every stage out. Over the same world and the same failure
-    // salts, the reports must match and the archives must be
-    // byte-identical on disk.
+    // The one-shard engine and a fleet with one router per shard, over
+    // the same world and the same failure salts: the reports must match
+    // and the archives must be byte-identical on disk.
     let dir = TempDir::new("engine-parity");
     let mut sc = Scenario::transition_snapshot(206, 0.4);
     let interval = sc.sim.tick();
@@ -117,8 +119,8 @@ fn standalone_and_fleet_cycles_write_byte_identical_archives() {
         },
         ..MonitorConfig::default()
     };
-    let mut single = Monitor::new(cfg("single"));
-    let mut fleet = FleetMonitor::new(cfg("fleet"), 1);
+    let mut single = Monitor::new(cfg("single"), 1);
+    let mut fleet = Monitor::new(cfg("fleet"), 2);
     for _ in 0..12 {
         let next = sc.sim.clock + interval;
         sc.sim.advance_to(next);
@@ -163,11 +165,14 @@ impl<A: ParallelAccess> ParallelAccess for Starving<A> {
 #[test]
 fn starved_router_goes_stale() {
     let mut sc = Scenario::transition_snapshot(207, 0.3);
-    let mut monitor = Monitor::new(MonitorConfig {
-        routers: vec!["fixw".into(), "ucsb-gw".into()],
-        interval: sc.sim.tick(),
-        ..MonitorConfig::default()
-    });
+    let mut monitor = Monitor::new(
+        MonitorConfig {
+            routers: vec!["fixw".into(), "ucsb-gw".into()],
+            interval: sc.sim.tick(),
+            ..MonitorConfig::default()
+        },
+        1,
+    );
     let mut now = sc.sim.clock;
     for _ in 0..8 {
         now = sc.sim.clock + monitor.cfg.interval;
@@ -212,11 +217,14 @@ fn starved_router_goes_stale() {
 #[test]
 fn monitor_survives_heavy_capture_failures() {
     let mut sc = Scenario::transition_snapshot(201, 0.4);
-    let mut monitor = Monitor::new(MonitorConfig {
-        routers: vec!["fixw".into(), "ucsb-gw".into()],
-        interval: sc.sim.tick(),
-        ..MonitorConfig::default()
-    });
+    let mut monitor = Monitor::new(
+        MonitorConfig {
+            routers: vec!["fixw".into(), "ucsb-gw".into()],
+            interval: sc.sim.tick(),
+            ..MonitorConfig::default()
+        },
+        1,
+    );
     for i in 0..24 {
         let next = sc.sim.clock + monitor.cfg.interval;
         sc.sim.advance_to(next);
@@ -228,7 +236,7 @@ fn monitor_survives_heavy_capture_failures() {
     // History exists for every cycle even when captures failed.
     assert_eq!(monitor.usage_history("fixw").len(), 24);
     // Truncation salvage means parse totals still accumulated.
-    assert!(monitor.parse_totals.parsed > 100);
+    assert!(monitor.parse_totals().parsed > 100);
     // The archive stays replayable.
     let log = monitor.log("fixw").unwrap();
     assert_eq!(log.replay().len(), 24);
@@ -256,11 +264,14 @@ fn truncated_dumps_do_not_poison_tables() {
 #[test]
 fn link_flaps_show_up_and_heal() {
     let mut sc = Scenario::transition_snapshot(203, 0.0);
-    let mut monitor = Monitor::new(MonitorConfig {
-        routers: vec!["fixw".into()],
-        interval: sc.sim.tick(),
-        ..MonitorConfig::default()
-    });
+    let mut monitor = Monitor::new(
+        MonitorConfig {
+            routers: vec!["fixw".into()],
+            interval: sc.sim.tick(),
+            ..MonitorConfig::default()
+        },
+        1,
+    );
     // Stabilise.
     for _ in 0..8 {
         let next = sc.sim.clock + monitor.cfg.interval;
@@ -319,11 +330,14 @@ fn link_flaps_show_up_and_heal() {
 #[test]
 fn collection_gap_then_resume() {
     let mut sc = Scenario::transition_snapshot(204, 0.3);
-    let mut monitor = Monitor::new(MonitorConfig {
-        routers: vec!["fixw".into()],
-        interval: sc.sim.tick(),
-        ..MonitorConfig::default()
-    });
+    let mut monitor = Monitor::new(
+        MonitorConfig {
+            routers: vec!["fixw".into()],
+            interval: sc.sim.tick(),
+            ..MonitorConfig::default()
+        },
+        1,
+    );
     for _ in 0..6 {
         let next = sc.sim.clock + monitor.cfg.interval;
         sc.sim.advance_to(next);

@@ -19,14 +19,17 @@ fn drive_until(sc: &mut Scenario, monitor: &mut Monitor, until: SimTime) {
 }
 
 fn two_point_monitor(sc: &Scenario) -> Monitor {
-    Monitor::new(MonitorConfig {
-        routers: vec![
-            sc.sim.net.topo.router(sc.fixw).name.clone(),
-            sc.sim.net.topo.router(sc.ucsb).name.clone(),
-        ],
-        interval: sc.sim.tick(),
-        ..MonitorConfig::default()
-    })
+    Monitor::new(
+        MonitorConfig {
+            routers: vec![
+                sc.sim.net.topo.router(sc.fixw).name.clone(),
+                sc.sim.net.topo.router(sc.ucsb).name.clone(),
+            ],
+            interval: sc.sim.tick(),
+            ..MonitorConfig::default()
+        },
+        1,
+    )
 }
 
 /// Figure 3: counts low, active subset much smaller, variation high.
@@ -176,11 +179,14 @@ fn fig7_shape_instability_and_inconsistency() {
 #[test]
 fn fig8_shape_dvmrp_declines_to_zero() {
     let mut sc = Scenario::dvmrp_two_years(801);
-    let mut monitor = Monitor::new(MonitorConfig {
-        routers: vec!["fixw".into()],
-        interval: sc.sim.tick(),
-        ..MonitorConfig::default()
-    });
+    let mut monitor = Monitor::new(
+        MonitorConfig {
+            routers: vec!["fixw".into()],
+            interval: sc.sim.tick(),
+            ..MonitorConfig::default()
+        },
+        1,
+    );
     // Sample one day per quarter.
     let mut probe = SimTime::from_ymd(1998, 11, 2);
     while probe < SimTime::from_ymd(2000, 11, 1) {
@@ -204,11 +210,14 @@ fn fig8_shape_dvmrp_declines_to_zero() {
 #[test]
 fn fig9_shape_injection_spike_detected_and_recovers() {
     let mut sc = Scenario::ucsb_injection_day(901);
-    let mut monitor = Monitor::new(MonitorConfig {
-        routers: vec!["ucsb-gw".into()],
-        interval: sc.sim.tick(),
-        ..MonitorConfig::default()
-    });
+    let mut monitor = Monitor::new(
+        MonitorConfig {
+            routers: vec!["ucsb-gw".into()],
+            interval: sc.sim.tick(),
+            ..MonitorConfig::default()
+        },
+        1,
+    );
     let end = sc.sim.end_time();
     drive_until(&mut sc, &mut monitor, end);
     let routes = monitor.route_series("ucsb-gw", "r", |r| r.dvmrp_reachable as f64);

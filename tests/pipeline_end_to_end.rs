@@ -5,7 +5,7 @@ use std::sync::Mutex;
 use std::thread::ThreadId;
 
 use mantra::core::collector::{CaptureError, FlakyAccess};
-use mantra::core::{FleetMonitor, Monitor, MonitorConfig, ParallelAccess, StageKind};
+use mantra::core::{Monitor, MonitorConfig, ParallelAccess, StageKind};
 use mantra::net::rate::SENDER_THRESHOLD;
 use mantra::net::{SimDuration, SimTime};
 use mantra::router_cli::TableKind;
@@ -22,11 +22,14 @@ fn drive(sc: &mut Scenario, monitor: &mut Monitor, cycles: usize) {
 #[test]
 fn monitored_tables_track_ground_truth() {
     let mut sc = Scenario::transition_snapshot(101, 0.0);
-    let mut monitor = Monitor::new(MonitorConfig {
-        routers: vec!["fixw".into(), "ucsb-gw".into()],
-        interval: sc.sim.tick(),
-        ..MonitorConfig::default()
-    });
+    let mut monitor = Monitor::new(
+        MonitorConfig {
+            routers: vec!["fixw".into(), "ucsb-gw".into()],
+            interval: sc.sim.tick(),
+            ..MonitorConfig::default()
+        },
+        1,
+    );
     drive(&mut sc, &mut monitor, 48);
     let seen = monitor.usage_history("fixw").last().unwrap();
     let truth = sc.sim.sessions.len();
@@ -55,30 +58,37 @@ fn monitored_tables_track_ground_truth() {
 #[test]
 fn parse_is_clean_on_healthy_captures() {
     let mut sc = Scenario::transition_snapshot(102, 0.5);
-    let mut monitor = Monitor::new(MonitorConfig {
-        routers: vec!["fixw".into(), "ucsb-gw".into()],
-        interval: sc.sim.tick(),
-        ..MonitorConfig::default()
-    });
+    let mut monitor = Monitor::new(
+        MonitorConfig {
+            routers: vec!["fixw".into(), "ucsb-gw".into()],
+            interval: sc.sim.tick(),
+            ..MonitorConfig::default()
+        },
+        1,
+    );
     drive(&mut sc, &mut monitor, 24);
     assert_eq!(
-        monitor.parse_totals.malformed, 0,
+        monitor.parse_totals().malformed,
+        0,
         "real renderer output must parse without malformed rows: {:?}",
-        monitor.parse_totals
+        monitor.parse_totals()
     );
-    assert!(monitor.parse_totals.parsed > 1_000);
+    assert!(monitor.parse_totals().parsed > 1_000);
     assert_eq!(monitor.capture_failures(), 0);
 }
 
 #[test]
 fn archives_replay_losslessly_through_the_monitor() {
     let mut sc = Scenario::transition_snapshot(103, 0.3);
-    let mut monitor = Monitor::new(MonitorConfig {
-        routers: vec!["fixw".into()],
-        interval: sc.sim.tick(),
-        log_full_every: 7,
-        ..MonitorConfig::default()
-    });
+    let mut monitor = Monitor::new(
+        MonitorConfig {
+            routers: vec!["fixw".into()],
+            interval: sc.sim.tick(),
+            log_full_every: 7,
+            ..MonitorConfig::default()
+        },
+        1,
+    );
     drive(&mut sc, &mut monitor, 20);
     let log = monitor.log("fixw").unwrap();
     let replayed = log.replay();
@@ -99,11 +109,14 @@ fn archives_replay_losslessly_through_the_monitor() {
 #[test]
 fn sa_cache_appears_only_on_msdp_capable_routers() {
     let mut sc = Scenario::transition_snapshot(104, 0.6);
-    let mut monitor = Monitor::new(MonitorConfig {
-        routers: vec!["fixw".into(), "ucsb-gw".into()],
-        interval: sc.sim.tick(),
-        ..MonitorConfig::default()
-    });
+    let mut monitor = Monitor::new(
+        MonitorConfig {
+            routers: vec!["fixw".into(), "ucsb-gw".into()],
+            interval: sc.sim.tick(),
+            ..MonitorConfig::default()
+        },
+        1,
+    );
     drive(&mut sc, &mut monitor, 48);
     let fixw = monitor.usage_history("fixw").last().unwrap();
     let ucsb = monitor.usage_history("ucsb-gw").last().unwrap();
@@ -114,11 +127,14 @@ fn sa_cache_appears_only_on_msdp_capable_routers() {
 #[test]
 fn mbgp_routes_visible_only_at_border() {
     let mut sc = Scenario::transition_snapshot(105, 0.6);
-    let mut monitor = Monitor::new(MonitorConfig {
-        routers: vec!["fixw".into(), "ucsb-gw".into()],
-        interval: sc.sim.tick(),
-        ..MonitorConfig::default()
-    });
+    let mut monitor = Monitor::new(
+        MonitorConfig {
+            routers: vec!["fixw".into(), "ucsb-gw".into()],
+            interval: sc.sim.tick(),
+            ..MonitorConfig::default()
+        },
+        1,
+    );
     drive(&mut sc, &mut monitor, 12);
     let fixw = monitor.route_history("fixw").last().unwrap();
     let ucsb = monitor.route_history("ucsb-gw").last().unwrap();
@@ -130,11 +146,14 @@ fn mbgp_routes_visible_only_at_border() {
 #[test]
 fn uptime_reported_by_ios_survives_the_pipeline() {
     let mut sc = Scenario::transition_snapshot(106, 0.5);
-    let mut monitor = Monitor::new(MonitorConfig {
-        routers: vec!["fixw".into()],
-        interval: sc.sim.tick(),
-        ..MonitorConfig::default()
-    });
+    let mut monitor = Monitor::new(
+        MonitorConfig {
+            routers: vec!["fixw".into()],
+            interval: sc.sim.tick(),
+            ..MonitorConfig::default()
+        },
+        1,
+    );
     drive(&mut sc, &mut monitor, 8);
     let routes = monitor.route_history("fixw").last().unwrap();
     let mean = routes.mean_uptime_secs.expect("IOS reports uptimes");
@@ -147,11 +166,14 @@ fn uptime_reported_by_ios_survives_the_pipeline() {
 #[test]
 fn stage_metrics_sum_to_cycle_totals() {
     let mut sc = Scenario::transition_snapshot(108, 0.3);
-    let mut monitor = Monitor::new(MonitorConfig {
-        routers: vec!["fixw".into(), "ucsb-gw".into()],
-        interval: sc.sim.tick(),
-        ..MonitorConfig::default()
-    });
+    let mut monitor = Monitor::new(
+        MonitorConfig {
+            routers: vec!["fixw".into(), "ucsb-gw".into()],
+            interval: sc.sim.tick(),
+            ..MonitorConfig::default()
+        },
+        1,
+    );
     let cycles = 10u64;
     for i in 0..cycles {
         let next = sc.sim.clock + monitor.cfg.interval;
@@ -184,7 +206,7 @@ fn stage_metrics_sum_to_cycle_totals() {
         "retries under failure injection add simulated backoff"
     );
     // Parse items reconcile with the cumulative parse accounting.
-    let pt = monitor.parse_totals;
+    let pt = monitor.parse_totals();
     let parse = monitor.pipeline().stage(StageKind::Parse);
     assert_eq!(
         parse.items,
@@ -200,11 +222,14 @@ fn stage_metrics_sum_to_cycle_totals() {
 #[test]
 fn clock_never_runs_backwards_through_the_pipeline() {
     let mut sc = Scenario::transition_snapshot(107, 0.2);
-    let mut monitor = Monitor::new(MonitorConfig {
-        routers: vec!["fixw".into()],
-        interval: sc.sim.tick(),
-        ..MonitorConfig::default()
-    });
+    let mut monitor = Monitor::new(
+        MonitorConfig {
+            routers: vec!["fixw".into()],
+            interval: sc.sim.tick(),
+            ..MonitorConfig::default()
+        },
+        1,
+    );
     drive(&mut sc, &mut monitor, 16);
     let hist = monitor.usage_history("fixw");
     let times: Vec<SimTime> = hist.iter().map(|u| u.at).collect();
@@ -237,16 +262,16 @@ impl ParallelAccess for ThreadRecorder<'_> {
 #[test]
 fn small_cycles_capture_every_table_on_the_callers_thread() {
     // Two routers' few thousand rows per cycle are far below what pays
-    // for a worker thread, so the standalone monitor and a one-shard
-    // fleet both run every cycle inline.
+    // for a worker thread, so the one-shard engine and a two-shard one
+    // both run every cycle inline.
     let mut sc = Scenario::transition_snapshot(109, 0.3);
     let cfg = MonitorConfig {
         routers: vec!["fixw".into(), "ucsb-gw".into()],
         interval: sc.sim.tick(),
         ..MonitorConfig::default()
     };
-    let mut monitor = Monitor::new(cfg.clone());
-    let mut fleet = FleetMonitor::new(cfg, 1);
+    let mut monitor = Monitor::new(cfg.clone(), 1);
+    let mut fleet = Monitor::new(cfg, 2);
     let me = std::thread::current().id();
     for cycle in 0..6 {
         let next = sc.sim.clock + monitor.cfg.interval;

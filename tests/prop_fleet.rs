@@ -1,11 +1,12 @@
-//! Property tests for the sharded fleet monitor: for ANY shard count and
-//! ANY router→shard partition, the fleet's global outputs — per-cycle
-//! reports, usage/route statistics, anomaly stream, per-router histories
-//! and archived snapshots — are bit-identical to a single monolithic
-//! [`Monitor`] over the same fleet. This is the aggregation tier's
-//! exactness claim (integer partial sums compose associatively; the
-//! global consistency join visits each pair once), checked end-to-end
-//! through the live simulator rather than on synthetic tables.
+//! Property tests for the sharded engine: for ANY shard count and ANY
+//! router→shard partition, a [`Monitor`]'s outputs — per-cycle reports,
+//! fleet-wide usage/route/churn statistics, anomaly stream, per-router
+//! histories and archived snapshots — are bit-identical to the one-shard
+//! engine over the same fleet. Shards only partition per-router state;
+//! the fleet-wide statistics are integer sums over every router and the
+//! consistency join visits each pair once, so no partition may show.
+//! Checked end-to-end through the live simulator rather than on
+//! synthetic tables.
 
 mod common;
 
@@ -15,7 +16,7 @@ use common::TempDir;
 use mantra::core::anomaly::InconsistencyMonitor;
 use mantra::core::logger::TableLog;
 use mantra::core::tables::{LearnedFrom, RouteRow, Tables};
-use mantra::core::{ArchiveSpec, FleetMonitor, Monitor, MonitorConfig, SyncPolicy};
+use mantra::core::{ArchiveSpec, Monitor, MonitorConfig, SyncPolicy};
 use mantra::net::{Ip, Prefix, SimTime};
 use mantra::sim::{ChurnSchedule, Scenario, CHURN_SLOTS};
 use mantra_oracle::InconsistencyMonitorExt;
@@ -42,8 +43,9 @@ fn cfg_for(routers: Vec<String>, sc: &Scenario, archive: ArchiveSpec) -> Monitor
     }
 }
 
-/// Soak-tunable case count: `PROPTEST_CASES` scales the churn property up
-/// (the CI churn-soak job sets 1024); the default stays cheap for tier-1.
+/// Soak-tunable case count: `PROPTEST_CASES` scales the partition and
+/// churn properties up (the CI churn-soak job sets 1024); the default
+/// stays cheap for tier-1.
 fn soak_cases(default: u32) -> u32 {
     std::env::var("PROPTEST_CASES")
         .ok()
@@ -52,11 +54,11 @@ fn soak_cases(default: u32) -> u32 {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(10))]
+    #![proptest_config(ProptestConfig::with_cases(soak_cases(10)))]
 
     /// Any assignment of 9 routers to up to 4 shards (empty shards, a
     /// single mega-shard, singleton shards — whatever proptest draws)
-    /// reproduces the single monitor bit for bit, cycle by cycle.
+    /// reproduces the one-shard engine bit for bit, cycle by cycle.
     #[test]
     fn any_partition_matches_single_monitor(
         assignment in proptest::collection::vec(0usize..4, 9..10),
@@ -64,42 +66,33 @@ proptest! {
     ) {
         let (mut sc_fleet, routers) = world(seed);
         let (mut sc_single, _) = world(seed);
-        let mut fleet = FleetMonitor::with_assignment(
+        let mut fleet = Monitor::with_assignment(
             cfg_for(routers.clone(), &sc_fleet, ArchiveSpec::Memory),
             &assignment,
         );
-        let mut single = Monitor::new(cfg_for(routers.clone(), &sc_single, ArchiveSpec::Memory));
+        let mut single = Monitor::new(cfg_for(routers.clone(), &sc_single, ArchiveSpec::Memory), 1);
         for _ in 0..3 {
             let next = sc_fleet.sim.clock + fleet.cfg.interval;
             sc_fleet.sim.advance_to(next);
             let fr = fleet.run_cycle(&sc_fleet.sim, next);
             sc_single.sim.advance_to(next);
             let sr = single.run_cycle(&sc_single.sim, next);
-            // The merged cycle report re-interleaves to the single
-            // monitor's exact shape.
+            // The cycle report lists routers in configuration order,
+            // whatever shard ran them.
             prop_assert_eq!(&fr, &sr);
-            // Global statistics compose exactly from shard partial sums.
-            prop_assert_eq!(
-                fleet.usage_history().last().unwrap(),
-                &single.stream_totals().usage()
-            );
-            prop_assert_eq!(
-                fleet.route_history().last().unwrap(),
-                &single.stream_totals().route_stats()
-            );
-            prop_assert_eq!(
-                &fleet.churn_history().last().unwrap().1,
-                &single.cycle_churn(next)
-            );
         }
-        // The fleet-wide anomaly stream matches, and so does every
-        // router's per-shard history and archived snapshot stream.
+        // Fleet-wide statistics are the same integer sums at any
+        // partition.
+        prop_assert_eq!(fleet.fleet_usage_history(), single.fleet_usage_history());
+        prop_assert_eq!(fleet.fleet_route_history(), single.fleet_route_history());
+        prop_assert_eq!(fleet.fleet_churn_history(), single.fleet_churn_history());
+        // The anomaly stream matches, and so does every router's history
+        // and archived snapshot stream.
         prop_assert_eq!(&fleet.anomalies, &single.anomalies);
         for r in &routers {
-            let shard = fleet.monitor_of(r).expect("router owned by a shard");
-            prop_assert_eq!(shard.usage_history(r), single.usage_history(r));
-            prop_assert_eq!(shard.route_history(r), single.route_history(r));
-            let f_log = shard.log(r).expect("shard archive").replay();
+            prop_assert_eq!(fleet.usage_history(r), single.usage_history(r));
+            prop_assert_eq!(fleet.route_history(r), single.route_history(r));
+            let f_log = fleet.log(r).expect("sharded archive").replay();
             let s_log = single.log(r).expect("single archive").replay();
             prop_assert_eq!(f_log, s_log);
         }
@@ -113,9 +106,9 @@ proptest! {
     /// The churn invariant: for ANY router→shard partition, ANY churn
     /// schedule (shrinkable raw triples — routers leaving and rejoining,
     /// links flapping, partitions forming and healing), ANY mid-run
-    /// re-sharding, and any seed, the fleet stays bit-identical to a
-    /// single monitor over the same churned world: per-cycle reports,
-    /// global statistics, anomalies, per-router histories, lifecycle
+    /// re-sharding, and any seed, the engine stays bit-identical to the
+    /// one-shard engine over the same churned world: per-cycle reports,
+    /// fleet-wide statistics, anomalies, per-router histories, lifecycle
     /// states and archive replays. Routers that leave and rejoin may land
     /// on a *different* shard after the rebalance — their moved state
     /// (open archive log included) must carry over exactly.
@@ -146,11 +139,11 @@ proptest! {
         );
         sc_fleet.sim.install_churn(schedule.clone());
         sc_single.sim.install_churn(schedule);
-        let mut fleet = FleetMonitor::with_assignment(
+        let mut fleet = Monitor::with_assignment(
             cfg_for(routers.clone(), &sc_fleet, ArchiveSpec::Memory),
             &assignment,
         );
-        let mut single = Monitor::new(cfg_for(routers.clone(), &sc_single, ArchiveSpec::Memory));
+        let mut single = Monitor::new(cfg_for(routers.clone(), &sc_single, ArchiveSpec::Memory), 1);
         for cycle in 0..cycles {
             if cycle == cycles / 2 {
                 // Re-shard mid-churn: any router may move shards while
@@ -163,22 +156,16 @@ proptest! {
             sc_single.sim.advance_to(next);
             let sr = single.run_cycle(&sc_single.sim, next);
             prop_assert_eq!(&fr, &sr);
-            prop_assert_eq!(
-                fleet.usage_history().last().unwrap(),
-                &single.stream_totals().usage()
-            );
-            prop_assert_eq!(
-                fleet.route_history().last().unwrap(),
-                &single.stream_totals().route_stats()
-            );
         }
+        prop_assert_eq!(fleet.fleet_usage_history(), single.fleet_usage_history());
+        prop_assert_eq!(fleet.fleet_route_history(), single.fleet_route_history());
+        prop_assert_eq!(fleet.fleet_churn_history(), single.fleet_churn_history());
         prop_assert_eq!(&fleet.anomalies, &single.anomalies);
         for r in &routers {
-            let shard = fleet.monitor_of(r).expect("router owned by a shard");
-            prop_assert_eq!(shard.lifecycle_of(r), single.lifecycle_of(r));
-            prop_assert_eq!(shard.usage_history(r), single.usage_history(r));
-            prop_assert_eq!(shard.route_history(r), single.route_history(r));
-            let f_log = shard.log(r).expect("shard archive").replay();
+            prop_assert_eq!(fleet.lifecycle_of(r), single.lifecycle_of(r));
+            prop_assert_eq!(fleet.usage_history(r), single.usage_history(r));
+            prop_assert_eq!(fleet.route_history(r), single.route_history(r));
+            let f_log = fleet.log(r).expect("sharded archive").replay();
             let s_log = single.log(r).expect("single archive").replay();
             prop_assert_eq!(f_log, s_log, "archive divergence at {}", r);
         }
@@ -266,8 +253,8 @@ fn sweep_matches_pairwise_reference_on_a_mixed_fleet() {
 }
 
 /// On-disk archives: shards writing `<router>.marc` files into one
-/// shared directory replay to the same snapshot streams a single monitor
-/// archives — from disk, through fresh `TableLog::load`s.
+/// shared directory replay to the same snapshot streams the one-shard
+/// engine archives — from disk, through fresh `TableLog::load`s.
 #[test]
 fn sharded_file_archives_replay_identically() {
     let base = TempDir::new("prop-fleet");
@@ -278,8 +265,8 @@ fn sharded_file_archives_replay_identically() {
     };
     let (mut sc_fleet, routers) = world(5);
     let (mut sc_single, _) = world(5);
-    let mut fleet = FleetMonitor::new(cfg_for(routers.clone(), &sc_fleet, spec(&dir_fleet)), 3);
-    let mut single = Monitor::new(cfg_for(routers.clone(), &sc_single, spec(&dir_single)));
+    let mut fleet = Monitor::new(cfg_for(routers.clone(), &sc_fleet, spec(&dir_fleet)), 3);
+    let mut single = Monitor::new(cfg_for(routers.clone(), &sc_single, spec(&dir_single)), 1);
     for _ in 0..4 {
         let next = sc_fleet.sim.clock + fleet.cfg.interval;
         sc_fleet.sim.advance_to(next);
@@ -287,10 +274,12 @@ fn sharded_file_archives_replay_identically() {
         sc_single.sim.advance_to(next);
         single.run_cycle(&sc_single.sim, next);
     }
-    // No shard hit a write error or fell back to memory.
-    for shard in fleet.shards() {
-        assert!(shard.pipeline().archives().iter().all(|a| a.fallbacks == 0));
-    }
+    // No archive hit a write error or fell back to memory.
+    assert_eq!(fleet.shard_count(), 3);
+    let archives = fleet.pipeline().archives();
+    assert!(archives
+        .iter()
+        .all(|a| a.fallbacks == 0 && a.write_errors == 0));
     for r in &routers {
         let f = TableLog::load(&ArchiveSpec::path_for(&dir_fleet, r), 96).expect("fleet archive");
         let s = TableLog::load(&ArchiveSpec::path_for(&dir_single, r), 96).expect("single archive");

@@ -3,8 +3,8 @@
 //! `LongTermTracker` (present entities merge-joined per cycle, departed
 //! ones in a map) must answer exactly what one presence map per entity
 //! kind, updated by a full walk every cycle, answers: every presence
-//! record, every lifetime in push order, the join histogram, the
-//! flapping routes and the route stability.
+//! record, every completed lifetime (as counts per length), the join
+//! histogram, the flapping routes and the route stability.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -108,9 +108,7 @@ fn update_presences<K: Ord + Copy>(
     for (k, p) in map.iter_mut() {
         if p.present && !current.contains(k) {
             p.present = false;
-            lifetimes
-                .completed
-                .push(p.last_seen.since(p.first_seen).as_secs());
+            lifetimes.record(p.last_seen.since(p.first_seen).as_secs());
         }
     }
     brand_new
@@ -203,15 +201,15 @@ fn assert_same(tracker: &LongTermTracker, oracle: &Oracle, cycle: usize) {
         );
     }
     assert_eq!(
-        tracker.session_lifetimes.completed, oracle.session_lifetimes.completed,
+        tracker.session_lifetimes, oracle.session_lifetimes,
         "cycle {cycle}: session lifetimes"
     );
     assert_eq!(
-        tracker.participant_lifetimes.completed, oracle.participant_lifetimes.completed,
+        tracker.participant_lifetimes, oracle.participant_lifetimes,
         "cycle {cycle}: participant lifetimes"
     );
     assert_eq!(
-        tracker.route_lifetimes.completed, oracle.route_lifetimes.completed,
+        tracker.route_lifetimes, oracle.route_lifetimes,
         "cycle {cycle}: route lifetimes"
     );
     assert_eq!(

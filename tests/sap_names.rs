@@ -8,11 +8,14 @@ use mantra::sim::{AppLayerConfig, AppLayerMonitor, Scenario, SimRng};
 #[test]
 fn sap_names_annotate_sessions() {
     let mut sc = Scenario::transition_snapshot(321, 0.0);
-    let mut monitor = Monitor::new(MonitorConfig {
-        routers: vec!["fixw".into()],
-        interval: sc.sim.tick(),
-        ..MonitorConfig::default()
-    });
+    let mut monitor = Monitor::new(
+        MonitorConfig {
+            routers: vec!["fixw".into()],
+            interval: sc.sim.tick(),
+            ..MonitorConfig::default()
+        },
+        1,
+    );
     let mut sap = AppLayerMonitor::new(sc.fixw, AppLayerConfig::default(), SimRng::seeded(7));
     for _ in 0..24 {
         let next = sc.sim.clock + monitor.cfg.interval;
