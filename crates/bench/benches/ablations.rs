@@ -14,13 +14,12 @@
 //!   print bytes on disk next to the logger's row-cost accounting,
 //! * `ablation_log_*` — Log-stage on-path wall time with fsync-per-record
 //!   persistence, synchronous writes vs the per-router writer thread,
-//! * `ablation_fleet_*` — one sharded fleet-monitor cycle end-to-end at
-//!   three fleet sizes (50 → 500 → 2000 routers, 4 shards), over the
-//!   fleet-scale scenario with every router monitored,
+//! * `ablation_fleet_*` — one fleet-monitor cycle end-to-end at three
+//!   fleet sizes (50 → 500 → 2000 routers), over the fleet-scale
+//!   scenario with every router monitored,
 //! * `ablation_churn_*` — the same fleet cycle under a churning topology
 //!   (calm / flappy / partition schedules vs a static world): what
-//!   dynamic membership costs, with a sharded-vs-single exactness
-//!   assertion under churn,
+//!   dynamic membership costs,
 //! * `ablation_parse_*` — the zero-copy span/byte Parse stage vs the
 //!   string parser it replaced (`mantra-oracle`) over a 500-router fleet
 //!   capture corpus, with a bytes/sec accounting line and a strict
@@ -478,7 +477,7 @@ fn ablation_streaming(c: &mut Criterion) {
 }
 
 /// A warmed fleet over the fleet-scale scenario, ready to cycle.
-fn fleet_for(seed: u64, target: usize, shards: usize) -> (Scenario, Monitor) {
+fn fleet_for(seed: u64, target: usize) -> (Scenario, Monitor) {
     let sc = Scenario::fleet_snapshot(seed, target, 0.5);
     let routers: Vec<String> = sc
         .sim
@@ -492,14 +491,14 @@ fn fleet_for(seed: u64, target: usize, shards: usize) -> (Scenario, Monitor) {
             interval: sc.sim.tick(),
             ..MonitorConfig::default()
         },
-        shards,
+        1,
     );
     (sc, fleet)
 }
 
 fn ablation_churn(c: &mut Criterion) {
-    // What a churning world costs per fleet cycle: the same 200-router,
-    // 4-shard cycle as `ablation_fleet`, under no churn and under each
+    // What a churning world costs per fleet cycle: the same 200-router
+    // cycle as `ablation_fleet`, under no churn and under each
     // profile. The dynamic-membership machinery — reconvergence after
     // neighbor loss, staleness tracking, seal-on-retire, rejoin — all
     // sits on this path.
@@ -513,7 +512,7 @@ fn ablation_churn(c: &mut Criterion) {
     ];
     for (name, profile) in profiles {
         group.bench_with_input(BenchmarkId::from_parameter(name), &profile, |b, profile| {
-            let (mut sc, mut fleet) = fleet_for(23, 200, 4);
+            let (mut sc, mut fleet) = fleet_for(23, 200);
             if let Some(p) = profile {
                 sc.with_churn(*p, 23);
             }
@@ -528,41 +527,13 @@ fn ablation_churn(c: &mut Criterion) {
         });
     }
     group.finish();
-
-    // The churn exactness claim, asserted on the bench path too: under a
-    // flappy schedule, sharded and unsharded runs stay bit-identical.
-    let run = |shards: usize| {
-        let (mut sc, mut fleet) = fleet_for(23, 50, shards);
-        sc.with_churn(ChurnProfile::Flappy, 23);
-        for _ in 0..4 {
-            let next = sc.sim.clock + fleet.cfg.interval;
-            sc.sim.advance_to(next);
-            fleet.run_cycle(&sc.sim, next);
-        }
-        (
-            fleet.fleet_usage_history().to_vec(),
-            fleet.fleet_route_history().to_vec(),
-            fleet.anomalies.clone(),
-        )
-    };
-    let (u1, r1, a1) = run(1);
-    let (u4, r4, a4) = run(4);
-    assert_eq!(u1, u4, "churned sharded usage must be bit-identical");
-    assert_eq!(r1, r4, "churned sharded route stats must be bit-identical");
-    assert_eq!(a1.len(), a4.len(), "churned anomaly stream must match");
-    println!(
-        "[ablation_churn] flappy schedule, shards 1 vs 4 over 4 cycles: \
-         identical global stats ({} usage points, {} anomalies)",
-        u1.len(),
-        a1.len()
-    );
 }
 
 fn ablation_fleet(c: &mut Criterion) {
-    // The sharded engine end-to-end: one collection cycle — advance the
-    // world one tick, capture every router of 4 shards in one fan-out,
-    // fold the fleet-wide statistics — at three fleet
-    // sizes spanning the scale-out roadmap (50 → 500 → 2000 routers).
+    // The engine end-to-end: one collection cycle — advance the world
+    // one tick, capture every router in one fan-out, fold the fleet-wide
+    // statistics — at three fleet sizes spanning the scale-out roadmap
+    // (50 → 500 → 2000 routers).
     let mut group = c.benchmark_group("ablation_fleet");
     group.sample_size(10);
     for target in [50usize, 500, 2000] {
@@ -570,7 +541,7 @@ fn ablation_fleet(c: &mut Criterion) {
             BenchmarkId::from_parameter(target),
             &target,
             |b, &target| {
-                let (mut sc, mut fleet) = fleet_for(23, target, 4);
+                let (mut sc, mut fleet) = fleet_for(23, target);
                 // Warm one cycle: steady-state deltas, not the first full
                 // snapshots, are what scale-out costs.
                 let next = sc.sim.clock + fleet.cfg.interval;
@@ -585,34 +556,6 @@ fn ablation_fleet(c: &mut Criterion) {
         );
     }
     group.finish();
-
-    // The exactness claim, asserted once on the bench path too: a
-    // 4-shard fleet and an unsharded one over identical worlds produce
-    // identical global statistics and anomaly streams.
-    let run = |shards: usize| {
-        let (mut sc, mut fleet) = fleet_for(23, 50, shards);
-        for _ in 0..3 {
-            let next = sc.sim.clock + fleet.cfg.interval;
-            sc.sim.advance_to(next);
-            fleet.run_cycle(&sc.sim, next);
-        }
-        (
-            fleet.fleet_usage_history().to_vec(),
-            fleet.fleet_route_history().to_vec(),
-            fleet.anomalies.clone(),
-        )
-    };
-    let (u1, r1, a1) = run(1);
-    let (u4, r4, a4) = run(4);
-    assert_eq!(u1, u4, "sharded usage must be bit-identical");
-    assert_eq!(r1, r4, "sharded route stats must be bit-identical");
-    assert_eq!(a1.len(), a4.len(), "sharded anomaly stream must match");
-    println!(
-        "[ablation_fleet] shards 1 vs 4 over 3 cycles: identical global stats \
-         ({} participants, {} anomalies)",
-        u1.last().map_or(0, |u| u.participants),
-        a1.len()
-    );
 }
 
 fn ablation_report_loss(c: &mut Criterion) {

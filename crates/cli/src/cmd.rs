@@ -1,5 +1,6 @@
 //! The subcommand implementations.
 
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 use mantra_core::archive::replay_summary_line;
@@ -22,13 +23,12 @@ USAGE:
   mantra monitor  [--seed N] [--native F] [--hours H] [--loss P] [--html FILE]
                   [--archive-dir DIR] [--fsync-every N] [--fsync-bytes B]
                   [--archive-writer sync|block|shed] [--archive-queue N]
-                  [--fleet R] [--shards N] [--table-rows N]
-                  [--churn calm|flappy|partition]
+                  [--fleet R] [--table-rows N] [--churn calm|flappy|partition]
   mantra health   [--seed N] [--native F] [--hours H] [--fail P] [--truncate P]
                   [--retries N]
   mantra daemon   [--addr HOST:PORT] [--seed N] [--native F] [--loss P]
                   [--archive-dir DIR] [--cycles N] [--tick-ms MS] [--refresh S]
-                  [--fleet R] [--shards N] [--churn P]
+                  [--fleet R] [--table-rows N] [--churn P]
                   [archive writer flags as monitor]
   mantra incident [--seed N]
   mantra archive  info    --path FILE
@@ -53,11 +53,9 @@ OPTIONS:
                   (writer thread, full queue drops the record — loudly)
   --archive-queue N  writer-thread queue capacity in records (default 64)
   --fleet R       fleet mode: monitor a fleet-scale scenario of ~R routers
-                  (all of them), sharded across --shards monitors
-  --shards N      monitor shards for fleet mode (default 1; implies --fleet 50
-                  when --fleet is absent)
-  --table-rows N  fleet tables degrade to the worst N rows + a totals footer
-                  (default 64)
+                  (all of them)
+  --table-rows N  per-router health and archive tables degrade to the worst N
+                  rows + a totals footer (default 64)
   --churn P       churn the topology mid-run: routers join/leave, links flap,
                   domains partition and heal. P is calm, flappy or partition;
                   the schedule is deterministic in (P, --seed). Prints the
@@ -83,8 +81,9 @@ OPTIONS:
   --community STR SNMP community (default public)";
 
 /// The flags each (sub)command accepts; anything else is rejected before
-/// the command runs, so `monitor --shard 4` cannot silently run
-/// unsharded. Errors on an unknown command or archive subcommand.
+/// the command runs, so a mistyped flag (`monitor --flet 50`) cannot
+/// silently run without it. Errors on an unknown command or archive
+/// subcommand.
 pub fn flags(cmd: &str, sub: Option<&str>) -> Result<&'static [&'static str], String> {
     Ok(match (cmd, sub) {
         ("monitor", _) => &[
@@ -99,7 +98,6 @@ pub fn flags(cmd: &str, sub: Option<&str>) -> Result<&'static [&'static str], St
             "archive-writer",
             "archive-queue",
             "fleet",
-            "shards",
             "table-rows",
             "churn",
         ],
@@ -116,7 +114,6 @@ pub fn flags(cmd: &str, sub: Option<&str>) -> Result<&'static [&'static str], St
             "tick-ms",
             "refresh",
             "fleet",
-            "shards",
             "table-rows",
             "churn",
             "fsync-every",
@@ -125,7 +122,7 @@ pub fn flags(cmd: &str, sub: Option<&str>) -> Result<&'static [&'static str], St
             "archive-queue",
         ],
         ("incident", _) => &["seed"],
-        ("archive", Some("info" | "replay")) => &["path", "full-every"],
+        ("archive", Some("info" | "replay")) => &["path"],
         ("archive", Some("compact")) => &["path", "out", "full-every", "drop-before"],
         ("archive", Some(other)) => {
             return Err(format!(
@@ -241,41 +238,40 @@ struct World {
     sc: Scenario,
     churn: Option<ChurnSchedule>,
     monitor: Monitor,
-    /// Whether `--fleet`/`--shards` asked for the fleet-scale world.
+    /// Whether `--fleet` asked for the fleet-scale world.
     fleet: bool,
 }
 
 /// Builds the world and its engine for `monitor` and `daemon` alike, so
 /// both check the same flags with the same messages: the two-router
-/// transition snapshot, or with `--fleet R`/`--shards N` a fleet-scale
-/// scenario of ~R routers, every one monitored, across N shards.
+/// transition snapshot, or with `--fleet R` a fleet-scale scenario of ~R
+/// routers, every one monitored.
 fn world(opts: &Opts, archive: ArchiveSpec) -> Result<World, String> {
-    let fleet = opts.get("fleet").is_some() || opts.get("shards").is_some();
+    let fleet = opts.get("fleet").is_some();
+    let (seed, native, loss) = world_flags(opts)?;
     let mut cfg = MonitorConfig {
         archive,
+        table_detail_limit: opts.u64_or("table-rows", 64)?.max(1) as usize,
         ..MonitorConfig::default()
     };
-    let (seed, native, loss) = world_flags(opts)?;
-    let (mut sc, shards) = if fleet {
+    let mut sc = if fleet {
         let target = opts.u64_or("fleet", 50)? as usize;
         if target < 3 {
             return Err("--fleet must be at least 3 routers".into());
         }
-        let shards = opts.u64_or("shards", 1)?.max(1) as usize;
-        cfg.table_detail_limit = opts.u64_or("table-rows", 64)?.max(1) as usize;
         let sc = Scenario::fleet_snapshot(seed, target, native);
         let topo = &sc.sim.net.topo;
         cfg.routers = (sc.sim.monitored.iter())
             .map(|id| topo.router(*id).name.clone())
             .collect();
-        (sc, shards)
+        sc
     } else {
-        (Scenario::transition_snapshot(seed, native), 1)
+        Scenario::transition_snapshot(seed, native)
     };
     sc.sim.set_report_loss(loss);
     let churn = churn_schedule(opts, &mut sc)?;
     cfg.interval = sc.sim.tick();
-    let monitor = Monitor::new(cfg, shards);
+    let monitor = Monitor::new(cfg, 1);
     Ok(World {
         sc,
         churn,
@@ -294,9 +290,9 @@ fn tick(sc: &mut Scenario, monitor: &mut Monitor) -> SimTime {
 }
 
 /// `mantra monitor`: run the full pipeline and print Mantra's output.
-/// With `--fleet`, everything printed to stdout is shard-invariant — the
-/// fleet-smoke CI job diffs a `--shards 1` run against a `--shards 4`
-/// run and expects no output difference.
+/// Nothing printed to stdout depends on the cycle's fan-out width — the
+/// fleet-smoke CI job diffs a run pinned to one CPU against an unpinned
+/// one and expects no output difference.
 pub fn monitor(opts: &Opts) -> Result<(), String> {
     let hours = opts.u64_or("hours", 12)?;
     let (archive, archive_dir) = archive_spec(opts)?;
@@ -309,9 +305,8 @@ pub fn monitor(opts: &Opts) -> Result<(), String> {
     let cycles = hours * 3_600 / monitor.cfg.interval.as_secs();
     if fleet {
         eprintln!(
-            "monitoring {} routers across {} shard(s), {hours}h of simulated time ({cycles} cycles)...",
+            "monitoring {} routers, {hours}h of simulated time ({cycles} cycles)...",
             monitor.cfg.routers.len(),
-            monitor.shard_count(),
         );
     } else {
         eprintln!("monitoring {hours}h of simulated time ({cycles} cycles)...");
@@ -388,9 +383,7 @@ fn print_single(
 }
 
 /// `monitor --fleet`'s report: fleet-wide figures, and the per-router
-/// tables under their fleet titles. The shard column is the one
-/// shard-dependent value, so it stays off stdout; the HTML report keeps
-/// it.
+/// tables under their fleet titles.
 fn print_fleet(
     monitor: &Monitor,
     now: SimTime,
@@ -414,8 +407,6 @@ fn print_fleet(
     health.title = "Fleet collection health".into();
     println!("\n{}", health.render());
     if let Some(schedule) = churn {
-        // The strip is shard-invariant, so it is safe on the stdout the
-        // fleet-smoke job diffs across shard counts.
         print_event_strip(schedule);
     }
     if let Some(dir) = archive_dir {
@@ -495,13 +486,13 @@ fn required_path<'a>(opts: &'a Opts, key: &str) -> Result<&'a Path, String> {
 /// Opens an archive for inspection without ever writing to it — `info`
 /// and `replay` are read paths, so they must not heal (truncate) a torn
 /// tail out from under a process still appending to the file.
-fn load_archive(path: &Path, full_every: usize) -> Result<TableLog, String> {
-    TableLog::load_read_only(path, full_every).map_err(|e| format!("{}: {e}", path.display()))
+fn load_archive(path: &Path) -> Result<TableLog, String> {
+    TableLog::load_read_only(path).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 fn archive_info(opts: &Opts) -> Result<(), String> {
     let path = required_path(opts, "path")?;
-    let log = load_archive(path, opts.u64_or("full-every", 96)? as usize)?;
+    let log = load_archive(path)?;
     let stats = log.archive_stats();
     let info = log.describe();
     let format = match info.format_version {
@@ -536,15 +527,31 @@ fn archive_info(opts: &Opts) -> Result<(), String> {
 
 fn archive_replay(opts: &Opts) -> Result<(), String> {
     let path = required_path(opts, "path")?;
-    let log = load_archive(path, opts.u64_or("full-every", 96)? as usize)?;
+    let log = load_archive(path)?;
+    let mut out = io::stdout().lock();
     let mut snapshots = 0usize;
     for (i, tables) in log.replay_iter().enumerate() {
         let tables = tables.map_err(|e| format!("replay failed at record {i}: {e}"))?;
-        println!("{}", replay_summary_line(i, &tables));
+        if let Err(e) = writeln!(out, "{}", replay_summary_line(i, &tables)) {
+            return stdout_failed(e);
+        }
         snapshots += 1;
+    }
+    if let Err(e) = out.flush() {
+        return stdout_failed(e);
     }
     eprintln!("{snapshots} snapshot(s) replayed");
     Ok(())
+}
+
+/// Ends a command whose stdout write failed: a reader that closed the
+/// pipe early (`| head -1`) has what it asked for, so that is a clean
+/// stop; any other write error fails the command.
+fn stdout_failed(e: io::Error) -> Result<(), String> {
+    match e.kind() {
+        io::ErrorKind::BrokenPipe => Ok(()),
+        _ => Err(format!("writing to stdout: {e}")),
+    }
 }
 
 /// Parses a `--drop-before` timestamp: raw Unix seconds, `YYYY-MM-DD`,
@@ -568,7 +575,7 @@ fn archive_compact(opts: &Opts) -> Result<(), String> {
     }
     let full_every = opts.u64_or("full-every", 96)? as usize;
     let drop_before = opts.get("drop-before").map(parse_sim_time).transpose()?;
-    let src = load_archive(path, full_every)?;
+    let src = load_archive(path)?;
     let (dst, dropped) = compact_archive(
         &src,
         out,

@@ -6,9 +6,15 @@
 //! and that `archive info` on a torn copy reports the tail it leaves in
 //! place.
 
+use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use mantra_core::archive::FileBackendV2;
+use mantra_core::logger::TableLog;
+use mantra_core::Tables;
+use mantra_net::SimTime;
 
 /// A temporary directory owned by one test, deleted (with everything in
 /// it) when the guard drops — also when the test panics.
@@ -313,4 +319,93 @@ fn archives_table_under_threaded_writers_reads_what_is_on_disk() {
         tables.push(rows);
     }
     assert_eq!(tables[0], tables[1], "two identical shed runs");
+}
+
+#[test]
+fn table_rows_condenses_the_two_router_archives_table() {
+    // `--table-rows` is not a fleet-only flag: the two-router run
+    // condenses its Archives table to the worst row plus a footer.
+    let dir = TempDir::new("table-rows");
+    let run = mantra(
+        dir.path(),
+        &[
+            "monitor",
+            "--seed",
+            "7",
+            "--hours",
+            "1",
+            "--archive-dir",
+            ".",
+            "--table-rows",
+            "1",
+        ],
+    );
+    assert!(run.status.success());
+    let stdout = String::from_utf8(run.stdout).unwrap();
+    assert!(stdout.contains("1 of 2 archives shown"), "{stdout}");
+}
+
+#[test]
+fn archive_info_and_replay_reject_full_every() {
+    // A read-only open never appends, so a checkpoint cadence would
+    // change nothing: `info` and `replay` do not take one, `compact`
+    // (which rewrites) does.
+    let dir = TempDir::new("full-every");
+    monitor_archives(dir.path());
+    for sub in ["info", "replay"] {
+        let run = mantra(
+            dir.path(),
+            &["archive", sub, "--path", "fixw.marc", "--full-every", "4"],
+        );
+        assert_eq!(run.status.code(), Some(2), "archive {sub} --full-every");
+        assert!(run.stdout.is_empty(), "archive {sub} did work");
+        let err = String::from_utf8(run.stderr).unwrap();
+        assert!(
+            err.contains("unknown flag --full-every; valid flags: --path\n"),
+            "{err}"
+        );
+    }
+    let compact = mantra(
+        dir.path(),
+        &[
+            "archive",
+            "compact",
+            "--path",
+            "fixw.marc",
+            "--out",
+            "compacted.marc",
+            "--full-every",
+            "4",
+        ],
+    );
+    assert!(compact.status.success());
+}
+
+#[test]
+fn replay_into_a_closed_pipe_stops_cleanly() {
+    // Far more replay lines than a pipe buffers, so the replay is still
+    // writing when the reader goes away after one line (`| head -1`).
+    let dir = TempDir::new("closed-pipe");
+    let path = dir.join("long.marc");
+    let mut log = TableLog::with_backend(Box::new(FileBackendV2::create(&path).unwrap()), 96);
+    for i in 0..4000 {
+        log.append(&Tables::new("r", SimTime(907_113_600 + i * 60)));
+    }
+    assert_eq!(log.write_errors, 0);
+    drop(log);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mantra"))
+        .args(["archive", "replay", "--path", path.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().unwrap())
+        .read_line(&mut first)
+        .unwrap();
+    assert!(first.starts_with("   0 "), "{first}");
+    let out = child.wait_with_output().unwrap();
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
 }

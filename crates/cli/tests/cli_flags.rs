@@ -1,22 +1,22 @@
 //! Flag validation at the binary's surface: a mistyped flag must stop
 //! the run before any work, name the flag and list the valid ones —
-//! `monitor --shard 4` must never silently run unsharded.
+//! `monitor --flet 50` must never silently run without a fleet.
 
 use std::io::Read;
 use std::process::{Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
 #[test]
-fn monitor_rejects_a_mistyped_shards_flag_before_any_work() {
+fn monitor_rejects_a_mistyped_fleet_flag_before_any_work() {
     let run = Command::new(env!("CARGO_BIN_EXE_mantra"))
-        .args(["monitor", "--shard", "4"])
+        .args(["monitor", "--flet", "50"])
         .output()
         .unwrap();
     assert!(!run.status.success(), "unknown flag accepted");
     assert!(run.stdout.is_empty(), "the run produced output");
     let err = String::from_utf8(run.stderr).unwrap();
-    assert!(err.contains("unknown flag --shard;"), "{err}");
-    assert!(err.contains("--shards"), "valid flags not listed: {err}");
+    assert!(err.contains("unknown flag --flet;"), "{err}");
+    assert!(err.contains("--fleet"), "valid flags not listed: {err}");
     // The run's progress line ("monitoring 12h of simulated time ...").
     assert!(!err.contains("of simulated time"), "work started: {err}");
 }
@@ -90,5 +90,26 @@ fn daemon_checks_the_world_flags_as_monitor_does() {
         assert!(line.contains(flag), "daemon {flags:?}: {line}");
         assert!(!monitor.0.unwrap().success());
         assert!(monitor.1.contains(line), "monitor {flags:?}: {}", monitor.1);
+    }
+}
+
+#[test]
+fn shards_is_not_a_flag() {
+    // One engine holds every router: `--shards` would change nothing, so
+    // it is an unknown flag like any other, before any work.
+    for cmd in [&["monitor"][..], &["daemon", "--addr", "127.0.0.1:0"][..]] {
+        let args = [cmd, &["--shards", "4"]].concat();
+        let (status, err) = run_until(&args, Duration::from_secs(30));
+        let status = status.unwrap_or_else(|| panic!("{args:?} kept running: {err}"));
+        assert_eq!(status.code(), Some(2), "{args:?}: {err}");
+        assert!(
+            err.contains("error: unknown flag --shards; valid flags: "),
+            "{err}"
+        );
+        assert!(
+            err.contains("--fleet, --table-rows"),
+            "valid flags not listed: {err}"
+        );
+        assert!(!err.contains("of simulated time"), "work started: {err}");
     }
 }

@@ -34,8 +34,8 @@
 //! * [`pipeline`] — the cycle's per-router work: each router's Capture →
 //!   Parse → Enrich → Log → Analyse as one task, one fan-out per cycle
 //!   sized by the rows it carries, and per-stage instrumentation,
-//! * [`monitor`] — the engine running that cycle over one router set or
-//!   a sharded fleet, and the paper's announced next step: every router
+//! * [`monitor`] — the engine running that cycle over the paper's two
+//!   routers or a fleet, and the paper's announced next step: every router
 //!   collected concurrently in one fan-out, the combined results folded
 //!   from exact integer sums with one cross-router consistency join,
 //! * [`web`] — the web presentation layer (static HTML + SVG reports,

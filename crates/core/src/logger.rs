@@ -445,15 +445,16 @@ impl TableLog {
     /// an archive another process is actively appending to. `mantra
     /// archive info|replay|compact` read through here. Appends through
     /// the returned log fail (and are counted in
-    /// [`TableLog::write_errors`]).
-    pub fn load_read_only(path: &Path, full_every: usize) -> io::Result<TableLog> {
+    /// [`TableLog::write_errors`]), so it has no checkpoint cadence to
+    /// configure.
+    pub fn load_read_only(path: &Path) -> io::Result<TableLog> {
         let (version, _) = read_header(&mut std::fs::File::open(path)?)?;
         let backend: Box<dyn ArchiveBackend> = match version {
             FORMAT_VERSION => Box::new(FileBackendV1::open_read_only(path)?),
             FORMAT_VERSION_V2 => Box::new(ArchiveReader::open(path)?),
             v => return Err(unsupported_version(v)),
         };
-        Self::resume(backend, full_every)
+        Self::resume(backend, 1)
     }
 
     /// Rebuilds the in-memory tail state (last snapshot, delta cadence)
@@ -1118,7 +1119,7 @@ mod tests {
         drop(be);
         let invalid = |e: io::Error| assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
         invalid(TableLog::load(&path, 3).unwrap_err());
-        invalid(TableLog::load_read_only(&path, 3).unwrap_err());
+        invalid(TableLog::load_read_only(&path).unwrap_err());
         let rd = ArchiveReader::open(&path).unwrap();
         invalid(rd.summary_lines(rd.len()).unwrap_err());
         invalid(rd.state_at(t(0)).unwrap_err());
@@ -1199,7 +1200,7 @@ mod tests {
             std::fs::write(&path, bytes).unwrap();
             for err in [
                 TableLog::load(&path, 3).unwrap_err(),
-                TableLog::load_read_only(&path, 3).unwrap_err(),
+                TableLog::load_read_only(&path).unwrap_err(),
             ] {
                 assert!(
                     err.to_string().contains("unrecognised archive header"),

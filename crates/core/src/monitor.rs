@@ -4,20 +4,18 @@
 //! hundreds alike. It owns, once each, the collector, the parse
 //! accounting, the per-stage metrics registry, the archive query cache,
 //! the session-name directory, the cross-router consistency monitor, the
-//! anomaly list and the fleet-wide statistics histories. Its routers are
-//! partitioned into shards, and a shard holds only what makes it a
-//! partition: its routers' interner slots and their per-router state,
-//! archives included. [`Monitor::rebalance`] moves that state between
-//! shards between cycles.
+//! anomaly list and the fleet-wide statistics histories, plus one router
+//! interner and one state vector holding every router's state, archives
+//! included.
 //!
 //! [`Monitor::run_cycle`] runs in four steps: a serial prologue interns
-//! each router in its shard and opens state for new ones; one fan-out
-//! (see [`crate::pipeline`]) runs every router's Capture → Parse →
-//! Enrich → Log → Analyse over its own state; one fold builds the report
-//! in configuration order and accounts the cycle; then the cross-router
+//! each router and opens state for new ones; one fan-out (see
+//! [`crate::pipeline`]) runs every router's Capture → Parse → Enrich →
+//! Log → Analyse over its own state; one fold builds the report in
+//! configuration order and accounts the cycle; then the cross-router
 //! sweep and the fleet-wide statistics. Those statistics are integer
-//! partial sums ([`StatsTotals`]) divided once, so no shard count or
-//! partition changes any output (`tests/prop_fleet.rs`).
+//! partial sums ([`StatsTotals`]) divided once, so no fan-out width
+//! changes any output.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -216,66 +214,17 @@ pub struct CycleReport {
     pub anomalies: Vec<Anomaly>,
 }
 
-/// A partition of the engine's routers: their interner slots and their
-/// per-router state, archives included. Nothing else is per shard.
-#[derive(Default)]
-struct Shard {
-    /// Router interner: router names become dense ids here.
-    store: TableStore,
-    /// Per-router state, indexed by interned router id.
-    state: Vec<RouterState>,
-}
-
-impl Shard {
-    /// The state of one router, unless it never ran in this shard or a
-    /// rebalance moved it away.
-    fn state_of(&self, router: &str) -> Option<&RouterState> {
-        self.store
-            .routers
-            .get(&router.to_string())
-            .map(|id| &self.state[id as usize])
-            .filter(|st| !st.evicted)
-    }
-
-    /// Takes a router's state for a rebalance, leaving an evicted
-    /// tombstone in its slot (ids never renumber). The state carries its
-    /// open archive with it. `None` when the router has no state here.
-    fn evict(&mut self, router: &str) -> Option<RouterState> {
-        let id = self.store.routers.get(&router.to_string())?;
-        let st = &mut self.state[id as usize];
-        if st.evicted {
-            return None;
-        }
-        Some(std::mem::replace(
-            st,
-            RouterState::tombstone(router.to_string()),
-        ))
-    }
-
-    /// Installs a router's state moved in by a rebalance, over the
-    /// tombstone if this shard held the router before. Per-router state
-    /// is store-independent (deltas are address-keyed, the archive
-    /// travels as an open log), so adoption is a slot write — no replay.
-    fn adopt(&mut self, st: RouterState) {
-        let id = self.store.routers.intern_str(&st.name);
-        if id as usize == self.state.len() {
-            self.state.push(st);
-        } else {
-            self.state[id as usize] = st;
-        }
-    }
-}
-
 /// The Mantra engine: one collector, one metrics registry, one sweep,
-/// over routers partitioned into shards.
+/// over one state vector.
 pub struct Monitor {
     /// Configuration; `routers` lists every monitored router, in
     /// configuration order.
     pub cfg: MonitorConfig,
     collector: Collector,
-    shards: Vec<Shard>,
-    /// Shard index per configured router.
-    assignment: Vec<usize>,
+    /// Router interner: router names become dense ids here.
+    store: TableStore,
+    /// Per-router state, indexed by interned router id.
+    state: Vec<RouterState>,
     /// Session names learned from an external directory (SAP/sdr); the
     /// paper's Session table carries "the group's name (if available)".
     session_names: BTreeMap<GroupAddr, String>,
@@ -305,34 +254,15 @@ pub type FleetMonitor = Monitor;
 pub const DEGRADED_PARSE_PCT: f64 = 5.0;
 
 impl Monitor {
-    /// An engine over `cfg.routers` split into `shards` contiguous,
-    /// near-equal shards (configuration order preserved); one router set
-    /// passes 1. `shards` is clamped to at least 1 and at most the router
-    /// count.
-    pub fn new(cfg: MonitorConfig, shards: usize) -> Self {
-        let n = cfg.routers.len();
-        let shards = shards.clamp(1, n.max(1));
-        let chunk = n.div_ceil(shards).max(1);
-        let assignment: Vec<usize> = (0..n).map(|i| (i / chunk).min(shards - 1)).collect();
-        Self::with_assignment(cfg, &assignment)
-    }
-
-    /// An engine with an explicit router→shard assignment
-    /// (`assignment[i]` is the shard of `cfg.routers[i]`; shard ids need
-    /// not be dense — the engine keeps `max + 1` shards). Any assignment
-    /// yields the same outputs.
-    pub fn with_assignment(cfg: MonitorConfig, assignment: &[usize]) -> Self {
-        assert_eq!(
-            assignment.len(),
-            cfg.routers.len(),
-            "one shard id per router"
-        );
-        let shards = assignment.iter().map(|s| s + 1).max().unwrap_or(1);
+    /// An engine over `cfg.routers`. The second parameter is ignored:
+    /// it stays for the benchmark (`perfbench/`), which still passes a
+    /// shard count; everything else passes 1.
+    pub fn new(cfg: MonitorConfig, _shards: usize) -> Self {
         Monitor {
             collector: Collector::with_retry(cfg.retry.clone()),
             cfg,
-            shards: (0..shards).map(|_| Shard::default()).collect(),
-            assignment: assignment.to_vec(),
+            store: TableStore::default(),
+            state: Vec::new(),
             session_names: BTreeMap::new(),
             inconsistency: InconsistencyMonitor::default(),
             anomalies: Vec::new(),
@@ -347,58 +277,10 @@ impl Monitor {
         }
     }
 
-    /// Re-partitions the routers onto a new router→shard assignment
-    /// between cycles, moving each reassigned router's state — archive
-    /// (as its open log), statistics histories, health, streaming
-    /// accumulators — wholesale to its new shard. Per-router state is
-    /// store-independent, so the move is exact: the next cycle's outputs
-    /// are bit-identical to an engine that had run with the new
-    /// assignment all along, which the churn property tests assert.
-    /// Routers never polled have no state to move; their state is created
-    /// at first sight as usual.
-    pub fn rebalance(&mut self, assignment: &[usize]) {
-        assert_eq!(
-            assignment.len(),
-            self.cfg.routers.len(),
-            "one shard id per router"
-        );
-        let shards = assignment.iter().map(|s| s + 1).max().unwrap_or(1);
-        let shards = shards.max(self.shards.len());
-        self.shards.resize_with(shards, Shard::default);
-        let moves = self
-            .cfg
-            .routers
-            .iter()
-            .zip(&self.assignment)
-            .zip(assignment);
-        for ((router, &from), &to) in moves {
-            if from != to {
-                if let Some(st) = self.shards[from].evict(router) {
-                    self.shards[to].adopt(st);
-                }
-            }
-        }
-        self.assignment = assignment.to_vec();
-    }
-
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The shard owning `router`, by configuration.
-    pub fn shard_of(&self, router: &str) -> Option<usize> {
-        self.cfg
-            .routers
-            .iter()
-            .position(|r| r == router)
-            .map(|i| self.assignment[i])
-    }
-
     /// The engine itself when it watches `router`, or `None` — the 404
     /// the daemon's query endpoints lean on.
     pub fn monitor_of(&self, router: &str) -> Option<&Monitor> {
-        self.shard_of(router).map(|_| self)
+        self.cfg.routers.iter().any(|r| r == router).then_some(self)
     }
 
     /// Cycles completed.
@@ -411,22 +293,21 @@ impl Monitor {
         self.collector.failures
     }
 
-    /// The state of one router, through its owning shard.
+    /// The state of one router, once it has run a cycle.
     fn state_of(&self, router: &str) -> Option<&RouterState> {
-        self.shards[self.shard_of(router)?].state_of(router)
+        let id = self.store.routers.get(&router.to_string())?;
+        Some(&self.state[id as usize])
     }
 
     /// Every configured router that has state, with that state, in
     /// configuration order.
     fn router_states(&self) -> impl Iterator<Item = (&String, &RouterState)> {
-        let routers = self.cfg.routers.iter().zip(&self.assignment);
-        routers.filter_map(|(r, &s)| Some((r, self.shards[s].state_of(r)?)))
+        (self.cfg.routers.iter()).filter_map(|r| Some((r, self.state_of(r)?)))
     }
 
     /// One full monitoring cycle at `now` over every configured router,
     /// fanned out as the previous cycle's rows call for (see
-    /// [`crate::pipeline`]); outputs never depend on the fan-out or the
-    /// sharding.
+    /// [`crate::pipeline`]); outputs never depend on the fan-out.
     pub fn run_cycle<P: ParallelAccess + ?Sized>(
         &mut self,
         access: &P,
@@ -438,10 +319,10 @@ impl Monitor {
     }
 
     /// [`Monitor::run_cycle`] at fan-out `width`, workers living `life`
-    /// routers: the prologue interns each router in its shard and opens
-    /// state for new ones, one [`fan_out`] runs each router's whole cycle
-    /// over that router's state, and [`Monitor::fold`] takes the outcomes
-    /// in configuration order.
+    /// routers: the prologue interns each router and opens state for new
+    /// ones, one [`fan_out`] runs each router's whole cycle over that
+    /// router's state, and [`Monitor::fold`] takes the outcomes in
+    /// configuration order.
     fn cycle<P: ParallelAccess + ?Sized>(
         &mut self,
         access: &P,
@@ -450,13 +331,9 @@ impl Monitor {
         life: usize,
     ) -> CycleReport {
         let t = Instant::now();
-        let (cfg, shards) = (&self.cfg, &mut self.shards);
-        let slots: Vec<(usize, u32)> = (cfg.routers.iter().zip(&self.assignment))
-            .map(|(router, &s)| {
-                let Shard { store, state } = &mut shards[s];
-                let id = router_slot(store, state, router, cfg.log_full_every, &cfg.archive);
-                (s, id)
-            })
+        let (cfg, store, state) = (&self.cfg, &mut self.store, &mut self.state);
+        let ids: Vec<u32> = (cfg.routers.iter())
+            .map(|router| router_slot(store, state, router, cfg.log_full_every, &cfg.archive))
             .collect();
         let prologue = t.elapsed().as_nanos() as u64;
         let inputs = RouterInputs {
@@ -466,8 +343,7 @@ impl Monitor {
             cfg: &self.cfg,
             session_names: &self.session_names,
         };
-        let parts = self.shards.iter_mut().map(|sh| sh.state.as_mut_slice());
-        let outcomes = match state_refs(parts, slots.iter().copied()) {
+        let outcomes = match state_refs(&mut self.state, ids.iter().copied()) {
             Some(states) => {
                 let mut items: Vec<_> = self.cfg.routers.iter().zip(states).collect();
                 fan_out(width, life, &mut items, |(router, st)| {
@@ -476,13 +352,11 @@ impl Monitor {
             }
             // A router listed twice would alias its state: run every
             // router in turn instead.
-            None => (self.cfg.routers.iter().zip(&slots))
-                .map(|(router, &(s, id))| {
-                    router_cycle(&inputs, router, &mut self.shards[s].state[id as usize])
-                })
+            None => (self.cfg.routers.iter().zip(&ids))
+                .map(|(router, &id)| router_cycle(&inputs, router, &mut self.state[id as usize]))
                 .collect(),
         };
-        self.fold(now, &slots, outcomes, prologue)
+        self.fold(now, &ids, outcomes, prologue)
     }
 
     /// Folds one cycle's router outcomes, in configuration order, into
@@ -492,7 +366,7 @@ impl Monitor {
     fn fold(
         &mut self,
         now: SimTime,
-        slots: &[(usize, u32)],
+        ids: &[u32],
         outcomes: Vec<RouterOutcome>,
         prologue_nanos: u64,
     ) -> CycleReport {
@@ -503,7 +377,7 @@ impl Monitor {
         let (mut tables, mut backoff) = (0, SimDuration::ZERO);
         let mut report = CycleReport {
             at: now,
-            per_router: Vec::with_capacity(slots.len()),
+            per_router: Vec::with_capacity(ids.len()),
             anomalies: Vec::new(),
         };
         for o in outcomes {
@@ -523,9 +397,7 @@ impl Monitor {
         }
         if self.cfg.cross_router_checks {
             let t = Instant::now();
-            let states = slots
-                .iter()
-                .map(|&(s, id)| &self.shards[s].state[id as usize]);
+            let states = ids.iter().map(|&id| &self.state[id as usize]);
             let swept = sweep_cycle(&mut self.inconsistency, states, now);
             report.anomalies.extend(swept);
             nanos[StageKind::Analyse as usize] += t.elapsed().as_nanos() as u64;
@@ -538,17 +410,13 @@ impl Monitor {
             nanos,
             backoff,
         );
-        self.metrics
-            .record_archives(self.shards.iter().flat_map(|sh| &sh.state));
+        self.metrics.record_archives(&self.state);
         self.metrics.record_cache(self.query_cache.stats());
         self.anomalies.extend(report.anomalies.iter().cloned());
         // Fleet-wide statistics: every router's integer accumulators
         // summed, each ratio divided once.
         let (mut totals, mut churn) = (StatsTotals::default(), RouteChurn::default());
-        for st in self.shards.iter().flat_map(|sh| &sh.state) {
-            if st.evicted {
-                continue;
-            }
+        for st in &self.state {
             totals.absorb(&st.stream.totals());
             if let Some((_, c)) = st.churn.last().filter(|(at, _)| *at == now) {
                 churn.absorb(c);
@@ -868,9 +736,7 @@ impl Monitor {
         usage_overlay(format!("Usage at {router}"), self.usage_history(router))
     }
 
-    /// [`Monitor::usage_graph`] over the fleet-wide usage history. The
-    /// title is deliberately shard-invariant: sharded and unsharded runs
-    /// of the same fleet must render byte-identical output.
+    /// [`Monitor::usage_graph`] over the fleet-wide usage history.
     pub fn fleet_usage_graph(&self) -> Graph {
         let title = format!("Fleet usage ({} routers)", self.cfg.routers.len());
         usage_overlay(title, &self.usage)
@@ -1003,7 +869,7 @@ mod tests {
     use super::*;
     use crate::archive::SyncPolicy;
     use crate::collector::FlakyAccess;
-    use mantra_sim::Scenario;
+    use mantra_sim::{ChurnSchedule, RawChurnOp, Scenario, CHURN_SLOTS};
 
     /// Drives a scenario and the monitor in lock-step.
     fn drive(sc: &mut mantra_sim::Scenario, monitor: &mut Monitor, cycles: usize) {
@@ -1083,24 +949,32 @@ mod tests {
     }
 
     #[test]
-    fn cycle_outputs_do_not_depend_on_the_fan_out_or_the_shards() {
-        let run = |width: usize, life: usize, shards: usize| {
-            let mut sc = Scenario::transition_snapshot(35, 0.3);
-            let mut monitor = Monitor::new(MonitorConfig::default(), shards);
+    fn cycle_outputs_do_not_depend_on_the_fan_out() {
+        let dir = crate::testing::TempDir::new("fan-out");
+        let run = |width: usize, life: usize, name: &str| {
+            let mut sc = Scenario::transition_snapshot(206, 0.4);
+            let cfg = MonitorConfig {
+                archive: ArchiveSpec::File {
+                    dir: dir.join(name),
+                    sync: SyncPolicy::default(),
+                },
+                ..MonitorConfig::default()
+            };
+            let mut monitor = Monitor::new(cfg, 1);
             let mut reports = Vec::new();
-            for _ in 0..6 {
+            for _ in 0..12 {
                 let next = sc.sim.clock + monitor.cfg.interval;
                 sc.sim.advance_to(next);
-                let flaky = FlakyAccess::new(&sc.sim, 0.2, 0.2, 5);
+                let flaky = FlakyAccess::new(&sc.sim, 0.25, 0.25, 3);
                 reports.push(monitor.cycle(&flaky, next, width, life));
             }
             (reports, monitor)
         };
-        let (inline_reports, inline) = run(1, usize::MAX, 1);
+        let (inline_reports, inline) = run(1, usize::MAX, "inline");
         // Width 4 clamps to the two routers; a worker life of one router
-        // hands every claim to a fresh thread; each router has a shard.
-        let (fanned_reports, fanned) = run(4, 1, 2);
-        assert_eq!(fanned.shard_count(), 2);
+        // hands every claim to a fresh thread.
+        let (fanned_reports, fanned) = run(4, 1, "fanned");
+        assert!(inline.capture_failures() > 0, "failures were injected");
         assert_eq!(inline_reports, fanned_reports);
         assert_eq!(inline.capture_failures(), fanned.capture_failures());
         assert_eq!(inline.anomalies, fanned.anomalies);
@@ -1110,11 +984,6 @@ mod tests {
         for router in ["fixw", "ucsb-gw"] {
             assert_eq!(inline.latest(router), fanned.latest(router));
             assert_eq!(inline.router_health(router), fanned.router_health(router));
-            // The archives replay to identical snapshot sequences.
-            assert_eq!(
-                inline.log(router).unwrap().replay(),
-                fanned.log(router).unwrap().replay()
-            );
             assert_eq!(inline.usage_history(router), fanned.usage_history(router));
             assert_eq!(inline.churn_history(router), fanned.churn_history(router));
         }
@@ -1125,6 +994,83 @@ mod tests {
             assert_eq!(s.invocations, p.invocations, "{kind:?}");
             assert_eq!(s.items, p.items, "{kind:?}");
             assert_eq!(s.sim_latency, p.sim_latency, "{kind:?}");
+        }
+        // Dropping the engines closes every archive; the files on disk
+        // are byte-identical.
+        drop((inline, fanned));
+        for router in ["fixw", "ucsb-gw"] {
+            let a = std::fs::read(ArchiveSpec::path_for(&dir.join("inline"), router)).unwrap();
+            let b = std::fs::read(ArchiveSpec::path_for(&dir.join("fanned"), router)).unwrap();
+            assert!(!a.is_empty());
+            assert_eq!(a, b, "{router} archives diverge");
+        }
+    }
+
+    /// The 9-router fleet world of seed `seed` under the churn schedule
+    /// `raw` draws over `cycles` cycles, and an engine watching every
+    /// router with lifecycle thresholds short enough to retire and
+    /// rejoin inside the window.
+    fn churned_fleet(raw: &[RawChurnOp], seed: u64, cycles: u64) -> (Scenario, Monitor) {
+        let mut sc = Scenario::fleet_snapshot(seed, 10, 0.5);
+        let routers = (sc.sim.monitored.iter())
+            .map(|id| sc.sim.net.topo.router(*id).name.clone())
+            .collect();
+        let (start, interval) = (sc.sim.clock, sc.sim.tick());
+        let end = SimTime(start.0 + interval.as_secs() * cycles);
+        let topo = &sc.sim.net.topo;
+        let schedule = ChurnSchedule::from_raw(raw, topo, &[sc.fixw], start, end);
+        sc.sim.install_churn(schedule);
+        let cfg = MonitorConfig {
+            routers,
+            interval,
+            stale_after_intervals: 1,
+            retire_after_intervals: 2,
+            ..MonitorConfig::default()
+        };
+        (sc, Monitor::new(cfg, 1))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+
+        /// Under any churn schedule — routers leaving, retiring and
+        /// rejoining, links flapping, partitions forming and healing —
+        /// a cycle fanned out at width 4 over one-router workers
+        /// produces exactly what the inline cycle does: reports,
+        /// fleet-wide histories, anomalies, lifecycles, per-router
+        /// histories and archive replays.
+        #[test]
+        fn any_churn_schedule_is_fan_out_invariant(
+            raw in proptest::collection::vec(
+                (0u16..CHURN_SLOTS, 0u8..12, 0u16..64u16),
+                0..16,
+            ),
+            seed in 0u64..8,
+        ) {
+            let cycles = 10;
+            let (mut sc_inline, mut inline) = churned_fleet(&raw, seed, cycles);
+            let (mut sc_fanned, mut fanned) = churned_fleet(&raw, seed, cycles);
+            for _ in 0..cycles {
+                let next = sc_inline.sim.clock + inline.cfg.interval;
+                sc_inline.sim.advance_to(next);
+                sc_fanned.sim.advance_to(next);
+                let a = inline.cycle(&sc_inline.sim, next, 1, usize::MAX);
+                let b = fanned.cycle(&sc_fanned.sim, next, 4, 1);
+                proptest::prop_assert_eq!(a, b);
+            }
+            proptest::prop_assert_eq!(inline.fleet_usage_history(), fanned.fleet_usage_history());
+            proptest::prop_assert_eq!(inline.fleet_route_history(), fanned.fleet_route_history());
+            proptest::prop_assert_eq!(inline.fleet_churn_history(), fanned.fleet_churn_history());
+            proptest::prop_assert_eq!(&inline.anomalies, &fanned.anomalies);
+            for r in &inline.cfg.routers {
+                proptest::prop_assert_eq!(inline.lifecycle_of(r), fanned.lifecycle_of(r));
+                proptest::prop_assert_eq!(inline.router_health(r), fanned.router_health(r));
+                proptest::prop_assert_eq!(inline.usage_history(r), fanned.usage_history(r));
+                proptest::prop_assert_eq!(inline.route_history(r), fanned.route_history(r));
+                proptest::prop_assert_eq!(inline.churn_history(r), fanned.churn_history(r));
+                let replay = |m: &Monitor| m.log(r).map(TableLog::replay);
+                proptest::prop_assert_eq!(replay(&inline), replay(&fanned), "archive of {}", r);
+            }
         }
     }
 
@@ -1222,9 +1168,9 @@ mod tests {
     }
 
     /// Past the detail limit the health and archive tables condense to
-    /// the same footer, totalled over every row, at any shard count.
+    /// their worst rows, with a footer totalled over every row.
     #[test]
-    fn condensed_footers_match_across_shard_counts() {
+    fn condensed_footers_total_every_router() {
         let cfg = MonitorConfig {
             routers: vec!["fixw".into(), "ghost".into()],
             stale_after_intervals: 2,
@@ -1233,51 +1179,32 @@ mod tests {
             ..MonitorConfig::default()
         };
         let mut sc = Scenario::transition_snapshot(35, 0.0);
-        let mut monitor = Monitor::new(cfg.clone(), 1);
-        let mut fleet = Monitor::new(cfg, 2);
-        for _ in 0..5 {
-            let next = sc.sim.clock + monitor.cfg.interval;
-            sc.sim.advance_to(next);
-            monitor.run_cycle(&sc.sim, next);
-            fleet.run_cycle(&sc.sim, next);
-        }
-        let now = sc.sim.clock;
-        let health = monitor.health(now);
+        let mut monitor = Monitor::new(cfg, 1);
+        drive(&mut sc, &mut monitor, 5);
+        let health = monitor.health(sc.sim.clock);
         assert_eq!(health.rows.len(), 1);
-        assert_eq!(health, fleet.health(now));
+        assert_eq!(health.rows[0][0], Cell::Text("ghost".into()), "worst first");
         let footer = health.footer.expect("condensed");
         assert!(footer.starts_with("1 of 2 routers shown"), "{footer}");
         assert!(footer.contains("1 stale, 1 retired"), "{footer}");
         let archives = monitor.archive_table();
         assert_eq!(archives.rows.len(), 1);
-        assert_eq!(archives, fleet.archive_table());
         let footer = archives.footer.expect("condensed");
         assert!(footer.contains("1 sealed"), "{footer}");
         // The fleet-wide graph runs over the fleet-wide history.
-        assert_eq!(fleet.fleet_usage_graph().series.len(), 4);
-        assert_eq!(fleet.fleet_usage_history().len(), 5);
+        assert_eq!(monitor.fleet_usage_graph().series.len(), 4);
+        assert_eq!(monitor.fleet_usage_history().len(), 5);
     }
 
     #[test]
-    fn contiguous_partition_covers_the_routers_in_order() {
-        let routers: Vec<String> = (0..10).map(|i| format!("r{i}")).collect();
+    fn monitor_of_answers_for_configured_routers_only() {
         let cfg = MonitorConfig {
-            routers: routers.clone(),
+            routers: (0..10).map(|i| format!("r{i}")).collect(),
             ..MonitorConfig::default()
         };
-        let fleet = Monitor::new(cfg.clone(), 3);
-        assert_eq!(fleet.shard_count(), 3);
-        // Contiguous chunks, every shard used, configuration order kept.
-        let shards: Vec<usize> = routers.iter().filter_map(|r| fleet.shard_of(r)).collect();
-        assert_eq!(shards, [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]);
-        assert!(fleet.monitor_of("r9").is_some());
-        assert!(fleet.monitor_of("r10").is_none());
-        // Degenerate shapes clamp instead of panicking.
-        let one = MonitorConfig {
-            routers: vec!["a".into()],
-            ..cfg
-        };
-        assert_eq!(Monitor::new(one, 8).shard_count(), 1);
+        let monitor = Monitor::new(cfg, 1);
+        assert!(monitor.monitor_of("r9").is_some());
+        assert!(monitor.monitor_of("r10").is_none());
     }
 
     /// One router's fleet-wide statistics, summed from its integer

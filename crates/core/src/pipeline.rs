@@ -268,9 +268,6 @@ impl PipelineMetrics {
     pub fn record_archives<'a>(&mut self, state: impl IntoIterator<Item = &'a RouterState>) {
         let mut agg: Vec<ArchiveMetrics> = Vec::new();
         for st in state {
-            if st.evicted {
-                continue;
-            }
             let stats = st.log.archive_stats();
             let kind = st.log.backend_kind();
             let m = match agg.iter_mut().find(|m| m.backend == kind) {
@@ -382,11 +379,8 @@ pub struct RouterState {
     /// Archive size after each cycle, `(cycle time, stored bytes)` — the
     /// growth curve the HTML report charts.
     pub archive_growth: Vec<(SimTime, u64)>,
-    /// True for the tombstone left behind when a fleet rebalance moved
-    /// this router's state to another shard. Interned ids are dense and
-    /// never renumber, so the vacated slot stays — but every aggregation
-    /// over the state vector skips it, and [`RouterState`] lookups treat
-    /// it as absent.
+    /// Always false; nothing in the engine reads it. It stays while the
+    /// benchmark (`perfbench/`) reads it.
     pub evicted: bool,
 }
 
@@ -410,44 +404,19 @@ impl RouterState {
             evicted: false,
         }
     }
-
-    /// The slot left behind by a rebalance eviction. Deliberately does
-    /// NOT open an archive — the moved state carried its open log with
-    /// it, and opening here would truncate the file it still writes.
-    pub fn tombstone(name: String) -> Self {
-        RouterState {
-            name,
-            log: TableLog::default(),
-            usage: Vec::new(),
-            routes: Vec::new(),
-            churn: Vec::new(),
-            prev: None,
-            longterm: LongTermTracker::default(),
-            health: RouterHealth::default(),
-            detector: SpikeDetector::new(32, 8.0, 100.0),
-            stream: IncrementalStats::default(),
-            avg_bw: FxHashMap::default(),
-            archive_growth: Vec::new(),
-            evicted: true,
-        }
-    }
 }
 
-/// Exclusive references to the states `slots` name, in slot order; each
-/// slot is a `(part, id)` into `parts`. `None` when a slot repeats: a
-/// router listed twice in one cycle would alias its state, so such a
-/// cycle runs its routers one after another instead.
-pub(crate) fn state_refs<'a>(
-    parts: impl IntoIterator<Item = &'a mut [RouterState]>,
-    slots: impl IntoIterator<Item = (usize, u32)>,
-) -> Option<Vec<&'a mut RouterState>> {
-    let mut free: Vec<Vec<Option<&'a mut RouterState>>> = parts
-        .into_iter()
-        .map(|part| part.iter_mut().map(Some).collect())
-        .collect();
-    slots
-        .into_iter()
-        .map(|(part, id)| free.get_mut(part)?.get_mut(id as usize)?.take())
+/// Exclusive references to the states `ids` name, in the order of
+/// `ids`. `None` when an id repeats (a router listed twice in one cycle would alias
+/// its state, so such a cycle runs its routers one after another
+/// instead) or is out of range.
+pub(crate) fn state_refs(
+    state: &mut [RouterState],
+    ids: impl IntoIterator<Item = u32>,
+) -> Option<Vec<&mut RouterState>> {
+    let mut free: Vec<Option<&mut RouterState>> = state.iter_mut().map(Some).collect();
+    ids.into_iter()
+        .map(|id| free.get_mut(id as usize)?.take())
         .collect()
 }
 
@@ -826,7 +795,7 @@ fn stage_width(parallel: bool) -> usize {
 /// Runs `body` once per work item against that item's router state,
 /// fanned out at `width`, results in item order; items whose ids repeat
 /// (see [`state_refs`]) run one after another instead.
-fn run_sharded<W, R>(
+fn run_per_router<W, R>(
     width: usize,
     state: &mut [RouterState],
     work: &mut [W],
@@ -837,7 +806,7 @@ where
     W: Send,
     R: Send,
 {
-    match state_refs([&mut *state], work.iter().map(|w| (0, id_of(w)))) {
+    match state_refs(state, work.iter().map(&id_of)) {
         Some(refs) => {
             let mut items: Vec<(&mut RouterState, &mut W)> =
                 refs.into_iter().zip(work.iter_mut()).collect();
@@ -950,7 +919,7 @@ impl Stage for EnrichStage<'_> {
             }
         }
         let names = self.session_names;
-        let routers = run_sharded(
+        let routers = run_per_router(
             stage_width(self.parallel),
             self.state,
             &mut work,
@@ -987,7 +956,7 @@ impl Stage for LogStage<'_> {
     fn run(&mut self, cycle: EnrichedCycle) -> LoggedCycle {
         let at = cycle.at;
         let mut work = cycle.routers;
-        let routers = run_sharded(
+        let routers = run_per_router(
             stage_width(self.parallel),
             self.state,
             &mut work,
@@ -1029,7 +998,7 @@ impl Stage for AnalyseStage<'_> {
         let now = cycle.at;
         let (threshold, min_new) = (self.threshold, self.injection_min_new);
         let mut work = cycle.routers;
-        let per = run_sharded(
+        let per = run_per_router(
             stage_width(self.parallel),
             self.state,
             &mut work,
@@ -1197,19 +1166,16 @@ mod tests {
     }
 
     #[test]
-    fn state_refs_hand_out_each_state_once_in_slot_order() {
-        let state = |name: &str| RouterState::tombstone(name.into());
-        let mut a = vec![state("a0"), state("a1")];
-        let mut b = vec![state("b0")];
-        let parts = [a.as_mut_slice(), b.as_mut_slice()];
-        let refs = state_refs(parts, [(1, 0), (0, 1), (0, 0)]).expect("distinct slots");
+    fn state_refs_hand_out_each_state_once_in_id_order() {
+        let state = |name: &str| RouterState::new(name.into(), 1, &ArchiveSpec::Memory);
+        let mut states = vec![state("r0"), state("r1"), state("r2")];
+        let refs = state_refs(&mut states, [2, 0, 1]).expect("distinct ids");
         let names: Vec<&str> = refs.iter().map(|st| st.name.as_str()).collect();
-        assert_eq!(names, ["b0", "a1", "a0"]);
-        // A repeated slot (a router listed twice) or one out of range
-        // hands out nothing.
-        assert!(state_refs([a.as_mut_slice()], [(0, 1), (0, 1)]).is_none());
-        assert!(state_refs([a.as_mut_slice()], [(0, 2)]).is_none());
-        assert!(state_refs([a.as_mut_slice()], [(1, 0)]).is_none());
+        assert_eq!(names, ["r2", "r0", "r1"]);
+        // A repeated id (a router listed twice) or one out of range hands
+        // out nothing.
+        assert!(state_refs(&mut states, [1, 1]).is_none());
+        assert!(state_refs(&mut states, [3]).is_none());
     }
 
     #[test]

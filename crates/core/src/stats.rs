@@ -105,8 +105,7 @@ impl RouteChurn {
     }
 
     /// Adds another churn count into this one — integer sums, so fleet
-    /// aggregation across routers and shards is exact and
-    /// order-independent.
+    /// aggregation across routers is exact and order-independent.
     pub fn absorb(&mut self, other: &RouteChurn) {
         self.added += other.added;
         self.removed += other.removed;
@@ -167,9 +166,7 @@ impl ConsistencyReport {
 /// In a consistent fleet most routers agree, so the number of distinct
 /// views G stays far below n and the set-comparison cost drops from
 /// O(n²·p) to O(n·p + G²·p); a fully divergent fleet (G = n) degrades to
-/// the pairwise cost, never worse. Because the key is the view itself,
-/// groups built on different shards compose: joining the shards' snapshot
-/// lists and rebuilding is exactly the single-fleet join.
+/// the pairwise cost, never worse.
 pub struct ConsistencyMatrix {
     /// Group id per input snapshot, `None` when the snapshot's reachable
     /// set is below the caller's floor and every pair involving it is

@@ -229,7 +229,7 @@ impl IncrementalStats {
 
     /// This router's contribution to a fleet's totals: the integer
     /// accumulators [`IncrementalStats::usage`]/[`IncrementalStats::route_stats`]
-    /// assemble from, with no derived ratios — so shard partial sums
+    /// assemble from, with no derived ratios — so per-router partial sums
     /// compose exactly (see [`StatsTotals::absorb`]).
     pub fn totals(&self) -> StatsTotals {
         StatsTotals {
@@ -494,13 +494,13 @@ impl IncrementalStats {
 /// accumulators (counts, sums, the density histogram), no derived ratios.
 ///
 /// Integer addition is associative and commutative, so summing per-router
-/// totals gives *exactly* the same integers in any order and under any
-/// partition — every division (average density, bandwidth-saved
-/// multiple, uptime mean) happens once, at assembly, on identical
-/// integers. That is the whole exactness argument for sharding: a
-/// fleet's [`UsageStats`]/[`RouteStats`] are bit-identical at every shard
-/// count because the f64 operations see the same operands in the same
-/// order. The semantic is router-observations summed across the fleet (a
+/// totals gives *exactly* the same integers in any order — every division
+/// (average density, bandwidth-saved multiple, uptime mean) happens once,
+/// at assembly, on identical integers. That is the whole exactness
+/// argument for the fleet-wide statistics: a fleet's
+/// [`UsageStats`]/[`RouteStats`] do not depend on which thread ran which
+/// router, and one router's are its own, because the f64 operations see
+/// the same operands in the same order. The semantic is router-observations summed across the fleet (a
 /// session with state at three routers contributes three times), the
 /// same reading the per-router figures already have.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]

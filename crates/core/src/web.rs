@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 use mantra_net::SimTime;
 
 use crate::monitor::Monitor;
-use crate::output::{Cell, Graph, Table};
+use crate::output::{Graph, Table};
 
 /// Escapes text for HTML.
 fn esc(s: &str) -> String {
@@ -306,9 +306,8 @@ pub fn report_html(monitor: &Monitor, router: &str, events: &[(SimTime, String)]
 }
 
 /// Renders the fleet-wide monitoring report: one page for the whole
-/// sharded fleet, built from the engine's fleet-wide outputs rather than
-/// any one router's view, with a topology-events strip like
-/// [`report_html`]. Its per-router tables carry each router's shard.
+/// fleet, built from the engine's fleet-wide outputs rather than any one
+/// router's view, with a topology-events strip like [`report_html`].
 pub fn fleet_report_html(fleet: &Monitor, now: SimTime, events: &[(SimTime, String)]) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "<!DOCTYPE html>");
@@ -318,9 +317,8 @@ pub fn fleet_report_html(fleet: &Monitor, now: SimTime, events: &[(SimTime, Stri
     );
     let _ = writeln!(
         out,
-        "<h1>Mantra fleet report — {} routers, {} shards</h1>",
-        fleet.cfg.routers.len(),
-        fleet.shard_count()
+        "<h1>Mantra fleet report — {} routers</h1>",
+        fleet.cfg.routers.len()
     );
     let _ = writeln!(
         out,
@@ -361,12 +359,14 @@ pub fn fleet_report_html(fleet: &Monitor, now: SimTime, events: &[(SimTime, Stri
         if cache.entries == 1 { "y" } else { "ies" }
     );
     let _ = writeln!(out, "{}", topology_events_html(events));
-    let health = with_shards(fleet, fleet.health(now), "Fleet collection health");
+    let mut health = fleet.health(now);
+    health.title = "Fleet collection health".into();
     let _ = writeln!(out, "{}", table_html(&health));
     let mut parse = fleet.parse_table();
     parse.title = "Parse accounting (fleet)".into();
     let _ = writeln!(out, "{}", table_html(&parse));
-    let archives = with_shards(fleet, fleet.archive_table(), "Fleet archives");
+    let mut archives = fleet.archive_table();
+    archives.title = "Fleet archives".into();
     let _ = writeln!(out, "{}", table_html(&archives));
     let divergent = fleet.consistency_view();
     if divergent.is_empty() {
@@ -393,21 +393,6 @@ pub fn fleet_report_html(fleet: &Monitor, now: SimTime, events: &[(SimTime, Stri
     }
     let _ = writeln!(out, "</body></html>");
     out
-}
-
-/// A per-router table as the fleet page shows it: retitled, with each
-/// router's shard after the router column.
-fn with_shards(fleet: &Monitor, mut table: Table, title: &str) -> Table {
-    table.title = title.into();
-    table.columns.insert(1, "shard".into());
-    for row in &mut table.rows {
-        let shard = match &row[0] {
-            Cell::Text(router) => fleet.shard_of(router),
-            _ => None,
-        };
-        row.insert(1, Cell::Num(shard.unwrap_or_default() as f64));
-    }
-    table
 }
 
 /// Injects the daemon's auto-refresh shell into a rendered report page
@@ -492,7 +477,7 @@ mod tests {
                 table_detail_limit: 1,
                 ..MonitorConfig::default()
             },
-            2,
+            1,
         );
         for _ in 0..4 {
             let next = sc.sim.clock + fleet.cfg.interval;
@@ -503,7 +488,7 @@ mod tests {
         assert!(html.starts_with("<!DOCTYPE html>"));
         assert!(html.contains("</html>"));
         assert_eq!(html.matches("<svg").count(), 2);
-        assert!(html.contains("2 routers, 2 shards"));
+        assert!(html.contains("<h1>Mantra fleet report — 2 routers</h1>"));
         assert!(html.contains("Fleet usage"));
         assert!(html.contains("Fleet DVMRP routes"));
         assert!(html.contains("Fleet collection health"));
@@ -512,11 +497,15 @@ mod tests {
         // Live simulator output parses cleanly — no degraded-parse banner.
         assert!(!html.contains("Degraded parse"));
         assert!(html.contains("Route consistency:"));
-        // detail limit 1 → both fleet tables condensed with footers, and
-        // each keeps the shard column after the router column.
+        // detail limit 1 → both fleet tables condensed with footers, each
+        // led by its router column.
         assert!(html.contains("of 2 routers shown"));
         assert!(html.contains("of 2 archives shown"));
-        assert_eq!(html.matches("<th>router</th><th>shard</th>").count(), 2);
+        assert_eq!(html.matches("<tr><th>router</th><th>ok</th>").count(), 1);
+        assert_eq!(
+            html.matches("<tr><th>router</th><th>backend</th>").count(),
+            1
+        );
     }
 
     #[test]

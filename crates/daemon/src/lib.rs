@@ -3,7 +3,7 @@
 //! The paper's Mantra ran as a service: collection on a timer, results
 //! queryable at any moment through a web front-end. This crate is that
 //! shape for the reproduction. One **tick thread** owns the [`Monitor`],
-//! one router set or a sharded fleet alike (behind a `Mutex` held only
+//! the paper's two routers or a fleet alike (behind a `Mutex` held only
 //! for the duration of a cycle), and drives collection at a wall-clock
 //! cadence;
 //! a **serve thread** accepts HTTP/1.1 connections and answers JSON

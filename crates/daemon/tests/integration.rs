@@ -323,15 +323,10 @@ fn archive_untouched_after_stop(path: &Path) -> bool {
 }
 
 /// Serves one transition world through `engine` (`Engine::Single` or
-/// `Engine::Fleet`) over `shards` shards, archiving under `dir`; once
+/// `Engine::Fleet`), archiving under `dir`; once
 /// collection has quiesced after [`CYCLES`] cycles, answers `paths` in
 /// order and returns each `(status, body)`.
-fn serve_world(
-    engine: fn(Monitor) -> Engine,
-    shards: usize,
-    dir: PathBuf,
-    paths: &[&str],
-) -> Vec<(u16, String)> {
+fn serve_world(engine: fn(Monitor) -> Engine, dir: PathBuf, paths: &[&str]) -> Vec<(u16, String)> {
     let mut sc = Scenario::transition_snapshot(7, 0.4);
     let monitor = Monitor::new(
         MonitorConfig {
@@ -343,7 +338,7 @@ fn serve_world(
             },
             ..MonitorConfig::default()
         },
-        shards,
+        1,
     );
     let interval = monitor.cfg.interval;
     let last = SimTime(sc.sim.clock.as_secs() + CYCLES * interval.as_secs());
@@ -382,8 +377,8 @@ fn serve_world(
 }
 
 /// The engine is one type whichever page `/` serves: one transition
-/// world through `Engine::Fleet` over two shards and through
-/// `Engine::Single` over one, for the same cycles and the same requests,
+/// world through `Engine::Fleet` and through `Engine::Single`, for the
+/// same cycles and the same requests,
 /// answers byte-identical bodies, and an unknown router is a 404 from
 /// both.
 #[test]
@@ -401,8 +396,8 @@ fn fleet_and_single_engines_answer_identically() {
         "/stats/usage?router=nowhere",
         "/replay?router=nowhere",
     ];
-    let single = serve_world(Engine::Single, 1, base.join("single"), &paths);
-    let fleet = serve_world(Engine::Fleet, 2, base.join("fleet"), &paths);
+    let single = serve_world(Engine::Single, base.join("single"), &paths);
+    let fleet = serve_world(Engine::Fleet, base.join("fleet"), &paths);
     for ((path, s), f) in paths.iter().zip(&single).zip(&fleet) {
         assert_eq!(s, f, "{path}");
     }

@@ -489,7 +489,7 @@ impl Scenario {
     /// The fleet-scale world: a transition internetwork sized to roughly
     /// `target_routers` routers (see `fleet_internetwork`), every router
     /// monitored, driven by the fleet-scale workload preset. This is the
-    /// scenario behind the sharded-monitor evaluation — coarse hourly
+    /// scenario behind the fleet-monitor evaluation — coarse hourly
     /// ticks over a 30-day window keep a 2000-router run tractable while
     /// the workload accumulates participant joins into the millions.
     pub fn fleet_snapshot(seed: u64, target_routers: usize, native_fraction: f64) -> Scenario {

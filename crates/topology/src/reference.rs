@@ -208,7 +208,7 @@ pub fn fleet_config(target_routers: usize, native_fraction: f64) -> TopologyConf
 /// `target_routers` routers (see [`fleet_config`] for the sizing rule):
 /// hundreds of member domains hanging off the FIXW exchange, the leading
 /// `native_fraction` of them already native sparse-mode. This is the
-/// 1k–10k-router shape the sharded fleet monitor is evaluated on.
+/// 1k–10k-router shape the fleet monitor is evaluated on.
 pub fn fleet_internetwork(target_routers: usize, native_fraction: f64) -> ReferenceTopology {
     transition_internetwork(&fleet_config(target_routers, native_fraction))
 }

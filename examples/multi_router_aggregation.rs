@@ -3,8 +3,8 @@
 //! aggregate different data sets and generate combined results in
 //! real-time").
 //!
-//! Monitors every border router in a majority-native internetwork with a
-//! sharded [`Monitor`] (every router collected in one fan-out, the
+//! Monitors every border router in a majority-native internetwork with
+//! one [`Monitor`] (every router collected in one fan-out, the
 //! fleet-wide results folded in one place), then joins the per-router
 //! session tables into one view and shows (a) how much more of the ground
 //! truth that view recovers than any single collection point, and (b) the
@@ -53,7 +53,7 @@ fn main() {
             interval: sc.sim.tick(),
             ..MonitorConfig::default()
         },
-        4,
+        1,
     );
     // A day of cycles, so tables are populated.
     for _ in 0..96 {
@@ -72,19 +72,17 @@ fn main() {
     println!("ground truth:         {truth} live sessions");
     println!("FIXW alone sees:      {fixw_only}");
     println!(
-        "aggregate view sees:  {} (from {} routers in {} shards, {} capture failures)",
+        "aggregate view sees:  {} (from {} routers, {} capture failures)",
         seen.len(),
         latest.len(),
-        fleet.shard_count(),
         fleet.capture_failures(),
     );
 
     println!("\nper-router contributions:");
     for t in &latest {
         println!(
-            "  {:<14} shard {}  sessions {:>4}  pairs {:>5}  dvmrp routes {:>4}",
+            "  {:<14} sessions {:>4}  pairs {:>5}  dvmrp routes {:>4}",
             t.router,
-            fleet.shard_of(&t.router).unwrap_or_default(),
             t.sessions.len(),
             t.pairs.len(),
             t.reachable_dvmrp_routes(),

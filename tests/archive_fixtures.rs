@@ -79,7 +79,7 @@ fn fixture_stream() -> Vec<Tables> {
 #[test]
 fn v1_fixture_replays_byte_identically_to_memory() {
     let streams = fixture_stream();
-    let log = TableLog::load_read_only(&fixture_path("fixw-v1.marc"), FULL_EVERY).unwrap();
+    let log = TableLog::load_read_only(&fixture_path("fixw-v1.marc")).unwrap();
     assert_eq!(log.backend_kind(), "file");
     assert_eq!(log.describe().format_version, 1);
     assert_eq!(log.archive_stats().recovered_bytes, 0);
@@ -112,7 +112,7 @@ fn v1_fixture_refuses_appends_and_names_compaction() {
     let err = TableLog::load(&fixture, FULL_EVERY).unwrap_err();
     assert!(err.to_string().contains("mantra archive compact"), "{err}");
     // A read-only log counts the refused append instead of writing.
-    let mut log = TableLog::load_read_only(&fixture, FULL_EVERY).unwrap();
+    let mut log = TableLog::load_read_only(&fixture).unwrap();
     log.append(&fixture_stream()[0]);
     assert_eq!(log.write_errors, 1);
     assert!(
@@ -127,7 +127,7 @@ fn v1_fixture_refuses_appends_and_names_compaction() {
 
 #[test]
 fn v1_fixture_compacts_to_an_equivalent_smaller_v2_archive() {
-    let src = TableLog::load_read_only(&fixture_path("fixw-v1.marc"), FULL_EVERY).unwrap();
+    let src = TableLog::load_read_only(&fixture_path("fixw-v1.marc")).unwrap();
     let dir = TempDir::new("fixture-compact");
     let out = dir.join("compacted.marc");
     let (dst, dropped) = compact_archive(

@@ -114,7 +114,7 @@ fn retire_seals_a_drained_archive_and_rejoin_appends_at_a_fresh_epoch() {
     // Seal is a drain barrier: every pre-departure snapshot reached the
     // disk through the writer thread — a cold read-only load sees all of
     // them, with no torn tail.
-    let sealed = TableLog::load_read_only(&path, 96).expect("sealed archive loads");
+    let sealed = TableLog::load_read_only(&path).expect("sealed archive loads");
     let prefix = sealed.replay();
     assert_eq!(prefix.len() as u64, LEAVE_AFTER, "drained, nothing torn");
     let epoch_before = sealed.describe().epoch;
@@ -165,7 +165,7 @@ fn retire_seals_a_drained_archive_and_rejoin_appends_at_a_fresh_epoch() {
 
     // The rejoined archive replays clean from disk: the pre-departure
     // prefix byte-compatibly first, then the post-rejoin snapshots.
-    let reopened = TableLog::load_read_only(&path, 96).expect("rejoined archive loads");
+    let reopened = TableLog::load_read_only(&path).expect("rejoined archive loads");
     let full = reopened.replay();
     assert_eq!(full.len() as u64, LEAVE_AFTER + POST_REJOIN);
     assert_eq!(&full[..LEAVE_AFTER as usize], &prefix[..], "prefix intact");

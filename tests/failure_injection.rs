@@ -2,12 +2,9 @@
 //! operational mess the paper's deployment dealt with — refused logins,
 //! half-transferred dumps, flapping links and rebooting routers.
 
-mod common;
-
-use common::TempDir;
 use mantra::core::collector::{CaptureError, FlakyAccess, RetryPolicy};
 use mantra::core::monitor::CycleReport;
-use mantra::core::{ArchiveSpec, Monitor, MonitorConfig, ParallelAccess, SyncPolicy};
+use mantra::core::{Monitor, MonitorConfig, ParallelAccess};
 use mantra::net::{SimDuration, SimTime};
 use mantra::router_cli::TableKind;
 use mantra::sim::{Event, Scenario};
@@ -100,46 +97,6 @@ fn retry_outcomes_are_deterministic() {
         r1 != r3 || m1.router_health("fixw") != m3.router_health("fixw"),
         "different salt, different outcomes"
     );
-}
-
-#[test]
-fn standalone_and_fleet_cycles_write_byte_identical_archives() {
-    // The one-shard engine and a fleet with one router per shard, over
-    // the same world and the same failure salts: the reports must match
-    // and the archives must be byte-identical on disk.
-    let dir = TempDir::new("engine-parity");
-    let mut sc = Scenario::transition_snapshot(206, 0.4);
-    let interval = sc.sim.tick();
-    let cfg = |engine: &str| MonitorConfig {
-        routers: vec!["fixw".into(), "ucsb-gw".into()],
-        interval,
-        archive: ArchiveSpec::File {
-            dir: dir.join(engine),
-            sync: SyncPolicy::default(),
-        },
-        ..MonitorConfig::default()
-    };
-    let mut single = Monitor::new(cfg("single"), 1);
-    let mut fleet = Monitor::new(cfg("fleet"), 2);
-    for _ in 0..12 {
-        let next = sc.sim.clock + interval;
-        sc.sim.advance_to(next);
-        let access = FlakyAccess::new(&sc.sim, 0.25, 0.25, 3);
-        assert_eq!(
-            single.run_cycle(&access, next),
-            fleet.run_cycle(&access, next)
-        );
-    }
-    assert!(single.capture_failures() > 0, "failures were injected");
-    assert_eq!(single.capture_failures(), fleet.capture_failures());
-    // Dropping the engines closes every archive.
-    drop((single, fleet));
-    for router in ["fixw", "ucsb-gw"] {
-        let s = std::fs::read(ArchiveSpec::path_for(&dir.join("single"), router)).unwrap();
-        let f = std::fs::read(ArchiveSpec::path_for(&dir.join("fleet"), router)).unwrap();
-        assert!(!s.is_empty());
-        assert_eq!(s, f, "{router} archives diverge");
-    }
 }
 
 /// Refuses every login for one router; everything else passes through.

@@ -262,34 +262,27 @@ impl ParallelAccess for ThreadRecorder<'_> {
 #[test]
 fn small_cycles_capture_every_table_on_the_callers_thread() {
     // Two routers' few thousand rows per cycle are far below what pays
-    // for a worker thread, so the one-shard engine and a two-shard one
-    // both run every cycle inline.
+    // for a worker thread, so the engine runs every cycle inline.
     let mut sc = Scenario::transition_snapshot(109, 0.3);
-    let cfg = MonitorConfig {
-        routers: vec!["fixw".into(), "ucsb-gw".into()],
-        interval: sc.sim.tick(),
-        ..MonitorConfig::default()
-    };
-    let mut monitor = Monitor::new(cfg.clone(), 1);
-    let mut fleet = Monitor::new(cfg, 2);
+    let mut monitor = Monitor::new(
+        MonitorConfig {
+            routers: vec!["fixw".into(), "ucsb-gw".into()],
+            interval: sc.sim.tick(),
+            ..MonitorConfig::default()
+        },
+        1,
+    );
     let me = std::thread::current().id();
     for cycle in 0..6 {
         let next = sc.sim.clock + monitor.cfg.interval;
         sc.sim.advance_to(next);
-        let standalone = ThreadRecorder {
+        let access = ThreadRecorder {
             sim: &sc.sim,
             threads: Mutex::new(Vec::new()),
         };
-        monitor.run_cycle(&standalone, next);
-        let sharded = ThreadRecorder {
-            sim: &sc.sim,
-            threads: Mutex::new(Vec::new()),
-        };
-        fleet.run_cycle(&sharded, next);
-        for access in [standalone, sharded] {
-            let threads = access.threads.into_inner().expect("no capture panics");
-            assert_eq!(threads.len(), 2 * TableKind::ALL.len(), "cycle {cycle}");
-            assert!(threads.iter().all(|t| *t == me), "cycle {cycle}");
-        }
+        monitor.run_cycle(&access, next);
+        let threads = access.threads.into_inner().expect("no capture panics");
+        assert_eq!(threads.len(), 2 * TableKind::ALL.len(), "cycle {cycle}");
+        assert!(threads.iter().all(|t| *t == me), "cycle {cycle}");
     }
 }

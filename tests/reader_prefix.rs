@@ -197,7 +197,7 @@ fn read_only_opens_leave_a_torn_archive_byte_identical() {
 
     // A read-only log serves the same prefix, and refuses and counts
     // an append instead of writing it.
-    let mut log = TableLog::load_read_only(&path, FULL_EVERY).unwrap();
+    let mut log = TableLog::load_read_only(&path).unwrap();
     assert_eq!(log.replay().as_slice(), &streams[..streams.len() - 1]);
     log.append(&streams[streams.len() - 1]);
     assert_eq!(log.write_errors, 1);
