@@ -1,6 +1,8 @@
-//! The subcommand implementations.
+//! The subcommand implementations. Each writes its stdout through the
+//! writer `main` hands it.
 
-use std::io::{self, Write as _};
+use std::error::Error;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use mantra_core::archive::replay_summary_line;
@@ -79,6 +81,11 @@ OPTIONS:
   --retries N     capture attempts per table per cycle (default 3)
   --oid OID       subtree to walk (default 1.3.6.1.2.1)
   --community STR SNMP community (default public)";
+
+/// What a command returns. An [`io::Error`] in it is a failed write to
+/// stdout (every other I/O error is turned into a message first); any
+/// other error is the command's own.
+pub type Outcome = Result<(), Box<dyn Error>>;
 
 /// The flags each (sub)command accepts; anything else is rejected before
 /// the command runs, so a mistyped flag (`monitor --flet 50`) cannot
@@ -185,11 +192,12 @@ fn churn_schedule(opts: &Opts, sc: &mut Scenario) -> Result<Option<ChurnSchedule
 }
 
 /// Prints the topology-event strip for a churned run.
-fn print_event_strip(schedule: &ChurnSchedule) {
-    println!("topology events:");
+fn print_event_strip(out: &mut dyn Write, schedule: &ChurnSchedule) -> io::Result<()> {
+    writeln!(out, "topology events:")?;
     for (at, label) in schedule.strip(None) {
-        println!("  {}  {label}", at.iso8601());
+        writeln!(out, "  {}  {label}", at.iso8601())?;
     }
+    Ok(())
 }
 
 /// Resolves the archive flags shared by `monitor` and `daemon` into an
@@ -293,7 +301,7 @@ fn tick(sc: &mut Scenario, monitor: &mut Monitor) -> SimTime {
 /// Nothing printed to stdout depends on the cycle's fan-out width — the
 /// fleet-smoke CI job diffs a run pinned to one CPU against an unpinned
 /// one and expects no output difference.
-pub fn monitor(opts: &Opts) -> Result<(), String> {
+pub fn monitor(opts: &Opts, out: &mut dyn Write) -> Outcome {
     let hours = opts.u64_or("hours", 12)?;
     let (archive, archive_dir) = archive_spec(opts)?;
     let World {
@@ -321,11 +329,12 @@ pub fn monitor(opts: &Opts) -> Result<(), String> {
     for log in monitor.cfg.routers.iter().filter_map(|r| monitor.log(r)) {
         log.len();
     }
-    if fleet {
-        print_fleet(&monitor, now, churn.as_ref(), archive_dir.as_deref());
+    let printed = if fleet {
+        print_fleet(out, &monitor, now, churn.as_ref(), archive_dir.as_deref())
     } else {
-        print_single(&monitor, now, churn.as_ref(), archive_dir.as_deref());
-    }
+        print_single(out, &monitor, now, churn.as_ref(), archive_dir.as_deref())
+    };
+    // The report file is written even when stdout went away early.
     if let Some(path) = opts.get("html") {
         let events = churn.as_ref().map(|s| s.strip(None)).unwrap_or_default();
         let page = if fleet {
@@ -336,22 +345,24 @@ pub fn monitor(opts: &Opts) -> Result<(), String> {
         std::fs::write(path, page).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote {path}");
     }
-    Ok(())
+    Ok(printed?)
 }
 
 /// `monitor`'s report on the two-router world.
 fn print_single(
+    out: &mut dyn Write,
     monitor: &Monitor,
     now: SimTime,
     churn: Option<&ChurnSchedule>,
     archive_dir: Option<&Path>,
-) {
+) -> io::Result<()> {
     for router in &monitor.cfg.routers {
         let Some(u) = monitor.usage_history(router).last() else {
             continue;
         };
         let r = monitor.route_history(router).last().expect("same cycles");
-        println!(
+        writeln!(
+            out,
             "{router}: {} sessions ({} active), {} participants ({} senders), {}, {} DVMRP routes",
             u.sessions,
             u.active_sessions,
@@ -359,40 +370,44 @@ fn print_single(
             u.senders,
             u.total_bandwidth,
             r.dvmrp_reachable,
-        );
+        )?;
     }
-    println!("\n{}", monitor.busiest_sessions("fixw", 8).render());
-    println!("{}", monitor.usage_graph("fixw").render(96, 14));
+    writeln!(out, "\n{}", monitor.busiest_sessions("fixw", 8).render())?;
+    writeln!(out, "{}", monitor.usage_graph("fixw").render(96, 14))?;
     if !monitor.anomalies.is_empty() {
-        println!(
+        writeln!(
+            out,
             "{} anomaly(ies) detected; first: {:?}",
             monitor.anomalies.len(),
             monitor.anomalies[0]
-        );
+        )?;
     }
     if let Some(schedule) = churn {
         // A churned run surfaces the lifecycle column — routers that
         // left are stale(n) or retired, not silently absent.
-        println!("\n{}", monitor.health(now).render());
-        print_event_strip(schedule);
+        writeln!(out, "\n{}", monitor.health(now).render())?;
+        print_event_strip(out, schedule)?;
     }
     if let Some(dir) = archive_dir {
-        println!("\n{}", monitor.archive_table().render());
+        writeln!(out, "\n{}", monitor.archive_table().render())?;
         eprintln!("archives written under {}", dir.display());
     }
+    Ok(())
 }
 
 /// `monitor --fleet`'s report: fleet-wide figures, and the per-router
 /// tables under their fleet titles.
 fn print_fleet(
+    out: &mut dyn Write,
     monitor: &Monitor,
     now: SimTime,
     churn: Option<&ChurnSchedule>,
     archive_dir: Option<&Path>,
-) {
+) -> io::Result<()> {
     let usage = monitor.fleet_usage_history().last();
     if let (Some(u), Some(r)) = (usage, monitor.fleet_route_history().last()) {
-        println!(
+        writeln!(
+            out,
             "fleet: {} sessions ({} active), {} participants ({} senders), {}, {} DVMRP routes",
             u.sessions,
             u.active_sessions,
@@ -400,28 +415,29 @@ fn print_fleet(
             u.senders,
             u.total_bandwidth,
             r.dvmrp_reachable,
-        );
+        )?;
     }
-    println!("{} anomaly(ies) fleet-wide", monitor.anomalies.len());
+    writeln!(out, "{} anomaly(ies) fleet-wide", monitor.anomalies.len())?;
     let mut health = monitor.health(now);
     health.title = "Fleet collection health".into();
-    println!("\n{}", health.render());
+    writeln!(out, "\n{}", health.render())?;
     if let Some(schedule) = churn {
-        print_event_strip(schedule);
+        print_event_strip(out, schedule)?;
     }
     if let Some(dir) = archive_dir {
         let mut archives = monitor.archive_table();
         archives.title = "Fleet archives".into();
-        println!("{}", archives.render());
+        writeln!(out, "{}", archives.render())?;
         eprintln!("archives written under {}", dir.display());
     }
-    println!("{}", monitor.fleet_usage_graph().render(96, 14));
+    writeln!(out, "{}", monitor.fleet_usage_graph().render(96, 14))?;
+    Ok(())
 }
 
 /// `mantra daemon`: run mantrad — collection on a tick thread, concurrent
 /// HTTP/1.1 + JSON queries (health, usage, anomalies, parse accounting,
 /// time-travel archive replay) until SIGTERM/SIGINT.
-pub fn daemon(opts: &Opts) -> Result<(), String> {
+pub fn daemon(opts: &Opts) -> Outcome {
     use std::time::Duration;
 
     let (archive, archive_dir) = archive_spec(opts)?;
@@ -468,11 +484,11 @@ pub fn daemon(opts: &Opts) -> Result<(), String> {
 }
 
 /// `mantra archive`: inspect, replay, or rewrite an on-disk table archive.
-pub fn archive(sub: &str, opts: &Opts) -> Result<(), String> {
+pub fn archive(sub: &str, opts: &Opts, out: &mut dyn Write) -> Outcome {
     match sub {
-        "info" => archive_info(opts),
-        "replay" => archive_replay(opts),
-        "compact" => archive_compact(opts),
+        "info" => archive_info(opts, out),
+        "replay" => archive_replay(opts, out),
+        "compact" => archive_compact(opts, out),
         other => unreachable!("`flags` rejects archive subcommand '{other}'"),
     }
 }
@@ -490,7 +506,7 @@ fn load_archive(path: &Path) -> Result<TableLog, String> {
     TableLog::load_read_only(path).map_err(|e| format!("{}: {e}", path.display()))
 }
 
-fn archive_info(opts: &Opts) -> Result<(), String> {
+fn archive_info(opts: &Opts, out: &mut dyn Write) -> Outcome {
     let path = required_path(opts, "path")?;
     let log = load_archive(path)?;
     let stats = log.archive_stats();
@@ -499,59 +515,52 @@ fn archive_info(opts: &Opts) -> Result<(), String> {
         1 => "MANTRARC v1 (binary, length-prefixed, JSON payloads; read-only)".to_string(),
         v => format!("MANTRARC v{v} (binary, id-keyed, embedded dictionary)"),
     };
-    println!("archive:     {}", path.display());
-    println!("format:      {format}");
+    writeln!(out, "archive:     {}", path.display())?;
+    writeln!(out, "format:      {format}")?;
     if info.format_version >= 2 {
-        println!(
+        writeln!(
+            out,
             "dictionary:  epoch {}, {} interned entries",
             info.epoch, info.dict_entries
-        );
+        )?;
     }
-    println!(
+    writeln!(
+        out,
         "records:     {} ({} checkpoints)",
         stats.records, stats.checkpoints
-    );
-    println!("stored:      {} bytes", stats.bytes);
+    )?;
+    writeln!(out, "stored:      {} bytes", stats.bytes)?;
     // The open is read-only: a torn tail is reported, never cut.
     if stats.recovered_bytes > 0 {
-        println!(
+        writeln!(
+            out,
             "torn tail:   {} bytes past the last intact record, left in place",
             stats.recovered_bytes
-        );
+        )?;
     }
     if let Some(t) = log.last() {
-        println!("tail:        {} at {}", t.router, t.captured_at.iso8601());
+        writeln!(
+            out,
+            "tail:        {} at {}",
+            t.router,
+            t.captured_at.iso8601()
+        )?;
     }
     Ok(())
 }
 
-fn archive_replay(opts: &Opts) -> Result<(), String> {
+fn archive_replay(opts: &Opts, out: &mut dyn Write) -> Outcome {
     let path = required_path(opts, "path")?;
     let log = load_archive(path)?;
-    let mut out = io::stdout().lock();
     let mut snapshots = 0usize;
     for (i, tables) in log.replay_iter().enumerate() {
         let tables = tables.map_err(|e| format!("replay failed at record {i}: {e}"))?;
-        if let Err(e) = writeln!(out, "{}", replay_summary_line(i, &tables)) {
-            return stdout_failed(e);
-        }
+        writeln!(out, "{}", replay_summary_line(i, &tables))?;
         snapshots += 1;
     }
-    if let Err(e) = out.flush() {
-        return stdout_failed(e);
-    }
+    out.flush()?;
     eprintln!("{snapshots} snapshot(s) replayed");
     Ok(())
-}
-
-/// Ends a command whose stdout write failed: a reader that closed the
-/// pipe early (`| head -1`) has what it asked for, so that is a clean
-/// stop; any other write error fails the command.
-fn stdout_failed(e: io::Error) -> Result<(), String> {
-    match e.kind() {
-        io::ErrorKind::BrokenPipe => Ok(()),
-        _ => Err(format!("writing to stdout: {e}")),
-    }
 }
 
 /// Parses a `--drop-before` timestamp: raw Unix seconds, `YYYY-MM-DD`,
@@ -561,50 +570,56 @@ fn parse_sim_time(s: &str) -> Result<SimTime, String> {
     SimTime::parse(s)
 }
 
-fn archive_compact(opts: &Opts) -> Result<(), String> {
+fn archive_compact(opts: &Opts, out: &mut dyn Write) -> Outcome {
     let path = required_path(opts, "path")?;
-    let out = required_path(opts, "out")?;
+    let dest = required_path(opts, "out")?;
     // Creating --out truncates it: it must not be the source under
     // another name (`./x`, a symlink, a hard link).
-    if same_file(path, out) {
+    if same_file(path, dest) {
         return Err(format!(
             "--out {} is the same file as --path {}; compact into a new file",
-            out.display(),
+            dest.display(),
             path.display()
-        ));
+        )
+        .into());
     }
     let full_every = opts.u64_or("full-every", 96)? as usize;
     let drop_before = opts.get("drop-before").map(parse_sim_time).transpose()?;
     let src = load_archive(path)?;
     let (dst, dropped) = compact_archive(
         &src,
-        out,
+        dest,
         &CompactOptions {
             full_every,
             drop_before,
             sync: SyncPolicy::default(),
         },
     )
-    .map_err(|e| format!("compacting into {}: {e}", out.display()))?;
+    .map_err(|e| format!("compacting into {}: {e}", dest.display()))?;
     let before = src.archive_stats();
     let after = dst.archive_stats();
     let info = dst.describe();
-    println!(
+    writeln!(
+        out,
         "compacted {} ({} records, {} bytes) into {} ({} records, {} bytes, {} checkpoints)",
         path.display(),
         before.records,
         before.bytes,
-        out.display(),
+        dest.display(),
         after.records,
         after.bytes,
         after.checkpoints,
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "format:      MANTRARC v{}, dictionary epoch {} ({} entries)",
         info.format_version, info.epoch, info.dict_entries
-    );
+    )?;
     if dropped > 0 {
-        println!("dropped:     {dropped} snapshot(s) before the --drop-before cutoff");
+        writeln!(
+            out,
+            "dropped:     {dropped} snapshot(s) before the --drop-before cutoff"
+        )?;
     }
     Ok(())
 }
@@ -632,7 +647,7 @@ fn same_file(a: &Path, b: &Path) -> bool {
 
 /// `mantra health`: monitor through injected capture failures with the
 /// resilient parallel collector and report per-router collection health.
-pub fn health(opts: &Opts) -> Result<(), String> {
+pub fn health(opts: &Opts, out: &mut dyn Write) -> Outcome {
     let hours = opts.u64_or("hours", 12)?;
     let fail = opts.f64_or("fail", 0.2)?;
     let truncate = opts.f64_or("truncate", 0.1)?;
@@ -671,42 +686,45 @@ pub fn health(opts: &Opts) -> Result<(), String> {
         let access = FlakyAccess::new(&sc.sim, fail, truncate, seed ^ i);
         monitor.run_cycle(&access, now);
     }
-    println!("{}", monitor.health(now).render());
-    println!("\n{}", monitor.stage_table().render());
-    println!("\n{}", monitor.parse_table().render());
+    writeln!(out, "{}", monitor.health(now).render())?;
+    writeln!(out, "\n{}", monitor.stage_table().render())?;
+    writeln!(out, "\n{}", monitor.parse_table().render())?;
     let cache = monitor.query_cache().stats();
-    println!(
+    writeln!(
+        out,
         "\nquery cache: {} hit(s), {} miss(es), {} eviction(s), {} entr{} resident",
         cache.hits,
         cache.misses,
         cache.evictions,
         cache.entries,
         if cache.entries == 1 { "y" } else { "ies" }
-    );
+    )?;
     if monitor.parse_degraded() {
         let s = monitor.parse_last();
-        println!(
+        writeln!(
+            out,
             "WARNING: degraded parse — {} of {} row-like lines malformed in the last \
              cycle (threshold {}%); CLI output formats may have drifted",
             s.malformed,
             s.parsed + s.malformed,
             mantra_core::monitor::DEGRADED_PARSE_PCT,
-        );
+        )?;
     }
     let degraded: Vec<&str> = monitor
         .cfg
         .routers
         .iter()
-        .filter(|r| monitor.router_health(r).is_some_and(|h| h.archive_degraded))
+        .filter(|r| monitor.log(r).is_some_and(TableLog::degraded))
         .map(String::as_str)
         .collect();
     if !degraded.is_empty() {
-        println!(
+        writeln!(
+            out,
             "WARNING: degraded persistence on {} — archives fell back to memory, \
              hit write/replay errors, or shed records on a full writer queue; \
              the archived data is incomplete or will not survive a restart",
             degraded.join(", ")
-        );
+        )?;
     }
     for router in &monitor.cfg.routers.clone() {
         let Some(h) = monitor.router_health(router) else {
@@ -714,19 +732,20 @@ pub fn health(opts: &Opts) -> Result<(), String> {
         };
         let attempts = h.successes + h.failures;
         if attempts > 0 {
-            println!(
+            writeln!(
+                out,
                 "{router}: {:.1}% captured ({} recovered by retry, {} salvaged from partials)",
                 h.successes as f64 / attempts as f64 * 100.0,
                 h.retry_successes,
                 h.salvaged,
-            );
+            )?;
         }
     }
     Ok(())
 }
 
 /// `mantra incident`: replay the 1998-10-14 route injection and diagnose.
-pub fn incident(opts: &Opts) -> Result<(), String> {
+pub fn incident(opts: &Opts, out: &mut dyn Write) -> Outcome {
     let seed = opts.u64_or("seed", 1998)?;
     let mut sc = Scenario::ucsb_injection_day(seed);
     let mut monitor = Monitor::new(
@@ -749,7 +768,7 @@ pub fn incident(opts: &Opts) -> Result<(), String> {
     let series = monitor.route_series("ucsb-gw", "dvmrp-routes", |r| r.dvmrp_reachable as f64);
     let mut g = mantra_core::output::Graph::new("DVMRP routes at ucsb-gw, 1998-10-14");
     g.overlay(series);
-    println!("{}", g.render(96, 14));
+    writeln!(out, "{}", g.render(96, 14))?;
     let injection = monitor.anomalies.iter().find(|a| {
         matches!(
             a.kind,
@@ -757,25 +776,25 @@ pub fn incident(opts: &Opts) -> Result<(), String> {
         )
     });
     match injection {
-        Some(a) => println!("diagnosis: {:?} at {}", a.kind, a.at),
-        None => println!("no injection detected (unexpected)"),
+        Some(a) => writeln!(out, "diagnosis: {:?} at {}", a.kind, a.at)?,
+        None => writeln!(out, "no injection detected (unexpected)")?,
     }
     Ok(())
 }
 
 /// `mantra mwatch`: map the internetwork.
-pub fn mwatch(opts: &Opts) -> Result<(), String> {
+pub fn mwatch(opts: &Opts, out: &mut dyn Write) -> Outcome {
     let sc = warmed(opts, 2)?;
     let report = mantra_tools::mwatch(&sc.sim.net, sc.ucsb);
-    println!("{}", report.summary());
+    writeln!(out, "{}", report.summary())?;
     for r in &report.routers {
-        print!("{}", r.render());
+        write!(out, "{}", r.render())?;
     }
     Ok(())
 }
 
 /// `mantra mtrace`: trace from FIXW to the busiest sender.
-pub fn mtrace(opts: &Opts) -> Result<(), String> {
+pub fn mtrace(opts: &Opts, out: &mut dyn Write) -> Outcome {
     let sc = warmed(opts, 4)?;
     let Some((group, part)) = sc
         .sim
@@ -787,12 +806,12 @@ pub fn mtrace(opts: &Opts) -> Result<(), String> {
         return Err("no sessions live; try another seed".into());
     };
     let trace = mantra_tools::mtrace(&sc.sim.net, sc.fixw, part.addr, group);
-    print!("{}", trace.render(part.addr, group));
+    write!(out, "{}", trace.render(part.addr, group))?;
     Ok(())
 }
 
 /// `mantra snmpwalk`: walk an agent subtree on FIXW.
-pub fn snmpwalk(opts: &Opts) -> Result<(), String> {
+pub fn snmpwalk(opts: &Opts, out: &mut dyn Write) -> Outcome {
     let sc = warmed(opts, 4)?;
     let community = opts.get("community").unwrap_or("public");
     let oid: mantra_snmp::Oid = opts
@@ -804,7 +823,7 @@ pub fn snmpwalk(opts: &Opts) -> Result<(), String> {
     mantra_snmp::mib::refresh_agent(&mut agent, &sc.sim.net, sc.fixw, sc.sim.clock);
     let rows = agent.walk(community, &oid).map_err(|e| e.to_string())?;
     for (o, v) in &rows {
-        println!("{o} = {v:?}");
+        writeln!(out, "{o} = {v:?}")?;
     }
     eprintln!("{} bindings", rows.len());
     Ok(())

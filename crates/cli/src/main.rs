@@ -15,6 +15,7 @@
 //! Everything runs against the simulated internetwork (see DESIGN.md);
 //! seeds make every run reproducible.
 
+use std::io::{self, Write as _};
 use std::process::ExitCode;
 
 mod args;
@@ -57,26 +58,29 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    // Every command writes its stdout through this one writer.
+    let mut out = io::stdout();
     let result = match cmd.as_str() {
-        "monitor" => cmd::monitor(&opts),
+        "monitor" => cmd::monitor(&opts, &mut out),
         "daemon" => cmd::daemon(&opts),
-        "archive" => cmd::archive(subcmd.expect("parsed above"), &opts),
-        "health" => cmd::health(&opts),
-        "incident" => cmd::incident(&opts),
-        "mwatch" => cmd::mwatch(&opts),
-        "mtrace" => cmd::mtrace(&opts),
-        "snmpwalk" => cmd::snmpwalk(&opts),
-        "help" | "--help" | "-h" => {
-            println!("{}", cmd::USAGE);
-            Ok(())
-        }
+        "archive" => cmd::archive(subcmd.expect("parsed above"), &opts, &mut out),
+        "health" => cmd::health(&opts, &mut out),
+        "incident" => cmd::incident(&opts, &mut out),
+        "mwatch" => cmd::mwatch(&opts, &mut out),
+        "mtrace" => cmd::mtrace(&opts, &mut out),
+        "snmpwalk" => cmd::snmpwalk(&opts, &mut out),
+        "help" | "--help" | "-h" => writeln!(out, "{}", cmd::USAGE).map_err(Into::into),
         other => unreachable!("`cmd::flags` rejects command '{other}'"),
     };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
+    let Err(e) = result.and_then(|()| Ok(out.flush()?)) else {
+        return ExitCode::SUCCESS;
+    };
+    match e.downcast_ref::<io::Error>() {
+        // A reader that closed the pipe early (`| head -1`) has what it
+        // asked for: a clean stop.
+        Some(e) if e.kind() == io::ErrorKind::BrokenPipe => return ExitCode::SUCCESS,
+        Some(e) => eprintln!("error: writing to stdout: {e}"),
+        None => eprintln!("error: {e}"),
     }
+    ExitCode::FAILURE
 }

@@ -1618,7 +1618,9 @@ pub enum BackpressureMode {
     Block,
     /// Fail the append immediately ([`ArchiveStats::dropped_records`]).
     /// Collection keeps its cadence; the logger records the error and
-    /// health reports `archive_degraded` — loss is loud, never silent.
+    /// the archive reads degraded
+    /// ([`TableLog::degraded`](crate::logger::TableLog::degraded)) —
+    /// loss is loud, never silent.
     Shed,
 }
 
@@ -2248,16 +2250,6 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Entries currently resident.
     pub entries: u64,
-}
-
-impl CacheStats {
-    /// Folds another cache's counters into this one (fleet aggregation).
-    pub fn absorb(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.entries += other.entries;
-    }
 }
 
 /// A small LRU over replay query results, shared between the daemon's

@@ -31,7 +31,7 @@ use std::borrow::Cow;
 use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
@@ -40,7 +40,7 @@ use mantra_net::{GroupAddr, Ip, Prefix, SimTime};
 use crate::archive::{
     read_header, unsupported_version, ArchiveBackend, ArchiveInfo, ArchiveReader, ArchiveSpec,
     ArchiveStats, FileBackendV1, FileBackendV2, MemoryBackend, RecordIter, SyncPolicy,
-    ThreadedBackend, FORMAT_VERSION, FORMAT_VERSION_V2,
+    ThreadedBackend, WriterConfig, FORMAT_VERSION, FORMAT_VERSION_V2,
 };
 use crate::tables::{
     last_per_key, LearnedFrom, PairRow, RouteRow, SessionRow, Tables, TablesBuilder,
@@ -368,8 +368,8 @@ pub struct TableLog {
     pub write_errors: u64,
     /// True when the requested backend could not be opened and the log
     /// silently degraded to an in-memory archive — persistence the
-    /// operator asked for is *not* happening, so the health registry and
-    /// archive metrics surface this rather than leaving it buried in
+    /// operator asked for is *not* happening, so [`TableLog::degraded`]
+    /// surfaces this rather than leaving it buried in
     /// [`TableLog::backend_error`].
     pub fell_back: bool,
     backend_error: Option<String>,
@@ -380,8 +380,8 @@ pub struct TableLog {
     sealed: bool,
     /// Archive reads that failed during [`TableLog::replay`]. Interior
     /// mutability because replay takes `&self`; surfaced through
-    /// [`TableLog::replay_errors`] and the `archive_degraded` health
-    /// flag instead of panicking the monitor.
+    /// [`TableLog::replay_errors`] and [`TableLog::degraded`] instead of
+    /// panicking the monitor.
     replay_errors: Cell<u64>,
     replay_error: RefCell<Option<String>>,
 }
@@ -522,6 +522,21 @@ impl TableLog {
         self.backend_error.as_deref()
     }
 
+    /// The archive's errors: its write errors, the larger of the log's
+    /// count and the backend's (a threaded writer's failures reach the
+    /// log a cycle late, if at all), plus its replay errors.
+    /// Non-draining, like [`TableLog::archive_stats`].
+    pub fn errors(&self) -> u64 {
+        self.write_errors.max(self.archive_stats().write_errors) + self.replay_errors()
+    }
+
+    /// Whether the archive's persistence is degraded: the log fell back
+    /// to memory, counted an error ([`TableLog::errors`]) or dropped a
+    /// record. Every health table, report and endpoint asks this.
+    pub fn degraded(&self) -> bool {
+        self.fell_back || self.errors() > 0 || self.archive_stats().dropped_records > 0
+    }
+
     /// Appends a snapshot, choosing full or delta representation by row
     /// cost: a row costs [`ROW_COST`] and a removal key [`KEY_COST`]. A
     /// delta record is stored only when it is due (within the
@@ -607,10 +622,10 @@ impl TableLog {
     ///
     /// An unreadable record ends the replay at the last clean snapshot
     /// instead of panicking: the error is counted in
-    /// [`TableLog::replay_errors`] (which feeds the `archive_degraded`
-    /// health flag) and kept in [`TableLog::last_replay_error`]. Callers
-    /// that need the error itself use [`TableLog::try_replay`] or
-    /// [`TableLog::replay_iter`].
+    /// [`TableLog::replay_errors`] (which degrades the archive, see
+    /// [`TableLog::degraded`]) and kept in
+    /// [`TableLog::last_replay_error`]. Callers that need the error
+    /// itself use [`TableLog::try_replay`] or [`TableLog::replay_iter`].
     pub fn replay(&self) -> Vec<Tables> {
         let mut out = Vec::new();
         for step in self.replay_iter() {
@@ -730,39 +745,35 @@ impl Iterator for ReplayIter<'_> {
 }
 
 impl ArchiveSpec {
+    /// `router`'s archive file under this spec, with the spec's fsync
+    /// policy and, for threaded specs, its writer; `None` for memory
+    /// archives.
+    pub(crate) fn on_disk(
+        &self,
+        router: &str,
+    ) -> Option<(PathBuf, SyncPolicy, Option<WriterConfig>)> {
+        match self {
+            ArchiveSpec::Memory => None,
+            ArchiveSpec::File { dir, sync } => {
+                Some((ArchiveSpec::path_for(dir, router), *sync, None))
+            }
+            ArchiveSpec::Threaded { dir, sync, writer } => {
+                Some((ArchiveSpec::path_for(dir, router), *sync, Some(*writer)))
+            }
+        }
+    }
+
     /// Opens the log for one router under this spec. File backends that
     /// fail to open (unwritable directory, exhausted disk) fall back to
     /// an in-memory log so a collection cycle never dies on archival —
     /// the failure is visible through [`TableLog::backend_error`].
     pub fn open_log(&self, router: &str, full_every: usize) -> TableLog {
-        fn fallback(full_every: usize, e: io::Error) -> TableLog {
-            let mut log = TableLog::new(full_every);
-            log.write_errors = 1;
-            log.fell_back = true;
-            log.backend_error = Some(format!("file archive unavailable, logging to memory: {e}"));
-            log
-        }
-        match self {
-            ArchiveSpec::Memory => TableLog::new(full_every),
-            ArchiveSpec::File { dir, sync } => {
-                match FileBackendV2::create(ArchiveSpec::path_for(dir, router)) {
-                    Ok(mut backend) => {
-                        backend.sync = *sync;
-                        TableLog::with_backend(Box::new(backend), full_every)
-                    }
-                    Err(e) => fallback(full_every, e),
-                }
-            }
-            ArchiveSpec::Threaded { dir, sync, writer } => {
-                match FileBackendV2::create(ArchiveSpec::path_for(dir, router)) {
-                    Ok(mut backend) => {
-                        backend.sync = *sync;
-                        let threaded = ThreadedBackend::spawn(Box::new(backend), *writer);
-                        TableLog::with_backend(Box::new(threaded), full_every)
-                    }
-                    Err(e) => fallback(full_every, e),
-                }
-            }
+        let Some((path, sync, writer)) = self.on_disk(router) else {
+            return TableLog::new(full_every);
+        };
+        match FileBackendV2::create(path) {
+            Ok(backend) => TableLog::with_backend(file_backend(backend, sync, writer), full_every),
+            Err(e) => memory_fallback(full_every, "file archive unavailable", e),
         }
     }
 
@@ -784,22 +795,10 @@ impl ArchiveSpec {
     /// retired, or the rewrite fell back to an empty log — the next
     /// record is stored Full, since the archive lacks that snapshot.
     pub fn rejoin_log(&self, router: &str, full_every: usize, mut sealed: TableLog) -> TableLog {
-        fn fallback(full_every: usize, e: io::Error) -> TableLog {
-            let mut log = TableLog::new(full_every);
-            log.write_errors = 1;
-            log.fell_back = true;
-            log.backend_error = Some(format!("archive rejoin failed, logging to memory: {e}"));
-            log
-        }
-        let (dir, sync, writer) = match self {
-            ArchiveSpec::Memory => {
-                sealed.sealed = false;
-                return sealed;
-            }
-            ArchiveSpec::File { dir, sync } => (dir, *sync, None),
-            ArchiveSpec::Threaded { dir, sync, writer } => (dir, *sync, Some(*writer)),
+        let Some((path, sync, writer)) = self.on_disk(router) else {
+            sealed.sealed = false;
+            return sealed;
         };
-        let path = ArchiveSpec::path_for(dir, router);
         let tmp = path.with_extension("marc.rejoin");
         let opts = CompactOptions {
             full_every,
@@ -811,22 +810,18 @@ impl ArchiveSpec {
         // Close both the sealed source and the rewrite before renaming.
         drop(sealed);
         let mut log = match rewritten {
-            Ok(rewrite) => {
+            Ok((rewrite, _)) => {
                 drop(rewrite);
-                let reopen = std::fs::rename(&tmp, &path).and_then(|()| {
-                    let mut backend = FileBackendV2::open(&path)?;
-                    backend.sync = sync;
-                    let boxed: Box<dyn ArchiveBackend> = match writer {
-                        Some(cfg) => Box::new(ThreadedBackend::spawn(Box::new(backend), cfg)),
-                        None => Box::new(backend),
-                    };
-                    TableLog::resume(boxed, full_every)
-                });
-                reopen.unwrap_or_else(|e| fallback(full_every, e))
+                std::fs::rename(&tmp, &path)
+                    .and_then(|()| FileBackendV2::open(&path))
+                    .and_then(|backend| {
+                        TableLog::resume(file_backend(backend, sync, writer), full_every)
+                    })
+                    .unwrap_or_else(|e| memory_fallback(full_every, "archive rejoin failed", e))
             }
             Err(e) => {
                 std::fs::remove_file(&tmp).ok();
-                fallback(full_every, e)
+                memory_fallback(full_every, "archive rejoin failed", e)
             }
         };
         if log.tail != tail {
@@ -835,6 +830,31 @@ impl ArchiveSpec {
         }
         log
     }
+}
+
+/// A file backend as its spec asks for it: the spec's fsync policy, and
+/// a writer thread in front for threaded specs.
+fn file_backend(
+    mut backend: FileBackendV2,
+    sync: SyncPolicy,
+    writer: Option<WriterConfig>,
+) -> Box<dyn ArchiveBackend> {
+    backend.sync = sync;
+    match writer {
+        Some(cfg) => Box::new(ThreadedBackend::spawn(Box::new(backend), cfg)),
+        None => Box::new(backend),
+    }
+}
+
+/// The in-memory log a file archive that could not be opened falls
+/// back to: [`TableLog::fell_back`] set, one write error counted, and
+/// `context` with the error kept as the backend error.
+fn memory_fallback(full_every: usize, context: &str, e: io::Error) -> TableLog {
+    let mut log = TableLog::new(full_every);
+    log.write_errors = 1;
+    log.fell_back = true;
+    log.backend_error = Some(format!("{context}, logging to memory: {e}"));
+    log
 }
 
 /// Policies for [`compact_archive`].

@@ -115,10 +115,6 @@ pub struct RouterHealth {
     pub last_attempt: Option<SimTime>,
     /// Backoff latency added by retries in the latest cycle.
     pub last_latency: SimDuration,
-    /// Whether this router's archive has degraded persistence: the log
-    /// fell back to an in-memory backend (e.g. unwritable archive dir)
-    /// or has recorded write errors.
-    pub archive_degraded: bool,
     /// Consecutive cycles with no usable capture (reset on any success or
     /// salvage). This is what drives the explicit lifecycle below.
     pub missed_cycles: u64,
@@ -242,7 +238,6 @@ pub struct Monitor {
     usage: Vec<UsageStats>,
     routes: Vec<RouteStats>,
     churn: Vec<(SimTime, RouteChurn)>,
-    cycles: u64,
 }
 
 /// The engine under the name the benchmark (`perfbench/`) still uses.
@@ -273,7 +268,6 @@ impl Monitor {
             usage: Vec::new(),
             routes: Vec::new(),
             churn: Vec::new(),
-            cycles: 0,
         }
     }
 
@@ -285,12 +279,13 @@ impl Monitor {
 
     /// Cycles completed.
     pub fn cycles(&self) -> u64 {
-        self.cycles
+        self.metrics.cycles()
     }
 
-    /// The collector's capture failure count.
+    /// Captures whose final attempt failed, summed over every router's
+    /// health.
     pub fn capture_failures(&self) -> u64 {
-        self.collector.failures
+        self.state.iter().map(|st| st.health.failures).sum()
     }
 
     /// The state of one router, once it has run a cycle.
@@ -360,9 +355,9 @@ impl Monitor {
     }
 
     /// Folds one cycle's router outcomes, in configuration order, into
-    /// the totals, the stage metrics (the prologue counts as Enrich) and
-    /// the report; then the cross-router sweep, if configured, and the
-    /// fleet-wide statistics.
+    /// the parse totals, the stage metrics (the prologue counts as
+    /// Enrich) and the report; then the cross-router sweep, if
+    /// configured, and the fleet-wide statistics.
     fn fold(
         &mut self,
         now: SimTime,
@@ -370,7 +365,6 @@ impl Monitor {
         outcomes: Vec<RouterOutcome>,
         prologue_nanos: u64,
     ) -> CycleReport {
-        self.cycles += 1;
         let mut nanos = [0; 5];
         nanos[StageKind::Enrich as usize] = prologue_nanos;
         self.parse_last = ParseStats::default();
@@ -381,8 +375,6 @@ impl Monitor {
             anomalies: Vec::new(),
         };
         for o in outcomes {
-            self.collector.successes += o.stats.successes;
-            self.collector.failures += o.stats.failures;
             tables += o.stats.successes + o.stats.failures;
             backoff += o.stats.backoff;
             self.parse_totals.merge(o.parse);
@@ -410,14 +402,12 @@ impl Monitor {
             nanos,
             backoff,
         );
-        self.metrics.record_archives(&self.state);
-        self.metrics.record_cache(self.query_cache.stats());
         self.anomalies.extend(report.anomalies.iter().cloned());
         // Fleet-wide statistics: every router's integer accumulators
         // summed, each ratio divided once.
         let (mut totals, mut churn) = (StatsTotals::default(), RouteChurn::default());
         for st in &self.state {
-            totals.absorb(&st.stream.totals());
+            totals.absorb(st.stream.totals());
             if let Some((_, c)) = st.churn.last().filter(|(at, _)| *at == now) {
                 churn.absorb(c);
             }
@@ -442,12 +432,7 @@ impl Monitor {
     /// Where `router`'s on-disk archive lives, if the configured
     /// [`ArchiveSpec`] writes to disk at all.
     pub fn archive_path(&self, router: &str) -> Option<PathBuf> {
-        match &self.cfg.archive {
-            ArchiveSpec::Memory => None,
-            ArchiveSpec::File { dir, .. } | ArchiveSpec::Threaded { dir, .. } => {
-                Some(ArchiveSpec::path_for(dir, router))
-            }
-        }
+        self.cfg.archive.on_disk(router).map(|(path, ..)| path)
     }
 
     /// Collection health of one router.
@@ -457,7 +442,8 @@ impl Monitor {
 
     /// The per-router collection-health summary, judged at `now`: capture
     /// counts, retry effectiveness, salvage counts, volume, the retry
-    /// latency of the latest cycle, last success and staleness.
+    /// latency of the latest cycle, last success, staleness, lifecycle
+    /// and whether the archive is degraded ([`TableLog::degraded`]).
     pub fn health(&self, now: SimTime) -> Table {
         let mut table = Table::new(
             "Collection health",
@@ -496,7 +482,7 @@ impl Monitor {
                 ),
                 Cell::Text(if stale { "STALE" } else { "ok" }.into()),
                 Cell::Text(h.lifecycle(stale_after).label()),
-                Cell::Text(if h.archive_degraded { "degraded" } else { "ok" }.into()),
+                Cell::Text(if st.log.degraded() { "degraded" } else { "ok" }.into()),
             ]);
         }
         condense_router_table(&mut table, self.cfg.table_detail_limit);
@@ -566,14 +552,17 @@ impl Monitor {
         &self.metrics
     }
 
-    /// The per-stage pipeline summary table: invocations, items handled,
-    /// wall-clock time and accumulated simulated latency per stage.
+    /// The per-stage pipeline summary table: invocations (the cycle
+    /// count), items handled, wall-clock time and accumulated simulated
+    /// latency per stage.
     pub fn stage_table(&self) -> Table {
         self.metrics.table()
     }
 
     /// The per-router archive summary: backend, record/checkpoint counts,
-    /// stored volume, delta savings and durability accounting.
+    /// stored volume, delta savings and durability accounting, with the
+    /// errors and persistence of [`TableLog::errors`] and
+    /// [`TableLog::degraded`].
     pub fn archive_table(&self) -> Table {
         let mut table = Table::new(
             "Archives",
@@ -601,9 +590,6 @@ impl Monitor {
         for (router, st) in self.router_states() {
             let stats = st.log.archive_stats();
             let info = st.log.describe();
-            let errors = st.log.write_errors.max(stats.write_errors) + st.log.replay_errors();
-            let degraded =
-                st.log.fell_back || stats.dropped_records > 0 || st.log.replay_errors() > 0;
             table.push_row(vec![
                 Cell::Text(router.clone()),
                 Cell::Text(st.log.backend_kind().into()),
@@ -620,9 +606,9 @@ impl Monitor {
                 Cell::Num(stats.queue_high_water as f64),
                 Cell::Num(stats.blocked_nanos as f64 / 1e6),
                 Cell::Num(stats.dropped_records as f64),
-                Cell::Num(errors as f64),
+                Cell::Num(st.log.errors() as f64),
                 Cell::Text(if st.log.is_sealed() { "sealed" } else { "live" }.into()),
-                Cell::Text(if degraded { "degraded" } else { "ok" }.into()),
+                Cell::Text(if st.log.degraded() { "degraded" } else { "ok" }.into()),
             ]);
         }
         condense_router_table(&mut table, self.cfg.table_detail_limit);
@@ -676,6 +662,12 @@ impl Monitor {
     /// The delta log of one router.
     pub fn log(&self, router: &str) -> Option<&TableLog> {
         self.state_of(router).map(|s| &s.log)
+    }
+
+    /// Every router's delta log, once each, in the order the routers
+    /// were first seen.
+    pub fn logs(&self) -> impl Iterator<Item = &TableLog> {
+        self.state.iter().map(|s| &s.log)
     }
 
     /// The long-term trend tracker of one router.
@@ -903,11 +895,9 @@ mod tests {
             "saved {:.2}",
             log.savings_ratio()
         );
-        // Every stage ran once per cycle and spent visible wall time.
+        // Every stage spent visible wall time.
         for kind in StageKind::ALL {
-            let m = monitor.pipeline().stage(kind);
-            assert_eq!(m.invocations, 12, "{kind:?}");
-            assert!(m.wall_nanos > 0, "{kind:?}");
+            assert!(monitor.pipeline().stage(kind).wall_nanos > 0, "{kind:?}");
         }
         assert_eq!(monitor.stage_table().rows.len(), StageKind::ALL.len());
     }
@@ -987,11 +977,12 @@ mod tests {
             assert_eq!(inline.usage_history(router), fanned.usage_history(router));
             assert_eq!(inline.churn_history(router), fanned.churn_history(router));
         }
-        // Both account the same items per stage (time differs).
+        // Both account the same cycles and items per stage (time
+        // differs).
+        assert_eq!(inline.cycles(), fanned.cycles());
         for kind in StageKind::ALL {
             let s = inline.pipeline().stage(kind);
             let p = fanned.pipeline().stage(kind);
-            assert_eq!(s.invocations, p.invocations, "{kind:?}");
             assert_eq!(s.items, p.items, "{kind:?}");
             assert_eq!(s.sim_latency, p.sim_latency, "{kind:?}");
         }
@@ -1097,20 +1088,127 @@ mod tests {
             monitor.log("fixw").unwrap().replay(),
             mem.log("fixw").unwrap().replay()
         );
-        // Growth recorded per cycle; totals aggregated under "file".
+        // Growth recorded per cycle; both routers archive to files that
+        // synced, with no errors.
         assert_eq!(monitor.archive_growth("fixw").len(), 6);
-        let archives = monitor.pipeline().archives();
-        assert_eq!(archives.len(), 1);
-        assert_eq!(archives[0].backend, "file");
-        assert_eq!(archives[0].routers, 2);
-        assert!(archives[0].fsyncs > 0);
-        assert_eq!(archives[0].write_errors, 0);
-        assert_eq!(monitor.archive_table().rows.len(), 2);
+        let table = monitor.archive_table();
+        assert_eq!(table.rows.len(), 2);
+        let col = |name: &str| table.column_index(name).unwrap();
+        for row in &table.rows {
+            assert_eq!(row[col("backend")], Cell::Text("file".into()));
+            assert!(row[col("fsyncs")].as_num().unwrap() > 0.0);
+            assert_eq!(row[col("errors")], Cell::Num(0.0));
+            assert_eq!(row[col("persistence")], Cell::Text("ok".into()));
+        }
         // The on-disk archive outlives the monitor and replays equally.
         drop(monitor);
         let path = ArchiveSpec::path_for(dir.path(), "fixw");
         let log = TableLog::load(&path, 96).unwrap();
         assert_eq!(log.replay(), mem.log("fixw").unwrap().replay());
+    }
+
+    /// A memory backend whose appends wait while a test holds `gate`.
+    #[derive(Debug)]
+    struct Gated {
+        inner: crate::archive::MemoryBackend,
+        gate: Arc<std::sync::Mutex<()>>,
+    }
+
+    impl crate::archive::ArchiveBackend for Gated {
+        fn kind(&self) -> &'static str {
+            self.inner.kind()
+        }
+        fn append(&mut self, rec: crate::logger::LogRecord) -> std::io::Result<()> {
+            drop(self.gate.lock().unwrap());
+            self.inner.append(rec)
+        }
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn records(&self) -> crate::archive::RecordIter<'_> {
+            self.inner.records()
+        }
+        fn records_from(&self, start: usize) -> crate::archive::RecordIter<'_> {
+            self.inner.records_from(start)
+        }
+        fn last_checkpoint(&self) -> Option<usize> {
+            self.inner.last_checkpoint()
+        }
+        fn stats(&self) -> crate::archive::ArchiveStats {
+            self.inner.stats()
+        }
+    }
+
+    /// The single-router page counts the writer queues as they are when
+    /// it renders: a record still queued when the cycle ended, then
+    /// drained, is not "still queued".
+    #[test]
+    fn the_report_reads_writer_queues_when_it_renders() {
+        use crate::archive::{ThreadedBackend, WriterConfig};
+        let mut sc = Scenario::transition_snapshot(31, 0.3);
+        let cfg = MonitorConfig {
+            routers: vec!["fixw".into()],
+            ..MonitorConfig::default()
+        };
+        let mut monitor = Monitor::new(cfg, 1);
+        drive(&mut sc, &mut monitor, 1);
+        let gate = Arc::new(std::sync::Mutex::new(()));
+        let held = gate.lock().unwrap();
+        let gated = Gated {
+            inner: Default::default(),
+            gate: Arc::clone(&gate),
+        };
+        let writer = ThreadedBackend::spawn(Box::new(gated), WriterConfig::default());
+        monitor.state[0].log = TableLog::with_backend(Box::new(writer), 96);
+        drive(&mut sc, &mut monitor, 1);
+        let log = monitor.log("fixw").unwrap();
+        assert_eq!(log.archive_stats().queue_depth, 1, "held in the queue");
+        drop(held);
+        assert_eq!(log.len(), 1, "drained");
+        let html = crate::web::report_html(&monitor, "fixw", &[]);
+        assert!(html.contains(", 0 of them still queued"), "{html}");
+    }
+
+    /// A file archive whose appends fail, with no fallback and no drops,
+    /// is degraded in the health table and the archive table alike, and
+    /// counts in both condensed footers.
+    #[test]
+    fn write_errors_alone_degrade_the_archive_everywhere() {
+        let dir = crate::testing::TempDir::new("write-errors");
+        let mut sc = Scenario::transition_snapshot(31, 0.3);
+        let cfg = MonitorConfig {
+            archive: ArchiveSpec::File {
+                dir: dir.path().to_path_buf(),
+                sync: SyncPolicy::default(),
+            },
+            ..MonitorConfig::default()
+        };
+        let mut monitor = Monitor::new(cfg, 1);
+        drive(&mut sc, &mut monitor, 1);
+        // fixw's next append writes part of its frame, then fails.
+        let mut torn = crate::archive::FileBackendV2::create(dir.join("torn.marc")).unwrap();
+        torn.inject_torn_write(8);
+        monitor.state[0].log = TableLog::with_backend(Box::new(torn), 96);
+        drive(&mut sc, &mut monitor, 1);
+        let log = monitor.log("fixw").unwrap();
+        assert_eq!((log.fell_back, log.write_errors), (false, 1));
+        assert_eq!(log.archive_stats().dropped_records, 0);
+        let cell = |table: &Table, row: usize, col: &str| {
+            table.rows[row][table.column_index(col).unwrap()].clone()
+        };
+        let degraded = Cell::Text("degraded".into());
+        let health = monitor.health(sc.sim.clock);
+        assert_eq!(cell(&health, 0, "archive"), degraded);
+        assert_eq!(cell(&health, 1, "archive"), Cell::Text("ok".into()));
+        let archives = monitor.archive_table();
+        assert_eq!(cell(&archives, 0, "errors"), Cell::Num(1.0));
+        assert_eq!(cell(&archives, 0, "persistence"), degraded);
+        assert_eq!(cell(&archives, 1, "persistence"), Cell::Text("ok".into()));
+        monitor.cfg.table_detail_limit = 1;
+        let footer = monitor.health(sc.sim.clock).footer.unwrap();
+        assert!(footer.ends_with(", 1 degraded archives"), "{footer}");
+        let footer = monitor.archive_table().footer.unwrap();
+        assert!(footer.ends_with(", 1 degraded"), "{footer}");
     }
 
     #[test]

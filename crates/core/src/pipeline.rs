@@ -5,8 +5,8 @@
 //! per router (`router_cycle`, over that router's [`RouterState`]), one
 //! order-preserving `fan_out` of the tasks per cycle, its width and its
 //! workers' life chosen from the rows the previous cycle parsed
-//! (`ROWS_PER_WORKER`). Per-stage invocations, items, time and
-//! simulated-time latency accumulate in [`PipelineMetrics`]. The typed
+//! (`ROWS_PER_WORKER`). The cycle count and the per-stage items, time
+//! and simulated-time latency accumulate in [`PipelineMetrics`]. The typed
 //! [`Stage`]s compose the same per-router functions one stage at a time
 //! (`RawCycle` → `ParsedCycle` → `EnrichedCycle` → `LoggedCycle` →
 //! `CycleReport`), for callers that time each stage on its own.
@@ -175,86 +175,47 @@ pub trait Stage {
 /// Accumulated accounting for one stage.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageMetrics {
-    /// Times the stage ran (one per cycle under the monitor).
-    pub invocations: u64,
     /// Items handled across all runs: captured tables for Capture, parse
     /// records for Parse, router snapshots downstream.
     pub items: u64,
     /// Time spent, in nanoseconds: each router's time in the stage,
     /// summed over the cycle's routers whichever worker ran them — wall
     /// time when the cycle runs at width 1. Always at least one per
-    /// invocation, so "this stage ran" is visible even below timer
+    /// cycle, so "this stage ran" is visible even below timer
     /// resolution.
     pub wall_nanos: u64,
     /// Simulated-time latency accumulated (retry backoff, for Capture).
     pub sim_latency: SimDuration,
 }
 
-/// Archive accounting aggregated per backend kind, refreshed after each
-/// cycle from the routers' logs (absolute totals, not increments).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ArchiveMetrics {
-    /// Backend name ("memory", "file").
-    pub backend: &'static str,
-    /// Routers archiving through this backend.
-    pub routers: u64,
-    /// Records archived.
-    pub records: u64,
-    /// Full-snapshot checkpoints among them.
-    pub checkpoints: u64,
-    /// Archived bytes (frames for file archives, payloads for memory).
-    pub bytes: u64,
-    /// `fsync` calls issued.
-    pub fsyncs: u64,
-    /// Appends accepted since the last `fsync` across this backend's
-    /// routers — with batched fsync cadences this is the fleet's current
-    /// power-loss exposure in records.
-    pub pending_appends: u64,
-    /// Embedded dictionary entries across this backend's archives
-    /// (MANTRARC v2).
-    pub dict_entries: u64,
-    /// Appends the backend failed to persist.
-    pub write_errors: u64,
-    /// Routers whose requested backend could not be opened and whose log
-    /// silently degraded to an in-memory archive — persistence the
-    /// operator configured is not happening for these.
-    pub fallbacks: u64,
-    /// Records currently sitting in writer-thread queues (threaded
-    /// backends only) — part of the fleet's power-loss exposure.
-    pub queue_depth: u64,
-    /// The deepest any single router's writer queue has been.
-    pub queue_high_water: u64,
-    /// Wall-clock nanoseconds collection spent blocked on full writer
-    /// queues (backpressure in `Block` mode).
-    pub blocked_nanos: u64,
-    /// Records shed on full queues or skipped to keep delta chains
-    /// replayable after a writer-side failure — loud loss, never silent.
-    pub dropped_records: u64,
-    /// Archive read failures observed while replaying these routers'
-    /// logs.
-    pub replay_errors: u64,
-}
-
-/// The per-stage metrics registry: one [`StageMetrics`] per [`StageKind`],
-/// plus per-backend archive totals.
+/// The per-stage metrics registry: the cycle count, which every stage
+/// shares (each runs once per cycle), and one [`StageMetrics`] per
+/// [`StageKind`]. Archive and query-cache counters are not copied in:
+/// they are read where they live, from each router's
+/// [`TableLog`] and from the engine's
+/// [`QueryCache`](crate::archive::QueryCache).
 #[derive(Clone, Debug, Default)]
 pub struct PipelineMetrics {
+    cycles: u64,
     stages: [StageMetrics; 5],
-    archives: Vec<ArchiveMetrics>,
-    query_cache: CacheStats,
 }
 
 impl PipelineMetrics {
-    /// Accounts one cycle: one invocation of every stage, with its items
-    /// and nanoseconds indexed by [`StageKind`], and the retry backoff
+    /// Accounts one cycle: one run of every stage, with its items and
+    /// nanoseconds indexed by [`StageKind`], and the retry backoff
     /// Capture added in simulated time.
     pub(crate) fn record_cycle(&mut self, items: [u64; 5], nanos: [u64; 5], backoff: SimDuration) {
+        self.cycles += 1;
         for (kind, m) in StageKind::ALL.into_iter().zip(&mut self.stages) {
-            m.invocations += 1;
             m.items += items[kind as usize];
             m.wall_nanos += nanos[kind as usize].max(1);
         }
         self.stages[StageKind::Capture as usize].sim_latency += backoff;
+    }
+
+    /// Cycles accounted, which is how many times each stage ran.
+    pub fn cycles(&self) -> u64 {
+        self.cycles
     }
 
     /// The accumulated metrics of one stage.
@@ -262,65 +223,17 @@ impl PipelineMetrics {
         &self.stages[kind as usize]
     }
 
-    /// Refreshes the per-backend archive totals from the routers' logs.
-    /// The monitor calls this after every cycle; values are absolute, so
-    /// repeated refreshes never double-count.
-    pub fn record_archives<'a>(&mut self, state: impl IntoIterator<Item = &'a RouterState>) {
-        let mut agg: Vec<ArchiveMetrics> = Vec::new();
-        for st in state {
-            let stats = st.log.archive_stats();
-            let kind = st.log.backend_kind();
-            let m = match agg.iter_mut().find(|m| m.backend == kind) {
-                Some(m) => m,
-                None => {
-                    agg.push(ArchiveMetrics {
-                        backend: kind,
-                        ..ArchiveMetrics::default()
-                    });
-                    agg.last_mut().expect("just pushed")
-                }
-            };
-            m.routers += 1;
-            m.records += stats.records;
-            m.checkpoints += stats.checkpoints;
-            m.bytes += stats.bytes;
-            m.fsyncs += stats.fsyncs;
-            m.pending_appends += stats.pending_appends;
-            m.dict_entries += st.log.describe().dict_entries;
-            // The log counts errors it observed; the backend counts
-            // errors where they happened (a threaded writer's failures
-            // reach the log a cycle late, if at all). Take the max so
-            // neither view under-reports.
-            m.write_errors += st.log.write_errors.max(stats.write_errors);
-            m.fallbacks += u64::from(st.log.fell_back);
-            m.queue_depth += stats.queue_depth;
-            m.queue_high_water = m.queue_high_water.max(stats.queue_high_water);
-            m.blocked_nanos += stats.blocked_nanos;
-            m.dropped_records += stats.dropped_records;
-            m.replay_errors += st.log.replay_errors();
-        }
-        self.archives = agg;
-    }
+    /// Does nothing: archive totals are read from the routers' logs when
+    /// a table or page renders. Kept while the benchmark (`perfbench/`)
+    /// calls it.
+    pub fn record_archives<'a>(&mut self, _state: impl IntoIterator<Item = &'a RouterState>) {}
 
-    /// The per-backend archive totals, in first-seen backend order.
-    pub fn archives(&self) -> &[ArchiveMetrics] {
-        &self.archives
-    }
+    /// Does nothing: the query-cache counters are read from the cache
+    /// itself. Kept while the benchmark (`perfbench/`) calls it.
+    pub fn record_cache(&mut self, _stats: CacheStats) {}
 
-    /// Refreshes the archive query-cache counters (absolute totals from
-    /// the monitor's [`QueryCache`](crate::archive::QueryCache), so
-    /// repeated refreshes never double-count).
-    pub fn record_cache(&mut self, stats: CacheStats) {
-        self.query_cache = stats;
-    }
-
-    /// Counters for the archive replay query cache serving concurrent
-    /// readers (the daemon's `/replay` endpoint and friends).
-    pub fn query_cache(&self) -> CacheStats {
-        self.query_cache
-    }
-
-    /// The per-stage summary table.
+    /// The per-stage summary table; its `invocations` column is the
+    /// cycle count.
     pub fn table(&self) -> Table {
         let mut table = Table::new(
             "Pipeline stages",
@@ -330,7 +243,7 @@ impl PipelineMetrics {
             let m = self.stage(kind);
             table.push_row(vec![
                 Cell::Text(kind.as_str().into()),
-                Cell::Num(m.invocations as f64),
+                Cell::Num(self.cycles as f64),
                 Cell::Num(m.items as f64),
                 Cell::Num(m.wall_nanos as f64 / 1e6),
                 Cell::Num(m.sim_latency.as_secs() as f64),
@@ -688,8 +601,8 @@ fn enrich_router(st: &mut RouterState, tables: &mut Tables, names: &BTreeMap<Gro
 
 /// One router's archival: appends the snapshot to the router's delta log
 /// (before any analysis, so archives store exactly what was observed),
-/// then records the growth curve, feeds the long-term trackers and sets
-/// the persistence-degradation health flag. Returns the log's delta.
+/// then records the growth curve and feeds the long-term trackers.
+/// Returns the log's delta.
 fn log_router(st: &mut RouterState, at: SimTime, tables: &Tables) -> Option<TableDelta> {
     let delta = st.log.append(tables);
     // Chart what's actually on disk (frame + header bytes), not the
@@ -698,15 +611,6 @@ fn log_router(st: &mut RouterState, at: SimTime, tables: &Tables) -> Option<Tabl
     // backends report the same number either way.
     st.archive_growth.push((at, st.log.archive_stats().bytes));
     st.longterm.observe(tables);
-    // Surface silent archive degradation (memory fallback, failed
-    // appends, shed records, unreadable replays) where operators look:
-    // the health registry.
-    let stats = st.log.archive_stats();
-    st.health.archive_degraded = st.log.fell_back
-        || st.log.write_errors > 0
-        || stats.write_errors > 0
-        || stats.dropped_records > 0
-        || st.log.replay_errors() > 0;
     delta
 }
 
@@ -1043,18 +947,20 @@ mod tests {
         let mut metrics = PipelineMetrics::default();
         metrics.record_cycle([3, 40, 2, 2, 2], [5, 0, 7, 8, 9], SimDuration::secs(3));
         metrics.record_cycle([1, 10, 1, 1, 1], [5, 6, 7, 8, 9], SimDuration::secs(3));
+        assert_eq!(metrics.cycles(), 2);
         let capture = metrics.stage(StageKind::Capture);
-        assert_eq!(capture.invocations, 2);
         assert_eq!(capture.items, 4);
         assert_eq!(capture.wall_nanos, 10);
         assert_eq!(capture.sim_latency, SimDuration::secs(6));
         let parse = metrics.stage(StageKind::Parse);
-        assert_eq!(parse.invocations, 2);
         assert_eq!(parse.items, 50);
-        assert_eq!(parse.wall_nanos, 1 + 6, "at least one nano per invocation");
+        assert_eq!(parse.wall_nanos, 1 + 6, "at least one nano per cycle");
         assert_eq!(parse.sim_latency, SimDuration::ZERO);
-        // The table renders one row per stage.
-        assert_eq!(metrics.table().rows.len(), StageKind::ALL.len());
+        // The table renders one row per stage, each with the cycle count
+        // as its invocations.
+        let table = metrics.table();
+        assert_eq!(table.rows.len(), StageKind::ALL.len());
+        assert!(table.rows.iter().all(|row| row[1] == Cell::Num(2.0)));
     }
 
     #[test]

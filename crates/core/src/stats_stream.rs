@@ -125,35 +125,21 @@ impl FoldChanges {
 ///
 /// Seed once from a full snapshot ([`IncrementalStats::reseed`]), then
 /// fold each cycle's [`TableDelta`] — the per-cycle cost is proportional
-/// to what changed, not to table size. [`IncrementalStats::usage`] and
+/// to what changed, not to table size. The integer accumulators are one
+/// [`StatsTotals`]; [`IncrementalStats::usage`] and
 /// [`IncrementalStats::route_stats`] assemble the current cycle's
-/// statistics from the integers, bit-identical to computing them from
-/// the full snapshot.
+/// statistics from it, bit-identical to computing them from the full
+/// snapshot.
 #[derive(Clone, Debug, Default)]
 pub struct IncrementalStats {
     threshold: BitRate,
-    at: SimTime,
     seeded: bool,
     pairs: FxHashMap<(GroupAddr, Ip), PairAcc>,
     groups: FxHashMap<GroupAddr, GroupAcc>,
     sources: FxHashMap<Ip, SourceAcc>,
     routes: FxHashMap<(LearnedFrom, Prefix), RouteAcc>,
     sa: FxHashSet<(GroupAddr, Ip)>,
-    /// Present groups per density value — the density distribution the
-    /// single-member / ≤2 / top-6 % figures are read from.
-    density_hist: BTreeMap<u32, usize>,
-    sessions: usize,
-    participants: usize,
-    senders: usize,
-    active_sessions: usize,
-    total_density: u64,
-    total_bw_bps: u64,
-    unicast_bw_bps: u64,
-    dvmrp_total: usize,
-    dvmrp_reachable: usize,
-    mbgp_total: usize,
-    uptime_sum: u64,
-    uptime_count: usize,
+    totals: StatsTotals,
 }
 
 impl IncrementalStats {
@@ -170,10 +156,10 @@ impl IncrementalStats {
     pub fn reseed(&mut self, t: &Tables, threshold: BitRate) {
         *self = IncrementalStats {
             threshold,
-            at: t.captured_at,
             seeded: true,
             ..IncrementalStats::default()
         };
+        self.totals.at = t.captured_at;
         for p in t.pairs.values() {
             self.upsert_pair(p);
         }
@@ -187,6 +173,7 @@ impl IncrementalStats {
         for key in t.sa_cache.keys() {
             self.sa.insert(*key);
         }
+        self.totals.sa_entries = self.sa.len();
         let mut discard = FoldChanges::default();
         for r in t.routes.values() {
             self.upsert_route(r, &mut discard);
@@ -198,7 +185,7 @@ impl IncrementalStats {
     /// per-cycle analysis needs (route churn, injection attribution).
     pub fn fold(&mut self, d: &TableDelta) -> FoldChanges {
         debug_assert!(self.seeded, "fold before reseed");
-        self.at = d.captured_at;
+        self.totals.at = d.captured_at;
         let mut changes = FoldChanges::default();
         for p in &d.pair_upserts {
             self.upsert_pair(p);
@@ -218,6 +205,7 @@ impl IncrementalStats {
         for key in &d.sa_removals {
             self.sa.remove(key);
         }
+        self.totals.sa_entries = self.sa.len();
         for r in &d.route_upserts {
             self.upsert_route(r, &mut changes);
         }
@@ -231,37 +219,21 @@ impl IncrementalStats {
     /// accumulators [`IncrementalStats::usage`]/[`IncrementalStats::route_stats`]
     /// assemble from, with no derived ratios — so per-router partial sums
     /// compose exactly (see [`StatsTotals::absorb`]).
-    pub fn totals(&self) -> StatsTotals {
-        StatsTotals {
-            at: self.at,
-            density_hist: self.density_hist.clone(),
-            sessions: self.sessions,
-            participants: self.participants,
-            senders: self.senders,
-            active_sessions: self.active_sessions,
-            total_density: self.total_density,
-            total_bw_bps: self.total_bw_bps,
-            unicast_bw_bps: self.unicast_bw_bps,
-            sa_entries: self.sa.len(),
-            dvmrp_total: self.dvmrp_total,
-            dvmrp_reachable: self.dvmrp_reachable,
-            mbgp_total: self.mbgp_total,
-            uptime_sum: self.uptime_sum,
-            uptime_count: self.uptime_count,
-        }
+    pub fn totals(&self) -> &StatsTotals {
+        &self.totals
     }
 
     /// Assembles the current cycle's usage statistics from the
     /// accumulators — the same integer sums a full pass over the snapshot
     /// computes, divided the same way, so the output is bit-identical.
     pub fn usage(&self) -> UsageStats {
-        self.totals().usage()
+        self.totals.usage()
     }
 
     /// Assembles the current cycle's route statistics, bit-identical to
     /// a full pass over the snapshot.
     pub fn route_stats(&self) -> RouteStats {
-        self.totals().route_stats()
+        self.totals.route_stats()
     }
 
     // ------------------------------------------------------------------
@@ -310,11 +282,11 @@ impl IncrementalStats {
         }
         self.store_source(row.source, s_old, s);
 
-        self.total_bw_bps -= old
+        self.totals.total_bw_bps -= old
             .filter(|p| p.forwarding && !wildcard)
             .map_or(0, |p| p.bps);
         if acc.forwarding && !wildcard {
-            self.total_bw_bps += acc.bps;
+            self.totals.total_bw_bps += acc.bps;
         }
     }
 
@@ -347,7 +319,7 @@ impl IncrementalStats {
         self.store_source(source, s_old, s);
 
         if old.forwarding && !wildcard {
-            self.total_bw_bps -= old.bps;
+            self.totals.total_bw_bps -= old.bps;
         }
     }
 
@@ -367,30 +339,29 @@ impl IncrementalStats {
         } else {
             self.groups.insert(group, new);
         }
+        let t = &mut self.totals;
         if old.present() {
-            self.sessions -= 1;
-            self.total_density -= u64::from(old.density);
-            self.unicast_bw_bps -= old.unicast_bps();
+            t.sessions -= 1;
+            t.total_density -= u64::from(old.density);
+            t.unicast_bw_bps -= old.unicast_bps();
             if old.sender_pairs > 0 {
-                self.active_sessions -= 1;
+                t.active_sessions -= 1;
             }
-            let slot = self
-                .density_hist
-                .get_mut(&old.density)
-                .expect("present group counted in histogram");
+            let slot =
+                (t.density_hist.get_mut(&old.density)).expect("present group counted in histogram");
             *slot -= 1;
             if *slot == 0 {
-                self.density_hist.remove(&old.density);
+                t.density_hist.remove(&old.density);
             }
         }
         if new.present() {
-            self.sessions += 1;
-            self.total_density += u64::from(new.density);
-            self.unicast_bw_bps += new.unicast_bps();
+            t.sessions += 1;
+            t.total_density += u64::from(new.density);
+            t.unicast_bw_bps += new.unicast_bps();
             if new.sender_pairs > 0 {
-                self.active_sessions += 1;
+                t.active_sessions += 1;
             }
-            *self.density_hist.entry(new.density).or_insert(0) += 1;
+            *t.density_hist.entry(new.density).or_insert(0) += 1;
         }
     }
 
@@ -402,14 +373,14 @@ impl IncrementalStats {
         }
         if !source.is_unspecified() {
             match (old.pair_count > 0, new.pair_count > 0) {
-                (false, true) => self.participants += 1,
-                (true, false) => self.participants -= 1,
+                (false, true) => self.totals.participants += 1,
+                (true, false) => self.totals.participants -= 1,
                 _ => {}
             }
         }
         match (old.sender_pairs > 0, new.sender_pairs > 0) {
-            (false, true) => self.senders += 1,
-            (true, false) => self.senders -= 1,
+            (false, true) => self.totals.senders += 1,
+            (true, false) => self.totals.senders -= 1,
             _ => {}
         }
     }
@@ -431,15 +402,15 @@ impl IncrementalStats {
             None => {
                 match row.learned_from {
                     LearnedFrom::Dvmrp => {
-                        self.dvmrp_total += 1;
+                        self.totals.dvmrp_total += 1;
                         changes.churn.added += 1;
                         *changes.new_dvmrp_gateways.entry(row.next_hop).or_default() += 1;
                     }
-                    LearnedFrom::Mbgp => self.mbgp_total += 1,
+                    LearnedFrom::Mbgp => self.totals.mbgp_total += 1,
                     _ => {}
                 }
                 if row.learned_from == LearnedFrom::Dvmrp && row.reachable {
-                    self.dvmrp_reachable += 1;
+                    self.totals.dvmrp_reachable += 1;
                 }
             }
             Some(prev) => {
@@ -450,21 +421,21 @@ impl IncrementalStats {
                     if prev.reachable != acc.reachable {
                         changes.churn.reachability_flips += 1;
                         if acc.reachable {
-                            self.dvmrp_reachable += 1;
+                            self.totals.dvmrp_reachable += 1;
                         } else {
-                            self.dvmrp_reachable -= 1;
+                            self.totals.dvmrp_reachable -= 1;
                         }
                     }
                 }
                 if let Some(u) = prev.uptime_secs {
-                    self.uptime_sum -= u;
-                    self.uptime_count -= 1;
+                    self.totals.uptime_sum -= u;
+                    self.totals.uptime_count -= 1;
                 }
             }
         }
         if let Some(u) = acc.uptime_secs {
-            self.uptime_sum += u;
-            self.uptime_count += 1;
+            self.totals.uptime_sum += u;
+            self.totals.uptime_count += 1;
         }
     }
 
@@ -474,18 +445,18 @@ impl IncrementalStats {
         };
         match key.0 {
             LearnedFrom::Dvmrp => {
-                self.dvmrp_total -= 1;
+                self.totals.dvmrp_total -= 1;
                 if old.reachable {
-                    self.dvmrp_reachable -= 1;
+                    self.totals.dvmrp_reachable -= 1;
                 }
                 changes.churn.removed += 1;
             }
-            LearnedFrom::Mbgp => self.mbgp_total -= 1,
+            LearnedFrom::Mbgp => self.totals.mbgp_total -= 1,
             _ => {}
         }
         if let Some(u) = old.uptime_secs {
-            self.uptime_sum -= u;
-            self.uptime_count -= 1;
+            self.totals.uptime_sum -= u;
+            self.totals.uptime_count -= 1;
         }
     }
 }
@@ -506,6 +477,8 @@ impl IncrementalStats {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct StatsTotals {
     at: SimTime,
+    /// Present groups per density value — the density distribution the
+    /// single-member / ≤2 / top-6 % figures are read from.
     density_hist: BTreeMap<u32, usize>,
     sessions: usize,
     participants: usize,

@@ -11,6 +11,7 @@ use std::fmt::Write as _;
 
 use mantra_net::SimTime;
 
+use crate::logger::TableLog;
 use crate::monitor::Monitor;
 use crate::output::{Graph, Table};
 
@@ -229,12 +230,21 @@ pub fn report_html(monitor: &Monitor, router: &str, events: &[(SimTime, String)]
         monitor.capture_failures(),
         monitor.anomalies.len()
     );
-    let archives = monitor.pipeline().archives();
-    let fallbacks: u64 = archives.iter().map(|a| a.fallbacks).sum();
-    let write_errors: u64 = archives.iter().map(|a| a.write_errors).sum();
-    let dropped: u64 = archives.iter().map(|a| a.dropped_records).sum();
-    let replay_errors: u64 = archives.iter().map(|a| a.replay_errors).sum();
-    if fallbacks > 0 || write_errors > 0 || dropped > 0 || replay_errors > 0 {
+    // Every router's archive counts, read as the page renders.
+    let (mut fallbacks, mut write_errors, mut replay_errors, mut dropped) = (0, 0, 0, 0);
+    let (mut fsyncs, mut pending, mut queued, mut blocked_nanos) = (0, 0, 0, 0);
+    for log in monitor.logs() {
+        let stats = log.archive_stats();
+        fallbacks += u64::from(log.fell_back);
+        write_errors += log.errors() - log.replay_errors();
+        replay_errors += log.replay_errors();
+        dropped += stats.dropped_records;
+        fsyncs += stats.fsyncs;
+        pending += stats.pending_appends;
+        queued += stats.queue_depth;
+        blocked_nanos += stats.blocked_nanos;
+    }
+    if monitor.logs().any(TableLog::degraded) {
         let _ = writeln!(
             out,
             "<p><strong>Degraded persistence:</strong> {fallbacks} archive(s) fell back to \
@@ -255,17 +265,14 @@ pub fn report_html(monitor: &Monitor, router: &str, events: &[(SimTime, String)]
             crate::monitor::DEGRADED_PARSE_PCT
         );
     }
-    let fsyncs: u64 = archives.iter().map(|a| a.fsyncs).sum();
-    let pending: u64 = archives.iter().map(|a| a.pending_appends).sum();
-    let queued: u64 = archives.iter().map(|a| a.queue_depth).sum();
-    let blocked_ms: f64 = archives.iter().map(|a| a.blocked_nanos).sum::<u64>() as f64 / 1e6;
+    let blocked_ms = blocked_nanos as f64 / 1e6;
     let _ = writeln!(
         out,
         "<p>Durability: {fsyncs} fsync(s) issued; {pending} append(s) pending since the \
          last fsync (lost on power failure), {queued} of them still queued for writer \
          threads; collection spent {blocked_ms:.1} ms blocked on full writer queues.</p>"
     );
-    let cache = monitor.pipeline().query_cache();
+    let cache = monitor.query_cache().stats();
     let _ = writeln!(
         out,
         "<p>Query cache: {} hit(s), {} miss(es), {} eviction(s); {} entr{} resident.</p>",
@@ -610,11 +617,10 @@ mod tests {
         assert_eq!(monitor.usage_history("fixw").len(), 3);
         assert_eq!(monitor.log("fixw").unwrap().replay().len(), 3);
         // …and the degradation is visible everywhere an operator looks:
-        // the aggregated archive metrics,
-        let archives = monitor.pipeline().archives();
-        assert!(archives.iter().any(|a| a.fallbacks > 0), "{archives:?}");
-        // the per-router health registry and table,
-        assert!(monitor.router_health("fixw").unwrap().archive_degraded);
+        // the log's own health rule,
+        let log = monitor.log("fixw").unwrap();
+        assert!(log.fell_back && log.degraded());
+        // the health table,
         let health = monitor.health(sc.sim.clock);
         let col = health.columns.iter().position(|c| c == "archive").unwrap();
         assert_eq!(health.rows[0][col], Cell::Text("degraded".into()));

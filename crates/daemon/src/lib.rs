@@ -40,6 +40,7 @@ use std::time::Duration;
 
 use mantra_core::anomaly::Anomaly;
 use mantra_core::archive::CacheStats;
+use mantra_core::logger::TableLog;
 use mantra_core::processor::ParseStats;
 use mantra_core::{web, Monitor};
 use mantra_net::SimTime;
@@ -325,7 +326,10 @@ fn health(shared: &Shared) -> Response {
                 .str("state", &state)
                 .u64("missed_cycles", h.missed_cycles)
                 .u64("rejoins", h.rejoins)
-                .bool("archive_degraded", h.archive_degraded)
+                .bool(
+                    "archive_degraded",
+                    m.log(router).is_some_and(TableLog::degraded),
+                )
                 .finish(),
         )
     });

@@ -310,6 +310,14 @@ fn daemon_serves_golden_json_and_replay_matches_offline_reader() {
     assert!(html.contains("<svg"), "report lost its charts");
     assert!(html.contains("id=\"live\""), "live status strip missing");
     assert!(html.contains("/health"), "live poller must query /health");
+    // Its query-cache line counts the replays above, as /health does,
+    // although collection stopped before them.
+    let health = json(addr, "/health");
+    let cache = field(&health, "query_cache");
+    let (hits, misses) = (uint(field(cache, "hits")), uint(field(cache, "misses")));
+    assert!(hits > 0);
+    let line = format!("Query cache: {hits} hit(s), {misses} miss(es)");
+    assert!(html.contains(&line), "page lacks {line:?}");
 
     handle.stop();
     assert!(archive_untouched_after_stop(&archive));

@@ -18,7 +18,7 @@ use mantra::core::archive::{
     RecordIter, ThreadedBackend, WriterConfig,
 };
 use mantra::core::logger::{LogRecord, TableLog};
-use mantra::core::pipeline::{PipelineMetrics, RouterState};
+use mantra::core::pipeline::RouterState;
 use mantra::core::tables::{LearnedFrom, PairRow, Tables};
 use mantra::net::{BitRate, GroupAddr, Ip, SimTime};
 
@@ -332,16 +332,11 @@ fn corrupted_archive_replay_degrades_instead_of_panicking() {
     assert!(log.try_replay().is_err());
     assert_eq!(log.replay_errors(), 2);
 
-    // The failure reaches the pipeline metrics (and from there the
-    // archive_degraded health flag and the HTML report).
-    let state = vec![RouterState {
-        log,
-        ..RouterState::new("fixw".into(), 4, &ArchiveSpec::Memory)
-    }];
-    let mut metrics = PipelineMetrics::default();
-    metrics.record_archives(&state);
-    let m = &metrics.archives()[0];
-    assert_eq!(m.replay_errors, 2);
+    // The failures reach the archive's error count and health rule (and
+    // from there the health and archive tables, the HTML report and
+    // `/health`).
+    assert_eq!(log.errors(), 2);
+    assert!(log.degraded());
 }
 
 #[test]
@@ -355,26 +350,17 @@ fn crashed_backend_surfaces_in_pipeline_metrics() {
     }
     assert!(log.write_errors > 0);
 
-    let state = vec![RouterState {
-        log,
-        ..RouterState::new("fixw".into(), 4, &ArchiveSpec::Memory)
-    }];
-    let mut metrics = PipelineMetrics::default();
-    metrics.record_archives(&state);
-    let m = metrics
-        .archives()
-        .iter()
-        .find(|m| m.backend == "failing")
-        .expect("failing backend aggregated");
-    assert_eq!(m.routers, 1);
-    assert!(m.write_errors > 0);
+    // The log's health rule counts the errors and reads degraded.
+    assert_eq!(log.backend_kind(), "failing");
+    assert!(log.errors() >= log.write_errors);
+    assert!(log.degraded());
 }
 
 #[test]
 fn unopenable_archive_dir_counts_as_fallback_in_metrics() {
     // A path under a regular file can never become a directory, so the
     // spec's file backend cannot be created and the log silently
-    // degrades to memory — which the metrics must surface.
+    // degrades to memory — which the health rule must surface.
     let dir = TempDir::new("crash-flat");
     let flat = dir.join("flat");
     std::fs::write(&flat, b"not a dir").unwrap();
@@ -382,12 +368,10 @@ fn unopenable_archive_dir_counts_as_fallback_in_metrics() {
         dir: flat.join("archives"),
         sync: Default::default(),
     };
-    let state = vec![RouterState::new("fixw".into(), 4, &spec)];
-    assert!(state[0].log.fell_back);
-    assert_eq!(state[0].log.backend_kind(), "memory");
-
-    let mut metrics = PipelineMetrics::default();
-    metrics.record_archives(&state);
-    assert_eq!(metrics.archives().len(), 1);
-    assert_eq!(metrics.archives()[0].fallbacks, 1);
+    let state = RouterState::new("fixw".into(), 4, &spec);
+    assert!(state.log.fell_back);
+    assert_eq!(state.log.backend_kind(), "memory");
+    // The fallback counts one write error and degrades the archive.
+    assert_eq!(state.log.errors(), 1);
+    assert!(state.log.degraded());
 }

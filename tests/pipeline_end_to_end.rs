@@ -183,10 +183,17 @@ fn stage_metrics_sum_to_cycle_totals() {
         let access = FlakyAccess::new(&sc.sim, 0.2, 0.2, 200 + i);
         monitor.run_cycle(&access, next);
     }
-    // Every stage ran exactly once per cycle and spent visible wall time.
+    // Every stage ran once per cycle: the stage table's invocations are
+    // the one cycle count. Every stage spent visible wall time.
+    assert_eq!(monitor.cycles(), cycles);
+    let stages = monitor.stage_table();
+    let col = stages.column_index("invocations").unwrap();
+    assert!(stages
+        .rows
+        .iter()
+        .all(|row| row[col].as_num() == Some(cycles as f64)));
     for kind in StageKind::ALL {
         let m = monitor.pipeline().stage(kind);
-        assert_eq!(m.invocations, cycles, "{kind:?}");
         assert!(m.wall_nanos > 0, "{kind:?} must report non-zero time");
     }
     // Capture items reconcile with the health registry's capture totals

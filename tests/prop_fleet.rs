@@ -237,11 +237,8 @@ fn file_archives_replay_to_the_memory_archived_streams() {
         sc_mem.sim.advance_to(next);
         mem.run_cycle(&sc_mem.sim, next);
     }
-    // No archive hit a write error or fell back to memory.
-    let archives = file.pipeline().archives();
-    assert!(archives
-        .iter()
-        .all(|a| a.fallbacks == 0 && a.write_errors == 0));
+    // No archive hit an error or fell back to memory.
+    assert!(file.logs().all(|log| !log.fell_back && log.errors() == 0));
     for r in &routers {
         let f = TableLog::load(&ArchiveSpec::path_for(dir.path(), r), 96).expect("file archive");
         let m = mem.log(r).expect("memory archive").replay();
