@@ -23,7 +23,10 @@
 //! * `ablation_parse_*` — the zero-copy span/byte Parse stage vs the
 //!   string parser it replaced (`mantra-oracle`) over a 500-router fleet
 //!   capture corpus, with a bytes/sec accounting line and a strict
-//!   zero-copy-wins assertion.
+//!   zero-copy-wins assertion; its `capture_scan` group times the
+//!   word-at-a-time capture scanner against the line-at-a-time one
+//!   (`mantra-oracle`) over the same captures' raw bytes, with the same
+//!   accounting and a strict word-at-a-time-wins assertion.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -41,6 +44,7 @@ use mantra_core::stats_stream::IncrementalStats;
 use mantra_core::tables::{LearnedFrom, PairRow, RouteRow, Tables};
 use mantra_core::{Monitor, MonitorConfig, ParallelAccess};
 use mantra_net::{BitRate, GroupAddr, Ip, Prefix, SimDuration, SimTime};
+use mantra_oracle::collector::effective_lines;
 use mantra_oracle::logger::diff_reference;
 use mantra_oracle::processor as reference;
 use mantra_oracle::{RouteStatsExt, UsageStatsExt};
@@ -611,6 +615,7 @@ fn ablation_parse(c: &mut Criterion) {
         .map(|id| sc.sim.net.topo.router(*id).name.clone())
         .collect();
     let mut corpus: Vec<Vec<Capture>> = Vec::new();
+    let mut raws: Vec<RawCapture> = Vec::new();
     let mut total_bytes = 0usize;
     for _ in 0..4 {
         let now = sc.sim.clock + sc.sim.tick();
@@ -619,7 +624,9 @@ fn ablation_parse(c: &mut Criterion) {
             let mut batch = Vec::new();
             for kind in TableKind::ALL {
                 if let Ok(raw) = sc.sim.capture(router, kind, now) {
-                    let cap = preprocess_bytes(router, kind, raw.into_bytes(), now);
+                    let raw = raw.into_bytes();
+                    raws.push((router, raw.clone()));
+                    let cap = preprocess_bytes(router, kind, raw, now);
                     total_bytes += cap.raw_bytes;
                     batch.push(cap);
                 }
@@ -627,6 +634,7 @@ fn ablation_parse(c: &mut Criterion) {
             corpus.push(batch);
         }
     }
+    capture_scan(c, &raws);
 
     let mut group = c.benchmark_group("ablation_parse");
     group.sample_size(10);
@@ -683,6 +691,55 @@ fn ablation_parse(c: &mut Criterion) {
         rate(zc_ns),
         rate(rf_ns),
         rf_ns as f64 / zc_ns as f64
+    );
+}
+
+/// A raw capture and the router it came from.
+type RawCapture<'a> = (&'a str, Vec<u8>);
+
+/// The capture scan alone, over the parse corpus's raw captures: the
+/// shipped word-at-a-time scanner (`preprocess_bytes`, which takes its
+/// own copy of the bytes, as `Collector::collect_with` hands it one)
+/// against the line-at-a-time reference (`mantra_oracle::collector`).
+fn capture_scan(c: &mut Criterion, raws: &[RawCapture]) {
+    let scan = |raw: &RawCapture| {
+        preprocess_bytes(raw.0, TableKind::ForwardingCache, raw.1.clone(), SimTime(0)).line_count()
+    };
+    let reference_scan = |raw: &RawCapture| effective_lines(raw.0, &raw.1).len();
+    let mut group = c.benchmark_group("ablation_parse_capture_scan");
+    group.sample_size(10);
+    group.bench_function("word_at_a_time", |b| {
+        b.iter(|| black_box(raws.iter().map(scan).sum::<usize>()))
+    });
+    group.bench_function("reference_line_at_a_time", |b| {
+        b.iter(|| black_box(raws.iter().map(reference_scan).sum::<usize>()))
+    });
+    group.finish();
+
+    const PASSES: u32 = 3;
+    let timed = |f: &dyn Fn(&RawCapture) -> usize| {
+        let t0 = Instant::now();
+        let lines: usize = (0..PASSES).map(|_| raws.iter().map(f).sum::<usize>()).sum();
+        (t0.elapsed().as_nanos().max(1), lines)
+    };
+    let (word_ns, word_lines) = timed(&scan);
+    let (line_ns, line_lines) = timed(&reference_scan);
+    assert_eq!(word_lines, line_lines, "scanners must agree on the corpus");
+    let bytes: u64 = raws.iter().map(|r| r.1.len() as u64).sum::<u64>() * u64::from(PASSES);
+    let rate = |ns: u128| bytes as f64 / (ns as f64 / 1e9) / 1e6;
+    assert!(
+        word_ns < line_ns,
+        "the word-at-a-time scan must beat the line-at-a-time one: {word_ns}ns vs {line_ns}ns"
+    );
+    println!(
+        "[ablation_parse_capture_scan] {} captures, {:.1} MB raw, {} lines/pass: \
+         word-at-a-time={:.1} MB/s line-at-a-time={:.1} MB/s ({:.2}x)",
+        raws.len(),
+        bytes as f64 / f64::from(PASSES) / 1e6,
+        word_lines / PASSES as usize,
+        rate(word_ns),
+        rate(line_ns),
+        line_ns as f64 / word_ns as f64
     );
 }
 

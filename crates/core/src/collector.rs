@@ -9,6 +9,15 @@
 //! routers and returns byte-identical CLI text, and [`FlakyAccess`] wraps
 //! any access with the failure modes real collection suffered (login
 //! refusals, truncated captures).
+//!
+//! Pre-processing ([`preprocess_bytes`]) keeps the capture as one buffer
+//! and selects its effective lines as spans into it. It finds line
+//! breaks and carriage returns eight bytes per step with plain integer
+//! arithmetic on `u64` words, so each byte of a dump is examined once;
+//! only the bytes around a break (leading whitespace, trimming, the
+//! noise and prompt filters) are looked at again. The line-at-a-time
+//! scanner it replaced is the test-support crate `mantra-oracle`'s
+//! `collector::effective_lines`, which `tests/prop_parse.rs` holds it to.
 
 use mantra_net::{SimDuration, SimTime};
 use mantra_router_cli::TableKind;
@@ -174,19 +183,49 @@ fn trim_range(buf: &[u8], mut start: usize, mut end: usize) -> (usize, usize) {
     (start, end)
 }
 
+/// The offset of the first `\n` or `\r` at or after `from`, found eight
+/// bytes per step: each word is XORed with both breaks, so a break byte
+/// becomes a zero byte, and `(x & 0x7f) + 0x7f | x` keeps a byte's high
+/// bit exactly when the byte is non-zero — no carry crosses into the next
+/// byte, so the lowest cleared high bit (the first byte in a
+/// little-endian word) is the first break.
+fn next_break(buf: &[u8], from: usize) -> Option<usize> {
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    const LF: u64 = 0x0a0a_0a0a_0a0a_0a0a;
+    const CR: u64 = 0x0d0d_0d0d_0d0d_0d0d;
+    let nonzero = |x: u64| ((x & LOW7) + LOW7) | x;
+    let mut words = buf[from..].chunks_exact(8);
+    let mut at = from;
+    for word in &mut words {
+        let w = u64::from_le_bytes(word.try_into().expect("eight-byte chunk"));
+        let breaks = !(nonzero(w ^ LF) & nonzero(w ^ CR) | LOW7);
+        if breaks != 0 {
+            return Some(at + (breaks.trailing_zeros() / 8) as usize);
+        }
+        at += 8;
+    }
+    words
+        .remainder()
+        .iter()
+        .position(|&b| b == b'\n' || b == b'\r')
+        .map(|p| at + p)
+}
+
 /// Pre-processes a raw capture in a single pass over its bytes, selecting
 /// effective lines as spans into the buffer.
 ///
-/// Per physical line (split on `\n`), carriage returns replay as a
-/// terminal would: a `--More--` pagination segment is never printed, a
-/// CR-segment at least as long as what is on screen replaces it wholly
-/// (still a span into the raw buffer — the common case), and a *shorter*
-/// segment overwrites only a prefix, leaving residue from the overwritten
-/// text; that composed line is the one escape into the per-capture arena.
-/// Surviving lines are ASCII-trimmed, then telnet/session noise
-/// (`Trying `/`Connected to`/`Escape character`) and prompt echoes
-/// (`name>` / `name#`) drop. Interior whitespace runs are preserved; the
-/// parsers' field scanners tolerate them.
+/// The scan jumps from break to break (`next_break`, a word at a time),
+/// so each byte is examined once. A physical line ends at `\n`; within
+/// it, carriage returns replay as a terminal would: a `--More--`
+/// pagination segment is never printed, a CR-segment at least as long as
+/// what is on screen replaces it wholly (still a span into the raw buffer
+/// — the common case), and a *shorter* segment overwrites only a prefix,
+/// leaving residue from the overwritten text; that composed line is the
+/// one escape into the per-capture arena. Surviving lines are
+/// ASCII-trimmed, then telnet/session noise (`Trying `/`Connected
+/// to`/`Escape character`) and prompt echoes (`name>` / `name#`) drop.
+/// Interior whitespace runs are preserved; the parsers' field scanners
+/// tolerate them.
 pub fn preprocess_bytes(router: &str, kind: TableKind, raw: Vec<u8>, now: SimTime) -> Capture {
     enum Buf {
         /// A contiguous range of the raw buffer.
@@ -200,55 +239,46 @@ pub fn preprocess_bytes(router: &str, kind: TableKind, raw: Vec<u8>, now: SimTim
     let mut arena: Vec<u8> = Vec::new();
     let prompt = router.as_bytes();
 
-    let mut line_start = 0usize;
+    // What the current physical line shows so far.
+    let mut cur = Buf::Span(0, 0);
+    let mut seg_start = 0usize;
     loop {
-        let line_end = raw[line_start..]
-            .iter()
-            .position(|&b| b == b'\n')
-            .map_or(rbytes, |p| line_start + p);
-
-        // Replay carriage returns within the physical line.
-        let mut cur = Buf::Span(line_start, line_start);
-        let mut seg_start = line_start;
-        loop {
-            let seg_end = raw[seg_start..line_end]
-                .iter()
-                .position(|&b| b == b'\r')
-                .map_or(line_end, |p| seg_start + p);
-            let seg = &raw[seg_start..seg_end];
-            let shown = seg.iter().position(|&b| !is_ws(b)).unwrap_or(seg.len());
-            if seg[shown..].starts_with(b"--More--") {
-                // The pager's own marker: erased before anything else
-                // prints, so it never reaches the screen.
-            } else {
-                let cur_len = match &cur {
-                    Buf::Span(s, e) => e - s,
-                    Buf::Owned(v) => v.len(),
+        let brk = next_break(&raw, seg_start);
+        let seg_end = brk.unwrap_or(rbytes);
+        let seg = &raw[seg_start..seg_end];
+        let shown = seg.iter().position(|&b| !is_ws(b)).unwrap_or(seg.len());
+        if seg[shown..].starts_with(b"--More--") {
+            // The pager's own marker: erased before anything else
+            // prints, so it never reaches the screen.
+        } else {
+            let cur_len = match &cur {
+                Buf::Span(s, e) => e - s,
+                Buf::Owned(v) => v.len(),
+            };
+            if seg.len() >= cur_len {
+                cur = Buf::Span(seg_start, seg_end);
+            } else if !seg.is_empty() {
+                // Partial overwrite: compose the residue line.
+                let mut v = match cur {
+                    Buf::Span(s, e) => raw[s..e].to_vec(),
+                    Buf::Owned(v) => v,
                 };
-                if seg.len() >= cur_len {
-                    cur = Buf::Span(seg_start, seg_end);
-                } else if !seg.is_empty() {
-                    // Partial overwrite: compose the residue line.
-                    let mut v = match cur {
-                        Buf::Span(s, e) => raw[s..e].to_vec(),
-                        Buf::Owned(v) => v,
-                    };
-                    v[..seg.len()].copy_from_slice(seg);
-                    cur = Buf::Owned(v);
-                }
+                v[..seg.len()].copy_from_slice(seg);
+                cur = Buf::Owned(v);
             }
-            if seg_end == line_end {
-                break;
-            }
-            seg_start = seg_end + 1;
+        }
+        seg_start = seg_end + 1;
+        if brk.is_some_and(|p| raw[p] == b'\r') {
+            continue;
         }
 
-        // Trim, then filter session noise and prompt echoes.
-        let kept = match cur {
+        // The physical line ended: trim, then filter session noise and
+        // prompt echoes.
+        let line = std::mem::replace(&mut cur, Buf::Span(seg_start, seg_start));
+        let kept = match line {
             Buf::Span(s, e) => {
                 let (s, e) = trim_range(&raw, s, e);
-                let line = &raw[s..e];
-                keep_line(line, prompt).then_some(LineSpan {
+                keep_line(&raw[s..e], prompt).then_some(LineSpan {
                     start: s as u32,
                     end: e as u32,
                     arena: false,
@@ -269,11 +299,9 @@ pub fn preprocess_bytes(router: &str, kind: TableKind, raw: Vec<u8>, now: SimTim
             }
         };
         spans.extend(kept);
-
-        if line_end == rbytes {
+        if brk.is_none() {
             break;
         }
-        line_start = line_end + 1;
     }
 
     Capture {

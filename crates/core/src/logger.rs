@@ -14,9 +14,12 @@
 //!
 //! A delta is one merge join per section: [`SnapshotParts`] keep every
 //! section in key order, so [`diff`] and [`apply`] walk two sorted runs
-//! in step and keep no state between cycles. The `BTreeMap` codec they
-//! are property-tested against lives in the test-support crate
-//! `mantra-oracle`.
+//! in step and keep no state between cycles. A snapshot's tables are
+//! key-sorted runs themselves, so [`SnapshotParts::from_tables`] is a
+//! copy of contiguous rows, and [`SnapshotParts::rebuild`] assembles the
+//! tables through the same [`TablesBuilder`] the parsers use. The
+//! `BTreeMap` codec they are property-tested against lives in the
+//! test-support crate `mantra-oracle`.
 //!
 //! Reconstruction is lossless: replaying a log yields snapshots equal to
 //! the originals, which the property tests assert. Every replay — of a

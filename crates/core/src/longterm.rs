@@ -119,8 +119,9 @@ impl LifetimeStats {
 /// Each entity kind is split into what the last snapshot held (a
 /// key-sorted `Vec`) and what was seen before but is absent now (a map).
 /// [`LongTermTracker::observe`] merge-joins the present entities against
-/// the snapshot's keys, which arrive sorted from its `BTreeMap`s, and
-/// touches the departed map only for entities that return. A cycle
+/// the snapshot's keys, which its key-sorted tables hand over in order
+/// (one contiguous walk per table), and touches the departed map only
+/// for entities that return. A cycle
 /// therefore costs O(present + snapshot + changes · log departed): it
 /// does not grow with everything the router has ever shown.
 #[derive(Clone, Debug, Default)]

@@ -358,8 +358,10 @@ pub(crate) fn router_slot(
 /// fresh thread after about this many rows. On a shared 2-vCPU VM a
 /// spawn costs about 0.2 ms of CPU (the two-router paper week's cycles
 /// took 6.0 ms of CPU with ten spawns each, 4.1 ms with none) and a row
-/// about 1.5–1.8 µs through the five stages, so a spawn stays under ~2%
-/// of the 15–18 ms its 10k rows take.
+/// about 0.55–0.75 µs of the monitor's CPU through the five stages
+/// (fleet-ramp and paper-week ran at a median 1.80M and 1.35M rows per
+/// CPU-second), so a spawn stays under ~4% of the 5.5–7.5 ms its 10k
+/// rows take.
 pub(crate) const ROWS_PER_WORKER: u64 = 10_000;
 
 /// The fan-out width for `routers` routers whose previous cycle parsed

@@ -9,14 +9,20 @@
 //! ([`Capture`] keeps lines as spans, not `String`s): field splitting
 //! tolerates runs of spaces/tabs, and integers, addresses, prefixes and
 //! uptimes decode directly from bytes. Parsed rows go into a
-//! [`TablesBuilder`], which assembles the snapshot in key order. The
-//! string-materialising parser this replaced, with its row-at-a-time
-//! table inserts, lives on as the test-support crate `mantra-oracle`'s
-//! `processor::process`, property-tested byte-identical to this one
-//! (see `tests/prop_parse.rs`); the two stay in lock-step because every
-//! anchor the parsers match on is pure ASCII, and ASCII bytes can neither
-//! appear inside a multi-byte UTF-8 sequence nor be introduced by lossy
+//! [`TablesBuilder`], which hands its key-sorted runs over as the
+//! snapshot's tables. The string-materialising parser this replaced, with
+//! its row-at-a-time inserts into `BTreeMap`s of its own, lives on as the
+//! test-support crate `mantra-oracle`'s `processor::process`,
+//! property-tested byte-identical to this one (see
+//! `tests/prop_parse.rs`); the two stay in lock-step because every anchor
+//! the parsers match on is pure ASCII, and ASCII bytes can neither appear
+//! inside a multi-byte UTF-8 sequence nor be introduced by lossy
 //! decoding.
+//!
+//! An IOS `show ip mroute count` block is a header, at most one
+//! `Incoming interface:` line and a counter line; a counter line only
+//! ever completes the header directly before it, so a lost or garbled
+//! line costs its own block and never books counters to another pair.
 
 use mantra_net::{BitRate, GroupAddr, Ip, Prefix, SimDuration, SimTime};
 use mantra_router_cli::TableKind;
@@ -397,53 +403,44 @@ fn parse_mrouted_cache(cap: &Capture, rows: &mut TablesBuilder) -> KindStats {
     st
 }
 
-/// IOS `show ip mroute count` blocks: header pair line, interface line,
-/// counter line.
+/// An IOS mroute header waiting for the counter line that completes it.
+struct PendingPair {
+    source: Ip,
+    group: GroupAddr,
+    learned: LearnedFrom,
+    forwarding: bool,
+    /// Whether the block's one `Incoming interface:` line has been read.
+    interface_seen: bool,
+}
+
+/// IOS `show ip mroute count` blocks: a header pair line, at most one
+/// interface line, then the counter line that completes the pair. Any
+/// other line ends the pending block, so a counter line that does not
+/// belong to the header directly before it counts as malformed instead
+/// of completing an earlier pair.
 fn parse_ios_mroute(cap: &Capture, rows: &mut TablesBuilder) -> KindStats {
     let mut st = KindStats::default();
-    let mut pending: Option<(Ip, GroupAddr, bool, LearnedFrom)> = None;
-    let mut pending_forwarding = true;
+    let mut pending: Option<PendingPair> = None;
     for line in cap.lines() {
+        let open = pending.take();
         if line.starts_with(b"(") {
-            // `(1.2.3.4, 224.2.0.5), uptime 00:01:02, flags: SP`
-            let row = (|| {
-                let (src_s, grp_s, rest) = split_pair_head(line)?;
-                let source = if src_s == b"*" {
-                    Ip::UNSPECIFIED
-                } else {
-                    Ip::parse_bytes(src_s).ok()?
-                };
-                let group = GroupAddr::parse_bytes(grp_s).ok()?;
-                let flags = match find(rest, b"flags:") {
-                    Some(p) => trim(&rest[p + b"flags:".len()..]),
-                    None => &b""[..],
-                };
-                let learned = if flags.contains(&b'M') {
-                    LearnedFrom::Msdp
-                } else if flags.contains(&b'S') {
-                    LearnedFrom::Pim
-                } else {
-                    LearnedFrom::Dvmrp
-                };
-                let pruned = flags.contains(&b'P');
-                Some((source, group, pruned, learned))
-            })();
-            match row {
-                Some((s, g, pruned, learned)) => {
-                    pending = Some((s, g, pruned, learned));
-                    pending_forwarding = !pruned;
+            match parse_ios_mroute_header(line) {
+                Some(p) => {
+                    pending = Some(p);
                     st.parsed += 1;
                 }
                 None => st.malformed += 1,
             }
         } else if line.starts_with(b"Incoming interface:") {
-            if line.ends_with(b"Outgoing: Null") {
-                pending_forwarding = false;
-            }
+            pending = open.filter(|p| !p.interface_seen).map(|mut p| {
+                p.interface_seen = true;
+                p.forwarding &= !line.ends_with(b"Outgoing: Null");
+                p
+            });
             st.skipped += 1;
         } else if line.starts_with(b"Pkt count") {
             // `Pkt count 123, bytes 4567, rate 12 kbps`
-            let Some((source, group, _pruned, learned)) = pending.take() else {
+            let Some(p) = open else {
                 st.malformed += 1;
                 continue;
             };
@@ -456,12 +453,12 @@ fn parse_ios_mroute(cap: &Capture, rows: &mut TablesBuilder) -> KindStats {
                 }
             }
             rows.pair(PairRow {
-                source,
-                group,
+                source: p.source,
+                group: p.group,
                 current_bw: BitRate::from_kbps(kbps),
                 avg_bw: BitRate::from_kbps(kbps),
-                forwarding: pending_forwarding,
-                learned_from: learned,
+                forwarding: p.forwarding,
+                learned_from: p.learned,
             });
             st.parsed += 1;
         } else {
@@ -469,6 +466,35 @@ fn parse_ios_mroute(cap: &Capture, rows: &mut TablesBuilder) -> KindStats {
         }
     }
     st
+}
+
+/// `(1.2.3.4, 224.2.0.5), uptime 00:01:02, flags: SP`
+fn parse_ios_mroute_header(line: &[u8]) -> Option<PendingPair> {
+    let (src_s, grp_s, rest) = split_pair_head(line)?;
+    let source = if src_s == b"*" {
+        Ip::UNSPECIFIED
+    } else {
+        Ip::parse_bytes(src_s).ok()?
+    };
+    let group = GroupAddr::parse_bytes(grp_s).ok()?;
+    let flags = match find(rest, b"flags:") {
+        Some(p) => trim(&rest[p + b"flags:".len()..]),
+        None => &b""[..],
+    };
+    let learned = if flags.contains(&b'M') {
+        LearnedFrom::Msdp
+    } else if flags.contains(&b'S') {
+        LearnedFrom::Pim
+    } else {
+        LearnedFrom::Dvmrp
+    };
+    Some(PendingPair {
+        source,
+        group,
+        learned,
+        forwarding: !flags.contains(&b'P'),
+        interface_seen: false,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -596,6 +622,7 @@ mod tests {
         (TableKind::DvmrpRoutes, "DVMRP Routing Table (2 entries)\n totally bogus line here\n 128.111.0.0/16 10.128.0.2 3 25 1 1*\n"),
         (TableKind::MbgpRoutes, "mrouted: unknown command 'show ip mbgp'\n"),
         (TableKind::SaCache, "%MSDP not enabled\n"),
+        (TableKind::ForwardingCache, "IP Multicast Statistics\n(1.1.1.1, 224.2.0.1), uptime 00:01:00, flags: D\n  Incoming interface: Vif1, Outgoing: Vif2\n(garbage, 224.2.0.2), uptime 00:01:00, flags: D\n  Incoming interface: Vif1, Outgoing: Null\n  Pkt count 5, bytes 10, rate 99 kbps\n(1.1.1.3, 224.2.0.3), uptime 00:01:00, flags: S\n  Pkt count 7, bytes 14, rate 7 kbps\n"),
     ];
 
     #[test]
@@ -704,6 +731,21 @@ mod tests {
         assert!(!tables.pairs[&star].forwarding);
         // Wildcard rows don't fabricate participants.
         assert_eq!(tables.participants.len(), 1);
+    }
+
+    #[test]
+    fn ios_counters_complete_only_the_header_directly_before_them() {
+        // The first block lost its counter line and the second block's
+        // header is garbled: the second block's counters belong to no
+        // parsed header, so they are malformed, not the first pair's.
+        // The third block has no interface line; its counters still
+        // complete it.
+        let (tables, st) = process(&[cap(TableKind::ForwardingCache, UNIT_CORPUS[10].1)]);
+        assert_eq!((st.parsed, st.malformed, st.skipped), (3, 2, 3), "{st:?}");
+        assert_eq!(tables.pairs.len(), 1, "{:?}", tables.pairs);
+        let sg = ("224.2.0.3".parse().unwrap(), Ip::new(1, 1, 1, 3));
+        assert_eq!(tables.pairs[&sg].current_bw, BitRate::from_kbps(7));
+        assert!(tables.pairs[&sg].forwarding);
     }
 
     #[test]

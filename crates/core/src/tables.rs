@@ -6,19 +6,26 @@
 //! downstream (logging, statistics, display) touches it.
 //!
 //! Rows are plain serde-serialisable structs keyed for deterministic
-//! ordering, which the delta logger depends on.
+//! ordering, which the delta logger depends on. Each table is a
+//! [`SortedMap`]: one strictly key-sorted `Vec` of `(key, row)` entries,
+//! so a snapshot's rows are contiguous, every later stage walks them in
+//! key order, and dropping a snapshot frees one buffer per table.
 //!
 //! A snapshot is assembled in key order: the parsers and the archive
 //! replay push rows into a [`TablesBuilder`] in arrival order, and
 //! [`TablesBuilder::build`] sorts each kind once (a linear pass when, as
-//! from the simulated CLIs, rows already arrive in key order) and bulk
-//! builds the maps from the sorted runs. [`Tables::add_pair`] and
-//! [`Tables::add_route`] stay as the row-at-a-time definition the builder
-//! is tested against; the string parser in the test-support crate
-//! `mantra-oracle` inserts through them.
+//! from the simulated CLIs, rows already arrive in key order) and hands
+//! the sorted runs over as the tables themselves. [`Tables::add_pair`]
+//! and [`Tables::add_route`] stay as the row-at-a-time definition the
+//! builder is tested against (and the SNMP manager's way in); an insert
+//! out of key order shifts the rows after it, so bulk assembly never
+//! goes through them.
 
-use std::collections::BTreeMap;
+use std::fmt;
+use std::ops::{Bound, Index, RangeBounds};
 
+use serde::de::Deserializer;
+use serde::ser::Serializer;
 use serde::{Deserialize, Serialize};
 
 use mantra_net::{BitRate, GroupAddr, Ip, Prefix, SimDuration, SimTime};
@@ -105,34 +112,241 @@ pub struct RouteRow {
     pub learned_from: LearnedFrom,
 }
 
-/// Serialises keyed maps as entry lists: JSON object keys must be strings,
-/// and these maps are keyed by structured types.
-mod map_as_entries {
-    use std::collections::BTreeMap;
+/// A map kept as one strictly key-sorted `Vec` of entries, with the part
+/// of `BTreeMap`'s API the workspace uses.
+///
+/// A snapshot is assembled once from runs that are already in key order
+/// ([`TablesBuilder::build`] hands them over as they are) and then read
+/// many times — Enrich, the logger, the statistics, the consistency
+/// sweep, the pages — so every walk reads contiguous rows and dropping a
+/// snapshot frees one buffer per table. A lookup is a binary search. An
+/// insert out of key order shifts the entries after it, which suits the
+/// row-at-a-time definitions ([`Tables::add_pair`]) and hand-built
+/// tables, not bulk assembly.
+///
+/// It serialises as the entry list `[[key, value], …]` (JSON object keys
+/// must be strings, and these maps are keyed by structured types), and
+/// collecting entries keeps the last value of a repeated key, as repeated
+/// `BTreeMap` inserts do.
+#[derive(Clone, PartialEq)]
+pub struct SortedMap<K, V> {
+    entries: Vec<(K, V)>,
+}
 
-    use serde::de::Deserializer;
-    use serde::ser::Serializer;
-    use serde::{Deserialize, Serialize};
+impl<K, V> Default for SortedMap<K, V> {
+    fn default() -> Self {
+        SortedMap::new()
+    }
+}
 
-    /// Serialise as a `Vec<(K, V)>`.
-    pub fn serialize<K, V, S>(map: &BTreeMap<K, V>, s: S) -> Result<S::Ok, S::Error>
-    where
-        K: Serialize + Ord,
-        V: Serialize,
-        S: Serializer,
-    {
-        s.collect_seq(map.iter())
+impl<K, V> SortedMap<K, V> {
+    /// An empty map.
+    pub const fn new() -> Self {
+        SortedMap {
+            entries: Vec::new(),
+        }
     }
 
-    /// Deserialise from a `Vec<(K, V)>`.
-    pub fn deserialize<'de, K, V, D>(d: D) -> Result<BTreeMap<K, V>, D::Error>
-    where
-        K: Deserialize<'de> + Ord,
-        V: Deserialize<'de>,
-        D: Deserializer<'de>,
-    {
-        let entries = Vec::<(K, V)>::deserialize(d)?;
-        Ok(entries.into_iter().collect())
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True when the map holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Entries in key order.
+    pub fn iter(&self) -> Iter<'_, K, V> {
+        Iter(self.entries.iter())
+    }
+
+    /// Entries in key order, values mutable.
+    pub fn iter_mut(
+        &mut self,
+    ) -> impl DoubleEndedIterator<Item = (&K, &mut V)> + ExactSizeIterator {
+        self.entries.iter_mut().map(|(k, v)| (&*k, v))
+    }
+
+    /// Keys in order.
+    pub fn keys(&self) -> impl DoubleEndedIterator<Item = &K> + ExactSizeIterator + Clone {
+        self.entries.iter().map(|(k, _)| k)
+    }
+
+    /// Values in key order.
+    pub fn values(&self) -> impl DoubleEndedIterator<Item = &V> + ExactSizeIterator + Clone {
+        self.entries.iter().map(|(_, v)| v)
+    }
+
+    /// Values in key order, mutable.
+    pub fn values_mut(&mut self) -> impl DoubleEndedIterator<Item = &mut V> + ExactSizeIterator {
+        self.entries.iter_mut().map(|(_, v)| v)
+    }
+}
+
+impl<K: Ord, V> SortedMap<K, V> {
+    /// Wraps entries that are already in strict key order.
+    ///
+    /// The buffer is trimmed to the entries: a snapshot outlives the
+    /// cycle that built it, and growth slack would stay resident with it.
+    pub(crate) fn from_sorted(mut entries: Vec<(K, V)>) -> Self {
+        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+        entries.shrink_to_fit();
+        SortedMap { entries }
+    }
+
+    fn search(&self, key: &K) -> Result<usize, usize> {
+        self.entries.binary_search_by(|(k, _)| k.cmp(key))
+    }
+
+    /// The value under `key`.
+    pub fn get(&self, key: &K) -> Option<&V> {
+        self.search(key).ok().map(|i| &self.entries[i].1)
+    }
+
+    /// The value under `key`, mutable.
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.search(key).ok().map(|i| &mut self.entries[i].1)
+    }
+
+    /// Whether `key` has an entry.
+    pub fn contains_key(&self, key: &K) -> bool {
+        self.search(key).is_ok()
+    }
+
+    /// Sets `key` to `value`, returning the value it replaced.
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        match self.search(&key) {
+            Ok(i) => Some(std::mem::replace(&mut self.entries[i].1, value)),
+            Err(i) => {
+                self.entries.insert(i, (key, value));
+                None
+            }
+        }
+    }
+
+    /// The slot for `key`, filled or not.
+    pub fn entry(&mut self, key: K) -> Entry<'_, K, V> {
+        let at = self.search(&key);
+        Entry { map: self, key, at }
+    }
+
+    /// Removes `key`'s entry, returning its value.
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        self.search(key).ok().map(|i| self.entries.remove(i).1)
+    }
+
+    /// The entries whose keys fall in `range`, in key order.
+    pub fn range(&self, range: impl RangeBounds<K>) -> Iter<'_, K, V> {
+        let start = match range.start_bound() {
+            Bound::Included(k) => self.entries.partition_point(|(e, _)| e < k),
+            Bound::Excluded(k) => self.entries.partition_point(|(e, _)| e <= k),
+            Bound::Unbounded => 0,
+        };
+        let end = match range.end_bound() {
+            Bound::Included(k) => self.entries.partition_point(|(e, _)| e <= k),
+            Bound::Excluded(k) => self.entries.partition_point(|(e, _)| e < k),
+            Bound::Unbounded => self.entries.len(),
+        };
+        Iter(self.entries[start..end.max(start)].iter())
+    }
+}
+
+/// A slot of a [`SortedMap`], from [`SortedMap::entry`].
+pub struct Entry<'a, K, V> {
+    map: &'a mut SortedMap<K, V>,
+    key: K,
+    at: Result<usize, usize>,
+}
+
+impl<'a, K, V> Entry<'a, K, V> {
+    /// The slot's value, first set to `make()` when the key had none.
+    pub fn or_insert_with(self, make: impl FnOnce() -> V) -> &'a mut V {
+        let i = match self.at {
+            Ok(i) => i,
+            Err(i) => {
+                self.map.entries.insert(i, (self.key, make()));
+                i
+            }
+        };
+        &mut self.map.entries[i].1
+    }
+}
+
+/// A [`SortedMap`]'s entries as `(&key, &value)`, in key order.
+#[derive(Clone)]
+pub struct Iter<'a, K, V>(std::slice::Iter<'a, (K, V)>);
+
+impl<'a, K, V> Iterator for Iter<'a, K, V> {
+    type Item = (&'a K, &'a V);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        self.0.next().map(|(k, v)| (k, v))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+}
+
+impl<K, V> DoubleEndedIterator for Iter<'_, K, V> {
+    fn next_back(&mut self) -> Option<Self::Item> {
+        self.0.next_back().map(|(k, v)| (k, v))
+    }
+}
+
+impl<K, V> ExactSizeIterator for Iter<'_, K, V> {}
+
+impl<'a, K, V> IntoIterator for &'a SortedMap<K, V> {
+    type Item = (&'a K, &'a V);
+    type IntoIter = Iter<'a, K, V>;
+
+    fn into_iter(self) -> Iter<'a, K, V> {
+        self.iter()
+    }
+}
+
+impl<K: Ord, V> Index<&K> for SortedMap<K, V> {
+    type Output = V;
+
+    /// Panics when `key` has no entry, as `BTreeMap`'s index does.
+    fn index(&self, key: &K) -> &V {
+        self.get(key).expect("no entry found for key")
+    }
+}
+
+impl<K: Ord, V> FromIterator<(K, V)> for SortedMap<K, V> {
+    /// Sorts the entries by key, stably, and keeps each key's last value.
+    fn from_iter<I: IntoIterator<Item = (K, V)>>(entries: I) -> Self {
+        let mut entries: Vec<(K, V)> = entries.into_iter().collect();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        entries.dedup_by(|later, kept| {
+            let repeat = later.0 == kept.0;
+            if repeat {
+                std::mem::swap(later, kept);
+            }
+            repeat
+        });
+        SortedMap::from_sorted(entries)
+    }
+}
+
+impl<K: fmt::Debug, V: fmt::Debug> fmt::Debug for SortedMap<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl<K: Serialize, V: Serialize> Serialize for SortedMap<K, V> {
+    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        s.collect_seq(self.iter())
+    }
+}
+
+impl<'de, K: Deserialize<'de> + Ord, V: Deserialize<'de>> Deserialize<'de> for SortedMap<K, V> {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        Ok(Vec::<(K, V)>::deserialize(d)?.into_iter().collect())
     }
 }
 
@@ -144,23 +358,18 @@ pub struct Tables {
     /// Router the tables came from.
     pub router: String,
     /// `(S,G)` pairs keyed by `(group, source)`.
-    #[serde(with = "map_as_entries")]
-    pub pairs: BTreeMap<(GroupAddr, Ip), PairRow>,
+    pub pairs: SortedMap<(GroupAddr, Ip), PairRow>,
     /// Participants keyed by host address.
-    #[serde(with = "map_as_entries")]
-    pub participants: BTreeMap<Ip, ParticipantRow>,
+    pub participants: SortedMap<Ip, ParticipantRow>,
     /// Sessions keyed by group.
-    #[serde(with = "map_as_entries")]
-    pub sessions: BTreeMap<GroupAddr, SessionRow>,
+    pub sessions: SortedMap<GroupAddr, SessionRow>,
     /// Routes keyed by protocol and prefix (a border router holds both a
     /// DVMRP and an MBGP table; they may carry the same prefix).
-    #[serde(with = "map_as_entries")]
-    pub routes: BTreeMap<(LearnedFrom, Prefix), RouteRow>,
+    pub routes: SortedMap<(LearnedFrom, Prefix), RouteRow>,
     /// The MSDP source-active cache: `(group, source) -> first-learned`.
     /// Kept separate from the pair table — SA entries advertise sessions
     /// but say nothing about forwarding state at this router.
-    #[serde(with = "map_as_entries")]
-    pub sa_cache: BTreeMap<(GroupAddr, Ip), SimTime>,
+    pub sa_cache: SortedMap<(GroupAddr, Ip), SimTime>,
 }
 
 impl Tables {
@@ -253,15 +462,16 @@ impl Tables {
 /// session, then, in arrival order, [`Tables::add_pair`] per pair,
 /// [`Tables::add_route`] per route, `sessions.entry(group).or_insert_with`
 /// per IGMP sighting and `sa_cache.insert` per SA entry. It gets there
-/// without a map insert per row. Pairs, routes and SA entries are
-/// stable-sorted by map key (the last row of a key wins, as repeated
-/// inserts leave it) and each map is built in bulk from the distinct,
-/// sorted run; participants are counted off the sorted sources; sessions
-/// take one map entry per run of same-group pair rows.
+/// without a map insert per row. Pairs, routes and SA entries are kept
+/// under their map keys and collected into their [`SortedMap`]s, which
+/// stable-sort them (one linear pass over a run already in key order)
+/// and keep the last row of a key, as repeated inserts leave it;
+/// participants are counted off the sorted sources; sessions fold one
+/// contribution per run of same-group pair rows.
 #[derive(Debug, Default)]
 pub struct TablesBuilder {
-    pairs: Vec<PairRow>,
-    routes: Vec<RouteRow>,
+    pairs: Vec<((GroupAddr, Ip), PairRow)>,
+    routes: Vec<((LearnedFrom, Prefix), RouteRow)>,
     /// IGMP sightings: the group, the capture's time, and how many pair
     /// rows had arrived before it.
     sightings: Vec<(GroupAddr, SimTime, usize)>,
@@ -284,12 +494,12 @@ impl TablesBuilder {
 
     /// An `(S,G)` row, as [`Tables::add_pair`].
     pub fn pair(&mut self, row: PairRow) {
-        self.pairs.push(row);
+        self.pairs.push(((row.group, row.source), row));
     }
 
     /// A route row, as [`Tables::add_route`].
     pub fn route(&mut self, row: RouteRow) {
-        self.routes.push(row);
+        self.routes.push(((row.learned_from, row.prefix), row));
     }
 
     /// IGMP membership of `group` in a capture taken at `at`: the session
@@ -319,7 +529,7 @@ impl TablesBuilder {
 
         let mut hosts: Vec<Ip> = pairs
             .iter()
-            .map(|p| p.source)
+            .map(|((_, source), _)| *source)
             .filter(|s| !s.is_unspecified())
             .collect();
         hosts.sort_unstable();
@@ -339,52 +549,40 @@ impl TablesBuilder {
             }
         }
 
-        let pairs = last_per_key(pairs, |p| (p.group, p.source));
-        let routes = last_per_key(routes, |r| (r.learned_from, r.prefix));
-        let sa_cache = last_per_key(sa, |e| e.0).into_iter().map(|(k, e)| (k, e.1));
         Tables {
             captured_at,
             router: router.into(),
             pairs: pairs.into_iter().collect(),
-            participants: participants.into_iter().collect(),
+            participants: SortedMap::from_sorted(participants),
             sessions,
             routes: routes.into_iter().collect(),
-            sa_cache: sa_cache.collect(),
+            sa_cache: sa.into_iter().collect(),
         }
     }
 }
 
 /// Stable-sorts `rows` by key and keeps the last row of each key — what
 /// inserting them one by one into a map leaves behind — as a distinct,
-/// sorted run for a bulk build.
-pub(crate) fn last_per_key<K: Ord, V>(mut rows: Vec<V>, key: impl Fn(&V) -> K) -> Vec<(K, V)> {
-    rows.sort_by_key(&key);
-    let mut out: Vec<(K, V)> = Vec::with_capacity(rows.len());
-    for row in rows {
-        let k = key(&row);
-        match out.last_mut() {
-            Some(last) if last.0 == k => last.1 = row,
-            _ => out.push((k, row)),
-        }
-    }
-    out
+/// sorted run.
+pub(crate) fn last_per_key<K: Ord, V>(rows: Vec<V>, key: impl Fn(&V) -> K) -> Vec<(K, V)> {
+    let map: SortedMap<K, V> = rows.into_iter().map(|row| (key(&row), row)).collect();
+    map.entries
 }
 
-/// The Session table, folded in arrival order: the seeds, then pair rows
-/// and IGMP sightings as they came. A session's `first_seen` is its
-/// first contribution's time, so the order matters, but a run of pair
-/// rows of one group folds through a single map entry; collectors list
-/// pairs grouped, so that is one entry per session, not one per row.
+/// The Session table, as the arrival-order inserts fold it: the seeds,
+/// then pair rows and IGMP sightings as they came. A session's
+/// `first_seen` is its first contribution's time, so the order within a
+/// group matters; across groups it does not. Each sighting and each run
+/// of same-group pair rows (collectors list pairs grouped) becomes one
+/// contribution; a stable sort by group brings each group's
+/// contributions together, seeds first and the rest in arrival order,
+/// and one pass folds them.
 fn fold_sessions(
     seeds: Vec<SessionRow>,
-    pairs: &[PairRow],
+    pairs: &[((GroupAddr, Ip), PairRow)],
     sightings: Vec<(GroupAddr, SimTime, usize)>,
     at: SimTime,
-) -> BTreeMap<GroupAddr, SessionRow> {
-    let mut sessions = BTreeMap::new();
-    for s in seeds {
-        sessions.insert(s.group, s);
-    }
+) -> SortedMap<GroupAddr, SessionRow> {
     let new_row = |group, first_advertised, first_seen| SessionRow {
         group,
         name: None,
@@ -393,32 +591,43 @@ fn fold_sessions(
         first_advertised,
         first_seen,
     };
+    // `true` marks a seed, which replaces an earlier seed of its group.
+    let mut arrivals: Vec<(bool, SessionRow)> = seeds.into_iter().map(|s| (true, s)).collect();
     let mut sightings = sightings.into_iter().peekable();
     let mut start = 0;
-    while let Some(first) = pairs.get(start) {
+    while let Some((_, first)) = pairs.get(start) {
         while let Some((g, t, _)) = sightings.next_if(|s| s.2 <= start) {
-            sessions
-                .entry(g)
-                .or_insert_with(|| new_row(g, LearnedFrom::Igmp, t));
+            arrivals.push((false, new_row(g, LearnedFrom::Igmp, t)));
         }
         let g = first.group;
-        let run = pairs[start..].iter().take_while(|p| p.group == g);
-        let s = sessions
-            .entry(g)
-            .or_insert_with(|| new_row(g, first.learned_from, at));
-        for p in run {
+        let mut s = new_row(g, first.learned_from, at);
+        for (_, p) in pairs[start..].iter().take_while(|(_, p)| p.group == g) {
             s.density += u32::from(!p.source.is_unspecified());
             s.bandwidth += p.current_bw;
             s.first_advertised = s.first_advertised.min(p.learned_from);
             start += 1;
         }
+        arrivals.push((false, s));
     }
-    for (g, t, _) in sightings {
-        sessions
-            .entry(g)
-            .or_insert_with(|| new_row(g, LearnedFrom::Igmp, t));
+    arrivals.extend(sightings.map(|(g, t, _)| (false, new_row(g, LearnedFrom::Igmp, t))));
+    arrivals.sort_by_key(|(_, s)| s.group);
+
+    let mut sessions: Vec<(GroupAddr, SessionRow)> = Vec::with_capacity(arrivals.len());
+    for (seed, s) in arrivals {
+        match sessions.last_mut() {
+            Some((g, kept)) if *g == s.group => {
+                if seed {
+                    *kept = s;
+                } else {
+                    kept.density += s.density;
+                    kept.bandwidth += s.bandwidth;
+                    kept.first_advertised = kept.first_advertised.min(s.first_advertised);
+                }
+            }
+            _ => sessions.push((s.group, s)),
+        }
     }
-    sessions
+    SortedMap::from_sorted(sessions)
 }
 
 #[cfg(test)]

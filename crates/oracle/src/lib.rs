@@ -6,9 +6,13 @@
 //! tests and the `ablation_*` benches compare against, and nowhere in
 //! the shipped library:
 //!
-//! * [`processor::process`] — the string parser with row-at-a-time
-//!   table inserts, for the zero-copy `mantra_core::processor::process`
+//! * [`collector::effective_lines`] — the line-at-a-time capture
+//!   scanner, for the word-at-a-time `mantra_core::collector::preprocess_bytes`
 //!   (`tests/prop_parse.rs`, the `ablation_parse` bench);
+//! * [`processor::process`] — the string parser with row-at-a-time
+//!   inserts into its own `BTreeMap`s, for the zero-copy
+//!   `mantra_core::processor::process` (`tests/prop_parse.rs`, the
+//!   `ablation_parse` bench);
 //! * [`logger::diff_reference`] and [`logger::apply_reference`] — the
 //!   `BTreeMap` delta codec, for the merge-join `logger::diff`/`apply`
 //!   (`tests/prop_pipeline.rs`, the `ablation_delta_codec` bench);
@@ -27,6 +31,7 @@
 //! and only as a dev-dependency.
 
 pub mod anomaly;
+pub mod collector;
 pub mod logger;
 pub mod processor;
 pub mod stats;

@@ -1,13 +1,18 @@
 //! The string parser: each capture's lines materialised as owned
 //! `String`s (lossily decoded), every row parsed through `str` APIs and
-//! inserted into the tables one row at a time. Same dialect detection,
-//! same row grammars and same accounting as the shipped zero-copy byte
-//! parser, which `tests/prop_parse.rs` holds byte-identical to this one
-//! and the `ablation_parse` bench measures against it.
+//! inserted into `BTreeMap`s one row at a time, the snapshot converted to
+//! [`Tables`] once at the end. Same dialect detection, same row grammars
+//! and same accounting as the shipped zero-copy byte parser, which
+//! `tests/prop_parse.rs` holds byte-identical to this one and the
+//! `ablation_parse` bench measures against it. The maps are its own, so
+//! the reference shares neither the shipped builder nor the insert path
+//! of the tables' sorted map.
+
+use std::collections::BTreeMap;
 
 use mantra_core::collector::Capture;
 use mantra_core::processor::{KindStats, ParseStats};
-use mantra_core::tables::{LearnedFrom, PairRow, RouteRow, SessionRow, Tables};
+use mantra_core::tables::{LearnedFrom, PairRow, ParticipantRow, RouteRow, SessionRow, Tables};
 use mantra_net::{BitRate, GroupAddr, Ip, Prefix, SimDuration, SimTime};
 use mantra_router_cli::TableKind;
 
@@ -23,25 +28,87 @@ pub fn process(captures: &[Capture]) -> (Tables, ParseStats) {
             return (Tables::default(), stats);
         }
     }
-    let mut tables = match captures.first() {
-        Some(first) => Tables::new(first.router.as_str(), first.captured_at),
-        None => Tables::new("", SimTime::default()),
-    };
+    let at = captures.first().map(|c| c.captured_at).unwrap_or_default();
+    let mut maps = Maps::default();
     for cap in captures {
         let lines = cap.text_lines();
         let s = match cap.kind {
-            TableKind::DvmrpRoutes => parse_dvmrp_routes(&lines, &mut tables),
-            TableKind::ForwardingCache => parse_forwarding(&lines, &mut tables),
-            TableKind::IgmpGroups => parse_igmp(cap, &lines, &mut tables),
-            TableKind::MbgpRoutes => parse_mbgp(&lines, &mut tables),
-            TableKind::SaCache => parse_sa_cache(cap, &lines, &mut tables),
+            TableKind::DvmrpRoutes => parse_dvmrp_routes(&lines, &mut maps),
+            TableKind::ForwardingCache => parse_forwarding(&lines, &mut maps, at),
+            TableKind::IgmpGroups => parse_igmp(cap, &lines, &mut maps),
+            TableKind::MbgpRoutes => parse_mbgp(&lines, &mut maps),
+            TableKind::SaCache => parse_sa_cache(cap, &lines, &mut maps),
         };
         stats.parsed += s.parsed;
         stats.malformed += s.malformed;
         stats.skipped += s.skipped;
         stats.per_kind[cap.kind.index()].merge(s);
     }
-    (tables, stats)
+    let router = captures.first().map_or("", |c| c.router.as_str());
+    (maps.into_tables(router, at), stats)
+}
+
+/// The snapshot under construction, one `BTreeMap` per table.
+#[derive(Default)]
+struct Maps {
+    pairs: BTreeMap<(GroupAddr, Ip), PairRow>,
+    participants: BTreeMap<Ip, ParticipantRow>,
+    sessions: BTreeMap<GroupAddr, SessionRow>,
+    routes: BTreeMap<(LearnedFrom, Prefix), RouteRow>,
+    sa_cache: BTreeMap<(GroupAddr, Ip), SimTime>,
+}
+
+impl Maps {
+    /// Inserts a pair captured at `at` and folds it into its participant
+    /// and session: a wildcard source makes no participant and adds no
+    /// density, and a session keeps the highest-precedence protocol.
+    fn add_pair(&mut self, row: PairRow, at: SimTime) {
+        let (source, group) = (row.source, row.group);
+        let (learned, bw) = (row.learned_from, row.current_bw);
+        self.pairs.insert((group, source), row);
+        if !source.is_unspecified() {
+            let p = self
+                .participants
+                .entry(source)
+                .or_insert_with(|| ParticipantRow {
+                    host: source,
+                    name: None,
+                    group_count: 0,
+                    first_seen: at,
+                });
+            p.group_count += 1;
+        }
+        let s = self.sessions.entry(group).or_insert_with(|| SessionRow {
+            group,
+            name: None,
+            density: 0,
+            bandwidth: BitRate::ZERO,
+            first_advertised: learned,
+            first_seen: at,
+        });
+        if !source.is_unspecified() {
+            s.density += 1;
+        }
+        s.bandwidth += bw;
+        s.first_advertised = s.first_advertised.min(learned);
+    }
+
+    fn add_route(&mut self, row: RouteRow) {
+        self.routes.insert((row.learned_from, row.prefix), row);
+    }
+
+    /// The finished snapshot: each map handed over in key order.
+    fn into_tables(self, router: &str, at: SimTime) -> Tables {
+        Tables {
+            captured_at: at,
+            router: router.to_string(),
+            pairs: self.pairs.into_iter().collect(),
+            participants: self.participants.into_iter().collect(),
+            sessions: self.sessions.into_iter().collect(),
+            routes: self.routes.into_iter().collect(),
+            sa_cache: self.sa_cache.into_iter().collect(),
+        }
+    }
 }
 
 /// Parses `hh:mm:ss` or `NdHHh` IOS uptimes.
@@ -70,7 +137,7 @@ fn split_pair_head(line: &str) -> Option<(&str, &str, &str)> {
     Some((src_s.trim(), grp_s.trim(), rest))
 }
 
-fn parse_dvmrp_routes(lines: &[String], tables: &mut Tables) -> KindStats {
+fn parse_dvmrp_routes(lines: &[String], maps: &mut Maps) -> KindStats {
     let mut st = KindStats::default();
     let ios = lines
         .first()
@@ -91,7 +158,7 @@ fn parse_dvmrp_routes(lines: &[String], tables: &mut Tables) -> KindStats {
         };
         match parsed {
             Some(row) => {
-                tables.add_route(row);
+                maps.add_route(row);
                 st.parsed += 1;
             }
             None => st.malformed += 1,
@@ -158,18 +225,18 @@ fn parse_ios_dvmrp_row(line: &str) -> Option<RouteRow> {
     })
 }
 
-fn parse_forwarding(lines: &[String], tables: &mut Tables) -> KindStats {
+fn parse_forwarding(lines: &[String], maps: &mut Maps, at: SimTime) -> KindStats {
     let ios = lines
         .first()
         .is_some_and(|l| l.starts_with("IP Multicast Statistics"));
     if ios {
-        parse_ios_mroute(lines, tables)
+        parse_ios_mroute(lines, maps, at)
     } else {
-        parse_mrouted_cache(lines, tables)
+        parse_mrouted_cache(lines, maps, at)
     }
 }
 
-fn parse_mrouted_cache(lines: &[String], tables: &mut Tables) -> KindStats {
+fn parse_mrouted_cache(lines: &[String], maps: &mut Maps, at: SimTime) -> KindStats {
     let mut st = KindStats::default();
     for line in lines {
         if line.starts_with("Multicast Routing Cache")
@@ -205,7 +272,7 @@ fn parse_mrouted_cache(lines: &[String], tables: &mut Tables) -> KindStats {
         })();
         match row {
             Some(r) => {
-                tables.add_pair(r);
+                maps.add_pair(r, at);
                 st.parsed += 1;
             }
             None => st.malformed += 1,
@@ -214,13 +281,18 @@ fn parse_mrouted_cache(lines: &[String], tables: &mut Tables) -> KindStats {
     st
 }
 
-fn parse_ios_mroute(lines: &[String], tables: &mut Tables) -> KindStats {
+/// IOS `show ip mroute count` blocks. A counter line completes the
+/// header directly before it, or the header before that header's one
+/// interface line; any other line ends the block.
+fn parse_ios_mroute(lines: &[String], maps: &mut Maps, at: SimTime) -> KindStats {
     let mut st = KindStats::default();
-    let mut pending: Option<(Ip, GroupAddr, bool, LearnedFrom)> = None;
-    let mut pending_forwarding = true;
+    // The header awaiting its counters (source, group, protocol, whether
+    // forwarding) and how many interface lines have followed it.
+    let mut pending: Option<((Ip, GroupAddr, LearnedFrom, bool), u8)> = None;
     for line in lines {
+        let open = pending.take();
         if line.starts_with('(') {
-            let row = (|| {
+            let header = (|| {
                 let (src_s, grp_s, rest) = split_pair_head(line)?;
                 let source = if src_s == "*" {
                     Ip::UNSPECIFIED
@@ -239,24 +311,23 @@ fn parse_ios_mroute(lines: &[String], tables: &mut Tables) -> KindStats {
                 } else {
                     LearnedFrom::Dvmrp
                 };
-                let pruned = flags.contains('P');
-                Some((source, group, pruned, learned))
+                Some((source, group, learned, !flags.contains('P')))
             })();
-            match row {
-                Some((s, g, pruned, learned)) => {
-                    pending = Some((s, g, pruned, learned));
-                    pending_forwarding = !pruned;
+            match header {
+                Some(h) => {
+                    pending = Some((h, 0));
                     st.parsed += 1;
                 }
                 None => st.malformed += 1,
             }
         } else if line.starts_with("Incoming interface:") {
-            if line.ends_with("Outgoing: Null") {
-                pending_forwarding = false;
+            if let Some(((s, g, learned, forwarding), 0)) = open {
+                let forwarding = forwarding && !line.ends_with("Outgoing: Null");
+                pending = Some(((s, g, learned, forwarding), 1));
             }
             st.skipped += 1;
         } else if line.starts_with("Pkt count") {
-            let Some((source, group, _pruned, learned)) = pending.take() else {
+            let Some(((source, group, learned, forwarding), _)) = open else {
                 st.malformed += 1;
                 continue;
             };
@@ -268,14 +339,17 @@ fn parse_ios_mroute(lines: &[String], tables: &mut Tables) -> KindStats {
                     break;
                 }
             }
-            tables.add_pair(PairRow {
-                source,
-                group,
-                current_bw: BitRate::from_kbps(kbps),
-                avg_bw: BitRate::from_kbps(kbps),
-                forwarding: pending_forwarding,
-                learned_from: learned,
-            });
+            maps.add_pair(
+                PairRow {
+                    source,
+                    group,
+                    current_bw: BitRate::from_kbps(kbps),
+                    avg_bw: BitRate::from_kbps(kbps),
+                    forwarding,
+                    learned_from: learned,
+                },
+                at,
+            );
             st.parsed += 1;
         } else {
             st.skipped += 1;
@@ -284,7 +358,7 @@ fn parse_ios_mroute(lines: &[String], tables: &mut Tables) -> KindStats {
     st
 }
 
-fn parse_igmp(cap: &Capture, lines: &[String], tables: &mut Tables) -> KindStats {
+fn parse_igmp(cap: &Capture, lines: &[String], maps: &mut Maps) -> KindStats {
     let mut st = KindStats::default();
     for line in lines {
         let mut f = line.split_ascii_whitespace();
@@ -300,7 +374,7 @@ fn parse_igmp(cap: &Capture, lines: &[String], tables: &mut Tables) -> KindStats
         match group {
             Some(g) => {
                 let at = cap.captured_at;
-                tables.sessions.entry(g).or_insert_with(|| SessionRow {
+                maps.sessions.entry(g).or_insert_with(|| SessionRow {
                     group: g,
                     name: None,
                     density: 0,
@@ -316,7 +390,7 @@ fn parse_igmp(cap: &Capture, lines: &[String], tables: &mut Tables) -> KindStats
     st
 }
 
-fn parse_mbgp(lines: &[String], tables: &mut Tables) -> KindStats {
+fn parse_mbgp(lines: &[String], maps: &mut Maps) -> KindStats {
     let mut st = KindStats::default();
     for line in lines {
         let mut f = line.split_ascii_whitespace();
@@ -339,7 +413,7 @@ fn parse_mbgp(lines: &[String], tables: &mut Tables) -> KindStats {
         })();
         match row {
             Some(r) => {
-                tables.add_route(r);
+                maps.add_route(r);
                 st.parsed += 1;
             }
             None => st.malformed += 1,
@@ -348,7 +422,7 @@ fn parse_mbgp(lines: &[String], tables: &mut Tables) -> KindStats {
     st
 }
 
-fn parse_sa_cache(cap: &Capture, lines: &[String], tables: &mut Tables) -> KindStats {
+fn parse_sa_cache(cap: &Capture, lines: &[String], maps: &mut Maps) -> KindStats {
     let mut st = KindStats::default();
     for line in lines {
         if !line.starts_with('(') {
@@ -372,7 +446,7 @@ fn parse_sa_cache(cap: &Capture, lines: &[String], tables: &mut Tables) -> KindS
         match entry {
             Some((g, s, ago)) => {
                 let first = SimTime(cap.captured_at.as_secs().saturating_sub(ago.as_secs()));
-                tables.sa_cache.insert((g, s), first);
+                maps.sa_cache.insert((g, s), first);
                 st.parsed += 1;
             }
             None => st.malformed += 1,

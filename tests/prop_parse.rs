@@ -4,26 +4,36 @@
 //! terminal can deliver: live simulator cycles, the golden messy-capture
 //! corpus, the processor unit tests' corpus, and arbitrary garbage
 //! including ANSI noise, interior carriage returns, truncation and
-//! non-UTF-8 bytes. Neither parser may ever panic.
+//! non-UTF-8 bytes. Neither parser may ever panic. Beneath both, the
+//! word-at-a-time capture scanner must select exactly the effective
+//! lines of the line-at-a-time one (`mantra_oracle::collector`), on full
+//! captures and on the salvage path.
 //!
 //! The byte parser assembles its snapshot through `TablesBuilder`, the
-//! reference through row-at-a-time `Tables` inserts, so the agreement
-//! tests also pin the builder on real captures. Two more properties pin
-//! it on arbitrary row sequences — duplicate keys, wildcard sources, IGMP
-//! sightings before and after their pairs at other capture times, keys
-//! out of order — for both the parser's use and the archive replay's
-//! `SnapshotParts::rebuild`.
+//! reference through row-at-a-time inserts into its own `BTreeMap`s, so
+//! the agreement tests also pin the builder on real captures. Two more
+//! properties pin it on arbitrary row sequences — duplicate keys,
+//! wildcard sources, IGMP sightings before and after their pairs at other
+//! capture times, keys out of order — for both the parser's use and the
+//! archive replay's `SnapshotParts::rebuild`. The tables' `SortedMap` is
+//! held to `BTreeMap` over random operation sequences, and its serde text
+//! is pinned.
 
 use proptest::prelude::*;
+
+use std::collections::BTreeMap;
 
 use mantra::core::collector::{preprocess, preprocess_bytes, Capture};
 use mantra::core::logger::SnapshotParts;
 use mantra::core::processor::process;
-use mantra::core::tables::{LearnedFrom, PairRow, RouteRow, SessionRow, Tables, TablesBuilder};
-use mantra::core::ParallelAccess;
+use mantra::core::tables::{
+    LearnedFrom, PairRow, RouteRow, SessionRow, SortedMap, Tables, TablesBuilder,
+};
+use mantra::core::{CaptureError, Collector, ParallelAccess, RetryPolicy};
 use mantra::net::{BitRate, GroupAddr, Ip, Prefix, SimDuration, SimTime};
 use mantra::router_cli::TableKind;
 use mantra::sim::Scenario;
+use mantra_oracle::collector::effective_lines;
 use mantra_oracle::processor as reference;
 
 fn t0() -> SimTime {
@@ -133,8 +143,8 @@ fn parsers_agree_on_live_cycles() {
 }
 
 /// The raw texts `processor`'s unit tests feed the parser: both
-/// dialects of every table kind, a malformed row and two error
-/// responses.
+/// dialects of every table kind, a malformed row, two error responses
+/// and an IOS block whose counters follow a garbled header.
 const UNIT_CORPUS: &[(TableKind, &str)] = &[
     (TableKind::DvmrpRoutes, "DVMRP Routing Table (3 entries)\n Origin-Subnet      From-Gateway       Metric  Tmr  In-Vif  Out-Vifs\n 128.111.0.0/16   10.128.0.2     3   25  1  1*\n 10.5.0.0/24   direct   1   0   0  1*\n 10.9.0.0/24   --   32  140  1  1*\n"),
     (TableKind::DvmrpRoutes, "DVMRP Routing Table - 3 entries\n128.111.0.0/16 [1/3] via 10.128.0.6 uptime 04:23:00  \n10.5.0.0/24 [1/1] directly connected uptime 3d04h C\n10.9.0.0/24 [1/32] unreachable uptime 00:02:20 H\n"),
@@ -146,6 +156,7 @@ const UNIT_CORPUS: &[(TableKind, &str)] = &[
     (TableKind::DvmrpRoutes, "DVMRP Routing Table (2 entries)\n totally bogus line here\n 128.111.0.0/16 10.128.0.2 3 25 1 1*\n"),
     (TableKind::MbgpRoutes, "mrouted: unknown command 'show ip mbgp'\n"),
     (TableKind::SaCache, "%MSDP not enabled\n"),
+    (TableKind::ForwardingCache, "IP Multicast Statistics\n(1.1.1.1, 224.2.0.1), uptime 00:01:00, flags: D\n  Incoming interface: Vif1, Outgoing: Vif2\n(garbage, 224.2.0.2), uptime 00:01:00, flags: D\n  Incoming interface: Vif1, Outgoing: Null\n  Pkt count 5, bytes 10, rate 99 kbps\n(1.1.1.3, 224.2.0.3), uptime 00:01:00, flags: S\n  Pkt count 7, bytes 14, rate 7 kbps\n"),
 ];
 
 #[test]
@@ -374,4 +385,258 @@ proptest! {
         });
         prop_assert_eq!(parts.rebuild(), row_at_a_time(&seeds, &stored));
     }
+}
+
+/// What a raw capture is made of: every line break and pager artifact,
+/// whitespace runs (vertical tab included), prompt echoes of router `r`,
+/// telnet banners and ordinary fields. One index past the end stands for
+/// a byte in 0x80–0xFF.
+const SCAN_PIECES: &[&[u8]] = &[
+    b"\n",
+    b"\r",
+    b"\r\n",
+    b"--More--",
+    b" ",
+    b"    ",
+    b"\t",
+    b"\x0b",
+    b"r>",
+    b"r#",
+    b"Trying ",
+    b"Connected to",
+    b"Escape character",
+    b"10.0.0.0/8",
+    b"224.2.0.1",
+    b"x",
+];
+
+/// Captures of 0–80 bytes cut from runs of [`SCAN_PIECES`], so breaks
+/// land at every offset of an eight-byte word and at the very end.
+fn arb_capture_bytes() -> impl Strategy<Value = Vec<u8>> {
+    (
+        proptest::collection::vec((0..SCAN_PIECES.len() + 1, 0x80u8..=0xff), 0..40),
+        0usize..=80,
+    )
+        .prop_map(|(pieces, len)| {
+            let mut raw = Vec::new();
+            for (i, high) in pieces {
+                match SCAN_PIECES.get(i) {
+                    Some(piece) => raw.extend_from_slice(piece),
+                    None => raw.push(high),
+                }
+            }
+            raw.truncate(len);
+            raw
+        })
+}
+
+/// Every capture comes back cut to the same partial.
+struct Torn(Vec<u8>);
+
+impl ParallelAccess for Torn {
+    fn capture(&self, _: &str, _: TableKind, _: SimTime) -> Result<String, CaptureError> {
+        Err(CaptureError::Truncated {
+            partial: self.0.clone(),
+        })
+    }
+}
+
+/// A routes-shaped key from a small universe, so keys repeat.
+fn route_key(proto: usize, net: u8) -> (LearnedFrom, Prefix) {
+    let prefix = match net {
+        0 => Prefix::DEFAULT,
+        n => Prefix::new(Ip::new(10, n, 0, 0), 16).unwrap(),
+    };
+    (PROTOCOLS[proto % 5], prefix)
+}
+
+/// Every observable of `map` equals the same observable of `model`.
+fn assert_same_map(
+    map: &SortedMap<(LearnedFrom, Prefix), u32>,
+    model: &BTreeMap<(LearnedFrom, Prefix), u32>,
+) {
+    assert_eq!(map.len(), model.len());
+    assert_eq!(map.is_empty(), model.is_empty());
+    assert!(map.iter().eq(model.iter()));
+    assert!(map.iter().rev().eq(model.iter().rev()));
+    assert!(map.keys().eq(model.keys()));
+    assert!(map.values().eq(model.values()));
+    assert!(map.into_iter().eq(model));
+    assert_eq!(format!("{map:?}"), format!("{model:?}"));
+    for (proto, &learned) in PROTOCOLS.iter().enumerate() {
+        for net in 0..5 {
+            let k = route_key(proto, net);
+            assert_eq!(map.get(&k), model.get(&k));
+            assert_eq!(map.contains_key(&k), model.contains_key(&k));
+            if let Some(v) = model.get(&k) {
+                assert_eq!(map[&k], *v);
+            }
+        }
+        // The range `Tables::routes_of` takes.
+        let from = (learned, Prefix::DEFAULT);
+        assert!(map.range(from..).eq(model.range(from..)));
+        assert!(map.range(from..).rev().eq(model.range(from..).rev()));
+    }
+    assert_eq!(
+        *map,
+        model
+            .iter()
+            .map(|(k, v)| (*k, *v))
+            .collect::<SortedMap<_, _>>()
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The word-at-a-time scanner selects exactly the line-at-a-time
+    /// reference's effective lines, and the salvage path drops exactly
+    /// the torn tail line of the same lines. Ending a line at a `\r` as
+    /// well as at a `\n` (`b == b'\r'` in place of the CR-segment test in
+    /// `preprocess_bytes`) fails it: `ab\rc` then shows two lines
+    /// instead of the overwritten `cb`.
+    #[test]
+    fn scanner_matches_the_line_at_a_time_reference(raw in arb_capture_bytes()) {
+        let text = String::from_utf8_lossy(&raw).into_owned();
+        let want = effective_lines("r", &raw);
+        let cap = preprocess_bytes("r", TableKind::DvmrpRoutes, raw.clone(), t0());
+        prop_assert!(cap.lines().eq(want.iter().map(Vec::as_slice)), "{text:?}");
+        prop_assert_eq!(cap.line_count(), want.len(), "{text:?}");
+
+        let mut salvaged = want;
+        if raw.last() != Some(&b'\n') {
+            salvaged.pop();
+        }
+        let collector = Collector {
+            tables: vec![TableKind::DvmrpRoutes],
+            ..Collector::with_retry(RetryPolicy::none())
+        };
+        let (caps, _) = collector.collect_with(&Torn(raw), "r", t0());
+        prop_assert_eq!(caps.len(), usize::from(!salvaged.is_empty()), "{text:?}");
+        let got: Vec<Vec<u8>> = caps.iter().flat_map(|c| c.lines().map(<[u8]>::to_vec)).collect();
+        prop_assert_eq!(got, salvaged, "{text:?}");
+    }
+
+    /// The tables' sorted map and `BTreeMap` agree after every step of a
+    /// random operation sequence, starting from a collected entry list
+    /// with repeated keys.
+    #[test]
+    fn sorted_map_matches_btreemap(
+        start in proptest::collection::vec((0usize..5, 0u8..5, 0u32..100), 0..16),
+        ops in proptest::collection::vec((0u8..7, 0usize..5, 0u8..5, 0u32..100), 0..48),
+    ) {
+        let entries: Vec<_> = start.iter().map(|&(p, n, v)| (route_key(p, n), v)).collect();
+        let mut map: SortedMap<_, _> = entries.iter().copied().collect();
+        let mut model = BTreeMap::new();
+        for &(k, v) in &entries {
+            model.insert(k, v);
+        }
+        assert_same_map(&map, &model);
+        for (op, p, n, v) in ops {
+            let k = route_key(p, n);
+            match op {
+                0 => prop_assert_eq!(map.insert(k, v), model.insert(k, v)),
+                1 => {
+                    *map.entry(k).or_insert_with(|| v) += 1;
+                    *model.entry(k).or_insert_with(|| v) += 1;
+                }
+                2 => prop_assert_eq!(map.remove(&k), model.remove(&k)),
+                3 => {
+                    if let (Some(a), Some(b)) = (map.get_mut(&k), model.get_mut(&k)) {
+                        *a = v;
+                        *b = v;
+                    }
+                    prop_assert_eq!(map.get(&k), model.get(&k));
+                }
+                4 => {
+                    for ((_, a), (_, b)) in map.iter_mut().zip(model.iter_mut()) {
+                        *a += v;
+                        *b += v;
+                    }
+                }
+                5 => {
+                    for (a, b) in map.values_mut().zip(model.values_mut()) {
+                        *a ^= v;
+                        *b ^= v;
+                    }
+                }
+                _ => {
+                    let lo = route_key(p, n);
+                    let hi = route_key(p.max(v as usize % 5), n.max(v as u8 % 5));
+                    if lo <= hi {
+                        prop_assert!(map.range(lo..hi).eq(model.range(lo..hi)));
+                        prop_assert!(map.range(lo..=hi).eq(model.range(lo..=hi)));
+                        prop_assert!(map.range(..=hi).rev().eq(model.range(..=hi).rev()));
+                    }
+                }
+            }
+            assert_same_map(&map, &model);
+        }
+    }
+}
+
+/// One snapshot's `serde_json` text, as the `BTreeMap`-backed tables
+/// wrote it: each table an entry list `[[key, value], …]` in key order.
+/// Archives and the daemon's JSON depend on this encoding.
+const PINNED_TABLES_JSON: &str = r#"{"captured_at":909878400,"router":"fixw","pairs":[[[3758227456,0],{"source":0,"group":3758227456,"current_bw":0,"avg_bw":0,"forwarding":false,"learned_from":"Msdp"}],[[3758227457,2154759426],{"source":2154759426,"group":3758227457,"current_bw":64000,"avg_bw":32000,"forwarding":true,"learned_from":"Dvmrp"}],[[3758227457,2154759427],{"source":2154759427,"group":3758227457,"current_bw":1000,"avg_bw":0,"forwarding":true,"learned_from":"Pim"}]],"participants":[[2154759426,{"host":2154759426,"name":null,"group_count":1,"first_seen":909878400}],[2154759427,{"host":2154759427,"name":null,"group_count":1,"first_seen":909878400}]],"sessions":[[3758227456,{"group":3758227456,"name":null,"density":0,"bandwidth":0,"first_advertised":"Msdp","first_seen":909878400}],[3758227457,{"group":3758227457,"name":null,"density":2,"bandwidth":65000,"first_advertised":"Dvmrp","first_seen":909878400}],[3758227463,{"group":3758227463,"name":"members only","density":0,"bandwidth":0,"first_advertised":"Igmp","first_seen":909878310}]],"routes":[[["Dvmrp",{"net":167772160,"len":8}],{"prefix":{"net":167772160,"len":8},"next_hop":176160770,"metric":3,"uptime":60,"reachable":false,"learned_from":"Dvmrp"}],[["Mbgp",{"net":2147680256,"len":16}],{"prefix":{"net":2147680256,"len":16},"next_hop":null,"metric":2,"uptime":null,"reachable":true,"learned_from":"Mbgp"}]],"sa_cache":[[[3758227465,2147681538],909878100]]}"#;
+
+/// The same snapshot's pair table through `{:?}`: a map.
+const PINNED_PAIRS_DEBUG: &str = "{(GroupAddr(224.2.0.0), Ip(0.0.0.0)): PairRow { source: Ip(0.0.0.0), group: GroupAddr(224.2.0.0), current_bw: BitRate(0 bps), avg_bw: BitRate(0 bps), forwarding: false, learned_from: Msdp }, (GroupAddr(224.2.0.1), Ip(128.111.5.2)): PairRow { source: Ip(128.111.5.2), group: GroupAddr(224.2.0.1), current_bw: BitRate(64.00 kbps), avg_bw: BitRate(32.00 kbps), forwarding: true, learned_from: Dvmrp }, (GroupAddr(224.2.0.1), Ip(128.111.5.3)): PairRow { source: Ip(128.111.5.3), group: GroupAddr(224.2.0.1), current_bw: BitRate(1.00 kbps), avg_bw: BitRate(0 bps), forwarding: true, learned_from: Pim }}";
+
+/// A snapshot with every table filled, built row at a time, rows out of
+/// key order.
+fn pinned_snapshot() -> Tables {
+    let at = SimTime::from_ymd(1998, 11, 1);
+    let g = GroupAddr::from_index;
+    let mut t = Tables::new("fixw", at);
+    let pair = |source, group, kbps, learned_from| PairRow {
+        source,
+        group,
+        current_bw: BitRate::from_kbps(kbps),
+        avg_bw: BitRate::from_kbps(kbps / 2),
+        forwarding: kbps > 0,
+        learned_from,
+    };
+    t.add_pair(pair(Ip::new(128, 111, 5, 3), g(1), 1, LearnedFrom::Pim));
+    t.add_pair(pair(Ip::new(128, 111, 5, 2), g(1), 64, LearnedFrom::Dvmrp));
+    t.add_pair(pair(Ip::UNSPECIFIED, g(0), 0, LearnedFrom::Msdp));
+    t.add_route(RouteRow {
+        prefix: "128.3.0.0/16".parse().unwrap(),
+        next_hop: None,
+        metric: 2,
+        uptime: None,
+        reachable: true,
+        learned_from: LearnedFrom::Mbgp,
+    });
+    t.add_route(RouteRow {
+        prefix: "10.0.0.0/8".parse().unwrap(),
+        next_hop: Some(Ip::new(10, 128, 0, 2)),
+        metric: 3,
+        uptime: Some(SimDuration::secs(60)),
+        reachable: false,
+        learned_from: LearnedFrom::Dvmrp,
+    });
+    t.sessions.insert(
+        g(7),
+        SessionRow {
+            group: g(7),
+            name: Some("members only".into()),
+            density: 0,
+            bandwidth: BitRate::ZERO,
+            first_advertised: LearnedFrom::Igmp,
+            first_seen: SimTime(at.as_secs() - 90),
+        },
+    );
+    t.sa_cache
+        .insert((g(9), Ip::new(128, 3, 5, 2)), SimTime(at.as_secs() - 300));
+    t
+}
+
+#[test]
+fn tables_serialise_as_the_pinned_entry_lists() {
+    let t = pinned_snapshot();
+    assert_eq!(serde_json::to_string(&t).unwrap(), PINNED_TABLES_JSON);
+    assert_eq!(format!("{:?}", t.pairs), PINNED_PAIRS_DEBUG);
+    let back: Tables = serde_json::from_str(PINNED_TABLES_JSON).unwrap();
+    assert_eq!(back, t);
 }
