@@ -20,6 +20,11 @@
 //! * `ablation_churn_*` — the same fleet cycle under a churning topology
 //!   (calm / flappy / partition schedules vs a static world): what
 //!   dynamic membership costs,
+//! * `ablation_streaming_*` — the Analyse stage's statistics and churn:
+//!   the shipped one pass over each snapshot's tables vs the
+//!   full-snapshot constructors (`mantra-oracle`) on stormy and calm
+//!   50-router days, with a per-snapshot accounting line and a strict
+//!   shipped-pass-wins assertion,
 //! * `ablation_parse_*` — the zero-copy span/byte Parse stage vs the
 //!   string parser it replaced (`mantra-oracle`) over a 500-router fleet
 //!   capture corpus, with a bytes/sec accounting line and a strict
@@ -37,17 +42,17 @@ use mantra_core::archive::{
     BackpressureMode, FileBackendV2, SyncPolicy, ThreadedBackend, WriterConfig,
 };
 use mantra_core::collector::{preprocess_bytes, Capture};
-use mantra_core::logger::{diff, SnapshotParts, TableDelta, TableLog};
+use mantra_core::logger::{diff, SnapshotParts, TableLog};
 use mantra_core::processor::process;
-use mantra_core::stats::{RouteStats, UsageStats};
-use mantra_core::stats_stream::IncrementalStats;
+use mantra_core::stats::{RouteChurn, RouteStats, UsageStats};
+use mantra_core::stats_stream::{RouteChanges, SnapshotStats};
 use mantra_core::tables::{LearnedFrom, PairRow, RouteRow, Tables};
 use mantra_core::{Monitor, MonitorConfig, ParallelAccess};
 use mantra_net::{BitRate, GroupAddr, Ip, Prefix, SimDuration, SimTime};
 use mantra_oracle::collector::effective_lines;
 use mantra_oracle::logger::diff_reference;
 use mantra_oracle::processor as reference;
-use mantra_oracle::{RouteStatsExt, UsageStatsExt};
+use mantra_oracle::{RouteChurnExt, RouteStatsExt, UsageStatsExt};
 use mantra_router_cli::TableKind;
 use mantra_sim::{ChurnProfile, Scenario};
 
@@ -411,13 +416,32 @@ fn ablation_log(c: &mut Criterion) {
 }
 
 fn ablation_streaming(c: &mut Criterion) {
-    // The Analyse stage's statistics cost, isolated: rebuilding
-    // UsageStats/RouteStats from the full tables every cycle vs folding
-    // the deltas the Log stage already computed into IncrementalStats.
-    // Stormy churn (every row changes every cycle) vs calm (rows change
-    // every 8th cycle): the rebuild's cost tracks table size and is
-    // indifferent to churn; the fold's cost tracks the delta.
+    // The Analyse stage's statistics cost, isolated: each snapshot's
+    // usage and route statistics and the route churn from the snapshot
+    // before it, through the shipped pass and merge join
+    // (`SnapshotStats::from_tables`, `RouteChanges::between`) and through
+    // the full-snapshot constructors in `mantra-oracle`. Stormy churn
+    // (every row changes every cycle) vs calm (rows change every 8th
+    // cycle): both read whole tables, so neither tracks the churn.
     let threshold = mantra_net::rate::SENDER_THRESHOLD;
+    let shipped = |prev: &Tables, t: &Tables| {
+        let stats = SnapshotStats::from_tables(t, threshold);
+        let churn = RouteChanges::between(prev, t).churn;
+        let (u, r) = (stats.totals().usage(), stats.totals().route_stats());
+        u.sessions + u.senders + r.dvmrp_total + churn.total()
+    };
+    let reference = |prev: &Tables, t: &Tables| {
+        let (u, r) = (
+            UsageStats::from_tables(t, threshold),
+            RouteStats::from_tables(t),
+        );
+        u.sessions + u.senders + r.dvmrp_total + RouteChurn::between(prev, t).total()
+    };
+    // Every snapshot of every router's day, each against the one before.
+    let day = |streams: &[Vec<Tables>], f: &dyn Fn(&Tables, &Tables) -> usize| {
+        let windows = streams.iter().flat_map(|stream| stream.windows(2));
+        windows.map(|w| f(&w[0], &w[1])).sum::<usize>()
+    };
     let mut group = c.benchmark_group("ablation_streaming");
     group.sample_size(10);
     for (label, calm) in [("stormy", 1usize), ("calm", 8)] {
@@ -426,55 +450,53 @@ fn ablation_streaming(c: &mut Criterion) {
             .iter()
             .map(|stream| stream.iter().map(SnapshotParts::rebuild).collect())
             .collect();
-        // Deltas precomputed outside the timed region: in the pipeline
-        // the Log stage has already paid for them.
-        let deltas: Vec<Vec<TableDelta>> = parts
-            .iter()
-            .map(|stream| stream.windows(2).map(|w| diff(&w[0], &w[1])).collect())
-            .collect();
-        group.bench_function(format!("full_rebuild_{label}"), |b| {
-            b.iter(|| {
-                let mut acc = 0usize;
-                for stream in &streams {
-                    for t in stream {
-                        let u = UsageStats::from_tables(t, threshold);
-                        let r = RouteStats::from_tables(t);
-                        acc += u.sessions + r.dvmrp_total;
-                    }
-                }
-                black_box(acc)
-            })
+        group.bench_function(format!("snapshot_pass_{label}"), |b| {
+            b.iter(|| black_box(day(&streams, &shipped)))
         });
-        group.bench_function(format!("incremental_fold_{label}"), |b| {
-            b.iter(|| {
-                let mut acc = 0usize;
-                for (stream, ds) in streams.iter().zip(&deltas) {
-                    let mut inc = IncrementalStats::default();
-                    inc.reseed(&stream[0], threshold);
-                    acc += inc.usage().sessions + inc.route_stats().dvmrp_total;
-                    for d in ds {
-                        inc.fold(d);
-                        acc += inc.usage().sessions + inc.route_stats().dvmrp_total;
-                    }
-                }
-                black_box(acc)
-            })
+        group.bench_function(format!("reference_full_{label}"), |b| {
+            b.iter(|| black_box(day(&streams, &reference)))
         });
-        // Churn volume per variant, printed once for the record.
-        let rows: usize = deltas
+
+        // Accounting outside the criterion loops, and the claim the
+        // shipped path stands on: it must beat the reference.
+        const PASSES: u32 = 5;
+        let timed = |f: &dyn Fn(&Tables, &Tables) -> usize| {
+            let t0 = Instant::now();
+            let sum: usize = (0..PASSES).map(|_| day(&streams, f)).sum();
+            (t0.elapsed().as_nanos().max(1), sum)
+        };
+        let (pass_ns, pass_sum) = timed(&shipped);
+        let (ref_ns, ref_sum) = timed(&reference);
+        assert_eq!(pass_sum, ref_sum, "the pass must agree with the reference");
+        assert!(
+            pass_ns < ref_ns,
+            "the snapshot pass must beat the full-snapshot constructors: \
+             {pass_ns}ns vs {ref_ns}ns"
+        );
+        let snapshots: usize = streams.iter().map(|s| s.len() - 1).sum::<usize>() * PASSES as usize;
+        let per = |ns: u128| ns as f64 / snapshots as f64 / 1e3;
+        // Churn volume, for the record: how far apart the stormy and
+        // calm days are.
+        let rows: usize = parts
             .iter()
-            .flatten()
-            .map(|d| {
+            .flat_map(|stream| stream.windows(2))
+            .map(|w| {
+                let d = diff(&w[0], &w[1]);
                 d.pair_upserts.len()
                     + d.pair_removals.len()
                     + d.route_upserts.len()
                     + d.route_removals.len()
             })
             .sum();
-        let cycles: usize = deltas.iter().map(Vec::len).sum();
         println!(
-            "[ablation_streaming] {label}: {:.1} changed rows/delta over {cycles} deltas",
-            rows as f64 / cycles.max(1) as f64
+            "[ablation_streaming] {label}: {:.1} changed rows/delta; per snapshot \
+             pass={:.2}µs reference={:.2}µs ({:.2}x); fleet-day pass={:.2}ms reference={:.2}ms",
+            rows as f64 / (snapshots / PASSES as usize) as f64,
+            per(pass_ns),
+            per(ref_ns),
+            ref_ns as f64 / pass_ns as f64,
+            pass_ns as f64 / f64::from(PASSES) / 1e6,
+            ref_ns as f64 / f64::from(PASSES) / 1e6,
         );
     }
     group.finish();

@@ -12,7 +12,7 @@ use std::hint::black_box;
 use mantra_bench::{drive_for, monitor_for};
 use mantra_core::processor::process;
 use mantra_core::stats::ConsistencyReport;
-use mantra_core::{IncrementalStats, Monitor, MonitorConfig};
+use mantra_core::{Monitor, MonitorConfig, SnapshotStats};
 use mantra_net::rate::SENDER_THRESHOLD;
 use mantra_net::SimDuration;
 use mantra_router_cli::TableKind;
@@ -42,31 +42,29 @@ fn fig3_usage(c: &mut Criterion) {
 }
 
 /// Figure 4 analysis: density statistics over a snapshot, through the
-/// path the monitor runs on a router's first sight (reseed, then read).
+/// one pass over its tables the Analyse stage runs every cycle.
 fn fig4_density(c: &mut Criterion) {
     let (sc, monitor) = warmed_usage_scenario();
     let tables = monitor.latest("fixw").unwrap().clone();
     drop(sc);
-    let mut stats = IncrementalStats::default();
     c.bench_function("fig4_density_stats", |b| {
         b.iter(|| {
-            stats.reseed(&tables, SENDER_THRESHOLD);
-            black_box(stats.usage())
+            let stats = SnapshotStats::from_tables(black_box(&tables), SENDER_THRESHOLD);
+            black_box(stats.totals().usage())
         })
     });
 }
 
 /// Figure 5 analysis: bandwidth + savings model over a snapshot, on the
-/// same path as [`fig4_density`].
+/// same pass as [`fig4_density`].
 fn fig5_bandwidth(c: &mut Criterion) {
     let (sc, monitor) = warmed_usage_scenario();
     let tables = monitor.latest("fixw").unwrap().clone();
     drop(sc);
-    let mut stats = IncrementalStats::default();
     c.bench_function("fig5_bandwidth_model", |b| {
         b.iter(|| {
-            stats.reseed(&tables, SENDER_THRESHOLD);
-            let u = stats.usage();
+            let stats = SnapshotStats::from_tables(black_box(&tables), SENDER_THRESHOLD);
+            let u = stats.totals().usage();
             black_box((u.total_bandwidth, u.bandwidth_saved_multiple))
         })
     });

@@ -9,8 +9,9 @@
 //! * [`SpikeDetector`] — an online robust z-score detector over any
 //!   series (route counts, session counts),
 //! * the specific signature of route injection — a mass of brand-new
-//!   routes arriving in one snapshot through one gateway — read off each
-//!   cycle's delta by [`crate::stats_stream::FoldChanges::injection`],
+//!   routes arriving in one snapshot through one gateway — checked by
+//!   [`crate::stats_stream::RouteChanges::injection`] on the merge join
+//!   of each cycle's DVMRP routes with the previous snapshot's,
 //! * [`InconsistencyMonitor`] — cross-router DVMRP divergence beyond a
 //!   floor (the paper's "inconsistent state" observation).
 //!
@@ -214,26 +215,18 @@ impl InconsistencyMonitor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::logger::{diff, SnapshotParts};
-    use crate::stats_stream::IncrementalStats;
+    use crate::stats_stream::RouteChanges;
     use crate::tables::{LearnedFrom, RouteRow};
-    use mantra_net::rate::SENDER_THRESHOLD;
     use mantra_net::Prefix;
 
     fn t0() -> SimTime {
         SimTime::from_ymd(1998, 10, 14)
     }
 
-    /// The injection check as the Analyse stage runs it: on the fold of
-    /// the delta taking `prev` to `next`.
+    /// The injection check as the Analyse stage runs it: on the route
+    /// changes taking `prev` to `next`.
     fn detect_injection(prev: &Tables, next: &Tables, min_new: usize) -> Option<AnomalyKind> {
-        let mut stats = IncrementalStats::default();
-        stats.reseed(prev, SENDER_THRESHOLD);
-        let delta = diff(
-            &SnapshotParts::from_tables(prev),
-            &SnapshotParts::from_tables(next),
-        );
-        stats.fold(&delta).injection(min_new)
+        RouteChanges::between(prev, next).injection(min_new)
     }
 
     fn table_with_routes(n: u32, gw: Ip) -> Tables {

@@ -24,6 +24,9 @@
 //! * [`stats`] — the data processor: usage monitoring (sessions,
 //!   participants, senders, densities, bandwidth, bandwidth saved) and
 //!   route monitoring (counts, stability, consistency),
+//! * [`stats_stream`] — each cycle's statistics read off the snapshot's
+//!   key-sorted tables in one pass, and its route churn from one merge
+//!   join with the previous snapshot,
 //! * [`output`] — the output interface: interactive summary tables
 //!   (search/sort/column algebra/date conversion) and 2-D graphs
 //!   (overlay, rescale, zoom, ASCII rendering),
@@ -67,7 +70,7 @@ pub use collector::{CaptureError, CollectStats, Collector, RetryPolicy};
 pub use monitor::{FleetMonitor, LifecycleState, Monitor, MonitorConfig, RouterHealth};
 pub use pipeline::{PipelineMetrics, Stage, StageKind, StageMetrics};
 pub use stats::{ConsistencyMatrix, RouteStats, UsageStats};
-pub use stats_stream::{IncrementalStats, StatsTotals};
+pub use stats_stream::{SnapshotStats, StatsTotals};
 pub use store::TableStore;
 pub use tables::{PairRow, ParticipantRow, RouteRow, SessionRow, Tables};
 

@@ -545,27 +545,23 @@ impl TableLog {
     /// delta record is stored only when it is due (within the
     /// full-snapshot cadence) and costs strictly less than the full
     /// record; equal cost stores the Full, which is also a checkpoint.
-    /// Only the chosen record is built.
-    ///
-    /// Returns the delta taking the previous snapshot to this one whenever
-    /// a previous snapshot exists — even on cycles that *store* a full
-    /// checkpoint record — so streaming analysers can fold it without
-    /// re-diffing. `None` only for the first append of a fresh log.
-    pub fn append(&mut self, tables: &Tables) -> Option<TableDelta> {
+    /// The delta is taken from the log's tail, the previous snapshot
+    /// appended, and moves into the record it is stored as.
+    pub fn append(&mut self, tables: &Tables) {
         if self.sealed {
             self.write_errors += 1;
             self.backend_error = Some("archive is sealed (router retired)".into());
-            return None;
+            return;
         }
         let parts = SnapshotParts::from_tables(tables);
         let full_cost = parts.cost();
         self.full_cost += full_cost;
         let delta = self.tail.as_ref().map(|prev| diff(prev, &parts));
         let due = self.since_full < self.full_every;
-        let record = match &delta {
+        let record = match delta {
             Some(d) if due && d.cost() < full_cost => {
                 self.since_full += 1;
-                LogRecord::Delta(d.clone())
+                LogRecord::Delta(d)
             }
             _ => {
                 self.since_full = 1;
@@ -583,7 +579,6 @@ impl TableLog {
             self.since_full = self.full_every;
         }
         self.tail = Some(parts);
-        delta
     }
 
     /// Number of stored records.
@@ -793,7 +788,7 @@ impl ArchiveSpec {
     /// [`ArchiveSpec::open_log`]: a rejoin never kills the cycle.
     ///
     /// Either way the log continues from the sealed log's own tail, the
-    /// snapshot the analysers last folded. When the archive ends
+    /// last snapshot appended (the router's `prev`). When the archive ends
     /// elsewhere — an append was lost (failed or shed) before the router
     /// retired, or the rewrite fell back to an empty log — the next
     /// record is stored Full, since the archive lacks that snapshot.
@@ -1079,10 +1074,15 @@ mod tests {
         // Every row removed and re-added under a new key: ten upserts
         // plus ten removal keys outweigh the ten-row Full.
         let (old, new) = (pairs(0..10), pairs(64..74));
-        let mut log = TableLog::new(100);
-        log.append(&snapshot(0, &old));
-        let delta = log.append(&snapshot(1, &new)).expect("a tail to diff");
+        let (a, b) = (snapshot(0, &old), snapshot(1, &new));
+        let delta = diff(
+            &SnapshotParts::from_tables(&a),
+            &SnapshotParts::from_tables(&b),
+        );
         assert_eq!(delta.cost(), 10 * ROW_COST + 10 * KEY_COST);
+        let mut log = TableLog::new(100);
+        log.append(&a);
+        log.append(&b);
         assert_eq!(kinds(&log), [true, true]);
         assert_eq!(log.replay(), [snapshot(0, &old), snapshot(1, &new)]);
     }
@@ -1397,13 +1397,13 @@ mod tests {
     }
 
     /// A router whose last append before it retired was lost: after the
-    /// rejoin, deltas continue from that lost snapshot — the one the
-    /// analysers already folded — and not from the archive's older tail;
+    /// rejoin, deltas continue from that lost snapshot — the last one
+    /// appended — and not from the archive's older tail;
     /// the next record is Full, so the archive replays to the latest
     /// snapshot. The same holds when the rewrite fails and the log falls
     /// back to memory.
     #[test]
-    fn a_rejoin_after_a_lost_append_continues_from_the_folded_snapshot() {
+    fn a_rejoin_after_a_lost_append_continues_from_the_lost_snapshot() {
         let (a, b, c) = (
             Ip::new(1, 1, 1, 1),
             Ip::new(2, 2, 2, 2),
@@ -1442,20 +1442,23 @@ mod tests {
             };
             let mut log = TableLog::with_backend(Box::new(backend), 100);
             log.append(&snaps[0]);
-            let lost = log.append(&snaps[1]).expect("a tail to diff");
-            assert_eq!(apply(&parts[0], &lost), parts[1]);
+            log.append(&snaps[1]);
             assert_eq!(log.write_errors, 1);
+            assert_eq!(
+                log.tail.as_ref(),
+                Some(&parts[1]),
+                "the lost snapshot is the tail"
+            );
             log.seal();
             let mut log = spec.rejoin_log("fixw", 100, log);
             assert_eq!(log.fell_back, fail_rewrite);
-            let delta = log
-                .append(&snaps[2])
-                .expect("a delta from the folded snapshot");
             assert_eq!(
-                apply(&parts[1], &delta),
-                parts[2],
-                "rewrite fails: {fail_rewrite}"
+                log.tail.as_ref(),
+                Some(&parts[1]),
+                "the next delta is taken from the last snapshot appended; \
+                 rewrite fails: {fail_rewrite}"
             );
+            log.append(&snaps[2]);
             assert_eq!(
                 kinds(&log).last(),
                 Some(&true),

@@ -403,8 +403,8 @@ impl Monitor {
             backoff,
         );
         self.anomalies.extend(report.anomalies.iter().cloned());
-        // Fleet-wide statistics: every router's integer accumulators
-        // summed, each ratio divided once.
+        // Fleet-wide statistics: every router's integer sums added, each
+        // ratio divided once, every entry stamped with this cycle's time.
         let (mut totals, mut churn) = (StatsTotals::default(), RouteChurn::default());
         for st in &self.state {
             totals.absorb(st.stream.totals());
@@ -412,8 +412,14 @@ impl Monitor {
                 churn.absorb(c);
             }
         }
-        self.usage.push(totals.usage());
-        self.routes.push(totals.route_stats());
+        self.usage.push(UsageStats {
+            at: now,
+            ..totals.usage()
+        });
+        self.routes.push(RouteStats {
+            at: now,
+            ..totals.route_stats()
+        });
         self.churn.push((now, churn));
         report
     }
@@ -1305,8 +1311,8 @@ mod tests {
         assert!(monitor.monitor_of("r10").is_none());
     }
 
-    /// One router's fleet-wide statistics, summed from its integer
-    /// accumulators and divided once, are its own statistics.
+    /// One router's fleet-wide statistics, summed from its integer sums
+    /// and divided once, are its own statistics.
     #[test]
     fn fleet_statistics_of_one_router_are_its_own() {
         let mut sc = Scenario::transition_snapshot(41, 0.4);
@@ -1331,6 +1337,33 @@ mod tests {
         let churn = monitor.fleet_churn_history();
         assert_eq!(churn.len(), 6);
         assert_eq!(&churn[1..], monitor.churn_history("ucsb-gw"));
+    }
+
+    /// Every fleet-wide usage, route and churn entry carries its own
+    /// cycle's time, also on cycles that admit no router: a sum is not
+    /// stamped with the newest snapshot it absorbed.
+    #[test]
+    fn fleet_entries_carry_their_own_cycles_time() {
+        let mut sc = Scenario::transition_snapshot(37, 0.2);
+        let mut monitor = Monitor::new(MonitorConfig::default(), 1);
+        let mut times = Vec::new();
+        // Every login fails on the first cycle and on cycles 3 and 4.
+        for cycle in 1..=6 {
+            let next = sc.sim.clock + monitor.cfg.interval;
+            sc.sim.advance_to(next);
+            let fail = if matches!(cycle, 1 | 3 | 4) { 1.0 } else { 0.0 };
+            let access = FlakyAccess::new(&sc.sim, fail, 0.0, 5);
+            let report = monitor.cycle(&access, next, 1, usize::MAX);
+            assert_eq!(report.per_router.is_empty(), fail == 1.0, "cycle {cycle}");
+            times.push(next);
+        }
+        let usage: Vec<SimTime> = monitor.fleet_usage_history().iter().map(|u| u.at).collect();
+        let routes: Vec<SimTime> = monitor.fleet_route_history().iter().map(|r| r.at).collect();
+        let churn: Vec<SimTime> = monitor.fleet_churn_history().iter().map(|c| c.0).collect();
+        assert_eq!(usage, times);
+        assert_eq!(routes, times);
+        assert_eq!(churn, times);
+        assert!(times.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]

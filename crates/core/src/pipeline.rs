@@ -23,13 +23,13 @@ use crate::aggregate::ParallelAccess;
 use crate::anomaly::{Anomaly, InconsistencyMonitor, SpikeDetector};
 use crate::archive::{ArchiveSpec, CacheStats};
 use crate::collector::{Capture, CollectStats, Collector};
-use crate::logger::{TableDelta, TableLog};
+use crate::logger::TableLog;
 use crate::longterm::LongTermTracker;
 use crate::monitor::{CycleReport, MonitorConfig, RouterHealth};
 use crate::output::{Cell, Table};
 use crate::processor::{process, ParseStats};
 use crate::stats::{RouteChurn, RouteStats, UsageStats};
-use crate::stats_stream::IncrementalStats;
+use crate::stats_stream::{RouteChanges, SnapshotStats};
 use crate::store::{FxHashMap, TableStore};
 use crate::tables::Tables;
 
@@ -97,18 +97,14 @@ pub struct EnrichedCycle {
     pub routers: Vec<EnrichedRouter>,
 }
 
-/// One router's archived snapshot, carrying the delta the log computed.
+/// One router's archived snapshot.
 #[derive(Clone, Debug)]
 pub struct LoggedRouter {
     /// Dense router id in the shared [`TableStore`].
     pub id: u32,
-    /// The archived snapshot.
+    /// The archived snapshot, which the Analyse stage reads its
+    /// statistics off and keeps as the router's `prev`.
     pub tables: Tables,
-    /// The delta from the router's previous archived snapshot to this
-    /// one, as computed while appending — `None` only for a log's very
-    /// first record. The Analyse stage folds this instead of re-deriving
-    /// per-cycle change from two full snapshots.
-    pub delta: Option<TableDelta>,
 }
 
 /// Log-stage output: the enriched snapshots, now archived.
@@ -273,7 +269,8 @@ pub struct RouterState {
     pub routes: Vec<RouteStats>,
     /// Route-churn history (starts at the second cycle).
     pub churn: Vec<(SimTime, RouteChurn)>,
-    /// Latest snapshot, for delta analysis next cycle.
+    /// Latest snapshot: next cycle's route churn and injection check
+    /// merge its DVMRP routes with the new snapshot's.
     pub prev: Option<Tables>,
     /// Long-term trend tracker.
     pub longterm: LongTermTracker,
@@ -281,9 +278,10 @@ pub struct RouterState {
     pub health: RouterHealth,
     /// Route-count spike detector.
     pub detector: SpikeDetector,
-    /// Streaming statistics accumulators, advanced by each cycle's delta
-    /// — the O(churn) replacement for per-cycle full-snapshot passes.
-    pub stream: IncrementalStats,
+    /// The latest snapshot's statistics, read off its tables in one pass
+    /// each cycle; the engine's fold absorbs them into the fleet-wide
+    /// statistics.
+    pub stream: SnapshotStats,
     /// Running `(sum_bps, samples)` per `(group, source)` pair, for the
     /// Pair table's average-bandwidth column. Keyed by address rather
     /// than interned id so the enrich fan-out never touches the shared
@@ -311,7 +309,7 @@ impl RouterState {
             longterm: LongTermTracker::default(),
             health: RouterHealth::default(),
             detector: SpikeDetector::new(32, 8.0, 100.0),
-            stream: IncrementalStats::default(),
+            stream: SnapshotStats::default(),
             avg_bw: FxHashMap::default(),
             archive_growth: Vec::new(),
             evicted: false,
@@ -358,10 +356,10 @@ pub(crate) fn router_slot(
 /// fresh thread after about this many rows. On a shared 2-vCPU VM a
 /// spawn costs about 0.2 ms of CPU (the two-router paper week's cycles
 /// took 6.0 ms of CPU with ten spawns each, 4.1 ms with none) and a row
-/// about 0.55–0.75 µs of the monitor's CPU through the five stages
-/// (fleet-ramp and paper-week ran at a median 1.80M and 1.35M rows per
-/// CPU-second), so a spawn stays under ~4% of the 5.5–7.5 ms its 10k
-/// rows take.
+/// about 0.65–0.8 µs of the monitor's CPU through the five stages
+/// (fleet-ramp and paper-week ran at a median 1.54M and 1.23M rows per
+/// CPU-second), so a spawn stays under ~3% of the 6.5–8 ms its 10k rows
+/// take.
 pub(crate) const ROWS_PER_WORKER: u64 = 10_000;
 
 /// The fan-out width for `routers` routers whose previous cycle parsed
@@ -490,8 +488,8 @@ pub(crate) struct RouterOutcome {
 
 /// One router's whole cycle — Capture → Parse → admit → Enrich → Log →
 /// Analyse — over that router's state alone, so any thread can run it.
-/// The raw text, the delta and the previous snapshot are freed as soon
-/// as the router is done.
+/// The raw text and the previous snapshot are freed as soon as the
+/// router is done.
 pub(crate) fn router_cycle<P: ParallelAccess + ?Sized>(
     inputs: &RouterInputs<'_, P>,
     router: &str,
@@ -522,10 +520,10 @@ pub(crate) fn router_cycle<P: ParallelAccess + ?Sized>(
     let analysed = if admitted {
         enrich_router(st, &mut tables, inputs.session_names);
         split(StageKind::Enrich);
-        let delta = log_router(st, now, &tables);
+        log_router(st, now, &tables);
         split(StageKind::Log);
         let (threshold, min_new) = (cfg.threshold, cfg.injection_min_new);
-        let analysed = analyse_router(st, tables, delta.as_ref(), now, threshold, min_new);
+        let analysed = analyse_router(st, tables, now, threshold, min_new);
         split(StageKind::Analyse);
         Some(analysed)
     } else {
@@ -604,44 +602,31 @@ fn enrich_router(st: &mut RouterState, tables: &mut Tables, names: &BTreeMap<Gro
 /// One router's archival: appends the snapshot to the router's delta log
 /// (before any analysis, so archives store exactly what was observed),
 /// then records the growth curve and feeds the long-term trackers.
-/// Returns the log's delta.
-fn log_router(st: &mut RouterState, at: SimTime, tables: &Tables) -> Option<TableDelta> {
-    let delta = st.log.append(tables);
+fn log_router(st: &mut RouterState, at: SimTime, tables: &Tables) {
+    st.log.append(tables);
     // Chart what's actually on disk (frame + header bytes), not the
     // logger's JSON accounting — for v2 archives the two diverge, and
     // the growth curve should reflect real storage cost. Memory
     // backends report the same number either way.
     st.archive_growth.push((at, st.log.archive_stats().bytes));
     st.longterm.observe(tables);
-    delta
 }
 
-/// One router's analysis: advance the streaming accumulators (fold the
-/// logged delta, or reseed from the full snapshot on first sight),
-/// assemble this cycle's statistics and run the single-router anomaly
-/// detectors; route churn and the injection check come from the fold.
-/// The snapshot then becomes the router's `prev`.
+/// One router's analysis: read this cycle's statistics off the snapshot
+/// in one pass and run the single-router anomaly detectors; route churn
+/// and the injection check merge the previous snapshot's DVMRP routes
+/// with this one's, from the router's second admitted cycle on. The
+/// snapshot then becomes the router's `prev`.
 fn analyse_router(
     st: &mut RouterState,
     tables: Tables,
-    delta: Option<&TableDelta>,
     now: SimTime,
     threshold: BitRate,
     injection_min_new: usize,
 ) -> Analysed {
-    // O(delta) path: fold the delta the Log stage already computed. The
-    // log returns one whenever it holds a previous snapshot, so only a
-    // router's first cycle reseeds from the full snapshot — the O(table)
-    // fallback, after which folding resumes.
-    let changes = match (delta, st.stream.is_seeded()) {
-        (Some(d), true) => Some(st.stream.fold(d)),
-        _ => {
-            st.stream.reseed(&tables, threshold);
-            None
-        }
-    };
-    let usage = st.stream.usage();
-    let routes = st.stream.route_stats();
+    st.stream = SnapshotStats::from_tables(&tables, threshold);
+    let usage = st.stream.totals().usage();
+    let routes = st.stream.totals().route_stats();
     let mut anomalies = Vec::new();
     if let Some(kind) = st.detector.observe(routes.dvmrp_reachable as f64) {
         anomalies.push(Anomaly {
@@ -651,7 +636,8 @@ fn analyse_router(
             kind,
         });
     }
-    if let Some(changes) = &changes {
+    if let Some(prev) = &st.prev {
+        let changes = RouteChanges::between(prev, &tables);
         st.churn.push((now, changes.churn));
         if let Some(kind) = changes.injection(injection_min_new) {
             anomalies.push(Anomaly {
@@ -844,8 +830,7 @@ impl Stage for EnrichStage<'_> {
 
 /// Archival: appends each snapshot to its router's delta log (before any
 /// analysis, so archives store exactly what was observed) and feeds the
-/// long-term trackers. The computed delta rides along on the output for
-/// the Analyse stage to fold.
+/// long-term trackers.
 pub struct LogStage<'a> {
     /// Not read: a log diffs its snapshots without shared state.
     pub store: &'a mut TableStore,
@@ -867,10 +852,12 @@ impl Stage for LogStage<'_> {
             self.state,
             &mut work,
             |er| er.id,
-            |st, er| LoggedRouter {
-                id: er.id,
-                delta: log_router(st, at, &er.tables),
-                tables: std::mem::take(&mut er.tables),
+            |st, er| {
+                log_router(st, at, &er.tables);
+                LoggedRouter {
+                    id: er.id,
+                    tables: std::mem::take(&mut er.tables),
+                }
             },
         );
         LoggedCycle { at, routers }
@@ -911,7 +898,7 @@ impl Stage for AnalyseStage<'_> {
             |lr| lr.id,
             |st, lr| {
                 let tables = std::mem::take(&mut lr.tables);
-                analyse_router(st, tables, lr.delta.as_ref(), now, threshold, min_new)
+                analyse_router(st, tables, now, threshold, min_new)
             },
         );
         let mut report = CycleReport {

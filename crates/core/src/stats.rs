@@ -8,8 +8,8 @@
 //! and cross-router consistency.
 //!
 //! The per-cycle [`UsageStats`], [`RouteStats`] and [`RouteChurn`] are
-//! assembled by [`crate::stats_stream`] from accumulators folded one
-//! delta at a time; the full-snapshot constructors they are
+//! assembled by [`crate::stats_stream`] from integer sums read off each
+//! snapshot in one pass; the full-snapshot constructors they are
 //! property-tested against live in the test-support crate
 //! `mantra-oracle`.
 
@@ -400,8 +400,7 @@ impl Series {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::logger::{diff, SnapshotParts};
-    use crate::stats_stream::IncrementalStats;
+    use crate::stats_stream::{RouteChanges, SnapshotStats};
     use crate::tables::{PairRow, RouteRow};
     use mantra_net::rate::SENDER_THRESHOLD;
     use mantra_net::{GroupAddr, Ip};
@@ -438,16 +437,16 @@ mod tests {
         t
     }
 
-    /// The streaming statistics seeded from one snapshot.
-    fn seeded(t: &Tables) -> IncrementalStats {
-        let mut stats = IncrementalStats::default();
-        stats.reseed(t, SENDER_THRESHOLD);
-        stats
+    /// A snapshot's usage statistics, as the Analyse stage reads them.
+    fn usage(t: &Tables) -> UsageStats {
+        SnapshotStats::from_tables(t, SENDER_THRESHOLD)
+            .totals()
+            .usage()
     }
 
     #[test]
     fn usage_stats_classification() {
-        let u = seeded(&sample()).usage();
+        let u = usage(&sample());
         assert_eq!(u.sessions, 3);
         assert_eq!(u.participants, 5);
         assert_eq!(u.senders, 2, "pruned sender still classifies as sender");
@@ -464,7 +463,7 @@ mod tests {
 
     #[test]
     fn bandwidth_saved_uses_density_times_rate() {
-        let u = seeded(&sample()).usage();
+        let u = usage(&sample());
         // Unicast estimate: session-0 sender 64k × (3-1 receivers) +
         // session-2 sender 128k × max(1-1,1)=1 → 128+128 = 256k.
         // Multicast usage: 68k → multiple ≈ 3.76.
@@ -473,7 +472,7 @@ mod tests {
 
     #[test]
     fn empty_tables_are_all_zero() {
-        let u = seeded(&Tables::new("x", t0())).usage();
+        let u = usage(&Tables::new("x", t0()));
         assert_eq!(u.sessions, 0);
         assert_eq!(u.pct_active(), 0.0);
         assert_eq!(u.bandwidth_saved_multiple, 0.0);
@@ -496,8 +495,9 @@ mod tests {
         route(&mut a, 1, true, 3);
         route(&mut a, 2, true, 3);
         route(&mut a, 3, false, 32);
-        let mut stats = seeded(&a);
-        let rs = stats.route_stats();
+        let rs = SnapshotStats::from_tables(&a, SENDER_THRESHOLD)
+            .totals()
+            .route_stats();
         assert_eq!(rs.dvmrp_total, 3);
         assert_eq!(rs.dvmrp_reachable, 2);
         assert_eq!(rs.mean_uptime_secs, None);
@@ -507,11 +507,7 @@ mod tests {
         route(&mut b, 3, true, 3); // flip to reachable + metric change
         route(&mut b, 4, true, 3); // added
                                    // 128.2 removed.
-        let delta = diff(
-            &SnapshotParts::from_tables(&a),
-            &SnapshotParts::from_tables(&b),
-        );
-        let churn = stats.fold(&delta).churn;
+        let churn = RouteChanges::between(&a, &b).churn;
         assert_eq!(churn.added, 1);
         assert_eq!(churn.removed, 1);
         assert_eq!(churn.changed, 2);

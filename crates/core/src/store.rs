@@ -80,12 +80,9 @@ impl Hasher for FxHasher {
 type FxBuild = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` hashed with [`FxHasher`] — the store's own hasher, exported
-/// so per-router accumulators keyed by addresses can share it without
-/// going through an interner.
+/// so per-router state keyed by addresses can share it without going
+/// through an interner.
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuild>;
-
-/// The [`FxHashMap`] companion set.
-pub type FxHashSet<K> = std::collections::HashSet<K, FxBuild>;
 
 /// A map from keys to dense `u32` ids, assigned in first-seen order and
 /// never recycled.

@@ -65,7 +65,7 @@ impl InconsistencyMonitorExt for InconsistencyMonitor {
 
 /// Checks consecutive snapshots for the route-injection signature: at
 /// least `min_new` routes appearing at once, mostly via one gateway. The
-/// behavioural reference for `FoldChanges::injection`.
+/// behavioural reference for `RouteChanges::injection`.
 pub fn detect_injection(prev: &Tables, next: &Tables, min_new: usize) -> Option<AnomalyKind> {
     let churn = RouteChurn::between(prev, next);
     if churn.added < min_new {

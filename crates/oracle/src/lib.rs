@@ -21,8 +21,10 @@
 //!   (`tests/prop_fleet.rs`);
 //! * [`UsageStatsExt`], [`RouteStatsExt`], [`RouteChurnExt`] and
 //!   [`detect_injection`] — statistics, churn and the route-injection
-//!   signature computed from whole snapshots, for the delta fold of
-//!   `IncrementalStats` (`tests/prop_stream.rs`).
+//!   signature computed from whole snapshots with maps and sets, for the
+//!   one pass of `SnapshotStats::from_tables` and the merge join of
+//!   `RouteChanges::between` (`tests/prop_stream.rs`, the
+//!   `ablation_streaming` bench).
 //!
 //! The extension traits keep the names the oracles had as associated
 //! functions (`UsageStats::from_tables`, `RouteChurn::between`,

@@ -1,6 +1,7 @@
-//! Statistics and churn computed from whole snapshots, one full pass per
-//! cycle: the behavioural reference for `IncrementalStats`, which folds
-//! the logged deltas instead and must come out bit-identical.
+//! Statistics and churn computed from whole snapshots, with a set, a
+//! sort and a map lookup where the shipped path walks key-sorted runs:
+//! the behavioural reference for `SnapshotStats::from_tables` and
+//! `RouteChanges::between`, which must come out bit-identical.
 
 use std::collections::BTreeSet;
 

@@ -1,35 +1,50 @@
-//! Property-based equivalence of the streaming statistics path: folding
-//! logged deltas into [`IncrementalStats`] must produce exactly the
-//! statistics the full-snapshot constructors compute, over arbitrary
-//! snapshot streams — including empty tables (where every fraction is
-//! 0/0 and must come out 0), reachability flips, uptime churn and
+//! Property-based equivalence of the per-cycle statistics: the one pass
+//! over a snapshot's key-sorted tables ([`SnapshotStats::from_tables`])
+//! must produce exactly the statistics the full-snapshot constructors
+//! compute, and the merge join of consecutive snapshots' DVMRP routes
+//! ([`RouteChanges::between`]) exactly their churn and route-injection
+//! verdict, over arbitrary snapshot streams — including empty tables
+//! (where every fraction is 0/0 and must come out 0), member-only
+//! sessions, wildcard senders, reachability flips, uptime churn and
 //! gateway-concentrated route injections.
 
 use proptest::prelude::*;
 
-use mantra::core::logger::{diff, SnapshotParts, TableDelta};
 use mantra::core::stats::{RouteChurn, RouteStats, UsageStats};
-use mantra::core::stats_stream::IncrementalStats;
-use mantra::core::tables::{LearnedFrom, PairRow, RouteRow, SessionRow, Tables};
+use mantra::core::stats_stream::{RouteChanges, SnapshotStats};
+use mantra::core::tables::{LearnedFrom, PairRow, RouteRow, SessionRow, Tables, TablesBuilder};
 use mantra::net::rate::SENDER_THRESHOLD;
 use mantra::net::{BitRate, GroupAddr, Ip, Prefix, SimDuration, SimTime};
 use mantra_oracle::{detect_injection, RouteChurnExt, RouteStatsExt, UsageStatsExt};
 
+/// One row as a collector hands it to the [`TablesBuilder`].
+#[derive(Clone, Debug)]
+enum Row {
+    Pair(PairRow),
+    Route(RouteRow),
+    /// IGMP membership of a group, with no `(S,G)` state of its own.
+    Igmp(u32),
+    Sa(u32, Ip),
+    /// A session seeded ahead of the pair rows, as archive replay seeds
+    /// member-only sessions.
+    Seed(SessionRow),
+}
+
+/// Groups are few, so IGMP sightings and seeded sessions land both on
+/// groups with pairs and on groups without.
+const GROUPS: u32 = 12;
+
 fn arb_pair() -> impl Strategy<Value = PairRow> {
-    // Sources include 0 (the unspecified wildcard) to exercise the
-    // member-only / wildcard-sender edge cases of the accumulators.
-    (0u32..40, 0u32..2_000_000, 0u64..300_000, any::<bool>()).prop_map(
-        |(g, src, bps, forwarding)| PairRow {
+    // Sources include 0 (the unspecified wildcard), and repeat often
+    // enough for a source to send in several groups.
+    (0..GROUPS, 0u32..40, 0u64..300_000, any::<bool>(), 0u32..3).prop_map(
+        |(g, src, bps, forwarding, proto)| PairRow {
             source: Ip(src),
             group: GroupAddr::from_index(g),
             current_bw: BitRate::from_bps(bps),
             avg_bw: BitRate::from_bps(bps),
             forwarding,
-            learned_from: if src.is_multiple_of(3) {
-                LearnedFrom::Igmp
-            } else {
-                LearnedFrom::Dvmrp
-            },
+            learned_from: [LearnedFrom::Dvmrp, LearnedFrom::Pim, LearnedFrom::Igmp][proto as usize],
         },
     )
 }
@@ -57,126 +72,113 @@ fn arb_route() -> impl Strategy<Value = RouteRow> {
         })
 }
 
-/// Arbitrary snapshots, *including empty tables* (0 pairs, 0 routes).
-fn arb_snapshot() -> impl Strategy<Value = Tables> {
+fn arb_seed() -> impl Strategy<Value = SessionRow> {
+    (0..GROUPS, 0u32..3, any::<bool>()).prop_map(|(g, density, igmp)| SessionRow {
+        group: GroupAddr::from_index(g),
+        name: None,
+        density,
+        bandwidth: BitRate::ZERO,
+        first_advertised: if igmp {
+            LearnedFrom::Igmp
+        } else {
+            LearnedFrom::Dvmrp
+        },
+        first_seen: SimTime::from_ymd(1998, 11, 1),
+    })
+}
+
+/// Pairs and routes six times in fifteen each, IGMP sightings, SA
+/// entries and seeded sessions once each.
+fn arb_row() -> impl Strategy<Value = Row> {
     (
-        proptest::collection::vec(arb_pair(), 0..30),
-        proptest::collection::vec(arb_route(), 0..40),
+        0u32..15,
+        arb_pair(),
+        arb_route(),
+        (0..GROUPS, 0u32..40),
+        arb_seed(),
     )
-        .prop_map(|(pairs, routes)| {
-            let mut t = Tables::new("fixw", SimTime::from_ymd(1998, 11, 1));
-            for p in pairs {
-                if !t.pairs.contains_key(&(p.group, p.source)) {
-                    t.add_pair(p);
-                }
-            }
-            for r in routes {
-                t.add_route(r);
-            }
-            t
+        .prop_map(|(kind, pair, route, (group, source), seed)| match kind {
+            0..=5 => Row::Pair(pair),
+            6..=11 => Row::Route(route),
+            12 => Row::Igmp(group),
+            13 => Row::Sa(group, Ip(source)),
+            _ => Row::Seed(seed),
         })
 }
 
-/// Re-stamps a stream's timestamps to be strictly increasing, the way
-/// the monitor's cycles are.
-fn restamp(streams: &mut [Tables]) {
-    for (i, s) in streams.iter_mut().enumerate() {
-        let at = SimTime(SimTime::from_ymd(1998, 11, 1).as_secs() + i as u64 * 900);
-        s.captured_at = at;
-        for p in s.participants.values_mut() {
-            p.first_seen = at;
+/// One snapshot's rows in arrival order, *including none at all*.
+fn arb_rows() -> impl Strategy<Value = Vec<Row>> {
+    proptest::collection::vec(arb_row(), 0..60)
+}
+
+fn t(n: u64) -> SimTime {
+    SimTime(SimTime::from_ymd(1998, 11, 1).as_secs() + n * 900)
+}
+
+/// Assembles snapshot `n` of a stream from its rows, the way the parsers
+/// and the archive replay do.
+fn build(rows: &[Row], n: u64) -> Tables {
+    let mut b = TablesBuilder::new();
+    for row in rows {
+        match row {
+            Row::Pair(p) => b.pair(p.clone()),
+            Row::Route(r) => b.route(r.clone()),
+            Row::Igmp(g) => b.igmp(GroupAddr::from_index(*g), t(n)),
+            Row::Sa(g, s) => b.sa(GroupAddr::from_index(*g), *s, t(n)),
+            Row::Seed(s) => b.seed_session(s.clone()),
         }
-        for sess in s.sessions.values_mut() {
-            sess.first_seen = at;
-        }
+    }
+    b.build("fixw", t(n))
+}
+
+/// Checks one snapshot's statistics, and the route changes from the one
+/// before it, against the oracles.
+fn check(prev: Option<&Tables>, next: &Tables, threshold: BitRate, min_new: usize) {
+    let stats = SnapshotStats::from_tables(next, threshold);
+    prop_assert_eq!(
+        stats.totals().usage(),
+        UsageStats::from_tables(next, threshold)
+    );
+    prop_assert_eq!(stats.totals().route_stats(), RouteStats::from_tables(next));
+    if let Some(prev) = prev {
+        let changes = RouteChanges::between(prev, next);
+        prop_assert_eq!(changes.churn, RouteChurn::between(prev, next));
+        prop_assert_eq!(
+            changes.injection(min_new),
+            detect_injection(prev, next, min_new)
+        );
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Folding the deltas the logger emits reproduces, at every step and
-    /// bit for bit, the statistics the full-snapshot constructors build —
-    /// usage, routes and churn alike.
+    /// Every snapshot's statistics, read off its tables in one pass, equal
+    /// the full-snapshot constructors' bit for bit; every consecutive
+    /// pair's churn and injection verdict, from one merge join, equal
+    /// the whole-table reference's.
     #[test]
-    fn incremental_stats_match_full_rebuild(
-        mut streams in proptest::collection::vec(arb_snapshot(), 1..10),
+    fn snapshot_stats_match_the_oracles(
+        stream in proptest::collection::vec(arb_rows(), 1..8),
         threshold_kbps in 0u64..16,
         min_new in 1usize..20,
     ) {
-        restamp(&mut streams);
         let threshold = BitRate::from_kbps(threshold_kbps);
-        let mut stream = IncrementalStats::default();
-        prop_assert!(!stream.is_seeded());
-        stream.reseed(&streams[0], threshold);
-        prop_assert!(stream.is_seeded());
-        prop_assert_eq!(stream.usage(), UsageStats::from_tables(&streams[0], threshold));
-        prop_assert_eq!(stream.route_stats(), RouteStats::from_tables(&streams[0]));
-        for w in streams.windows(2) {
-            let (prev, next) = (&w[0], &w[1]);
-            let delta = diff(
-                &SnapshotParts::from_tables(prev),
-                &SnapshotParts::from_tables(next),
-            );
-            let changes = stream.fold(&delta);
-            // The O(delta) accumulators agree exactly with the O(table)
-            // reference constructors...
-            prop_assert_eq!(stream.usage(), UsageStats::from_tables(next, threshold));
-            prop_assert_eq!(stream.route_stats(), RouteStats::from_tables(next));
-            // ...and so do the churn counters and the route-injection
-            // detection derived from the fold.
-            prop_assert_eq!(changes.churn, RouteChurn::between(prev, next));
-            prop_assert_eq!(
-                changes.injection(min_new),
-                detect_injection(prev, next, min_new)
-            );
-        }
-    }
-
-    /// Reseeding from an arbitrary snapshot mid-stream (the archive
-    /// reopen path) leaves the accumulators exactly where a fresh seed
-    /// would: folding is independent of the stream's history.
-    #[test]
-    fn reseed_resets_cleanly(
-        mut streams in proptest::collection::vec(arb_snapshot(), 2..6),
-        threshold_kbps in 0u64..16,
-    ) {
-        restamp(&mut streams);
-        let threshold = BitRate::from_kbps(threshold_kbps);
-        let mut dirty = IncrementalStats::default();
-        // Accumulate some history first...
-        dirty.reseed(&streams[0], threshold);
-        for w in streams.windows(2) {
-            let delta = diff(
-                &SnapshotParts::from_tables(&w[0]),
-                &SnapshotParts::from_tables(&w[1]),
-            );
-            dirty.fold(&delta);
-        }
-        // ...then reseed from the first snapshot and refold: every step
-        // matches a stream that never had the history.
-        dirty.reseed(&streams[0], threshold);
-        prop_assert_eq!(dirty.usage(), UsageStats::from_tables(&streams[0], threshold));
-        for w in streams.windows(2) {
-            let delta = diff(
-                &SnapshotParts::from_tables(&w[0]),
-                &SnapshotParts::from_tables(&w[1]),
-            );
-            dirty.fold(&delta);
-            prop_assert_eq!(dirty.usage(), UsageStats::from_tables(&w[1], threshold));
-            prop_assert_eq!(dirty.route_stats(), RouteStats::from_tables(&w[1]));
+        let snapshots: Vec<Tables> = (0u64..)
+            .zip(&stream)
+            .map(|(n, rows)| build(rows, n))
+            .collect();
+        check(None, &snapshots[0], threshold, min_new);
+        for w in snapshots.windows(2) {
+            check(Some(&w[0]), &w[1], threshold, min_new);
         }
     }
 }
 
 // ----------------------------------------------------------------------
 // Hand-built streams: pair and session turnover, member-only sessions,
-// route churn and uptime, a route injection, reseeding and empty tables.
+// route churn and uptime, a route injection and empty tables.
 // ----------------------------------------------------------------------
-
-fn t(n: u64) -> SimTime {
-    SimTime(SimTime::from_ymd(1998, 11, 1).as_secs() + n * 900)
-}
 
 fn g(i: u32) -> GroupAddr {
     GroupAddr::from_index(i)
@@ -204,28 +206,13 @@ fn route(t: &mut Tables, third: u8, reachable: bool, metric: u32, uptime: Option
     });
 }
 
-/// Folds the stream's consecutive deltas and checks every cycle's
-/// incremental output against the full-snapshot reference.
+/// Checks every snapshot of the stream, and the changes between each
+/// consecutive pair, against the full-snapshot reference.
 fn check_stream(stream: &[Tables]) {
-    let mut inc = IncrementalStats::default();
-    inc.reseed(&stream[0], SENDER_THRESHOLD);
-    assert_eq!(
-        inc.usage(),
-        UsageStats::from_tables(&stream[0], SENDER_THRESHOLD)
-    );
-    assert_eq!(inc.route_stats(), RouteStats::from_tables(&stream[0]));
-    for w in stream.windows(2) {
-        let d = diff(
-            &SnapshotParts::from_tables(&w[0]),
-            &SnapshotParts::from_tables(&w[1]),
-        );
-        let changes = inc.fold(&d);
-        assert_eq!(
-            inc.usage(),
-            UsageStats::from_tables(&w[1], SENDER_THRESHOLD)
-        );
-        assert_eq!(inc.route_stats(), RouteStats::from_tables(&w[1]));
-        assert_eq!(changes.churn, RouteChurn::between(&w[0], &w[1]));
+    let mut prev = None;
+    for next in stream {
+        check(prev, next, SENDER_THRESHOLD, 1);
+        prev = Some(next);
     }
 }
 
@@ -254,36 +241,40 @@ fn fold_tracks_pair_and_session_turnover() {
 
 #[test]
 fn fold_tracks_member_only_sessions() {
+    let member_only = |group: u32, n: u64| SessionRow {
+        group: g(group),
+        name: None,
+        density: 0,
+        bandwidth: BitRate::ZERO,
+        first_advertised: LearnedFrom::Igmp,
+        first_seen: t(n),
+    };
     let mut a = Tables::new("fixw", t(0));
-    a.sessions.insert(
-        g(7),
-        SessionRow {
-            group: g(7),
-            name: None,
-            density: 0,
-            bandwidth: BitRate::ZERO,
-            first_advertised: LearnedFrom::Igmp,
-            first_seen: t(0),
-        },
-    );
+    a.sessions.insert(g(7), member_only(7, 0));
     // Cycle 1: the member-only session gains a real participant (no
     // longer member-only), and a new member-only session appears.
     let mut b = Tables::new("fixw", t(1));
     pair(&mut b, 7, Ip::new(9, 0, 0, 1), 8, true);
     b.sessions.get_mut(&g(7)).unwrap().first_advertised = LearnedFrom::Igmp;
-    b.sessions.insert(
-        g(8),
-        SessionRow {
-            group: g(8),
-            name: None,
-            density: 0,
-            bandwidth: BitRate::ZERO,
-            first_advertised: LearnedFrom::Igmp,
-            first_seen: t(1),
-        },
-    );
-    let c = Tables::new("fixw", t(2));
-    check_stream(&[a, b, c]);
+    b.sessions.insert(g(8), member_only(8, 1));
+    // Cycle 2: IGMP sightings alone, one next to a wildcard pair.
+    let mut rows = TablesBuilder::new();
+    rows.igmp(g(8), t(2));
+    rows.igmp(g(9), t(2));
+    rows.pair(PairRow {
+        source: Ip::UNSPECIFIED,
+        group: g(9),
+        current_bw: BitRate::from_kbps(16),
+        avg_bw: BitRate::from_kbps(16),
+        forwarding: true,
+        learned_from: LearnedFrom::Pim,
+    });
+    let c = rows.build("fixw", t(2));
+    assert_eq!(c.sessions.len(), 2);
+    let stats = SnapshotStats::from_tables(&c, SENDER_THRESHOLD);
+    let u = stats.totals().usage();
+    assert_eq!((u.sessions, u.participants, u.active_sessions), (2, 0, 1));
+    check_stream(&[a, b, c, Tables::new("fixw", t(3))]);
 }
 
 #[test]
@@ -296,6 +287,16 @@ fn fold_tracks_route_churn_and_uptime() {
     route(&mut b, 1, true, 5, Some(1_500)); // metric + uptime change
     route(&mut b, 3, true, 3, Some(120)); // flip + metric change
     route(&mut b, 4, true, 3, None); // added; 128.2 removed
+    let churn = RouteChanges::between(&a, &b).churn;
+    assert_eq!(
+        (
+            churn.added,
+            churn.removed,
+            churn.changed,
+            churn.reachability_flips
+        ),
+        (1, 1, 2, 1)
+    );
     let c = Tables::new("fixw", t(2));
     check_stream(&[a, b, c]);
 }
@@ -319,48 +320,30 @@ fn injection_matches_reference_detector() {
             learned_from: LearnedFrom::Dvmrp,
         });
     }
-    let mut inc = IncrementalStats::default();
-    inc.reseed(&a, SENDER_THRESHOLD);
-    let d = diff(
-        &SnapshotParts::from_tables(&a),
-        &SnapshotParts::from_tables(&b),
-    );
-    let changes = inc.fold(&d);
+    let changes = RouteChanges::between(&a, &b);
     for min_new in [100, 1_000] {
         assert_eq!(
             changes.injection(min_new),
             detect_injection(&a, &b, min_new),
         );
     }
-    // A quiet delta never alerts.
-    assert_eq!(inc.fold(&TableDelta::default()).injection(1), None);
-}
-
-#[test]
-fn reseed_resets_previous_state() {
-    let mut a = Tables::new("fixw", t(0));
-    pair(&mut a, 0, Ip::new(1, 0, 0, 1), 64, true);
-    route(&mut a, 1, true, 3, None);
-    let mut inc = IncrementalStats::default();
-    assert!(!inc.is_seeded());
-    inc.reseed(&a, SENDER_THRESHOLD);
-    assert!(inc.is_seeded());
-    let mut b = Tables::new("fixw", t(1));
-    pair(&mut b, 5, Ip::new(2, 0, 0, 1), 8, true);
-    inc.reseed(&b, SENDER_THRESHOLD);
-    assert_eq!(inc.usage(), UsageStats::from_tables(&b, SENDER_THRESHOLD));
-    assert_eq!(inc.route_stats(), RouteStats::from_tables(&b));
+    assert!(changes.injection(100).is_some());
+    // An unchanged table never alerts.
+    assert_eq!(RouteChanges::between(&b, &b).injection(1), None);
 }
 
 #[test]
 fn empty_tables_stay_all_zero() {
     let empty = Tables::new("fixw", t(0));
-    let mut inc = IncrementalStats::default();
-    inc.reseed(&empty, SENDER_THRESHOLD);
-    let u = inc.usage();
+    let stats = SnapshotStats::from_tables(&empty, SENDER_THRESHOLD);
+    let u = stats.totals().usage();
     assert_eq!(u, UsageStats::from_tables(&empty, SENDER_THRESHOLD));
     assert_eq!(u.sessions, 0);
     assert_eq!(u.single_member_fraction, 0.0);
     assert_eq!(u.bandwidth_saved_multiple, 0.0);
-    assert_eq!(inc.route_stats().mean_uptime_secs, None);
+    assert_eq!(stats.totals().route_stats().mean_uptime_secs, None);
+    assert_eq!(
+        RouteChanges::between(&empty, &empty).churn,
+        RouteChurn::default()
+    );
 }
