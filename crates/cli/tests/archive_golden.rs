@@ -1,10 +1,11 @@
 //! Golden test: a seeded monitor run writes a file archive whose
-//! `mantra archive replay` transcript matches the committed golden file.
-//! Guards both the simulator's determinism and the archive format — a
-//! change to either shows up as a diff against `tests/golden/`. Also
-//! pins that `archive compact` never compacts an archive into itself,
-//! and that `archive info` on a torn copy reports the tail it leaves in
-//! place.
+//! `mantra archive replay` transcript and `mantra archive info` summary
+//! match the committed golden files, and `archive info` on the committed
+//! v1 fixture matches its own. Guards both the simulator's determinism
+//! and the archive formats — a change to either shows up as a diff
+//! against `tests/golden/`. Also pins that `archive compact` never
+//! compacts an archive into itself, and that `archive info` on a torn
+//! copy reports the tail it leaves in place.
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -57,6 +58,26 @@ fn mantra(cwd: &Path, args: &[&str]) -> Output {
         .unwrap()
 }
 
+/// Asserts that `run` succeeded and printed exactly the committed golden
+/// file `tests/golden/{name}`.
+fn assert_matches_golden(run: &Output, name: &str) {
+    assert!(
+        run.status.success(),
+        "{name}: {}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let golden_path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    let want = std::fs::read_to_string(&golden_path).unwrap();
+    assert_eq!(
+        String::from_utf8_lossy(&run.stdout),
+        want,
+        "output diverged from {}",
+        golden_path.display()
+    );
+}
+
 /// Writes the seed-7, two-hour monitor archives into `dir`.
 fn monitor_archives(dir: &Path) {
     let monitor = mantra(
@@ -84,36 +105,13 @@ fn archive_replay_matches_golden() {
     monitor_archives(dir.path());
 
     let replay = mantra(dir.path(), &["archive", "replay", "--path", "fixw.marc"]);
-    assert!(
-        replay.status.success(),
-        "replay failed: {}",
-        String::from_utf8_lossy(&replay.stderr)
-    );
+    assert_matches_golden(&replay, "archive_replay_fixw.txt");
     let got = String::from_utf8(replay.stdout).unwrap();
 
-    let golden_path =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden/archive_replay_fixw.txt");
-    let want = std::fs::read_to_string(&golden_path).unwrap();
-    assert_eq!(
-        got,
-        want,
-        "archive replay diverged from {}",
-        golden_path.display()
-    );
-
-    // `archive info` must read the same file without error, and a fresh
-    // monitor run writes the v2 dictionary format.
+    // `archive info` reads the same file: a fresh monitor run writes the
+    // v2 dictionary format at epoch 1.
     let info = mantra(dir.path(), &["archive", "info", "--path", "fixw.marc"]);
-    assert!(info.status.success());
-    let info_out = String::from_utf8(info.stdout).unwrap();
-    assert!(
-        info_out.contains("MANTRARC v2"),
-        "unexpected info output:\n{info_out}"
-    );
-    assert!(
-        info_out.contains("dictionary:  epoch 1"),
-        "unexpected info output:\n{info_out}"
-    );
+    assert_matches_golden(&info, "archive_info_fixw.txt");
 
     // Compacting with --drop-before rewrites to a smaller archive at the
     // next dictionary epoch; the cutoff here predates every record, so
@@ -147,6 +145,17 @@ fn archive_replay_matches_golden() {
     );
     assert!(replay2.status.success());
     assert_eq!(String::from_utf8(replay2.stdout).unwrap(), got);
+}
+
+#[test]
+fn archive_info_on_the_v1_fixture_matches_golden() {
+    // Run at the repository root, as CI's archive-soak job runs it.
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let info = mantra(
+        &root,
+        &["archive", "info", "--path", "tests/data/fixw-v1.marc"],
+    );
+    assert_matches_golden(&info, "archive_info_fixw_v1.txt");
 }
 
 #[test]
