@@ -61,7 +61,11 @@ fn snapshot_stream(n: usize) -> Vec<Tables> {
     let mut sc = Scenario::fixw_six_months(7);
     let mut monitor = monitor_for(&sc);
     drive_for(&mut sc, &mut monitor, SimDuration::mins(15 * n as u64));
-    monitor.log("fixw").expect("log exists").replay()
+    monitor
+        .log("fixw")
+        .expect("log exists")
+        .replay()
+        .expect("the archive replays")
 }
 
 fn ablation_logger(c: &mut Criterion) {

@@ -510,18 +510,17 @@ fn archive_info(opts: &Opts, out: &mut dyn Write) -> Outcome {
     let path = required_path(opts, "path")?;
     let log = load_archive(path)?;
     let stats = log.archive_stats();
-    let info = log.describe();
-    let format = match info.format_version {
+    let format = match stats.format_version {
         1 => "MANTRARC v1 (binary, length-prefixed, JSON payloads; read-only)".to_string(),
         v => format!("MANTRARC v{v} (binary, id-keyed, embedded dictionary)"),
     };
     writeln!(out, "archive:     {}", path.display())?;
     writeln!(out, "format:      {format}")?;
-    if info.format_version >= 2 {
+    if stats.format_version >= 2 {
         writeln!(
             out,
             "dictionary:  epoch {}, {} interned entries",
-            info.epoch, info.dict_entries
+            stats.epoch, stats.dict_entries
         )?;
     }
     writeln!(
@@ -598,7 +597,6 @@ fn archive_compact(opts: &Opts, out: &mut dyn Write) -> Outcome {
     .map_err(|e| format!("compacting into {}: {e}", dest.display()))?;
     let before = src.archive_stats();
     let after = dst.archive_stats();
-    let info = dst.describe();
     writeln!(
         out,
         "compacted {} ({} records, {} bytes) into {} ({} records, {} bytes, {} checkpoints)",
@@ -613,7 +611,7 @@ fn archive_compact(opts: &Opts, out: &mut dyn Write) -> Outcome {
     writeln!(
         out,
         "format:      MANTRARC v{}, dictionary epoch {} ({} entries)",
-        info.format_version, info.epoch, info.dict_entries
+        after.format_version, after.epoch, after.dict_entries
     )?;
     if dropped > 0 {
         writeln!(
@@ -721,7 +719,7 @@ pub fn health(opts: &Opts, out: &mut dyn Write) -> Outcome {
         writeln!(
             out,
             "WARNING: degraded persistence on {} — archives fell back to memory, \
-             hit write/replay errors, or shed records on a full writer queue; \
+             hit write errors, or shed records on a full writer queue; \
              the archived data is incomplete or will not survive a restart",
             degraded.join(", ")
         )?;

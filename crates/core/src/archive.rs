@@ -13,13 +13,14 @@
 //!   *checkpoints*: replay can start at the last one instead of the
 //!   beginning, and a crash that truncates the tail recovers to the last
 //!   intact record instead of refusing the archive.
-//! * [`ArchiveReader`] — a read-only view of a v2 archive's intact
-//!   prefix, safe against a live writer. It serves the daemon's queries
-//!   and every read-only v2 open ([`crate::logger::TableLog::load_read_only`]);
-//!   appends through it are refused.
-//! * [`FileBackendV1`] — a read-only decoder for legacy version-1
-//!   archives (JSON payloads). Nothing writes v1 any more; such archives
-//!   are replayed as they are or rewritten as v2 by
+//! * [`ThreadedBackend`] — any backend behind a writer thread and a
+//!   bounded queue.
+//! * [`ArchiveReader`] — a read-only view of an archive's intact prefix,
+//!   in either format, safe against a live writer. It serves the daemon's
+//!   queries and every read-only open
+//!   ([`crate::logger::TableLog::load_read_only`]); appends through it
+//!   are refused. Nothing writes version 1 any more: a v1 archive is
+//!   read as it is, or rewritten as v2 by
 //!   [`crate::logger::compact_archive`] (`mantra archive compact`).
 //!
 //! Backends receive [`LogRecord`]s and encode them however they store
@@ -27,12 +28,13 @@
 //! the backend actually wrote.) The [`crate::logger::TableLog`] owns one
 //! backend behind the [`ArchiveBackend`] trait and never materialises
 //! more than one snapshot while replaying (see
-//! [`crate::logger::ReplayIter`]).
+//! [`crate::logger::ReplayIter`]). Every backend's state — format,
+//! counts, durability and writer queue — is one [`ArchiveStats`].
 //!
-//! Both file formats are read through one frame reader, and v2 through
-//! one frame index: the owning writer ([`FileBackendV2`]) and the
-//! concurrent reader ([`ArchiveReader`]) build it with the same scan and
-//! stream records from it with the same decoder.
+//! Both file formats are read through one frame reader and one frame
+//! index: the owning writer ([`FileBackendV2`]) and the reader
+//! ([`ArchiveReader`]) build it with the same scan and stream records
+//! from it with the same decoder.
 //!
 //! ## On-disk format (version 1, read-only)
 //!
@@ -48,10 +50,12 @@
 //!                      payload: the LogRecord as serde_json UTF-8
 //! ```
 //!
-//! Version-1 archives carry interner epoch 0. Recovery rule: records
-//! are scanned from the header; the first frame that is incomplete, has
-//! an unknown kind, or fails its CRC ends the archive. The reader clamps
-//! there in memory and never writes the file.
+//! Version-1 archives carry interner epoch 0, no dictionary and no
+//! sequence numbers. Recovery rule: records are scanned from the header;
+//! the first frame that is incomplete, has an unknown kind, fails its
+//! CRC or whose payload does not decode ends the archive (the scan takes
+//! each record's `captured_at` from its decoded payload). The reader
+//! clamps there in memory and never writes the file.
 //!
 //! ## On-disk format (version 2)
 //!
@@ -103,13 +107,13 @@ use crate::store::Interner;
 use crate::tables::{LearnedFrom, PairRow, RouteRow, SessionRow, Tables};
 
 /// The archive file magic.
-pub const MAGIC: [u8; 8] = *b"MANTRARC";
+pub(crate) const MAGIC: [u8; 8] = *b"MANTRARC";
 /// The original JSON-payload on-disk format version (read-only).
-pub const FORMAT_VERSION: u16 = 1;
+const FORMAT_VERSION: u16 = 1;
 /// The id-keyed binary on-disk format version.
-pub const FORMAT_VERSION_V2: u16 = 2;
+const FORMAT_VERSION_V2: u16 = 2;
 /// Header length in bytes.
-pub const HEADER_LEN: u64 = 24;
+const HEADER_LEN: u64 = 24;
 /// Record frame header length (kind + len + crc).
 const FRAME_LEN: u64 = 9;
 /// Frame kinds shared by both formats; `KIND_DICT` is v2-only.
@@ -150,8 +154,8 @@ fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
     c
 }
 
-/// CRC-32 (IEEE 802.3 polynomial) of `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
+/// CRC-32 (IEEE 802.3 polynomial) of `bytes`: the v1 frame CRC.
+fn crc32(bytes: &[u8]) -> u32 {
     crc32_update(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
 }
 
@@ -166,9 +170,18 @@ fn crc32_v2(kind: u8, payload: &[u8]) -> u32 {
 // Backend trait
 // ---------------------------------------------------------------------
 
-/// Accumulated accounting for one archive.
+/// Accumulated accounting for one archive: its format, its counts, its
+/// durability and its writer queue, from [`ArchiveBackend::stats`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ArchiveStats {
+    /// MANTRARC format version; 0 for in-memory (no on-disk format).
+    pub format_version: u16,
+    /// The interner epoch stamped in the header (v2; v1 carries 0).
+    /// Compaction bumps it so stale id-keyed payloads cannot be
+    /// resolved against the rewritten dictionary.
+    pub epoch: u32,
+    /// Entries in the embedded dictionary (v2 only).
+    pub dict_entries: u64,
     /// Records archived.
     pub records: u64,
     /// Full-snapshot records (replay entry points / checkpoints).
@@ -211,19 +224,6 @@ pub struct ArchiveStats {
     /// ([`BackpressureMode::Shed`]) or skipped by the writer thread to
     /// keep the delta chain replayable after an append failure.
     pub dropped_records: u64,
-}
-
-/// Identity of an archive's on-disk format, from [`ArchiveBackend::describe`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ArchiveInfo {
-    /// MANTRARC format version; 0 for in-memory (no on-disk format).
-    pub format_version: u16,
-    /// The interner epoch stamped in the header (v2; v1 carries 0).
-    /// Compaction bumps it so stale id-keyed payloads cannot be
-    /// resolved against the rewritten dictionary.
-    pub epoch: u32,
-    /// Entries in the embedded dictionary (v2 only).
-    pub dict_entries: u64,
 }
 
 /// When a file backend issues `fsync`. Checkpoints mark replay entry
@@ -305,12 +305,6 @@ pub trait ArchiveBackend: fmt::Debug + Send {
     /// Accounting snapshot.
     fn stats(&self) -> ArchiveStats;
 
-    /// Format identity (version/epoch/dictionary size). The default
-    /// covers backends with no on-disk format (memory).
-    fn describe(&self) -> ArchiveInfo {
-        ArchiveInfo::default()
-    }
-
     /// Forces durability (no-op for memory).
     fn sync(&mut self) -> io::Result<()> {
         Ok(())
@@ -375,9 +369,9 @@ fn bad_data(msg: String) -> io::Error {
 }
 
 /// The error an append to a v1 archive produces, whether through an
-/// open for append or a read-only [`FileBackendV1`]: v1 is read-only,
-/// and the way forward is a v2 rewrite.
-pub fn v1_is_read_only(path: &Path) -> io::Error {
+/// open for append or an [`ArchiveReader`]: v1 is read-only, and the way
+/// forward is a v2 rewrite.
+fn v1_is_read_only(path: &Path) -> io::Error {
     io::Error::new(
         io::ErrorKind::PermissionDenied,
         format!(
@@ -392,7 +386,7 @@ pub fn v1_is_read_only(path: &Path) -> io::Error {
 
 /// The error an unsupported (future) format version produces — raised by
 /// whatever opens the archive, never silently degraded to a guess.
-pub fn unsupported_version(version: u16) -> io::Error {
+fn unsupported_version(version: u16) -> io::Error {
     bad_data(format!(
         "MANTRARC archive with unsupported format version {version}; this \
          build reads versions {FORMAT_VERSION} and {FORMAT_VERSION_V2} \
@@ -401,8 +395,8 @@ pub fn unsupported_version(version: u16) -> io::Error {
 }
 
 /// Reads and validates an archive header's magic, returning
-/// `(format_version, interner_epoch)` for the caller to dispatch on.
-pub fn read_header(r: &mut impl Read) -> io::Result<(u16, u32)> {
+/// `(format_version, interner_epoch)`.
+fn read_header(r: &mut impl Read) -> io::Result<(u16, u32)> {
     let mut header = [0u8; HEADER_LEN as usize];
     r.read_exact(&mut header)
         .map_err(|_| bad_data("archive too short for a MANTRARC header".into()))?;
@@ -469,83 +463,44 @@ fn read_frame(
     Ok(kind)
 }
 
-/// Streams the records `start..start + limit` (clamped to the archive)
-/// of the archive at `path`, whose record batches start at `offsets`
-/// (the last entry is the end sentinel) and whose logical end is `end`.
-/// `dict` is a v2 archive's dictionary; `None` decodes v1's JSON
-/// payloads.
-///
-/// v2 dictionary frames are skipped: `dict` already holds their
-/// entries, and within an epoch the dictionary only grows, so an early
-/// record decodes against it exactly as against the dictionary of its
-/// day. Every record frame is CRC-checked and bounded by `end`, and a v2
-/// record's sequence number must match its index. The stream fuses on
-/// its first error.
-fn stream_records<'a>(
-    path: &Path,
-    offsets: &[u64],
-    end: u64,
-    dict: Option<&'a ArchiveDict>,
-    start: usize,
-    limit: usize,
-) -> RecordIter<'a> {
-    let count = offsets.len() - 1;
-    let start = start.min(count);
-    let remaining = limit.min(count - start);
-    if remaining == 0 {
-        return Box::new(std::iter::empty());
-    }
-    let pos = offsets[start];
-    let reader = File::open(path).and_then(|mut f| {
-        f.seek(SeekFrom::Start(pos))?;
-        Ok(BufReader::new(f))
-    });
-    match reader {
-        Ok(reader) => Box::new(Records {
-            reader: Some(reader),
-            dict,
-            next: start as u64,
-            remaining,
-            pos,
-            end,
-            payload: Vec::new(),
-        }),
-        Err(e) => Box::new(std::iter::once(Err(io::Error::new(
-            e.kind(),
-            format!("archive file disappeared under the reader: {e}"),
-        )))),
-    }
+/// Decodes a v1 record payload: the record as serde_json UTF-8.
+fn decode_record_v1(payload: &[u8]) -> io::Result<LogRecord> {
+    let text = std::str::from_utf8(payload)
+        .map_err(|e| bad_data(format!("record payload is not UTF-8: {e}")))?;
+    serde_json::from_str(text).map_err(|e| bad_data(format!("bad record payload: {e}")))
 }
 
-/// The record stream behind [`stream_records`].
+/// The record stream behind [`FrameIndex::records`], read frame by frame
+/// from the file.
+///
+/// v2 dictionary frames are skipped: the index's dictionary already
+/// holds their entries, and within an epoch the dictionary only grows,
+/// so an early record decodes against it exactly as against the
+/// dictionary of its day. Every record frame is CRC-checked and bounded
+/// by the index's logical end, and a v2 record's sequence number must
+/// match its index. The stream fuses on its first error.
 struct Records<'a> {
     reader: Option<BufReader<File>>,
-    dict: Option<&'a ArchiveDict>,
+    index: &'a FrameIndex,
     /// Index (and v2 sequence number) of the next record.
     next: u64,
     remaining: usize,
     /// Byte offset of the next frame.
     pos: u64,
-    end: u64,
     payload: Vec<u8>,
 }
 
 impl Records<'_> {
     fn read_one(&mut self) -> io::Result<LogRecord> {
         let reader = self.reader.as_mut().expect("checked by next()");
-        let v2 = self.dict.is_some();
+        let (index, v2) = (self.index, self.index.v2());
         loop {
-            let kind = read_frame(reader, self.pos, self.end, v2, &mut self.payload)?;
+            let kind = read_frame(reader, self.pos, index.end, v2, &mut self.payload)?;
             self.pos += FRAME_LEN + self.payload.len() as u64;
-            let rec = match self.dict {
-                Some(_) if kind == KIND_DICT => continue,
-                Some(dict) => decode_record_v2(kind, &self.payload, dict, self.next)?,
-                None => {
-                    let text = std::str::from_utf8(&self.payload)
-                        .map_err(|e| bad_data(format!("record payload is not UTF-8: {e}")))?;
-                    serde_json::from_str(text)
-                        .map_err(|e| bad_data(format!("bad record payload: {e}")))?
-                }
+            let rec = match kind {
+                KIND_DICT => continue,
+                _ if v2 => decode_record_v2(kind, &self.payload, &index.dict, self.next)?,
+                _ => decode_record_v1(&self.payload)?,
             };
             self.next += 1;
             return Ok(rec);
@@ -566,117 +521,6 @@ impl Iterator for Records<'_> {
             self.reader = None; // fuse on error
         }
         Some(rec)
-    }
-}
-
-// ---------------------------------------------------------------------
-// FileBackendV1: the read-only legacy decoder
-// ---------------------------------------------------------------------
-
-/// A legacy MANTRARC v1 archive (JSON payloads, see the module docs),
-/// opened read-only.
-///
-/// Nothing writes v1 any more. The decoder stays so committed v1
-/// archives keep replaying and can be rewritten as v2 by
-/// [`crate::logger::compact_archive`]. Opening scans and CRC-checks
-/// every frame; a torn or corrupt tail is clamped in memory (accounted
-/// in [`ArchiveStats::recovered_bytes`]) and the file is never written.
-/// Appends fail with [`v1_is_read_only`].
-#[derive(Debug)]
-pub struct FileBackendV1 {
-    path: PathBuf,
-    /// Byte offset of each record's frame, plus the end offset as a
-    /// final sentinel.
-    offsets: Vec<u64>,
-    checkpoints: Vec<usize>,
-    stats: ArchiveStats,
-}
-
-impl FileBackendV1 {
-    /// Opens an existing v1 archive without ever writing to it. Safe to
-    /// run against a file another process holds open.
-    pub fn open_read_only(path: impl Into<PathBuf>) -> io::Result<FileBackendV1> {
-        let path = path.into();
-        let mut file = File::open(&path)?;
-        let file_len = file.seek(SeekFrom::End(0))?;
-        file.seek(SeekFrom::Start(0))?;
-        let mut reader = BufReader::new(file);
-        let (version, _) = read_header(&mut reader)?;
-        if version != FORMAT_VERSION {
-            return Err(if version == FORMAT_VERSION_V2 {
-                bad_data(format!(
-                    "archive is MANTRARC v{version}; read it through ArchiveReader"
-                ))
-            } else {
-                unsupported_version(version)
-            });
-        }
-
-        let mut offsets = vec![HEADER_LEN];
-        let mut checkpoints = Vec::new();
-        let mut pos = HEADER_LEN;
-        let mut payload = Vec::new();
-        // The first bad frame ends the archive.
-        while let Ok(kind) = read_frame(&mut reader, pos, file_len, false, &mut payload) {
-            if kind == KIND_FULL {
-                checkpoints.push(offsets.len() - 1);
-            }
-            pos += FRAME_LEN + payload.len() as u64;
-            offsets.push(pos);
-        }
-        let stats = ArchiveStats {
-            records: (offsets.len() - 1) as u64,
-            checkpoints: checkpoints.len() as u64,
-            bytes: pos - HEADER_LEN,
-            recovered_bytes: file_len - pos,
-            ..ArchiveStats::default()
-        };
-        Ok(FileBackendV1 {
-            path,
-            offsets,
-            checkpoints,
-            stats,
-        })
-    }
-}
-
-impl ArchiveBackend for FileBackendV1 {
-    fn kind(&self) -> &'static str {
-        "file"
-    }
-
-    fn append(&mut self, _rec: LogRecord) -> io::Result<()> {
-        self.stats.write_errors += 1;
-        Err(v1_is_read_only(&self.path))
-    }
-
-    fn len(&self) -> usize {
-        self.offsets.len() - 1
-    }
-
-    fn records(&self) -> RecordIter<'_> {
-        self.records_from(0)
-    }
-
-    fn records_from(&self, start: usize) -> RecordIter<'_> {
-        let end = *self.offsets.last().expect("the sentinel");
-        stream_records(&self.path, &self.offsets, end, None, start, usize::MAX)
-    }
-
-    fn last_checkpoint(&self) -> Option<usize> {
-        self.checkpoints.last().copied()
-    }
-
-    fn stats(&self) -> ArchiveStats {
-        self.stats.clone()
-    }
-
-    fn describe(&self) -> ArchiveInfo {
-        ArchiveInfo {
-            format_version: FORMAT_VERSION,
-            epoch: 0,
-            dict_entries: 0,
-        }
     }
 }
 
@@ -1221,17 +1065,20 @@ fn decode_record_v2(
 }
 
 // ---------------------------------------------------------------------
-// MANTRARC v2: the frame index
+// The frame index, of either format
 // ---------------------------------------------------------------------
 
-/// The index of a v2 archive's intact prefix, shared by the owning
-/// writer ([`FileBackendV2`]) and the concurrent reader
-/// ([`ArchiveReader`]): both build it with [`V2Index::scan`] and stream
-/// records from it with [`V2Index::records`].
+/// The index of an archive's intact prefix, in either format, shared by
+/// the owning writer ([`FileBackendV2`]) and the reader
+/// ([`ArchiveReader`]): both build it with [`FrameIndex::scan`] and
+/// stream records from it with [`FrameIndex::records`].
 #[derive(Debug)]
-struct V2Index {
-    /// The dictionary rebuilt from the prefix's segments; the writer
-    /// interns into it as it appends.
+struct FrameIndex {
+    /// The format version of the header the index was built under; 0
+    /// before the first scan.
+    version: u16,
+    /// The dictionary rebuilt from the prefix's segments (empty for v1,
+    /// which has none); the writer interns into it as it appends.
     dict: ArchiveDict,
     /// Byte offset of each record's append batch (its frame, or the
     /// dictionary frame written ahead of it), plus the end of the last
@@ -1245,15 +1092,20 @@ struct V2Index {
     end: u64,
 }
 
-impl V2Index {
-    fn new(epoch: u32) -> V2Index {
-        V2Index {
+impl FrameIndex {
+    fn new(version: u16, epoch: u32) -> FrameIndex {
+        FrameIndex {
+            version,
             dict: ArchiveDict::with_epoch(epoch),
             offsets: vec![HEADER_LEN],
             checkpoints: Vec::new(),
             times: Vec::new(),
             end: HEADER_LEN,
         }
+    }
+
+    fn v2(&self) -> bool {
+        self.version == FORMAT_VERSION_V2
     }
 
     fn len(&self) -> usize {
@@ -1264,14 +1116,14 @@ impl V2Index {
     /// and `file_len`. The first bad frame ends the scan: one that
     /// [`read_frame`] rejects, a dictionary segment whose epoch or
     /// watermark does not match (compaction bumps the epoch so stale
-    /// segments end here), or a record whose sequence number is not its
-    /// index (a spliced or duplicated frame). Both record kinds lead
-    /// with `seq, captured_at` varints, so no record body is decoded.
+    /// segments end here), or a record [`FrameIndex::record_time`]
+    /// refuses.
     fn scan(&mut self, file: &mut File, file_len: u64) -> io::Result<()> {
         file.seek(SeekFrom::Start(self.end))?;
         let mut reader = BufReader::new(file);
         let mut payload = Vec::new();
-        while let Ok(kind) = read_frame(&mut reader, self.end, file_len, true, &mut payload) {
+        let v2 = self.v2();
+        while let Ok(kind) = read_frame(&mut reader, self.end, file_len, v2, &mut payload) {
             let frame_end = self.end + FRAME_LEN + payload.len() as u64;
             if kind == KIND_DICT {
                 if self.dict.apply_segment(&payload).is_err() {
@@ -1280,15 +1132,26 @@ impl V2Index {
                 self.end = frame_end;
                 continue;
             }
-            let mut c = Cur::new(&payload);
-            match (c.uv(), c.uv()) {
-                (Ok(seq), Ok(at)) if seq == self.len() as u64 => {
-                    self.push(kind == KIND_FULL, SimTime(at), frame_end);
-                }
-                _ => break,
-            }
+            let Some(at) = self.record_time(&payload) else {
+                break;
+            };
+            self.push(kind == KIND_FULL, at, frame_end);
         }
         Ok(())
+    }
+
+    /// The `captured_at` of the next record, whose payload is `payload`,
+    /// or `None` when the record ends the archive. A v2 record leads with
+    /// `seq, captured_at` varints, so no record body is decoded; its
+    /// sequence number must be its index (else the frame was spliced or
+    /// duplicated). A v1 record has no sequence number and must decode.
+    fn record_time(&self, payload: &[u8]) -> Option<SimTime> {
+        if !self.v2() {
+            return decode_record_v1(payload).ok().map(|rec| rec.captured_at());
+        }
+        let mut c = Cur::new(payload);
+        let (seq, at) = (c.uv().ok()?, c.uv().ok()?);
+        (seq == self.len() as u64).then_some(SimTime(at))
     }
 
     /// Indexes one more record, whose frame ends at `end`.
@@ -1301,55 +1164,63 @@ impl V2Index {
         self.end = end;
     }
 
-    /// Streams records `start..start + limit` of the indexed prefix.
-    fn records<'a>(&'a self, path: &Path, start: usize, limit: usize) -> RecordIter<'a> {
-        stream_records(
-            path,
-            &self.offsets,
-            self.end,
-            Some(&self.dict),
-            start,
-            limit,
-        )
+    /// Streams records `start..start + limit` of the indexed prefix
+    /// (clamped to it) from the file at `path`.
+    fn records(&self, path: &Path, start: usize, limit: usize) -> RecordIter<'_> {
+        let start = start.min(self.len());
+        let remaining = limit.min(self.len() - start);
+        if remaining == 0 {
+            return Box::new(std::iter::empty());
+        }
+        let pos = self.offsets[start];
+        let reader = File::open(path).and_then(|mut f| {
+            f.seek(SeekFrom::Start(pos))?;
+            Ok(BufReader::new(f))
+        });
+        match reader {
+            Ok(reader) => Box::new(Records {
+                reader: Some(reader),
+                index: self,
+                next: start as u64,
+                remaining,
+                pos,
+                payload: Vec::new(),
+            }),
+            Err(e) => Box::new(std::iter::once(Err(io::Error::new(
+                e.kind(),
+                format!("archive file disappeared under the reader: {e}"),
+            )))),
+        }
     }
 
-    /// `base` with the counts the index keeps: records, checkpoints and
-    /// frame bytes after the header.
+    /// `base` with what the index knows: the format version, epoch and
+    /// dictionary size, and the records, checkpoints and frame bytes
+    /// after the header.
     fn stats(&self, base: ArchiveStats) -> ArchiveStats {
         ArchiveStats {
+            format_version: self.version,
+            epoch: self.dict.epoch,
+            dict_entries: self.dict.len() as u64,
             records: self.len() as u64,
             checkpoints: self.checkpoints.len() as u64,
             bytes: self.end - HEADER_LEN,
             ..base
         }
     }
-
-    fn describe(&self) -> ArchiveInfo {
-        ArchiveInfo {
-            format_version: FORMAT_VERSION_V2,
-            epoch: self.dict.epoch,
-            dict_entries: self.dict.len() as u64,
-        }
-    }
 }
 
-/// Opens the v2 archive at `path`, for writing too when `write`, and
-/// returns it with its length and interner epoch. A v1 archive opened
-/// for writing fails with [`v1_is_read_only`]; an unknown version fails
-/// with [`unsupported_version`].
-fn open_v2(path: &Path, write: bool) -> io::Result<(File, u64, u32)> {
+/// Opens the archive at `path`, for writing too when `write`, and
+/// returns it with its length, format version and interner epoch. A v1
+/// archive opened for writing fails with [`v1_is_read_only`]; an unknown
+/// version fails with [`unsupported_version`].
+fn open_archive(path: &Path, write: bool) -> io::Result<(File, u64, u16, u32)> {
     let mut file = OpenOptions::new().read(true).write(write).open(path)?;
     let file_len = file.seek(SeekFrom::End(0))?;
     file.seek(SeekFrom::Start(0))?;
     let (version, epoch) = read_header(&mut file)?;
     match version {
-        FORMAT_VERSION_V2 => Ok((file, file_len, epoch)),
         FORMAT_VERSION if write => Err(v1_is_read_only(path)),
-        FORMAT_VERSION => Err(bad_data(
-            "archive is MANTRARC v1; concurrent reads need v2 \
-             (open it through FileBackendV1::open_read_only instead)"
-                .into(),
-        )),
+        FORMAT_VERSION | FORMAT_VERSION_V2 => Ok((file, file_len, version, epoch)),
         v => Err(unsupported_version(v)),
     }
 }
@@ -1367,7 +1238,7 @@ fn open_v2(path: &Path, write: bool) -> io::Result<(File, u64, u32)> {
 pub struct FileBackendV2 {
     path: PathBuf,
     file: File,
-    index: V2Index,
+    index: FrameIndex,
     /// Dictionary entries already persisted in segments.
     persisted: DictMark,
     /// The counters the index does not keep: fsyncs, recovered bytes,
@@ -1427,7 +1298,8 @@ impl FileBackendV2 {
             fsyncs: 1,
             ..ArchiveStats::default()
         };
-        Ok(Self::with_index(path, file, V2Index::new(epoch), stats))
+        let index = FrameIndex::new(FORMAT_VERSION_V2, epoch);
+        Ok(Self::with_index(path, file, index, stats))
     }
 
     /// Opens an existing v2 archive for append.
@@ -1440,8 +1312,8 @@ impl FileBackendV2 {
     /// [`v1_is_read_only`].
     pub fn open(path: impl Into<PathBuf>) -> io::Result<FileBackendV2> {
         let path = path.into();
-        let (mut file, file_len, epoch) = open_v2(&path, true)?;
-        let mut index = V2Index::new(epoch);
+        let (mut file, file_len, version, epoch) = open_archive(&path, true)?;
+        let mut index = FrameIndex::new(version, epoch);
         index.scan(&mut file, file_len)?;
         let recovered = file_len - index.end;
         if recovered > 0 {
@@ -1457,7 +1329,7 @@ impl FileBackendV2 {
         Ok(Self::with_index(path, file, index, stats))
     }
 
-    fn with_index(path: PathBuf, file: File, index: V2Index, stats: ArchiveStats) -> Self {
+    fn with_index(path: PathBuf, file: File, index: FrameIndex, stats: ArchiveStats) -> Self {
         FileBackendV2 {
             path,
             file,
@@ -1547,13 +1419,9 @@ impl ArchiveBackend for FileBackendV2 {
         }
 
         self.persisted = self.index.dict.watermark();
-        let at = match &rec {
-            LogRecord::Full(p) => p.captured_at,
-            LogRecord::Delta(d) => d.captured_at,
-        };
         let checkpoint = kind == KIND_FULL;
-        self.index
-            .push(checkpoint, at, self.index.end + buf.len() as u64);
+        let end = self.index.end + buf.len() as u64;
+        self.index.push(checkpoint, rec.captured_at(), end);
         self.since_sync += 1;
         self.bytes_since_sync += buf.len() as u64;
         self.stats.pending_appends = self.since_sync as u64;
@@ -1584,10 +1452,6 @@ impl ArchiveBackend for FileBackendV2 {
 
     fn stats(&self) -> ArchiveStats {
         self.index.stats(self.stats.clone())
-    }
-
-    fn describe(&self) -> ArchiveInfo {
-        self.index.describe()
     }
 
     fn sync(&mut self) -> io::Result<()> {
@@ -1667,15 +1531,6 @@ struct WriterQueue {
     deferred_error: Option<String>,
 }
 
-/// Snapshot of the inner backend's observable state, refreshed by the
-/// writer thread after each batch so `stats()`/`describe()` never block
-/// behind a slow disk.
-#[derive(Debug)]
-struct WriterMirror {
-    stats: ArchiveStats,
-    info: ArchiveInfo,
-}
-
 #[derive(Debug)]
 struct WriterShared {
     q: Mutex<WriterQueue>,
@@ -1686,7 +1541,9 @@ struct WriterShared {
     /// Signalled when the queue is fully drained (barriers wait here).
     idle: Condvar,
     backend: Mutex<Box<dyn ArchiveBackend>>,
-    mirror: Mutex<WriterMirror>,
+    /// The inner backend's stats, refreshed by the writer thread after
+    /// each batch so `stats()` never blocks behind a slow disk.
+    mirror: Mutex<ArchiveStats>,
     high_water: AtomicU64,
     blocked_nanos: AtomicU64,
     dropped: AtomicU64,
@@ -1705,8 +1562,8 @@ struct WriterShared {
 /// inner backend, so after a drain barrier the archive is byte-identical
 /// to what the inner backend would have produced synchronously. Reads
 /// (`len`, `records`, `last_checkpoint`, `sync`) drain first and are
-/// therefore barriers; `stats`/`describe` read a writer-maintained
-/// mirror and never block behind the disk.
+/// therefore barriers; `stats` reads a writer-maintained mirror and
+/// never blocks behind the disk.
 ///
 /// When an apply fails inside the writer, the error is *deferred*: the
 /// next `append`/`sync` returns it (the logger then counts it and
@@ -1737,13 +1594,9 @@ impl ThreadedBackend {
         let kind = match inner.kind() {
             "memory" => "memory+writer",
             "file" => "file+writer",
-            "failing" => "failing+writer",
             _ => "threaded",
         };
-        let mirror = WriterMirror {
-            stats: inner.stats(),
-            info: inner.describe(),
-        };
+        let mirror = inner.stats();
         let shared = Arc::new(WriterShared {
             q: Mutex::new(WriterQueue {
                 buf: VecDeque::new(),
@@ -1813,11 +1666,7 @@ impl ThreadedBackend {
                     q.deferred_error = Some(e.to_string());
                 }
             }
-            {
-                let mut m = lock_clean(&shared.mirror);
-                m.stats = backend.stats();
-                m.info = backend.describe();
-            }
+            *lock_clean(&shared.mirror) = backend.stats();
             drop(backend);
             let mut q = lock_clean(&shared.q);
             q.in_flight = 0;
@@ -1843,20 +1692,8 @@ impl ThreadedBackend {
         self.drain();
         let mut backend = lock_clean(&self.shared.backend);
         let out = f(backend.as_mut());
-        let mut m = lock_clean(&self.shared.mirror);
-        m.stats = backend.stats();
-        m.info = backend.describe();
+        *lock_clean(&self.shared.mirror) = backend.stats();
         out
-    }
-
-    /// Records shed or skipped so far (exposed for tests and tooling).
-    pub fn dropped_records(&self) -> u64 {
-        self.shared.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Wall-clock nanoseconds appends spent blocked on a full queue.
-    pub fn blocked_nanos(&self) -> u64 {
-        self.shared.blocked_nanos.load(Ordering::Relaxed)
     }
 }
 
@@ -1927,7 +1764,7 @@ impl ArchiveBackend for ThreadedBackend {
         // Non-draining: the mirror (refreshed after every batch) plus a
         // live queue overlay. Monitoring must never stall behind a slow
         // disk — that is the point of the writer thread.
-        let mut stats = lock_clean(&self.shared.mirror).stats.clone();
+        let mut stats = lock_clean(&self.shared.mirror).clone();
         let q = lock_clean(&self.shared.q);
         let depth = (q.buf.len() + q.in_flight) as u64;
         drop(q);
@@ -1942,10 +1779,6 @@ impl ArchiveBackend for ThreadedBackend {
         // power-loss exposure and count as pending.
         stats.pending_appends += depth;
         stats
-    }
-
-    fn describe(&self) -> ArchiveInfo {
-        lock_clean(&self.shared.mirror).info
     }
 
     fn sync(&mut self) -> io::Result<()> {
@@ -2027,33 +1860,34 @@ impl ArchiveSpec {
 }
 
 // ---------------------------------------------------------------------
-// ArchiveReader: concurrent read-only replay over a live v2 archive
+// ArchiveReader: read-only replay of either format, safe against a live
+// writer
 // ---------------------------------------------------------------------
 
-/// A read-only scanner over a v2 `.marc` that tolerates a concurrent
-/// writer.
+/// A read-only scanner over a `.marc` of either format that tolerates a
+/// concurrent writer.
 ///
 /// On open (and on every [`ArchiveReader::refresh`]) it snapshots the
 /// *logical end*: the last intact frame at or before the file length
 /// observed at the start of the scan. Everything before that point is
-/// immutable — the format is append-only and every record payload
+/// immutable — the format is append-only and every v2 record payload
 /// embeds its sequence number, so a frame that validates at index `i`
 /// can only ever be record `i` — which makes replaying the snapshot
 /// prefix consistent even while the writer keeps appending past it. A
 /// torn tail (usually the writer's in-flight frame) simply ends the
 /// prefix; the next refresh picks the frame up once it completes. The
 /// file is never written, and no state is shared with the owning
-/// backend: the reader works entirely from the bytes on disk.
+/// backend: the reader works entirely from the bytes on disk. (Nothing
+/// writes v1, so a v1 archive has no writer to race.)
 ///
-/// The scan also indexes `captured_at` per record (both record kinds
-/// embed it right after the sequence number, so no full decode is
-/// needed) and the checkpoint positions, which is what makes
-/// time-travel queries ([`ArchiveReader::state_at`]) O(records since
-/// checkpoint) instead of O(archive).
+/// The scan also indexes `captured_at` per record and the checkpoint
+/// positions, which is what makes time-travel queries
+/// ([`ArchiveReader::state_at`]) O(records since checkpoint) instead of
+/// O(archive).
 #[derive(Debug)]
 pub struct ArchiveReader {
     path: PathBuf,
-    index: V2Index,
+    index: FrameIndex,
     /// The file length the last scan saw: the bytes past the logical end
     /// are the [`ArchiveStats::recovered_bytes`] a writer would cut.
     file_len: u64,
@@ -2062,14 +1896,11 @@ pub struct ArchiveReader {
 }
 
 impl ArchiveReader {
-    /// Opens `path` read-only and scans the intact prefix. Fails on v1
-    /// archives (open those through [`FileBackendV1::open_read_only`];
-    /// only v2's embedded sequence numbers make concurrent reads safe
-    /// against frame splices).
+    /// Opens `path` read-only and scans the intact prefix.
     pub fn open(path: impl Into<PathBuf>) -> io::Result<ArchiveReader> {
         let mut rd = ArchiveReader {
             path: path.into(),
-            index: V2Index::new(0),
+            index: FrameIndex::new(0, 0),
             file_len: HEADER_LEN,
             write_errors: 0,
         };
@@ -2079,13 +1910,14 @@ impl ArchiveReader {
 
     /// Re-snapshots the logical end, scanning only the bytes appended
     /// since the last refresh. Returns how many new records became
-    /// visible. If the archive was rewritten underneath (the interner
-    /// epoch changed, or the file shrank — compaction does both), the
-    /// reader starts over from the header.
+    /// visible. If the archive was rewritten underneath (the format
+    /// version or interner epoch changed, or the file shrank — compaction
+    /// does both), the reader starts over from the header.
     pub fn refresh(&mut self) -> io::Result<usize> {
-        let (mut file, file_len, epoch) = open_v2(&self.path, false)?;
-        if epoch != self.index.dict.epoch || file_len < self.index.end {
-            self.index = V2Index::new(epoch);
+        let (mut file, file_len, version, epoch) = open_archive(&self.path, false)?;
+        let index = &self.index;
+        if (version, epoch) != (index.version, index.dict.epoch) || file_len < index.end {
+            self.index = FrameIndex::new(version, epoch);
         }
         let before = self.len();
         self.index.scan(&mut file, file_len)?;
@@ -2119,11 +1951,6 @@ impl ArchiveReader {
         &self.index.times
     }
 
-    /// Record indices of the Full (checkpoint) records.
-    pub fn checkpoints(&self) -> &[usize] {
-        &self.index.checkpoints
-    }
-
     /// How many leading records were captured at or before `at`.
     /// Capture times are non-decreasing in record order, so this is the
     /// prefix length a time-travel query replays.
@@ -2131,24 +1958,15 @@ impl ArchiveReader {
         self.index.times.partition_point(|t| *t <= at)
     }
 
-    /// Replays the first `count` records into full table snapshots —
-    /// `count` capped to the snapshot prefix. The daemon's time-travel
+    /// The deterministic [`replay_summary_line`]s of the first `count`
+    /// records (capped to the snapshot prefix) — the unit daemon
+    /// `/replay` responses are built from, byte-identical to `mantra
+    /// archive replay` over the same prefix. The daemon's time-travel
     /// endpoint replays `records_at_or_before(at)` records.
-    pub fn replay_prefix(&self, count: usize) -> ReplayIter<'_> {
-        ReplayIter::new(self.index.records(&self.path, 0, count))
-    }
-
-    /// Replays every record in the snapshot prefix.
-    pub fn replay(&self) -> ReplayIter<'_> {
-        self.replay_prefix(self.len())
-    }
-
-    /// The deterministic [`replay_summary_line`] for the first `count`
-    /// records — the unit daemon `/replay` responses are built from,
-    /// byte-identical to `mantra archive replay` over the same prefix.
     pub fn summary_lines(&self, count: usize) -> io::Result<Vec<String>> {
+        let replay = ReplayIter::new(self.index.records(&self.path, 0, count));
         let mut lines = Vec::new();
-        for (i, t) in self.replay_prefix(count).enumerate() {
+        for (i, t) in replay.enumerate() {
             lines.push(replay_summary_line(i, &t?));
         }
         Ok(lines)
@@ -2176,10 +1994,10 @@ impl ArchiveReader {
     }
 }
 
-/// A read-only v2 archive behind the backend trait — how
-/// [`crate::logger::TableLog::load_read_only`] opens v2. Reads serve the
-/// prefix the last scan found. Appends are refused and counted in
-/// [`ArchiveStats::write_errors`]; the file is never written.
+/// A read-only archive behind the backend trait — how
+/// [`crate::logger::TableLog::load_read_only`] opens either format.
+/// Reads serve the prefix the last scan found. Appends are refused and
+/// counted in [`ArchiveStats::write_errors`]; the file is never written.
 impl ArchiveBackend for ArchiveReader {
     fn kind(&self) -> &'static str {
         "file"
@@ -2187,6 +2005,9 @@ impl ArchiveBackend for ArchiveReader {
 
     fn append(&mut self, _rec: LogRecord) -> io::Result<()> {
         self.write_errors += 1;
+        if !self.index.v2() {
+            return Err(v1_is_read_only(&self.path));
+        }
         Err(io::Error::new(
             io::ErrorKind::PermissionDenied,
             format!(
@@ -2219,10 +2040,6 @@ impl ArchiveBackend for ArchiveReader {
             ..ArchiveStats::default()
         })
     }
-
-    fn describe(&self) -> ArchiveInfo {
-        self.index.describe()
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -2230,13 +2047,14 @@ impl ArchiveBackend for ArchiveReader {
 // ---------------------------------------------------------------------
 
 /// Key identifying one cached replay result: the archive path, the
-/// interner epoch it was read under, and the replayed record range.
+/// interner epoch it was read under, and how many leading records were
+/// replayed.
 ///
 /// The key carries invalidation with it: a seq advance (new records)
-/// changes the range a fresh query computes, and compaction changes the
+/// changes the count a fresh query computes, and compaction changes the
 /// epoch — either way the stale entry stops being addressed and ages
 /// out of the LRU.
-pub type QueryKey = (PathBuf, u32, (usize, usize));
+type QueryKey = (PathBuf, u32, usize);
 
 /// Hit/miss/eviction accounting for a [`QueryCache`], surfaced through
 /// `mantra health` and the HTML report.
@@ -2328,7 +2146,7 @@ impl QueryCache {
             Some(t) => reader.records_at_or_before(t),
             None => reader.len(),
         };
-        let key = (path.to_path_buf(), reader.epoch(), (0, count));
+        let key = (path.to_path_buf(), reader.epoch(), count);
         let lines = self.get_or_try_insert(key, || reader.summary_lines(count));
         let mut readers = lock_clean(&self.readers);
         // A concurrent query on the same archive may have parked its own.
@@ -2342,7 +2160,7 @@ impl QueryCache {
     }
 
     /// Looks up `key`, or computes, caches and returns the result.
-    pub fn get_or_try_insert(
+    fn get_or_try_insert(
         &self,
         key: QueryKey,
         compute: impl FnOnce() -> io::Result<Vec<String>>,
@@ -2432,16 +2250,16 @@ mod tests {
         let dir = TempDir::new("archive");
         let path = dir.join("badmagic.marc");
         std::fs::write(&path, b"NOTANARCHIVE----------------").unwrap();
-        let err = FileBackendV1::open_read_only(&path).unwrap_err();
+        let err = ArchiveReader::open(&path).unwrap_err();
         assert!(err.to_string().contains("MANTRARC"), "{err}");
-        // An unknown (future) version is called out explicitly, by both
-        // readers.
+        // An unknown (future) version is called out explicitly, by the
+        // reader and the writer.
         let mut header = Vec::new();
         header.extend_from_slice(&MAGIC);
         header.extend_from_slice(&99u16.to_le_bytes());
         header.resize(HEADER_LEN as usize, 0);
         std::fs::write(&path, &header).unwrap();
-        let err = FileBackendV1::open_read_only(&path).unwrap_err();
+        let err = ArchiveReader::open(&path).unwrap_err();
         assert!(err.to_string().contains("version 99"), "{err}");
         let err = FileBackendV2::open(&path).unwrap_err();
         assert!(err.to_string().contains("version 99"), "{err}");
@@ -2562,68 +2380,73 @@ mod tests {
         s + FRAME_LEN + u64::from(u32::from_le_bytes([frame[1], frame[2], frame[3], frame[4]]))
     }
 
-    /// Frames `recs` as a v1 archive (JSON payloads) — the legacy form
-    /// the library only reads — returning each frame's start offset
-    /// plus the end offset.
-    fn write_v1(path: &Path, recs: &[LogRecord]) -> Vec<u64> {
-        let mut bytes = Vec::new();
-        write_header(&mut bytes, FORMAT_VERSION, 0).unwrap();
-        let mut offsets = vec![HEADER_LEN];
-        for rec in recs {
-            let payload = serde_json::to_string(rec).unwrap();
-            bytes.push(match rec {
-                LogRecord::Full(_) => KIND_FULL,
-                LogRecord::Delta(_) => KIND_DELTA,
-            });
-            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            bytes.extend_from_slice(&crc32(payload.as_bytes()).to_le_bytes());
-            bytes.extend_from_slice(payload.as_bytes());
-            offsets.push(bytes.len() as u64);
-        }
-        std::fs::write(path, &bytes).unwrap();
-        offsets
+    /// The committed v1 fixture, `tests/data/fixw-v1.marc`.
+    fn v1_fixture() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/fixw-v1.marc")
     }
 
     #[test]
-    fn v1_reader_decodes_clamps_bad_tails_in_memory_and_refuses_appends() {
-        let dir = TempDir::new("archive");
-        let path = dir.join("v1-read-only.marc");
-        let recs = [rich_full(0), rich_delta(1), rich_delta(2)];
-        let offsets = write_v1(&path, &recs);
-        let be = FileBackendV1::open_read_only(&path).unwrap();
-        assert_eq!(be.len(), 3);
-        assert_eq!(be.last_checkpoint(), Some(0));
-        assert_eq!(be.stats().bytes, offsets[3] - HEADER_LEN);
-        assert_eq!(be.describe().format_version, FORMAT_VERSION);
-        let back: Vec<LogRecord> = be.records().map(|r| r.unwrap()).collect();
-        assert_eq!(back, recs);
-        let tail: Vec<LogRecord> = be.records_from(2).map(|r| r.unwrap()).collect();
-        assert_eq!(tail, recs[2..]);
+    fn the_reader_opens_the_v1_fixture_like_any_archive() {
+        let rd = ArchiveReader::open(v1_fixture()).unwrap();
+        let s = rd.stats();
+        assert_eq!((s.format_version, s.epoch, s.dict_entries), (1, 0, 0));
+        assert_eq!((s.records, s.checkpoints, s.bytes), (10, 3, 9613));
+        assert_eq!(s.recovered_bytes, 0);
 
-        // A torn tail ends the archive at the last intact record; the
-        // file itself is left as it was.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.truncate(offsets[3] as usize - 3);
-        std::fs::write(&path, &bytes).unwrap();
-        let be = FileBackendV1::open_read_only(&path).unwrap();
-        assert_eq!(be.len(), 2, "torn record dropped");
-        assert_eq!(be.stats().recovered_bytes, offsets[3] - 3 - offsets[2]);
-        assert_eq!(std::fs::read(&path).unwrap(), bytes, "the reader wrote");
+        // The times index, prefix counts and time travel agree with a
+        // full replay.
+        let snaps: Vec<Tables> = ReplayIter::new(rd.records()).map(|t| t.unwrap()).collect();
+        assert_eq!(snaps.len(), 10);
+        let times: Vec<SimTime> = snaps.iter().map(|t| t.captured_at).collect();
+        assert_eq!(rd.times(), times);
+        for (i, t) in snaps.iter().enumerate() {
+            assert_eq!(rd.records_at_or_before(t.captured_at), i + 1);
+            assert_eq!(rd.state_at(t.captured_at).unwrap().as_ref(), Some(t));
+        }
+        let before = SimTime(times[0].0 - 1);
+        assert_eq!(rd.records_at_or_before(before), 0);
+        assert_eq!(rd.state_at(before).unwrap(), None);
+        let lines = rd.summary_lines(rd.len()).unwrap();
+        assert_eq!(lines[9], replay_summary_line(9, &snaps[9]));
 
-        // A payload that fails its CRC ends the archive before it.
-        bytes[offsets[1] as usize + FRAME_LEN as usize + 2] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        let mut be = FileBackendV1::open_read_only(&path).unwrap();
-        assert_eq!(be.len(), 1, "records after the corruption are dropped");
-
-        // Appends are refused, naming the way forward.
-        let err = be.append(recs[1].clone()).unwrap_err();
-        assert!(err.to_string().contains("mantra archive compact"), "{err}");
-        assert_eq!(be.stats().write_errors, 1);
-        assert_eq!(std::fs::read(&path).unwrap(), bytes, "the reader wrote");
-        // The v2 writer refuses to open it for append the same way.
-        let err = FileBackendV2::open(&path).unwrap_err();
-        assert!(err.to_string().contains("mantra archive compact"), "{err}");
+        // A torn tail, a tail that fails its CRC and a tail whose CRC
+        // holds but whose payload does not decode each end the archive
+        // at the last intact record, in memory only.
+        let bytes = std::fs::read(v1_fixture()).unwrap();
+        let last = rd.index.offsets[9] as usize;
+        let mut crc_fail = bytes.clone();
+        crc_fail[last + FRAME_LEN as usize + 2] ^= 0xFF;
+        let mut undecodable = bytes.clone();
+        undecodable.push(KIND_DELTA);
+        undecodable.extend_from_slice(&3u32.to_le_bytes());
+        undecodable.extend_from_slice(&crc32(b"xyz").to_le_bytes());
+        undecodable.extend_from_slice(b"xyz");
+        let cases = [
+            (bytes[..bytes.len() - 3].to_vec(), 9, bytes.len() - 3 - last),
+            (crc_fail, 9, bytes.len() - last),
+            (undecodable, 10, 12),
+        ];
+        let dir = TempDir::new("archive-v1");
+        let path = dir.join("fixw-v1.marc");
+        for (tail, records, recovered) in cases {
+            std::fs::write(&path, &tail).unwrap();
+            let mut rd = ArchiveReader::open(&path).unwrap();
+            assert_eq!(rd.len(), records);
+            assert_eq!(rd.stats().recovered_bytes, recovered as u64);
+            assert_eq!(rd.times(), &times[..records]);
+            // Appends are refused, naming the way forward, and so is an
+            // open for append.
+            let err = rd.append(full_record(0)).unwrap_err();
+            assert!(err.to_string().contains("mantra archive compact"), "{err}");
+            assert_eq!(rd.stats().write_errors, 1);
+            let err = FileBackendV2::open(&path).unwrap_err();
+            assert!(err.to_string().contains("mantra archive compact"), "{err}");
+            assert_eq!(
+                std::fs::read(&path).unwrap(),
+                tail,
+                "the archive was written"
+            );
+        }
     }
 
     #[test]
@@ -2648,10 +2471,9 @@ mod tests {
         // index's dictionary, which already holds later entries too.
         let tail: Vec<LogRecord> = be.records_from(3).map(|r| r.unwrap()).collect();
         assert_eq!(tail, recs[3..]);
-        let info = be.describe();
-        assert_eq!(info.format_version, FORMAT_VERSION_V2);
-        assert_eq!(info.epoch, 1);
-        assert!(info.dict_entries > 0);
+        let s = be.stats();
+        assert_eq!((s.format_version, s.epoch), (FORMAT_VERSION_V2, 1));
+        assert!(s.dict_entries > 0);
         drop(be);
         let be = FileBackendV2::open(&path).unwrap();
         assert_eq!(be.len(), 4);
@@ -2733,7 +2555,7 @@ mod tests {
         let path = dir.join("v2-epoch.marc");
         let mut be = FileBackendV2::create_with_epoch(&path, 7).unwrap();
         be.append(rich_full(0)).unwrap();
-        assert_eq!(be.describe().epoch, 7);
+        assert_eq!(be.stats().epoch, 7);
         drop(be);
         // Rewrite the header epoch: every dictionary segment is now
         // stamped with the wrong epoch and replay must refuse the ids.

@@ -481,8 +481,6 @@ impl RetryPolicy {
 /// health registry.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CollectStats {
-    /// Capture attempts issued (including retries).
-    pub attempts: u64,
     /// Tables captured in full.
     pub successes: u64,
     /// Tables whose final attempt still failed (salvaged or not).
@@ -567,7 +565,6 @@ impl Collector {
             let mut full: Option<String> = None;
             let mut waited = SimDuration::ZERO;
             for attempt in 1..=max_attempts {
-                stats.attempts += 1;
                 if attempt > 1 {
                     stats.retries += 1;
                 }
@@ -797,7 +794,6 @@ mod tests {
         assert_eq!(stats.failures, TableKind::ALL.len() as u64);
         // One attempt per table: permanent errors short-circuit the retry
         // loop.
-        assert_eq!(stats.attempts, TableKind::ALL.len() as u64);
         assert_eq!(stats.retries, 0);
     }
 

@@ -62,9 +62,8 @@ pub mod web;
 
 pub use aggregate::ParallelAccess;
 pub use archive::{
-    ArchiveBackend, ArchiveInfo, ArchiveReader, ArchiveSpec, ArchiveStats, BackpressureMode,
-    CacheStats, FileBackendV1, FileBackendV2, MemoryBackend, QueryCache, SyncPolicy,
-    ThreadedBackend, WriterConfig,
+    ArchiveBackend, ArchiveReader, ArchiveSpec, ArchiveStats, BackpressureMode, CacheStats,
+    FileBackendV2, MemoryBackend, QueryCache, SyncPolicy, ThreadedBackend, WriterConfig,
 };
 pub use collector::{CaptureError, CollectStats, Collector, RetryPolicy};
 pub use monitor::{FleetMonitor, LifecycleState, Monitor, MonitorConfig, RouterHealth};

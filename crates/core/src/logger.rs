@@ -24,14 +24,16 @@
 //! Reconstruction is lossless: replaying a log yields snapshots equal to
 //! the originals, which the property tests assert. Every replay — of a
 //! live log, of an archive reopened from disk, or of an
-//! [`ArchiveReader`]'s prefix — runs through one fold, [`ReplayIter`].
+//! [`ArchiveReader`]'s prefix — runs through one fold, [`ReplayIter`],
+//! and a replay that cannot read a record returns the error to its
+//! caller.
 //!
 //! An archive on disk is opened one of two ways: [`TableLog::load`]
 //! reopens a v2 archive for append (healing a torn tail), and
-//! [`TableLog::load_read_only`] reads v1 or v2 without ever writing.
+//! [`TableLog::load_read_only`] reads either format through an
+//! [`ArchiveReader`] without ever writing.
 
 use std::borrow::Cow;
-use std::cell::{Cell, RefCell};
 use std::cmp::Ordering;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -41,9 +43,8 @@ use serde::{Deserialize, Serialize};
 use mantra_net::{GroupAddr, Ip, Prefix, SimTime};
 
 use crate::archive::{
-    read_header, unsupported_version, ArchiveBackend, ArchiveInfo, ArchiveReader, ArchiveSpec,
-    ArchiveStats, FileBackendV1, FileBackendV2, MemoryBackend, RecordIter, SyncPolicy,
-    ThreadedBackend, WriterConfig, FORMAT_VERSION, FORMAT_VERSION_V2,
+    ArchiveBackend, ArchiveReader, ArchiveSpec, ArchiveStats, FileBackendV2, MemoryBackend,
+    RecordIter, SyncPolicy, ThreadedBackend, WriterConfig,
 };
 use crate::tables::{
     last_per_key, LearnedFrom, PairRow, RouteRow, SessionRow, Tables, TablesBuilder,
@@ -67,6 +68,14 @@ pub enum LogRecord {
 }
 
 impl LogRecord {
+    /// Capture timestamp of the snapshot the record stores.
+    pub(crate) fn captured_at(&self) -> SimTime {
+        match self {
+            LogRecord::Full(p) => p.captured_at,
+            LogRecord::Delta(d) => d.captured_at,
+        }
+    }
+
     /// The record's storage cost ([`ROW_COST`] per row, [`KEY_COST`]
     /// per removal key).
     pub fn cost(&self) -> u64 {
@@ -381,12 +390,6 @@ pub struct TableLog {
     /// [`ArchiveSpec::rejoin_log`]). Reads keep working — a sealed
     /// archive is exactly a read-only one.
     sealed: bool,
-    /// Archive reads that failed during [`TableLog::replay`]. Interior
-    /// mutability because replay takes `&self`; surfaced through
-    /// [`TableLog::replay_errors`] and [`TableLog::degraded`] instead of
-    /// panicking the monitor.
-    replay_errors: Cell<u64>,
-    replay_error: RefCell<Option<String>>,
 }
 
 impl Default for TableLog {
@@ -402,8 +405,6 @@ impl Default for TableLog {
             fell_back: false,
             backend_error: None,
             sealed: false,
-            replay_errors: Cell::new(0),
-            replay_error: RefCell::new(None),
         }
     }
 }
@@ -430,8 +431,8 @@ impl TableLog {
     /// Opens an existing on-disk archive for appending: a v2 archive
     /// opens through [`FileBackendV2::open`] (which heals a torn tail),
     /// a v1 archive is read-only and fails with an error naming `mantra
-    /// archive compact`, and anything else fails with the header or
-    /// version error of [`read_header`].
+    /// archive compact`, and anything else fails with a header or
+    /// version error.
     ///
     /// The tail snapshot and delta cadence are rebuilt by replaying only
     /// the records from the last checkpoint — a reopened archive keeps
@@ -440,9 +441,8 @@ impl TableLog {
         Self::resume(Box::new(FileBackendV2::open(path)?), full_every)
     }
 
-    /// Opens an existing on-disk archive for reading only, dispatching
-    /// on the format version: v1 through the [`FileBackendV1`] decoder,
-    /// v2 through an [`ArchiveReader`]. The file is never written: a
+    /// Opens an existing on-disk archive of either format for reading
+    /// only, through an [`ArchiveReader`]. The file is never written: a
     /// torn or corrupt tail is clamped to the last intact record in
     /// memory instead of being truncated away, so this is safe against
     /// an archive another process is actively appending to. `mantra
@@ -451,13 +451,7 @@ impl TableLog {
     /// [`TableLog::write_errors`]), so it has no checkpoint cadence to
     /// configure.
     pub fn load_read_only(path: &Path) -> io::Result<TableLog> {
-        let (version, _) = read_header(&mut std::fs::File::open(path)?)?;
-        let backend: Box<dyn ArchiveBackend> = match version {
-            FORMAT_VERSION => Box::new(FileBackendV1::open_read_only(path)?),
-            FORMAT_VERSION_V2 => Box::new(ArchiveReader::open(path)?),
-            v => return Err(unsupported_version(v)),
-        };
-        Self::resume(backend, 1)
+        Self::resume(Box::new(ArchiveReader::open(path)?), 1)
     }
 
     /// Rebuilds the in-memory tail state (last snapshot, delta cadence)
@@ -501,18 +495,13 @@ impl TableLog {
         self.sealed
     }
 
-    /// The backend's archive accounting. Non-draining on every backend:
-    /// on [`ThreadedBackend`](crate::archive::ThreadedBackend) this reads
+    /// The backend's archive accounting: format, counts, durability and
+    /// writer queue. Non-draining on every backend: on
+    /// [`ThreadedBackend`](crate::archive::ThreadedBackend) this reads
     /// the writer's mirror plus a live queue overlay, so health tables
     /// and daemon endpoints never stall behind a slow disk.
     pub fn archive_stats(&self) -> ArchiveStats {
         self.backend.stats()
-    }
-
-    /// The backend's format identity (version/epoch/dictionary size).
-    /// Non-draining, like [`TableLog::archive_stats`].
-    pub fn describe(&self) -> ArchiveInfo {
-        self.backend.describe()
     }
 
     /// The backend's name ("memory", "file").
@@ -525,12 +514,11 @@ impl TableLog {
         self.backend_error.as_deref()
     }
 
-    /// The archive's errors: its write errors, the larger of the log's
-    /// count and the backend's (a threaded writer's failures reach the
-    /// log a cycle late, if at all), plus its replay errors.
-    /// Non-draining, like [`TableLog::archive_stats`].
+    /// The archive's write errors: the larger of the log's count and the
+    /// backend's (a threaded writer's failures reach the log a cycle
+    /// late, if at all). Non-draining, like [`TableLog::archive_stats`].
     pub fn errors(&self) -> u64 {
-        self.write_errors.max(self.archive_stats().write_errors) + self.replay_errors()
+        self.write_errors.max(self.archive_stats().write_errors)
     }
 
     /// Whether the archive's persistence is degraded: the log fell back
@@ -616,59 +604,11 @@ impl TableLog {
         ReplayIter::new(self.backend.records())
     }
 
-    /// Replays the log, returning every snapshot in order.
-    ///
-    /// An unreadable record ends the replay at the last clean snapshot
-    /// instead of panicking: the error is counted in
-    /// [`TableLog::replay_errors`] (which degrades the archive, see
-    /// [`TableLog::degraded`]) and kept in
-    /// [`TableLog::last_replay_error`]. Callers that need the error
-    /// itself use [`TableLog::try_replay`] or [`TableLog::replay_iter`].
-    pub fn replay(&self) -> Vec<Tables> {
-        let mut out = Vec::new();
-        for step in self.replay_iter() {
-            match step {
-                Ok(tables) => out.push(tables),
-                Err(e) => {
-                    self.note_replay_error(&e);
-                    break;
-                }
-            }
-        }
-        out
-    }
-
-    /// Replays the log, propagating the first archive read error (still
-    /// counted in [`TableLog::replay_errors`], so health degrades even
-    /// when the caller handles the error).
-    pub fn try_replay(&self) -> io::Result<Vec<Tables>> {
-        let mut out = Vec::new();
-        for step in self.replay_iter() {
-            match step {
-                Ok(tables) => out.push(tables),
-                Err(e) => {
-                    self.note_replay_error(&e);
-                    return Err(e);
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    fn note_replay_error(&self, e: &io::Error) {
-        self.replay_errors.set(self.replay_errors.get() + 1);
-        *self.replay_error.borrow_mut() = Some(e.to_string());
-    }
-
-    /// Archive read failures observed by [`TableLog::replay`] /
-    /// [`TableLog::try_replay`].
-    pub fn replay_errors(&self) -> u64 {
-        self.replay_errors.get()
-    }
-
-    /// The most recent replay failure, if any.
-    pub fn last_replay_error(&self) -> Option<String> {
-        self.replay_error.borrow().clone()
+    /// Replays the log, returning every snapshot in order, or the first
+    /// archive read error: an unreadable record is returned to the
+    /// caller, never a panic and never a silently shorter history.
+    pub fn replay(&self) -> io::Result<Vec<Tables>> {
+        self.replay_iter().collect()
     }
 
     /// Replays only the final snapshot (cheap tail access).
@@ -896,7 +836,7 @@ pub fn compact_archive(
     out: &Path,
     opts: &CompactOptions,
 ) -> io::Result<(TableLog, usize)> {
-    let epoch = src.describe().epoch.saturating_add(1);
+    let epoch = src.archive_stats().epoch.saturating_add(1);
     let mut backend = FileBackendV2::create_with_epoch(out, epoch)?;
     backend.sync = opts.sync;
     let mut dst = TableLog::with_backend(Box::new(backend), opts.full_every);
@@ -958,7 +898,7 @@ mod tests {
         for s in &snaps {
             log.append(s);
         }
-        let replayed = log.replay();
+        let replayed = log.replay().unwrap();
         assert_eq!(replayed, snaps);
         assert_eq!(log.last().unwrap(), snaps[3]);
     }
@@ -1007,7 +947,7 @@ mod tests {
             "delta log should save >90% on stable tables, saved {:.2}",
             log.savings_ratio()
         );
-        assert_eq!(log.replay().len(), 50);
+        assert_eq!(log.replay().unwrap().len(), 50);
     }
 
     #[test]
@@ -1021,7 +961,7 @@ mod tests {
             log.append(&snapshot(n, &p));
         }
         assert_eq!(log.archive_stats().checkpoints, 4, "full at 0, 5, 10, 15");
-        assert_eq!(log.replay().len(), 17);
+        assert_eq!(log.replay().unwrap().len(), 17);
     }
 
     #[test]
@@ -1041,7 +981,7 @@ mod tests {
             log.full_cost
         );
         assert_eq!(kinds(&log), [true; 5]);
-        assert_eq!(log.replay().len(), 5);
+        assert_eq!(log.replay().unwrap().len(), 5);
     }
 
     /// The record kinds the log stored, oldest first: `true` for Full.
@@ -1066,7 +1006,10 @@ mod tests {
         // The empty delta costs nothing; the baseline pays for two Fulls.
         assert_eq!(log.stored_cost, 3 * ROW_COST);
         assert_eq!(log.full_cost, 6 * ROW_COST);
-        assert_eq!(log.replay(), [snapshot(0, &rows), snapshot(1, &rows)]);
+        assert_eq!(
+            log.replay().unwrap(),
+            [snapshot(0, &rows), snapshot(1, &rows)]
+        );
     }
 
     #[test]
@@ -1084,7 +1027,10 @@ mod tests {
         log.append(&a);
         log.append(&b);
         assert_eq!(kinds(&log), [true, true]);
-        assert_eq!(log.replay(), [snapshot(0, &old), snapshot(1, &new)]);
+        assert_eq!(
+            log.replay().unwrap(),
+            [snapshot(0, &old), snapshot(1, &new)]
+        );
     }
 
     #[test]
@@ -1095,7 +1041,10 @@ mod tests {
         log.append(&snapshot(0, &many));
         log.append(&snapshot(1, &few));
         assert_eq!(kinds(&log), [true, true]);
-        assert_eq!(log.replay(), [snapshot(0, &many), snapshot(1, &few)]);
+        assert_eq!(
+            log.replay().unwrap(),
+            [snapshot(0, &many), snapshot(1, &few)]
+        );
     }
 
     #[test]
@@ -1122,7 +1071,7 @@ mod tests {
         });
         let mut log = TableLog::new(10);
         log.append(&tab);
-        let back = log.replay().pop().unwrap();
+        let back = log.replay().unwrap().pop().unwrap();
         assert_eq!(back, tab);
         assert!(back.sessions.contains_key(&g(9)));
     }
@@ -1153,7 +1102,7 @@ mod tests {
         let log = TableLog::new(10);
         assert!(log.is_empty());
         assert!(log.last().is_none());
-        assert!(log.replay().is_empty());
+        assert!(log.replay().unwrap().is_empty());
         assert_eq!(log.savings_ratio(), 0.0);
         assert_eq!(log.backend_kind(), "memory");
         assert!(log.backend_error().is_none());
@@ -1172,7 +1121,7 @@ mod tests {
             sync: SyncPolicy::default(),
         };
         let mut file_log = spec.open_log("fixw", 3);
-        assert_eq!(file_log.describe().format_version, FORMAT_VERSION_V2);
+        assert_eq!(file_log.archive_stats().format_version, 2);
         let mut mem_log = TableLog::new(3);
         assert_eq!(file_log.backend_kind(), "file");
         for s in &snaps {
@@ -1180,7 +1129,7 @@ mod tests {
             mem_log.append(s);
         }
         assert!(file_log.backend_error().is_none());
-        assert_eq!(file_log.replay(), mem_log.replay());
+        assert_eq!(file_log.replay().unwrap(), mem_log.replay().unwrap());
         assert_eq!(file_log.stored_cost, mem_log.stored_cost);
         assert_eq!(
             file_log.archive_stats().checkpoints,
@@ -1192,10 +1141,10 @@ mod tests {
         let path = ArchiveSpec::path_for(dir.path(), "fixw");
         let mut reopened = TableLog::load(&path, 3).unwrap();
         assert_eq!(reopened.backend_kind(), "file");
-        assert_eq!(reopened.replay(), snaps);
+        assert_eq!(reopened.replay().unwrap(), snaps);
         assert_eq!(reopened.last().unwrap(), snaps[8]);
         reopened.append(&snapshot(9, &[(0, s1, 99)]));
-        assert_eq!(reopened.replay().len(), 10);
+        assert_eq!(reopened.replay().unwrap().len(), 10);
     }
 
     #[test]
@@ -1206,7 +1155,7 @@ mod tests {
             log.append(&snapshot(n, &[(0, s1, 64 + n), (1, Ip(50 + n as u32), 2)]));
         }
         let streamed: Vec<Tables> = log.replay_iter().map(|r| r.unwrap()).collect();
-        assert_eq!(streamed, log.replay());
+        assert_eq!(streamed, log.replay().unwrap());
     }
 
     #[test]
@@ -1281,19 +1230,25 @@ mod tests {
         )
         .unwrap();
         assert_eq!(dropped, 4);
-        assert_eq!(compacted.replay(), log.replay()[4..].to_vec());
-        assert_eq!(compacted.describe().epoch, log.describe().epoch + 1);
+        assert_eq!(
+            compacted.replay().unwrap(),
+            log.replay().unwrap()[4..].to_vec()
+        );
+        assert_eq!(
+            compacted.archive_stats().epoch,
+            log.archive_stats().epoch + 1
+        );
         assert!(
-            compacted.describe().dict_entries < log.describe().dict_entries,
+            compacted.archive_stats().dict_entries < log.archive_stats().dict_entries,
             "keys referenced only by dropped snapshots are GC'd \
              ({} vs {})",
-            compacted.describe().dict_entries,
-            log.describe().dict_entries
+            compacted.archive_stats().dict_entries,
+            log.archive_stats().dict_entries
         );
         // The rewrite re-checkpoints on its own cadence and reloads.
         assert_eq!(compacted.archive_stats().checkpoints, 2);
         let reloaded = TableLog::load(&out, 4).unwrap();
-        assert_eq!(reloaded.replay(), compacted.replay());
+        assert_eq!(reloaded.replay().unwrap(), compacted.replay().unwrap());
     }
 
     #[test]
@@ -1308,7 +1263,7 @@ mod tests {
         let mut log = spec.open_log("fixw", 3);
         let snap = |n: u64| snapshot(n, &[(n as u32 % 3, Ip::new(10, 0, 0, 1), 64 + n)]);
         let lines_of = |log: &TableLog| -> Vec<String> {
-            let snaps = log.replay();
+            let snaps = log.replay().unwrap();
             let lines = snaps.iter().enumerate();
             lines.map(|(i, t)| replay_summary_line(i, t)).collect()
         };
@@ -1350,7 +1305,7 @@ mod tests {
         assert_eq!((count, lines.to_vec()), (3, want));
         assert_eq!(cache.stats().misses, misses + 1);
         let fresh = ArchiveReader::open(&path).unwrap();
-        assert_eq!(fresh.epoch(), log.describe().epoch + 1);
+        assert_eq!(fresh.epoch(), log.archive_stats().epoch + 1);
     }
 
     /// An in-memory backend whose `fail_at`-th append (counting from 1)
@@ -1466,7 +1421,7 @@ mod tests {
             );
             let mut want = archived.to_vec();
             want.push(snaps[2].clone());
-            assert_eq!(log.replay(), want);
+            assert_eq!(log.replay().unwrap(), want);
             assert_eq!(log.last().as_ref(), want.last());
             if fail_rewrite {
                 std::fs::remove_dir(&tmp).unwrap();
@@ -1484,6 +1439,6 @@ mod tests {
         assert_eq!(log.backend_kind(), "memory");
         assert!(log.backend_error().is_some());
         log.append(&snapshot(0, &[(0, Ip::new(1, 1, 1, 1), 64)]));
-        assert_eq!(log.replay().len(), 1, "collection keeps working");
+        assert_eq!(log.replay().unwrap().len(), 1, "collection keeps working");
     }
 }

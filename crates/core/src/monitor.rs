@@ -13,7 +13,8 @@
 //! [`crate::pipeline`]) runs every router's Capture → Parse → Enrich →
 //! Log → Analyse over its own state; one fold builds the report in
 //! configuration order and accounts the cycle; then the cross-router
-//! sweep and the fleet-wide statistics. Those statistics are integer
+//! sweep and the fleet-wide statistics, both over the routers admitted
+//! this cycle (the report's routers). Those statistics are integer
 //! partial sums ([`StatsTotals`]) divided once, so no fan-out width
 //! changes any output.
 
@@ -111,8 +112,6 @@ pub struct RouterHealth {
     pub cycles: u64,
     /// Last cycle with at least one full capture.
     pub last_success: Option<SimTime>,
-    /// Last cycle attempted.
-    pub last_attempt: Option<SimTime>,
     /// Backoff latency added by retries in the latest cycle.
     pub last_latency: SimDuration,
     /// Consecutive cycles with no usable capture (reset on any success or
@@ -162,7 +161,6 @@ impl RouterHealth {
         self.salvaged += stats.salvaged;
         self.raw_bytes += stats.raw_bytes;
         self.cycles += 1;
-        self.last_attempt = Some(now);
         if stats.successes > 0 {
             self.last_success = Some(now);
         }
@@ -357,7 +355,10 @@ impl Monitor {
     /// Folds one cycle's router outcomes, in configuration order, into
     /// the parse totals, the stage metrics (the prologue counts as
     /// Enrich) and the report; then the cross-router sweep, if
-    /// configured, and the fleet-wide statistics.
+    /// configured, and the fleet-wide statistics. The report, the sweep
+    /// and the statistics cover one set of routers: those admitted this
+    /// cycle, whose outcome was analysed. A router that missed the cycle
+    /// contributes nothing to any of them.
     fn fold(
         &mut self,
         now: SimTime,
@@ -374,7 +375,8 @@ impl Monitor {
             per_router: Vec::with_capacity(ids.len()),
             anomalies: Vec::new(),
         };
-        for o in outcomes {
+        let mut admitted = Vec::with_capacity(ids.len());
+        for (o, &id) in outcomes.into_iter().zip(ids) {
             tables += o.stats.successes + o.stats.failures;
             backoff += o.stats.backoff;
             self.parse_totals.merge(o.parse);
@@ -383,13 +385,14 @@ impl Monitor {
                 *total += n;
             }
             if let Some((name, usage, routes, anomalies)) = o.analysed {
+                admitted.push(id);
                 report.anomalies.extend(anomalies);
                 report.per_router.push((name, usage, routes));
             }
         }
         if self.cfg.cross_router_checks {
             let t = Instant::now();
-            let states = ids.iter().map(|&id| &self.state[id as usize]);
+            let states = admitted.iter().map(|&id| &self.state[id as usize]);
             let swept = sweep_cycle(&mut self.inconsistency, states, now);
             report.anomalies.extend(swept);
             nanos[StageKind::Analyse as usize] += t.elapsed().as_nanos() as u64;
@@ -403,12 +406,15 @@ impl Monitor {
             backoff,
         );
         self.anomalies.extend(report.anomalies.iter().cloned());
-        // Fleet-wide statistics: every router's integer sums added, each
-        // ratio divided once, every entry stamped with this cycle's time.
+        // Fleet-wide statistics: the admitted routers' integer sums
+        // added, each ratio divided once, every entry stamped with this
+        // cycle's time. An admitted router's last churn entry is this
+        // cycle's; on its first admission it has none.
         let (mut totals, mut churn) = (StatsTotals::default(), RouteChurn::default());
-        for st in &self.state {
+        for &id in &admitted {
+            let st = &self.state[id as usize];
             totals.absorb(st.stream.totals());
-            if let Some((_, c)) = st.churn.last().filter(|(at, _)| *at == now) {
+            if let Some((_, c)) = st.churn.last() {
                 churn.absorb(c);
             }
         }
@@ -595,13 +601,12 @@ impl Monitor {
         );
         for (router, st) in self.router_states() {
             let stats = st.log.archive_stats();
-            let info = st.log.describe();
             table.push_row(vec![
                 Cell::Text(router.clone()),
                 Cell::Text(st.log.backend_kind().into()),
-                Cell::Num(info.format_version as f64),
-                Cell::Num(info.epoch as f64),
-                Cell::Num(info.dict_entries as f64),
+                Cell::Num(stats.format_version as f64),
+                Cell::Num(stats.epoch as f64),
+                Cell::Num(stats.dict_entries as f64),
                 Cell::Num(stats.records as f64),
                 Cell::Num(stats.checkpoints as f64),
                 Cell::Num(stats.bytes as f64 / 1024.0),
@@ -892,7 +897,7 @@ mod tests {
         // Logs recorded every cycle and reconstruct.
         let log = monitor.log("fixw").unwrap();
         assert_eq!(log.len(), 12);
-        let replayed = log.replay();
+        let replayed = log.replay().unwrap();
         assert_eq!(replayed.len(), 12);
         assert_eq!(&replayed[11], monitor.latest("fixw").unwrap());
         // Delta logging saved space.
@@ -1065,7 +1070,7 @@ mod tests {
                 proptest::prop_assert_eq!(inline.usage_history(r), fanned.usage_history(r));
                 proptest::prop_assert_eq!(inline.route_history(r), fanned.route_history(r));
                 proptest::prop_assert_eq!(inline.churn_history(r), fanned.churn_history(r));
-                let replay = |m: &Monitor| m.log(r).map(TableLog::replay);
+                let replay = |m: &Monitor| m.log(r).map(|log| log.replay().unwrap());
                 proptest::prop_assert_eq!(replay(&inline), replay(&fanned), "archive of {}", r);
             }
         }
@@ -1091,8 +1096,8 @@ mod tests {
         let mut mem = Monitor::new(MonitorConfig::default(), 1);
         drive(&mut sc2, &mut mem, 6);
         assert_eq!(
-            monitor.log("fixw").unwrap().replay(),
-            mem.log("fixw").unwrap().replay()
+            monitor.log("fixw").unwrap().replay().unwrap(),
+            mem.log("fixw").unwrap().replay().unwrap()
         );
         // Growth recorded per cycle; both routers archive to files that
         // synced, with no errors.
@@ -1110,7 +1115,10 @@ mod tests {
         drop(monitor);
         let path = ArchiveSpec::path_for(dir.path(), "fixw");
         let log = TableLog::load(&path, 96).unwrap();
-        assert_eq!(log.replay(), mem.log("fixw").unwrap().replay());
+        assert_eq!(
+            log.replay().unwrap(),
+            mem.log("fixw").unwrap().replay().unwrap()
+        );
     }
 
     /// A memory backend whose appends wait while a test holds `gate`.
@@ -1364,6 +1372,69 @@ mod tests {
         assert_eq!(routes, times);
         assert_eq!(churn, times);
         assert!(times.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    /// A cycle's fleet-wide statistics sum the routers it admitted and no
+    /// others: a router that missed the cycle adds nothing, so a cycle
+    /// that admits no router reads zero.
+    #[test]
+    fn fleet_statistics_sum_only_the_routers_admitted_that_cycle() {
+        let mut sc = Scenario::transition_snapshot(37, 0.2);
+        let mut monitor = Monitor::new(MonitorConfig::default(), 1);
+        let mut reports = Vec::new();
+        // Every login fails on the first cycle and on cycles 3 and 4.
+        for cycle in 1..=6 {
+            let next = sc.sim.clock + monitor.cfg.interval;
+            sc.sim.advance_to(next);
+            let fail = if matches!(cycle, 1 | 3 | 4) { 1.0 } else { 0.0 };
+            let access = FlakyAccess::new(&sc.sim, fail, 0.0, 5);
+            reports.push(monitor.cycle(&access, next, 1, usize::MAX));
+        }
+        let (usage, routes) = (monitor.fleet_usage_history(), monitor.fleet_route_history());
+        let churn = monitor.fleet_churn_history();
+        for (i, report) in reports.iter().enumerate() {
+            let at = report.at.iso8601();
+            if matches!(i, 2 | 3) {
+                assert!(report.per_router.is_empty(), "{at}");
+                assert_eq!(usage[i].sessions, 0, "{at}");
+                assert_eq!(routes[i].dvmrp_total, 0, "{at}");
+            }
+            let mut sum = vec![0; 13];
+            for (router, u, r) in &report.per_router {
+                let history = monitor.churn_history(router);
+                let c = history.iter().find(|(t, _)| *t == report.at);
+                let c = c.map_or(RouteChurn::default(), |(_, c)| *c);
+                for (s, n) in sum.iter_mut().zip(counts(u, r, &c)) {
+                    *s += n;
+                }
+            }
+            assert_eq!(counts(&usage[i], &routes[i], &churn[i].1), sum, "{at}");
+        }
+        assert!(usage[4].sessions > 0 && routes[4].dvmrp_reachable > 0);
+    }
+
+    /// A cycle's integer statistics: sessions, participants, active
+    /// sessions, senders, SA entries, DVMRP total and reachable routes,
+    /// MBGP routes, the four churn counts and the total bandwidth.
+    fn counts(u: &UsageStats, r: &RouteStats, c: &RouteChurn) -> Vec<u64> {
+        let mut n: Vec<u64> = [
+            u.sessions,
+            u.participants,
+            u.active_sessions,
+            u.senders,
+            u.sa_entries,
+            r.dvmrp_total,
+            r.dvmrp_reachable,
+            r.mbgp_routes,
+            c.added,
+            c.removed,
+            c.changed,
+            c.reachability_flips,
+        ]
+        .map(|n| n as u64)
+        .into();
+        n.push(u.total_bandwidth.bps());
+        n
     }
 
     #[test]

@@ -654,8 +654,8 @@ fn analyse_router(
     (st.name.clone(), usage, routes, anomalies)
 }
 
-/// Cross-router consistency over the snapshots `states` took this cycle
-/// (now their `prev`; a missed router's is older and sits out), in that
+/// Cross-router consistency over the snapshots the routers analysed this
+/// cycle took (now their `prev`), given as `states` in configuration
 /// order — a serial barrier after the per-router work, since the sweep
 /// needs every snapshot at once. Each pair of distinct reachable-set
 /// views is compared once.
@@ -664,10 +664,7 @@ pub(crate) fn sweep_cycle<'a>(
     states: impl Iterator<Item = &'a RouterState>,
     now: SimTime,
 ) -> Vec<Anomaly> {
-    let views: Vec<&Tables> = states
-        .filter_map(|st| st.prev.as_ref())
-        .filter(|t| t.captured_at == now)
-        .collect();
+    let views: Vec<&Tables> = states.filter_map(|st| st.prev.as_ref()).collect();
     inconsistency.sweep(&views, now)
 }
 

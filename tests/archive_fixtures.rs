@@ -1,6 +1,6 @@
 //! Golden v1 fixture archives: committed MANTRARC v1 files that pin the
 //! legacy on-disk format forever. v1 is read-only — nothing writes it
-//! any more, so the fixture is frozen. The read-only decoder must keep
+//! any more, so the fixture is frozen. The archive reader must keep
 //! replaying it byte-identically to a memory archive fed the same
 //! stream, `v1 → compact → v2` must preserve every row while shrinking
 //! the file, and opening it for append must fail with a pointer to the
@@ -15,7 +15,7 @@ mod common;
 use std::path::PathBuf;
 
 use common::TempDir;
-use mantra::core::archive::{ArchiveBackend, FileBackendV1};
+use mantra::core::archive::{ArchiveBackend, ArchiveReader};
 use mantra::core::logger::{compact_archive, CompactOptions, TableLog};
 use mantra::core::tables::{LearnedFrom, PairRow, RouteRow, Tables};
 use mantra::net::{BitRate, GroupAddr, Ip, Prefix, SimTime};
@@ -81,21 +81,20 @@ fn v1_fixture_replays_byte_identically_to_memory() {
     let streams = fixture_stream();
     let log = TableLog::load_read_only(&fixture_path("fixw-v1.marc")).unwrap();
     assert_eq!(log.backend_kind(), "file");
-    assert_eq!(log.describe().format_version, 1);
+    assert_eq!(log.archive_stats().format_version, 1);
     assert_eq!(log.archive_stats().recovered_bytes, 0);
 
     let mut mem = TableLog::new(FULL_EVERY);
     for s in &streams {
         mem.append(s);
     }
-    // Same rows, same record kinds: the read-only v1 decoder loses
-    // nothing.
-    assert_eq!(log.replay(), streams);
-    assert_eq!(log.replay(), mem.replay());
+    // Same rows, same record kinds: the reader loses nothing.
+    assert_eq!(log.replay().unwrap(), streams);
+    assert_eq!(log.replay().unwrap(), mem.replay().unwrap());
     // Every stored payload is the serde_json rendering of the record
     // decoded from it, plus the fixed 9-byte v1 frame header per record —
     // pinning both the payload bytes and the frame overhead.
-    let v1 = FileBackendV1::open_read_only(fixture_path("fixw-v1.marc")).unwrap();
+    let v1 = ArchiveReader::open(fixture_path("fixw-v1.marc")).unwrap();
     let payload: u64 = v1
         .records()
         .map(|r| serde_json::to_string(&r.unwrap()).unwrap().len() as u64)
@@ -140,10 +139,10 @@ fn v1_fixture_compacts_to_an_equivalent_smaller_v2_archive() {
     )
     .unwrap();
     assert_eq!(dropped, 0);
-    assert_eq!(dst.replay(), src.replay());
+    assert_eq!(dst.replay().unwrap(), src.replay().unwrap());
     // The rewrite bumps the dictionary epoch past the v1 source's 0 and
     // lands in the id-keyed format, which is strictly smaller on disk.
-    let info = dst.describe();
+    let info = dst.archive_stats();
     assert_eq!(info.format_version, 2);
     assert_eq!(info.epoch, 1);
     assert!(info.dict_entries > 0);
@@ -156,5 +155,5 @@ fn v1_fixture_compacts_to_an_equivalent_smaller_v2_archive() {
     // And the compacted archive reopens for append.
     drop(dst);
     let reloaded = TableLog::load(&out, FULL_EVERY).unwrap();
-    assert_eq!(reloaded.replay(), src.replay());
+    assert_eq!(reloaded.replay().unwrap(), src.replay().unwrap());
 }

@@ -115,9 +115,9 @@ fn retire_seals_a_drained_archive_and_rejoin_appends_at_a_fresh_epoch() {
     // disk through the writer thread — a cold read-only load sees all of
     // them, with no torn tail.
     let sealed = TableLog::load_read_only(&path).expect("sealed archive loads");
-    let prefix = sealed.replay();
+    let prefix = sealed.replay().unwrap();
     assert_eq!(prefix.len() as u64, LEAVE_AFTER, "drained, nothing torn");
-    let epoch_before = sealed.describe().epoch;
+    let epoch_before = sealed.archive_stats().epoch;
 
     // Byte-stable while retired: more cycles run (fixw keeps archiving),
     // the sealed file does not move.
@@ -148,10 +148,10 @@ fn retire_seals_a_drained_archive_and_rejoin_appends_at_a_fresh_epoch() {
     let log = m.log("ucsb-gw").expect("state exists");
     assert!(!log.is_sealed(), "rejoin unseals");
     assert!(
-        log.describe().epoch > epoch_before,
+        log.archive_stats().epoch > epoch_before,
         "rejoin must bump the dictionary epoch ({} -> {})",
         epoch_before,
-        log.describe().epoch
+        log.archive_stats().epoch
     );
     // `archive_stats` never drains the threaded writer (by design), so
     // the cycle's last record may still be queued: count after the
@@ -166,7 +166,7 @@ fn retire_seals_a_drained_archive_and_rejoin_appends_at_a_fresh_epoch() {
     // The rejoined archive replays clean from disk: the pre-departure
     // prefix byte-compatibly first, then the post-rejoin snapshots.
     let reopened = TableLog::load_read_only(&path).expect("rejoined archive loads");
-    let full = reopened.replay();
+    let full = reopened.replay().unwrap();
     assert_eq!(full.len() as u64, LEAVE_AFTER + POST_REJOIN);
     assert_eq!(&full[..LEAVE_AFTER as usize], &prefix[..], "prefix intact");
     for w in full.windows(2) {

@@ -14,8 +14,8 @@ use std::path::{Path, PathBuf};
 
 use common::TempDir;
 use mantra::core::archive::{
-    ArchiveBackend, ArchiveInfo, ArchiveSpec, ArchiveStats, BackpressureMode, FileBackendV2,
-    RecordIter, ThreadedBackend, WriterConfig,
+    ArchiveBackend, ArchiveSpec, ArchiveStats, BackpressureMode, FileBackendV2, RecordIter,
+    ThreadedBackend, WriterConfig,
 };
 use mantra::core::logger::{LogRecord, TableLog};
 use mantra::core::pipeline::RouterState;
@@ -127,10 +127,6 @@ impl ArchiveBackend for FailingBackend {
         self.inner.stats()
     }
 
-    fn describe(&self) -> ArchiveInfo {
-        self.inner.describe()
-    }
-
     fn sync(&mut self) -> io::Result<()> {
         if self.dead {
             return Err(io::Error::other("simulated crash: backend dead"));
@@ -206,14 +202,18 @@ fn every_crash_point_recovers_to_a_clean_prefix_and_keeps_appending() {
             "budget {budget}: recovered file len {len_after}"
         );
         assert_eq!(stats.recovered_bytes, budget - len_after, "budget {budget}");
-        assert_eq!(recovered.replay(), &streams[..k], "budget {budget}");
+        assert_eq!(
+            recovered.replay().unwrap(),
+            &streams[..k],
+            "budget {budget}"
+        );
 
         // And the recovered archive is writable: life goes on after a
         // crash, from the last intact record.
         let mut recovered = recovered;
         recovered.append(&snapshot(99));
         assert_eq!(recovered.backend_error(), None, "budget {budget}");
-        assert_eq!(recovered.replay().len(), k + 1, "budget {budget}");
+        assert_eq!(recovered.replay().unwrap().len(), k + 1, "budget {budget}");
     }
 }
 
@@ -290,16 +290,20 @@ fn every_crash_point_recovers_under_the_threaded_writer() {
             k as u64,
             "budget {budget}"
         );
-        assert_eq!(recovered.replay(), &streams[..k], "budget {budget}");
+        assert_eq!(
+            recovered.replay().unwrap(),
+            &streams[..k],
+            "budget {budget}"
+        );
     }
 }
 
 #[test]
 fn corrupted_archive_replay_degrades_instead_of_panicking() {
-    // Satellite regression for the `.expect("archive replay failed")`
-    // panic: a record that goes bad *after* the archive was opened (the
-    // open-time scan can no longer truncate it away) must end replay at
-    // the last clean snapshot, not crash the monitor.
+    // Regression for the `.expect("archive replay failed")` panic: a
+    // record that goes bad *after* the archive was opened (the open-time
+    // scan can no longer truncate it away) must end replay at the last
+    // clean snapshot with an error, not crash the monitor.
     let dir = TempDir::new("crash-degrade");
     let path = dir.join("replay-degrade.marc");
     let streams = stream();
@@ -321,22 +325,21 @@ fn corrupted_archive_replay_degrades_instead_of_panicking() {
     bytes[target] ^= 0xFF;
     std::fs::write(&path, &bytes).unwrap();
 
-    // replay(): clean prefix, error counted, no panic.
-    let got = log.replay();
+    // replay(): the error is returned, no panic.
+    let err = log.replay().unwrap_err();
+    assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+
+    // replay_iter(): the clean prefix, then the error, then nothing.
+    let mut steps = log.replay_iter();
+    let got: Vec<Tables> = steps.by_ref().map_while(Result::ok).collect();
     assert!(got.len() < streams.len(), "corruption must cut the replay");
     assert_eq!(got.as_slice(), &streams[..got.len()]);
-    assert_eq!(log.replay_errors(), 1);
-    assert!(log.last_replay_error().is_some());
+    assert!(steps.next().is_none(), "the replay fuses on its error");
 
-    // try_replay(): same accounting, error propagated.
-    assert!(log.try_replay().is_err());
-    assert_eq!(log.replay_errors(), 2);
-
-    // The failures reach the archive's error count and health rule (and
-    // from there the health and archive tables, the HTML report and
-    // `/health`).
-    assert_eq!(log.errors(), 2);
-    assert!(log.degraded());
+    // A failed read is its caller's to report; the archive's own
+    // persistence, which the health rule judges, lost nothing.
+    assert_eq!(log.errors(), 0);
+    assert!(!log.degraded());
 }
 
 #[test]

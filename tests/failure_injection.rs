@@ -196,7 +196,7 @@ fn monitor_survives_heavy_capture_failures() {
     assert!(monitor.parse_totals().parsed > 100);
     // The archive stays replayable.
     let log = monitor.log("fixw").unwrap();
-    assert_eq!(log.replay().len(), 24);
+    assert_eq!(log.replay().unwrap().len(), 24);
 }
 
 #[test]
@@ -316,5 +316,5 @@ fn collection_gap_then_resume() {
         .collect();
     assert!(gaps.iter().any(|g| *g > 60 * 12), "gap preserved: {gaps:?}");
     // And the archive replays cleanly across it.
-    assert_eq!(monitor.log("fixw").unwrap().replay().len(), 12);
+    assert_eq!(monitor.log("fixw").unwrap().replay().unwrap().len(), 12);
 }

@@ -91,7 +91,7 @@ fn archives_replay_losslessly_through_the_monitor() {
     );
     drive(&mut sc, &mut monitor, 20);
     let log = monitor.log("fixw").unwrap();
-    let replayed = log.replay();
+    let replayed = log.replay().unwrap();
     assert_eq!(replayed.len(), 20);
     assert_eq!(&replayed[19], monitor.latest("fixw").unwrap());
     // Delta encoding earns its keep even on churning tables.

@@ -48,14 +48,49 @@ fn cfg_for(routers: Vec<String>, sc: &Scenario, archive: ArchiveSpec) -> Monitor
     }
 }
 
+/// A usage entry's integer fields: sessions, participants, active
+/// sessions, senders, SA entries and total bandwidth (bps).
+fn usage_counts(u: &UsageStats) -> [u64; 6] {
+    let n = |x: usize| x as u64;
+    [
+        n(u.sessions),
+        n(u.participants),
+        n(u.active_sessions),
+        n(u.senders),
+        n(u.sa_entries),
+        u.total_bandwidth.bps(),
+    ]
+}
+
+/// A route entry's integer fields: DVMRP total and reachable routes, and
+/// MBGP routes.
+fn route_counts(r: &RouteStats) -> [u64; 3] {
+    [r.dvmrp_total, r.dvmrp_reachable, r.mbgp_routes].map(|x| x as u64)
+}
+
+/// A churn entry's four counts.
+fn churn_counts(c: &RouteChurn) -> [u64; 4] {
+    [c.added, c.removed, c.changed, c.reachability_flips].map(|x| x as u64)
+}
+
+/// Adds `counts` into `sum`, field by field.
+fn add_counts<const N: usize>(sum: &mut [u64; N], counts: [u64; N]) {
+    for (s, c) in sum.iter_mut().zip(counts) {
+        *s += c;
+    }
+}
+
 /// One churned case: the world of `seed` under the schedule `raw` draws,
 /// compressed onto the cycles run so every event fires inside the
 /// observed window, watched by one engine whose lifecycle thresholds are
 /// short enough to retire a departed router and rejoin it. After every
 /// cycle each reported router's statistics must equal the oracles over
 /// the snapshot it admitted, and its churn entry the oracle's churn from
-/// its previous admitted snapshot; at the end every archive must replay
-/// to exactly the admitted snapshots. Returns the rejoins the case saw.
+/// its previous admitted snapshot; the cycle's fleet-wide entries must
+/// carry its time, and their integer fields must be the sums of those
+/// oracle values over the routers it reported. At the end every archive
+/// must replay to exactly the admitted snapshots. Returns the rejoins
+/// the case saw.
 fn check_churned_case(raw: &[RawChurnOp], seed: u64) -> u64 {
     let (mut sc, routers) = world(seed);
     let cycles = 12u64;
@@ -72,15 +107,18 @@ fn check_churned_case(raw: &[RawChurnOp], seed: u64) -> u64 {
     let threshold = cfg.threshold;
     let mut monitor = Monitor::new(cfg, 1);
     let mut admitted: BTreeMap<String, Vec<Tables>> = BTreeMap::new();
-    for _ in 0..cycles {
+    for cycle in 0..cycles as usize {
         let next = sc.sim.clock + interval;
         sc.sim.advance_to(next);
         let report = monitor.run_cycle(&sc.sim, next);
+        let (mut usage_sum, mut route_sum, mut churn_sum) = ([0; 6], [0; 3], [0; 4]);
         for (r, usage, routes) in &report.per_router {
             let latest = monitor.latest(r).expect("a reported router has a snapshot");
             assert_eq!(latest.captured_at, next, "{r}");
-            assert_eq!(usage, &UsageStats::from_tables(latest, threshold), "{r}");
-            assert_eq!(routes, &RouteStats::from_tables(latest), "{r}");
+            let oracle_usage = UsageStats::from_tables(latest, threshold);
+            let oracle_routes = RouteStats::from_tables(latest);
+            assert_eq!(usage, &oracle_usage, "{r}");
+            assert_eq!(routes, &oracle_routes, "{r}");
             assert_eq!(monitor.usage_history(r).last(), Some(usage), "{r}");
             let churn = monitor
                 .churn_history(r)
@@ -97,10 +135,26 @@ fn check_churned_case(raw: &[RawChurnOp], seed: u64) -> u64 {
                 next.iso8601()
             );
             seen.push(latest.clone());
+            add_counts(&mut usage_sum, usage_counts(&oracle_usage));
+            add_counts(&mut route_sum, route_counts(&oracle_routes));
+            if let Some((_, c)) = &expected {
+                add_counts(&mut churn_sum, churn_counts(c));
+            }
         }
+        let usage = &monitor.fleet_usage_history()[cycle];
+        let routes = &monitor.fleet_route_history()[cycle];
+        let (churn_at, churn) = &monitor.fleet_churn_history()[cycle];
+        let at = next.iso8601();
+        assert_eq!((usage.at, routes.at, *churn_at), (next, next, next), "{at}");
+        assert_eq!(usage_counts(usage), usage_sum, "fleet usage at {at}");
+        assert_eq!(route_counts(routes), route_sum, "fleet routes at {at}");
+        assert_eq!(churn_counts(churn), churn_sum, "fleet churn at {at}");
     }
+    assert_eq!(monitor.fleet_usage_history().len() as u64, cycles);
     for r in &routers {
-        let replay = monitor.log(r).map(TableLog::replay).unwrap_or_default();
+        let replay = (monitor.log(r))
+            .map(|log| log.replay().expect("the archive replays"))
+            .unwrap_or_default();
         let expected = admitted.remove(r).unwrap_or_default();
         assert!(
             replay == expected,
@@ -241,8 +295,8 @@ fn file_archives_replay_to_the_memory_archived_streams() {
     assert!(file.logs().all(|log| !log.fell_back && log.errors() == 0));
     for r in &routers {
         let f = TableLog::load(&ArchiveSpec::path_for(dir.path(), r), 96).expect("file archive");
-        let m = mem.log(r).expect("memory archive").replay();
-        assert_eq!(f.replay(), m, "archive divergence at {r}");
+        let m = mem.log(r).expect("memory archive").replay().unwrap();
+        assert_eq!(f.replay().unwrap(), m, "archive divergence at {r}");
         assert_eq!(m.len(), 4);
     }
 }

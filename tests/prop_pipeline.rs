@@ -192,7 +192,7 @@ proptest! {
         for s in &streams {
             log.append(s);
         }
-        let replayed = log.replay();
+        let replayed = log.replay().unwrap();
         prop_assert_eq!(replayed, streams);
         // The logger stores a Delta only when it costs less than the Full
         // record, so what it stores never costs more than full snapshots.

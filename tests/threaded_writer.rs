@@ -14,8 +14,8 @@ use std::time::{Duration, Instant};
 
 use common::TempDir;
 use mantra::core::archive::{
-    ArchiveBackend, ArchiveInfo, ArchiveStats, BackpressureMode, FileBackendV2, RecordIter,
-    SyncPolicy, ThreadedBackend, WriterConfig,
+    ArchiveBackend, ArchiveStats, BackpressureMode, FileBackendV2, RecordIter, SyncPolicy,
+    ThreadedBackend, WriterConfig,
 };
 use mantra::core::logger::{LogRecord, SnapshotParts};
 use mantra::net::SimTime;
@@ -62,10 +62,6 @@ impl ArchiveBackend for SlowBackend {
 
     fn stats(&self) -> ArchiveStats {
         self.inner.stats()
-    }
-
-    fn describe(&self) -> ArchiveInfo {
-        self.inner.describe()
     }
 
     fn sync(&mut self) -> io::Result<()> {
@@ -243,11 +239,11 @@ fn sync_is_a_drain_and_fsync_barrier() {
 
 #[test]
 fn observers_never_act_as_drain_barriers() {
-    // The daemon polls stats()/describe() between cycles while the
-    // writer chews through its queue. Those observers must answer from
-    // the mirror + queue overlay, never by waiting for the drain — a
-    // health query that stalls behind a slow disk would defeat the
-    // writer thread entirely.
+    // The daemon polls stats() between cycles while the writer chews
+    // through its queue. That observer must answer from the mirror +
+    // queue overlay, never by waiting for the drain — a health query
+    // that stalls behind a slow disk would defeat the writer thread
+    // entirely.
     let dir = TempDir::new("threaded");
     let path = dir.join("observer-no-stall.marc");
     let delay = Duration::from_millis(20);
@@ -256,12 +252,11 @@ fn observers_never_act_as_drain_barriers() {
     for n in 0..N {
         be.append(full_record(n)).unwrap();
     }
-    // ~N*20ms of disk work is queued; observers must return well inside
-    // one append's delay, and the queue must still be non-empty after —
-    // proof they did not silently drain it.
+    // ~N*20ms of disk work is queued; the observer must return well
+    // inside one append's delay, and the queue must still be non-empty
+    // after — proof it did not silently drain it.
     let t = Instant::now();
     let stats = be.stats();
-    let info = be.describe();
     let observed = t.elapsed();
     assert!(
         stats.queue_depth > 0,
@@ -269,9 +264,9 @@ fn observers_never_act_as_drain_barriers() {
     );
     assert!(
         observed < delay * (N as u32) / 2,
-        "observers took {observed:?} — they stalled behind the slow disk"
+        "stats() took {observed:?} — it stalled behind the slow disk"
     );
-    assert_eq!(info.format_version, 2);
+    assert_eq!(stats.format_version, 2);
     // pending includes the queued records (power-loss exposure).
     assert!(stats.pending_appends >= stats.queue_depth);
     drop(be); // the shutdown drain barrier is still a drain barrier
